@@ -40,8 +40,10 @@ Numba and cores exist. **vector_1m** times one 1M-packet native run
 
 **engine_vector_traced** and **engine_vector_monitored** re-run the
 2000-packet vector workload with a recorder + metrics registry and an
-invariant monitor attached, respectively — the cost of epoch-trace
-reconstruction (``repro.obs.reconstruct``). Both quote their overhead
+invariant monitor attached, respectively — the cost of feeding sinks
+from the epoch schedule (``repro.obs.reconstruct``: per-event for the
+recorder, per-window with array predicates for the registry and the
+monitor). Both quote their overhead
 against the same-process sinks-off ``engine_vector`` run, which keeps
 its measurement name and workload string, so ``--check-regression``
 continues to gate the zero-overhead disabled path against history.
@@ -466,8 +468,8 @@ def main() -> int:
     engine_vector["speedup_vs_fast_median"] = round(
         engine["seconds_median"] / engine_vector["seconds_median"], 2
     )
-    # Observability on the vector engine rides trace reconstruction;
-    # quote its cost against the same-process sinks-off vector run.
+    # Observability on the vector engine is fed post-run from the
+    # schedule; quote its cost against the same-process sinks-off run.
     engine_vector_traced = bench_engine(rounds, observed=True, engine="vector")
     engine_vector_traced["overhead_vs_untraced"] = round(
         engine_vector_traced["seconds_min"] / engine_vector["seconds_min"] - 1,

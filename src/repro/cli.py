@@ -686,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="fast",
         help="simulation engine: dense = executable specification, "
         "fast = sparse worklist (default), vector = batch SoA engine "
-        "with full observability via trace reconstruction (falls back "
+        "with full observability fed from its epoch schedule (falls back "
         "to fast only when faults are attached; see docs/simulator.md)",
     )
     add_native_args(p)

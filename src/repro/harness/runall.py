@@ -79,8 +79,8 @@ def _observability_run(
     Perfetto), ``trace.jsonl``, ``trace_canonical.json`` (the
     order-independent :func:`canonical_form`, diffable across engines),
     ``metrics.json``, ``alerts.jsonl``, and ``trace_summary.txt`` into
-    ``out``. The vector engine reconstructs an identical event stream
-    from its epoch schedule, so every artifact — and the returned block
+    ``out``. The vector engine feeds the same sinks from its epoch
+    schedule, so every artifact — and the returned block
     that lands in ``results.json`` — is byte-identical across engines.
     """
     from ..mp5 import ENGINES
@@ -168,9 +168,9 @@ def run_all(
     runs. ``observe`` additionally records one instrumented run (trace,
     metrics, monitor alerts, stall summary) on the selected engine into
     ``out_dir`` — off by default so ``results.json`` stays
-    byte-identical with earlier releases. The vector engine
-    reconstructs the identical event stream from its epoch schedule, so
-    the instrumented artifacts also diff clean across engines.
+    byte-identical with earlier releases. The vector engine feeds the
+    same sinks from its epoch schedule, so the instrumented artifacts
+    also diff clean across engines.
     ``engine`` selects the simulation engine for the Figure 7 sweeps
     and Figure 8 (``dense``/``fast``/``vector``; default: the scale's
     preference — ``vector`` at ``scale=large``/``xlarge``, else

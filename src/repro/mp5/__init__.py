@@ -28,8 +28,9 @@ against each other (``tests/test_fastpath_equivalence.py``,
   structure-of-arrays NumPy batch engine; falls back to ``fast`` when a
   run needs something the batch reduction cannot express (faults,
   unsupported configs or program shapes). Observability sinks attach
-  natively: the engine reconstructs the scalar engines' event stream
-  from its epoch schedule (:mod:`repro.obs.reconstruct`). Its run
+  natively and are fed after the run from the epoch schedule's tick
+  columns (:mod:`repro.obs.reconstruct`): a recorder event by event, a
+  registry and a monitor one window at a time. Its run
   splits into an exact timing sweep and a service replay
   (:mod:`repro.mp5.epochs`), which optionally engages the fused native
   kernel tier (:mod:`repro.compiler.native`, ``native=True``) and

@@ -281,7 +281,6 @@ class EpochStreamer:
         self, switch, packets: Sequence, H: Dict, E: Dict, R: Dict,
         max_ticks: Optional[int],
     ):
-        self.switch = switch
         self.packets = packets  # shared list object; caller appends
         self.H = H  # shared dict objects; caller swaps grown columns in
         self.E = E
@@ -294,6 +293,10 @@ class EpochStreamer:
         self.vplans = switch._vplans
         self.nplans = len(self.vplans)
         self.kernels = switch._vkernels
+        # Only what the sweep reads — no reference back to the switch,
+        # which owns this streamer (a cycle would leave a finished
+        # switch to the cycle collector).
+        self.transit_after_inject = switch._transit_after_inject
         self.sharder = switch.sharder
         # Last executable tick: the run loop breaks before tick max_ticks.
         self.cut_limit = (max_ticks - 1) if max_ticks is not None else None
@@ -401,7 +404,7 @@ class EpochStreamer:
         kern0 = self.kernels[0]
         if kern0 is not None:
             kern0.fn(H, R, E, rows)
-        for u in self.switch._transit_after_inject:
+        for u in self.transit_after_inject:
             self.kernels[u].fn(H, R, E, rows)
         t_rows = inj[rows]
         if not vplans:

@@ -224,7 +224,6 @@ class MP5Switch:
         self._per_pipe: List[List[int]] = [[] for _ in range(cfg.num_pipelines)]
         self._accessed_arrays: List[str] = []
         self._service_pkt_id = -1
-        self._logger = self._log_access
         # Stages whose service actually executes something. A through-
         # moved packet by construction has no pending access at its seat
         # (movement queues it into a FIFO otherwise), so servicing it at
@@ -301,9 +300,10 @@ class MP5Switch:
         for plan_tuple in self._resolution_plans:
             if plan_tuple[5] and not plan_tuple[7]:  # conservative, single
                 self._stage_needs_log[plan_tuple[0]] = True
-        self._stage_logger: List[Optional[object]] = [
-            self._log_access if need else None for need in self._stage_needs_log
-        ]
+        # Bound in start() and dropped in finish(): a bound method stored
+        # on its own instance is a reference cycle, and a finished
+        # switch should be freed by refcount, not the cycle collector.
+        self._stage_logger: List[Optional[object]] = [None] * self.depth
         # Specialized resolution plan for the common shape — every array
         # single-staged, shardable, guard-free — so injection runs a
         # tight 5-tuple loop; anything else falls back to the generic
@@ -431,7 +431,7 @@ class MP5Switch:
         if self.crossbar is not None:
             metrics.add_sampler(
                 "crossbar_crossings",
-                lambda: self.crossbar.total_crossings,
+                (lambda c=self.crossbar: c.total_crossings),
                 cumulative=True,
             )
         if latency:
@@ -483,14 +483,12 @@ class MP5Switch:
             )
         self._ran = True
         self._record_access_order = record_access_order
-        self._logger = (
-            self._log_access_ordered if record_access_order else self._log_access
-        )
         if record_access_order:
-            self._stage_logger = [self._logger] * self.depth
+            self._stage_logger = [self._log_access_ordered] * self.depth
         else:
+            logger = self._log_access
             self._stage_logger = [
-                self._logger if need else None for need in self._stage_needs_log
+                logger if need else None for need in self._stage_needs_log
             ]
         self._pending = deque()
         self._feed_seq = 0
@@ -618,6 +616,11 @@ class MP5Switch:
                 self.tick, self, drained=not self._pending and self._live == 0
             )
         self.stats.ticks = self.tick
+        # The run is over: release what points back at this switch (the
+        # bound-method loggers, the monitor that holds ``_switch``).
+        self._stage_logger = [None] * self.depth
+        self.obs = None
+        self._monitor = None
         return self.stats
 
     @property

@@ -29,13 +29,16 @@ counters can still move indices), exactly like the idle-tick
 compression of the scalar engines.
 
 Observability (recorder, metrics registry, profiler, monitor) rides the
-batch path: attached sinks are fed *after* Phase B by the epoch-trace
-reconstruction (:mod:`repro.obs.reconstruct`), which synthesizes the
-scalar engines' event stream from the schedule and replays it through
-the real sink emitters — same ``canonical_form``, same alert stream,
-same metrics series, and ``results.json`` stays byte-identical with
-sinks on or off. With no sink attached the engine skips it all, so the
-closed-form speed is untouched.
+batch path: attached sinks are fed *after* Phase B from the schedule's
+tick columns (:mod:`repro.obs.reconstruct`) — a recorder gets the
+scalar engines' event stream, synthesized and dispatched through its
+own emitters; a registry and a monitor get their windows, histograms
+and detector steps at the roll boundaries, and the monitor's invariants
+run as whole-array predicates over every executed event tick. Same
+``canonical_form``, same alert stream, same metrics series, and
+``results.json`` stays byte-identical with sinks on or off. With no
+sink attached the engine skips it all, so the closed-form speed is
+untouched.
 
 Exactness over generality: configurations the batch reduction cannot
 represent (bounded FIFOs, phantom loss, ECN, starvation preemption,
@@ -80,7 +83,7 @@ class VectorUnsupported(ReproError):
 
 class _LitePacket:
     """The arrival-time facts of a buffered packet — everything the
-    epoch sweep, statistics reconstruction, and trace replay read
+    epoch sweep, statistics reconstruction, and event synthesis read
     (``arrival``, ``port``, ``flow_id``). The streaming path swaps the
     full :class:`DataPacket` for this once the header columns are
     gathered, so a served segment buffers O(SoA columns) per packet,
@@ -327,10 +330,20 @@ class VectorSwitch(MP5Switch):
         """Attach observability sinks — deferred, not hooked.
 
         The batch engine has no per-tick hot path to instrument, so the
-        sinks are only *stored* here; after Phase B completes, the
-        epoch-trace reconstruction (:mod:`repro.obs.reconstruct`) feeds
-        them the synthesized event stream, registers the metrics
-        samplers, and runs the monitor's per-tick checks. Binding is
+        sinks are only *stored* here; after Phase B completes,
+        :mod:`repro.obs.reconstruct` feeds them from the schedule's tick
+        columns. A recorder gets the synthesized event stream. A
+        registry gets the scalar sampler set, rolled at its window
+        boundaries. A monitor gets its detector windows and — instead
+        of per-tick walks over FIFOs and shard maps this engine never
+        populates — array predicates over every executed event tick:
+        ``c1_order`` (ids ascend in pop order per state index),
+        ``phantom_pairing`` (emit <= match <= pop, every egress fully
+        matched), ``fifo_sanity`` (per lane, matches cover pops; one pop
+        per tick), ``shard_exclusivity`` (an index changes pipeline
+        only across a remap boundary it was idle at) and
+        ``conservation`` (in-flight >= 0 at each boundary; the engine's
+        counters against the columns at end of run). Binding is
         deferred with everything else, which keeps a later
         :class:`VectorUnsupported` fallback clean: the same sinks
         re-attach to the fast engine untouched.
@@ -350,9 +363,14 @@ class VectorSwitch(MP5Switch):
             self._monitor = monitor
 
     def _replay_sinks(self, packets, schedule, wasted_masks, drained) -> None:
+        """Feed the attached sinks from the finished schedule; all sink
+        work of a run happens inside this one ``trace_reconstruct``
+        span."""
         from ..obs.reconstruct import replay_observability
 
-        replay_observability(
+        prof = self._profiler
+        t0 = perf_counter()
+        fed = replay_observability(
             self,
             packets,
             schedule,
@@ -362,6 +380,9 @@ class VectorSwitch(MP5Switch):
             metrics=self._metrics,
             monitor=self._monitor,
         )
+        if prof is not None:
+            prof.record_span("trace_reconstruct", perf_counter() - t0)
+            prof.record_sinks(**fed)
 
     @property
     def _sinks_attached(self) -> bool:
@@ -845,16 +866,12 @@ class VectorSwitch(MP5Switch):
                 start = int(boundary)
             prof.record_epoch(len(records), start, stats.ticks)
         if self._sinks_attached:
-            if prof is not None:
-                t0 = perf_counter()
             self._replay_sinks(
                 packets,
                 schedule,
                 wasted_masks,
                 drained=(schedule.egr_assigned == N),
             )
-            if prof is not None:
-                prof.record_span("trace_reconstruct", perf_counter() - t0)
 
 
 def run_mp5_vector(
@@ -875,8 +892,8 @@ def run_mp5_vector(
     engine whenever the vector reduction does not apply.
 
     Observability sinks (``recorder``/``metrics``/``profiler``/
-    ``monitor``) ride the batch path — the post-run epoch-trace
-    reconstruction feeds them streams identical to the scalar engines'
+    ``monitor``) ride the batch path — fed post-run from the schedule,
+    they end up identical to the scalar engines'
     (:mod:`repro.obs.reconstruct`). Attached ``faults`` trigger the
     fallback with a one-line stderr warning (so ``--engine vector`` is
     always safe in scripts); unsupported configurations fall back

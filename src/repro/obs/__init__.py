@@ -18,9 +18,10 @@ Three independent, individually attachable layers::
 Everything is gated behind a single attribute check in the engine: with
 nothing attached, the fast path executes the same code it does today.
 The scalar engines emit events live, tick by tick; the vector engine
-reconstructs the identical stream from its epoch schedule after the
-closed-form run (:mod:`repro.obs.reconstruct`), so all three engines
-honor the same contract. See ``docs/observability.md`` for the event
+feeds the same sinks from its epoch schedule after the closed-form run
+(:mod:`repro.obs.reconstruct` — the recorder event by event, the
+registry and the monitor one window at a time, the invariants as
+whole-array predicates), so all three engines honor the same contract. See ``docs/observability.md`` for the event
 schema and workflows.
 """
 

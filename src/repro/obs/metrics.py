@@ -32,6 +32,8 @@ Totals are unaffected — they read the live instruments, not the series.
 from __future__ import annotations
 
 import json
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
@@ -104,6 +106,15 @@ class WindowedHistogram:
         self.window_values.append(value)
         self.total_count += 1
         self.total_sum += value
+
+    def observe_many(self, values: List[float]) -> None:
+        """``observe`` each value in order. The running sum is folded
+        left to right, so float totals match per-value observation bit
+        for bit."""
+        if values:
+            self.window_values.extend(values)
+            self.total_count += len(values)
+            self.total_sum = reduce(add, values, self.total_sum)
 
     def flush(self) -> Optional[Dict[str, float]]:
         """Summarize and clear the current window; None when empty."""

@@ -312,17 +312,20 @@ class InvariantMonitor:
         self._queued[pkt] = tick
         count = self._outstanding.get(pkt, 0) - 1
         if count < 0:
-            self._violation(
-                tick,
-                "phantom_pairing",
-                "phantom_channel",
-                f"data packet {pkt} matched a phantom that was never "
-                f"emitted",
-                {"pkt": pkt, "pipe": pipe, "stage": stage},
-                dedup="match_without_emit",
-            )
+            self._match_without_emit(tick, pkt, pipe, stage)
             return
         self._outstanding[pkt] = count
+
+    def _match_without_emit(self, tick, pkt, pipe, stage) -> None:
+        self._violation(
+            tick,
+            "phantom_pairing",
+            "phantom_channel",
+            f"data packet {pkt} matched a phantom that was never "
+            f"emitted",
+            {"pkt": pkt, "pipe": pipe, "stage": stage},
+            dedup="match_without_emit",
+        )
 
     def steer(self, tick, pkt, src, pipe, stage) -> None:
         self._queued.setdefault(pkt, tick)
@@ -349,23 +352,26 @@ class InvariantMonitor:
             key = ("lane", pipe, stage)
         high = self._c1_high.get(key, -1)
         if pkt < high:
-            self._violation(
-                tick,
-                "c1_order",
-                "fifo",
-                f"packet {pkt} serviced after packet {high} at "
-                f"{key!r} — arrival-order state access broken",
-                {
-                    "pkt": pkt,
-                    "prev_pkt": high,
-                    "pipe": pipe,
-                    "stage": stage,
-                    "key": list(key),
-                },
-                dedup=key,
-            )
+            self._c1_violation(tick, pkt, high, key, pipe, stage)
         else:
             self._c1_high[key] = pkt
+
+    def _c1_violation(self, tick, pkt, high, key, pipe, stage) -> None:
+        self._violation(
+            tick,
+            "c1_order",
+            "fifo",
+            f"packet {pkt} serviced after packet {high} at "
+            f"{key!r} — arrival-order state access broken",
+            {
+                "pkt": pkt,
+                "prev_pkt": high,
+                "pipe": pipe,
+                "stage": stage,
+                "key": list(key),
+            },
+            dedup=key,
+        )
 
     def service(self, tick, pkt, pipe, stage) -> None:
         pass
@@ -383,15 +389,18 @@ class InvariantMonitor:
         self._acc.pop(pkt, None)
         outstanding = self._outstanding.pop(pkt, 0)
         if outstanding:
-            self._violation(
-                tick,
-                "phantom_pairing",
-                "phantom_channel",
-                f"packet {pkt} egressed with {outstanding} phantom(s) "
-                f"never matched or accounted lost",
-                {"pkt": pkt, "outstanding": outstanding},
-                dedup="egress_outstanding",
-            )
+            self._egress_outstanding(tick, pkt, outstanding)
+
+    def _egress_outstanding(self, tick, pkt, outstanding) -> None:
+        self._violation(
+            tick,
+            "phantom_pairing",
+            "phantom_channel",
+            f"packet {pkt} egressed with {outstanding} phantom(s) "
+            f"never matched or accounted lost",
+            {"pkt": pkt, "outstanding": outstanding},
+            dedup="egress_outstanding",
+        )
 
     def drop(self, tick, pkt, reason) -> None:
         self.dropped += 1
@@ -475,6 +484,12 @@ class InvariantMonitor:
             self._check_shard_maps(tick, switch)
         for name, state in switch.sharder.arrays.items():
             np.copyto(self._inflight_prev[name], state.in_flight)
+        self.roll_window(tick)
+
+    def roll_window(self, tick: int) -> None:
+        """Close the detector window if ``tick`` is a roll tick of the
+        private registry, and run the anomaly rules over the row it
+        appended."""
         self.registry.maybe_roll(tick)
         rolled = self.registry._last_roll
         if rolled == tick and rolled != self._last_detector_roll:
@@ -482,22 +497,23 @@ class InvariantMonitor:
             for alert in self.detector.examine(self.registry, tick):
                 self.alerts.append(alert)
 
+    def _negative_in_flight(self, tick, injected, egressed, dropped) -> None:
+        self._violation(
+            tick,
+            "conservation",
+            "engine",
+            f"more packets egressed+dropped than injected "
+            f"(in-flight {injected - egressed - dropped})",
+            {"injected": injected, "egressed": egressed, "dropped": dropped},
+            dedup="negative_in_flight",
+        )
+
     def _check_conservation(self, tick: int, switch) -> None:
         in_flight = self.injected - self.egressed - self.dropped
         stats = switch.stats
         if in_flight < 0:
-            self._violation(
-                tick,
-                "conservation",
-                "engine",
-                f"more packets egressed+dropped than injected "
-                f"(in-flight {in_flight})",
-                {
-                    "injected": self.injected,
-                    "egressed": self.egressed,
-                    "dropped": self.dropped,
-                },
-                dedup="negative_in_flight",
+            self._negative_in_flight(
+                tick, self.injected, self.egressed, self.dropped
             )
         if switch._live != in_flight:
             self._violation(
@@ -553,20 +569,7 @@ class InvariantMonitor:
             else:
                 slots = sum(len(q) for q in fifo.queues.values())
             if data < 0 or data > total or total != slots:
-                self._violation(
-                    tick,
-                    "fifo_sanity",
-                    "fifo",
-                    f"FIFO {key} occupancy counters inconsistent "
-                    f"(total={total} data={data} slots={slots})",
-                    {
-                        "fifo": list(key),
-                        "total": total,
-                        "data": data,
-                        "slots": slots,
-                    },
-                    dedup=("counters", key),
-                )
+                self._fifo_counters(tick, key, total, data, slots)
             if fifo.peak_occupancy < total:
                 self._violation(
                     tick,
@@ -610,6 +613,31 @@ class InvariantMonitor:
                         dedup=("bound", key),
                     )
 
+    def _fifo_counters(self, tick, key, total, data, slots) -> None:
+        self._violation(
+            tick,
+            "fifo_sanity",
+            "fifo",
+            f"FIFO {key} occupancy counters inconsistent "
+            f"(total={total} data={data} slots={slots})",
+            {"fifo": list(key), "total": total, "data": data, "slots": slots},
+            dedup=("counters", key),
+        )
+
+    def _lane_pop_rate(self, tick, key, pops) -> None:
+        """A lane popped more than once in a tick. The scalar engines
+        cannot (one pop per group per tick is how ``_step`` is built);
+        a vector schedule is checked for it."""
+        self._violation(
+            tick,
+            "fifo_sanity",
+            "fifo",
+            f"FIFO {key} popped {pops} data packets in one tick — a "
+            f"lane pops at most one",
+            {"fifo": list(key), "pops": pops},
+            dedup=("pop_rate", key),
+        )
+
     def _check_shard_maps(self, tick: int, switch) -> None:
         k = switch.config.num_pipelines
         for name, state in switch.sharder.arrays.items():
@@ -649,23 +677,32 @@ class InvariantMonitor:
                     # previous tick boundary but injections later in the
                     # same tick may target the new location.
                     if state.in_flight[idx] and inflight_prev[idx]:
-                        self._violation(
+                        self._moved_in_flight(
                             tick,
-                            "shard_exclusivity",
-                            "sharding",
-                            f"array {name!r} index {idx} moved from "
-                            f"pipeline {int(previous[idx])} to "
-                            f"{int(current[idx])} with packets in flight",
-                            {
-                                "array": name,
-                                "index": idx,
-                                "from": int(previous[idx]),
-                                "to": int(current[idx]),
-                                "in_flight": int(state.in_flight[idx]),
-                            },
-                            dedup=("in_flight", name),
+                            name,
+                            idx,
+                            int(previous[idx]),
+                            int(current[idx]),
+                            int(state.in_flight[idx]),
                         )
                 np.copyto(previous, current)
+
+    def _moved_in_flight(self, tick, name, idx, src, dst, in_flight) -> None:
+        self._violation(
+            tick,
+            "shard_exclusivity",
+            "sharding",
+            f"array {name!r} index {idx} moved from pipeline {src} to "
+            f"{dst} with packets in flight",
+            {
+                "array": name,
+                "index": idx,
+                "from": src,
+                "to": dst,
+                "in_flight": in_flight,
+            },
+            dedup=("in_flight", name),
+        )
 
     # ------------------------------------------------------------------
     # End of run

@@ -8,12 +8,14 @@ attribute check, so profiling costs nothing disabled.
 
 The vector engine has no per-tick loop to lap, so it reports through
 the coarser channels instead: :meth:`record_span` for its Phase A
-(timing sweep) / Phase B (service) / trace-reconstruction sections,
+(timing sweep) / Phase B (service) / trace-reconstruction sections
+(the latter described by :meth:`record_sinks`: which sinks were fed,
+over how many windows, with how many invariant predicates),
 :meth:`record_kernel` for per-stage service timings tagged with the
 kernel tier that ran (``njit`` / ``python`` / ``numpy`` / ``scalar`` /
 ``pool``), :meth:`record_pool` for epoch-pool worker and shared-memory
 gauges, and :meth:`record_epoch` for the epoch boundaries Phase A
-resolved. All four stay empty on the scalar engines, so their
+resolved. All of them stay empty on the scalar engines, so their
 ``to_dict()`` output is unchanged.
 
 ``report()`` renders the breakdown the CLI prints under ``--profile``.
@@ -28,7 +30,16 @@ from typing import Dict, List, Optional
 class PhaseProfiler:
     """Accumulates per-phase wall-clock time across ticks."""
 
-    __slots__ = ("totals", "ticks", "_t0", "spans", "kernels", "pool", "epochs")
+    __slots__ = (
+        "totals",
+        "ticks",
+        "_t0",
+        "spans",
+        "kernels",
+        "pool",
+        "epochs",
+        "sinks",
+    )
 
     def __init__(self) -> None:
         self.totals: Dict[str, float] = {}
@@ -39,6 +50,7 @@ class PhaseProfiler:
         self.kernels: Dict[str, Dict] = {}
         self.pool: Dict[str, int] = {}
         self.epochs: List[Dict] = []
+        self.sinks: Dict = {}
 
     def begin(self) -> None:
         self._t0 = perf_counter()
@@ -95,6 +107,18 @@ class PhaseProfiler:
             entry["remap_moves"] = remap_moves
         self.epochs.append(entry)
 
+    def record_sinks(
+        self, kinds: List[str], windows: int = 0, predicates: int = 0
+    ) -> None:
+        """What the ``trace_reconstruct`` span fed: the sink kinds, the
+        window boundaries rolled for the registry/monitor, and the
+        invariant predicates evaluated over the schedule."""
+        self.sinks = {
+            "kinds": list(kinds),
+            "windows": windows,
+            "predicates": predicates,
+        }
+
     # ------------------------------------------------------------------
 
     @property
@@ -115,6 +139,8 @@ class PhaseProfiler:
             out["pool"] = dict(self.pool)
         if self.epochs:
             out["epochs"] = [dict(e) for e in self.epochs]
+        if self.sinks:
+            out["sinks"] = dict(self.sinks)
         return out
 
     def report(self) -> str:
@@ -198,5 +224,11 @@ class PhaseProfiler:
             )
             sections.append(
                 f"Epochs: {len(self.epochs)} resolved — {bounds}{more}"
+            )
+        if self.sinks:
+            sections.append(
+                f"Sinks fed ({'+'.join(self.sinks['kinds'])}): "
+                f"{self.sinks['windows']} windows, "
+                f"{self.sinks['predicates']} predicates"
             )
         return sections

@@ -227,9 +227,10 @@ def render_epoch_section(profiler: Dict) -> str:
     Shows the epoch boundaries Phase A resolved with each boundary's
     remap outcome, the Phase A / Phase B / reconstruction wall-clock
     split, the per-stage kernel tier that serviced each stateful stage,
-    and the epoch-pool gauges. Raises :class:`ValueError` on a
-    malformed block so the CLI can exit 2 with a one-line diagnostic,
-    matching the empty/truncated-trace handling.
+    the epoch-pool gauges, and what the reconstruction span fed (sink
+    kinds, windows rolled, invariant predicates evaluated). Raises
+    :class:`ValueError` on a malformed block so the CLI can exit 2 with
+    a one-line diagnostic, matching the empty/truncated-trace handling.
     """
     if not isinstance(profiler, dict):
         raise ValueError("profiler block must be a JSON object")
@@ -237,6 +238,7 @@ def render_epoch_section(profiler: Dict) -> str:
     kernels = profiler.get("kernels", {})
     pool = profiler.get("pool", {})
     epochs = profiler.get("epochs", [])
+    sinks = profiler.get("sinks", {})
     if not isinstance(spans, dict) or not all(
         isinstance(v, (int, float)) for v in spans.values()
     ):
@@ -251,6 +253,12 @@ def render_epoch_section(profiler: Dict) -> str:
         isinstance(e, dict) and "start" in e and "end" in e for e in epochs
     ):
         raise ValueError("profiler 'epochs' must list {start, end} spans")
+    if not isinstance(sinks, dict) or not isinstance(
+        sinks.get("kinds", []), list
+    ):
+        raise ValueError(
+            "profiler 'sinks' must be {kinds, windows, predicates}"
+        )
 
     parts: List[str] = [f"Vector epochs ({len(epochs)} resolved)"]
     if epochs:
@@ -307,6 +315,13 @@ def render_epoch_section(profiler: Dict) -> str:
         parts.append(
             "Epoch pool: "
             + " ".join(f"{key}={pool[key]}" for key in sorted(pool))
+        )
+    if sinks:
+        parts.append("")
+        parts.append(
+            f"Sinks fed ({'+'.join(map(str, sinks.get('kinds', [])))}): "
+            f"{sinks.get('windows', 0)} windows, "
+            f"{sinks.get('predicates', 0)} predicates"
         )
     return "\n".join(parts)
 

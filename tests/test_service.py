@@ -794,3 +794,72 @@ def test_malformed_content_length_rejected_with_400():
         assert b"content-length" in response
         client = client_of(thread)
         client.shutdown()
+
+
+# ----------------------------------------------------------------------
+# Memory layer: a closed segment costs its rendered result, nothing more
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "engine_cls, sinks",
+    [(VectorSwitch, True), (VectorSwitch, False), (MP5Switch, True),
+     (MP5Switch, False), (ReferenceSwitch, False)],
+)
+def test_finished_switch_is_freed_by_refcount(engine_cls, sinks):
+    """A finished switch sits in no reference cycle (the streamer holds
+    no switch; ``finish()`` drops the bound-method loggers and the
+    monitor that points back), so the daemon frees a closed segment's
+    switch the moment it drops it instead of carrying it until the next
+    full cycle collection."""
+    import gc
+    import weakref
+
+    from repro.obs import MetricsRegistry
+
+    program = compile_program("heavy_hitter")
+    trace = make_trace("heavy_hitter", 200)
+    gc.collect()
+    gc.disable()
+    try:
+        switch = engine_cls(program, MP5Config(num_pipelines=PIPELINES))
+        if sinks:
+            metrics, monitor = MetricsRegistry(), InvariantMonitor()
+            switch.attach_observability(metrics=metrics, monitor=monitor)
+        switch.start()
+        switch.feed(trace)
+        switch.pump()
+        switch.finish()
+        if engine_cls is VectorSwitch:
+            assert switch.stream_stats()["buffered"] == 0
+            assert switch._last_schedule.injected == len(trace)
+        ref = weakref.ref(switch)
+        if sinks:  # read before the drop: a scalar monitor keeps _switch
+            assert metrics.totals()["egressed"] == len(trace)
+            assert monitor.health_report().verdict == "ok"
+            if engine_cls is not VectorSwitch:
+                del monitor  # the adapter drops switch and sinks together
+        del switch
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("engine", ["fast", "vector"])
+def test_segment_results_serve_the_string_rendered_at_close(engine):
+    """Closed segments are stored rendered: every GET returns the same
+    bytes, equal to the offline run's canonical rendering."""
+    trace = make_trace("heavy_hitter", 500, seed=3)
+    service, thread = serve(program="heavy_hitter", engine=engine, monitor=True)
+    with thread:
+        client = client_of(thread)
+        client.ingest(records_of(trace))
+        client.wait_settled()
+        assert client.drain()["closed_segment"]["drained"]
+        first = client.segment_results(0)
+        second = client.segment_results(0)
+        client.shutdown()
+    assert isinstance(service._payloads[0], str)
+    assert first == second == service._payloads[0]
+    config = MP5Config(num_pipelines=PIPELINES, seed=5)
+    assert first == offline_payload(engine, "heavy_hitter", trace, config)

@@ -343,3 +343,421 @@ def test_observability_run_artifacts_identical_across_engines(tmp_path):
         "trace_summary.txt",
     ):
         assert (out_fast / name).read_bytes() == (out_vec / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Array sinks: the registry and the monitor are fed window by window from
+# the schedule's columns (repro.obs.reconstruct.feed_window_sinks), the
+# scalar engines' live emitters stay the oracle
+# ---------------------------------------------------------------------------
+
+import copy  # noqa: E402
+
+import numpy as np  # noqa: E402
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro.obs import DetectorConfig  # noqa: E402
+from repro.obs.reconstruct import (  # noqa: E402
+    _dispatch_events,
+    feed_window_sinks,
+    synthesize_events,
+)
+
+SINK_SETS = (
+    ("metrics",),
+    ("monitor",),
+    ("metrics", "monitor"),
+    ("recorder", "metrics", "monitor"),
+)
+
+
+def _observe(runner, program, trace, config, sinks, window=50, max_ticks=None):
+    """One run with exactly ``sinks`` attached, reduced to everything the
+    parity contract covers."""
+    attached = {}
+    if "metrics" in sinks:
+        attached["metrics"] = MetricsRegistry(window=window)
+    if "monitor" in sinks:
+        attached["monitor"] = InvariantMonitor(DetectorConfig(window=window))
+    if "recorder" in sinks:
+        attached["recorder"] = TraceRecorder()
+    stats, regs = runner(
+        program, trace, config, max_ticks=max_ticks, **attached
+    )
+    out = {"stats": stats, "regs": regs}
+    if "metrics" in attached:
+        metrics = attached["metrics"]
+        out["metrics"] = metrics.to_dict()
+        latency = metrics.histograms["latency"]
+        # Bit-for-bit: float totals fold in the scalar egress order.
+        out["latency_sum"] = float(latency.total_sum).hex()
+        out["latency_mean"] = float(latency.mean).hex()
+    if "monitor" in attached:
+        monitor = attached["monitor"]
+        out["monitor_registry"] = monitor.registry.to_dict()
+        out["alerts"] = [a.to_dict() for a in monitor.alerts]
+        out["health"] = monitor.health_report().to_dict()
+        out["violations"] = dict(monitor.violations)
+    if "recorder" in attached:
+        out["trace"] = canonical_form(attached["recorder"].events)
+    return out
+
+
+def _assert_three_engines(program, mk, config, sinks, window, max_ticks=None):
+    vec = _observe(
+        run_mp5_vector, program, mk(), config, sinks, window, max_ticks
+    )
+    fast = _observe(run_mp5, program, mk(), config, sinks, window, max_ticks)
+    dense = _observe(
+        run_mp5_reference, program, mk(), config, sinks, window, max_ticks
+    )
+    assert vec == fast
+    assert vec == dense
+    return vec
+
+
+def _fractional(trace):
+    """Sub-tick arrivals that are not exactly representable sums, so a
+    latency total folded in a different order would differ in its last
+    bit."""
+    for i, pkt in enumerate(trace):
+        pkt.arrival = pkt.arrival + (i % 10) / 10.0
+    return trace
+
+
+@pytest.mark.parametrize("sinks", SINK_SETS, ids="+".join)
+@pytest.mark.parametrize("window", (7, 50, 100))
+def test_window_sinks_parity_every_attachment(sinks, window):
+    """Registry-only, monitor-only, both, and all three sinks, at
+    windows that do not divide the run."""
+    program, mk, config = _sensitivity_inputs(n=260)
+    vec = _assert_three_engines(program, mk, config, sinks, window)
+    assert vec["stats"].ticks % window != 0
+
+
+@pytest.mark.parametrize("max_ticks", (0, 37, 50, 100))
+def test_window_sinks_parity_cuts(max_ticks):
+    """Cuts before the first tick, mid-window, and exactly on a roll
+    tick (the cut tick itself never executes, so its roll is the final
+    one)."""
+    program, mk, config = _sensitivity_inputs()
+    _assert_three_engines(
+        program, mk, config, ("metrics", "monitor"), 50, max_ticks
+    )
+
+
+@pytest.mark.parametrize("sinks", SINK_SETS, ids="+".join)
+def test_window_sinks_parity_fractional_arrivals(sinks):
+    """Float latencies: per-window means, the running ``total_sum`` and
+    the overall ``mean`` agree bit for bit on all three engines."""
+    program, mk, config = _sensitivity_inputs(n=400)
+    _assert_three_engines(
+        program, lambda: _fractional(mk()), config, sinks, 50
+    )
+
+
+@pytest.mark.parametrize("app_name", sorted(ALL_APPS))
+def test_window_sinks_parity_apps(app_name):
+    app = ALL_APPS[app_name]
+    _assert_three_engines(
+        app.compile(),
+        lambda: app.workload(200, 4, seed=1),
+        MP5Config(num_pipelines=4),
+        ("metrics", "monitor"),
+        7,
+    )
+
+
+@pytest.mark.parametrize(
+    "cfg_kw",
+    (
+        dict(remap_algorithm="none"),
+        dict(remap_period=16),
+        dict(flow_order_field="f0", flow_order_size=32),
+    ),
+    ids=("no_remap", "short_period", "flow_order"),
+)
+def test_window_sinks_parity_configs(cfg_kw):
+    program, mk, config = _sensitivity_inputs(**cfg_kw)
+    _assert_three_engines(program, mk, config, ("metrics", "monitor"), 7)
+
+
+def test_detector_alert_stream_matches_when_it_fires():
+    """A run whose phantom-wait detector warns: the warning comes out
+    of the window pass with the scalar engines' tick and evidence."""
+    program, mk, config = _sensitivity_inputs(
+        n=300, flow_order_field="f0", flow_order_size=32
+    )
+    vec = _assert_three_engines(program, mk, config, ("monitor",), 7)
+    assert [a["kind"] for a in vec["alerts"]] == ["phantom_wait_spike"]
+    assert vec["health"]["verdict"] == "degraded"
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    app_name=st.sampled_from(["sensitivity"] + sorted(ALL_APPS)),
+    sinks=st.sampled_from(SINK_SETS),
+    window=st.sampled_from((1, 7, 50, 100)),
+    cut=st.sampled_from((None, None, 0, 23, 50, 100)),
+    fractional=st.booleans(),
+    cfg_kw=st.sampled_from(
+        (
+            dict(),
+            dict(remap_algorithm="none"),
+            dict(remap_period=16),
+            dict(flow_order_field=True),
+        )
+    ),
+    k=st.sampled_from((1, 2, 4)),
+    seed=st.integers(min_value=0, max_value=5),
+)
+def test_window_sinks_parity_matrix(
+    app_name, sinks, window, cut, fractional, cfg_kw, k, seed
+):
+    """The whole matrix, sampled: program x attachment x window x cut x
+    arrival type x remap/ordering config x pipelines x seed."""
+    cfg_kw = dict(cfg_kw)
+    if app_name == "sensitivity":
+        program = make_sensitivity_program(num_stateful=4, register_size=64)
+
+        def mk():
+            return sensitivity_trace(150, k, 4, 64, seed=seed)
+
+        flow_field = "idx0"
+    else:
+        app = ALL_APPS[app_name]
+        program = app.compile()
+
+        def mk():
+            return app.workload(150, k, seed=seed)
+
+        flow_field = sorted(program.packet_fields)[0]
+    if cfg_kw.pop("flow_order_field", False):
+        cfg_kw.update(flow_order_field=flow_field, flow_order_size=32)
+    config = MP5Config(num_pipelines=k, **cfg_kw)
+    trace = (lambda: _fractional(mk())) if fractional else mk
+    _assert_three_engines(program, trace, config, sinks, window, cut)
+
+
+# ---------------------------------------------------------------------------
+# Corrupted schedules: each array predicate raises what the monitor's
+# emitter surface raises on the equivalent event sequence — or, where the
+# emitters cannot see the corruption at all, raises where they stay silent
+# ---------------------------------------------------------------------------
+
+
+def _finished(n=250, max_ticks=None, **cfg_kw):
+    program, mk, config = _sensitivity_inputs(n=n, **cfg_kw)
+    switch = VectorSwitch(program, config)
+    switch.run(mk(), max_ticks=max_ticks)
+    return switch, switch._last_schedule
+
+
+def _corruptible(schedule):
+    """A copy whose tick columns can be edited without touching the
+    finished switch's own arrays."""
+    sched = copy.copy(schedule)
+    sched.ins_tick = [t.copy() for t in schedule.ins_tick]
+    sched.pop_tick = [t.copy() for t in schedule.pop_tick]
+    sched.egr_tick = schedule.egr_tick.copy()
+    return sched
+
+
+def _array_monitor(switch, schedule, drained=True):
+    monitor = InvariantMonitor()
+    feed_window_sinks(switch, schedule, None, drained, monitor=monitor)
+    return monitor
+
+
+def _emitter_monitor(switch, schedule, drained=True):
+    """The oracle: the schedule's event sequence through the monitor's
+    scalar-facing emitters (what the per-event replay fed it)."""
+    monitor = InvariantMonitor()
+    events = synthesize_events(switch, switch._spackets, schedule)
+    _dispatch_events(monitor, events, switch.stats.ticks)
+    monitor.end_run(switch.stats.ticks, switch, drained)
+    return monitor
+
+
+def _critical(monitor, invariant):
+    return [
+        a.to_dict()
+        for a in monitor.alerts
+        if a.severity == "critical" and a.invariant == invariant
+    ]
+
+
+def _assert_same_verdict_on(invariant, array, oracle):
+    assert _critical(array, invariant) == _critical(oracle, invariant)
+    assert _critical(array, invariant)
+    assert array.violations[invariant] == oracle.violations[invariant]
+    assert array.health_report().verdict == "violated"
+    assert oracle.health_report().verdict == "violated"
+
+
+def test_clean_schedule_raises_nothing_on_either_path():
+    switch, schedule = _finished()
+    for monitor in (
+        _array_monitor(switch, schedule),
+        _emitter_monitor(switch, schedule),
+    ):
+        assert not monitor.violations
+        assert monitor.health_report().verdict == "ok"
+
+
+def test_corrupt_swapped_pops_of_one_index_breaks_c1_order():
+    """Two consecutive accesses of one index pop in the wrong order
+    (the later one was already queued, so nothing else is off)."""
+    switch, schedule = _finished()
+    sched = _corruptible(schedule)
+    pi = 0
+    idx = schedule.acc_idx[pi]
+    pop, ins = schedule.pop_tick[pi], schedule.ins_tick[pi]
+    dest = schedule.dest[pi]
+    order = np.argsort(idx, kind="stable")
+    pair = next(
+        (int(a), int(b))
+        for a, b in zip(order[:-1], order[1:])
+        if idx[a] == idx[b] and dest[a] == dest[b] and 0 <= ins[b] <= pop[a]
+    )
+    a, b = pair
+    sched.pop_tick[pi][a], sched.pop_tick[pi][b] = pop[b], pop[a]
+    array = _array_monitor(switch, sched)
+    oracle = _emitter_monitor(switch, sched)
+    _assert_same_verdict_on("c1_order", array, oracle)
+    assert array.violations == oracle.violations == {"c1_order": 1}
+    alert = _critical(array, "c1_order")[0]
+    assert alert["evidence"]["pkt"] == a
+    assert alert["evidence"]["prev_pkt"] == b
+
+
+def test_corrupt_pop_before_insert_breaks_fifo_sanity():
+    """The first packet of a lane pops a tick before it is inserted.
+    No emitter can see that (a pop of an unqueued packet is legal on
+    the phantom-less configs they also serve) and the per-event replay
+    ran ``_check_fifos`` against the engine's never-used FIFO objects,
+    so this is coverage only the array predicates have."""
+    switch, schedule = _finished()
+    sched = _corruptible(schedule)
+    pi = 1
+    pop = schedule.pop_tick[pi]
+    lane = schedule.dest[pi] == 0
+    first = int(np.nonzero(lane)[0][np.argmin(pop[lane])])
+    sched.pop_tick[pi][first] = schedule.ins_tick[pi][first] - 1
+    array = _array_monitor(switch, sched)
+    oracle = _emitter_monitor(switch, sched)
+    assert not oracle.violations
+    assert oracle.health_report().verdict == "ok"
+    alerts = _critical(array, "fifo_sanity")
+    assert len(alerts) == 1
+    stage = switch._vplans[pi].stage
+    assert alerts[0]["evidence"] == {
+        "fifo": [0, stage], "total": 0, "data": -1, "slots": 0
+    }
+    assert alerts[0]["tick"] == int(sched.pop_tick[pi][first])
+    assert array.violations["fifo_sanity"] == 1
+    # The late match pairs nothing, which shows at the packet's egress.
+    assert array.violations["phantom_pairing"] == 1
+    assert array.health_report().verdict == "violated"
+
+
+def test_corrupt_dropped_match_breaks_phantom_pairing():
+    """A packet pops and egresses without ever matching one of its
+    phantoms."""
+    switch, schedule = _finished()
+    sched = _corruptible(schedule)
+    pi = len(switch._vplans) - 1
+    row = int(np.nonzero(schedule.pop_tick[pi] >= 0)[0][40])
+    sched.ins_tick[pi][row] = -1
+    array = _array_monitor(switch, sched)
+    oracle = _emitter_monitor(switch, sched)
+    _assert_same_verdict_on("phantom_pairing", array, oracle)
+    alert = _critical(array, "phantom_pairing")[0]
+    assert alert["tick"] == int(schedule.egr_tick[row])
+    assert alert["evidence"] == {"pkt": row, "outstanding": 1}
+
+
+def test_corrupt_egress_of_unmatched_row_breaks_pairing_and_conservation():
+    """A packet still queued when ``max_ticks`` cut the run egresses
+    anyway. Both paths flag the unmatched phantoms; only the array path
+    also sees that the engine's counters no longer add up (the replay
+    checked conservation against a view it advanced itself)."""
+    switch, schedule = _finished(max_ticks=60)
+    assert schedule.egr_assigned < schedule.injected
+    sched = _corruptible(schedule)
+    last = len(switch._vplans) - 1
+    stuck = (np.arange(schedule.inj.shape[0]) < schedule.injected) & (
+        schedule.ins_tick[last] < 0
+    )
+    row = int(np.nonzero(stuck)[0][0])
+    sched.egr_tick[row] = switch.stats.ticks - 1
+    array = _array_monitor(switch, sched, drained=False)
+    oracle = _emitter_monitor(switch, sched, drained=False)
+    _assert_same_verdict_on("phantom_pairing", array, oracle)
+    assert "conservation" not in oracle.violations
+    assert array.violations["conservation"] == 2
+    live, stats = _critical(array, "conservation")
+    assert live["message"].startswith("engine live-packet count")
+    assert stats["message"].startswith("SwitchStats disagrees")
+    assert stats["evidence"]["egressed"] == stats["evidence"]["stats_egressed"] + 1
+
+
+def test_corrupt_double_pop_in_one_tick_breaks_fifo_sanity():
+    """Two packets of one lane pop in the same tick — something the
+    scalar engines cannot do, so only a schedule is checked for it."""
+    switch, schedule = _finished()
+    sched = _corruptible(schedule)
+    pi = 0
+    lane = np.nonzero(schedule.dest[pi] == 0)[0]
+    by_pop = lane[np.argsort(schedule.pop_tick[pi][lane])]
+    a, b = int(by_pop[10]), int(by_pop[11])
+    sched.pop_tick[pi][a] = schedule.pop_tick[pi][b]
+    array = _array_monitor(switch, sched)
+    stage = switch._vplans[pi].stage
+    rates = [
+        alert
+        for alert in _critical(array, "fifo_sanity")
+        if "pops" in alert["evidence"]
+    ]
+    assert len(rates) == 1
+    assert rates[0]["tick"] == int(schedule.pop_tick[pi][b])
+    assert rates[0]["evidence"] == {"fifo": [0, stage], "pops": 2}
+    assert array.health_report().verdict == "violated"
+
+
+def test_corrupt_index_moved_with_packets_in_flight_breaks_exclusivity():
+    """An access lands on another pipeline while an earlier access of
+    the same index is still queued: no remap boundary separates them."""
+    switch, schedule = _finished()
+    sched = _corruptible(schedule)
+    pi = 0
+    sched.dest = [d.copy() for d in schedule.dest]
+    idx, pop, inj = schedule.acc_idx[pi], schedule.pop_tick[pi], schedule.inj
+    order = np.argsort(idx, kind="stable")
+    a, b = next(
+        (int(a), int(b))
+        for a, b in zip(order[:-1], order[1:])
+        if idx[a] == idx[b] and pop[a] >= inj[b]
+    )
+    sched.dest[pi][b] = (schedule.dest[pi][b] + 1) % 4
+    array = _array_monitor(switch, sched)
+    alerts = _critical(array, "shard_exclusivity")
+    assert len(alerts) == 1
+    assert alerts[0]["evidence"]["index"] == int(idx[b])
+    assert alerts[0]["evidence"]["from"] == int(schedule.dest[pi][a])
+    assert alerts[0]["evidence"]["to"] == int(sched.dest[pi][b])
+    assert alerts[0]["evidence"]["in_flight"] >= 1
+
+
+def test_real_remaps_pass_the_exclusivity_predicate():
+    """Indices do move on this run; every move is separated from the
+    accesses around it by the remap boundary that made it."""
+    switch, schedule = _finished(n=600, remap_period=16)
+    assert sum(moved for _tick, moved in schedule.remap_records) > 0
+    array = _array_monitor(switch, schedule)
+    assert not array.violations
