@@ -35,8 +35,10 @@ the same-process plain vector runs. On hosts without Numba the fused
 tier falls back to plain Python (wave plans keep the NumPy path), and
 with one CPU the epoch pool stays serial — the numbers then measure
 pure dispatch overhead, by design near 1.0x; the tier pays off where
-Numba and cores exist. **vector_1m** times one 1M-packet native run
-(skipped under ``--quick``), the ``scale=xlarge`` per-point workload.
+Numba and cores exist. **vector_1m** times two 1M-packet native runs
+(skipped under ``--quick``), the ``scale=xlarge`` per-point workload;
+every engine row carries ``seconds_first`` beside ``seconds_min``
+because the first 1M call in a process costs about twice a later one.
 
 **engine_vector_traced** and **engine_vector_monitored** re-run the
 2000-packet vector workload with a recorder + metrics registry and an
@@ -159,6 +161,7 @@ def bench_engine(
         "ticks": ticks,
         "seconds_min": round(best, 4),
         "seconds_median": round(median, 4),
+        "seconds_first": round(times[0], 4),
         "ticks_per_sec": round(ticks / best),
     }
     if num_packets == 2000:
@@ -540,8 +543,12 @@ def main() -> int:
         "seed_baseline": SEED_BASELINE,
     }
     if not args.quick:
+        # Two rounds: the first 1M call in a process runs ~2x every
+        # later one (not GC — gc.freeze() leaves it; cause otherwise
+        # unattributed), so one round would record the cold cost as
+        # the engine's speed. seconds_first keeps it on record.
         report["vector_1m"] = bench_engine(
-            1, engine="vector", num_packets=1_000_000, native=True
+            2, engine="vector", num_packets=1_000_000, native=True
         )
     if not chaos["jobs_invariant"]:
         raise SystemExit("chaos sweep diverged between serial and parallel")

@@ -57,9 +57,7 @@ from .crossbar import CrossbarTelemetry
 from .epochs import (
     EpochSchedule,
     EpochStreamer,
-    build_epoch_schedule,
     execute_epoch_service,
-    execute_service,
 )
 from .fifo import IdealOrderBuffer, Slot, StageFifoGroup
 from .packet import DataPacket, PhantomPacket, StateAccess
@@ -84,9 +82,7 @@ __all__ = [
     "EpochStreamer",
     "VectorSwitch",
     "VectorUnsupported",
-    "build_epoch_schedule",
     "execute_epoch_service",
-    "execute_service",
     "native_available",
     "native_unavailable_reason",
     "run_mp5_vector",

@@ -18,20 +18,20 @@ in-flight counters, and every remap decision derived from them.
   their pop chains (``pop[j] = max(pop[j-1] + 1, insert[j])``), drives
   the real :class:`~repro.mp5.sharding.ShardingRuntime` at every
   boundary, and records *who pops when, from which pipeline* — but
-  performs no stateful service. :func:`build_epoch_schedule` is the
-  batch entry point: one ingest, drain, and :meth:`finalize` into an
+  performs no stateful service. Once the sweep is done,
+  :meth:`EpochStreamer.finalize` snapshots it as an
   :class:`EpochSchedule`, the run's task DAG — per-plan pop streams in
   epoch order, independent of feed chunking, the native tier, and the
   worker count.
 
-* **Phase B** — replays the schedule against register state, plan by
-  plan (:func:`execute_service`, the batch path) or epoch by epoch as
-  Phase A emits them (:func:`execute_epoch_service`, the streaming
-  path). Per-row order only matters *within* a register slot, and an
-  epoch's pops all exceed the previous epoch's cut, so the per-epoch
-  execution concatenates to exactly the batch service order. Each plan
-  admits three executions that are exact by construction: the NumPy
-  wave decomposition (PR 5 semantics, per-epoch chunk), a fused
+* **Phase B** (:func:`execute_epoch_service`) — replays each epoch's
+  step against register state as Phase A emits it; an offline run is
+  the same loop with every step emitted at the drain. Per-row order
+  only matters *within* a register slot, and an epoch's pops all exceed
+  the previous epoch's cut, so the per-epoch execution visits every
+  slot in the scalar engines' global (tick, pipeline) service order.
+  Each epoch chunk admits three executions that are exact by
+  construction: the NumPy wave decomposition (PR 5 semantics), a fused
   per-row kernel in service order (:mod:`repro.compiler.native` —
   Numba-jitted or plain Python), and, for ``wave``-category plans, a
   **residue-class partition**: rows with ``index % nparts == w`` touch
@@ -43,10 +43,10 @@ in-flight counters, and every remap decision derived from them.
 Workers come from the PR 1 pool (:mod:`repro.harness.parallel`) with an
 initializer that compiles kernels once per worker; tasks name the
 shared segment they read, so one pool survives across epochs and
-dispatches. Any pool or shared-memory failure leaves the caller's
-arrays untouched (batch path: restores the pre-plan snapshot) and
-re-executes in process — silent, like every other engine fallback,
-because the serial path is bit-for-bit the same reduction.
+dispatches. Workers only ever mutate a compact copy of the chunk, so
+any pool or shared-memory failure leaves the caller's arrays untouched
+and the chunk re-executes in process — silent, like every other engine
+fallback, because the serial path is bit-for-bit the same reduction.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def _parallel():
 
 _FAR = 1 << 62  # sentinel horizon: beyond any reachable tick
 
-#: Minimum rows in a plan's stream before residue partitioning is worth
+#: Minimum rows in an epoch chunk before residue partitioning is worth
 #: a worker round-trip (below this, pickling dwarfs the service work).
 PARALLEL_MIN_ROWS = 4096
 
@@ -163,27 +163,6 @@ class EpochSchedule:
         "remap_records",
     )
 
-    def plan_stream(self, pi: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Plan ``pi``'s whole-run pop stream, concatenated epoch order."""
-        pieces = self.chunks[pi]
-        if not pieces:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        if len(pieces) == 1:
-            return pieces[0]
-        rows = np.concatenate([c[0] for c in pieces])
-        pops = np.concatenate([c[1] for c in pieces])
-        return rows, pops
-
-    def service_order(self, pi: int) -> np.ndarray:
-        """Plan ``pi``'s rows sorted into global (tick, pipeline)
-        service order — the scalar engines' serialization order. Keys
-        are unique: each (plan, pipeline) group pops once per tick."""
-        rows, pops = self.plan_stream(pi)
-        if rows.size == 0:
-            return rows
-        return rows[np.lexsort((self.dest[pi][rows], pops))]
-
     def dag_signature(self) -> str:
         """Digest of the task DAG — everything Phase B consumes. Equal
         signatures mean equal service work regardless of worker count
@@ -204,55 +183,12 @@ class EpochSchedule:
         digest.update(self.egr_pipe.tobytes())
         return digest.hexdigest()
 
-    def partition(
-        self, pi: int, nparts: int
-    ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Split plan ``pi``'s stream into residue classes by access
-        index: part ``w`` gets rows with ``index % nparts == w``.
-
-        Parts touch disjoint register slots and disjoint SoA rows, so
-        they commute — the parallel executor's unit of work. Each part
-        is ``(rows, idxs, offsets)`` with rows concatenated in epoch
-        order and ``offsets`` marking the epoch-chunk boundaries the
-        NumPy wave decomposition preserves. Empty parts are dropped.
-        """
-        pieces = self.chunks[pi]
-        idx_col = self.acc_idx[pi]
-        parts_rows: List[List[np.ndarray]] = [[] for _ in range(nparts)]
-        parts_idx: List[List[np.ndarray]] = [[] for _ in range(nparts)]
-        for rows, _pops in pieces:
-            idxs = idx_col[rows]
-            residue = idxs % nparts
-            for w in range(nparts):
-                sel = residue == w
-                if np.any(sel):
-                    parts_rows[w].append(rows[sel])
-                    parts_idx[w].append(idxs[sel])
-        out = []
-        for w in range(nparts):
-            if not parts_rows[w]:
-                continue
-            lens = np.fromiter(
-                (r.shape[0] for r in parts_rows[w]),
-                dtype=np.int64,
-                count=len(parts_rows[w]),
-            )
-            offsets = np.concatenate(([0], np.cumsum(lens)))
-            out.append(
-                (
-                    np.concatenate(parts_rows[w]),
-                    np.concatenate(parts_idx[w]),
-                    offsets,
-                )
-            )
-        return out
-
 
 class EpochStreamer:
     """Incremental Phase A: the epoch sweep as a resumable state
     machine.
 
-    The batch sweep's loop body is split at its two decision points:
+    The sweep's loop body is split at its two decision points:
 
     * **content** — compute the epoch's cut, inject every packet with
       ``inj <= cut`` and pop every FIFO chain through it. Mid-stream
@@ -271,10 +207,10 @@ class EpochStreamer:
     cut is only provably complete at drain, so nothing advances
     mid-stream and memory-bounded streaming requires remapping on.
 
-    The per-packet arrays grow by doubling; every value the batch sweep
-    writes is written here by the same expressions in the same order,
-    so :meth:`finalize`'s :class:`EpochSchedule` — and therefore the
-    DAG signature — is bit-identical at any feed chunking.
+    The per-packet arrays grow by doubling; every value is written by
+    the same expressions in the same order whenever its cut closes, so
+    :meth:`finalize`'s :class:`EpochSchedule` — and therefore the DAG
+    signature — is bit-identical at any feed chunking.
     """
 
     def __init__(
@@ -619,7 +555,7 @@ class EpochStreamer:
                     self.done = True
                     return None
                 # Dead as far as fed packets go, but a later feed can
-                # revive the boundary (the batch test is inj_ptr < N
+                # revive the boundary (the scalar test is inj_ptr < N
                 # over the *whole* trace): stall until feed or drain.
                 return None
 
@@ -650,16 +586,10 @@ class EpochStreamer:
                 return step
             # Empty epoch: fall through to the boundary decision.
 
-    def drain(self) -> None:
-        """Run the sweep to completion, discarding service steps (the
-        chunks stay recorded on the streamer for whole-run Phase B)."""
-        while not self.done:
-            self.advance_epoch(final=True)
-
     def finalize(self) -> EpochSchedule:
-        """Snapshot the finished sweep as the batch-identical
-        :class:`EpochSchedule` (capacity arrays trimmed to the fed
-        prefix; chunk and group objects shared, not copied)."""
+        """Snapshot the finished sweep as an :class:`EpochSchedule`
+        (capacity arrays trimmed to the fed prefix; chunk and group
+        objects shared, not copied)."""
         n = self.n_fed
         sched = EpochSchedule()
         sched.cut_limit = self.cut_limit
@@ -681,33 +611,6 @@ class EpochStreamer:
         sched.last_egress = self.last_egress
         sched.epochs = self.epochs
         return sched
-
-
-def build_epoch_schedule(
-    switch, packets: Sequence, H: Dict, E: Dict, R: Dict,
-    max_ticks: Optional[int],
-) -> EpochSchedule:
-    """Phase A, batch entry point: one ingest, drain, finalize.
-
-    Mutates the sharding runtime (access counters, remaps) and — for
-    injected rows only — the stateless columns written by the
-    resolution and pre-plan transit kernels. ``switch.stats`` receives
-    the remap-move count; everything else lands on the returned
-    schedule.
-    """
-    N = len(packets)
-    streamer = EpochStreamer(switch, packets, H, E, R, max_ticks)
-    if N:
-        arrival = getattr(switch, "_arrival_f", None)
-        if arrival is None or arrival.shape[0] != N:
-            arrival = np.fromiter(
-                (float(p.arrival) for p in packets),
-                dtype=np.float64,
-                count=N,
-            )
-        streamer.ingest(arrival)
-    streamer.drain()
-    return streamer.finalize()
 
 
 # ---------------------------------------------------------------------------
@@ -808,29 +711,11 @@ def _wave_service(
     return wasted
 
 
-def _run_wave_partition(
-    kern, nkern, H, R, E, base, conservative, rows, idxs, offsets
-) -> int:
-    """Service one residue part of a wave plan: the fused per-row loop
-    when a native kernel is in force (rows are in per-index pop order,
-    which is all the per-row loop needs), else the NumPy wave
-    decomposition chunk by chunk."""
-    if nkern is not None:
-        return int(nkern.fn(rows, *_native_cols(nkern, H, E, R)))
-    wasted = 0
-    for lo, hi in zip(offsets[:-1], offsets[1:]):
-        if hi > lo:
-            wasted += _wave_service(
-                kern, H, R, E, base, conservative, rows[lo:hi], idxs[lo:hi]
-            )
-    return wasted
-
-
 # Per-worker state for the epoch pool: set once by the initializer,
 # read by every task. Lives at module level so tasks pickle as plain
-# (segment, plan, rows, idxs, offsets) tuples. The initializer no
-# longer names a segment — tasks do — so one pool serves every
-# dispatch of a run, including a streamed run's per-epoch dispatches.
+# (segment, layout, plan, rows, idxs) tuples. Tasks — not the
+# initializer — name the segment, so one pool serves every per-epoch
+# dispatch of a run.
 _WORKER: Optional[dict] = None
 
 
@@ -853,8 +738,7 @@ def _epoch_worker_init(stage_instrs, metas, mode) -> None:
 
 def _worker_columns(seg_name, layout) -> Dict:
     """Attach (or reuse) the named segment and map its columns. A new
-    name evicts the previous attachment — segments are per-dispatch in
-    the streaming path, per-run in the batch path."""
+    name evicts the previous attachment — segments are per-dispatch."""
     ctx = _WORKER
     if ctx["seg_name"] != seg_name:
         from multiprocessing import shared_memory
@@ -902,7 +786,11 @@ def _worker_plan(pi: int):
 
 
 def _epoch_worker_run(task) -> int:
-    seg_name, layout, pi, rows, idxs, offsets = task
+    """Service one residue part of a wave chunk: the fused per-row loop
+    when a native kernel is in force (rows are in per-index pop order,
+    which is all the per-row loop needs), else the NumPy wave
+    decomposition."""
+    seg_name, layout, pi, rows, idxs = task
     cols = _worker_columns(seg_name, layout)
     kern, nkern, base, conservative = _worker_plan(pi)
     H = {
@@ -911,9 +799,9 @@ def _epoch_worker_run(task) -> int:
     }
     E = {t: cols[("E", t)] for t in set(kern.temps_in) | set(kern.temps_out)}
     R = {r: cols[("R", r)] for r in {i.reg for i in kern.stateful}}
-    return _run_wave_partition(
-        kern, nkern, H, R, E, base, conservative, rows, idxs, offsets
-    )
+    if nkern is not None:
+        return int(nkern.fn(rows, *_native_cols(nkern, H, E, R)))
+    return _wave_service(kern, H, R, E, base, conservative, rows, idxs)
 
 
 def _share_columns(H: Dict, E: Dict, R: Dict):
@@ -951,205 +839,6 @@ def _pool_initargs(switch, mode: str):
     (``_get_pool`` respawns on any initargs change)."""
     metas = [(p.stage, p.base, p.conservative) for p in switch._vplans]
     return (switch._stage_instrs, metas, mode)
-
-
-def execute_service(
-    switch,
-    schedule: EpochSchedule,
-    H: Dict,
-    E: Dict,
-    R: Dict,
-    native: Optional[bool] = None,
-    epoch_jobs: Optional[int] = None,
-    profiler=None,
-    wasted_out: Optional[List[Optional[np.ndarray]]] = None,
-) -> int:
-    """Phase B, batch path: run every plan's deferred service, in plan
-    order.
-
-    Mutates ``H``/``E``/``R`` in place (via shared-memory staging when
-    workers are used) and returns the wasted-slot count. The result is
-    identical — and, once serialized, byte-identical — for every
-    combination of ``native`` and ``epoch_jobs``, including every
-    fallback path. ``profiler`` (a
-    :class:`~repro.obs.profiler.PhaseProfiler`) receives per-stage
-    kernel-tier timings and pool gauges; ``wasted_out`` is a per-plan
-    list of bool row masks the trace reconstruction needs — plans with
-    a mask run the mask-capable in-process paths (same results, per the
-    exactness contract) and flag the rows whose conservative access
-    wasted a slot.
-    """
-    from time import perf_counter
-
-    vplans = switch._vplans
-    mode = resolve_native_mode(native)
-    jobs = _parallel().resolve_jobs(epoch_jobs)
-    use_pool = (
-        jobs > 1
-        and not _parallel().pool_unavailable()
-        and any(
-            p.category == "wave"
-            and sum(c[0].shape[0] for c in schedule.chunks[pi])
-            >= PARALLEL_MIN_ROWS
-            for pi, p in enumerate(vplans)
-        )
-    )
-    seg = None
-    originals = None
-    shared = None
-    if use_pool:
-        try:
-            originals = (H, E, R)
-            seg, layout, H, E, R = _share_columns(H, E, R)
-            shared = (seg.name, layout)
-            if profiler is not None:
-                profiler.record_pool(workers=jobs, shared_bytes=seg.size)
-        except (OSError, ValueError):
-            if seg is not None:
-                _parallel().unregister_shared_segment(seg.name)
-                seg.close()
-                seg.unlink()
-            seg = None
-            H, E, R = originals
-            originals = None
-            use_pool = False
-    wasted = 0
-    try:
-        for pi, plan in enumerate(vplans):
-            rows_all, _pops = schedule.plan_stream(pi)
-            if rows_all.size:
-                mask = wasted_out[pi] if wasted_out is not None else None
-                t0 = perf_counter() if profiler is not None else 0.0
-                tier = None
-                if plan.category == "wave":
-                    got, tier = _service_wave_plan(
-                        switch, schedule, pi, plan, H, E, R, mode,
-                        jobs if use_pool else 1,
-                        shared if use_pool else None,
-                        mask=mask,
-                        profiler=profiler,
-                    )
-                    wasted += got
-                elif plan.category == "serial":
-                    got, tier = _service_serial_plan(
-                        switch, schedule, pi, plan, H, E, R, mode, mask=mask
-                    )
-                    wasted += got
-                # 'none' (flow-order arrays, kernel-free stages): the
-                # FIFO timing is the whole effect; nothing to execute.
-                if profiler is not None and tier is not None:
-                    profiler.record_kernel(
-                        plan.stage, tier, perf_counter() - t0
-                    )
-                for u in switch._transit_after[pi]:
-                    switch._vkernels[u].fn(H, R, E, rows_all)
-    finally:
-        if seg is not None:
-            oH, oE, oR = originals
-            for name, arr in oH.items():
-                arr[:] = H[name]
-            for name, arr in oE.items():
-                arr[:] = E[name]
-            for name, arr in oR.items():
-                arr[:] = R[name]
-            del H, E, R  # drop the views before freeing their buffer
-            seg.close()
-            seg.unlink()
-            _parallel().unregister_shared_segment(seg.name)
-    return wasted
-
-
-def _service_wave_plan(
-    switch, schedule, pi, plan, H, E, R, mode, jobs, shared,
-    mask=None, profiler=None,
-):
-    kern = switch._vkernels[plan.stage]
-    track = plan.base if plan.conservative else None
-    # Per-row wasted-slot capture (trace reconstruction) needs the
-    # chunked NumPy path, which knows which rows lost their lane; the
-    # fused kernels and pool parts only count. Results are identical by
-    # the exactness contract, so forcing the path changes nothing else.
-    capture = mask is not None
-    # A plain-Python per-row loop loses to the NumPy wave decomposition
-    # for shardable plans; the python tier is reserved for the
-    # serialized path, where it replaces a slower loop.
-    nkern = (
-        _native_kernel(switch, plan.stage, track, mode)
-        if mode == "njit" and not capture
-        else None
-    )
-    nparts = jobs if not capture else 1
-    if nparts > 1:
-        parts = schedule.partition(pi, nparts)
-        big_enough = all(p[0].shape[0] >= 64 for p in parts)
-        if len(parts) > 1 and big_enough:
-            done = _dispatch_parts(
-                switch, schedule, pi, plan, parts, H, E, R, kern,
-                shared, mode,
-            )
-            if done is not None:
-                if profiler is not None:
-                    profiler.record_pool(tasks=len(parts))
-                return done, "pool"
-        # Partitioning didn't pay (or the pool broke and state was
-        # restored): fall through to the in-process path.
-    idx_col = schedule.acc_idx[pi]
-    if nkern is not None:
-        rows = schedule.service_order(pi)
-        return int(nkern.fn(rows, *_native_cols(nkern, H, E, R))), "njit"
-    wasted = 0
-    for rows_p, _pops in schedule.chunks[pi]:
-        wasted += _wave_service(
-            kern, H, R, E, plan.base, plan.conservative, rows_p,
-            idx_col[rows_p], mask=mask,
-        )
-    return wasted, "numpy"
-
-
-def _dispatch_parts(
-    switch, schedule, pi, plan, parts, H, E, R, kern, shared, mode
-) -> Optional[int]:
-    """Run a wave plan's residue parts on the pool. Returns the wasted
-    count, or None after restoring state when the pool failed (the
-    caller then re-executes in process; tasks are register-mutating and
-    so never retried blindly)."""
-    # Snapshot everything this plan's service can touch, so a pool that
-    # breaks mid-plan (some parts applied, some not) can be rolled back.
-    rows_all, _ = schedule.plan_stream(pi)
-    snap_reg = {r: R[r].copy() for r in {i.reg for i in kern.stateful}}
-    snap_E = {t: E[t][rows_all].copy() for t in kern.temps_out}
-    snap_H = {f: H[f][rows_all].copy() for f in kern.fields_written}
-    seg_name, layout = shared
-    tasks = [
-        (seg_name, layout, pi, rows, idxs, offsets)
-        for rows, idxs, offsets in parts
-    ]
-    try:
-        results = _parallel().pool_map_strict(
-            _epoch_worker_run,
-            tasks,
-            jobs=len(parts),
-            initializer=_epoch_worker_init,
-            initargs=_pool_initargs(switch, mode),
-            pool_key="epoch",
-        )
-        return int(sum(results))
-    except _parallel().PoolBroken:
-        for r, arr in snap_reg.items():
-            R[r][:] = arr
-        for t, arr in snap_E.items():
-            E[t][rows_all] = arr
-        for f, arr in snap_H.items():
-            H[f][rows_all] = arr
-        return None
-
-
-def _service_serial_plan(switch, schedule, pi, plan, H, E, R, mode, mask=None):
-    """Serialized rows of the batch path: execution in global (tick,
-    pipeline) service order — see :func:`_serial_rows_service`."""
-    return _serial_rows_service(
-        switch, plan, schedule.service_order(pi), H, E, R, mode, mask=mask
-    )
 
 
 def _serial_rows_service(
@@ -1200,11 +889,6 @@ def _serial_rows_service(
     return wasted, "python"
 
 
-# ---------------------------------------------------------------------------
-# Phase B, streaming path: per-epoch service
-# ---------------------------------------------------------------------------
-
-
 def execute_epoch_service(
     switch,
     streamer: EpochStreamer,
@@ -1217,11 +901,22 @@ def execute_epoch_service(
     profiler=None,
     wasted_out: Optional[List[Optional[np.ndarray]]] = None,
 ) -> int:
-    """Service one epoch's step as :meth:`EpochStreamer.advance_epoch`
-    emits it. Exactly the batch reduction, re-chunked: an epoch's pops
-    all exceed the previous cut, so running plans in plan order within
-    the step, epoch after epoch, visits every register slot in the
-    batch path's service order. Returns the step's wasted-slot count.
+    """Phase B: service one epoch's step as
+    :meth:`EpochStreamer.advance_epoch` emits it. An epoch's pops all
+    exceed the previous cut, so running plans in plan order within the
+    step, epoch after epoch, visits every register slot in global
+    (tick, pipeline) service order.
+
+    Mutates ``H``/``E``/``R`` in place and returns the step's
+    wasted-slot count. The result is identical — and, once serialized,
+    byte-identical — for every combination of ``native`` and
+    ``epoch_jobs``, including every fallback path. ``profiler`` (a
+    :class:`~repro.obs.profiler.PhaseProfiler`) receives per-stage
+    kernel-tier timings and pool gauges; ``wasted_out`` is a per-plan
+    list of bool row masks the trace reconstruction needs — plans with
+    a mask run the mask-capable in-process paths (same results, per the
+    exactness contract) and flag the rows whose conservative access
+    wasted a slot.
     """
     from time import perf_counter
 
@@ -1259,11 +954,15 @@ def _service_wave_rows(
     switch, streamer, pi, plan, rows_p, pops, H, E, R, mode, jobs,
     mask=None, profiler=None,
 ):
-    """One epoch chunk of a wave plan, streaming path: pool-partition
-    when the chunk alone is big enough, else fused kernel in the
-    epoch-local service order, else the NumPy wave decomposition."""
+    """One epoch chunk of a wave plan: pool-partition when the chunk
+    alone is big enough, else fused kernel in the epoch-local service
+    order, else the NumPy wave decomposition."""
     kern = switch._vkernels[plan.stage]
     track = plan.base if plan.conservative else None
+    # Per-row wasted-slot capture (trace reconstruction) needs the
+    # NumPy path, which knows which rows lost their lane; the fused
+    # kernels and pool parts only count. A plain-Python per-row loop
+    # loses to the wave decomposition, so only the jitted tier runs here.
     capture = mask is not None
     nkern = (
         _native_kernel(switch, plan.stage, track, mode)
@@ -1297,6 +996,25 @@ def _service_wave_rows(
     return wasted, "numpy"
 
 
+def _residue_parts(
+    idxs: np.ndarray, jobs: int
+) -> Optional[List[np.ndarray]]:
+    """Split a chunk into residue classes by access index: part ``w``
+    holds the chunk-local positions with ``idx % jobs == w``, in chunk
+    order. Parts touch disjoint register slots and disjoint rows, so
+    they commute — the pool's unit of work. None when partitioning
+    cannot pay: a single non-empty class, or a part under 64 rows."""
+    residue = idxs % jobs
+    parts = []
+    for w in range(jobs):
+        pos = np.nonzero(residue == w)[0].astype(np.int64)
+        if pos.shape[0]:
+            parts.append(pos)
+    if len(parts) <= 1 or any(p.shape[0] < 64 for p in parts):
+        return None
+    return parts
+
+
 def _dispatch_epoch_parts(
     switch, pi, plan, kern, rows_p, idxs, H, E, R, jobs, mode,
     profiler=None,
@@ -1307,13 +1025,8 @@ def _dispatch_epoch_parts(
     arrays (access indices are global). On success the written columns
     scatter back; on any failure the caller's arrays are untouched —
     workers only ever mutated the discarded segment copy."""
-    residue = idxs % jobs
-    parts = []
-    for w in range(jobs):
-        pos = np.nonzero(residue == w)[0].astype(np.int64)
-        if pos.shape[0]:
-            parts.append(pos)
-    if len(parts) <= 1 or any(p.shape[0] < 64 for p in parts):
+    parts = _residue_parts(idxs, jobs)
+    if parts is None:
         return None
     fields = sorted(kern.fields_read | kern.fields_written)
     temps = sorted(set(kern.temps_in) | set(kern.temps_out))
@@ -1329,17 +1042,7 @@ def _dispatch_epoch_parts(
         profiler.record_pool(
             workers=jobs, tasks=len(parts), shared_bytes=seg.size
         )
-    tasks = [
-        (
-            seg.name,
-            layout,
-            pi,
-            pos,
-            idxs[pos],
-            np.array([0, pos.shape[0]], dtype=np.int64),
-        )
-        for pos in parts
-    ]
+    tasks = [(seg.name, layout, pi, pos, idxs[pos]) for pos in parts]
     wasted: Optional[int] = None
     try:
         results = _parallel().pool_map_strict(

@@ -70,7 +70,6 @@ from .epochs import (
     EpochStreamer,
     _grown,
     execute_epoch_service,
-    execute_service,
 )
 from .packet import DataPacket
 from .stats import SwitchStats
@@ -410,8 +409,8 @@ class VectorSwitch(MP5Switch):
         :meth:`run` on the concatenated trace at any feed chunking,
         with buffered service work bounded by the largest epoch — but
         only when remapping is on: with ``remap_algorithm='none'``
-        there are no epoch boundaries, so everything defers to
-        :meth:`finish` (exactly the batch run).
+        there are no epoch boundaries, so the sweep emits its single
+        step at the drain and everything defers to :meth:`finish`.
         """
         if self._ran:
             raise ConfigError(
@@ -653,17 +652,16 @@ class VectorSwitch(MP5Switch):
             self.tick = int(through) + 1
 
     def finish(self) -> SwitchStats:
-        """Drain the sweep, run any deferred service, and reconstruct
-        the statistics. A run that never pumped mid-stream (notably
-        :meth:`run`) executes Phase B whole-run — plan-major, with the
-        pool amortized across the full stream — which is also the only
-        path when remapping is off."""
+        """Drain the sweep — the same :meth:`pump` the daemon drives,
+        with no watermark, so every epoch not yet serviced runs through
+        :meth:`_service_step` — and reconstruct the statistics.
+        :meth:`run` is exactly ``start(); feed(); finish()``; with
+        remapping off the drain's one step is the whole run."""
         if self._streamer is None:
             raise ConfigError("finish() requires start()")
         if self._finished:
             raise ConfigError("finish() was already called on this switch")
         self._finished = True
-        sr = self._streamer
         packets = self._spackets
         stats = self.stats
         max_ticks = self._max_ticks
@@ -675,39 +673,12 @@ class VectorSwitch(MP5Switch):
                 # end_run (drained unless packets were cut by max_ticks).
                 self._replay_sinks(packets, None, None, drained=not packets)
             return stats
-        prof = self._profiler
-        streamed = self._epochs_serviced > 0
-        t0 = perf_counter()
-        while not sr.done:
-            step = sr.advance_epoch(final=True)
-            if step is not None and streamed:
-                self._pa_time += perf_counter() - t0
-                self._service_step(step)
-                t0 = perf_counter()
-        self._pa_time += perf_counter() - t0
-        schedule = sr.finalize()
+        self.pump()
+        schedule = self._streamer.finalize()
         self._last_schedule = schedule  # test/debug hook: the run's DAG
+        prof = self._profiler
         if prof is not None:
             prof.record_span("phase_a", self._pa_time)
-        if not streamed:
-            # Phase B, whole-run: replay the schedule against register
-            # state, on the native tier and worker pool when asked. The
-            # split is exact because access indices resolve at the
-            # stateless resolution stage.
-            t0 = perf_counter()
-            self._swasted = execute_service(
-                self,
-                schedule,
-                self._H,
-                self._E,
-                self._R,
-                native=self._native,
-                epoch_jobs=self._epoch_jobs,
-                profiler=prof,
-                wasted_out=self._wmasks,
-            )
-            self._pb_time = perf_counter() - t0
-        if prof is not None:
             prof.record_span("phase_b", self._pb_time)
         self._finalize_stats(packets, schedule)
         return stats
@@ -745,7 +716,7 @@ class VectorSwitch(MP5Switch):
         }
 
     # ------------------------------------------------------------------
-    # Run (batch: one feed, one drain)
+    # Run (one feed, one drain)
     # ------------------------------------------------------------------
 
     def run(
@@ -874,6 +845,43 @@ class VectorSwitch(MP5Switch):
             )
 
 
+def _warn_unsupported(exc: VectorUnsupported) -> None:
+    _warn_fallback(
+        f"vector engine: unsupported program shape ({exc}); "
+        "falling back to the fast engine"
+    )
+
+
+def try_vector_switch(
+    program,
+    config: Optional[MP5Config],
+    faults_armed: bool,
+    native: Optional[bool],
+    epoch_jobs: Optional[int],
+) -> Optional[VectorSwitch]:
+    """The construct-time fallback ladder, shared by
+    :func:`run_mp5_vector` and the service daemon: a
+    :class:`VectorSwitch`, or None when the run needs the fast engine.
+    Armed faults and unsupported program shapes warn once (see
+    :func:`reset_fallback_warnings`); a config outside the envelope is
+    a knob the caller set, not a surprise, and falls back silently."""
+    if faults_armed:
+        _warn_fallback(
+            "vector engine: faults attached; falling back to the "
+            "fast engine"
+        )
+        return None
+    if config_fallback_reason(config or MP5Config()) is not None:
+        return None
+    try:
+        return VectorSwitch(
+            program, config, native=native, epoch_jobs=epoch_jobs
+        )
+    except VectorUnsupported as exc:
+        _warn_unsupported(exc)
+        return None
+
+
 def run_mp5_vector(
     program,
     trace: Iterable,
@@ -897,7 +905,8 @@ def run_mp5_vector(
     (:mod:`repro.obs.reconstruct`). Attached ``faults`` trigger the
     fallback with a one-line stderr warning (so ``--engine vector`` is
     always safe in scripts); unsupported configurations fall back
-    silently and unsupported program shapes warn once with the
+    silently and unsupported program shapes (or run arguments:
+    ``record_access_order``, pre-seeded packet envs) warn once with the
     :class:`VectorUnsupported` reason — sinks follow the run to the
     fast engine in every fallback. Warnings are deduplicated per run —
     a 1000-cell sweep that falls back prints one line, not 1000 (see
@@ -908,70 +917,44 @@ def run_mp5_vector(
     :func:`~repro.mp5.switch.run_mp5`.
     """
     entries = trace if isinstance(trace, list) else list(trace)
-    cfg = config or MP5Config()
-    if faults is not None:
-        _warn_fallback(
-            "vector engine: faults attached; falling back to the "
-            "fast engine"
-        )
-        return run_mp5(
-            program,
-            entries,
-            config,
-            max_ticks=max_ticks,
-            record_access_order=record_access_order,
+    switch = try_vector_switch(
+        program, config, faults is not None, native, epoch_jobs
+    )
+    if switch is not None:
+        switch.attach_observability(
             recorder=recorder,
             metrics=metrics,
             profiler=profiler,
-            faults=faults,
             monitor=monitor,
         )
-    stats = None
-    if (
-        not record_access_order
-        and config_fallback_reason(cfg) is None
-    ):
         try:
-            # VectorSwitch.run raises VectorUnsupported only in its
-            # preamble, before any packet is mutated — and sink binding
-            # is deferred until after Phase B — so the same entries
-            # list and the same untouched sinks can be replayed
-            # through the fast engine.
-            switch = VectorSwitch(
-                program, config, native=native, epoch_jobs=epoch_jobs
-            )
-            switch.attach_observability(
-                recorder=recorder,
-                metrics=metrics,
-                profiler=profiler,
-                monitor=monitor,
-            )
+            # start()/feed() raise VectorUnsupported only before any
+            # packet is mutated — and sink binding is deferred until
+            # after Phase B — so the same entries list and the same
+            # untouched sinks can be replayed through the fast engine.
             stats = switch.run(
                 entries,
                 max_ticks=max_ticks,
                 record_access_order=record_access_order,
             )
         except VectorUnsupported as exc:
-            _warn_fallback(
-                f"vector engine: unsupported program shape ({exc}); "
-                "falling back to the fast engine"
-            )
-            stats = None
-    if stats is None:
-        return run_mp5(
-            program,
-            entries,
-            config,
-            max_ticks=max_ticks,
-            record_access_order=record_access_order,
-            recorder=recorder,
-            metrics=metrics,
-            profiler=profiler,
-            monitor=monitor,
-        )
-    registers = {
-        name: values
-        for name, values in switch.registers.items()
-        if name != FLOW_ORDER_ARRAY
-    }
-    return stats, registers
+            _warn_unsupported(exc)
+        else:
+            registers = {
+                name: values
+                for name, values in switch.registers.items()
+                if name != FLOW_ORDER_ARRAY
+            }
+            return stats, registers
+    return run_mp5(
+        program,
+        entries,
+        config,
+        max_ticks=max_ticks,
+        record_access_order=record_access_order,
+        recorder=recorder,
+        metrics=metrics,
+        profiler=profiler,
+        faults=faults,
+        monitor=monitor,
+    )

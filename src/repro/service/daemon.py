@@ -57,16 +57,10 @@ import numpy as np
 from ..compiler import compile_program
 from ..errors import ConfigError, ReproError
 from ..faults import FaultSchedule
-from ..mp5 import (
-    MP5Config,
-    MP5Switch,
-    ReferenceSwitch,
-    VectorSwitch,
-    VectorUnsupported,
-)
+from ..mp5 import MP5Config, MP5Switch, ReferenceSwitch
 from ..mp5.packet import DataPacket
 from ..mp5.switch import FLOW_ORDER_ARRAY
-from ..mp5.vector import _warn_fallback, config_fallback_reason
+from ..mp5.vector import try_vector_switch
 from ..obs.alerts import SEVERITY_CRITICAL
 from ..obs.health import VERDICT_DEGRADED, VERDICT_OK, worst_verdict
 from ..obs.metrics import MetricsRegistry
@@ -168,11 +162,12 @@ class _EngineAdapter:
     through ``feed`` and work advances through ``pump`` only once the
     ingest watermark proves no future feed can affect it — ticks for
     the scalar engines, whole epochs for the vector engine. The vector
-    path mirrors :func:`repro.mp5.run_mp5_vector`'s fallback ladder
-    (faults armed → warn and use fast; config knob the vector model
-    omits → silently use fast; unsupported program shape → warn and
-    use fast), so a ``--engine vector`` service is never wedged by a
-    mid-stream fault attach — the next segment just runs scalar."""
+    path shares :func:`repro.mp5.run_mp5_vector`'s fallback ladder
+    (:func:`repro.mp5.vector.try_vector_switch`: faults armed → warn
+    and use fast; config knob the vector model omits → silently use
+    fast; unsupported program shape → warn and use fast), so a
+    ``--engine vector`` service is never wedged by a mid-stream fault
+    attach — the next segment just runs scalar."""
 
     streaming = True
 
@@ -206,26 +201,15 @@ class _EngineAdapter:
         engine = service.engine
         if engine == "vector":
             schedule = service.schedule
-            if schedule is not None and schedule.faults:
-                _warn_fallback(
-                    "vector engine: faults attached; falling back to the "
-                    "fast engine"
-                )
-            elif config_fallback_reason(service.config) is not None:
-                pass  # a config knob, not a surprise: silent fallback
-            else:
-                try:
-                    return "vector", VectorSwitch(
-                        service.compiled,
-                        service.config,
-                        native=service.native,
-                        epoch_jobs=service.epoch_jobs,
-                    )
-                except VectorUnsupported as exc:
-                    _warn_fallback(
-                        f"vector engine: unsupported program shape ({exc}); "
-                        "falling back to the fast engine"
-                    )
+            switch = try_vector_switch(
+                service.compiled,
+                service.config,
+                schedule is not None and bool(schedule.faults),
+                native=service.native,
+                epoch_jobs=service.epoch_jobs,
+            )
+            if switch is not None:
+                return "vector", switch
             engine = "fast"
         cls = ReferenceSwitch if engine == "dense" else MP5Switch
         return engine, cls(service.compiled, service.config)

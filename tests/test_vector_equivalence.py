@@ -353,15 +353,18 @@ def _stream_vector(
     epoch_jobs=None,
     monitor=None,
     metrics=None,
+    profiler=None,
+    max_ticks=None,
 ):
     """Feed ``trace`` in ``chunk``-sized batches with a watermark-gated
     pump after every feed — the exact loop the service daemon runs."""
     switch = VectorSwitch(
         program, config, native=native, epoch_jobs=epoch_jobs
     )
-    if monitor is not None or metrics is not None:
-        switch.attach_observability(metrics=metrics, monitor=monitor)
-    switch.start()
+    switch.attach_observability(
+        metrics=metrics, monitor=monitor, profiler=profiler
+    )
+    switch.start(max_ticks=max_ticks)
     for i in range(0, len(trace), chunk):
         switch.feed(trace[i : i + chunk])
         switch.pump(until_tick=switch.ingest_watermark)
@@ -484,6 +487,76 @@ def test_vector_streaming_observability_matches_batch():
         str_mon.health_report().to_dict() == bat_mon.health_report().to_dict()
     )
     assert str_met.since(-1) == bat_met.since(-1)
+
+
+@pytest.mark.parametrize(
+    "config,max_ticks,monitored",
+    [
+        (MP5Config(num_pipelines=4), None, False),
+        (MP5Config(num_pipelines=4, remap_algorithm="none"), None, False),
+        (MP5Config(num_pipelines=4), 637, False),
+        (MP5Config(num_pipelines=4), None, True),
+    ],
+    ids=["default_remap", "remap_none", "max_ticks_mid_epoch", "monitored"],
+)
+def test_vector_run_is_a_streamed_run_that_drains(
+    config, max_ticks, monitored
+):
+    """One Phase B: ``run(trace)``, ``start/feed(all)/finish`` and the
+    daemon's chunked feed + gated pump are the same execution — equal
+    stats, registers, DAG, sink output, and the same kernel tier and
+    call count per stage (a serial plan, two conservative wave plans;
+    sinks attached force the wasted-mask paths)."""
+    from repro.obs import MetricsRegistry, PhaseProfiler
+
+    program = compile_program("stateful_predicate")
+
+    def trace():
+        return line_rate_trace(
+            1200,
+            4,
+            lambda rng, _i: {"key": int(rng.integers(0, 50)), "out": 0},
+            seed=0,
+        )
+
+    def drive(how):
+        sinks = dict(profiler=PhaseProfiler())
+        if monitored:
+            sinks.update(
+                monitor=InvariantMonitor(), metrics=MetricsRegistry(window=25)
+            )
+        if how == "chunked":
+            switch, stats = _stream_vector(
+                program, trace(), config, 48, max_ticks=max_ticks, **sinks
+            )
+        else:
+            switch = VectorSwitch(program, config)
+            switch.attach_observability(**sinks)
+            if how == "run":
+                stats = switch.run(trace(), max_ticks=max_ticks)
+            else:
+                switch.start(max_ticks=max_ticks)
+                switch.feed(trace())
+                stats = switch.finish()
+        assert switch.stream_stats()["epochs_serviced"] > 0
+        kernels = {
+            stage: (k["tier"], k["calls"])
+            for stage, k in sinks["profiler"].kernels.items()
+        }
+        observed = None
+        if monitored:
+            observed = (
+                sinks["monitor"].alerts.to_dicts(),
+                sinks["monitor"].health_report().to_dict(),
+                sinks["metrics"].since(-1),
+            )
+        return _snapshot(switch, stats), kernels, observed
+
+    ref = drive("run")
+    assert len(ref[1]) == 3  # every plan's stage recorded a tier
+    assert ref[0][0].wasted_slots > 0
+    assert drive("feed_all") == ref
+    assert drive("chunked") == ref
 
 
 def test_vector_feed_after_draining_pump_rejected():
