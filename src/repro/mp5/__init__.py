@@ -60,7 +60,7 @@ from .epochs import (
     execute_epoch_service,
 )
 from .fifo import IdealOrderBuffer, Slot, StageFifoGroup
-from .packet import DataPacket, PhantomPacket, StateAccess
+from .packet import DataPacket, PacketColumns, PhantomPacket, StateAccess
 from .partition import LogicalPartition, PartitionedMP5, PartitionResult
 from .reference import ReferenceSwitch, run_mp5_reference
 from .sharding import ShardedArray, ShardingRuntime
@@ -88,6 +88,7 @@ __all__ = [
     "run_mp5_vector",
     "CrossbarTelemetry",
     "DataPacket",
+    "PacketColumns",
     "FLOW_ORDER_ARRAY",
     "IdealOrderBuffer",
     "LogicalPartition",

@@ -52,7 +52,7 @@ fallback, because the serial path is bit-for-bit the same reduction.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -84,7 +84,7 @@ def _grown(arr: np.ndarray, n: int, fill=None) -> np.ndarray:
     cap = arr.shape[0]
     if cap >= n:
         return arr
-    new_cap = max(cap, 64)
+    new_cap = max(cap or n, 64)  # a first allocation is exact
     while new_cap < n:
         new_cap *= 2
     out = np.empty(new_cap, dtype=arr.dtype)
@@ -214,10 +214,10 @@ class EpochStreamer:
     """
 
     def __init__(
-        self, switch, packets: Sequence, H: Dict, E: Dict, R: Dict,
+        self, switch, flow: List, H: Dict, E: Dict, R: Dict,
         max_ticks: Optional[int],
     ):
-        self.packets = packets  # shared list object; caller appends
+        self.flow = flow  # per-row flow ids; shared list, caller extends
         self.H = H  # shared dict objects; caller swaps grown columns in
         self.E = E
         self.R = R
@@ -361,13 +361,13 @@ class EpochStreamer:
             if plan.is_flow:
                 size = plan.size
                 fkey = H[cfg.flow_order_field]
+                flow = self.flow
                 iv = np.empty(rows.shape[0], dtype=np.int64)
                 for pos, row in enumerate(rows.tolist()):
                     key = int(fkey[row])
                     iv[pos] = hash2(key, 0x5F0E) % size
-                    pkt = self.packets[row]
-                    if pkt.flow_id is None:
-                        pkt.flow_id = key
+                    if flow[row] is None:
+                        flow[row] = key
             elif plan.has_index:
                 op = plan.index_operand
                 if isinstance(op, Const):

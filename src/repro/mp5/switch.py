@@ -59,7 +59,7 @@ from ..errors import ConfigError
 from .config import MP5Config
 from .crossbar import CrossbarTelemetry
 from .fifo import IdealOrderBuffer, StageFifoGroup
-from .packet import DataPacket, PhantomPacket, StateAccess
+from .packet import DataPacket, PacketColumns, PhantomPacket, StateAccess
 from .sharding import ShardingRuntime
 from .stats import SwitchStats
 
@@ -514,7 +514,9 @@ class MP5Switch:
     def feed(self, entries: Iterable[TraceEntry]) -> int:
         """Append a batch of arrivals to the pending queue.
 
-        Entries follow the :meth:`run` trace format. Each batch is
+        Entries follow the :meth:`run` trace format, or come as one
+        :class:`~repro.mp5.packet.PacketColumns` batch (the service's
+        ingest currency), materialised into packets here. Each batch is
         sorted internally, but batches must be monotone across calls:
         the earliest ``(arrival, port)`` of a batch may not precede the
         last packet already fed — packet ids are assigned in arrival
@@ -523,6 +525,8 @@ class MP5Switch:
         """
         if self._pending is None or self._finished:
             raise ConfigError("feed() requires start() and precedes finish()")
+        if isinstance(entries, PacketColumns):
+            entries = entries.to_packets()
         packets = [self._coerce(i, entry) for i, entry in enumerate(entries)]
         if not packets:
             return 0

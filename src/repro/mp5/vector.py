@@ -53,7 +53,6 @@ to both scalar engines, byte-for-byte once serialized.
 
 from __future__ import annotations
 
-import operator
 import sys
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -71,29 +70,13 @@ from .epochs import (
     _grown,
     execute_epoch_service,
 )
-from .packet import DataPacket
+from .packet import PacketColumns
 from .stats import SwitchStats
 from .switch import FLOW_ORDER_ARRAY, MP5Switch, run_mp5
 
 
 class VectorUnsupported(ReproError):
     """The program or configuration needs the scalar engines."""
-
-
-class _LitePacket:
-    """The arrival-time facts of a buffered packet — everything the
-    epoch sweep, statistics reconstruction, and event synthesis read
-    (``arrival``, ``port``, ``flow_id``). The streaming path swaps the
-    full :class:`DataPacket` for this once the header columns are
-    gathered, so a served segment buffers O(SoA columns) per packet,
-    not O(header dicts)."""
-
-    __slots__ = ("arrival", "port", "flow_id")
-
-    def __init__(self, arrival, port, flow_id):
-        self.arrival = arrival
-        self.port = port
-        self.flow_id = flow_id
 
 
 # Fallback warnings already emitted, for deduplication: a sweep that
@@ -361,7 +344,7 @@ class VectorSwitch(MP5Switch):
         if monitor is not None:
             self._monitor = monitor
 
-    def _replay_sinks(self, packets, schedule, wasted_masks, drained) -> None:
+    def _replay_sinks(self, schedule, wasted_masks, drained) -> None:
         """Feed the attached sinks from the finished schedule; all sink
         work of a run happens inside this one ``trace_reconstruct``
         span."""
@@ -371,7 +354,6 @@ class VectorSwitch(MP5Switch):
         t0 = perf_counter()
         fed = replay_observability(
             self,
-            packets,
             schedule,
             wasted_masks,
             drained,
@@ -438,18 +420,24 @@ class VectorSwitch(MP5Switch):
         # Structure-of-arrays packet state. The dict objects are shared
         # with the streamer for the whole run; feed() swaps grown
         # columns into them in place.
-        self._H: Dict[str, np.ndarray] = {}
-        self._E: Dict[str, np.ndarray] = {}
+        self._H: Dict[str, np.ndarray] = {
+            f: np.empty(0, dtype=np.int64) for f in self._field_list
+        }
+        self._E: Dict[str, np.ndarray] = {
+            t: np.empty(0, dtype=np.int64) for t in self._temp_list
+        }
         self._R = {
             name: np.asarray(values, dtype=np.int64)
             for name, values in self.registers.items()
         }
-        self._spackets: List[_LitePacket] = []
+        # The per-packet facts kept past feed(), as columns by row:
+        # arrivals are ``stats.arrival_ticks``, plus port and flow.
+        self._port = np.empty(0, dtype=np.int64)
+        self._flow: List = []
         self._max_ticks = max_ticks
-        self._feed_seq = 0
         self._last_feed_key = None
         self._streamer = EpochStreamer(
-            self, self._spackets, self._H, self._E, self._R, max_ticks
+            self, self._flow, self._H, self._E, self._R, max_ticks
         )
         # Per-row wasted-slot attribution, only when a sink will replay
         # the stream: plans whose conservative access can waste a slot
@@ -472,13 +460,15 @@ class VectorSwitch(MP5Switch):
         self._pa_time = 0.0
         self._pb_time = 0.0
 
-    def feed(self, entries: Iterable) -> int:
+    def feed(self, entries) -> int:
         """Append a batch of arrivals (the scalar engines' contract:
         per-batch sort, monotone across batches, arrival-ordered packet
-        ids). The header columns are gathered into the SoA arrays here
-        — one vectorized pass per batch — and the heavyweight packet
-        dicts are dropped immediately; Phase A's injection recurrence
-        extends incrementally."""
+        ids). ``entries`` is a :class:`~repro.mp5.packet.PacketColumns`
+        batch, or packets / ``(arrival, port, headers)`` tuples that one
+        :meth:`PacketColumns.from_packets` gather turns into one. The
+        header columns extend the SoA arrays and Phase A's injection
+        recurrence extends incrementally; no per-packet object is built
+        or kept."""
         if self._streamer is None or self._finished:
             raise ConfigError("feed() requires start() and precedes finish()")
         if self._drain_pumped:
@@ -487,101 +477,54 @@ class VectorSwitch(MP5Switch):
                 "commits remap decisions at drain — pump with "
                 "until_tick=ingest_watermark while feeding"
             )
-        packets = [self._coerce(i, entry) for i, entry in enumerate(entries)]
-        if not packets:
-            return 0
-        for p in packets:
-            if p.env:
+        cols = entries
+        if not isinstance(cols, PacketColumns):
+            packets = [self._coerce(i, entry) for i, entry in enumerate(entries)]
+            if any(p.env for p in packets):
                 raise VectorUnsupported("pre-seeded packet env")
-        # Stable (arrival, port, pkt_id) sort, same order as the scalar
-        # engines' list.sort but via one lexsort instead of N tuple-key
-        # calls. float64 keys: arrivals may carry sub-tick fractions,
-        # and float64 is exact for every tick/port/id magnitude here, so
-        # the lexsort ranks exactly like the Python tuple compare.
-        n = len(packets)
-        arr = np.fromiter(
-            (p.arrival for p in packets), dtype=np.float64, count=n
-        )
-        prt = np.fromiter(
-            (p.port for p in packets), dtype=np.float64, count=n
-        )
-        pid = np.fromiter(
-            (p.pkt_id for p in packets), dtype=np.float64, count=n
-        )
-        order = np.lexsort((pid, prt, arr))
-        packets = [packets[i] for i in order.tolist()]
-        arr = arr[order]
-        head = (packets[0].arrival, packets[0].port)
+            cols = PacketColumns.from_packets(packets, self._field_list)
+        n = len(cols)
+        if n == 0:
+            return 0
+        if cols.arrival.min() < 0:
+            raise VectorUnsupported("negative arrival")
+        # Stable (arrival, port, position) sort — the scalar engines'
+        # (arrival, port, pkt_id) list.sort as one lexsort. float64
+        # arrivals may carry sub-tick fractions and compare exactly like
+        # the Python numbers they came from.
+        order = np.lexsort((cols.port, cols.arrival))
+        if (order[1:] < order[:-1]).any():
+            cols = cols.take(order)
+        arr = cols.arrival
+        ticks = cols.ticks()
+        head = (ticks[0], int(cols.port[0]))
         if self._last_feed_key is not None and head < self._last_feed_key:
             raise ConfigError(
                 "feed() batches must be monotone in (arrival, port): batch "
                 f"starts at {head} but {self._last_feed_key} was already fed"
             )
-        base = self._feed_seq
-        for seq, pkt in enumerate(packets):
-            pkt.pkt_id = base + seq  # arrival-ordered ids (C1 order)
-        self._feed_seq = base + n
-        self._last_feed_key = (packets[-1].arrival, packets[-1].port)
+        self._last_feed_key = (ticks[-1], int(cols.port[-1]))
         stats = self.stats
         stats.offered += n
-        stats.arrival_ticks.extend(p.arrival for p in packets)
+        stats.arrival_ticks.extend(ticks)
 
         sr = self._streamer
-        lo = sr.n_fed
+        lo = sr.n_fed  # rows are packet ids: arrival order (C1 order)
         hi = lo + n
-        field_list = self._field_list
-        if field_list:
-            # One pass over the packet dicts: row-major gather, then one
-            # transpose — far cheaper than per-field generator scans.
-            # itemgetter first (every real workload populates every
-            # field); fall back to .get only when a header is sparse.
-            try:
-                if len(field_list) == 1:
-                    getter = operator.itemgetter(field_list[0])
-                    raw = np.array(
-                        [[getter(p.headers)] for p in packets],
-                        dtype=np.int64,
-                    )
-                else:
-                    getter = operator.itemgetter(*field_list)
-                    raw = np.array(
-                        [getter(p.headers) for p in packets],
-                        dtype=np.int64,
-                    )
-            except KeyError:
-                raw = np.array(
-                    [
-                        [p.headers.get(f, 0) for f in field_list]
-                        for p in packets
-                    ],
-                    dtype=np.int64,
-                )
-            if lo == 0:
-                for pos, f in enumerate(field_list):
-                    self._H[f] = np.ascontiguousarray(raw[:, pos])
-            else:
-                for pos, f in enumerate(field_list):
-                    col = _grown(self._H[f], hi)
-                    col[lo:hi] = raw[:, pos]
-                    self._H[f] = col
+        self._port = _grown(self._port, hi)
+        self._port[lo:hi] = cols.port
+        self._flow.extend(cols.flow)
+        for f in self._field_list:
+            # A field the batch does not carry reads 0 in every row.
+            col = _grown(self._H[f], hi)
+            col[lo:hi] = cols.headers.get(f, 0)
+            self._H[f] = col
         for t in self._temp_list:
-            if lo == 0:
-                self._E[t] = np.zeros(n, dtype=np.int64)
-            else:
-                self._E[t] = _grown(self._E[t], hi, fill=0)
+            self._E[t] = _grown(self._E[t], hi, fill=0)
         if self._wmasks is not None:
             for pi, m in enumerate(self._wmasks):
-                if m is None:
-                    continue
-                if lo == 0:
-                    self._wmasks[pi] = np.zeros(n, dtype=bool)
-                else:
+                if m is not None:
                     self._wmasks[pi] = _grown(m, hi, fill=False)
-        # Keep only the arrival-time facts; the header dicts are now in
-        # the columns and the DataPacket objects can be collected.
-        spackets = self._spackets
-        for p in packets:
-            spackets.append(_LitePacket(p.arrival, p.port, p.flow_id))
         t0 = perf_counter()
         sr.ingest(arr)
         self._pa_time += perf_counter() - t0
@@ -662,16 +605,16 @@ class VectorSwitch(MP5Switch):
         if self._finished:
             raise ConfigError("finish() was already called on this switch")
         self._finished = True
-        packets = self._spackets
         stats = self.stats
         max_ticks = self._max_ticks
-        if not packets or (max_ticks is not None and max_ticks <= 0):
+        fed = self._streamer.n_fed
+        if not fed or (max_ticks is not None and max_ticks <= 0):
             stats.ticks = 0
             if self._sinks_attached:
                 # The scalar loop never steps here either, but its sinks
                 # still see registration, the final window roll, and
                 # end_run (drained unless packets were cut by max_ticks).
-                self._replay_sinks(packets, None, None, drained=not packets)
+                self._replay_sinks(None, None, drained=not fed)
             return stats
         self.pump()
         schedule = self._streamer.finalize()
@@ -680,7 +623,7 @@ class VectorSwitch(MP5Switch):
         if prof is not None:
             prof.record_span("phase_a", self._pa_time)
             prof.record_span("phase_b", self._pb_time)
-        self._finalize_stats(packets, schedule)
+        self._finalize_stats(schedule)
         return stats
 
     @property
@@ -730,11 +673,11 @@ class VectorSwitch(MP5Switch):
         self.feed(entries)
         return self.finish()
 
-    def _finalize_stats(self, packets, schedule) -> None:
+    def _finalize_stats(self, schedule) -> None:
         cfg = self.config
         stats = self.stats
         k = cfg.num_pipelines
-        N = len(packets)
+        N = len(self._flow)
         vplans = self._vplans
         nplans = len(vplans)
         max_ticks = self._max_ticks
@@ -771,14 +714,14 @@ class VectorSwitch(MP5Switch):
             # Latency keeps the arrival's Python type (int arrivals give
             # int latencies, fractional ones floats) exactly like the
             # scalar engines' per-packet subtraction.
-            arrivals = [p.arrival for p in packets]
+            arrivals = stats.arrival_ticks
             stats.latencies = [
                 t - arrivals[row]
                 for t, row in zip(
                     ticks_sorted.tolist(), ordered.tolist()
                 )
             ]
-            flow_ids = [p.flow_id for p in packets]
+            flow_ids = self._flow
             if any(f is not None for f in flow_ids):
                 flow_egress = stats.flow_egress
                 for row in ordered.tolist():
@@ -838,7 +781,6 @@ class VectorSwitch(MP5Switch):
             prof.record_epoch(len(records), start, stats.ticks)
         if self._sinks_attached:
             self._replay_sinks(
-                packets,
                 schedule,
                 wasted_masks,
                 drained=(schedule.egr_assigned == N),

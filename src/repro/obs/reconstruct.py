@@ -591,7 +591,7 @@ def feed_window_sinks(
 # ---------------------------------------------------------------------------
 
 
-def synthesize_events(switch, packets, schedule) -> List[Tuple]:
+def synthesize_events(switch, schedule) -> List[Tuple]:
     """The run's full event stream as sortable tuples.
 
     Tuple layouts (every field a Python int unless noted):
@@ -629,9 +629,10 @@ def synthesize_events(switch, packets, schedule) -> List[Tuple]:
     # Injection tick: ingress, one phantom per plan, and the services of
     # instruction-bearing stateless stages before the first plan stage.
     entry_l = entry_pipe.tolist()
+    port = switch._port[:ninj].tolist()
+    flow = switch._flow
     for r in range(ninj):
-        pkt = packets[r]
-        add((inj[r], _P_INGRESS, r, entry_l[r], pkt.port, pkt.flow_id))
+        add((inj[r], _P_INGRESS, r, entry_l[r], port[r], flow[r]))
     for pi, plan in enumerate(vplans):
         d = dest[pi].tolist()
         stage = plan.stage
@@ -724,8 +725,9 @@ def synthesize_events(switch, packets, schedule) -> List[Tuple]:
     done = np.nonzero(schedule.egr_tick >= 0)[0]
     if done.size:
         egr = schedule.egr_tick[done].tolist()
+        arrival = stats.arrival_ticks
         for t, r in zip(egr, done.tolist()):
-            add((t, _P_EGRESS, r, t - packets[r].arrival))
+            add((t, _P_EGRESS, r, t - arrival[r]))
     for boundary, moved in schedule.remap_records:
         add((int(boundary), _P_REMAP, int(moved)))
 
@@ -768,7 +770,6 @@ def _dispatch_events(recorder, events: List[Tuple], ticks: int) -> None:
 
 def replay_observability(
     switch,
-    packets,
     schedule,
     wasted_masks: Optional[List],
     drained: bool,
@@ -784,7 +785,7 @@ def replay_observability(
     if recorder is not None:
         fed["kinds"].append("recorder")
         if schedule is not None:
-            events = synthesize_events(switch, packets, schedule)
+            events = synthesize_events(switch, schedule)
             _dispatch_events(recorder, events, switch.stats.ticks)
     if metrics is not None or monitor is not None:
         if metrics is not None:

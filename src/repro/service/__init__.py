@@ -21,6 +21,7 @@ from .daemon import (
     ServiceError,
     ServiceThread,
     SwitchService,
+    columns_from_records,
     packet_from_json,
     render_payload,
     segment_payload,
@@ -30,6 +31,7 @@ __all__ = [
     "ServiceError",
     "ServiceThread",
     "SwitchService",
+    "columns_from_records",
     "packet_from_json",
     "render_payload",
     "segment_payload",

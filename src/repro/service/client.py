@@ -23,6 +23,10 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["ServiceClient", "ServiceClientError"]
 
+# One encoder for every NDJSON line: ``json.dumps`` with non-default
+# separators would construct one per record.
+_encode_record = json.JSONEncoder(separators=(",", ":")).encode
+
 
 class ServiceClientError(Exception):
     """A control-plane request failed; ``status`` is the HTTP code."""
@@ -136,10 +140,7 @@ class ServiceClient:
         no enclosing array, so the server parses each packet without
         materializing one giant JSON document. This is the fast ingest
         path; semantics are identical to :meth:`ingest`."""
-        data = b"".join(
-            json.dumps(record, separators=(",", ":")).encode() + b"\n"
-            for record in packets
-        )
+        data = "\n".join([*map(_encode_record, packets), ""]).encode()
         return self._request(
             "POST",
             "/ingest",

@@ -58,7 +58,7 @@ from ..compiler import compile_program
 from ..errors import ConfigError, ReproError
 from ..faults import FaultSchedule
 from ..mp5 import MP5Config, MP5Switch, ReferenceSwitch
-from ..mp5.packet import DataPacket
+from ..mp5.packet import DataPacket, PacketColumns
 from ..mp5.switch import FLOW_ORDER_ARRAY
 from ..mp5.vector import try_vector_switch
 from ..obs.alerts import SEVERITY_CRITICAL
@@ -72,6 +72,7 @@ __all__ = [
     "ServiceError",
     "ServiceThread",
     "SwitchService",
+    "columns_from_records",
     "packet_from_json",
     "random_headers",
     "render_payload",
@@ -133,23 +134,116 @@ def random_headers(program):
     return gen
 
 
+#: Arrivals are float64 ticks: past 2**53 consecutive ticks collide.
+ARRIVAL_LIMIT = 2**53
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
 def packet_from_json(record: Dict, idx: int = 0) -> DataPacket:
     """One ``/ingest`` packet record → :class:`DataPacket`.
 
     Schema: ``{"arrival": float, "port": int, "headers": {str: int},
-    "size": int = 64, "flow": optional}``. Ids are assigned by the
-    engine in arrival order, so the record carries none."""
+    "size": int = 64, "flow": optional int or str}``. Ids are assigned
+    by the engine in arrival order, so the record carries none. The
+    arrival must be finite, ``>= 0`` and below 2**53; ``port``, ``size``
+    and header values must fit int64 (the engines' column type).
+
+    This is the per-record oracle of :func:`columns_from_records`: the
+    daemon calls it only for a batch the vectorised checks turned down,
+    so its diagnostics are the ingest route's diagnostics."""
     try:
-        return DataPacket(
-            pkt_id=idx,
-            arrival=float(record["arrival"]),
-            port=int(record.get("port", 0)),
-            headers={str(k): int(v) for k, v in record["headers"].items()},
-            size_bytes=int(record.get("size", 64)),
-            flow_id=record.get("flow"),
-        )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        arrival = float(record["arrival"])
+        port = int(record.get("port", 0))
+        size = int(record.get("size", 64))
+        headers = {str(k): int(v) for k, v in record["headers"].items()}
+        flow = record.get("flow")
+        if not 0 <= arrival < ARRIVAL_LIMIT:  # NaN fails both bounds
+            raise ValueError(
+                f"arrival {arrival} must be finite, >= 0 and below 2**53"
+            )
+        lo = min(port, size, *headers.values())
+        hi = max(port, size, *headers.values())
+        if lo < INT64_MIN or hi > INT64_MAX:
+            raise ValueError(
+                "port, size and header values must fit int64, "
+                f"{lo if lo < INT64_MIN else hi} does not"
+            )
+        if flow is not None and not isinstance(flow, (int, str)):
+            raise TypeError(
+                "flow must be null, an integer or a string, not "
+                + type(flow).__name__
+            )
+        return DataPacket(idx, arrival, port, headers, size, flow)
+    except (
+        KeyError, TypeError, ValueError, AttributeError, OverflowError
+    ) as exc:
         raise ServiceError(f"malformed packet record {record!r}: {exc}") from exc
+
+
+_NUMBERS = {int, float}
+_FLOWS = {type(None), int, str}
+
+
+def _int64_column(values: List) -> Optional[np.ndarray]:
+    """``values`` as an int64 column when every one is spelt as a JSON
+    integer; None for any other spelling (``"5"``, ``5.7``, ``true``)."""
+    if set(map(type, values)) != {int}:
+        return None
+    return np.array(values, dtype=np.int64)  # OverflowError past int64
+
+
+def _transpose(records: List[Dict]) -> Optional[PacketColumns]:
+    """The happy path of :func:`columns_from_records`: every record
+    spells its fields with exact JSON types and carries the same header
+    keys, so each column is one gather and each check one pass over it.
+    Returns None — or raises what the gather raised — for any batch
+    that needs a closer look."""
+    arrival = [r["arrival"] for r in records]
+    flow = [r.get("flow") for r in records]
+    hdrs = [r["headers"] for r in records]
+    fields = tuple(hdrs[0])
+    if not (
+        set(map(type, arrival)) <= _NUMBERS
+        and set(map(type, flow)) <= _FLOWS
+        and set(map(type, hdrs)) == {dict}
+        and set(map(type, fields)) <= {str}
+        and set(map(len, hdrs)) == {len(fields)}
+    ):
+        return None
+    arrival = np.array(arrival, dtype=np.float64)
+    if not 0 <= arrival.min() <= arrival.max() < ARRIVAL_LIMIT:
+        return None
+    port = _int64_column([r.get("port", 0) for r in records])
+    size = _int64_column([r.get("size", 64) for r in records])
+    headers = {f: _int64_column([h[f] for h in hdrs]) for f in fields}
+    if any(col is None for col in (port, size, *headers.values())):
+        return None
+    return PacketColumns(arrival, port, size, flow, headers)
+
+
+def columns_from_records(records: List[Dict]) -> PacketColumns:
+    """The ingest decode entry: ``/ingest`` packet records (the schema
+    of :func:`packet_from_json`) → one validated
+    :class:`~repro.mp5.packet.PacketColumns` batch.
+
+    Equal, column for column, to gathering ``packet_from_json`` of
+    every record — which is what runs whenever the vectorised transpose
+    declines a batch (a coercible spelling such as ``"5"`` or ``5.7``
+    for a header value, sparse header keys, anything malformed or out
+    of range), so every rejection carries that function's status and
+    message and names the offending record."""
+    try:
+        cols = _transpose(records)
+    except (
+        KeyError, TypeError, ValueError, AttributeError, OverflowError,
+        IndexError,
+    ):
+        cols = None
+    if cols is None:
+        cols = PacketColumns.from_packets(
+            [packet_from_json(r, i) for i, r in enumerate(records)]
+        )
+    return cols
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +332,7 @@ class _EngineAdapter:
             return None
         return self.first_egress_ts - self.first_feed_ts
 
-    def feed(self, batch: List[DataPacket]) -> int:
+    def feed(self, batch: PacketColumns) -> int:
         n = self.switch.feed(batch)
         self.offered += n
         if n and self.first_feed_ts is None:
@@ -355,6 +449,7 @@ class SwitchService:
         self._quiesce_waiters: List[asyncio.Future] = []
         self._replay_tasks: set = set()
         self._errors: List[str] = []
+        self._lost: Optional[str] = None  # open segment's failed feed
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._queue: Optional[asyncio.Queue] = None
         self.address: Optional[Tuple[str, int]] = None
@@ -399,11 +494,12 @@ class SwitchService:
             return None
         for task in list(self._replay_tasks):
             task.cancel()
-        record = await self.quiesce()
-        self._stopping = True
-        self._shutdown_event.set()
-        self._wake.set()
-        return record
+        try:
+            return await self.quiesce()
+        finally:  # a failed close still stops the daemon
+            self._stopping = True
+            self._shutdown_event.set()
+            self._wake.set()
 
     # -- pump loop ------------------------------------------------------
 
@@ -429,9 +525,13 @@ class SwitchService:
             batch = self._queue.get_nowait()
             try:
                 self._ensure_adapter().feed(batch)
-            except ReproError as exc:  # defensive: horizon check precedes
+            except Exception as exc:
+                # Defensive: ingest validated the batch and checked the
+                # horizon. Whatever got past that loses this batch, not
+                # the pump task — and the segment's drain says so.
                 self._rejected += len(batch)
-                self._errors.append(str(exc))
+                self._lost = f"{type(exc).__name__}: {exc}"
+                self._errors.append(f"feed failed: {self._lost}")
             else:
                 self._ingested += len(batch)
                 self._batches += 1
@@ -462,7 +562,11 @@ class SwitchService:
         segment. Returns the closed segment's public record, or None if
         nothing was open. Proceeds even while paused — an explicit drain
         outranks a pause."""
-        if self._adapter is None and (self._queue is None or self._queue.empty()):
+        if (
+            self._adapter is None
+            and (self._queue is None or self._queue.empty())
+            and self._lost is None
+        ):
             return None
         fut = self._loop.create_future()
         self._quiesce_waiters.append(fut)
@@ -471,22 +575,22 @@ class SwitchService:
         return await fut
 
     def _finish_quiesce(self):
-        record = None
+        record = failure = None
         try:
             record = self._close_segment()
         except Exception as exc:  # surface engine teardown failures
-            self._errors.append(f"segment close failed: {exc}")
-            for fut in self._quiesce_waiters:
-                if not fut.done():
-                    fut.set_exception(
-                        ServiceError(f"segment close failed: {exc}", status=500)
-                    )
-            self._quiesce_waiters.clear()
-            self._draining = False
-            return
+            failure = f"segment close failed: {exc}"
+            self._errors.append(failure)
+        lost, self._lost = self._lost, None
+        if failure is None and lost is not None:
+            failure = f"segment closed without a batch its feed lost: {lost}"
         for fut in self._quiesce_waiters:
-            if not fut.done():
+            if fut.done():
+                continue
+            if failure is None:
                 fut.set_result(record)
+            else:
+                fut.set_exception(ServiceError(failure, status=500))
         self._quiesce_waiters.clear()
         self._draining = False
 
@@ -534,13 +638,12 @@ class SwitchService:
             raise ServiceError("no program loaded", status=409)
         if not isinstance(records, list) or not records:
             raise ServiceError("ingest expects a non-empty packet list")
-        batch = [packet_from_json(r, i) for i, r in enumerate(records)]
+        batch = columns_from_records(records)
         self._enqueue_nowait(batch)
         return {"queued": len(batch), "queue_depth": self._queue.qsize()}
 
-    def _enqueue_nowait(self, batch: List[DataPacket]):
-        lo = min((p.arrival, p.port) for p in batch)
-        hi = max((p.arrival, p.port) for p in batch)
+    def _enqueue_nowait(self, batch: PacketColumns):
+        lo, hi = batch.span()
         if self._feed_horizon is not None and lo < self._feed_horizon:
             self._rejected += len(batch)
             raise ServiceError(
@@ -606,7 +709,7 @@ class SwitchService:
     async def _feed_replay(self, packets: List[DataPacket], chunk: int):
         for i in range(0, len(packets), chunk):
             part = packets[i : i + chunk]
-            await self._queue.put(part)
+            await self._queue.put(PacketColumns.from_packets(part))
             hi = (part[-1].arrival, part[-1].port)
             self._feed_horizon = max(self._feed_horizon or hi, hi)
             self._wake.set()
@@ -950,7 +1053,13 @@ class ServiceThread:
 
     def stop(self, timeout: float = 30.0):
         loop = self.service._loop
-        if loop is not None and self._thread.is_alive():
+        # A daemon already told to stop (POST /shutdown) is tearing its
+        # loop down: a coroutine posted now may never run, so only join.
+        if (
+            loop is not None
+            and self._thread.is_alive()
+            and not self.service._stopping
+        ):
             try:
                 fut = asyncio.run_coroutine_threadsafe(
                     self.service.shutdown(), loop

@@ -86,26 +86,46 @@ def _qfloat(query: Dict, key: str, default: float) -> float:
         raise ServiceError(f"query parameter {key!r} must be a number") from exc
 
 
+# One record per line: the C scanner ``json.loads`` itself runs, minus
+# its per-call whitespace matching and decoder dispatch.
+_scan_record = json.JSONDecoder().scan_once
+_ASCII_SPACE = " \t\n\r\x0b\x0c"  # what ``bytes.strip`` strips
+
+
 def _parse_ndjson(body: bytes) -> Dict:
     """NDJSON ingest body → the same payload shape the JSON route
     builds: one packet record per non-blank line, diagnostics carry the
-    1-based line number so a client can fix the exact frame."""
+    1-based line number so a client can fix the exact frame. Lines are
+    validated one by one — two broken lines can join into valid JSON,
+    so the body is never parsed as one document."""
+    try:
+        text = body.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ServiceError(f"invalid NDJSON body: {exc}") from exc
     records = []
-    for ln, line in enumerate(body.split(b"\n"), start=1):
-        if not line.strip():
-            continue
+    append = records.append
+    for ln, line in enumerate(text.split("\n"), start=1):
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ServiceError(
-                f"invalid NDJSON body: line {ln}: {exc}"
-            ) from exc
-        if not isinstance(record, dict):
+            record, end = _scan_record(line, 0)
+        except (StopIteration, ValueError):
+            end = -1
+        if end != len(line):
+            # Blank, padded or broken: the strict parse decides, and
+            # words the diagnostic.
+            if not line.strip(_ASCII_SPACE):
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ServiceError(
+                    f"invalid NDJSON body: line {ln}: {exc}"
+                ) from exc
+        if type(record) is not dict:
             raise ServiceError(
                 f"invalid NDJSON body: line {ln}: expected a packet "
                 f"object, got {type(record).__name__}"
             )
-        records.append(record)
+        append(record)
     if not records:
         raise ServiceError("invalid NDJSON body: no packet records")
     return {"packets": records}

@@ -1,0 +1,467 @@
+"""The column ingest path: HTTP body → records → ``PacketColumns`` →
+queue → ``feed``.
+
+Three layers of contract:
+
+* **decode** — :func:`columns_from_records` equals gathering
+  :func:`packet_from_json` of every record, column for column, or
+  raises that function's ``ServiceError`` (same status, same text);
+* **served** — a segment fed through JSON or NDJSON at any chunking is
+  byte-identical to the offline run, on all three engines, and the
+  vector daemon builds no per-packet object on the way;
+* **edges** — what ingest rejects is rejected atomically (nothing
+  queued, horizon untouched) and the daemon keeps answering and shuts
+  down cleanly afterwards.
+"""
+
+import json
+import random
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.compiler import compile_program
+from repro.mp5 import ENGINES, MP5Config, PacketColumns
+from repro.mp5.packet import DataPacket
+from repro.service import (
+    ServiceError,
+    ServiceThread,
+    SwitchService,
+    columns_from_records,
+    packet_from_json,
+    render_payload,
+    segment_payload,
+)
+from repro.service import daemon as daemon_module
+from repro.service.client import ServiceClient, ServiceClientError
+from repro.service.daemon import random_headers
+from repro.service.http import _parse_ndjson
+from repro.workloads.traffic import line_rate_trace
+
+PIPELINES = 4
+CONFIG = MP5Config(num_pipelines=PIPELINES, seed=5)
+PROGRAM = "heavy_hitter"
+FIELDS = sorted(compile_program(PROGRAM).packet_fields)
+
+
+def assert_columns_equal(got: PacketColumns, want: PacketColumns):
+    assert got.arrival.dtype == want.arrival.dtype == np.float64
+    assert got.arrival.tolist() == want.arrival.tolist()
+    assert [type(t) for t in got.ticks()] == [type(t) for t in want.ticks()]
+    assert got.ticks() == want.ticks()
+    for name in ("port", "size"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == np.int64
+        assert a.tolist() == b.tolist()
+    assert got.flow == want.flow
+    assert set(got.headers) == set(want.headers)
+    for field, col in want.headers.items():
+        assert got.headers[field].dtype == np.int64
+        assert got.headers[field].tolist() == col.tolist()
+
+
+def per_record(records) -> PacketColumns:
+    return PacketColumns.from_packets(
+        [packet_from_json(r, i) for i, r in enumerate(records)]
+    )
+
+
+def check_against_oracle(records):
+    """Either both decode to equal columns or both raise alike."""
+    try:
+        want = per_record(records)
+    except ServiceError as exc:
+        with pytest.raises(ServiceError) as err:
+            columns_from_records(records)
+        assert err.value.status == exc.status
+        assert str(err.value) == str(exc)
+        return None
+    got = columns_from_records(records)
+    assert_columns_equal(got, want)
+    return got
+
+
+# ----------------------------------------------------------------------
+# Decode layer
+# ----------------------------------------------------------------------
+
+_clean_value = st.integers(-(2**63), 2**63 - 1)
+_any_value = st.one_of(
+    _clean_value,
+    st.sampled_from(["5", "-7", 5.7, -0.5, True, False, 2**70, -(2**63) - 1]),
+    st.sampled_from([None, "x", "5.7", [1], float("inf"), float("nan")]),
+)
+_clean_arrival = st.one_of(
+    st.integers(0, 10_000),
+    st.floats(0, 10_000, allow_nan=False),
+    st.sampled_from([0, 0.0, 3, 3.0, 3.5, 2**53 - 1]),  # ties, fractions
+)
+_any_arrival = st.one_of(
+    _clean_arrival,
+    st.sampled_from(["3.5", True, 2**53, -1, -0.0, 1e300, 10**400]),
+    st.sampled_from([float("nan"), float("inf"), None, "soon", [1]]),
+)
+_flow = st.one_of(st.none(), st.integers(-5, 2**70), st.text(max_size=3))
+_any_flow = st.one_of(_flow, st.sampled_from([[1, 2], {}, 1.5, True]))
+
+
+@st.composite
+def record_batches(draw):
+    clean = draw(st.booleans())
+    size = draw(st.sampled_from([1, 2, 3, 5, 17, 40]))
+    keys = draw(st.lists(st.sampled_from("abcdz"), unique=True, max_size=4))
+    value = _clean_value if clean else _any_value
+    arrival = _clean_arrival if clean else _any_arrival
+    flow = _flow if clean else _any_flow
+    records = []
+    for _ in range(size):
+        own = keys
+        if not clean and draw(st.booleans()):  # sparse and extra keys
+            own = draw(st.lists(st.sampled_from("abcdzq"), unique=True))
+        rec = {
+            "arrival": draw(arrival),
+            "headers": {k: draw(value) for k in own},
+        }
+        if draw(st.booleans()):
+            rec["port"] = draw(st.integers(0, 63) if clean else value)
+        if draw(st.booleans()):
+            rec["size"] = draw(st.integers(64, 1500) if clean else value)
+        if draw(st.booleans()):
+            rec["flow"] = draw(flow)
+        if not clean and draw(st.integers(0, 30)) == 0:
+            rec = draw(st.sampled_from([[1, 2], 7, {"headers": {}}, {}]))
+        records.append(rec)
+    return records
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(records=record_batches())
+def test_columns_from_records_equals_per_record_path(records):
+    check_against_oracle(records)
+
+
+def clean_records(n: int, seed: int = 3):
+    trace = line_rate_trace(
+        n, PIPELINES, random_headers(compile_program(PROGRAM)),
+        seed=seed, utilization=0.7,
+    )
+    records = []
+    for i, pkt in enumerate(trace):
+        rec = {"arrival": pkt.arrival, "port": pkt.port, "headers": pkt.headers}
+        if i % 3 == 0:
+            rec["flow"] = i % 11 if i % 2 else f"f{i % 5}"
+        if i % 4 == 0:
+            rec["size"] = 64 + i % 7
+        records.append(rec)
+    return records
+
+
+@pytest.mark.parametrize("n", [1, 100, 512])
+def test_clean_batches_take_the_vectorised_path(n, monkeypatch):
+    """Exact JSON types and shared header keys never reach the
+    per-record walk — and still equal it."""
+    records = clean_records(n)
+    want = per_record(records)
+
+    def boom(record, idx=0):
+        raise AssertionError("per-record oracle called on the happy path")
+
+    monkeypatch.setattr(daemon_module, "packet_from_json", boom)
+    assert_columns_equal(columns_from_records(records), want)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda r: r["headers"].update({FIELDS[0]: "5"}),
+        lambda r: r["headers"].update({FIELDS[0]: 5.7}),
+        lambda r: r["headers"].update({FIELDS[0]: True}),
+        lambda r: r["headers"].pop(FIELDS[0]),
+        lambda r: r["headers"].update(extra=9),
+        lambda r: r.update(arrival=str(r["arrival"])),
+        lambda r: r.update(port=True),
+    ],
+    ids=["str", "float", "bool", "sparse", "extra", "str_arrival", "bool_port"],
+)
+def test_coercible_spellings_yield_the_oracle_columns(mutate):
+    records = clean_records(40)
+    mutate(records[17])
+    assert check_against_oracle(records) is not None
+
+
+@pytest.mark.parametrize(
+    "mutate, text",
+    [
+        (lambda r: r.update(arrival=float("nan")), "finite"),
+        (lambda r: r.update(arrival=float("inf")), "finite"),
+        (lambda r: r.update(arrival=1e300), "below 2**53"),
+        (lambda r: r.update(arrival=10**400), "too large"),
+        (lambda r: r.update(arrival=-1), ">= 0"),
+        (lambda r: r["headers"].update({FIELDS[0]: 2**70}), "int64"),
+        (lambda r: r["headers"].update({FIELDS[0]: float("inf")}), "infinity"),
+        (lambda r: r.update(port=2**63), "int64"),
+        (lambda r: r.update(size=-(2**63) - 1), "int64"),
+        (lambda r: r.update(flow=[1, 2]), "flow must be"),
+        (lambda r: r.update(flow={}), "flow must be"),
+        (lambda r: r.pop("headers"), "'headers'"),
+        (lambda r: r.update(headers=[1]), "items"),
+    ],
+)
+def test_rejections_name_the_record(mutate, text):
+    records = clean_records(30)
+    mutate(records[11])
+    with pytest.raises(ServiceError) as err:
+        columns_from_records(records)
+    assert err.value.status == 400
+    assert text in str(err.value)
+    assert repr(records[11]) in str(err.value)
+    assert check_against_oracle(records) is None
+
+
+def test_from_packets_orders_ties_by_packet_id_and_keeps_int_arrivals():
+    packets = [
+        DataPacket(pkt_id=pid, arrival=a, port=0, headers={"a": pid})
+        for pid, a in ((4, 2), (1, 2), (3, 0.5), (2, 2))
+    ]
+    cols = PacketColumns.from_packets(packets)
+    assert cols.headers["a"].tolist() == [1, 2, 3, 4]
+    assert cols.ticks() == [2, 2, 0.5, 2]
+    assert [type(t) for t in cols.ticks()] == [int, int, float, int]
+    assert cols.span() == ((0.5, 0), (2.0, 0))
+    back = cols.to_packets()
+    assert [(p.arrival, p.headers) for p in back] == [
+        (2, {"a": 1}), (2, {"a": 2}), (0.5, {"a": 3}), (2, {"a": 4}),
+    ]
+    only = PacketColumns.from_packets(packets, fields=["b"])
+    assert only.headers["b"].tolist() == [0, 0, 0, 0]
+    assert len(PacketColumns.from_packets([])) == 0
+
+
+def test_ndjson_lines_are_validated_one_by_one():
+    """Two broken lines that would join into two valid records."""
+    with pytest.raises(ServiceError) as err:
+        _parse_ndjson(b'{"h":[1\n2]},{"k":1}\n')
+    assert err.value.status == 400
+    assert "line 1" in str(err.value)
+    good = b'{"arrival":1,"headers":{}}'
+    with pytest.raises(ServiceError) as err:
+        _parse_ndjson(good + b"\n" + good + b" trailing\n")
+    assert "line 2" in str(err.value) and "Extra data" in str(err.value)
+    assert _parse_ndjson(b"\n " + good + b" \r\n\n")["packets"] == [
+        {"arrival": 1, "headers": {}}
+    ]
+
+
+def test_ingest_ndjson_body_is_byte_identical_to_per_record_dumps(monkeypatch):
+    records = clean_records(50) + [
+        {"arrival": float("nan"), "headers": {"é": 1}, "flow": "a\nb"}
+    ]
+    sent = {}
+    client = ServiceClient()
+    monkeypatch.setattr(
+        client, "_request", lambda *a, **kw: sent.update(kw) or {}
+    )
+    for batch in (records, records[:1], []):
+        client.ingest_ndjson(batch)
+        assert sent["data"] == b"".join(
+            json.dumps(r, separators=(",", ":")).encode() + b"\n"
+            for r in batch
+        )
+
+
+# ----------------------------------------------------------------------
+# Served layer
+# ----------------------------------------------------------------------
+
+
+def served_records(n: int, chunk: int):
+    """Fractional arrivals, (arrival, port) ties, flows, and every
+    chunk shuffled (batches sort themselves; only chunks are ordered)."""
+    records = clean_records(n)
+    for i in range(5, n - 1, 9):  # a tie with the next record
+        records[i + 1]["arrival"] = records[i]["arrival"]
+        records[i + 1]["port"] = records[i]["port"]
+    rng = random.Random(chunk)
+    out = []
+    for i in range(0, n, chunk):
+        part = records[i : i + chunk]
+        rng.shuffle(part)
+        out.extend(part)
+    return out
+
+
+def offline(engine: str, records) -> str:
+    packets = [packet_from_json(r, i) for i, r in enumerate(records)]
+    stats, registers = ENGINES[engine](compile_program(PROGRAM), packets, CONFIG)
+    return render_payload(segment_payload(stats, registers))
+
+
+def client_of(thread: ServiceThread) -> ServiceClient:
+    return ServiceClient(*thread.address, timeout=30)
+
+
+@pytest.mark.parametrize("engine", ["fast", "dense", "vector"])
+@pytest.mark.parametrize("chunk, n", [(1, 60), (7, 200), (100, 600), (512, 600)])
+def test_served_json_and_ndjson_equal_offline(engine, chunk, n):
+    records = served_records(n, chunk)
+    want = offline(engine, records)
+    service = SwitchService(program=PROGRAM, engine=engine, config=CONFIG)
+    with ServiceThread(service) as thread:
+        client = client_of(thread)
+        for send in (client.ingest, client.ingest_ndjson):
+            for i in range(0, n, chunk):
+                send(records[i : i + chunk])
+            record = client.drain()["closed_segment"]
+            assert record["engine"] == engine and record["offered"] == n
+        assert client.status()["errors"] == []
+        assert client.segment_results(0) == want
+        assert client.segment_results(1) == want
+        client.shutdown()
+
+
+def test_served_vector_segment_builds_no_packet_objects(monkeypatch):
+    """Between the socket and ``EpochStreamer.ingest`` there are only
+    records and columns."""
+    records = served_records(400, 64)
+    want = offline("vector", records)
+    service = SwitchService(program=PROGRAM, engine="vector", config=CONFIG)
+
+    def boom(self, *args, **kwargs):
+        raise AssertionError("DataPacket constructed on the column path")
+
+    with ServiceThread(service) as thread:
+        client = client_of(thread)
+        monkeypatch.setattr(DataPacket, "__init__", boom)
+        client.ingest(records[:64])
+        client.replay_trace(records[64:], chunk=64)
+        record = client.drain()["closed_segment"]
+        monkeypatch.undo()
+        assert record["engine"] == "vector" and record["offered"] == 400
+        assert client.status()["errors"] == []
+        assert client.segment_results(0) == want
+        client.shutdown()
+
+
+# ----------------------------------------------------------------------
+# Edges: atomic rejection, and a daemon that survives it
+# ----------------------------------------------------------------------
+
+
+def test_409_and_429_leave_no_trace():
+    records = clean_records(120)
+    a, b, c = records[:40], records[40:80], records[80:]
+    service = SwitchService(
+        program=PROGRAM, engine="vector", config=CONFIG, queue_depth=1
+    )
+    with ServiceThread(service) as thread:
+        client = client_of(thread)
+        client.pause()  # nothing leaves the queue
+        client.ingest(a)
+        horizon = service._feed_horizon
+        with pytest.raises(ServiceClientError) as err:
+            client.ingest_ndjson(b)  # queue of one is full
+        assert err.value.status == 429
+        assert service._feed_horizon == horizon
+        assert client.status()["ingested"] == 0
+        assert client.status()["rejected"] == 40
+        client.resume()
+        client.wait_settled()
+        assert client.status()["ingested"] == 40
+        client.ingest_ndjson(c)
+        client.wait_settled()
+        horizon = service._feed_horizon
+        with pytest.raises(ServiceClientError) as err:
+            client.ingest(b)  # behind the horizon now
+        assert err.value.status == 409 and "monotone" in err.value.message
+        assert service._feed_horizon == horizon
+        assert client.status()["ingested"] == 80
+        later = [dict(r, arrival=r["arrival"] + 1000) for r in b]
+        client.ingest(later)
+        record = client.drain()["closed_segment"]
+        assert record["offered"] == 120
+        assert client.segment_results(0) == offline("vector", a + c + later)
+        client.shutdown()
+
+
+BAD_RECORDS = [
+    '{"arrival": NaN, "headers": {}}',
+    '{"arrival": Infinity, "headers": {}}',
+    '{"arrival": 1e300, "headers": {}}',
+    '{"arrival": -5, "headers": {}}',
+    '{"arrival": 1, "headers": {"%s": %d}}' % (FIELDS[0], 2**70),
+    '{"arrival": 1, "port": %d, "headers": {}}' % 2**70,
+    '{"arrival": 1, "flow": [1, 2], "headers": {}}',
+    '{"arrival": 1, "flow": {}, "headers": {}}',
+]
+
+
+@pytest.mark.parametrize("engine", ["fast", "vector"])
+def test_wedging_records_are_rejected_at_ingest(engine):
+    """Each of these was a 200 followed by a drain that never returned
+    (or lost the segment); now a 400, atomically, on both routes."""
+    good = clean_records(20)
+    service = SwitchService(program=PROGRAM, engine=engine, config=CONFIG)
+    with ServiceThread(service) as thread:
+        client = ServiceClient(*thread.address, timeout=10)
+        line = json.dumps(good[0])
+        for bad in BAD_RECORDS:
+            bodies = (
+                ('{"packets": [%s, %s]}' % (line, bad), "application/json"),
+                (f"{line}\n{bad}\n", "application/x-ndjson"),
+            )
+            for body, ctype in bodies:
+                with pytest.raises(ServiceClientError) as err:
+                    client._request(
+                        "POST", "/ingest", data=body.encode(), content_type=ctype
+                    )
+                assert err.value.status == 400
+                assert "malformed packet record" in err.value.message
+        status = client.status()
+        assert status["queue_depth"] == 0 and not status["segment_open"]
+        assert service._feed_horizon is None
+        assert client.health()["verdict"] == "ok"
+        client.ingest(good)
+        assert client.drain()["closed_segment"]["offered"] == 20
+        assert client.segment_results(0) == offline(engine, good)
+        client.shutdown()
+    assert not thread._thread.is_alive()
+
+
+def test_a_failed_feed_loses_the_batch_not_the_pump(monkeypatch):
+    """A validation gap must be a loud 500 at drain, not a hang."""
+    records = clean_records(60)
+    service = SwitchService(program=PROGRAM, engine="vector", config=CONFIG)
+    real_feed = daemon_module._EngineAdapter.feed
+
+    def flaky(self, batch):
+        if len(batch) == 7:
+            raise OverflowError("int too big to convert")
+        return real_feed(self, batch)
+
+    monkeypatch.setattr(daemon_module._EngineAdapter, "feed", flaky)
+    with ServiceThread(service) as thread:
+        client = ServiceClient(*thread.address, timeout=10)
+        client.ingest(records[:20])
+        client.ingest(records[20:27])  # 200: the gap is past ingest
+        client.ingest(records[27:])
+        with pytest.raises(ServiceClientError) as err:
+            client.drain()
+        assert err.value.status == 500
+        assert "OverflowError" in err.value.message
+        status = client.status()
+        assert status["rejected"] == 7 and status["ingested"] == 53
+        assert any("feed failed" in e for e in status["errors"])
+        assert client.health()["verdict"] == "ok"
+        assert client.segment_results(0) == offline(
+            "vector", records[:20] + records[27:]
+        )
+        client.ingest(records[:20])  # the next segment is clean
+        assert client.drain()["closed_segment"]["offered"] == 20
+        client.shutdown()
+    assert not thread._thread.is_alive()

@@ -575,6 +575,38 @@ def test_vector_feed_after_draining_pump_rejected():
         switch.feed(trace[100:])
 
 
+def test_negative_arrival_falls_back_and_matches_all_engines(capsys):
+    """The epoch recurrence starts at tick 0; a trace that arrives
+    before it must leave the vector engine before any shared state is
+    touched (it used to spin), and the fallback equals the oracles."""
+    program = make_sensitivity_program(num_stateful=4, register_size=64)
+    config = MP5Config(num_pipelines=4)
+
+    def trace():
+        packets = sensitivity_trace(2, 4, 4, 64, seed=0)
+        packets[0].arrival, packets[1].arrival = -5, 7
+        return packets
+
+    switch = VectorSwitch(program, config)
+    switch.start()
+    fed = trace()
+    with pytest.raises(VectorUnsupported, match="negative arrival"):
+        switch.feed(fed)
+    assert switch.stats.offered == 0 and switch.stream_stats()["buffered"] == 0
+    assert [p.pkt_id for p in fed] == [0, 1] and not fed[0].accesses
+
+    want = _result(run_mp5(program, trace(), config))
+    assert want[0]["egressed"] == 2
+    assert _result(run_mp5_reference(program, trace(), config)) == want
+    assert _result(ENGINES["vector"](program, trace(), config)) == want
+    assert "negative arrival" in capsys.readouterr().err
+
+
+def _result(run):
+    stats, registers = run
+    return stats.summary(), stats.latencies, registers
+
+
 def test_vector_work_available_gates_on_watermark():
     """The uniform scheduling probe: False before any feed, True only
     once the watermark proves an epoch complete (or at drain)."""

@@ -578,7 +578,7 @@ def _emitter_monitor(switch, schedule, drained=True):
     """The oracle: the schedule's event sequence through the monitor's
     scalar-facing emitters (what the per-event replay fed it)."""
     monitor = InvariantMonitor()
-    events = synthesize_events(switch, switch._spackets, schedule)
+    events = synthesize_events(switch, schedule)
     _dispatch_events(monitor, events, switch.stats.ticks)
     monitor.end_run(switch.stats.ticks, switch, drained)
     return monitor
