@@ -1,24 +1,38 @@
 """Minimal synchronous client for the switch daemon's control plane.
 
-Stdlib only (``urllib``); one method per endpoint, JSON in/out. Raises
-:class:`ServiceClientError` (carrying the HTTP status and the server's
-one-line diagnostic) on any non-2xx answer::
+Stdlib only (``http.client``); one method per endpoint, JSON in/out.
+Raises :class:`ServiceClientError` (carrying the HTTP status and the
+server's one-line diagnostic) on any non-2xx answer::
 
     from repro.service.client import ServiceClient
 
-    client = ServiceClient("127.0.0.1", 8585)
-    client.load_program("heavy_hitter")
-    client.replay(packets=500)
-    client.drain()
-    print(client.health()["verdict"])
+    with ServiceClient("127.0.0.1", 8585) as client:
+        client.load_program("heavy_hitter")
+        client.replay(packets=500)
+        client.drain()
+        print(client.health()["verdict"])
+
+Every route method runs on one persistent connection, opened on first
+use and reopened whenever the server closed it (idle timeout, a
+``Connection: close`` answer, a daemon restart). Calls from several
+threads are serialized on that connection. A request is re-sent at most
+once, and only when a *reused* connection failed before any byte of the
+response arrived — the signature of the server having hung up on an
+idle connection; a timeout or a partial response is never retried, so
+no request is executed twice. Transport failures surface as ``OSError``
+(``ConnectionError`` for protocol-level ones). The SSE ``stream_*``
+iterators each hold a connection of their own. :meth:`ServiceClient.
+close` (or leaving the ``with`` block) drops the connection; the client
+stays usable and reconnects on the next call.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["ServiceClient", "ServiceClientError"]
@@ -37,10 +51,36 @@ class ServiceClientError(Exception):
         self.message = message
 
 
+def _raise_for_status(status: int, body: bytes):
+    if 200 <= status < 300:
+        return
+    detail = body.decode(errors="replace")
+    try:
+        detail = json.loads(detail).get("error", detail)
+    except (json.JSONDecodeError, AttributeError):
+        pass
+    raise ServiceClientError(status, detail)
+
+
 class ServiceClient:
     def __init__(self, host: str = "127.0.0.1", port: int = 8585, timeout: float = 30.0):
         self.base = f"http://{host}:{port}"
         self.timeout = timeout
+        # Connects on first use, and again after every ``close()``.
+        self._conn = http.client.HTTPConnection(host, port, timeout=timeout)
+        self._lock = threading.Lock()
+
+    def close(self):
+        """Drop the persistent connection (the next call reconnects)."""
+        with self._lock:
+            self._conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
 
     # -- transport ------------------------------------------------------
 
@@ -55,22 +95,36 @@ class ServiceClient:
     ):
         if data is None:
             data = json.dumps(body).encode() if body is not None else None
-        req = urllib.request.Request(
-            self.base + path,
-            data=data,
-            method=method,
-            headers={"Content-Type": content_type} if data else {},
-        )
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                text = resp.read().decode()
-        except urllib.error.HTTPError as exc:
-            detail = exc.read().decode(errors="replace")
+        headers = {"Content-Type": content_type} if data else {}
+        conn = self._conn
+        with self._lock:
+            reused = conn.sock is not None
             try:
-                detail = json.loads(detail).get("error", detail)
-            except (json.JSONDecodeError, AttributeError):
-                pass
-            raise ServiceClientError(exc.code, detail) from None
+                while True:
+                    try:
+                        conn.request(method, path, body=data, headers=headers)
+                        if conn.sock.recv(1, socket.MSG_PEEK):
+                            break
+                        raise ConnectionResetError("server closed the connection")
+                    except ConnectionError:
+                        # Not one response byte arrived. On a reused
+                        # connection that is the server having closed it
+                        # while idle (the request never ran): re-send
+                        # once, on a fresh connection.
+                        conn.close()
+                        if not reused:
+                            raise
+                        reused = False
+                resp = conn.getresponse()
+                status, payload = resp.status, resp.read()
+            except http.client.HTTPException as exc:
+                conn.close()
+                raise ConnectionError(f"{type(exc).__name__}: {exc}") from exc
+            except OSError:
+                conn.close()
+                raise
+        _raise_for_status(status, payload)
+        text = payload.decode()
         return text if raw else json.loads(text)
 
     # -- read-only views ------------------------------------------------
@@ -218,17 +272,14 @@ class ServiceClient:
             query += f"&poll={poll}"
         if heartbeat is not None:
             query += f"&heartbeat={heartbeat}"
-        req = urllib.request.Request(self.base + path + query, method="GET")
+        conn = http.client.HTTPConnection(
+            self._conn.host, self._conn.port, timeout=self.timeout
+        )
         try:
-            resp = urllib.request.urlopen(req, timeout=self.timeout)
-        except urllib.error.HTTPError as exc:
-            detail = exc.read().decode(errors="replace")
-            try:
-                detail = json.loads(detail).get("error", detail)
-            except (json.JSONDecodeError, AttributeError):
-                pass
-            raise ServiceClientError(exc.code, detail) from None
-        with resp:
+            conn.request("GET", path + query)
+            resp = conn.getresponse()
+            if resp.status != 200:
+                _raise_for_status(resp.status, resp.read())
             event, data_lines = None, []
             for raw in resp:
                 line = raw.decode().rstrip("\n").rstrip("\r")
@@ -246,6 +297,10 @@ class ServiceClient:
                         return
                     yield event, payload
                     event, data_lines = None, []
+        except http.client.HTTPException as exc:
+            raise ConnectionError(f"{type(exc).__name__}: {exc}") from exc
+        finally:
+            conn.close()
 
     def stream_metrics(
         self,

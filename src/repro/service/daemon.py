@@ -452,6 +452,7 @@ class SwitchService:
         self._lost: Optional[str] = None  # open segment's failed feed
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._queue: Optional[asyncio.Queue] = None
+        self._plane = None  # the ControlPlane, once serving
         self.address: Optional[Tuple[str, int]] = None
 
     # -- lifecycle ------------------------------------------------------
@@ -466,7 +467,7 @@ class SwitchService:
         self._queue = asyncio.Queue(maxsize=self.queue_depth)
         self._wake = asyncio.Event()
         self._shutdown_event = asyncio.Event()
-        plane = ControlPlane(self)
+        self._plane = plane = ControlPlane(self)
         server = await asyncio.start_server(plane.handle, host, port)
         self.address = server.sockets[0].getsockname()[:2]
         pump = asyncio.create_task(self._pump_loop())
@@ -483,9 +484,10 @@ class SwitchService:
             with contextlib.suppress(asyncio.CancelledError):
                 await pump
             server.close()
+            # Before ``wait_closed``: on 3.12+ it waits for every open
+            # connection, and an idle keep-alive one never ends itself.
+            await plane.close_connections()
             await server.wait_closed()
-            with contextlib.suppress(Exception):
-                await plane.drain_streams()
 
     async def shutdown(self) -> Optional[Dict]:
         """Drain everything (queue and engine), close the open segment,
@@ -909,6 +911,16 @@ class SwitchService:
             ],
         }
 
+    def _connection_counts(self) -> Dict[str, int]:
+        """Control-plane connection telemetry; ``requests /
+        connections`` is the keep-alive reuse ratio."""
+        plane = self._plane
+        return {
+            "connections_open": plane.connections_open if plane else 0,
+            "connections": plane.connections if plane else 0,
+            "requests": plane.requests if plane else 0,
+        }
+
     def metrics_snapshot(self, since: int = -1) -> Dict:
         ad = self._adapter
         live_alerts = ad.alert_dicts() if ad is not None else []
@@ -927,6 +939,7 @@ class SwitchService:
                 "queue_depth": self._queue.qsize() if self._queue else 0,
                 "watermark": ad.watermark if ad is not None else None,
                 "first_egress_latency": latency,
+                **self._connection_counts(),
             },
             "segment_index": len(self._segments) if ad is not None else None,
             "engine": None,
@@ -959,6 +972,7 @@ class SwitchService:
             "segments": len(self._segments),
             "alerts": len(self._alerts) + len(live_alerts),
             "queue_depth": self._queue.qsize() if self._queue else 0,
+            **self._connection_counts(),
         }
         kinds = {
             "ingested": "counter",
@@ -967,6 +981,9 @@ class SwitchService:
             "segments": "counter",
             "alerts": "counter",
             "queue_depth": "gauge",
+            "connections_open": "gauge",
+            "connections": "counter",
+            "requests": "counter",
         }
         helps = {
             "ingested": "Packets accepted into the ingest queue.",
@@ -975,6 +992,9 @@ class SwitchService:
             "segments": "Segments closed so far.",
             "alerts": "Alerts raised across all segments.",
             "queue_depth": "Ingest queue occupancy in batches.",
+            "connections_open": "Control-plane connections open now.",
+            "connections": "Control-plane connections accepted.",
+            "requests": "Control-plane requests read (reuse = requests / connections).",
         }
         if ad is not None:
             values["watermark"] = ad.watermark

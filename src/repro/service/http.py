@@ -1,28 +1,48 @@
 """Stdlib-only HTTP/JSON control plane for the switch daemon.
 
-A deliberately small HTTP/1.1 server over ``asyncio`` streams: one
-request per connection (``Connection: close``), JSON bodies in and out.
-No routing framework, and exactly one piece of content negotiation —
-``POST /ingest`` also accepts ``application/x-ndjson``, one packet
-record per line, which amortizes framing overhead across a batch (the
-fast ingest path :meth:`~repro.service.client.ServiceClient.replay_trace`
-uses). The endpoint table in ``docs/service.md`` is the contract, and
+A deliberately small HTTP/1.1 server over ``asyncio`` streams:
+persistent connections, JSON bodies in and out. No routing framework,
+and exactly one piece of content negotiation — ``POST /ingest`` also
+accepts ``application/x-ndjson``, one packet record per line, which
+amortizes framing overhead across a batch (the fast ingest path
+:meth:`~repro.service.client.ServiceClient.replay_trace` uses). The
+endpoint table in ``docs/service.md`` is the contract, and
 :class:`ControlPlane` is a dispatch dict over ``(method, path)`` plus
 one pattern route for ``/segments/<i>/results``.
+
+**Connection contract.** :meth:`ControlPlane.handle` answers the
+requests of one connection in order and states in each response's
+``Connection:`` header whether it stays open. It stays open after a 2xx
+and after a request that was understood and refused (400 on a bad body,
+404, 405, 409, 429). The server closes:
+
+* on ``Connection: close`` or an HTTP/1.0 request;
+* after ``/shutdown`` and after anything answered while the daemon is
+  stopping; after any 5xx;
+* after **any response where request framing is in doubt** — malformed
+  request line, over-long or too many header lines, a non-integer or
+  negative ``Content-Length``, a body over :data:`MAX_BODY`, any
+  ``Transfer-Encoding`` header — and silently on a short body or a head
+  cut off by EOF, so leftover bytes are never parsed as a request;
+* when a connection does not deliver its next whole request within
+  :data:`IDLE_TIMEOUT` seconds;
+* on daemon shutdown: connections waiting for a request are hung up on,
+  responses in flight finish (:meth:`ControlPlane.close_connections`).
 
 Two response shapes exist:
 
 * **one-shot** — every JSON route and the two raw routes
   (``/segments/<i>/results`` and the OpenMetrics exposition at
-  ``/metrics.prom``): read request, write one response, close.
+  ``/metrics.prom``): read request, write one response, read the next.
 * **streaming** — ``/stream/metrics``, ``/stream/alerts`` and
   ``/stream/health`` hold the connection open and push
-  ``text/event-stream`` frames (server-sent events). Each subscriber
-  keeps its own cursor into the same segment/window machinery the
-  ``?since=`` polling endpoints read, so an SSE stream delivers exactly
-  the rows the equivalent poll loop would. Heartbeat comments keep
-  idle connections verifiably alive; on daemon shutdown every stream
-  flushes pending rows and sends a final ``event: end`` frame.
+  ``text/event-stream`` frames (server-sent events), then close it.
+  Each subscriber keeps its own cursor into the same segment/window
+  machinery the ``?since=`` polling endpoints read, so an SSE stream
+  delivers exactly the rows the equivalent poll loop would. Heartbeat
+  comments keep idle connections verifiably alive; on daemon shutdown
+  every stream flushes pending rows and sends a final ``event: end``
+  frame.
 
 Errors map onto status codes via :class:`~repro.service.daemon.
 ServiceError` (client mistakes: 400/404/409/413/429) and
@@ -48,6 +68,12 @@ __all__ = ["ControlPlane"]
 MAX_BODY = 32 * 1024 * 1024  # JSON ingest batches can be sizeable
 MAX_HEADER_LINES = 100
 MAX_LINE = 8192  # request line / single header line cap (bytes)
+#: Seconds a connection may take to deliver its next whole request
+#: before the server closes it. Deliberately not a round scrape period:
+#: a poller whose interval equals it would race the close every time.
+IDLE_TIMEOUT = 75.0
+#: Seconds in-flight responses and SSE streams get to finish on shutdown.
+SHUTDOWN_GRACE = 5.0
 
 #: Default/floor pacing for SSE subscriber polls, seconds.
 STREAM_POLL = 0.05
@@ -129,6 +155,20 @@ def _parse_ndjson(body: bytes) -> Dict:
     if not records:
         raise ServiceError("invalid NDJSON body: no packet records")
     return {"packets": records}
+
+
+def _decode_body(method: str, path: str, ctype: str, body: bytes) -> Optional[Dict]:
+    """A framed request body → its payload (``None`` when empty)."""
+    if not body:
+        return None
+    if ctype == NDJSON_CTYPE:
+        if (method, path) != ("POST", "/ingest"):
+            raise ServiceError("NDJSON bodies are only accepted on POST /ingest")
+        return _parse_ndjson(body)
+    try:
+        return json.loads(body)
+    except json.JSONDecodeError as exc:
+        raise ServiceError(f"invalid JSON body: {exc}") from exc
 
 
 def _sse_frame(event: str, payload: Dict) -> bytes:
@@ -221,20 +261,65 @@ class ControlPlane:
 
     def __init__(self, service: SwitchService):
         self.service = service
-        self._streams: set = set()  # live SSE handler tasks
+        self._conns: set = set()  # live handler tasks, one per connection
+        self._reading: set = set()  # writers whose handler awaits a request
+        self.connections = 0  # accepted since start
+        self.requests = 0  # request heads parsed since start
 
-    async def drain_streams(self, timeout: float = 5.0):
-        """Give open SSE connections a chance to flush and send their
-        final ``event: end`` frame (called by the daemon on shutdown,
-        after ``_stopping`` is set so every stream loop is exiting)."""
-        tasks = [task for task in self._streams if not task.done()]
+    @property
+    def connections_open(self) -> int:
+        return len(self._conns)
+
+    async def close_connections(self):
+        """Daemon shutdown (``_stopping`` is already set): hang up on
+        every connection parked waiting for a request, let responses in
+        flight finish and SSE streams flush their final ``event: end``
+        frame, then cancel whatever is still open after
+        :data:`SHUTDOWN_GRACE`."""
+        for writer in self._reading:
+            writer.close()
+        tasks = [task for task in self._conns if not task.done()]
         if tasks:
-            await asyncio.wait(tasks, timeout=timeout)
+            _, pending = await asyncio.wait(tasks, timeout=SHUTDOWN_GRACE)
+            for task in pending:
+                task.cancel()
 
     async def handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        status, body, raw, ctype = 500, {"error": "internal error"}, None, None
+        """One connection: answer requests in order until either side
+        asks to close (see the module docstring for when the server
+        does)."""
+        task = asyncio.current_task()
+        self._conns.add(task)
+        self.connections += 1
         try:
-            method, path, query, payload = await self._read_request(reader)
+            while await self._serve_request(reader, writer):
+                pass
+        except (ConnectionError, asyncio.IncompleteReadError):
+            pass  # peer went away, or sent a short body
+        except asyncio.CancelledError:
+            # Event-loop teardown beat the connection's own shutdown
+            # path. End normally: 3.11's StreamReaderProtocol asks a
+            # finished handler task for its exception, and logs an
+            # "Exception in callback" traceback if it was cancelled.
+            return
+        finally:
+            self._conns.discard(task)
+            writer.close()
+
+    async def _serve_request(self, reader, writer) -> bool:
+        """Read one request, write its response; True when the
+        connection stays open for the next one."""
+        status, body, raw, ctype = 500, {"error": "internal error"}, None, None
+        # Stays False until the request is framed: an error before that
+        # leaves bytes on the wire that are not a request.
+        keep = False
+        try:
+            framed = await self._read_request(reader, writer)
+            if framed is None:
+                return False  # the client closed between requests
+            method, path, query, sent_ctype, sent, keep = framed
+            self.requests += 1
+            payload = _decode_body(method, path, sent_ctype, sent)
             if method == "GET" and path in _STREAM_FEEDS:
                 # Validate the subscription before any bytes go out so a
                 # bad query still gets a proper 400 JSON response.
@@ -242,7 +327,7 @@ class ControlPlane:
                 poll = max(STREAM_POLL_MIN, _qfloat(query, "poll", STREAM_POLL))
                 heartbeat = max(poll, _qfloat(query, "heartbeat", STREAM_HEARTBEAT))
                 await self._handle_stream(writer, feed, poll, heartbeat)
-                return
+                return False
             status, body, raw, ctype = await self._dispatch(
                 method, path, query, payload
             )
@@ -251,26 +336,22 @@ class ControlPlane:
         except ReproError as exc:
             status, body, raw, ctype = 400, {"error": str(exc)}, None, None
         except (ConnectionError, asyncio.IncompleteReadError):
-            writer.close()
-            return
+            raise
         except Exception as exc:  # keep the daemon alive on handler bugs
             status = 500
             body = {"error": f"{type(exc).__name__}: {exc}"}
             raw, ctype = None, None
+        keep = keep and status < 500 and not self.service._stopping
         data = raw if raw is not None else json.dumps(body, sort_keys=True).encode()
         head = (
             f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Status')}\r\n"
             f"Content-Type: {ctype or 'application/json'}\r\n"
             f"Content-Length: {len(data)}\r\n"
-            f"Connection: close\r\n\r\n"
+            f"Connection: {'keep-alive' if keep else 'close'}\r\n\r\n"
         )
-        try:
-            writer.write(head.encode() + data)
-            await writer.drain()
-        except ConnectionError:
-            pass
-        finally:
-            writer.close()
+        writer.write(head.encode() + data)
+        await writer.drain()
+        return keep
 
     async def _handle_stream(
         self,
@@ -290,44 +371,30 @@ class ControlPlane:
             "Connection: close\r\n\r\n"
         )
         idle = 0.0
-        task = asyncio.current_task()
-        if task is not None:
-            self._streams.add(task)
-        try:
-            writer.write(head.encode())
-            await writer.drain()
-            while not svc._stopping:
-                payload = feed.poll()
-                if payload is not None:
-                    writer.write(_sse_frame(feed.event, payload))
-                    await writer.drain()
-                    idle = 0.0
-                else:
-                    idle += poll
-                    if idle >= heartbeat:
-                        writer.write(b": keepalive\n\n")
-                        await writer.drain()
-                        idle = 0.0
-                if writer.is_closing():
-                    return
-                await asyncio.sleep(poll)
-            # Shutdown: flush whatever rolled since the last frame, then
-            # tell the subscriber this was a clean end, not a drop.
+        writer.write(head.encode())
+        await writer.drain()
+        while not svc._stopping:
             payload = feed.poll()
             if payload is not None:
                 writer.write(_sse_frame(feed.event, payload))
-            writer.write(b"event: end\ndata: {}\n\n")
-            await writer.drain()
-        except ConnectionError:
-            pass
-        except asyncio.CancelledError:
-            # Event-loop teardown beat the stream's own shutdown path;
-            # exit cleanly rather than surface a cancelled handler task.
-            return
-        finally:
-            if task is not None:
-                self._streams.discard(task)
-            writer.close()
+                await writer.drain()
+                idle = 0.0
+            else:
+                idle += poll
+                if idle >= heartbeat:
+                    writer.write(b": keepalive\n\n")
+                    await writer.drain()
+                    idle = 0.0
+            if writer.is_closing():
+                return
+            await asyncio.sleep(poll)
+        # Shutdown: flush whatever rolled since the last frame, then
+        # tell the subscriber this was a clean end, not a drop.
+        payload = feed.poll()
+        if payload is not None:
+            writer.write(_sse_frame(feed.event, payload))
+        writer.write(b"event: end\ndata: {}\n\n")
+        await writer.drain()
 
     async def _read_line(self, reader: asyncio.StreamReader, what: str) -> bytes:
         """One capped ``readline``: oversized lines become a 413 instead
@@ -342,49 +409,56 @@ class ControlPlane:
             ) from None
         return line
 
-    async def _read_request(self, reader) -> Tuple[str, str, Dict, Optional[Dict]]:
-        raw_line = await self._read_line(reader, "request")
-        request_line = raw_line.decode("latin-1").strip()
-        parts = request_line.split()
-        if len(parts) != 3:
-            raise ServiceError(f"malformed request line {request_line!r}")
-        method, target, _version = parts
-        headers: Dict[str, str] = {}
-        for _ in range(MAX_HEADER_LINES):
-            line = (await self._read_line(reader, "header")).decode("latin-1")
-            if line in ("\r\n", "\n", ""):
-                break
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        else:
-            raise ServiceError("too many header lines")
+    async def _read_request(self, reader, writer):
+        """Frame one request: ``(method, path, query, content type,
+        body bytes, keep-alive?)``, or ``None`` when the client closed
+        instead of sending another. A connection that does not deliver
+        a whole request within :data:`IDLE_TIMEOUT` is closed under the
+        read, which then ends as a short read."""
+        timer = asyncio.get_running_loop().call_later(IDLE_TIMEOUT, writer.close)
+        self._reading.add(writer)
         try:
-            length = int(headers.get("content-length", 0) or 0)
-        except ValueError as exc:
-            raise ServiceError("content-length must be an integer") from exc
-        if length > MAX_BODY:
-            raise ServiceError("request body too large", status=413)
-        split = urlsplit(target)
-        query = parse_qs(split.query)
-        method = method.upper()
-        path = split.path.rstrip("/") or "/"
-        payload = None
-        if length:
-            body = await reader.readexactly(length)
-            ctype = headers.get("content-type", "")
-            ctype = ctype.partition(";")[0].strip().lower()
-            if ctype == NDJSON_CTYPE:
-                if (method, path) != ("POST", "/ingest"):
-                    raise ServiceError(
-                        "NDJSON bodies are only accepted on POST /ingest"
-                    )
-                payload = _parse_ndjson(body)
+            raw_line = await self._read_line(reader, "request")
+            if not raw_line:
+                return None
+            request_line = raw_line.decode("latin-1").strip()
+            parts = request_line.split()
+            if len(parts) != 3:
+                raise ServiceError(f"malformed request line {request_line!r}")
+            method, target, version = parts
+            headers: Dict[str, str] = {}
+            for _ in range(MAX_HEADER_LINES):
+                line = (await self._read_line(reader, "header")).decode("latin-1")
+                if line in ("\r\n", "\n"):
+                    break
+                if not line:  # EOF inside the head: not a request
+                    raise asyncio.IncompleteReadError(b"", None)
+                name, _, value = line.partition(":")
+                headers[name.strip().lower()] = value.strip()
             else:
-                try:
-                    payload = json.loads(body)
-                except json.JSONDecodeError as exc:
-                    raise ServiceError(f"invalid JSON body: {exc}") from exc
-        return method, path, query, payload
+                raise ServiceError("too many header lines")
+            if "transfer-encoding" in headers:
+                raise ServiceError("chunked request bodies are not supported")
+            try:
+                length = int(headers.get("content-length", 0) or 0)
+            except ValueError:
+                length = -1
+            if length < 0:
+                raise ServiceError("content-length must be a non-negative integer")
+            if length > MAX_BODY:
+                raise ServiceError("request body too large", status=413)
+            body = await reader.readexactly(length) if length else b""
+        finally:
+            timer.cancel()
+            self._reading.discard(writer)
+        split = urlsplit(target)
+        keep = (
+            version.upper() == "HTTP/1.1"
+            and "close" not in headers.get("connection", "").lower()
+        )
+        ctype = headers.get("content-type", "").partition(";")[0].strip().lower()
+        path = split.path.rstrip("/") or "/"
+        return method.upper(), path, parse_qs(split.query), ctype, body, keep
 
     async def _dispatch(
         self, method: str, path: str, query: Dict, payload: Optional[Dict]
