@@ -51,8 +51,9 @@ its measurement name and workload string, so ``--check-regression``
 continues to gate the zero-overhead disabled path against history.
 
 **serve_fast** and **serve_vector** push the sensitivity workload
-through the live daemon — NDJSON ``POST /ingest`` chunks from a
-:class:`~repro.service.client.ServiceClient`, watermark-gated
+through the live daemon — ``ServiceClient.replay_trace`` chunks (one
+column body per ``POST /ingest``; NDJSON before PR 16, hence the new
+workload string and a fresh ``--check-regression`` series), watermark-gated
 streaming execution, then a drain — timing the full client→segment-
 close path, the ingest rate (packets/sec through HTTP + parse + feed),
 and the service's own first-feed→first-egress latency gauge. 50k
@@ -199,8 +200,8 @@ def _trace_records(trace) -> list:
 def bench_serve(
     engine: str, num_packets: int, rounds: int, chunk: int = 512
 ) -> dict:
-    """Serve the sensitivity workload through the live daemon: NDJSON
-    ingest over HTTP with 429-backoff, watermark-gated streaming
+    """Serve the sensitivity workload through the live daemon:
+    ``replay_trace`` over HTTP with 429-backoff, watermark-gated streaming
     execution, drain. Each round is one segment on one long-lived
     service; backpressure retries are part of the measured path."""
     from repro.service.client import ServiceClient
@@ -235,7 +236,7 @@ def bench_serve(
     return {
         "workload": (
             f"served sensitivity {num_packets} pkts, k=4, {engine} engine, "
-            f"ndjson chunk {chunk}"
+            f"replay_trace chunk {chunk}"
         ),
         "rounds": rounds,
         "packets": num_packets,

@@ -1,6 +1,6 @@
 """Minimal synchronous client for the switch daemon's control plane.
 
-Stdlib only (``http.client``); one method per endpoint, JSON in/out.
+``http.client`` underneath; one method per endpoint, JSON in/out.
 Raises :class:`ServiceClientError` (carrying the HTTP status and the
 server's one-line diagnostic) on any non-2xx answer::
 
@@ -24,6 +24,15 @@ no request is executed twice. Transport failures surface as ``OSError``
 iterators each hold a connection of their own. :meth:`ServiceClient.
 close` (or leaving the ``with`` block) drops the connection; the client
 stays usable and reconnects on the next call.
+
+``POST /ingest`` has three wire shapes and the client speaks all of
+them: :meth:`ServiceClient.ingest` sends a record list as ``{"packets":
+[...]}`` or a column batch (a dict) as ``{"columns": {...}}``, and
+:meth:`ServiceClient.ingest_ndjson` frames records one per line.
+:meth:`ServiceClient.replay_trace` chooses per chunk, before sending:
+columns when the chunk passes the daemon's own column checks
+(:func:`repro.service.daemon.clean_columns`), NDJSON otherwise — never
+by retrying a rejected body.
 """
 
 from __future__ import annotations
@@ -33,13 +42,15 @@ import json
 import socket
 import threading
 import time
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Union
+
+from .daemon import clean_columns
 
 __all__ = ["ServiceClient", "ServiceClientError"]
 
-# One encoder for every NDJSON line: ``json.dumps`` with non-default
-# separators would construct one per record.
-_encode_record = json.JSONEncoder(separators=(",", ":")).encode
+# One compact encoder for every NDJSON line and column body:
+# ``json.dumps`` with non-default separators would construct one per call.
+_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class ServiceClientError(Exception):
@@ -186,7 +197,15 @@ class ServiceClient:
     def configure(self, **knobs) -> Dict:
         return self._request("POST", "/config", knobs)
 
-    def ingest(self, packets: List[Dict]) -> Dict:
+    def ingest(self, packets: Union[List[Dict], Dict]) -> Dict:
+        """One ``POST /ingest`` as a JSON document: a list of packet
+        records, or one column batch — the dict :func:`~repro.service.
+        daemon.clean_columns` builds (``{"arrival": [...], "headers":
+        {field: [...]}, ...}``), which the daemon loads with no
+        per-record work but validates strictly."""
+        if isinstance(packets, dict):
+            data = _encode_compact({"columns": packets}).encode()
+            return self._request("POST", "/ingest", data=data)
         return self._request("POST", "/ingest", {"packets": packets})
 
     def ingest_ndjson(self, packets: List[Dict]) -> Dict:
@@ -194,7 +213,7 @@ class ServiceClient:
         no enclosing array, so the server parses each packet without
         materializing one giant JSON document. This is the fast ingest
         path; semantics are identical to :meth:`ingest`."""
-        data = "\n".join([*map(_encode_record, packets), ""]).encode()
+        data = "\n".join([*map(_encode_compact, packets), ""]).encode()
         return self._request(
             "POST",
             "/ingest",
@@ -212,19 +231,29 @@ class ServiceClient:
         max_wait: float = 30.0,
     ) -> Dict:
         """Client-side replay over the fast ingest path: push ``packets``
-        (JSON records, arrival-ordered) in NDJSON chunks, retrying each
+        (JSON records, arrival-ordered) chunk by chunk, retrying each
         chunk with backoff while the daemon answers 429 (ingest queue
-        full — bounded backpressure doing its job). Returns totals."""
+        full — bounded backpressure doing its job). Returns totals.
+
+        A chunk that transposes cleanly — every record spelt with exact
+        JSON types, in range, the same header keys — travels as one
+        column batch. Any other chunk travels as NDJSON, where the
+        daemon's per-record oracle accepts what is coercible and words
+        the rejection of what is not."""
         if chunk < 1:
             raise ValueError("replay_trace chunk must be >= 1")
         sent = 0
         retries = 0
         for i in range(0, len(packets), chunk):
             part = packets[i : i + chunk]
+            columns = clean_columns(part)
             deadline = time.monotonic() + max_wait
             while True:
                 try:
-                    self.ingest_ndjson(part)
+                    if columns is None:
+                        self.ingest_ndjson(part)
+                    else:
+                        self.ingest(columns)
                 except ServiceClientError as exc:
                     if exc.status != 429:
                         raise

@@ -72,6 +72,8 @@ __all__ = [
     "ServiceError",
     "ServiceThread",
     "SwitchService",
+    "clean_columns",
+    "columns_from_body",
     "columns_from_records",
     "packet_from_json",
     "random_headers",
@@ -182,68 +184,177 @@ def packet_from_json(record: Dict, idx: int = 0) -> DataPacket:
 
 _NUMBERS = {int, float}
 _FLOWS = {type(None), int, str}
+# What a batch that does not transpose cleanly raises on the way.
+_DECLINED = (
+    KeyError, TypeError, ValueError, AttributeError, OverflowError, IndexError
+)
 
 
-def _int64_column(values: List) -> Optional[np.ndarray]:
+class _BadColumn(ValueError):
+    """A column failed a check both wire shapes share. The record path
+    only needs to know that it did (the per-record oracle words the
+    rejection); a column body names the first row that fails ``ok``."""
+
+    def __init__(self, column: str, values: List, want: str, ok):
+        super().__init__(column)
+        self.column, self.values, self.want, self.ok = column, values, want, ok
+
+    def __str__(self) -> str:
+        row = next(i for i, v in enumerate(self.values) if not self.ok(v))
+        return (
+            f"column {self.column!r} row {row}: expected {self.want}, "
+            f"got {self.values[row]!r}"
+        )
+
+
+def _arrival_column(values: List) -> np.ndarray:
+    """``values`` as the float64 arrival column: JSON numbers, finite,
+    ``>= 0`` and below 2**53 (NaN fails both bounds)."""
+    if set(map(type, values)) <= _NUMBERS:
+        with contextlib.suppress(OverflowError):  # an int past float64
+            col = np.array(values, dtype=np.float64)
+            if 0 <= col.min() <= col.max() < ARRIVAL_LIMIT:
+                return col
+    raise _BadColumn(
+        "arrival", values, "a number that is finite, >= 0 and below 2**53",
+        lambda v: type(v) in _NUMBERS and 0 <= v < ARRIVAL_LIMIT,
+    )
+
+
+def _int64_column(name: str, values: List) -> np.ndarray:
     """``values`` as an int64 column when every one is spelt as a JSON
-    integer; None for any other spelling (``"5"``, ``5.7``, ``true``)."""
-    if set(map(type, values)) != {int}:
-        return None
-    return np.array(values, dtype=np.int64)  # OverflowError past int64
+    integer that fits; any other spelling (``"5"``, ``5.7``, ``true``)
+    is a :class:`_BadColumn`."""
+    if set(map(type, values)) == {int}:
+        with contextlib.suppress(OverflowError):  # an int past int64
+            return np.array(values, dtype=np.int64)
+    raise _BadColumn(
+        name, values, "an integer that fits int64",
+        lambda v: type(v) is int and INT64_MIN <= v <= INT64_MAX,
+    )
 
 
-def _transpose(records: List[Dict]) -> Optional[PacketColumns]:
-    """The happy path of :func:`columns_from_records`: every record
-    spells its fields with exact JSON types and carries the same header
-    keys, so each column is one gather and each check one pass over it.
-    Returns None — or raises what the gather raised — for any batch
-    that needs a closer look."""
-    arrival = [r["arrival"] for r in records]
-    flow = [r.get("flow") for r in records]
+def _checked_columns(
+    arrival: List, port: List, size: List, flow: List, headers: Dict[str, List]
+) -> PacketColumns:
+    """The per-column checks every ingest batch passes, whichever wire
+    shape carried it: equal-length value lists in, one validated batch
+    out, :class:`_BadColumn` for the first column that fails."""
+    if not set(map(type, flow)) <= _FLOWS:
+        raise _BadColumn(
+            "flow", flow, "null, an integer or a string",
+            lambda v: type(v) in _FLOWS,
+        )
+    return PacketColumns(
+        _arrival_column(arrival),
+        _int64_column("port", port),
+        _int64_column("size", size),
+        flow,
+        {f: _int64_column(f"headers.{f}", col) for f, col in headers.items()},
+    )
+
+
+def _gather(records: List[Dict]) -> Dict:
+    """``records`` transposed into the column body's shape, one list per
+    column. Raises whatever the gather raised for records that do not
+    all carry the same header keys (or are not records at all)."""
     hdrs = [r["headers"] for r in records]
     fields = tuple(hdrs[0])
     if not (
-        set(map(type, arrival)) <= _NUMBERS
-        and set(map(type, flow)) <= _FLOWS
-        and set(map(type, hdrs)) == {dict}
+        set(map(type, hdrs)) == {dict}
         and set(map(type, fields)) <= {str}
         and set(map(len, hdrs)) == {len(fields)}
     ):
-        return None
-    arrival = np.array(arrival, dtype=np.float64)
-    if not 0 <= arrival.min() <= arrival.max() < ARRIVAL_LIMIT:
-        return None
-    port = _int64_column([r.get("port", 0) for r in records])
-    size = _int64_column([r.get("size", 64) for r in records])
-    headers = {f: _int64_column([h[f] for h in hdrs]) for f in fields}
-    if any(col is None for col in (port, size, *headers.values())):
-        return None
-    return PacketColumns(arrival, port, size, flow, headers)
+        raise ValueError("headers differ from record to record")
+    return {
+        "arrival": [r["arrival"] for r in records],
+        "port": [r.get("port", 0) for r in records],
+        "size": [r.get("size", 64) for r in records],
+        "flow": [r.get("flow") for r in records],
+        "headers": {f: [h[f] for h in hdrs] for f in fields},
+    }
 
 
 def columns_from_records(records: List[Dict]) -> PacketColumns:
-    """The ingest decode entry: ``/ingest`` packet records (the schema
+    """The record decode entry: ``/ingest`` packet records (the schema
     of :func:`packet_from_json`) → one validated
     :class:`~repro.mp5.packet.PacketColumns` batch.
 
     Equal, column for column, to gathering ``packet_from_json`` of
-    every record — which is what runs whenever the vectorised transpose
-    declines a batch (a coercible spelling such as ``"5"`` or ``5.7``
-    for a header value, sparse header keys, anything malformed or out
-    of range), so every rejection carries that function's status and
-    message and names the offending record."""
+    every record — which is what runs whenever the gather or the shared
+    column checks decline a batch (a coercible spelling such as ``"5"``
+    or ``5.7`` for a header value, sparse header keys, anything
+    malformed or out of range), so every rejection carries that
+    function's status and message and names the offending record."""
     try:
-        cols = _transpose(records)
-    except (
-        KeyError, TypeError, ValueError, AttributeError, OverflowError,
-        IndexError,
-    ):
-        cols = None
-    if cols is None:
-        cols = PacketColumns.from_packets(
+        return _checked_columns(**_gather(records))
+    except _DECLINED:
+        return PacketColumns.from_packets(
             [packet_from_json(r, i) for i, r in enumerate(records)]
         )
-    return cols
+
+
+def clean_columns(records: List[Dict]) -> Optional[Dict]:
+    """``records`` as the column body of ``POST /ingest``, or None when
+    :func:`columns_from_records` would hand them to the per-record
+    oracle — those must travel as records, where a coercible spelling
+    is still accepted and a rejection still names the record."""
+    try:
+        body = _gather(records)
+        _checked_columns(**body)
+    except _DECLINED:
+        return None
+    if not any(f is not None for f in body["flow"]):
+        del body["flow"]
+    return body
+
+
+def columns_from_body(body: Dict) -> PacketColumns:
+    """The column decode entry: the ``"columns"`` object of a
+    ``POST /ingest`` body — ``{"arrival": [...], "headers": {field:
+    [...]}, "port": [...], "size": [...], "flow": [...]}``, the last
+    three optional (0, 64 and null per packet, as in a record) — → one
+    validated batch, through the same column checks as records.
+
+    Strict, because there are no records to fall back on: a value not
+    spelt with its exact JSON type, an arrival out of range, an integer
+    past int64, a column that is not a list or not as long as
+    ``arrival``, an unknown column or an empty batch is a 400 naming
+    the column and the first offending row."""
+    try:
+        if type(body) is not dict or type(body.get("headers", {})) is not dict:
+            raise ValueError("'columns' and its 'headers' must be objects")
+        unknown = set(body) - {"arrival", "port", "size", "flow", "headers"}
+        if unknown:
+            raise ValueError(f"unknown column {min(unknown)!r}")
+        arrival, headers = body["arrival"], body["headers"]
+        named = {"arrival": arrival, **body}  # arrival first: it sets the length
+        del named["headers"]
+        named.update((f"headers.{f}", col) for f, col in headers.items())
+        for name, col in named.items():
+            if type(col) is not list:
+                raise ValueError(
+                    f"column {name!r} must be a list, got {type(col).__name__}"
+                )
+            if len(col) != len(arrival):
+                raise ValueError(
+                    f"column {name!r} row {min(len(col), len(arrival))}: column "
+                    f"has {len(col)} rows, 'arrival' has {len(arrival)}"
+                )
+        rows = len(arrival)
+        if not rows:
+            raise ValueError("column 'arrival' has no rows")
+        return _checked_columns(
+            arrival,
+            body.get("port", [0] * rows),
+            body.get("size", [64] * rows),
+            body.get("flow", [None] * rows),
+            headers,
+        )
+    except KeyError as exc:
+        raise ServiceError(f"malformed column batch: no column {exc}") from exc
+    except ValueError as exc:
+        raise ServiceError(f"malformed column batch: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -632,15 +743,21 @@ class SwitchService:
 
     # -- ingestion ------------------------------------------------------
 
-    def ingest(self, records: List[Dict]) -> Dict:
-        """Queue one batch of packet records. Bounded: raises 429 when
-        the queue is full, 409 when the batch breaks arrival-order
-        monotonicity within the open segment."""
+    def ingest(
+        self, records: Optional[List[Dict]] = None, columns: Optional[Dict] = None
+    ) -> Dict:
+        """Queue one batch: packet ``records``, or one ``columns`` body
+        (:func:`columns_from_body`). Bounded: raises 429 when the queue
+        is full, 409 when the batch breaks arrival-order monotonicity
+        within the open segment."""
         if self.compiled is None:
             raise ServiceError("no program loaded", status=409)
-        if not isinstance(records, list) or not records:
+        if columns is not None:
+            batch = columns_from_body(columns)
+        elif not isinstance(records, list) or not records:
             raise ServiceError("ingest expects a non-empty packet list")
-        batch = columns_from_records(records)
+        else:
+            batch = columns_from_records(records)
         self._enqueue_nowait(batch)
         return {"queued": len(batch), "queue_depth": self._queue.qsize()}
 
@@ -921,6 +1038,10 @@ class SwitchService:
             "requests": plane.requests if plane else 0,
         }
 
+    def _ingest_batches(self) -> Dict[str, int]:
+        """``POST /ingest`` batches queued, per wire framing."""
+        return dict(self._plane.ingest_batches) if self._plane else {}
+
     def metrics_snapshot(self, since: int = -1) -> Dict:
         ad = self._adapter
         live_alerts = ad.alert_dicts() if ad is not None else []
@@ -940,6 +1061,7 @@ class SwitchService:
                 "watermark": ad.watermark if ad is not None else None,
                 "first_egress_latency": latency,
                 **self._connection_counts(),
+                "ingest_batches": self._ingest_batches(),
             },
             "segment_index": len(self._segments) if ad is not None else None,
             "engine": None,
@@ -958,6 +1080,8 @@ class SwitchService:
         engine's current totals/gauges/summaries — one OpenMetrics text
         exposition any Prometheus-compatible scraper ingests."""
         from ..obs.export import (
+            Family,
+            Sample,
             families_from_values,
             render_families,
             render_openmetrics,
@@ -1020,6 +1144,19 @@ class SwitchService:
             help_prefix="Service: ",
             helps=helps,
         )
+        wires = self._ingest_batches()
+        if wires:
+            service.append(
+                Family(
+                    "mp5_service_ingest_batches",
+                    "counter",
+                    "Service: POST /ingest batches queued, by wire framing.",
+                    [
+                        Sample("_total", (("wire", wire),), float(count))
+                        for wire, count in wires.items()
+                    ],
+                )
+            )
         if ad is not None and ad.metrics is not None:
             return render_openmetrics(ad.metrics, extra_families=service)
         return render_families(service)

@@ -1,11 +1,16 @@
 """Stdlib-only HTTP/JSON control plane for the switch daemon.
 
 A deliberately small HTTP/1.1 server over ``asyncio`` streams:
-persistent connections, JSON bodies in and out. No routing framework,
-and exactly one piece of content negotiation — ``POST /ingest`` also
+persistent connections, JSON bodies in and out (a JSON body that is
+not an object is a 400 on every route). No routing framework, and
+exactly one piece of content negotiation — ``POST /ingest`` also
 accepts ``application/x-ndjson``, one packet record per line, which
-amortizes framing overhead across a batch (the fast ingest path
-:meth:`~repro.service.client.ServiceClient.replay_trace` uses). The
+amortizes framing overhead across a batch. Its JSON body carries either
+``"packets"`` (records) or ``"columns"`` (the batch already transposed:
+no per-record work at all, which is what :meth:`~repro.service.client.
+ServiceClient.replay_trace` sends whenever a chunk allows it);
+:meth:`ControlPlane._ingest` picks the decode entry by key and counts
+the batch under its wire in ``ingest_batches``. The
 endpoint table in ``docs/service.md`` is the contract, and
 :class:`ControlPlane` is a dispatch dict over ``(method, path)`` plus
 one pattern route for ``/segments/<i>/results``.
@@ -166,9 +171,12 @@ def _decode_body(method: str, path: str, ctype: str, body: bytes) -> Optional[Di
             raise ServiceError("NDJSON bodies are only accepted on POST /ingest")
         return _parse_ndjson(body)
     try:
-        return json.loads(body)
+        payload = json.loads(body)
     except json.JSONDecodeError as exc:
         raise ServiceError(f"invalid JSON body: {exc}") from exc
+    if type(payload) is not dict:
+        raise ServiceError("request body must be a JSON object")
+    return payload
 
 
 def _sse_frame(event: str, payload: Dict) -> bytes:
@@ -265,6 +273,8 @@ class ControlPlane:
         self._reading: set = set()  # writers whose handler awaits a request
         self.connections = 0  # accepted since start
         self.requests = 0  # request heads parsed since start
+        # ``POST /ingest`` batches queued, by the framing that carried them.
+        self.ingest_batches = {"records": 0, "ndjson": 0, "columns": 0}
 
     @property
     def connections_open(self) -> int:
@@ -329,7 +339,7 @@ class ControlPlane:
                 await self._handle_stream(writer, feed, poll, heartbeat)
                 return False
             status, body, raw, ctype = await self._dispatch(
-                method, path, query, payload
+                method, path, query, payload, sent_ctype
             )
         except ServiceError as exc:
             status, body, raw, ctype = exc.status, {"error": str(exc)}, None, None
@@ -460,8 +470,23 @@ class ControlPlane:
         path = split.path.rstrip("/") or "/"
         return method.upper(), path, parse_qs(split.query), ctype, body, keep
 
+    def _ingest(self, payload: Dict, ctype: str) -> Dict:
+        """``POST /ingest``: the body's key picks the decode entry — a
+        ``"packets"`` record list (what an NDJSON body also decodes to)
+        or one ``"columns"`` batch."""
+        if "columns" in payload:
+            if "packets" in payload:
+                raise ServiceError("ingest takes 'packets' or 'columns', not both")
+            wire = "columns"
+            queued = self.service.ingest(columns=payload["columns"])
+        else:
+            wire = "ndjson" if ctype == NDJSON_CTYPE else "records"
+            queued = self.service.ingest(payload.get("packets", []))
+        self.ingest_batches[wire] += 1
+        return queued
+
     async def _dispatch(
-        self, method: str, path: str, query: Dict, payload: Optional[Dict]
+        self, method: str, path: str, query: Dict, payload: Optional[Dict], ctype: str
     ) -> Tuple[int, Dict, Optional[bytes], Optional[str]]:
         svc = self.service
         match = _SEGMENT_RESULTS.fullmatch(path)
@@ -495,7 +520,7 @@ class ControlPlane:
         if key == ("POST", "/config"):
             return 200, await svc.configure(payload or {}), None, None
         if key == ("POST", "/ingest"):
-            return 200, svc.ingest((payload or {}).get("packets", [])), None, None
+            return 200, self._ingest(payload or {}, ctype), None, None
         if key == ("POST", "/replay"):
             return 200, await svc.replay(payload or {}), None, None
         if key == ("POST", "/pause"):

@@ -11,7 +11,13 @@ Three layers of contract:
   vector daemon builds no per-packet object on the way;
 * **edges** — what ingest rejects is rejected atomically (nothing
   queued, horizon untouched) and the daemon keeps answering and shuts
-  down cleanly afterwards.
+  down cleanly afterwards;
+* **column wire** — a ``{"columns": ...}`` body decodes to the same
+  batch as the records it was transposed from, serves the same bytes,
+  is rejected strictly (a 400 naming column and row, atomically), and
+  ``replay_trace`` sends it only for chunks the record path would
+  accept without its per-record oracle — every other chunk leaves as
+  the NDJSON bytes it always was.
 """
 
 import json
@@ -34,9 +40,10 @@ from repro.service import (
     render_payload,
     segment_payload,
 )
+from repro.service import client as client_module
 from repro.service import daemon as daemon_module
 from repro.service.client import ServiceClient, ServiceClientError
-from repro.service.daemon import random_headers
+from repro.service.daemon import clean_columns, columns_from_body, random_headers
 from repro.service.http import _parse_ndjson
 from repro.workloads.traffic import line_rate_trace
 
@@ -465,3 +472,344 @@ def test_a_failed_feed_loses_the_batch_not_the_pump(monkeypatch):
         assert client.drain()["closed_segment"]["offered"] == 20
         client.shutdown()
     assert not thread._thread.is_alive()
+
+
+# ----------------------------------------------------------------------
+# The column wire body: {"columns": {...}} on POST /ingest
+# ----------------------------------------------------------------------
+
+
+def wire(body):
+    """What the daemon sees of a column batch the client sent."""
+    return json.loads(client_module._encode_compact({"columns": body}))["columns"]
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(records=record_batches())
+def test_column_body_equals_columns_from_records(records):
+    """A batch is a clean column batch exactly when the record path
+    would not consult the per-record oracle, and then both decode
+    entries agree column for column."""
+    body = clean_columns(records)
+    try:
+        daemon_module._checked_columns(**daemon_module._gather(records))
+    except daemon_module._DECLINED:
+        assert body is None
+        return
+    assert "flow" in body or all(r.get("flow") is None for r in records)
+    assert_columns_equal(
+        columns_from_body(wire(body)), columns_from_records(records)
+    )
+
+
+def test_optional_columns_default_as_record_fields_do():
+    records = [{"arrival": i, "headers": {"a": i}} for i in range(5)]
+    body = {"arrival": [0, 1, 2, 3, 4], "headers": {"a": [0, 1, 2, 3, 4]}}
+    got = columns_from_body(body)
+    assert_columns_equal(got, columns_from_records(records))
+    assert got.port.tolist() == [0] * 5 and got.size.tolist() == [64] * 5
+    assert got.flow == [None] * 5
+
+
+def test_clean_column_batch_touches_no_record_code(monkeypatch):
+    """No ``packet_from_json``, no record gather, no ``DataPacket``
+    between the socket and the engine."""
+    records = served_records(400, 64)
+    want = offline("vector", records)
+    bodies = [clean_columns(records[i : i + 64]) for i in range(0, 400, 64)]
+    service = SwitchService(program=PROGRAM, engine="vector", config=CONFIG)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("per-record code ran for a column batch")
+
+    with ServiceThread(service) as thread:
+        client = client_of(thread)
+        for name in ("packet_from_json", "_gather", "columns_from_records"):
+            monkeypatch.setattr(daemon_module, name, boom)
+        monkeypatch.setattr(DataPacket, "__init__", boom)
+        for body in bodies:
+            client.ingest(body)
+        record = client.drain()["closed_segment"]
+        monkeypatch.undo()
+        assert record["engine"] == "vector" and record["offered"] == 400
+        assert client.status()["errors"] == []
+        assert client.segment_results(0) == want
+        client.shutdown()
+
+
+@pytest.mark.parametrize("engine", ["fast", "dense", "vector"])
+@pytest.mark.parametrize("chunk, n", [(1, 60), (7, 200), (100, 600), (512, 600)])
+def test_served_columns_equal_records_ndjson_and_offline(engine, chunk, n):
+    records = served_records(n, chunk)
+    want = offline(engine, records)
+    chunks = -(-n // chunk)
+    service = SwitchService(program=PROGRAM, engine=engine, config=CONFIG)
+    with ServiceThread(service) as thread:
+        client = client_of(thread)
+        for i in range(0, n, chunk):
+            client.ingest(clean_columns(records[i : i + chunk]))
+        client.drain()
+        assert client.replay_trace(records, chunk=chunk)["chunks"] == chunks
+        client.drain()
+        for send in (client.ingest, client.ingest_ndjson):
+            for i in range(0, n, chunk):
+                send(records[i : i + chunk])
+            client.drain()
+        assert client.status()["errors"] == []
+        assert [client.segment_results(i) for i in range(4)] == [want] * 4
+        wires = client.metrics()["service"]["ingest_batches"]
+        assert wires == {"columns": 2 * chunks, "records": chunks, "ndjson": chunks}
+        client.shutdown()
+
+
+N_GOOD = 8
+
+
+def _good_body(start: int = 0):
+    rows = range(start, start + N_GOOD)
+    return {
+        "arrival": [float(i) for i in rows],
+        "port": [i % PIPELINES for i in rows],
+        "size": [64] * N_GOOD,
+        "flow": [None, 3, "f"] + [None] * (N_GOOD - 3),
+        "headers": {f: [i % 7 for i in rows] for f in FIELDS},
+    }
+
+
+def _with(path, value, row=None):
+    """A good batch with one column (or one row of it) replaced."""
+    body = _good_body(100)
+    target = body
+    *parents, leaf = path.split(".")
+    for key in parents:
+        target = target[key]
+    if row is None:
+        target[leaf] = value
+    else:
+        target[leaf] = list(target[leaf])
+        target[leaf][row] = value
+    return body
+
+
+H0 = f"headers.{FIELDS[0]}"
+BAD_COLUMN_BODIES = [
+    ([1, 2], "'columns' and its 'headers' must be objects"),
+    (_with("headers", [1]), "'columns' and its 'headers' must be objects"),
+    ({"headers": {}}, "no column 'arrival'"),
+    ({"arrival": [1.0]}, "no column 'headers'"),
+    ({"arrival": [], "headers": {}}, "column 'arrival' has no rows"),
+    (_with("ports", [0] * N_GOOD), "unknown column 'ports'"),
+    (_with("arrival", 5), "column 'arrival' must be a list, got int"),
+    (_with("port", "0123"), "column 'port' must be a list, got str"),
+    (_with(H0, {"0": 1}), f"column {H0!r} must be a list, got dict"),
+    (_with("size", [64] * 5), "column 'size' row 5: column has 5 rows"),
+    (_with(H0, [1] * 9), f"column {H0!r} row 8: column has 9 rows"),
+    (_with("flow", [None]), "column 'flow' row 1: column has 1 rows"),
+    (_with(H0, "5", 3), f"column {H0!r} row 3: expected an integer"),
+    (_with(H0, 5.7, 0), f"column {H0!r} row 0: expected an integer"),
+    (_with("port", True, 7), "column 'port' row 7: expected an integer"),
+    (_with("size", None, 2), "column 'size' row 2: expected an integer"),
+    (_with("arrival", "101.0", 1), "column 'arrival' row 1: expected a number"),
+    (_with("arrival", True, 1), "column 'arrival' row 1: expected a number"),
+    (_with("arrival", float("nan"), 4), "column 'arrival' row 4: expected"),
+    (_with("arrival", float("inf"), 7), "column 'arrival' row 7: expected"),
+    (_with("arrival", -1, 0), "column 'arrival' row 0: expected"),
+    (_with("arrival", 2**53, 6), "column 'arrival' row 6: expected"),
+    (_with("arrival", 10**400, 6), "column 'arrival' row 6: expected"),
+    (_with(H0, 2**63, 5), f"column {H0!r} row 5: expected an integer that fits"),
+    (_with("port", -(2**63) - 1, 2), "column 'port' row 2: expected an integer"),
+    (_with("flow", [1, 2], 3), "column 'flow' row 3: expected null, an integer"),
+    (_with("flow", 1.5, 0), "column 'flow' row 0: expected null, an integer"),
+]
+
+
+def test_bad_column_bodies_are_400s_naming_column_and_row():
+    """Strict and atomic: every rejection is a 400 that names the
+    column and the first offending row, and leaves the counters, the
+    horizon and the next accepted batch exactly as they were."""
+    service = SwitchService(program=PROGRAM, engine="vector", config=CONFIG)
+    with ServiceThread(service) as thread:
+        client = ServiceClient(*thread.address, timeout=10)
+        client.ingest(_good_body())
+        client.wait_settled()
+        before = client.status()
+        horizon = service._feed_horizon
+        assert before["ingested"] == N_GOOD and horizon == (N_GOOD - 1.0, 3)
+        for body, text in BAD_COLUMN_BODIES:
+            with pytest.raises(ServiceClientError) as err:
+                client.ingest(body) if isinstance(body, dict) else client._request(
+                    "POST", "/ingest", {"columns": body}
+                )
+            assert err.value.status == 400, body
+            assert err.value.message.startswith("malformed column batch: " + text)
+            assert service._feed_horizon == horizon
+        with pytest.raises(ServiceClientError) as err:
+            client._request(
+                "POST", "/ingest", {"packets": [], "columns": _good_body(100)}
+            )
+        assert err.value.status == 400 and "not both" in err.value.message
+        assert client.status() == before
+        assert client.health()["verdict"] == "ok"
+        client.ingest(_good_body(100))
+        record = client.drain()["closed_segment"]
+        assert record["offered"] == 2 * N_GOOD
+        assert client.metrics()["service"]["ingest_batches"]["columns"] == 2
+        want = columns_from_body(_good_body()).to_packets()
+        want += columns_from_body(_good_body(100)).to_packets()
+        stats, registers = ENGINES["vector"](compile_program(PROGRAM), want, CONFIG)
+        assert client.segment_results(0) == render_payload(
+            segment_payload(stats, registers)
+        )
+        client.shutdown()
+    assert not thread._thread.is_alive()
+
+
+def test_409_and_429_on_a_column_batch_leave_no_trace():
+    records = clean_records(120)
+    a, b, c = (clean_columns(records[i : i + 40]) for i in (0, 40, 80))
+    service = SwitchService(
+        program=PROGRAM, engine="vector", config=CONFIG, queue_depth=1
+    )
+    with ServiceThread(service) as thread:
+        client = client_of(thread)
+        client.pause()  # nothing leaves the queue
+        client.ingest(a)
+        horizon = service._feed_horizon
+        with pytest.raises(ServiceClientError) as err:
+            client.ingest(b)  # queue of one is full
+        assert err.value.status == 429
+        assert service._feed_horizon == horizon
+        status = client.status()
+        assert status["ingested"] == 0 and status["rejected"] == 40
+        client.resume()
+        client.wait_settled()
+        client.ingest(c)
+        client.wait_settled()
+        horizon = service._feed_horizon
+        with pytest.raises(ServiceClientError) as err:
+            client.ingest(b)  # behind the horizon now
+        assert err.value.status == 409 and "monotone" in err.value.message
+        assert service._feed_horizon == horizon
+        assert client.status()["ingested"] == 80
+        wires = client.metrics()["service"]["ingest_batches"]
+        assert wires == {"columns": 2, "records": 0, "ndjson": 0}
+        record = client.drain()["closed_segment"]
+        assert record["offered"] == 80
+        assert client.segment_results(0) == offline(
+            "vector", records[:40] + records[80:]
+        )
+        client.shutdown()
+
+
+# ----------------------------------------------------------------------
+# The client picks the wire from the batch
+# ----------------------------------------------------------------------
+
+
+def parent_ndjson(records) -> bytes:
+    return b"".join(
+        json.dumps(r, separators=(",", ":")).encode() + b"\n" for r in records
+    )
+
+
+@pytest.fixture
+def captured(monkeypatch):
+    """A client whose requests are recorded instead of sent."""
+    sent = []
+    client = ServiceClient()
+
+    def record(method, path, body=None, data=None, content_type="application/json"):
+        sent.append((body, data, content_type))
+        return {}
+
+    monkeypatch.setattr(client, "_request", record)
+    return client, sent
+
+
+def test_ingest_records_body_is_the_parents(captured):
+    client, sent = captured
+    records = clean_records(50)
+    client.ingest(records)
+    assert sent == [({"packets": records}, None, "application/json")]
+
+
+def test_replay_trace_sends_clean_chunks_as_columns(captured):
+    client, sent = captured
+    records = clean_records(100)
+    assert client.replay_trace(records, chunk=40) == {
+        "sent": 100, "chunks": 3, "retries": 0
+    }
+    assert [ctype for _, _, ctype in sent] == ["application/json"] * 3
+    for (_, data, _), i in zip(sent, (0, 40, 80)):
+        body = json.loads(data)
+        assert list(body) == ["columns"]
+        assert b" " not in data
+        assert_columns_equal(
+            columns_from_body(body["columns"]),
+            columns_from_records(records[i : i + 40]),
+        )
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda r: r["headers"].update({FIELDS[0]: "5"}),
+        lambda r: r["headers"].update({FIELDS[0]: 5.7}),
+        lambda r: r["headers"].update({FIELDS[0]: True}),
+        lambda r: r["headers"].pop(FIELDS[0]),
+        lambda r: r["headers"].update(extra=9),
+        lambda r: r.update(arrival=str(r["arrival"])),
+        lambda r: r.update(flow=True),
+        lambda r: r.pop("headers"),
+        lambda r: r.pop("arrival"),
+        lambda r: r.update(arrival=float("nan")),
+        lambda r: r.update(port=2**63),
+    ],
+    ids=[
+        "str", "float", "bool", "sparse", "extra", "str_arrival", "bool_flow",
+        "no_headers", "no_arrival", "nan", "past_int64",
+    ],
+)
+def test_replay_trace_sends_other_chunks_as_todays_ndjson(mutate, captured):
+    """One unclean record makes its chunk — and only its chunk — travel
+    as NDJSON, byte for byte what the parent sent."""
+    client, sent = captured
+    records = clean_records(90)
+    mutate(records[47])
+    client.replay_trace(records, chunk=30)
+    assert [ctype for _, _, ctype in sent] == [
+        "application/json", "application/x-ndjson", "application/json"
+    ]
+    assert sent[1][1] == parent_ndjson(records[30:60])
+
+
+def test_replay_trace_keeps_todays_diagnostics():
+    """What the per-record oracle accepts still lands, and what it
+    rejects is still rejected in its words, whichever wire the clean
+    chunks around it took."""
+    coercible = clean_records(60)
+    coercible[20]["headers"][FIELDS[0]] = "5"
+    coercible[45]["headers"].pop(FIELDS[1])
+    rejected = clean_records(60)
+    rejected[45]["arrival"] = float("nan")
+    service = SwitchService(program=PROGRAM, engine="vector", config=CONFIG)
+    with ServiceThread(service) as thread:
+        client = client_of(thread)
+        client.replay_trace(coercible, chunk=16)
+        assert client.drain()["closed_segment"]["offered"] == 60
+        assert client.segment_results(0) == offline("vector", coercible)
+        wires = client.metrics()["service"]["ingest_batches"]
+        assert wires == {"columns": 2, "ndjson": 2, "records": 0}
+        with pytest.raises(ServiceClientError) as via_replay:
+            client.replay_trace(rejected, chunk=16)
+        client.drain()
+        with pytest.raises(ServiceClientError) as via_ndjson:
+            client.ingest_ndjson(rejected[32:48])
+        assert via_replay.value.status == via_ndjson.value.status == 400
+        assert via_replay.value.message == via_ndjson.value.message
+        assert "malformed packet record" in via_replay.value.message
+        client.shutdown()

@@ -227,6 +227,27 @@ def test_client_errors_keep_the_connection_and_framing_errors_close_it(monkeypat
         client.shutdown()
 
 
+@pytest.mark.parametrize(
+    "path", ["/ingest", "/program", "/faults", "/monitor", "/config", "/replay"]
+)
+def test_non_object_json_body_is_a_400_that_keeps_the_connection(path):
+    """These were 500s (``'list' object has no attribute 'get'``), and
+    a 5xx hangs up."""
+    service, thread = serve(program="heavy_hitter")
+    with thread, RawConnection(thread.address) as conn:
+        for body in (b"[1,2]", b'"x"', b"5", b"null", b"true"):
+            conn.send(_request("POST", path, body))
+            status, headers, answer = conn.response()
+            assert status == 400 and headers["connection"] == "keep-alive"
+            assert json.loads(answer) == {
+                "error": "request body must be a JSON object"
+            }
+        conn.send(_request("GET", "/status"))
+        status, _, answer = conn.response()
+        assert status == 200 and json.loads(answer)["segments"] == 0
+        assert _service_counts(service) == (1, 1, 6)
+
+
 def test_chunked_request_is_rejected_and_its_bytes_never_parsed():
     service, thread = serve(program="heavy_hitter")
     with thread, RawConnection(thread.address) as conn:

@@ -723,6 +723,43 @@ def test_metrics_prom_parses_and_matches_totals():
         client.shutdown()
 
 
+def test_ingest_wire_counters_in_metrics_prom_and_top():
+    """Which framing the producers use is visible without a print:
+    ``/metrics``, ``/metrics.prom`` and ``repro top``'s service line."""
+    from repro.obs.export import parse_openmetrics
+    from repro.obs.top import TopModel, render_top_frame
+
+    records = records_of(make_trace("heavy_hitter", 90, seed=4))
+    service, thread = serve(program="heavy_hitter")
+    assert service.metrics_snapshot()["service"]["ingest_batches"] == {}
+    assert "ingest_batches" not in service.openmetrics()
+    with thread:
+        client = client_of(thread)
+        client.ingest(records[:30])
+        client.ingest_ndjson(records[30:40])
+        client.ingest_ndjson(records[40:50])
+        client.replay_trace(records[50:], chunk=10)
+        with pytest.raises(ServiceClientError):
+            client.ingest([{"arrival": 1e9, "headers": "?"}])  # not counted
+        snap = client.metrics()
+        assert snap["service"]["ingest_batches"] == {
+            "records": 1, "ndjson": 2, "columns": 4
+        }
+        family = parse_openmetrics(client.metrics_prom())[
+            "mp5_service_ingest_batches"
+        ]
+        assert family["type"] == "counter"
+        assert family["samples"] == [
+            ("_total", (("wire", "records"),), 1.0),
+            ("_total", (("wire", "ndjson"),), 2.0),
+            ("_total", (("wire", "columns"),), 4.0),
+        ]
+        model = TopModel()
+        model.apply_metrics(snap)
+        assert "  wire=columns:4/ndjson:2/records:1" in render_top_frame(model)
+        client.shutdown()
+
+
 def test_retention_bounds_rows_without_changing_results():
     """Acceptance: with retention capped the daemon's in-memory series
     stay bounded while the segment results and health verdict remain
