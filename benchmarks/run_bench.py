@@ -29,13 +29,12 @@ the vector engine on a 50000-packet stream — the workload size behind
 
 **engine_native** re-runs the 2000-packet vector workload with the
 fused native kernel tier on (``native=True``), and **native_50k** the
-50k stream with ``native=True, epoch_jobs=0`` — the configuration
-behind ``reproduce --scale xlarge``. Both quote their speedup against
-the same-process plain vector runs. On hosts without Numba the fused
-tier falls back to plain Python (wave plans keep the NumPy path), and
-with one CPU the epoch pool stays serial — the numbers then measure
+50k stream the same way — the configuration behind ``reproduce --scale
+xlarge``. Both quote their speedup against the same-process plain
+vector runs. On hosts without Numba the fused tier falls back to plain
+Python (wave plans keep the NumPy path) — the numbers then measure
 pure dispatch overhead, by design near 1.0x; the tier pays off where
-Numba and cores exist. **vector_1m** times two 1M-packet native runs
+Numba exists. **vector_1m** times two 1M-packet native runs
 (skipped under ``--quick``), the ``scale=xlarge`` per-point workload;
 every engine row carries ``seconds_first`` beside ``seconds_min``
 because the first 1M call in a process costs about twice a later one.
@@ -114,7 +113,6 @@ def bench_engine(
     engine: str = "fast",
     num_packets: int = 2000,
     native: bool = None,
-    epoch_jobs: int = None,
 ) -> dict:
     program = make_sensitivity_program(4, 512)
     trace = sensitivity_trace(num_packets, 4, 4, 512, seed=0)
@@ -137,7 +135,6 @@ def bench_engine(
             metrics=metrics,
             monitor=monitor,
             native=native,
-            epoch_jobs=epoch_jobs,
         )
         times.append(time.perf_counter() - start)
         ticks = stats.ticks
@@ -154,8 +151,6 @@ def bench_engine(
         workload += f", {engine} engine"
     if native:
         workload += ", native"
-    if epoch_jobs is not None:
-        workload += f", epoch_jobs={epoch_jobs}"
     report = {
         "workload": workload,
         "rounds": rounds,
@@ -500,11 +495,7 @@ def main() -> int:
     # noise rather than a real slowdown.
     vector_50k = bench_engine(3, engine="vector", num_packets=50000)
     native_50k = bench_engine(
-        3,
-        engine="vector",
-        num_packets=50000,
-        native=True,
-        epoch_jobs=0,
+        3, engine="vector", num_packets=50000, native=True
     )
     native_50k["speedup_vs_vector_50k_min"] = round(
         vector_50k["seconds_min"] / native_50k["seconds_min"], 2

@@ -169,7 +169,6 @@ def cmd_run(args) -> int:
         faults=schedule,
         monitor=monitor,
         native=args.native,
-        epoch_jobs=args.epoch_jobs,
     )
     for key, value in stats.summary().items():
         print(f"{key:16s} {value}")
@@ -467,7 +466,6 @@ def cmd_serve(args) -> int:
         metrics_window=args.metrics_window,
         metrics_retention=args.metrics_retention,
         native=args.native,
-        epoch_jobs=args.epoch_jobs,
     )
 
     def ready(svc):
@@ -546,7 +544,6 @@ def cmd_fig7(args) -> int:
         seeds=tuple(range(args.seeds)),
         engine=args.engine,
         native=args.native,
-        epoch_jobs=args.epoch_jobs,
     )
     sweeps = {
         "a": (sweep_pipelines, "7a"),
@@ -565,7 +562,6 @@ def cmd_fig8(args) -> int:
         seeds=tuple(range(args.seeds)),
         engine=args.engine,
         native=args.native,
-        epoch_jobs=args.epoch_jobs,
     )
     print(render_figure8(run_figure8(settings=settings, jobs=args.jobs)))
     return 0
@@ -586,7 +582,6 @@ def cmd_reproduce(args) -> int:
         observe=observe,
         engine=args.engine,
         native=args.native,
-        epoch_jobs=args.epoch_jobs,
     )
     if args.out is None:
         for name, text in artifacts.items():
@@ -650,8 +645,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
 
     def add_native_args(p):
-        """Vector-engine acceleration knobs (exact: results never change,
-        only the wall clock). Other engines accept and ignore them."""
+        """Vector-engine acceleration knob (exact: results never change,
+        only the wall clock). Other engines accept and ignore it."""
         p.add_argument(
             "--native",
             action="store_true",
@@ -659,15 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="vector engine: run stateful service through fused "
             "per-stage kernels (Numba-jitted when installed, plain "
             "Python otherwise); byte-identical to the NumPy path",
-        )
-        p.add_argument(
-            "--epoch-jobs",
-            type=int,
-            default=None,
-            metavar="N",
-            help="vector engine: worker processes for residue-class "
-            "parallel service over shared memory (0 = one per CPU); "
-            "results are byte-identical at any worker count",
         )
 
     p = sub.add_parser("compile", help="compile and show the pipeline layout")

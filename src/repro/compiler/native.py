@@ -16,10 +16,9 @@ passes rows in global (tick, pipeline) service order gets the scalar
 engines' serialized register semantics for free: no wave partitioning,
 no per-instruction batch traffic, and same-index read-modify-write
 chains are correct by construction. Under Numba the loop compiles to
-native code (``@njit(nogil=True)``, so epoch workers can overlap);
-without Numba the same source runs as plain Python over the same int64
-columns — still fused (one function call per stage per batch instead of
-one dict per packet), still exact.
+native code (``@njit(nogil=True)``); without Numba the same source runs
+as plain Python over the same int64 columns — still fused (one function
+call per stage per batch instead of one dict per packet), still exact.
 
 Admission rule is exactness, like vjit: a stage whose TAC contains a
 builtin ``call`` (arbitrary Python, e.g. ``hash2``) raises

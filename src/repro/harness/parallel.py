@@ -23,17 +23,6 @@ Determinism contract for task functions:
 * ``0`` — one worker per CPU (:func:`default_jobs`);
 * ``n > 1`` — ``n`` worker processes.
 
-Beyond sweep fan-out, the epoch-parallel executor
-(:mod:`repro.mp5.epochs`) runs workers *inside* a single simulation.
-Those workers attach a shared-memory SoA segment once at startup rather
-than pickling state per task, so :func:`parallel_map` accepts an
-optional ``initializer``/``initargs`` pair (forwarded to the pool
-constructor) plus a ``pool_key`` namespacing the cached pool: sweeps
-keep their plain long-lived pool while the engine keeps its own
-initialized one, and neither evicts the other. Segments are registered
-with :func:`register_shared_segment` so :func:`shutdown_pool` (and the
-atexit hook) can unlink anything a crashed run leaked.
-
 If a pool cannot be created or breaks mid-run (sandboxed environments
 forbidding ``fork``, worker OOM-kills), the sweep transparently falls
 back to the serial path rather than failing the reproduction run. A
@@ -50,20 +39,20 @@ import atexit
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
 class _PoolState:
-    """One cached executor plus the signature it was built with."""
+    """The cached executor plus the worker count it was built with."""
 
-    __slots__ = ("pool", "signature", "proven")
+    __slots__ = ("pool", "jobs", "proven")
 
-    def __init__(self, pool: ProcessPoolExecutor, signature: tuple):
+    def __init__(self, pool: ProcessPoolExecutor, jobs: int):
         self.pool = pool
-        self.signature = signature
+        self.jobs = jobs
         # True once this pool has completed a map: a failure on a proven
         # pool is transient (worker OOM-kill) and worth retrying next
         # sweep; a failure before any success means the environment
@@ -71,21 +60,13 @@ class _PoolState:
         self.proven = False
 
 
-# Lazily-created pools, one per ``pool_key``, reused across sweeps so
-# workers pay the interpreter + import startup cost once per
-# reproduction run, not once per figure panel. ``None`` is the default
-# sweep pool; the epoch executor uses its own key so its initializer
-# (shared-memory attach) never leaks into sweep workers.
-_pools: Dict[Optional[str], _PoolState] = {}
+# One lazily-created pool per process, reused across sweeps so workers
+# pay the interpreter + import startup cost once per reproduction run,
+# not once per figure panel.
+_pool: Optional[_PoolState] = None
 # Memoized "this environment cannot run a pool": later sweep families
 # skip straight to the serial path. Cleared by shutdown_pool().
 _pool_unavailable: bool = False
-
-# Shared-memory segment names owned by this process. shutdown_pool()
-# unlinks whatever is still registered, so a run that died between
-# creating a segment and its normal cleanup does not leak /dev/shm
-# space for the rest of the session.
-_shared_segments: Set[str] = set()
 
 
 def default_jobs() -> int:
@@ -104,70 +85,30 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def register_shared_segment(name: str) -> None:
-    """Record a ``multiprocessing.shared_memory`` segment this process
-    created, so teardown can unlink it even after a crash."""
-    _shared_segments.add(name)
-
-
-def unregister_shared_segment(name: str) -> None:
-    """Forget a segment after its owner unlinked it normally."""
-    _shared_segments.discard(name)
-
-
-def _unlink_leaked_segments() -> None:
-    if not _shared_segments:
-        return
-    from multiprocessing import shared_memory
-
-    for name in sorted(_shared_segments):
-        try:
-            seg = shared_memory.SharedMemory(name=name)
-            seg.close()
-            seg.unlink()
-        except FileNotFoundError:
-            pass  # already gone: normal cleanup won the race
-        except OSError:
-            pass
-    _shared_segments.clear()
-
-
-def _get_pool(
-    jobs: int,
-    initializer: Optional[Callable] = None,
-    initargs: tuple = (),
-    pool_key: Optional[str] = None,
-) -> ProcessPoolExecutor:
-    signature = (jobs, initializer, initargs)
-    state = _pools.get(pool_key)
-    if state is not None and state.signature != signature:
-        state.pool.shutdown(wait=False)
-        state = None
-    if state is None:
-        pool = ProcessPoolExecutor(
-            max_workers=jobs, initializer=initializer, initargs=initargs
-        )
-        state = _PoolState(pool, signature)
-        _pools[pool_key] = state
-    return state.pool
+def _get_pool(jobs: int) -> _PoolState:
+    global _pool
+    if _pool is not None and _pool.jobs != jobs:
+        _pool.pool.shutdown(wait=False)
+        _pool = None
+    if _pool is None:
+        _pool = _PoolState(ProcessPoolExecutor(max_workers=jobs), jobs)
+    return _pool
 
 
 def shutdown_pool() -> None:
-    """Tear down every cached worker pool and unlink any leaked
-    shared-memory segments (idempotent; pools are re-created lazily).
+    """Tear down the cached worker pool (idempotent; re-created lazily).
 
     Also clears the memoized pool-unavailable verdict, so a caller that
     knows the environment changed can force a fresh spawn attempt.
     """
-    global _pool_unavailable
-    for state in _pools.values():
-        state.pool.shutdown(wait=True)
-    _pools.clear()
+    global _pool, _pool_unavailable
+    if _pool is not None:
+        _pool.pool.shutdown(wait=True)
+        _pool = None
     _pool_unavailable = False
-    _unlink_leaked_segments()
 
 
-def _discard_pool(pool_key: Optional[str]) -> None:
+def _discard_pool() -> None:
     """Drop a broken pool without waiting on its (dead) workers.
 
     A pool that broke before ever finishing a map means the environment
@@ -175,8 +116,8 @@ def _discard_pool(pool_key: Optional[str]) -> None:
     subsequent sweep families go straight to the serial path instead of
     repeating the doomed spawn attempt once per family.
     """
-    global _pool_unavailable
-    state = _pools.pop(pool_key, None)
+    global _pool, _pool_unavailable
+    state, _pool = _pool, None
     if state is None:
         # The executor constructor itself raised: the pool never even
         # entered the cache, the strongest possible "cannot spawn".
@@ -190,67 +131,18 @@ def _discard_pool(pool_key: Optional[str]) -> None:
 atexit.register(shutdown_pool)
 
 
-class PoolBroken(Exception):
-    """Raised by :func:`pool_map_strict` when the pool cannot run or
-    breaks mid-map. Deliberately not a RuntimeError subclass, so the
-    sweep path's broad except never swallows it."""
-
-
-def pool_map_strict(
-    fn: Callable[[T], R],
-    tasks: Sequence[T],
-    jobs: int,
-    initializer: Optional[Callable] = None,
-    initargs: tuple = (),
-    pool_key: Optional[str] = None,
-) -> List[R]:
-    """Like :func:`parallel_map`, but with **no serial fallback**: any
-    pool failure raises :class:`PoolBroken` after discarding the pool.
-
-    For callers whose tasks mutate shared state (the epoch executor):
-    silently re-running the whole task list after a mid-map break would
-    re-apply non-idempotent register updates, so the caller must roll
-    back and decide — :func:`parallel_map`'s retry is only correct for
-    pure tasks.
-    """
-    if _pool_unavailable:
-        raise PoolBroken("environment cannot spawn workers")
-    try:
-        pool = _get_pool(jobs, initializer, initargs, pool_key)
-        results = list(pool.map(fn, tasks))
-        _pools[pool_key].proven = True
-        return results
-    except (BrokenProcessPool, OSError, PermissionError, RuntimeError) as exc:
-        _discard_pool(pool_key)
-        raise PoolBroken(str(exc)) from exc
-
-
-def pool_unavailable() -> bool:
-    """True when this environment has proven unable to spawn workers."""
-    return _pool_unavailable
-
-
 def parallel_map(
     fn: Callable[[T], R],
     tasks: Sequence[T],
     jobs: Optional[int] = None,
-    initializer: Optional[Callable] = None,
-    initargs: tuple = (),
-    pool_key: Optional[str] = None,
 ) -> List[R]:
     """Apply ``fn`` to every task, returning results in task order.
 
     Runs serially for ``jobs`` in (None, 1) or when there is at most one
-    task; otherwise distributes over the cached process pool for
-    ``pool_key``. ``initializer``/``initargs`` run once per worker at
-    spawn (shared-memory attach, kernel compilation); changing them — or
-    ``jobs`` — recreates that pool. Any pool failure (creation or
-    mid-run) falls back to recomputing the whole task list serially —
-    correct because tasks are pure functions of their arguments.
-
-    Callers whose tasks are **not** pure (epoch executor: tasks mutate a
-    shared segment) must not rely on that retry; they pre-check
-    :func:`pool_unavailable` and keep their own serial path.
+    task; otherwise distributes over the cached process pool (changing
+    ``jobs`` recreates it). Any pool failure (creation or mid-run) falls
+    back to recomputing the whole task list serially — correct because
+    tasks are pure functions of their arguments.
     """
     tasks = list(tasks)
     jobs = resolve_jobs(jobs)
@@ -260,10 +152,10 @@ def parallel_map(
     # tasks; cap at 4 waves per worker to keep the tail balanced.
     chunksize = max(1, len(tasks) // (jobs * 4))
     try:
-        pool = _get_pool(jobs, initializer, initargs, pool_key)
-        results = list(pool.map(fn, tasks, chunksize=chunksize))
-        _pools[pool_key].proven = True
+        state = _get_pool(jobs)
+        results = list(state.pool.map(fn, tasks, chunksize=chunksize))
+        state.proven = True
         return results
     except (BrokenProcessPool, OSError, PermissionError, RuntimeError):
-        _discard_pool(pool_key)
+        _discard_pool()
         return [fn(task) for task in tasks]

@@ -46,7 +46,6 @@ class RealAppSettings:
     fifo_capacity: Optional[int] = None  # None = adaptive (no loss), as §4.3.1
     engine: str = "fast"  # dense | fast | vector (see repro.mp5.ENGINES)
     native: Optional[bool] = None  # vector engine: fused kernel tier
-    epoch_jobs: Optional[int] = None  # vector engine: service workers
 
 
 def _run_app_serial(
@@ -70,7 +69,6 @@ def _run_app_serial(
         ),
         max_ticks=settings.max_ticks,
         native=settings.native,
-        epoch_jobs=settings.epoch_jobs,
     )
     return (
         stats.throughput_normalized(),

@@ -68,7 +68,6 @@ def _observability_run(
     knobs: Dict[str, object],
     engine: str = "fast",
     native: Optional[bool] = None,
-    epoch_jobs: Optional[int] = None,
 ) -> Dict[str, object]:
     """One instrumented sensitivity run: trace + metrics + stall summary.
 
@@ -121,7 +120,6 @@ def _observability_run(
         metrics=metrics,
         monitor=monitor,
         native=native,
-        epoch_jobs=epoch_jobs,
     )
     write_chrome(recorder.events, out / "trace.json")
     write_jsonl(recorder.events, out / "trace.jsonl")
@@ -156,7 +154,6 @@ def run_all(
     observe: bool = False,
     engine: Optional[str] = None,
     native: Optional[bool] = None,
-    epoch_jobs: Optional[int] = None,
 ) -> Dict[str, str]:
     """Regenerate every artifact; returns {artifact: rendered text}.
 
@@ -176,11 +173,10 @@ def run_all(
     preference — ``vector`` at ``scale=large``/``xlarge``, else
     ``fast``). All engines produce identical numbers, so the choice
     never appears in ``results.json`` and outputs diff clean across
-    engines. ``native`` and ``epoch_jobs`` forward to the vector
-    engine's fused-kernel tier and epoch-parallel executor (ignored by
-    the scalar engines); both are exact, so they never change
-    ``results.json`` either — only the wall clock. ``native=None``
-    defers to the scale's preference (on at ``xlarge``).
+    engines. ``native`` forwards to the vector engine's fused-kernel
+    tier (ignored by the scalar engines); it is exact, so it never
+    changes ``results.json`` either — only the wall clock.
+    ``native=None`` defers to the scale's preference (on at ``xlarge``).
     """
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {sorted(SCALES)}")
@@ -200,7 +196,6 @@ def run_all(
         seeds=knobs["seeds"],
         engine=engine,
         native=native,
-        epoch_jobs=epoch_jobs,
     )
     # The microbenchmarks always run the fast engine: they depend on
     # record_access_order and static-shard configurations, which are
@@ -214,7 +209,6 @@ def run_all(
         seeds=knobs["seeds"],
         engine=engine,
         native=native,
-        epoch_jobs=epoch_jobs,
     )
 
     artifacts: Dict[str, str] = {}
@@ -262,8 +256,7 @@ def run_all(
         if observe:
             say("observability run (trace + metrics)")
             structured["observability"] = _observability_run(
-                out, knobs, engine=engine, native=native,
-                epoch_jobs=epoch_jobs,
+                out, knobs, engine=engine, native=native
             )
         (out / "results.json").write_text(json.dumps(structured, indent=2))
         say(f"wrote {len(artifacts)} artifacts to {out}/")

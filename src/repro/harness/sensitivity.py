@@ -66,7 +66,6 @@ class SweepSettings:
     max_ticks_factor: int = 40  # safety cap: ticks <= factor * packets / k
     engine: str = "fast"  # dense | fast | vector (see repro.mp5.ENGINES)
     native: Optional[bool] = None  # vector engine: fused kernel tier
-    epoch_jobs: Optional[int] = None  # vector engine: service workers
 
 
 def _seed_point(task) -> tuple:
@@ -111,7 +110,6 @@ def _seed_point(task) -> tuple:
             config,
             max_ticks=max_ticks,
             native=settings.native,
-            epoch_jobs=settings.epoch_jobs,
         )
         scores.append(stats.throughput_normalized())
     return scores[0], scores[1]

@@ -33,8 +33,7 @@ against each other (``tests/test_fastpath_equivalence.py``,
   registry and a monitor one window at a time. Its run
   splits into an exact timing sweep and a service replay
   (:mod:`repro.mp5.epochs`), which optionally engages the fused native
-  kernel tier (:mod:`repro.compiler.native`, ``native=True``) and
-  residue-class multi-core execution (``epoch_jobs``) — both
+  kernel tier (:mod:`repro.compiler.native`, ``native=True``) —
   byte-identical to the plain NumPy path.
 
 Pick one by name through :data:`ENGINES` (the ``--engine`` CLI flag)::

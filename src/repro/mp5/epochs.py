@@ -1,4 +1,4 @@
-"""Epoch schedule construction and (parallel) service execution.
+"""Epoch schedule construction and service execution.
 
 The batch engine's run splits into two exact phases, hinging on one
 structural fact the scalar engines establish: **every access index is
@@ -21,8 +21,7 @@ in-flight counters, and every remap decision derived from them.
   performs no stateful service. Once the sweep is done,
   :meth:`EpochStreamer.finalize` snapshots it as an
   :class:`EpochSchedule`, the run's task DAG — per-plan pop streams in
-  epoch order, independent of feed chunking, the native tier, and the
-  worker count.
+  epoch order, independent of feed chunking and the native tier.
 
 * **Phase B** (:func:`execute_epoch_service`) — replays each epoch's
   step against register state as Phase A emits it; an offline run is
@@ -30,23 +29,10 @@ in-flight counters, and every remap decision derived from them.
   only matters *within* a register slot, and an epoch's pops all exceed
   the previous epoch's cut, so the per-epoch execution visits every
   slot in the scalar engines' global (tick, pipeline) service order.
-  Each epoch chunk admits three executions that are exact by
-  construction: the NumPy wave decomposition (PR 5 semantics), a fused
-  per-row kernel in service order (:mod:`repro.compiler.native` —
-  Numba-jitted or plain Python), and, for ``wave``-category plans, a
-  **residue-class partition**: rows with ``index % nparts == w`` touch
-  register slots and SoA rows disjoint from every other part, so the
-  parts execute on separate workers against one
-  ``multiprocessing.shared_memory`` segment and the merged state is
-  byte-identical at any worker count.
-
-Workers come from the PR 1 pool (:mod:`repro.harness.parallel`) with an
-initializer that compiles kernels once per worker; tasks name the
-shared segment they read, so one pool survives across epochs and
-dispatches. Workers only ever mutate a compact copy of the chunk, so
-any pool or shared-memory failure leaves the caller's arrays untouched
-and the chunk re-executes in process — silent, like every other engine
-fallback, because the serial path is bit-for-bit the same reduction.
+  Each epoch chunk admits two executions that are exact by
+  construction, both in process: the NumPy wave decomposition (PR 5
+  semantics) and a fused per-row kernel in service order
+  (:mod:`repro.compiler.native` — Numba-jitted or plain Python).
 """
 
 from __future__ import annotations
@@ -60,21 +46,7 @@ from ..compiler.native import compile_native_stage, native_available
 from ..compiler.tac import Const
 from ..domino.builtins import hash2
 
-
-def _parallel():
-    """The pool module, imported lazily: ``repro.harness`` pulls in the
-    workload package, which imports ``repro.mp5`` — importing it at
-    module scope would close that cycle during interpreter startup."""
-    from ..harness import parallel
-
-    return parallel
-
-
 _FAR = 1 << 62  # sentinel horizon: beyond any reachable tick
-
-#: Minimum rows in an epoch chunk before residue partitioning is worth
-#: a worker round-trip (below this, pickling dwarfs the service work).
-PARALLEL_MIN_ROWS = 4096
 
 
 def _grown(arr: np.ndarray, n: int, fill=None) -> np.ndarray:
@@ -165,8 +137,8 @@ class EpochSchedule:
 
     def dag_signature(self) -> str:
         """Digest of the task DAG — everything Phase B consumes. Equal
-        signatures mean equal service work regardless of worker count
-        or kernel tier (the determinism contract's test hook)."""
+        signatures mean equal service work regardless of kernel tier
+        (the determinism contract's test hook)."""
         digest = hashlib.sha256()
         digest.update(np.int64(self.epochs).tobytes())
         digest.update(np.int64(self.injected).tobytes())
@@ -711,136 +683,6 @@ def _wave_service(
     return wasted
 
 
-# Per-worker state for the epoch pool: set once by the initializer,
-# read by every task. Lives at module level so tasks pickle as plain
-# (segment, layout, plan, rows, idxs) tuples. Tasks — not the
-# initializer — name the segment, so one pool serves every per-epoch
-# dispatch of a run.
-_WORKER: Optional[dict] = None
-
-
-def _epoch_worker_init(stage_instrs, metas, mode) -> None:
-    """Pool initializer: stash the program description. Kernels compile
-    lazily per plan on first use (and are cached), so a worker that
-    only ever serves one plan compiles one stage; the shared segment is
-    attached per task (and cached by name)."""
-    global _WORKER
-    _WORKER = {
-        "instrs": stage_instrs,
-        "metas": metas,
-        "mode": mode,
-        "kernels": {},
-        "seg": None,
-        "seg_name": None,
-        "cols": None,
-    }
-
-
-def _worker_columns(seg_name, layout) -> Dict:
-    """Attach (or reuse) the named segment and map its columns. A new
-    name evicts the previous attachment — segments are per-dispatch."""
-    ctx = _WORKER
-    if ctx["seg_name"] != seg_name:
-        from multiprocessing import shared_memory
-
-        if ctx["seg"] is not None:
-            ctx["seg"].close()
-        seg = shared_memory.SharedMemory(name=seg_name)
-        ctx["seg"] = seg  # keep a reference: GC would detach the buffer
-        ctx["seg_name"] = seg_name
-        ctx["cols"] = {
-            (kind, name): np.ndarray(
-                (count,), dtype=np.int64, buffer=seg.buf, offset=offset
-            )
-            for kind, name, offset, count in layout
-        }
-    return ctx["cols"]
-
-
-def _worker_plan(pi: int):
-    """Compile-and-cache the kernels plan ``pi`` needs in this worker."""
-    ctx = _WORKER
-    got = ctx["kernels"].get(pi)
-    if got is None:
-        from ..compiler.native import NativeUnsupported
-        from ..compiler.vjit import compile_vector_stage
-
-        stage, base, conservative = ctx["metas"][pi]
-        instrs = ctx["instrs"][stage]
-        kern = compile_vector_stage(instrs, name=f"w{stage}")
-        nkern = None
-        if ctx["mode"] == "njit":
-            try:
-                nkern = compile_native_stage(
-                    instrs,
-                    f"w{stage}",
-                    track_reg=base if conservative else None,
-                )
-            except NativeUnsupported:
-                nkern = None
-            if nkern is not None and not nkern.jitted:
-                nkern = None  # plain-Python rows loop loses to waves
-        got = (kern, nkern, base, conservative)
-        ctx["kernels"][pi] = got
-    return got
-
-
-def _epoch_worker_run(task) -> int:
-    """Service one residue part of a wave chunk: the fused per-row loop
-    when a native kernel is in force (rows are in per-index pop order,
-    which is all the per-row loop needs), else the NumPy wave
-    decomposition."""
-    seg_name, layout, pi, rows, idxs = task
-    cols = _worker_columns(seg_name, layout)
-    kern, nkern, base, conservative = _worker_plan(pi)
-    H = {
-        f: cols[("H", f)]
-        for f in kern.fields_read | kern.fields_written
-    }
-    E = {t: cols[("E", t)] for t in set(kern.temps_in) | set(kern.temps_out)}
-    R = {r: cols[("R", r)] for r in {i.reg for i in kern.stateful}}
-    if nkern is not None:
-        return int(nkern.fn(rows, *_native_cols(nkern, H, E, R)))
-    return _wave_service(kern, H, R, E, base, conservative, rows, idxs)
-
-
-def _share_columns(H: Dict, E: Dict, R: Dict):
-    """Copy every SoA column into one shared-memory segment and return
-    (segment, layout, H', E', R') with the dicts rebuilt as views."""
-    from multiprocessing import shared_memory
-
-    entries = (
-        [("H", name, arr) for name, arr in sorted(H.items())]
-        + [("E", name, arr) for name, arr in sorted(E.items())]
-        + [("R", name, arr) for name, arr in sorted(R.items())]
-    )
-    total = sum(arr.shape[0] for _, _, arr in entries) * 8
-    seg = shared_memory.SharedMemory(create=True, size=max(total, 8))
-    _parallel().register_shared_segment(seg.name)
-    layout = []
-    views: Dict[Tuple[str, str], np.ndarray] = {}
-    offset = 0
-    for kind, name, arr in entries:
-        count = arr.shape[0]
-        view = np.ndarray((count,), dtype=np.int64, buffer=seg.buf, offset=offset)
-        view[:] = arr
-        layout.append((kind, name, offset, count))
-        views[(kind, name)] = view
-        offset += count * 8
-    H2 = {name: views[("H", name)] for name in H}
-    E2 = {name: views[("E", name)] for name in E}
-    R2 = {name: views[("R", name)] for name in R}
-    return seg, layout, H2, E2, R2
-
-
-def _pool_initargs(switch, mode: str):
-    """The epoch pool's initializer arguments: static per (switch,
-    mode), so the pool survives across plans, epochs, and dispatches
-    (``_get_pool`` respawns on any initargs change)."""
-    metas = [(p.stage, p.base, p.conservative) for p in switch._vplans]
-    return (switch._stage_instrs, metas, mode)
-
-
 def _serial_rows_service(
     switch, plan, rows_sorted, H, E, R, mode, mask=None
 ):
@@ -897,7 +739,6 @@ def execute_epoch_service(
     E: Dict,
     R: Dict,
     native: Optional[bool] = None,
-    epoch_jobs: Optional[int] = None,
     profiler=None,
     wasted_out: Optional[List[Optional[np.ndarray]]] = None,
 ) -> int:
@@ -909,20 +750,18 @@ def execute_epoch_service(
 
     Mutates ``H``/``E``/``R`` in place and returns the step's
     wasted-slot count. The result is identical — and, once serialized,
-    byte-identical — for every combination of ``native`` and
-    ``epoch_jobs``, including every fallback path. ``profiler`` (a
+    byte-identical — at every ``native`` setting, including every
+    fallback path. ``profiler`` (a
     :class:`~repro.obs.profiler.PhaseProfiler`) receives per-stage
-    kernel-tier timings and pool gauges; ``wasted_out`` is a per-plan
-    list of bool row masks the trace reconstruction needs — plans with
-    a mask run the mask-capable in-process paths (same results, per the
-    exactness contract) and flag the rows whose conservative access
-    wasted a slot.
+    kernel-tier timings; ``wasted_out`` is a per-plan list of bool row
+    masks the trace reconstruction needs — plans with a mask run the
+    mask-capable paths (same results, per the exactness contract) and
+    flag the rows whose conservative access wasted a slot.
     """
     from time import perf_counter
 
     vplans = switch._vplans
     mode = resolve_native_mode(native)
-    jobs = _parallel().resolve_jobs(epoch_jobs)
     wasted = 0
     for pi, rows_p, pops in step:
         plan = vplans[pi]
@@ -932,7 +771,7 @@ def execute_epoch_service(
         if plan.category == "wave":
             got, tier = _service_wave_rows(
                 switch, streamer, pi, plan, rows_p, pops, H, E, R,
-                mode, jobs, mask=mask, profiler=profiler,
+                mode, mask=mask,
             )
             wasted += got
         elif plan.category == "serial":
@@ -951,120 +790,30 @@ def execute_epoch_service(
 
 
 def _service_wave_rows(
-    switch, streamer, pi, plan, rows_p, pops, H, E, R, mode, jobs,
-    mask=None, profiler=None,
+    switch, streamer, pi, plan, rows_p, pops, H, E, R, mode, mask=None
 ):
-    """One epoch chunk of a wave plan: pool-partition when the chunk
-    alone is big enough, else fused kernel in the epoch-local service
-    order, else the NumPy wave decomposition."""
+    """One epoch chunk of a wave plan: the fused kernel in the
+    epoch-local service order when it is jitted, else the NumPy wave
+    decomposition."""
     kern = switch._vkernels[plan.stage]
     track = plan.base if plan.conservative else None
     # Per-row wasted-slot capture (trace reconstruction) needs the
     # NumPy path, which knows which rows lost their lane; the fused
-    # kernels and pool parts only count. A plain-Python per-row loop
-    # loses to the wave decomposition, so only the jitted tier runs here.
-    capture = mask is not None
+    # kernels only count. A plain-Python per-row loop loses to the
+    # wave decomposition, so only the jitted tier runs here.
     nkern = (
         _native_kernel(switch, plan.stage, track, mode)
-        if mode == "njit" and not capture
+        if mode == "njit" and mask is None
         else None
     )
-    idxs = streamer.acc_idx[pi][rows_p]
-    if (
-        not capture
-        and jobs > 1
-        and rows_p.shape[0] >= PARALLEL_MIN_ROWS
-        and not _parallel().pool_unavailable()
-    ):
-        done = _dispatch_epoch_parts(
-            switch, pi, plan, kern, rows_p, idxs, H, E, R, jobs, mode,
-            profiler=profiler,
-        )
-        if done is not None:
-            return done, "pool"
-        # Partitioning didn't pay (or the pool/shared-memory setup
-        # failed, leaving the caller's arrays untouched): fall through.
     if nkern is not None:
         # Epoch-local (tick, pipeline) order; chunks concatenate to the
         # global service order because pops rise across epochs.
         order = rows_p[np.lexsort((streamer.dest[pi][rows_p], pops))]
         return int(nkern.fn(order, *_native_cols(nkern, H, E, R))), "njit"
+    idxs = streamer.acc_idx[pi][rows_p]
     wasted = _wave_service(
         kern, H, R, E, plan.base, plan.conservative, rows_p, idxs,
         mask=mask,
     )
     return wasted, "numpy"
-
-
-def _residue_parts(
-    idxs: np.ndarray, jobs: int
-) -> Optional[List[np.ndarray]]:
-    """Split a chunk into residue classes by access index: part ``w``
-    holds the chunk-local positions with ``idx % jobs == w``, in chunk
-    order. Parts touch disjoint register slots and disjoint rows, so
-    they commute — the pool's unit of work. None when partitioning
-    cannot pay: a single non-empty class, or a part under 64 rows."""
-    residue = idxs % jobs
-    parts = []
-    for w in range(jobs):
-        pos = np.nonzero(residue == w)[0].astype(np.int64)
-        if pos.shape[0]:
-            parts.append(pos)
-    if len(parts) <= 1 or any(p.shape[0] < 64 for p in parts):
-        return None
-    return parts
-
-
-def _dispatch_epoch_parts(
-    switch, pi, plan, kern, rows_p, idxs, H, E, R, jobs, mode,
-    profiler=None,
-) -> Optional[int]:
-    """Residue-partition one epoch chunk across the pool, against a
-    *compact* shared segment: the chunk's own rows gathered into dense
-    columns (tasks carry local row positions), plus the full register
-    arrays (access indices are global). On success the written columns
-    scatter back; on any failure the caller's arrays are untouched —
-    workers only ever mutated the discarded segment copy."""
-    parts = _residue_parts(idxs, jobs)
-    if parts is None:
-        return None
-    fields = sorted(kern.fields_read | kern.fields_written)
-    temps = sorted(set(kern.temps_in) | set(kern.temps_out))
-    regs = sorted({i.reg for i in kern.stateful})
-    Hc = {f: np.ascontiguousarray(H[f][rows_p]) for f in fields}
-    Ec = {t: np.ascontiguousarray(E[t][rows_p]) for t in temps}
-    Rc = {r: R[r] for r in regs}
-    try:
-        seg, layout, Hs, Es, Rs = _share_columns(Hc, Ec, Rc)
-    except (OSError, ValueError):
-        return None
-    if profiler is not None:
-        profiler.record_pool(
-            workers=jobs, tasks=len(parts), shared_bytes=seg.size
-        )
-    tasks = [(seg.name, layout, pi, pos, idxs[pos]) for pos in parts]
-    wasted: Optional[int] = None
-    try:
-        results = _parallel().pool_map_strict(
-            _epoch_worker_run,
-            tasks,
-            jobs=len(parts),
-            initializer=_epoch_worker_init,
-            initargs=_pool_initargs(switch, mode),
-            pool_key="epoch",
-        )
-        wasted = int(sum(results))
-        for f in kern.fields_written:
-            H[f][rows_p] = Hs[f]
-        for t in kern.temps_out:
-            E[t][rows_p] = Es[t]
-        for r in regs:
-            R[r][:] = Rs[r]
-    except _parallel().PoolBroken:
-        wasted = None
-    finally:
-        del Hs, Es, Rs  # drop the views before freeing their buffer
-        seg.close()
-        seg.unlink()
-        _parallel().unregister_shared_segment(seg.name)
-    return wasted

@@ -387,7 +387,6 @@ def run_mp5_reference(
     faults=None,
     monitor=None,
     native=None,
-    epoch_jobs=None,
 ) -> Tuple[SwitchStats, Dict[str, List[int]]]:
     """Run a trace through the dense reference engine (see module doc).
 

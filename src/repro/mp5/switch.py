@@ -1319,15 +1319,13 @@ def run_mp5(
     faults=None,
     monitor=None,
     native=None,
-    epoch_jobs=None,
 ) -> Tuple[SwitchStats, Dict[str, List[int]]]:
     """Convenience: run a trace through a fresh switch; returns the run
     statistics and the final register state. ``recorder``, ``metrics``,
     ``profiler`` and ``monitor`` are optional :mod:`repro.obs` sinks;
     ``faults`` an optional :class:`repro.faults.FaultSchedule`.
-    ``native``/``epoch_jobs`` are vector-engine performance knobs,
-    accepted (and ignored) so every entry in ``ENGINES`` shares one
-    call signature."""
+    ``native`` is a vector-engine performance knob, accepted (and
+    ignored) so every entry in ``ENGINES`` shares one call signature."""
     switch = MP5Switch(program, config)
     if (
         recorder is not None

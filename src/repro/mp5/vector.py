@@ -149,16 +149,14 @@ class VectorSwitch(MP5Switch):
         program,
         config: Optional[MP5Config] = None,
         native: Optional[bool] = None,
-        epoch_jobs: Optional[int] = None,
     ):
         super().__init__(program, config)
         reason = config_fallback_reason(self.config)
         if reason is not None:
             raise VectorUnsupported(reason)
-        # Performance knobs only — every combination produces identical
+        # A performance knob only — either setting produces identical
         # (byte-identical once serialized) results; see repro.mp5.epochs.
         self._native = native
-        self._epoch_jobs = epoch_jobs
         self._streamer: Optional[EpochStreamer] = None
         self._build_vector_plan()
 
@@ -579,7 +577,6 @@ class VectorSwitch(MP5Switch):
             self._E,
             self._R,
             native=self._native,
-            epoch_jobs=self._epoch_jobs,
             profiler=self._profiler,
             wasted_out=self._wmasks,
         )
@@ -799,7 +796,6 @@ def try_vector_switch(
     config: Optional[MP5Config],
     faults_armed: bool,
     native: Optional[bool],
-    epoch_jobs: Optional[int],
 ) -> Optional[VectorSwitch]:
     """The construct-time fallback ladder, shared by
     :func:`run_mp5_vector` and the service daemon: a
@@ -816,9 +812,7 @@ def try_vector_switch(
     if config_fallback_reason(config or MP5Config()) is not None:
         return None
     try:
-        return VectorSwitch(
-            program, config, native=native, epoch_jobs=epoch_jobs
-        )
+        return VectorSwitch(program, config, native=native)
     except VectorUnsupported as exc:
         _warn_unsupported(exc)
         return None
@@ -836,7 +830,6 @@ def run_mp5_vector(
     faults=None,
     monitor=None,
     native: Optional[bool] = None,
-    epoch_jobs: Optional[int] = None,
 ) -> Tuple[SwitchStats, Dict[str, List[int]]]:
     """Run a trace through the batch engine, falling back to the fast
     engine whenever the vector reduction does not apply.
@@ -852,16 +845,13 @@ def run_mp5_vector(
     :class:`VectorUnsupported` reason — sinks follow the run to the
     fast engine in every fallback. Warnings are deduplicated per run —
     a 1000-cell sweep that falls back prints one line, not 1000 (see
-    :func:`reset_fallback_warnings`). ``native`` and ``epoch_jobs``
-    select the fused-kernel tier and the in-run worker count
-    (:mod:`repro.mp5.epochs`); both are pure performance knobs. Either
-    way the returned statistics and registers are identical to
-    :func:`~repro.mp5.switch.run_mp5`.
+    :func:`reset_fallback_warnings`). ``native`` selects the
+    fused-kernel tier (:mod:`repro.mp5.epochs`), a pure performance
+    knob. Either way the returned statistics and registers are
+    identical to :func:`~repro.mp5.switch.run_mp5`.
     """
     entries = trace if isinstance(trace, list) else list(trace)
-    switch = try_vector_switch(
-        program, config, faults is not None, native, epoch_jobs
-    )
+    switch = try_vector_switch(program, config, faults is not None, native)
     if switch is not None:
         switch.attach_observability(
             recorder=recorder,

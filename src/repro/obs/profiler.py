@@ -12,11 +12,10 @@ the coarser channels instead: :meth:`record_span` for its Phase A
 (the latter described by :meth:`record_sinks`: which sinks were fed,
 over how many windows, with how many invariant predicates),
 :meth:`record_kernel` for per-stage service timings tagged with the
-kernel tier that ran (``njit`` / ``python`` / ``numpy`` / ``scalar`` /
-``pool``), :meth:`record_pool` for epoch-pool worker and shared-memory
-gauges, and :meth:`record_epoch` for the epoch boundaries Phase A
-resolved. All of them stay empty on the scalar engines, so their
-``to_dict()`` output is unchanged.
+kernel tier that ran (``njit`` / ``python`` / ``numpy`` / ``scalar``),
+and :meth:`record_epoch` for the epoch boundaries Phase A resolved. All
+of them stay empty on the scalar engines, so their ``to_dict()`` output
+is unchanged.
 
 ``report()`` renders the breakdown the CLI prints under ``--profile``.
 """
@@ -36,7 +35,6 @@ class PhaseProfiler:
         "_t0",
         "spans",
         "kernels",
-        "pool",
         "epochs",
         "sinks",
     )
@@ -48,7 +46,6 @@ class PhaseProfiler:
         # Vector-engine channels (empty on the scalar engines).
         self.spans: Dict[str, float] = {}
         self.kernels: Dict[str, Dict] = {}
-        self.pool: Dict[str, int] = {}
         self.epochs: List[Dict] = []
         self.sinks: Dict = {}
 
@@ -79,23 +76,6 @@ class PhaseProfiler:
         entry["tier"] = tier
         entry["seconds"] += seconds
         entry["calls"] += 1
-
-    def record_pool(
-        self,
-        workers: Optional[int] = None,
-        shared_bytes: Optional[int] = None,
-        tasks: Optional[int] = None,
-    ) -> None:
-        """Epoch-pool gauges: peak worker count and shared-memory
-        segment size, cumulative task count."""
-        if workers is not None:
-            self.pool["workers"] = max(self.pool.get("workers", 0), workers)
-        if shared_bytes is not None:
-            self.pool["shared_bytes"] = max(
-                self.pool.get("shared_bytes", 0), shared_bytes
-            )
-        if tasks is not None:
-            self.pool["tasks"] = self.pool.get("tasks", 0) + tasks
 
     def record_epoch(
         self, index: int, start: int, end: int, remap_moves: Optional[int] = None
@@ -135,8 +115,6 @@ class PhaseProfiler:
             out["spans"] = dict(self.spans)
         if self.kernels:
             out["kernels"] = {k: dict(v) for k, v in self.kernels.items()}
-        if self.pool:
-            out["pool"] = dict(self.pool)
         if self.epochs:
             out["epochs"] = [dict(e) for e in self.epochs]
         if self.sinks:
@@ -208,11 +186,6 @@ class PhaseProfiler:
                     f"calls={entry['calls']:<4} {entry['seconds']:.4f}s"
                 )
             sections.append("\n".join(lines))
-        if self.pool:
-            parts = " ".join(
-                f"{key}={self.pool[key]}" for key in sorted(self.pool)
-            )
-            sections.append(f"Epoch pool: {parts}")
         if self.epochs:
             bounds = ", ".join(
                 f"[{e['start']}, {e['end']})" for e in self.epochs[:8]

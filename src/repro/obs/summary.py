@@ -227,8 +227,9 @@ def render_epoch_section(profiler: Dict) -> str:
     Shows the epoch boundaries Phase A resolved with each boundary's
     remap outcome, the Phase A / Phase B / reconstruction wall-clock
     split, the per-stage kernel tier that serviced each stateful stage,
-    the epoch-pool gauges, and what the reconstruction span fed (sink
-    kinds, windows rolled, invariant predicates evaluated). Raises
+    and what the reconstruction span fed (sink kinds, windows rolled,
+    invariant predicates evaluated). Keys it does not know — the
+    ``pool`` gauges older runs recorded — are ignored. Raises
     :class:`ValueError` on a malformed block so the CLI can exit 2 with
     a one-line diagnostic, matching the empty/truncated-trace handling.
     """
@@ -236,7 +237,6 @@ def render_epoch_section(profiler: Dict) -> str:
         raise ValueError("profiler block must be a JSON object")
     spans = profiler.get("spans", {})
     kernels = profiler.get("kernels", {})
-    pool = profiler.get("pool", {})
     epochs = profiler.get("epochs", [])
     sinks = profiler.get("sinks", {})
     if not isinstance(spans, dict) or not all(
@@ -247,8 +247,6 @@ def render_epoch_section(profiler: Dict) -> str:
         isinstance(v, dict) for v in kernels.values()
     ):
         raise ValueError("profiler 'kernels' must map stage -> entry")
-    if not isinstance(pool, dict):
-        raise ValueError("profiler 'pool' must be a JSON object")
     if not isinstance(epochs, list) or not all(
         isinstance(e, dict) and "start" in e and "end" in e for e in epochs
     ):
@@ -309,12 +307,6 @@ def render_epoch_section(profiler: Dict) -> str:
                     for stage, entry in sorted(kernels.items())
                 ],
             )
-        )
-    if pool:
-        parts.append("")
-        parts.append(
-            "Epoch pool: "
-            + " ".join(f"{key}={pool[key]}" for key in sorted(pool))
         )
     if sinks:
         parts.append("")

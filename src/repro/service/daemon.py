@@ -411,7 +411,6 @@ class _EngineAdapter:
                 service.config,
                 schedule is not None and bool(schedule.faults),
                 native=service.native,
-                epoch_jobs=service.epoch_jobs,
             )
             if switch is not None:
                 return "vector", switch
@@ -514,7 +513,6 @@ class SwitchService:
         metrics_window: int = 100,
         metrics_retention: Optional[int] = None,
         native: Optional[bool] = None,
-        epoch_jobs: Optional[int] = None,
         pump_slice: int = PUMP_SLICE,
         program_name: Optional[str] = None,
     ):
@@ -532,7 +530,6 @@ class SwitchService:
             raise ConfigError("metrics_retention must be >= 2 window rows")
         self.metrics_retention = metrics_retention
         self.native = native
-        self.epoch_jobs = epoch_jobs
         self.queue_depth = queue_depth
         self.pump_slice = pump_slice
         if program is None:

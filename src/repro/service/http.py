@@ -121,6 +121,11 @@ def _qfloat(query: Dict, key: str, default: float) -> float:
 # its per-call whitespace matching and decoder dispatch.
 _scan_record = json.JSONDecoder().scan_once
 _ASCII_SPACE = " \t\n\r\x0b\x0c"  # what ``bytes.strip`` strips
+#: Everything a JSON parse of untrusted bytes raises: ``ValueError``
+#: covers ``JSONDecodeError``, ``UnicodeDecodeError`` and the plain
+#: ``ValueError`` of an integer past ``sys.get_int_max_str_digits()``;
+#: nesting past the recursion limit is a ``RecursionError``.
+_BAD_JSON = (ValueError, RecursionError)
 
 
 def _parse_ndjson(body: bytes) -> Dict:
@@ -138,7 +143,7 @@ def _parse_ndjson(body: bytes) -> Dict:
     for ln, line in enumerate(text.split("\n"), start=1):
         try:
             record, end = _scan_record(line, 0)
-        except (StopIteration, ValueError):
+        except (StopIteration, *_BAD_JSON):
             end = -1
         if end != len(line):
             # Blank, padded or broken: the strict parse decides, and
@@ -147,7 +152,7 @@ def _parse_ndjson(body: bytes) -> Dict:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except _BAD_JSON as exc:
                 raise ServiceError(
                     f"invalid NDJSON body: line {ln}: {exc}"
                 ) from exc
@@ -172,7 +177,7 @@ def _decode_body(method: str, path: str, ctype: str, body: bytes) -> Optional[Di
         return _parse_ndjson(body)
     try:
         payload = json.loads(body)
-    except json.JSONDecodeError as exc:
+    except _BAD_JSON as exc:
         raise ServiceError(f"invalid JSON body: {exc}") from exc
     if type(payload) is not dict:
         raise ServiceError("request body must be a JSON object")

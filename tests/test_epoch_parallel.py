@@ -1,33 +1,30 @@
-"""Epoch/residue-class parallel execution must be invisible in results.
+"""The kernel tier must be invisible in results, at any chunk size.
 
 Phase A (:class:`repro.mp5.epochs.EpochStreamer`) fixes the run's task
 DAG independently of any stateful service, so the DAG — and every
-downstream artifact — must be identical at any worker count and on any
-kernel tier. These tests pin that contract: schedule determinism,
-residue-partition disjointness/coverage, byte-identical ``results.json``
-across ``epoch_jobs`` and ``native`` settings, graceful re-execution
-when the worker pool breaks mid-chunk, and the deduplicated fallback
-warning.
+downstream artifact — must be identical on any kernel tier. These tests
+pin that contract: schedule determinism, byte-identical
+``results.json`` across ``native`` settings, and the deduplicated
+fallback warning.
 
-The pool only dispatches an epoch chunk of at least
-``PARALLEL_MIN_ROWS`` rows; the default ``remap_period=100`` at k=4
-never produces one, so the worker tests run at ``POOL_CONFIG`` (no
-remap: the whole run is one chunk) and ``LONG_EPOCH_CONFIG`` and assert
-that a dispatch actually happened.
+The default ``remap_period=100`` at k=4 only ever produces epoch chunks
+of a few hundred rows, so the identity tests also run at ``POOL_CONFIG``
+(no remap: the whole run is one chunk per plan) and
+``LONG_EPOCH_CONFIG``, where one chunk revisits every register index
+many times — deep wave decompositions, long fused-kernel calls.
+
+There is no intra-run worker pool (docs/simulator.md says why), so the
+last section pins that its knob fails loudly instead of being ignored.
 """
 
-import numpy as np
 import pytest
 
-import repro.harness.parallel as par
 from repro.cli import main
-from repro.harness.parallel import shutdown_pool
 from repro.harness.runall import SCALES, run_all
 from repro.mp5 import MP5Config, VectorSwitch, run_mp5
-from repro.mp5.epochs import PARALLEL_MIN_ROWS, _residue_parts
+from repro.service import SwitchService
 from repro.mp5.vector import _warn_fallback, reset_fallback_warnings
 from repro.obs import PhaseProfiler
-from repro.workloads import clone_packets
 from repro.workloads.synthetic import make_sensitivity_program, sensitivity_trace
 
 
@@ -36,38 +33,22 @@ def _teardown():
     reset_fallback_warnings()
     yield
     reset_fallback_warnings()
-    shutdown_pool()
 
 
 #: One 12k-row chunk per plan: with remapping off the sweep emits a
 #: single step at the drain.
 POOL_CONFIG = MP5Config(remap_algorithm="none")
-#: Remapping on: two ~5.6k-row chunks through the pool, then a short
-#: tail chunk in process against the registers the workers left.
+#: Remapping on: two ~5.6k-row chunks, then a short tail chunk.
 LONG_EPOCH_CONFIG = MP5Config(remap_period=1500)
 POOL_PACKETS = 12000
 
 
-def _run_switch(
-    num_packets=3000, seed=0, native=None, epoch_jobs=None, config=None
-):
+def _run_switch(num_packets=3000, seed=0, native=None, config=None):
     program = make_sensitivity_program(2, 64)
-    switch = VectorSwitch(
-        program, config, native=native, epoch_jobs=epoch_jobs
-    )
+    switch = VectorSwitch(program, config, native=native)
     switch.attach_observability(profiler=PhaseProfiler())
     stats = switch.run(sensitivity_trace(num_packets, 4, 2, 64, seed=seed))
     return switch, stats
-
-
-def _pool_tasks(switch) -> int:
-    return switch._profiler.pool.get("tasks", 0)
-
-
-def _ran_on_pool(switch) -> bool:
-    """Every wave stage's last chunk completed on workers."""
-    tiers = {k["tier"] for k in switch._profiler.kernels.values()}
-    return _pool_tasks(switch) > 0 and tiers == {"pool"}
 
 
 # ---------------------------------------------------------------------------
@@ -79,19 +60,6 @@ def test_dag_signature_deterministic_across_runs():
     a, _ = _run_switch()
     b, _ = _run_switch()
     assert a._last_schedule.dag_signature() == b._last_schedule.dag_signature()
-
-
-@pytest.mark.parametrize("epoch_jobs", (None, 1, 2, 4))
-def test_dag_signature_independent_of_workers(epoch_jobs):
-    base, _ = _run_switch(POOL_PACKETS, config=POOL_CONFIG)
-    other, _ = _run_switch(
-        POOL_PACKETS, config=POOL_CONFIG, epoch_jobs=epoch_jobs
-    )
-    assert _ran_on_pool(other) == (epoch_jobs in (2, 4))
-    assert (
-        other._last_schedule.dag_signature()
-        == base._last_schedule.dag_signature()
-    )
 
 
 def test_dag_signature_independent_of_native_tier():
@@ -110,42 +78,6 @@ def test_dag_signature_varies_with_input():
 
 
 # ---------------------------------------------------------------------------
-# Residue partition
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("nparts", (2, 3, 4))
-def test_partition_covers_stream_disjointly(nparts):
-    """The split the pool dispatches: every chunk row in exactly one
-    part, one residue class of ``acc_idx % nparts`` per part."""
-    switch, _ = _run_switch(
-        POOL_PACKETS, config=LONG_EPOCH_CONFIG, epoch_jobs=nparts
-    )
-    assert _pool_tasks(switch) > 0
-    sched = switch._last_schedule
-    checked = 0
-    for pi, idx_col in enumerate(sched.acc_idx):
-        for rows, _pops in sched.chunks[pi]:
-            if rows.shape[0] < PARALLEL_MIN_ROWS:
-                continue  # below the gate: never offered to the pool
-            idxs = idx_col[rows]
-            parts = _residue_parts(idxs, nparts)
-            seen = np.concatenate(parts)
-            assert sorted(seen.tolist()) == list(range(rows.shape[0]))
-            for pos in parts:
-                assert len(set((idxs[pos] % nparts).tolist())) == 1
-                assert np.all(np.diff(pos) > 0)  # chunk (pop) order kept
-            checked += 1
-    assert checked  # the dispatched chunks
-    # Declined splits: a single non-empty residue class has nothing to
-    # run side by side; a part under 64 rows is dwarfed by its round-trip.
-    one_class = np.arange(1000, dtype=np.int64) * nparts
-    assert _residue_parts(one_class, nparts) is None
-    lopsided = np.concatenate([one_class, np.ones(63, dtype=np.int64)])
-    assert _residue_parts(lopsided, nparts) is None
-
-
-# ---------------------------------------------------------------------------
 # End-to-end byte identity
 # ---------------------------------------------------------------------------
 
@@ -158,24 +90,27 @@ def test_stats_identical_across_workers_and_tiers():
 def _check_workers_and_tiers(config):
     base_switch, base_stats = _run_switch(POOL_PACKETS, config=config)
     base_regs = dict(base_switch.registers)
-    assert _pool_tasks(base_switch) == 0
+    # The configuration does what it is named for: some plan serviced a
+    # chunk far past anything the default remap period produces.
+    assert any(
+        rows.shape[0] >= 4096
+        for pieces in base_switch._last_schedule.chunks
+        for rows, _pops in pieces
+    )
     scalar_stats, scalar_regs = run_mp5(
         make_sensitivity_program(2, 64),
         sensitivity_trace(POOL_PACKETS, 4, 2, 64, seed=0),
         config,
     )
-    assert base_stats == scalar_stats
+    assert base_stats == scalar_stats  # wasted_slots included
     assert base_regs == scalar_regs
-    for kwargs in (
-        dict(native=True),
-        dict(epoch_jobs=2),
-        dict(native=True, epoch_jobs=2),
-        dict(epoch_jobs=4),
-    ):
-        switch, stats = _run_switch(POOL_PACKETS, config=config, **kwargs)
-        assert (_pool_tasks(switch) > 0) == ("epoch_jobs" in kwargs), kwargs
-        assert stats == base_stats, kwargs  # wasted_slots included
-        assert dict(switch.registers) == base_regs, kwargs
+    switch, stats = _run_switch(POOL_PACKETS, config=config, native=True)
+    assert stats == base_stats
+    assert dict(switch.registers) == base_regs
+    assert (
+        switch._last_schedule.dag_signature()
+        == base_switch._last_schedule.dag_signature()
+    )
 
 
 def test_runall_results_identical_across_epoch_settings(tmp_path):
@@ -183,8 +118,6 @@ def test_runall_results_identical_across_epoch_settings(tmp_path):
     for name, kwargs in (
         ("base", dict()),
         ("native", dict(native=True)),
-        ("jobs2", dict(epoch_jobs=2)),
-        ("native_jobs2", dict(native=True, epoch_jobs=2)),
     ):
         out = tmp_path / name
         run_all(out_dir=str(out), scale="tiny", engine="vector", **kwargs)
@@ -198,36 +131,6 @@ def test_xlarge_scale_defined():
     assert knobs["engine"] == "vector"
     assert knobs["native"] is True
     assert knobs["sensitivity_packets"] < knobs["num_packets"]
-
-
-# ---------------------------------------------------------------------------
-# Pool failure rollback
-# ---------------------------------------------------------------------------
-
-
-def test_pool_breakage_rolls_back_and_reexecutes(monkeypatch):
-    """A mid-chunk pool failure must not double-apply register updates:
-    workers only ever touch the shared copy, so the caller's columns
-    are intact and the chunk re-executes in process."""
-    base_switch, base_stats = _run_switch(POOL_PACKETS, config=POOL_CONFIG)
-    calls = []
-
-    def boom(fn, tasks, **kwargs):
-        calls.append(len(tasks))
-        raise par.PoolBroken("worker died")
-
-    monkeypatch.setattr(par, "pool_map_strict", boom)
-    switch, stats = _run_switch(
-        POOL_PACKETS, config=POOL_CONFIG, epoch_jobs=2
-    )
-    assert calls  # the dispatch was attempted, then abandoned
-    assert not _ran_on_pool(switch)
-    assert stats == base_stats
-    assert dict(switch.registers) == dict(base_switch.registers)
-    for name, col in base_switch._H.items():
-        assert np.array_equal(switch._H[name], col), name
-    for name, col in base_switch._E.items():
-        assert np.array_equal(switch._E[name], col), name
 
 
 # ---------------------------------------------------------------------------
@@ -263,3 +166,38 @@ def test_cli_invocations_each_warn_once(capsys):
         assert main(argv) == 0
         err = capsys.readouterr().err
         assert err.count("falling back to the fast engine") == 1
+
+
+# ---------------------------------------------------------------------------
+# The removed knob fails loudly
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["run", "heavy_hitter"],
+        ["fig7", "a"],
+        ["fig8"],
+        ["reproduce"],
+        ["serve", "heavy_hitter"],
+    ),
+    ids=lambda argv: argv[0],
+)
+def test_cli_rejects_epoch_jobs(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--epoch-jobs", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --epoch-jobs 2" in capsys.readouterr().err
+
+
+def test_api_rejects_epoch_jobs():
+    program = make_sensitivity_program(2, 64)
+    for call in (
+        lambda **kw: VectorSwitch(program, **kw),
+        lambda **kw: run_mp5(program, [], **kw),
+        lambda **kw: SwitchService(engine="vector", **kw),
+    ):
+        call()  # the same call is fine without the keyword
+        with pytest.raises(TypeError, match="epoch_jobs"):
+            call(epoch_jobs=2)

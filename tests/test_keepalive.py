@@ -248,6 +248,46 @@ def test_non_object_json_body_is_a_400_that_keeps_the_connection(path):
         assert _service_counts(service) == (1, 1, 6)
 
 
+@pytest.mark.parametrize(
+    "path", ["/ingest", "/program", "/faults", "/monitor", "/config", "/replay"]
+)
+def test_undecodable_json_body_is_a_400_that_keeps_the_connection(path):
+    """``json.loads`` raises more than ``JSONDecodeError``: a plain
+    ``ValueError`` for an integer past the digit limit, ``RecursionError``
+    for deep nesting, ``UnicodeDecodeError`` for bytes that are not
+    UTF-8. These were 500s, and a 5xx hangs up."""
+    bodies = (
+        (b'{"packets": ' + b"9" * 5000 + b"}", "Exceeds the limit"),
+        (b"[" * 100_000 + b"]" * 100_000, "recursion"),
+        (b'{"program": "\xff"}', "utf-8"),
+    )
+    framings = [((), "invalid JSON body: ")]
+    if path == "/ingest":  # the route that also takes NDJSON lines
+        framings.append(
+            (("Content-Type: application/x-ndjson",), "invalid NDJSON body: ")
+        )
+    service, thread = serve(program="heavy_hitter")
+    with thread, RawConnection(thread.address) as conn:
+        for body, why in bodies:
+            for sent_headers, prefix in framings:
+                conn.send(_request("POST", path, body, headers=sent_headers))
+                status, headers, answer = conn.response()
+                assert status == 400 and headers["connection"] == "keep-alive"
+                error = json.loads(answer)["error"]
+                assert error.startswith(prefix) and why in error
+        conn.send(_request("GET", "/status"))
+        status, _, answer = conn.response()
+        state = json.loads(answer)
+        assert status == 200 and state["program"] == "heavy_hitter"
+        assert (state["ingested"], state["queue_depth"], state["segments"]) == (
+            0, 0, 0
+        )
+        assert not state["paused"] and not state["monitor"]
+        assert _service_counts(service) == (
+            1, 1, len(bodies) * len(framings) + 1
+        )
+
+
 def test_chunked_request_is_rejected_and_its_bytes_never_parsed():
     service, thread = serve(program="heavy_hitter")
     with thread, RawConnection(thread.address) as conn:

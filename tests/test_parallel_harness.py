@@ -15,8 +15,8 @@ from repro.harness.sensitivity import SweepSettings, sweep_pipelines
 
 
 def _default_pool():
-    """The cached default-key pool executor (None when absent)."""
-    state = par._pools.get(None)
+    """The cached pool executor (None when absent)."""
+    state = par._pool
     return None if state is None else state.pool
 
 
@@ -131,7 +131,7 @@ def test_proven_pool_breakage_not_memoized(monkeypatch):
     assert parallel_map(_square, list(range(6)), jobs=2) == [
         x * x for x in range(6)
     ]
-    assert par._pools[None].proven
+    assert par._pool.proven
     broken = _default_pool()
 
     def explode(*args, **kwargs):

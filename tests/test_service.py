@@ -444,6 +444,18 @@ def test_ndjson_malformed_frames_rejected_with_line_numbers():
             post(good.encode() + b"\n[1, 2]\n")
         assert err.value.status == 400
         assert "line 2" in err.value.message and "object" in err.value.message
+        # A parse can fail with more than JSONDecodeError: an integer
+        # past the int<->str digit limit, nesting past the recursion
+        # limit. Both are the client's frame to fix, so 400 + line.
+        huge = b'{"arrival": ' + b"9" * 5000 + b"}"
+        deep = b"[" * 100_000 + b"]" * 100_000
+        for bad, why in ((huge, "Exceeds the limit"), (deep, "recursion")):
+            with pytest.raises(ServiceClientError) as err:
+                post(good.encode() + b"\n" + bad + b"\n")
+            assert err.value.status == 400
+            assert err.value.message.startswith("invalid NDJSON body: line 2: ")
+            assert why in err.value.message
+        assert client.status()["ingested"] == 0  # every rejection was atomic
         with pytest.raises(ServiceClientError) as err:
             post(b"\n  \n")
         assert err.value.status == 400

@@ -350,7 +350,6 @@ def _stream_vector(
     config,
     chunk,
     native=None,
-    epoch_jobs=None,
     monitor=None,
     metrics=None,
     profiler=None,
@@ -358,9 +357,7 @@ def _stream_vector(
 ):
     """Feed ``trace`` in ``chunk``-sized batches with a watermark-gated
     pump after every feed — the exact loop the service daemon runs."""
-    switch = VectorSwitch(
-        program, config, native=native, epoch_jobs=epoch_jobs
-    )
+    switch = VectorSwitch(program, config, native=native)
     switch.attach_observability(
         metrics=metrics, monitor=monitor, profiler=profiler
     )
@@ -398,15 +395,10 @@ def test_vector_streaming_matches_batch(chunk):
     assert _snapshot(switch, stats) == ref
 
 
-@pytest.mark.parametrize(
-    "knobs",
-    [dict(native=True), dict(epoch_jobs=2), dict(native=True, epoch_jobs=2)],
-    ids=["native", "jobs2", "native_jobs2"],
-)
+@pytest.mark.parametrize("knobs", [dict(native=True)], ids=["native"])
 def test_vector_streaming_matches_batch_native_and_jobs(knobs):
-    """The native kernel tier and the epoch pool are performance knobs
-    only — streamed execution with them on still equals the plain batch
-    run."""
+    """The native kernel tier is a performance knob only — streamed
+    execution with it on still equals the plain batch run."""
     program = make_sensitivity_program(num_stateful=4, register_size=64)
     config = MP5Config(num_pipelines=4, remap_period=3)
 

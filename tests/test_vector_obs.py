@@ -11,7 +11,7 @@ module pins down:
   ordering, max_ticks cuts),
 * the metrics registry rolls identical windowed series and histograms,
 * the invariant monitor sees the same alert stream (zero on fault-free
-  runs) and health verdict at every ``native``/``epoch_jobs`` setting,
+  runs) and health verdict at every ``native`` setting,
 * attaching sinks never changes the results (stats + registers), and
 * the profiler's vector channels (phase spans, kernel tiers, epochs)
   populate and surface through ``trace-summary``.
@@ -167,19 +167,15 @@ def test_trace_parity_empty_trace():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("native", (None, True), ids=("numpy", "native"))
-@pytest.mark.parametrize("epoch_jobs", (None, 2), ids=("serial", "jobs2"))
-def test_monitor_zero_alerts_every_tier(native, epoch_jobs):
+@pytest.mark.parametrize(
+    "native", (None, True), ids=("serial-numpy", "serial-native")
+)
+def test_monitor_zero_alerts_every_tier(native):
     """Fault-free vector runs stay alert-free — and byte-identical to
-    the fast engine — at every native/epoch-jobs combination."""
+    the fast engine — on either kernel tier."""
     program, mk, config = _sensitivity_inputs()
     vec = _run_observed(
-        run_mp5_vector,
-        program,
-        mk(),
-        config,
-        native=native,
-        epoch_jobs=epoch_jobs,
+        run_mp5_vector, program, mk(), config, native=native
     )
     fast = _run_observed(run_mp5, program, mk(), config)
     _assert_parity(vec, fast)
@@ -225,7 +221,7 @@ def test_profiler_vector_channels_populate():
     assert set(profiler.spans) >= {"phase_a", "phase_b", "trace_reconstruct"}
     assert profiler.kernels  # every stateful stage records a tier
     assert all(
-        entry["tier"] in ("pool", "njit", "numpy", "python")
+        entry["tier"] in ("njit", "numpy", "python")
         for entry in profiler.kernels.values()
     )
     assert profiler.epochs and profiler.epochs[0]["start"] == 0
@@ -242,7 +238,7 @@ def test_profiler_scalar_channels_stay_empty():
     fast = _run_observed(run_mp5, program, mk(), config, profile=True)
     profiler = fast["profiler"]
     assert not profiler.spans and not profiler.kernels
-    assert not profiler.pool and not profiler.epochs
+    assert not profiler.epochs
     assert "Vector phase breakdown" not in profiler.report()
 
 
@@ -262,6 +258,31 @@ def test_cli_trace_summary_epoch_section(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Vector epochs" in out
     assert "Service kernel tiers" in out
+
+
+def test_cli_trace_summary_ignores_recorded_pool_block(tmp_path, capsys):
+    """A trace recorded by an earlier ``--epoch-jobs`` run carries a
+    ``profiler.pool`` block and ``pool``-tier kernels; the key is
+    ignored and every remaining section still renders."""
+    trace_path = tmp_path / "pooled.jsonl"
+    profiler = {
+        "ticks": 0,
+        "seconds": {},
+        "total_seconds": 0.0,
+        "spans": {"phase_a": 0.02, "phase_b": 0.05},
+        "kernels": {"s1": {"tier": "pool", "seconds": 0.04, "calls": 2}},
+        "pool": {"shared_bytes": 786432, "tasks": 4, "workers": 2},
+        "epochs": [{"epoch": 0, "start": 0, "end": 1500, "remap_moves": 3}],
+    }
+    header = {"format": "mp5-trace-events", "version": 1, "profiler": profiler}
+    trace_path.write_text(json.dumps(header) + "\n")
+    assert main(["trace-summary", str(trace_path)]) == 0
+    out = capsys.readouterr().out
+    assert "Vector epochs (1 resolved)" in out
+    assert "Phase split" in out
+    assert "Service kernel tiers" in out
+    assert "pool" in out  # the recorded tier is still shown as recorded
+    assert "Epoch pool" not in out and "shared_bytes" not in out
 
 
 def test_cli_trace_summary_without_profiler_block(tmp_path, capsys):
