@@ -27,17 +27,10 @@ over the fast engine measured in the same process; **vector_50k** is
 the vector engine on a 50000-packet stream — the workload size behind
 ``reproduce --scale large``.
 
-**engine_native** re-runs the 2000-packet vector workload with the
-fused native kernel tier on (``native=True``), and **native_50k** the
-50k stream the same way — the configuration behind ``reproduce --scale
-xlarge``. Both quote their speedup against the same-process plain
-vector runs. On hosts without Numba the fused tier falls back to plain
-Python (wave plans keep the NumPy path) — the numbers then measure
-pure dispatch overhead, by design near 1.0x; the tier pays off where
-Numba exists. **vector_1m** times two 1M-packet native runs
-(skipped under ``--quick``), the ``scale=xlarge`` per-point workload;
-every engine row carries ``seconds_first`` beside ``seconds_min``
-because the first 1M call in a process costs about twice a later one.
+**vector_1m** times two 1M-packet vector runs (skipped under
+``--quick``), the ``scale=xlarge`` per-point workload; every engine row
+carries ``seconds_first`` beside ``seconds_min`` because the first 1M
+call in a process costs about twice a later one.
 
 **engine_vector_traced** and **engine_vector_monitored** re-run the
 2000-packet vector workload with a recorder + metrics registry and an
@@ -112,7 +105,6 @@ def bench_engine(
     monitored: bool = False,
     engine: str = "fast",
     num_packets: int = 2000,
-    native: bool = None,
 ) -> dict:
     program = make_sensitivity_program(4, 512)
     trace = sensitivity_trace(num_packets, 4, 4, 512, seed=0)
@@ -134,7 +126,6 @@ def bench_engine(
             recorder=recorder,
             metrics=metrics,
             monitor=monitor,
-            native=native,
         )
         times.append(time.perf_counter() - start)
         ticks = stats.ticks
@@ -149,8 +140,6 @@ def bench_engine(
     workload = f"sensitivity {num_packets} pkts, k=4, m=4, r=512"
     if engine != "fast":
         workload += f", {engine} engine"
-    if native:
-        workload += ", native"
     report = {
         "workload": workload,
         "rounds": rounds,
@@ -482,24 +471,11 @@ def main() -> int:
         - 1,
         4,
     )
-    engine_native = bench_engine(rounds, engine="vector", native=True)
-    engine_native["speedup_vs_vector_min"] = round(
-        engine_vector["seconds_min"] / engine_native["seconds_min"], 2
-    )
-    engine_native["speedup_vs_vector_median"] = round(
-        engine_vector["seconds_median"] / engine_native["seconds_median"], 2
-    )
-    # The 50k measurements keep min-of-3 even under --quick: a single
+    # The 50k measurement keeps min-of-3 even under --quick: a single
     # round on a loaded 1-CPU host can spike 2-3x from scheduler
     # contention, which would trip the 15% --check-regression gate on
     # noise rather than a real slowdown.
     vector_50k = bench_engine(3, engine="vector", num_packets=50000)
-    native_50k = bench_engine(
-        3, engine="vector", num_packets=50000, native=True
-    )
-    native_50k["speedup_vs_vector_50k_min"] = round(
-        vector_50k["seconds_min"] / native_50k["seconds_min"], 2
-    )
     serve_packets = 5000 if args.quick else 50000
     serve_rounds = 2 if args.quick else 3
     serve_fast = bench_serve("fast", serve_packets, serve_rounds)
@@ -526,9 +502,7 @@ def main() -> int:
         "engine_vector": engine_vector,
         "engine_vector_traced": engine_vector_traced,
         "engine_vector_monitored": engine_vector_monitored,
-        "engine_native": engine_native,
         "vector_50k": vector_50k,
-        "native_50k": native_50k,
         "serve_fast": serve_fast,
         "serve_vector": serve_vector,
         "chaos_smoke": chaos,
@@ -540,7 +514,7 @@ def main() -> int:
         # unattributed), so one round would record the cold cost as
         # the engine's speed. seconds_first keeps it on record.
         report["vector_1m"] = bench_engine(
-            2, engine="vector", num_packets=1_000_000, native=True
+            2, engine="vector", num_packets=1_000_000
         )
     if not chaos["jobs_invariant"]:
         raise SystemExit("chaos sweep diverged between serial and parallel")

@@ -168,7 +168,6 @@ def cmd_run(args) -> int:
         profiler=profiler,
         faults=schedule,
         monitor=monitor,
-        native=args.native,
     )
     for key, value in stats.summary().items():
         print(f"{key:16s} {value}")
@@ -465,7 +464,6 @@ def cmd_serve(args) -> int:
         faults=schedule,
         metrics_window=args.metrics_window,
         metrics_retention=args.metrics_retention,
-        native=args.native,
     )
 
     def ready(svc):
@@ -543,7 +541,6 @@ def cmd_fig7(args) -> int:
         num_packets=args.packets,
         seeds=tuple(range(args.seeds)),
         engine=args.engine,
-        native=args.native,
     )
     sweeps = {
         "a": (sweep_pipelines, "7a"),
@@ -561,7 +558,6 @@ def cmd_fig8(args) -> int:
         num_packets=args.packets,
         seeds=tuple(range(args.seeds)),
         engine=args.engine,
-        native=args.native,
     )
     print(render_figure8(run_figure8(settings=settings, jobs=args.jobs)))
     return 0
@@ -581,7 +577,6 @@ def cmd_reproduce(args) -> int:
         jobs=args.jobs,
         observe=observe,
         engine=args.engine,
-        native=args.native,
     )
     if args.out is None:
         for name, text in artifacts.items():
@@ -644,18 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--packet-size", type=int, default=64)
         p.add_argument("--seed", type=int, default=0)
 
-    def add_native_args(p):
-        """Vector-engine acceleration knob (exact: results never change,
-        only the wall clock). Other engines accept and ignore it."""
-        p.add_argument(
-            "--native",
-            action="store_true",
-            default=None,
-            help="vector engine: run stateful service through fused "
-            "per-stage kernels (Numba-jitted when installed, plain "
-            "Python otherwise); byte-identical to the NumPy path",
-        )
-
     p = sub.add_parser("compile", help="compile and show the pipeline layout")
     p.add_argument("program")
     p.set_defaults(func=cmd_compile)
@@ -673,9 +656,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulation engine: dense = executable specification, "
         "fast = sparse worklist (default), vector = batch SoA engine "
         "with full observability fed from its epoch schedule (falls back "
-        "to fast only when faults are attached; see docs/simulator.md)",
+        "to fast, with a one-line warning, when faults are attached or "
+        "the program has a shape outside the batch reduction — a "
+        "resolvable access guard, a stateful resolution stage, a "
+        "write-only array — and silently on the eight config knobs "
+        "outside its envelope; see docs/simulator.md)",
     )
-    add_native_args(p)
     p.add_argument(
         "--trace",
         metavar="PATH",
@@ -757,7 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
         "epoch executes as soon as the ingest watermark proves its "
         "arrivals complete",
     )
-    add_native_args(p)
     p.add_argument(
         "--queue-depth",
         type=int,
@@ -968,7 +953,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=2)
     add_jobs_arg(p)
     add_engine_arg(p)
-    add_native_args(p)
     p.set_defaults(func=cmd_fig7)
 
     p = sub.add_parser("fig8", help="regenerate Figure 8")
@@ -976,7 +960,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=2)
     add_jobs_arg(p)
     add_engine_arg(p)
-    add_native_args(p)
     p.set_defaults(func=cmd_fig8)
 
     p = sub.add_parser(
@@ -996,7 +979,6 @@ def build_parser() -> argparse.ArgumentParser:
         "scale's preference — vector at --scale large/xlarge, else "
         "fast); results are identical for every engine",
     )
-    add_native_args(p)
     p.add_argument(
         "--trace",
         action="store_true",

@@ -1,26 +1,33 @@
-"""TAC flattening: one stage's instruction list as SSA statements.
+"""The one lowering: a stage's TAC as flat SSA statements.
 
-The native backend (:mod:`repro.compiler.native`) wants each stage as a
-flat list of *statements over named scalar values* — no Temp objects,
-no operand dispatch, every constant inlined — so a code generator can
-walk the list once and print one line (or a short guarded block) per
-statement. This is the Taichi ``lower_ast`` idiom: eliminate the
-expression tree, make the body SSA, and leave only
-``binary/unary(binary/unary)`` statements behind.
+Every code generator in the repo wants a stage as a flat list of
+*statements over named scalar values* — no Temp objects, no operand
+dispatch, every constant inlined — so it can walk the list once and
+print one line (or a short guarded block) per statement. This is the
+Taichi ``lower_ast`` idiom: lower once, eliminate the expression tree,
+and leave only ``binary/unary(binary/unary)`` statements for simple
+visitors downstream. :func:`lower_stage` is the only code that walks
+:class:`~repro.compiler.tac.TacInstr` lists to generate code; the three
+printers consume its :class:`StageSSA`:
+
+* :mod:`repro.compiler.jit` — scalar Python over a packet's
+  ``headers``/``env`` dicts (the scalar engines);
+* :mod:`repro.compiler.native` — the same scalar statements over column
+  rows, fused into one per-row loop (the vector engine's serial plans);
+* :mod:`repro.compiler.vjit` — NumPy whole-batch statements (the vector
+  engine's wave plans and stateless stages).
 
 Our TAC (:mod:`repro.compiler.tac`) is already straight-line and
-single-assignment, so lowering here is mostly *resolution*: map every
+single-assignment, so lowering is mostly *resolution*: map every
 :class:`~repro.compiler.tac.Temp` to a stable local name in first-use
-order (the same ``v0, v1, ...`` scheme the scalar and vector JITs use),
-classify which temps are stage inputs (defined by an earlier stage,
-loaded from the PHV) versus stage outputs (published back to the PHV),
-and annotate each statement with everything its emitter needs — the
-register array for state accesses, the header field for loads/stores,
-the guard variable for predicated execution.
-
-The result is backend-neutral: the same :class:`StageSSA` could drive a
-C emitter or a Numba emitter (it drives the latter). Statements carry
-no NumPy or Numba specifics.
+order (``v0, v1, ...``), classify which temps are stage inputs (defined
+by an earlier stage, loaded from the PHV) versus stage outputs
+(published back to the PHV), and annotate each statement with
+everything its printer needs — the register array for state accesses,
+the header field for loads/stores, the guard variable for predicated
+execution. Constants are read raw, as the TAC evaluator reads them:
+:mod:`repro.compiler.preprocess` wraps a literal to 32 bits where it
+enters the IR.
 """
 
 from __future__ import annotations
@@ -29,10 +36,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..errors import CompilerError
-from .tac import Const, OpKind, TacInstr, Temp, _to_signed32
+from .tac import Const, OpKind, TacInstr, Temp
 
 #: Operand of a lowered statement: a local variable name or an inlined
-#: 32-bit-wrapped integer constant.
+#: integer constant.
 Value = Union[str, int]
 
 
@@ -44,10 +51,10 @@ class SSAStmt:
 
     * ``field_load``   — ``dest = wrap(H[field][row])``
     * ``field_store``  — ``H[field][row] = args[0]``            [guard]
-    * ``const``        — ``dest = args[0]`` (already wrapped)
+    * ``const``        — ``dest = args[0]``
     * ``unary``        — ``dest = op args[0]``
     * ``binary``       — ``dest = args[0] op args[1]``
-    * ``call``         — ``dest = builtin op(*args)`` (native-inadmissible)
+    * ``call``         — ``dest = wrap(builtin op(*args))``
     * ``select``       — ``dest = args[0] ? args[1] : args[2]``
     * ``reg_load``     — ``dest = reg[args[0] mod size]``       [guard]
     * ``reg_store``    — ``reg[args[0] mod size] = args[1]``    [guard]
@@ -64,6 +71,11 @@ class SSAStmt:
     guard: Optional[str] = None
     reg: Optional[str] = None
     field: Optional[str] = None
+
+    def operands(self) -> List[str]:
+        """``args`` as source text: a constant inlined, a local by name
+        — the one operand rule every printer shares."""
+        return [repr(a) if isinstance(a, int) else a for a in self.args]
 
     def render(self) -> str:
         """Human-readable one-line form (tests and debugging)."""
@@ -93,16 +105,16 @@ class SSAStmt:
 
 @dataclass
 class StageSSA:
-    """One stage, flattened: the unit the native emitter consumes."""
+    """One stage, flattened: the unit every printer consumes."""
 
     name: str
     stmts: List[SSAStmt] = field(default_factory=list)
-    #: header fields, sorted — read and written sets drive the kernel's
-    #: column signature
+    #: header fields in first-access order — read and written sets
+    #: drive the kernels' column signatures
     fields_read: Tuple[str, ...] = ()
     fields_written: Tuple[str, ...] = ()
-    #: PHV temps loaded before / published after the stage, in the same
-    #: order the scalar/vector JITs use
+    #: PHV temps loaded before the stage (first-use order) / published
+    #: after it (sorted by name)
     temps_in: Tuple[str, ...] = ()
     temps_out: Tuple[str, ...] = ()
     #: register arrays touched, sorted
@@ -110,22 +122,13 @@ class StageSSA:
     #: local-variable name of each loaded PHV temp / published temp
     temp_vars: Dict[str, str] = field(default_factory=dict)
     #: True when the stage contains a ``call`` statement (builtins are
-    #: arbitrary Python -> outside the native envelope)
+    #: arbitrary Python, so such a stage is never ``@njit``-compiled)
     has_call: bool = False
-
-    def render(self) -> str:
-        lines = [f"stage {self.name}:"]
-        for t in self.temps_in:
-            lines.append(f"  {self.temp_vars[t]} = phv.{t}")
-        lines.extend(f"  {s.render()}" for s in self.stmts)
-        for t in self.temps_out:
-            lines.append(f"  phv.{t} = {self.temp_vars[t]}")
-        return "\n".join(lines)
 
 
 def _value(op, names: Dict[Temp, str]) -> Value:
     if isinstance(op, Const):
-        return _to_signed32(op.value)
+        return op.value
     return names[op]
 
 
@@ -156,7 +159,7 @@ def lower_stage(
         return got
 
     # Pass 1: discover stage inputs (temps used before any definition)
-    # in first-use order, mirroring compile_instrs / compile_vector_stage.
+    # in first-use order.
     for instr in instrs:
         for temp in instr.uses():
             if temp not in defined and temp not in used_before_def:
@@ -197,7 +200,7 @@ def lower_stage(
                 SSAStmt(
                     "const",
                     dest=var(instr.dest),
-                    args=(_to_signed32(instr.args[0].value),),
+                    args=(instr.args[0].value,),
                 )
             )
         elif kind is OpKind.UNARY:

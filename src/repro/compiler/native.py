@@ -1,12 +1,11 @@
-"""Fused native (Numba) kernels for the batch engine's service loops.
+"""Fused per-row kernels: the vector engine's serial executor.
 
 :mod:`repro.compiler.vjit` executes a stage as a *sequence of NumPy
-whole-array operations* — one pass over the batch per TAC instruction,
-with the engine slicing batches into "waves" so same-index register
-chains never share an invocation. This module lowers one step further:
-the stage's TAC is flattened to SSA statements
-(:func:`repro.compiler.lower.lower_stage`) and emitted as **one fused
-per-row loop** —
+whole-array operations* — one pass over the batch per statement, with
+the engine slicing batches into "waves" so same-index register chains
+never share an invocation. This module prints the same lowered stage
+(:func:`repro.compiler.lower.lower_stage`) as **one fused per-row
+loop** —
 
     wasted = kernel.fn(rows, *columns)
 
@@ -14,24 +13,25 @@ per-row loop** —
 next. Rows are processed in exactly the order given, so a caller that
 passes rows in global (tick, pipeline) service order gets the scalar
 engines' serialized register semantics for free: no wave partitioning,
-no per-instruction batch traffic, and same-index read-modify-write
-chains are correct by construction. Under Numba the loop compiles to
-native code (``@njit(nogil=True)``); without Numba the same source runs
-as plain Python over the same int64 columns — still fused (one function
-call per stage per batch instead of one dict per packet), still exact.
+no per-statement batch traffic, and same-index read-modify-write chains
+are correct by construction. It is what services every *serial* plan
+(pinned or co-staged arrays, constant or in-stage indexes).
 
-Admission rule is exactness, like vjit: a stage whose TAC contains a
-builtin ``call`` (arbitrary Python, e.g. ``hash2``) raises
-:class:`NativeUnsupported` and the engine keeps using the NumPy kernel
-for that stage — per-stage, not per-program, so one hashing stage never
-evicts the rest of the pipeline from the native tier.
+The loop body is the scalar statement printer of
+:mod:`repro.compiler.jit` over a different storage — one row of the
+``int64`` columns instead of a packet's dicts — so the value semantics
+(32-bit wrap after every arithmetic op, truncating div/mod with 0 on
+division by zero, 5-bit shift counts, no state access on a false guard,
+raw stores, indexes modulo the array size) are the scalar engines' by
+construction, not by a second copy.
 
-Semantics are bit-identical to the TAC evaluator: 32-bit
-two's-complement wrap after every arithmetic op (so int64 intermediates
-never overflow), C-style truncating division/modulo with 0 on division
-by zero, shift counts masked to 5 bits, guarded accesses that perform
-no state access on a false guard, raw register/header stores, and
-register indexes wrapped modulo the array size.
+There is no flag. When Numba imports (``pip install ".[native]"`` is
+the opt-in) and the stage has no builtin ``call``, the loop is
+``@njit(nogil=True)``-compiled; otherwise the same source runs as plain
+Python over the same columns. A builtin is arbitrary Python (``hash2``
+mixes in arbitrary precision), so a stage that calls one runs its
+kernel unjitted, with the call's arguments cast to Python ints.
+:attr:`NativeKernel.jitted` says which happened; callers choose from it.
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..errors import CompilerError
-from .lower import SSAStmt, StageSSA, lower_stage
+from ..domino.builtins import BUILTINS
+from .jit import ScalarPrinter
+from .lower import StageSSA, lower_stage
 from .tac import TacInstr
 
 _counter = itertools.count()
@@ -77,11 +78,6 @@ def native_unavailable_reason() -> Optional[str]:
     return _numba()[1]
 
 
-class NativeUnsupported(Exception):
-    """The stage cannot be lowered to a native kernel (e.g. builtin
-    calls); the engine keeps the NumPy kernel for it."""
-
-
 @dataclass(frozen=True)
 class NativeKernel:
     """One fused per-stage service kernel plus its column signature.
@@ -89,8 +85,11 @@ class NativeKernel:
     ``fn(rows, *cols)`` expects ``cols`` in signature order: the header
     columns of :attr:`fields`, then the PHV columns of :attr:`temps`,
     then the register arrays of :attr:`regs` — all ``int64`` NumPy
-    arrays. Returns the number of wasted slots (rows that executed no
-    access on ``track_reg``; always 0 when tracking is off).
+    arrays. With :attr:`track_reg` set the call is
+    ``fn(rows, lane, *cols)``: ``lane`` is a ``bool[len(rows)]`` the
+    kernel sets at every position whose row executed no access on that
+    array (a wasted slot). Returns the number of wasted slots (always 0
+    when tracking is off).
     """
 
     fn: Callable
@@ -102,30 +101,16 @@ class NativeKernel:
     source: str
 
 
-_WRAPPED_BINOPS = {"+", "-", "*", "&", "|", "^"}
-_COMPARISONS = {"==", "!=", "<", "<=", ">", ">="}
+class _RowPrinter(ScalarPrinter):
+    """Storage: row ``_r`` of the engine's columns. Column parameters
+    get positional names, so identifiers stay valid whatever the field
+    and register names are."""
 
+    depth = 2
 
-def _wrap(expr: str) -> str:
-    """Branchless wrap to signed 32 bits; see ``jit._wrapped``."""
-    return f"((({expr}) + 2147483648) & 4294967295) - 2147483648"
-
-
-def _ref(value, cols: dict) -> str:
-    """Render an operand: inlined constant or local variable."""
-    if isinstance(value, int):
-        return repr(value)
-    return value
-
-
-class _Emitter:
     def __init__(self, ssa: StageSSA, track_reg: Optional[str]):
-        self.ssa = ssa
+        super().__init__()
         self.track_reg = track_reg
-        self.lines: List[str] = []
-        self.tmp = itertools.count()
-        # Column parameter names, in signature order. Positional names
-        # keep identifiers valid whatever the field/register names are.
         self.fields = tuple(
             sorted(set(ssa.fields_read) | set(ssa.fields_written))
         )
@@ -133,142 +118,38 @@ class _Emitter:
             ssa.temps_in
             + tuple(t for t in ssa.temps_out if t not in ssa.temps_in)
         )
-        self.regs = ssa.regs
-        self.col = {}
-        params = []
-        for i, f in enumerate(self.fields):
-            self.col[("field", f)] = name = f"hf{i}"
-            params.append(name)
-        for i, t in enumerate(self.temps):
-            self.col[("temp", t)] = name = f"et{i}"
-            params.append(name)
-        for i, r in enumerate(self.regs):
-            self.col[("reg", r)] = name = f"rg{i}"
-            params.append(name)
-        self.params = params
+        self.field_col = {f: f"hf{i}" for i, f in enumerate(self.fields)}
+        self.temp_col = {t: f"et{i}" for i, t in enumerate(self.temps)}
+        self.reg_col = {r: f"rg{i}" for i, r in enumerate(ssa.regs)}
+        self.params = (
+            ["rows"]
+            + (["lane"] if track_reg is not None else [])
+            + list(self.field_col.values())
+            + list(self.temp_col.values())
+            + list(self.reg_col.values())
+        )
 
-    def emit(self, line: str, depth: int = 2) -> None:
-        self.lines.append("    " * depth + line)
+    def field_load(self, field):
+        return f"{self.field_col[field]}[_r]"
 
-    def _hit(self, reg: str, depth: int) -> None:
-        if self.track_reg is not None and reg == self.track_reg:
-            self.emit("_hit = 1", depth)
+    def field_store(self, field, value):
+        return f"{self.field_col[field]}[_r] = {value}"
 
-    def stmt(self, s: SSAStmt) -> None:
-        emit = self.emit
-        if s.kind == "field_load":
-            arr = self.col[("field", s.field)]
-            emit(f"{s.dest} = {_wrap(arr + '[_r]')}")
-        elif s.kind == "field_store":
-            value = _ref(s.args[0], self.col)
-            if s.guard is None:
-                emit(f"{self.col[('field', s.field)]}[_r] = {value}")
-            else:
-                emit(f"if {s.guard} != 0:")
-                emit(f"{self.col[('field', s.field)]}[_r] = {value}", 3)
-        elif s.kind == "const":
-            emit(f"{s.dest} = {s.args[0]!r}")
-        elif s.kind == "unary":
-            a = _ref(s.args[0], self.col)
-            if s.op == "-":
-                emit(f"{s.dest} = {_wrap(f'-({a})')}")
-            elif s.op == "!":
-                emit(f"{s.dest} = 0 if ({a}) != 0 else 1")
-            else:
-                raise CompilerError(f"native: unknown unary op {s.op!r}")
-        elif s.kind == "binary":
-            self.binary(s)
-        elif s.kind == "call":
-            raise NativeUnsupported(
-                f"builtin call {s.op!r} (arbitrary Python) in stage "
-                f"{self.ssa.name}"
-            )
-        elif s.kind == "select":
-            g, a, b = (_ref(x, self.col) for x in s.args)
-            emit(f"{s.dest} = ({a}) if ({g}) != 0 else ({b})")
-        elif s.kind == "reg_load":
-            arr = self.col[("reg", s.reg)]
-            idx = _ref(s.args[0], self.col)
-            if s.guard is None:
-                emit(f"{s.dest} = {arr}[({idx}) % {arr}.shape[0]]")
-                self._hit(s.reg, 2)
-            else:
-                emit(f"if {s.guard} != 0:")
-                emit(f"{s.dest} = {arr}[({idx}) % {arr}.shape[0]]", 3)
-                self._hit(s.reg, 3)
-                emit("else:")
-                emit(f"{s.dest} = 0", 3)
-        elif s.kind == "reg_store":
-            arr = self.col[("reg", s.reg)]
-            idx = _ref(s.args[0], self.col)
-            value = _ref(s.args[1], self.col)
-            if s.guard is None:
-                emit(f"{arr}[({idx}) % {arr}.shape[0]] = {value}")
-                self._hit(s.reg, 2)
-            else:
-                emit(f"if {s.guard} != 0:")
-                emit(f"{arr}[({idx}) % {arr}.shape[0]] = {value}", 3)
-                self._hit(s.reg, 3)
-        else:
-            raise CompilerError(f"native: unknown statement kind {s.kind}")
+    def call_arg(self, var):
+        # An int64 column value (a NumPy scalar when unjitted) would
+        # overflow in a builtin's arbitrary-precision hash mixing.
+        return f"int({var})"
 
-    def binary(self, s: SSAStmt) -> None:
-        a = _ref(s.args[0], self.col)
-        b = _ref(s.args[1], self.col)
-        dest, op, emit = s.dest, s.op, self.emit
-        if op in _WRAPPED_BINOPS:
-            emit(f"{dest} = {_wrap(f'({a}) {op} ({b})')}")
-        elif op in _COMPARISONS:
-            emit(f"{dest} = 1 if ({a}) {op} ({b}) else 0")
-        elif op in ("/", "%"):
-            # C-style truncating division: quotient rounded toward zero,
-            # remainder matching its sign rules, 0 on division by zero.
-            q = f"_q{next(self.tmp)}"
-            emit(f"if ({b}) == 0:")
-            emit(f"{dest} = 0", 3)
-            emit("else:")
-            emit(f"{q} = abs({a}) // abs({b})", 3)
-            emit(f"if (({a}) < 0) != (({b}) < 0):", 3)
-            emit(f"{q} = -{q}", 4)
-            if op == "/":
-                emit(f"{dest} = {_wrap(q)}", 3)
-            else:
-                emit(f"{dest} = {_wrap(f'({a}) - ({b}) * {q}')}", 3)
-        elif op == "&&":
-            emit(f"{dest} = 1 if (({a}) != 0 and ({b}) != 0) else 0")
-        elif op == "||":
-            emit(f"{dest} = 1 if (({a}) != 0 or ({b}) != 0) else 0")
-        elif op == "<<":
-            emit(f"{dest} = {_wrap(f'({a}) << (({b}) & 31)')}")
-        elif op == ">>":
-            emit(f"{dest} = {_wrap(f'(({a}) & 4294967295) >> (({b}) & 31)')}")
-        else:
-            raise CompilerError(f"native: unknown binary op {op!r}")
+    def _access(self, reg: str, access: str) -> List[str]:
+        return [access] + (["_hit = 1"] if reg == self.track_reg else [])
 
+    def reg_load(self, dest, reg, idx):
+        arr = self.reg_col[reg]
+        return self._access(reg, f"{dest} = {arr}[({idx}) % {arr}.shape[0]]")
 
-def emit_stage_source(
-    ssa: StageSSA, fname: str, track_reg: Optional[str] = None
-) -> Tuple[str, _Emitter]:
-    """Render a :class:`StageSSA` as fused per-row loop source."""
-    em = _Emitter(ssa, track_reg)
-    head = ", ".join(["rows"] + em.params)
-    lines = [f"def {fname}({head}):", "    _wasted = 0"]
-    em.lines = lines
-    em.emit("for _k in range(rows.shape[0]):", 1)
-    em.emit("_r = rows[_k]")
-    if track_reg is not None:
-        em.emit("_hit = 0")
-    for t in ssa.temps_in:
-        em.emit(f"{ssa.temp_vars[t]} = {em.col[('temp', t)]}[_r]")
-    for s in ssa.stmts:
-        em.stmt(s)
-    for t in ssa.temps_out:
-        em.emit(f"{em.col[('temp', t)]}[_r] = {ssa.temp_vars[t]}")
-    if track_reg is not None:
-        em.emit("if _hit == 0:")
-        em.emit("_wasted += 1", 3)
-    em.emit("return _wasted", 1)
-    return "\n".join(lines), em
+    def reg_store(self, reg, idx, value):
+        arr = self.reg_col[reg]
+        return self._access(reg, f"{arr}[({idx}) % {arr}.shape[0]] = {value}")
 
 
 def compile_native_stage(
@@ -279,38 +160,52 @@ def compile_native_stage(
 ) -> Optional[NativeKernel]:
     """Compile one stage to a fused per-row kernel; None for empty input.
 
-    Raises :class:`NativeUnsupported` for stages outside the envelope
-    (builtin calls). When Numba is importable the loop is ``@njit``-
-    compiled (``force_python=True`` skips that — the pure-Python tier,
-    also what every platform without Numba gets). ``track_reg`` turns on
-    wasted-slot counting for one register array (conservative phantoms).
+    When Numba is importable and the stage calls no builtin the loop is
+    ``@njit``-compiled; ``force_python=True`` skips that — the
+    plain-Python kernel every platform without Numba gets, reachable for
+    tests where Numba is installed. ``track_reg`` turns on wasted-slot
+    counting and the per-position ``lane`` for one register array
+    (conservative phantoms).
     """
-    if not instrs:
-        return None
     ssa = lower_stage(instrs, name)
     if ssa is None:
         return None
-    if ssa.has_call:
-        raise NativeUnsupported(
-            f"builtin call in stage {name} (arbitrary Python)"
-        )
     fname = f"_n{name}"
-    source, em = emit_stage_source(ssa, fname, track_reg)
-    scope: dict = {}
+    pr = _RowPrinter(ssa, track_reg)
+    pr.lines = [
+        f"def {fname}({', '.join(pr.params)}):",
+        "    _wasted = 0",
+        "    for _k in range(rows.shape[0]):",
+    ]
+    pr.emit("_r = rows[_k]")
+    if track_reg is not None:
+        pr.emit("_hit = 0")
+    for t in ssa.temps_in:
+        pr.emit(f"{ssa.temp_vars[t]} = {pr.temp_col[t]}[_r]")
+    for s in ssa.stmts:
+        pr.stmt(s)
+    for t in ssa.temps_out:
+        pr.emit(f"{pr.temp_col[t]}[_r] = {ssa.temp_vars[t]}")
+    if track_reg is not None:
+        pr.emit("if _hit == 0:")
+        pr.emit("_wasted += 1", 1)
+        pr.emit("lane[_k] = True", 1)
+    source = "\n".join(pr.lines + ["    return _wasted"])
+    scope: dict = {"_builtins": BUILTINS} if ssa.has_call else {}
     exec(compile(source, f"<native:{name}:{next(_counter)}>", "exec"), scope)
     fn = scope[fname]
     fn.__doc__ = source
     jitted = False
-    if not force_python:
+    if not force_python and not ssa.has_call:
         numba, _reason = _numba()
         if numba is not None:
             fn = numba.njit(nogil=True, cache=False)(fn)
             jitted = True
     return NativeKernel(
         fn=fn,
-        fields=em.fields,
-        temps=em.temps,
-        regs=em.regs,
+        fields=pr.fields,
+        temps=pr.temps,
+        regs=ssa.regs,
         track_reg=track_reg,
         jitted=jitted,
         source=source,

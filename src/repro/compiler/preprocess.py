@@ -46,7 +46,16 @@ from ..domino.ast_nodes import (
     UnaryExpr,
 )
 from ..errors import CompilerError
-from .tac import Const, OpKind, Operand, TacInstr, TacProgram, Temp, TempFactory
+from .tac import (
+    Const,
+    OpKind,
+    Operand,
+    TacInstr,
+    TacProgram,
+    Temp,
+    TempFactory,
+    _to_signed32,
+)
 
 
 @dataclass
@@ -154,7 +163,10 @@ class Lowering:
     def lower_expr(self, expr: Expr, guard: Optional[Temp]) -> Operand:
         """Lower one expression; returns the operand holding its value."""
         if isinstance(expr, IntLiteral):
-            return Const(expr.value)
+            # Every value is a 32-bit two's-complement int
+            # (docs/language.md); a literal is wrapped once, here, where
+            # it enters the IR, so every consumer of a Const reads it raw.
+            return Const(_to_signed32(expr.value))
         if isinstance(expr, PacketField):
             return self._field_value(expr.field_name)
         if isinstance(expr, LocalVar):
@@ -336,8 +348,11 @@ class Lowering:
                 TacInstr(kind=OpKind.WRITE_FIELD, field_name=name, args=[version])
             )
 
+        # Initialisers enter the register store the way literals enter
+        # the IR: wrapped to 32 bits, once.
         registers = {
-            reg.name: (reg.size, reg.initial) for reg in self.program.registers
+            reg.name: (reg.size, tuple(_to_signed32(v) for v in reg.initial))
+            for reg in self.program.registers
         }
         tac = TacProgram(
             instrs=self.instrs,

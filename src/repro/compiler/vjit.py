@@ -1,11 +1,12 @@
-"""TAC-to-NumPy compilation for the batch (vector) engine.
+"""SSA-to-NumPy compilation for the batch (vector) engine.
 
-:mod:`repro.compiler.jit` lowers a stage's instruction list to one
-Python function over scalar packet state; this module lowers the same
-list to one function over *columns* — structure-of-arrays packet state
-where every header field and every PHV temp is a contiguous ``int64``
-array indexed by packet row. A kernel invocation executes the stage for
-a whole batch of packets at once:
+:mod:`repro.compiler.jit` prints a stage's lowered statements
+(:func:`repro.compiler.lower.lower_stage`) as one Python function over
+scalar packet state; this module prints the same statements as one
+function over *columns* — structure-of-arrays packet state where every
+header field and every PHV temp is a contiguous ``int64`` array indexed
+by packet row. A kernel invocation executes the stage for a whole batch
+of packets at once:
 
     kernel.fn(H, registers, E, rows, acc=None)
 
@@ -19,7 +20,7 @@ a whole batch of packets at once:
   (i.e. its guard evaluated true), which is what the wasted-slot
   accounting for conservative phantoms needs.
 
-Semantics are bit-identical to the scalar JIT / interpreter: 32-bit
+Semantics are bit-identical to the scalar printer / interpreter: 32-bit
 two's-complement wrap on arithmetic, C-style truncating division and
 modulo, shift counts masked to 5 bits, guarded register reads producing
 0 on a false guard, raw (unwrapped) register and header stores.
@@ -36,19 +37,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..domino.builtins import BUILTINS
 from ..errors import CompilerError
-from .jit import _wrapped
-from .tac import Const, OpKind, TacInstr, Temp, _to_signed32
+from .jit import _COMPARISONS, _WRAPPED_BINOPS, _wrapped
+from .lower import SSAStmt, lower_stage
+from .tac import TacInstr, _to_signed32
 
 _counter = itertools.count()
-
-_WRAPPED_BINOPS = {"+": "+", "-": "-", "*": "*", "&": "&", "|": "|", "^": "^"}
-_COMPARISONS = {"==", "!=", "<", "<=", ">", ">="}
 
 
 def _truthy(x):
@@ -135,153 +134,76 @@ class VectorKernel:
     source: str
 
 
-def _var(temp: Temp, names: Dict[Temp, str]) -> str:
-    name = names.get(temp)
-    if name is None:
-        name = f"v{len(names)}"
-        names[temp] = name
-    return name
-
-
-def _operand(op, names: Dict[Temp, str]) -> str:
-    if isinstance(op, Const):
-        return repr(op.value)
-    return _var(op, names)
-
-
-def _emit(instr: TacInstr, names: Dict[Temp, str], lines: List[str]) -> None:
-    kind = instr.kind
+def _print(s: SSAStmt, lines: List[str]) -> None:
+    """One lowered statement as NumPy whole-batch statements."""
     pad = "    "
-    if kind is OpKind.READ_FIELD:
-        lines.append(
-            f"{pad}{_var(instr.dest, names)} = "
-            f"{_wrapped(f'H[{instr.field_name!r}][rows]')}"
-        )
-        return
-    if kind is OpKind.WRITE_FIELD:
-        value = _operand(instr.args[0], names)
-        if instr.guard is None:
-            lines.append(f"{pad}H[{instr.field_name!r}][rows] = {value}")
+    args = s.operands()
+    if s.kind == "field_load":
+        lines.append(f"{pad}{s.dest} = {_wrapped(f'H[{s.field!r}][rows]')}")
+    elif s.kind == "field_store":
+        if s.guard is None:
+            lines.append(f"{pad}H[{s.field!r}][rows] = {args[0]}")
         else:
-            g = _operand(instr.guard, names)
-            lines.append(f"{pad}_m = _maskn({g}, _n)")
-            lines.append(
-                f"{pad}_regset(H[{instr.field_name!r}], rows, {value}, _m)"
-            )
-        return
-    if kind is OpKind.CONST:
-        if not isinstance(instr.args[0], Const):
-            raise CompilerError("vjit: CONST with non-constant operand")
-        lines.append(
-            f"{pad}{_var(instr.dest, names)} = "
-            f"{_to_signed32(instr.args[0].value)!r}"
-        )
-        return
-    if kind is OpKind.UNARY:
-        a = _operand(instr.args[0], names)
-        dest = _var(instr.dest, names)
-        if instr.op == "-":
-            lines.append(f"{pad}{dest} = {_wrapped(f'-({a})')}")
-            return
-        if instr.op == "!":
-            lines.append(f"{pad}{dest} = _np.where(_truthy({a}), 0, 1)")
-            return
-        raise CompilerError(f"vjit: unknown unary op {instr.op!r}")
-    if kind is OpKind.BINARY:
-        _emit_binary(instr, names, lines)
-        return
-    if kind is OpKind.CALL:
-        args = ", ".join(_operand(a, names) for a in instr.args)
-        lines.append(
-            f"{pad}{_var(instr.dest, names)} = "
-            f"_callv(_builtins[{instr.op!r}], ({args},), _n)"
-        )
-        return
-    if kind is OpKind.SELECT:
-        g = _operand(instr.args[0], names)
-        a = _operand(instr.args[1], names)
-        b = _operand(instr.args[2], names)
-        lines.append(
-            f"{pad}{_var(instr.dest, names)} = "
-            f"_np.where(_truthy({g}), {a}, {b})"
-        )
-        return
-    if kind is OpKind.REG_READ:
-        dest = _var(instr.dest, names)
-        idx = _operand(instr.args[0], names)
-        lines.append(f"{pad}_a = registers[{instr.reg!r}]")
-        lines.append(f"{pad}_i = ({idx}) % _a.shape[0]")
-        if instr.guard is None:
-            lines.append(f"{pad}{dest} = _a[_i]")
-            lines.append(f"{pad}_acc_set(acc, {instr.reg!r})")
+            lines.append(f"{pad}_m = _maskn({s.guard}, _n)")
+            lines.append(f"{pad}_regset(H[{s.field!r}], rows, {args[0]}, _m)")
+    elif s.kind == "const":
+        lines.append(f"{pad}{s.dest} = {args[0]}")
+    elif s.kind == "unary":
+        (a,) = args
+        if s.op == "-":
+            lines.append(f"{pad}{s.dest} = {_wrapped(f'-({a})')}")
+        elif s.op == "!":
+            lines.append(f"{pad}{s.dest} = _np.where(_truthy({a}), 0, 1)")
         else:
-            g = _operand(instr.guard, names)
-            lines.append(f"{pad}_m = _maskn({g}, _n)")
-            lines.append(f"{pad}{dest} = _np.where(_m, _a[_i], 0)")
-            lines.append(f"{pad}_acc_or(acc, {instr.reg!r}, _m)")
-        return
-    if kind is OpKind.REG_WRITE:
-        idx = _operand(instr.args[0], names)
-        value = _operand(instr.args[1], names)
-        lines.append(f"{pad}_a = registers[{instr.reg!r}]")
-        lines.append(f"{pad}_i = ({idx}) % _a.shape[0]")
-        if instr.guard is None:
-            lines.append(f"{pad}_regset(_a, _i, {value})")
-            lines.append(f"{pad}_acc_set(acc, {instr.reg!r})")
+            raise CompilerError(f"vjit: unknown unary op {s.op!r}")
+    elif s.kind == "binary":
+        lines.append(f"{pad}{s.dest} = {_binary(s.op, *args)}")
+    elif s.kind == "call":
+        lines.append(
+            f"{pad}{s.dest} = "
+            f"_callv(_builtins[{s.op!r}], ({', '.join(args)},), _n)"
+        )
+    elif s.kind == "select":
+        g, a, b = args
+        lines.append(f"{pad}{s.dest} = _np.where(_truthy({g}), {a}, {b})")
+    elif s.kind in ("reg_load", "reg_store"):
+        guarded = s.guard is not None
+        lines.append(f"{pad}_a = registers[{s.reg!r}]")
+        lines.append(f"{pad}_i = ({args[0]}) % _a.shape[0]")
+        if guarded:
+            lines.append(f"{pad}_m = _maskn({s.guard}, _n)")
+        if s.kind == "reg_load":
+            value = "_np.where(_m, _a[_i], 0)" if guarded else "_a[_i]"
+            lines.append(f"{pad}{s.dest} = {value}")
         else:
-            g = _operand(instr.guard, names)
-            lines.append(f"{pad}_m = _maskn({g}, _n)")
-            lines.append(f"{pad}_regset(_a, _i, {value}, _m)")
-            lines.append(f"{pad}_acc_or(acc, {instr.reg!r}, _m)")
-        return
-    raise CompilerError(f"vjit: unknown instruction kind {kind}")
+            mask = ", _m" if guarded else ""
+            lines.append(f"{pad}_regset(_a, _i, {args[1]}{mask})")
+        lines.append(
+            f"{pad}_acc_or(acc, {s.reg!r}, _m)"
+            if guarded
+            else f"{pad}_acc_set(acc, {s.reg!r})"
+        )
+    else:
+        raise CompilerError(f"vjit: unknown statement kind {s.kind}")
 
 
-def _emit_binary(
-    instr: TacInstr, names: Dict[Temp, str], lines: List[str]
-) -> None:
-    a = _operand(instr.args[0], names)
-    b = _operand(instr.args[1], names)
-    dest = _var(instr.dest, names)
-    op = instr.op
-    pad = "    "
+def _binary(op: str, a: str, b: str) -> str:
     if op in _WRAPPED_BINOPS:
-        lines.append(
-            f"{pad}{dest} = "
-            f"{_wrapped(f'({a}) {_WRAPPED_BINOPS[op]} ({b})')}"
-        )
-        return
+        return _wrapped(f"({a}) {op} ({b})")
     if op in _COMPARISONS:
-        lines.append(f"{pad}{dest} = _np.where(({a}) {op} ({b}), 1, 0)")
-        return
+        return f"_np.where(({a}) {op} ({b}), 1, 0)"
     if op == "/":
-        lines.append(f"{pad}{dest} = _divv({a}, {b})")
-        return
+        return f"_divv({a}, {b})"
     if op == "%":
-        lines.append(f"{pad}{dest} = _modv({a}, {b})")
-        return
+        return f"_modv({a}, {b})"
     if op == "&&":
-        lines.append(
-            f"{pad}{dest} = _np.where(_truthy({a}) & _truthy({b}), 1, 0)"
-        )
-        return
+        return f"_np.where(_truthy({a}) & _truthy({b}), 1, 0)"
     if op == "||":
-        lines.append(
-            f"{pad}{dest} = _np.where(_truthy({a}) | _truthy({b}), 1, 0)"
-        )
-        return
+        return f"_np.where(_truthy({a}) | _truthy({b}), 1, 0)"
     if op == "<<":
-        lines.append(
-            f"{pad}{dest} = "
-            f"{_wrapped(f'_i64({a}) << (_i64({b}) & 31)')}"
-        )
-        return
+        return _wrapped(f"_i64({a}) << (_i64({b}) & 31)")
     if op == ">>":
-        lines.append(
-            f"{pad}{dest} = "
-            f"{_wrapped(f'(_i64({a}) & 4294967295) >> (_i64({b}) & 31)')}"
-        )
-        return
+        return _wrapped(f"(_i64({a}) & 4294967295) >> (_i64({b}) & 31)")
     raise CompilerError(f"vjit: unknown binary op {op!r}")
 
 
@@ -293,39 +215,19 @@ def compile_vector_stage(
     instrs: Sequence[TacInstr], name: str = "stage"
 ) -> Optional[VectorKernel]:
     """Compile one stage's instruction list to a batch kernel."""
-    if not instrs:
+    ssa = lower_stage(instrs, name)
+    if ssa is None:
         return None
-    names: Dict[Temp, str] = {}
-    defined: Set[Temp] = set()
-    used_before_def: List[Temp] = []
-    fields_read: Set[str] = set()
-    fields_written: Set[str] = set()
-    stateful: List[TacInstr] = []
-    for instr in instrs:
-        for temp in instr.uses():
-            if temp not in defined and temp not in used_before_def:
-                used_before_def.append(temp)
-        dest = instr.defines()
-        if dest is not None:
-            defined.add(dest)
-        if instr.kind is OpKind.READ_FIELD:
-            fields_read.add(instr.field_name)
-        elif instr.kind is OpKind.WRITE_FIELD:
-            fields_written.add(instr.field_name)
-        if instr.is_stateful:
-            stateful.append(instr)
-
     lines: List[str] = [
         f"def _{name}(H, registers, E, rows, acc=None):",
         "    _n = rows.shape[0]",
     ]
-    for temp in used_before_def:
-        lines.append(f"    {_var(temp, names)} = E[{temp.name!r}][rows]")
-    for instr in instrs:
-        _emit(instr, names, lines)
-    temps_out = sorted(defined, key=lambda t: t.name)
-    for temp in temps_out:
-        lines.append(f"    E[{temp.name!r}][rows] = {_var(temp, names)}")
+    for temp in ssa.temps_in:
+        lines.append(f"    {ssa.temp_vars[temp]} = E[{temp!r}][rows]")
+    for stmt in ssa.stmts:
+        _print(stmt, lines)
+    for temp in ssa.temps_out:
+        lines.append(f"    E[{temp!r}][rows] = {ssa.temp_vars[temp]}")
 
     source = "\n".join(lines)
     scope = {
@@ -346,10 +248,10 @@ def compile_vector_stage(
     fn.__doc__ = source
     return VectorKernel(
         fn=fn,
-        fields_read=frozenset(fields_read),
-        fields_written=frozenset(fields_written),
-        temps_in=tuple(t.name for t in used_before_def),
-        temps_out=tuple(t.name for t in temps_out),
-        stateful=tuple(stateful),
+        fields_read=frozenset(ssa.fields_read),
+        fields_written=frozenset(ssa.fields_written),
+        temps_in=ssa.temps_in,
+        temps_out=ssa.temps_out,
+        stateful=tuple(i for i in instrs if i.is_stateful),
         source=source,
     )

@@ -45,7 +45,6 @@ class RealAppSettings:
     max_ticks: Optional[int] = None
     fifo_capacity: Optional[int] = None  # None = adaptive (no loss), as §4.3.1
     engine: str = "fast"  # dense | fast | vector (see repro.mp5.ENGINES)
-    native: Optional[bool] = None  # vector engine: fused kernel tier
 
 
 def _run_app_serial(
@@ -68,7 +67,6 @@ def _run_app_serial(
             fifo_capacity=settings.fifo_capacity,
         ),
         max_ticks=settings.max_ticks,
-        native=settings.native,
     )
     return (
         stats.throughput_normalized(),

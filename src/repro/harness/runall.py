@@ -46,11 +46,10 @@ SCALES = {
         engine="vector",
     ),
     # Million-packet tier: Figure 8 streams 1M packets per (app, k,
-    # seed) point through the vector engine with the fused native
-    # kernel tier on. The Figure 7 sweeps stay at 50k -- their cost
-    # scales with the pipeline sweep (k=16 quadruples the stream) and
-    # the statistics converge well before 1M -- as do the scalar-only
-    # microbenchmarks.
+    # seed) point through the vector engine. The Figure 7 sweeps stay
+    # at 50k -- their cost scales with the pipeline sweep (k=16
+    # quadruples the stream) and the statistics converge well before
+    # 1M -- as do the scalar-only microbenchmarks.
     "xlarge": dict(
         num_packets=1_000_000,
         seeds=(0,),
@@ -58,7 +57,6 @@ SCALES = {
         micro_packets=5000,
         sensitivity_packets=50_000,
         engine="vector",
-        native=True,
     ),
 }
 
@@ -67,7 +65,6 @@ def _observability_run(
     out: Path,
     knobs: Dict[str, object],
     engine: str = "fast",
-    native: Optional[bool] = None,
 ) -> Dict[str, object]:
     """One instrumented sensitivity run: trace + metrics + stall summary.
 
@@ -119,7 +116,6 @@ def _observability_run(
         recorder=recorder,
         metrics=metrics,
         monitor=monitor,
-        native=native,
     )
     write_chrome(recorder.events, out / "trace.json")
     write_jsonl(recorder.events, out / "trace.jsonl")
@@ -153,7 +149,6 @@ def run_all(
     jobs: Optional[int] = None,
     observe: bool = False,
     engine: Optional[str] = None,
-    native: Optional[bool] = None,
 ) -> Dict[str, str]:
     """Regenerate every artifact; returns {artifact: rendered text}.
 
@@ -173,10 +168,7 @@ def run_all(
     preference — ``vector`` at ``scale=large``/``xlarge``, else
     ``fast``). All engines produce identical numbers, so the choice
     never appears in ``results.json`` and outputs diff clean across
-    engines. ``native`` forwards to the vector engine's fused-kernel
-    tier (ignored by the scalar engines); it is exact, so it never
-    changes ``results.json`` either — only the wall clock.
-    ``native=None`` defers to the scale's preference (on at ``xlarge``).
+    engines.
     """
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {sorted(SCALES)}")
@@ -185,8 +177,6 @@ def run_all(
         engine = str(knobs.get("engine", "fast"))
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {sorted(ENGINES)}")
-    if native is None:
-        native = knobs.get("native")
     say = progress or (lambda _msg: None)
 
     sweep_settings = SweepSettings(
@@ -195,7 +185,6 @@ def run_all(
         ),
         seeds=knobs["seeds"],
         engine=engine,
-        native=native,
     )
     # The microbenchmarks always run the fast engine: they depend on
     # record_access_order and static-shard configurations, which are
@@ -208,7 +197,6 @@ def run_all(
         num_packets=knobs["num_packets"],
         seeds=knobs["seeds"],
         engine=engine,
-        native=native,
     )
 
     artifacts: Dict[str, str] = {}
@@ -256,7 +244,7 @@ def run_all(
         if observe:
             say("observability run (trace + metrics)")
             structured["observability"] = _observability_run(
-                out, knobs, engine=engine, native=native
+                out, knobs, engine=engine
             )
         (out / "results.json").write_text(json.dumps(structured, indent=2))
         say(f"wrote {len(artifacts)} artifacts to {out}/")

@@ -65,7 +65,6 @@ class SweepSettings:
     pattern: str = "uniform"
     max_ticks_factor: int = 40  # safety cap: ticks <= factor * packets / k
     engine: str = "fast"  # dense | fast | vector (see repro.mp5.ENGINES)
-    native: Optional[bool] = None  # vector engine: fused kernel tier
 
 
 def _seed_point(task) -> tuple:
@@ -109,7 +108,6 @@ def _seed_point(task) -> tuple:
             trace,
             config,
             max_ticks=max_ticks,
-            native=settings.native,
         )
         scores.append(stats.throughput_normalized())
     return scores[0], scores[1]

@@ -32,9 +32,10 @@ against each other (``tests/test_fastpath_equivalence.py``,
   columns (:mod:`repro.obs.reconstruct`): a recorder event by event, a
   registry and a monitor one window at a time. Its run
   splits into an exact timing sweep and a service replay
-  (:mod:`repro.mp5.epochs`), which optionally engages the fused native
-  kernel tier (:mod:`repro.compiler.native`, ``native=True``) —
-  byte-identical to the plain NumPy path.
+  (:mod:`repro.mp5.epochs`): wave plans run as NumPy batch kernels,
+  serial plans as one fused per-row kernel
+  (:mod:`repro.compiler.native`) — ``@njit``-compiled when Numba
+  imports, the same source as plain Python otherwise; there is no flag.
 
 Pick one by name through :data:`ENGINES` (the ``--engine`` CLI flag)::
 

@@ -21,7 +21,7 @@ in-flight counters, and every remap decision derived from them.
   performs no stateful service. Once the sweep is done,
   :meth:`EpochStreamer.finalize` snapshots it as an
   :class:`EpochSchedule`, the run's task DAG — per-plan pop streams in
-  epoch order, independent of feed chunking and the native tier.
+  epoch order, independent of feed chunking and of how Phase B executes.
 
 * **Phase B** (:func:`execute_epoch_service`) — replays each epoch's
   step against register state as Phase A emits it; an offline run is
@@ -29,10 +29,14 @@ in-flight counters, and every remap decision derived from them.
   only matters *within* a register slot, and an epoch's pops all exceed
   the previous epoch's cut, so the per-epoch execution visits every
   slot in the scalar engines' global (tick, pipeline) service order.
-  Each epoch chunk admits two executions that are exact by
+  An epoch chunk admits two executions that are exact by
   construction, both in process: the NumPy wave decomposition (PR 5
   semantics) and a fused per-row kernel in service order
-  (:mod:`repro.compiler.native` — Numba-jitted or plain Python).
+  (:mod:`repro.compiler.native`). The code picks between them from
+  what it can observe — no flag: a serial plan always runs the fused
+  kernel (``@njit`` when Numba imports and the stage calls no builtin,
+  the same source as plain Python otherwise); a wave plan runs it only
+  when it is jitted, else the wave decomposition.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..compiler.native import compile_native_stage, native_available
+from ..compiler.native import compile_native_stage
 from ..compiler.tac import Const
 from ..domino.builtins import hash2
 
@@ -87,25 +91,6 @@ class _Group:
         self.count = need
 
 
-class _RegView:
-    """Scalar-JIT-compatible view of an int64 register column: reads
-    come back as Python ints so builtin calls never overflow int64."""
-
-    __slots__ = ("arr",)
-
-    def __init__(self, arr: np.ndarray):
-        self.arr = arr
-
-    def __len__(self) -> int:
-        return self.arr.shape[0]
-
-    def __getitem__(self, i):
-        return int(self.arr[i])
-
-    def __setitem__(self, i, value) -> None:
-        self.arr[i] = value
-
-
 class EpochSchedule:
     """Phase A's output: the timing of one run, service still pending.
 
@@ -137,7 +122,7 @@ class EpochSchedule:
 
     def dag_signature(self) -> str:
         """Digest of the task DAG — everything Phase B consumes. Equal
-        signatures mean equal service work regardless of kernel tier
+        signatures mean equal service work however it is executed
         (the determinism contract's test hook)."""
         digest = hashlib.sha256()
         digest.update(np.int64(self.epochs).tobytes())
@@ -590,21 +575,9 @@ class EpochStreamer:
 # ---------------------------------------------------------------------------
 
 
-def resolve_native_mode(native: Optional[bool]) -> str:
-    """``off`` (default / ``native=False``), ``njit`` (``native=True``
-    with Numba importable) or ``python`` (``native=True`` without it:
-    the fused kernels run as plain Python — same source, same results,
-    visible in ``native_unavailable_reason()``)."""
-    if not native:
-        return "off"
-    return "njit" if native_available() else "python"
-
-
-def _native_kernel(switch, stage: int, track_reg: Optional[str], mode: str):
-    """Fused kernel for one stage, or None when outside the native
-    envelope. Cached on the program object like the vjit kernels."""
-    if mode == "off":
-        return None
+def _fused_kernel(switch, stage: int, track_reg: Optional[str]):
+    """Fused per-row kernel for one stage. Cached on the program object
+    like the vjit kernels."""
     cache = getattr(switch.program, "_native_kernel_cache", None)
     if cache is None:
         cache = {}
@@ -612,28 +585,31 @@ def _native_kernel(switch, stage: int, track_reg: Optional[str], mode: str):
             switch.program._native_kernel_cache = cache
         except AttributeError:
             pass
-    key = (stage, track_reg, mode)
+    key = (stage, track_reg)
     if key not in cache:
-        from ..compiler.native import NativeUnsupported
-
-        try:
-            cache[key] = compile_native_stage(
-                switch._stage_instrs[stage],
-                f"s{stage}",
-                track_reg=track_reg,
-                force_python=(mode == "python"),
-            )
-        except NativeUnsupported:
-            cache[key] = None
+        cache[key] = compile_native_stage(
+            switch._stage_instrs[stage], f"s{stage}", track_reg=track_reg
+        )
     return cache[key]
 
 
-def _native_cols(nkern, H: Dict, E: Dict, R: Dict) -> List[np.ndarray]:
-    return (
+def _fused_service(nkern, rows, H: Dict, E: Dict, R: Dict, mask) -> int:
+    """Run ``rows`` (already in service order) through a fused kernel;
+    returns the wasted-slot count. A tracking kernel reports *which*
+    positions wasted their slot, flagged in ``mask`` when one is given
+    (trace reconstruction)."""
+    cols = (
         [H[f] for f in nkern.fields]
         + [E[t] for t in nkern.temps]
         + [R[r] for r in nkern.regs]
     )
+    if nkern.track_reg is None:
+        return int(nkern.fn(rows, *cols))
+    lane = np.zeros(rows.shape[0], dtype=bool)
+    wasted = int(nkern.fn(rows, lane, *cols))
+    if mask is not None:
+        mask[rows[lane]] = True
+    return wasted
 
 
 def _wave_service(
@@ -683,54 +659,6 @@ def _wave_service(
     return wasted
 
 
-def _serial_rows_service(
-    switch, plan, rows_sorted, H, E, R, mode, mask=None
-):
-    """Serialized rows: pinned arrays, co-staged (multi) arrays,
-    constant or in-stage index expressions. Exact by construction —
-    ``rows_sorted`` is already in (tick, pipeline) service order,
-    executed either as one fused per-row kernel call or as the
-    scalar-JIT dict loop. A ``mask`` (trace reconstruction) forces the
-    dict loop, which knows *which* rows wasted their slot, not just how
-    many."""
-    stage = plan.stage
-    kern = switch._vkernels[stage]
-    track_wasted = plan.conservative and not plan.multi
-    nkern = (
-        _native_kernel(
-            switch, stage, plan.base if track_wasted else None, mode
-        )
-        if mask is None
-        else None
-    )
-    if nkern is not None:
-        return int(nkern.fn(rows_sorted, *_native_cols(nkern, H, E, R))), "njit"
-    fn = switch._vserial_fns[stage]
-    regview = {name: _RegView(arr) for name, arr in R.items()}
-    fields = sorted(kern.fields_read | kern.fields_written)
-    written = sorted(kern.fields_written)
-    temps_in = kern.temps_in
-    temps_out = kern.temps_out
-    wasted = 0
-    for row in rows_sorted.tolist():
-        headers = {f: int(H[f][row]) for f in fields}
-        env = {t: int(E[t][row]) for t in temps_in}
-        if track_wasted:
-            hit: List[str] = []
-            fn(headers, regview, env, lambda reg, i, kind: hit.append(reg))
-            if plan.base not in hit:
-                wasted += 1
-                if mask is not None:
-                    mask[row] = True
-        else:
-            fn(headers, regview, env, None)
-        for f in written:
-            H[f][row] = headers[f]
-        for t in temps_out:
-            E[t][row] = env[t]
-    return wasted, "python"
-
-
 def execute_epoch_service(
     switch,
     streamer: EpochStreamer,
@@ -738,7 +666,6 @@ def execute_epoch_service(
     H: Dict,
     E: Dict,
     R: Dict,
-    native: Optional[bool] = None,
     profiler=None,
     wasted_out: Optional[List[Optional[np.ndarray]]] = None,
 ) -> int:
@@ -749,71 +676,52 @@ def execute_epoch_service(
     (tick, pipeline) service order.
 
     Mutates ``H``/``E``/``R`` in place and returns the step's
-    wasted-slot count. The result is identical — and, once serialized,
-    byte-identical — at every ``native`` setting, including every
-    fallback path. ``profiler`` (a
+    wasted-slot count. ``profiler`` (a
     :class:`~repro.obs.profiler.PhaseProfiler`) receives per-stage
-    kernel-tier timings; ``wasted_out`` is a per-plan list of bool row
-    masks the trace reconstruction needs — plans with a mask run the
-    mask-capable paths (same results, per the exactness contract) and
-    flag the rows whose conservative access wasted a slot.
+    timings tagged with the tier that ran (``njit`` | ``python`` for
+    the fused kernel, ``numpy`` for the wave decomposition);
+    ``wasted_out`` is a per-plan list of bool row masks the trace
+    reconstruction needs — a plan with a mask has the rows whose
+    conservative access wasted a slot flagged in it, by the same
+    executor that runs without one.
     """
     from time import perf_counter
 
     vplans = switch._vplans
-    mode = resolve_native_mode(native)
     wasted = 0
     for pi, rows_p, pops in step:
         plan = vplans[pi]
         mask = wasted_out[pi] if wasted_out is not None else None
         t0 = perf_counter() if profiler is not None else 0.0
         tier = None
-        if plan.category == "wave":
-            got, tier = _service_wave_rows(
-                switch, streamer, pi, plan, rows_p, pops, H, E, R,
-                mode, mask=mask,
-            )
-            wasted += got
-        elif plan.category == "serial":
-            order = rows_p[np.lexsort((streamer.dest[pi][rows_p], pops))]
-            got, tier = _serial_rows_service(
-                switch, plan, order, H, E, R, mode, mask=mask
-            )
-            wasted += got
         # 'none' (flow-order arrays, kernel-free stages): the FIFO
         # timing is the whole effect; nothing to execute.
+        if plan.category != "none":
+            track = plan.conservative and not plan.multi
+            nkern = _fused_kernel(
+                switch, plan.stage, plan.base if track else None
+            )
+            if plan.category == "serial" or nkern.jitted:
+                # Serialized rows (pinned or co-staged arrays, constant
+                # or in-stage indexes) always; a wave plan only when
+                # the kernel is jitted — a plain-Python per-row loop
+                # loses to the wave decomposition on wave-sized chunks.
+                # Epoch-local (tick, pipeline) order; chunks concatenate
+                # to the global service order because pops rise across
+                # epochs.
+                order = rows_p[np.lexsort((streamer.dest[pi][rows_p], pops))]
+                got = _fused_service(nkern, order, H, E, R, mask)
+                tier = "njit" if nkern.jitted else "python"
+            else:
+                idxs = streamer.acc_idx[pi][rows_p]
+                got = _wave_service(
+                    switch._vkernels[plan.stage], H, R, E, plan.base,
+                    plan.conservative, rows_p, idxs, mask,
+                )
+                tier = "numpy"
+            wasted += got
         if profiler is not None and tier is not None:
             profiler.record_kernel(plan.stage, tier, perf_counter() - t0)
         for u in switch._transit_after[pi]:
             switch._vkernels[u].fn(H, R, E, rows_p)
     return wasted
-
-
-def _service_wave_rows(
-    switch, streamer, pi, plan, rows_p, pops, H, E, R, mode, mask=None
-):
-    """One epoch chunk of a wave plan: the fused kernel in the
-    epoch-local service order when it is jitted, else the NumPy wave
-    decomposition."""
-    kern = switch._vkernels[plan.stage]
-    track = plan.base if plan.conservative else None
-    # Per-row wasted-slot capture (trace reconstruction) needs the
-    # NumPy path, which knows which rows lost their lane; the fused
-    # kernels only count. A plain-Python per-row loop loses to the
-    # wave decomposition, so only the jitted tier runs here.
-    nkern = (
-        _native_kernel(switch, plan.stage, track, mode)
-        if mode == "njit" and mask is None
-        else None
-    )
-    if nkern is not None:
-        # Epoch-local (tick, pipeline) order; chunks concatenate to the
-        # global service order because pops rise across epochs.
-        order = rows_p[np.lexsort((streamer.dest[pi][rows_p], pops))]
-        return int(nkern.fn(order, *_native_cols(nkern, H, E, R))), "njit"
-    idxs = streamer.acc_idx[pi][rows_p]
-    wasted = _wave_service(
-        kern, H, R, E, plan.base, plan.conservative, rows_p, idxs,
-        mask=mask,
-    )
-    return wasted, "numpy"

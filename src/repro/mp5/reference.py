@@ -386,7 +386,6 @@ def run_mp5_reference(
     profiler=None,
     faults=None,
     monitor=None,
-    native=None,
 ) -> Tuple[SwitchStats, Dict[str, List[int]]]:
     """Run a trace through the dense reference engine (see module doc).
 

@@ -1318,14 +1318,11 @@ def run_mp5(
     profiler=None,
     faults=None,
     monitor=None,
-    native=None,
 ) -> Tuple[SwitchStats, Dict[str, List[int]]]:
     """Convenience: run a trace through a fresh switch; returns the run
     statistics and the final register state. ``recorder``, ``metrics``,
     ``profiler`` and ``monitor`` are optional :mod:`repro.obs` sinks;
-    ``faults`` an optional :class:`repro.faults.FaultSchedule`.
-    ``native`` is a vector-engine performance knob, accepted (and
-    ignored) so every entry in ``ENGINES`` shares one call signature."""
+    ``faults`` an optional :class:`repro.faults.FaultSchedule`."""
     switch = MP5Switch(program, config)
     if (
         recorder is not None

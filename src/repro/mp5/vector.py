@@ -59,7 +59,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..compiler.jit import compile_instrs
 from ..compiler.tac import Temp
 from ..compiler.vjit import compile_vector_stage
 from ..errors import ConfigError, ReproError
@@ -144,19 +143,11 @@ class VectorSwitch(MP5Switch):
     gates of :func:`config_fallback_reason` are checked here too so
     direct users get the same contract as the CLI."""
 
-    def __init__(
-        self,
-        program,
-        config: Optional[MP5Config] = None,
-        native: Optional[bool] = None,
-    ):
+    def __init__(self, program, config: Optional[MP5Config] = None):
         super().__init__(program, config)
         reason = config_fallback_reason(self.config)
         if reason is not None:
             raise VectorUnsupported(reason)
-        # A performance knob only — either setting produces identical
-        # (byte-identical once serialized) results; see repro.mp5.epochs.
-        self._native = native
         self._streamer: Optional[EpochStreamer] = None
         self._build_vector_plan()
 
@@ -170,24 +161,15 @@ class VectorSwitch(MP5Switch):
         # it on the program object: sweeps construct a fresh switch per
         # run but reuse one compiled program across thousands of runs.
         cache = getattr(self.program, "_vector_kernel_cache", None)
-        if cache is not None and len(cache[0]) == depth:
-            self._vkernels, self._vserial_fns = cache
+        if cache is not None and len(cache) == depth:
+            self._vkernels = cache
         else:
             self._vkernels = [
                 compile_vector_stage(instrs, f"s{i}")
                 for i, instrs in enumerate(self._stage_instrs)
             ]
-            # Scalar fallbacks for serialized stages, independent of
-            # cfg.jit (the vector engine always uses its own compilations).
-            self._vserial_fns = [
-                compile_instrs(instrs, f"vs{i}") if instrs else None
-                for i, instrs in enumerate(self._stage_instrs)
-            ]
             try:
-                self.program._vector_kernel_cache = (
-                    self._vkernels,
-                    self._vserial_fns,
-                )
+                self.program._vector_kernel_cache = self._vkernels
             except AttributeError:
                 pass
         kern0 = self._vkernels[0]
@@ -439,8 +421,7 @@ class VectorSwitch(MP5Switch):
         )
         # Per-row wasted-slot attribution, only when a sink will replay
         # the stream: plans whose conservative access can waste a slot
-        # get a row mask and Phase B runs their mask-capable paths
-        # (identical results by the exactness contract).
+        # get a row mask for Phase B to flag them in.
         self._wmasks = None
         if self._sinks_attached:
             self._wmasks = [
@@ -576,7 +557,6 @@ class VectorSwitch(MP5Switch):
             self._H,
             self._E,
             self._R,
-            native=self._native,
             profiler=self._profiler,
             wasted_out=self._wmasks,
         )
@@ -795,7 +775,6 @@ def try_vector_switch(
     program,
     config: Optional[MP5Config],
     faults_armed: bool,
-    native: Optional[bool],
 ) -> Optional[VectorSwitch]:
     """The construct-time fallback ladder, shared by
     :func:`run_mp5_vector` and the service daemon: a
@@ -812,7 +791,7 @@ def try_vector_switch(
     if config_fallback_reason(config or MP5Config()) is not None:
         return None
     try:
-        return VectorSwitch(program, config, native=native)
+        return VectorSwitch(program, config)
     except VectorUnsupported as exc:
         _warn_unsupported(exc)
         return None
@@ -829,7 +808,6 @@ def run_mp5_vector(
     profiler=None,
     faults=None,
     monitor=None,
-    native: Optional[bool] = None,
 ) -> Tuple[SwitchStats, Dict[str, List[int]]]:
     """Run a trace through the batch engine, falling back to the fast
     engine whenever the vector reduction does not apply.
@@ -845,13 +823,11 @@ def run_mp5_vector(
     :class:`VectorUnsupported` reason — sinks follow the run to the
     fast engine in every fallback. Warnings are deduplicated per run —
     a 1000-cell sweep that falls back prints one line, not 1000 (see
-    :func:`reset_fallback_warnings`). ``native`` selects the
-    fused-kernel tier (:mod:`repro.mp5.epochs`), a pure performance
-    knob. Either way the returned statistics and registers are
-    identical to :func:`~repro.mp5.switch.run_mp5`.
+    :func:`reset_fallback_warnings`). Either way the returned statistics
+    and registers are identical to :func:`~repro.mp5.switch.run_mp5`.
     """
     entries = trace if isinstance(trace, list) else list(trace)
-    switch = try_vector_switch(program, config, faults is not None, native)
+    switch = try_vector_switch(program, config, faults is not None)
     if switch is not None:
         switch.attach_observability(
             recorder=recorder,

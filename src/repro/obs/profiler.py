@@ -12,10 +12,11 @@ the coarser channels instead: :meth:`record_span` for its Phase A
 (the latter described by :meth:`record_sinks`: which sinks were fed,
 over how many windows, with how many invariant predicates),
 :meth:`record_kernel` for per-stage service timings tagged with the
-kernel tier that ran (``njit`` / ``python`` / ``numpy`` / ``scalar``),
-and :meth:`record_epoch` for the epoch boundaries Phase A resolved. All
-of them stay empty on the scalar engines, so their ``to_dict()`` output
-is unchanged.
+tier that ran (``njit`` or ``python`` for the fused per-row kernel,
+from ``kernel.jitted``; ``numpy`` for the wave decomposition), and
+:meth:`record_epoch` for the epoch boundaries Phase A resolved. All of
+them stay empty on the scalar engines, so their ``to_dict()`` output is
+unchanged.
 
 ``report()`` renders the breakdown the CLI prints under ``--profile``.
 """
@@ -122,7 +123,11 @@ class PhaseProfiler:
         return out
 
     def report(self) -> str:
-        """Phase breakdown table, heaviest phase first."""
+        """Phase breakdown table, heaviest phase first; a vector run
+        (spans, no laps) reports through its own sections only."""
+        sections = self._vector_sections()
+        if self.spans and not self.ticks:
+            return "\n\n".join(sections)
         total = self.total_seconds or 1.0
         ticks = self.ticks or 1
         headers = ("phase", "seconds", "share", "us/tick")
@@ -159,10 +164,7 @@ class PhaseProfiler:
             line(["-" * w for w in widths]),
         ]
         out.extend(line(row) for row in rows)
-        for section in self._vector_sections():
-            out.append("")
-            out.append(section)
-        return "\n".join(out)
+        return "\n\n".join(["\n".join(out)] + sections)
 
     def _vector_sections(self) -> List[str]:
         """Vector-engine report sections (empty for scalar runs)."""

@@ -410,7 +410,6 @@ class _EngineAdapter:
                 service.compiled,
                 service.config,
                 schedule is not None and bool(schedule.faults),
-                native=service.native,
             )
             if switch is not None:
                 return "vector", switch
@@ -512,7 +511,6 @@ class SwitchService:
         metrics: bool = True,
         metrics_window: int = 100,
         metrics_retention: Optional[int] = None,
-        native: Optional[bool] = None,
         pump_slice: int = PUMP_SLICE,
         program_name: Optional[str] = None,
     ):
@@ -529,7 +527,6 @@ class SwitchService:
         if metrics_retention is not None and metrics_retention < 2:
             raise ConfigError("metrics_retention must be >= 2 window rows")
         self.metrics_retention = metrics_retention
-        self.native = native
         self.queue_depth = queue_depth
         self.pump_slice = pump_slice
         if program is None:

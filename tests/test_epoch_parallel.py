@@ -1,10 +1,10 @@
-"""The kernel tier must be invisible in results, at any chunk size.
+"""Phase B must be invisible in results, at any chunk size.
 
 Phase A (:class:`repro.mp5.epochs.EpochStreamer`) fixes the run's task
 DAG independently of any stateful service, so the DAG — and every
-downstream artifact — must be identical on any kernel tier. These tests
-pin that contract: schedule determinism, byte-identical
-``results.json`` across ``native`` settings, and the deduplicated
+downstream artifact — is a function of the input alone. These tests pin
+that contract: schedule determinism, stats/registers byte-identical to
+the fast engine's on chunks of thousands of rows, and the deduplicated
 fallback warning.
 
 The default ``remap_period=100`` at k=4 only ever produces epoch chunks
@@ -14,13 +14,14 @@ of a few hundred rows, so the identity tests also run at ``POOL_CONFIG``
 many times — deep wave decompositions, long fused-kernel calls.
 
 There is no intra-run worker pool (docs/simulator.md says why), so the
-last section pins that its knob fails loudly instead of being ignored.
+last section pins that its knob fails loudly instead of being ignored
+(``tests/test_native_kernels.py`` does the same for the executor flag).
 """
 
 import pytest
 
 from repro.cli import main
-from repro.harness.runall import SCALES, run_all
+from repro.harness.runall import SCALES
 from repro.mp5 import MP5Config, VectorSwitch, run_mp5
 from repro.service import SwitchService
 from repro.mp5.vector import _warn_fallback, reset_fallback_warnings
@@ -43,9 +44,9 @@ LONG_EPOCH_CONFIG = MP5Config(remap_period=1500)
 POOL_PACKETS = 12000
 
 
-def _run_switch(num_packets=3000, seed=0, native=None, config=None):
+def _run_switch(num_packets=3000, seed=0, config=None):
     program = make_sensitivity_program(2, 64)
-    switch = VectorSwitch(program, config, native=native)
+    switch = VectorSwitch(program, config)
     switch.attach_observability(profiler=PhaseProfiler())
     stats = switch.run(sensitivity_trace(num_packets, 4, 2, 64, seed=seed))
     return switch, stats
@@ -60,15 +61,6 @@ def test_dag_signature_deterministic_across_runs():
     a, _ = _run_switch()
     b, _ = _run_switch()
     assert a._last_schedule.dag_signature() == b._last_schedule.dag_signature()
-
-
-def test_dag_signature_independent_of_native_tier():
-    base, _ = _run_switch()
-    native, _ = _run_switch(native=True)
-    assert (
-        native._last_schedule.dag_signature()
-        == base._last_schedule.dag_signature()
-    )
 
 
 def test_dag_signature_varies_with_input():
@@ -104,32 +96,12 @@ def _check_workers_and_tiers(config):
     )
     assert base_stats == scalar_stats  # wasted_slots included
     assert base_regs == scalar_regs
-    switch, stats = _run_switch(POOL_PACKETS, config=config, native=True)
-    assert stats == base_stats
-    assert dict(switch.registers) == base_regs
-    assert (
-        switch._last_schedule.dag_signature()
-        == base_switch._last_schedule.dag_signature()
-    )
-
-
-def test_runall_results_identical_across_epoch_settings(tmp_path):
-    paths = {}
-    for name, kwargs in (
-        ("base", dict()),
-        ("native", dict(native=True)),
-    ):
-        out = tmp_path / name
-        run_all(out_dir=str(out), scale="tiny", engine="vector", **kwargs)
-        paths[name] = (out / "results.json").read_bytes()
-    assert len(set(paths.values())) == 1
 
 
 def test_xlarge_scale_defined():
     knobs = SCALES["xlarge"]
     assert knobs["num_packets"] == 1_000_000
     assert knobs["engine"] == "vector"
-    assert knobs["native"] is True
     assert knobs["sensitivity_packets"] < knobs["num_packets"]
 
 

@@ -6,7 +6,14 @@ from repro.banzai import run_reference
 from repro.compiler import BanzaiTarget, compile_program
 from repro.domino import program_names
 from repro.equivalence import check_equivalence
-from repro.mp5 import MP5Config, MP5Switch, run_mp5
+from repro.mp5 import (
+    FLOW_ORDER_ARRAY,
+    MP5Config,
+    MP5Switch,
+    VectorSwitch,
+    run_mp5,
+    run_mp5_reference,
+)
 from repro.workloads import (
     FlowWorkload,
     clone_packets,
@@ -142,6 +149,59 @@ class TestWholeProgramSuite:
         trace = workload.generate(400)
         report = check_equivalence(program, trace, MP5Config(num_pipelines=4))
         assert report.equivalent, name
+
+
+#: Every value is a 32-bit two's-complement int (docs/language.md), so
+#: a literal or initialiser outside that range wraps where it enters
+#: the compiler: 4294967297 is 1, 2**70 is 0. name -> (source, final
+#: registers after 50 packets).
+OUT_OF_RANGE_LITERALS = {
+    "divisor": (
+        "struct Packet { int x; };\nint count = 0;\n"
+        "void func(struct Packet p) { count = count / 4294967297 + 1; }",
+        {"count": [50]},
+    ),
+    "select_arm": (
+        "struct Packet { int x; };\nint count = 0;\n"
+        "void func(struct Packet p) "
+        "{ count = (count > 5) ? 4294967297 : count + 1; }",
+        {"count": [2]},
+    ),
+    "initialiser": (
+        "struct Packet { int x; };\n"
+        "int count = 1180591620717411303424;\n"
+        "int seen[4] = {1180591620717411303425};\n"
+        "void func(struct Packet p) { seen[p.x] = seen[p.x] + count; "
+        "count = count + 1180591620717411303427; p.x = count; }",
+        {"count": [150], "seen": [919, 442, 1072, 1246]},
+    ),
+}
+
+
+class TestOutOfRangeLiterals:
+    @pytest.mark.parametrize("name", sorted(OUT_OF_RANGE_LITERALS))
+    def test_one_answer_on_every_engine_and_banzai(self, name):
+        source, expected = OUT_OF_RANGE_LITERALS[name]
+        program = compile_program(source, name=name)
+        config = MP5Config(num_pipelines=2)
+
+        def trace():
+            return line_rate_trace(
+                50, 2, lambda r, i: {"x": int(r.integers(0, 8))}, seed=1
+            )
+
+        switch = VectorSwitch(program, config)  # no fallback permitted
+        vec_stats = switch.run(trace())
+        vec_regs = {
+            reg: values
+            for reg, values in switch.registers.items()
+            if reg != FLOW_ORDER_ARRAY
+        }
+        assert vec_regs == expected
+        for runner in (run_mp5, run_mp5_reference):
+            assert runner(program, trace(), config) == (vec_stats, vec_regs)
+        report = check_equivalence(program, trace(), config)
+        assert report.equivalent, f"{name}:\n{report.summary()}"
 
 
 class TestTargetVariations:

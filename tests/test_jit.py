@@ -11,7 +11,7 @@ from repro.mp5 import MP5Config, run_mp5
 from repro.workloads import clone_packets, line_rate_trace
 
 from .test_fuzz_equivalence import FIELDS, random_program
-from .test_integration import HEADER_GENERATORS
+from .test_integration import HEADER_GENERATORS, OUT_OF_RANGE_LITERALS
 
 
 def run_interpreted(program, headers, registers, env):
@@ -92,6 +92,22 @@ class TestSemanticEquivalence:
             run_interpreted(program, ha, program.make_register_store(), {})
             run_jitted(program, hb, program.make_register_store(), {})
             assert ha == hb, x
+
+    @pytest.mark.parametrize("name", sorted(OUT_OF_RANGE_LITERALS))
+    def test_out_of_range_literals_read_as_the_interpreter_reads(self, name):
+        source, _expected = OUT_OF_RANGE_LITERALS[name]
+        program = compile_program(source, name=name)
+        regs_a = program.make_register_store()
+        regs_b = program.make_register_store()
+        for x in range(12):
+            ha, hb = {"x": x}, {"x": x}
+            run_interpreted(program, ha, regs_a, {})
+            run_jitted(program, hb, regs_b, {})
+            assert ha == hb, x
+        assert regs_a == regs_b
+        assert all(
+            -(2**31) <= v < 2**31 for values in regs_a.values() for v in values
+        )
 
     def test_division_semantics_preserved(self):
         source = (

@@ -66,10 +66,9 @@ class TestRunAll:
         # stream so they don't dominate the wall clock.
         assert SCALES["large"]["engine"] == "vector"
         assert SCALES["large"]["micro_packets"] < SCALES["large"]["num_packets"]
-        # xlarge is the million-packet native tier; the Figure 7 sweeps
+        # xlarge is the million-packet tier; the Figure 7 sweeps
         # stay at 50k (their cost scales with the pipeline sweep).
         assert SCALES["xlarge"]["engine"] == "vector"
-        assert SCALES["xlarge"]["native"] is True
         assert (
             SCALES["xlarge"]["sensitivity_packets"]
             < SCALES["xlarge"]["num_packets"]

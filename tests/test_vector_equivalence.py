@@ -349,7 +349,6 @@ def _stream_vector(
     trace,
     config,
     chunk,
-    native=None,
     monitor=None,
     metrics=None,
     profiler=None,
@@ -357,7 +356,7 @@ def _stream_vector(
 ):
     """Feed ``trace`` in ``chunk``-sized batches with a watermark-gated
     pump after every feed — the exact loop the service daemon runs."""
-    switch = VectorSwitch(program, config, native=native)
+    switch = VectorSwitch(program, config)
     switch.attach_observability(
         metrics=metrics, monitor=monitor, profiler=profiler
     )
@@ -392,26 +391,6 @@ def test_vector_streaming_matches_batch(chunk):
         program, sensitivity_trace(600, 4, 4, 64, seed=0), config, chunk
     )
     assert switch.stream_stats()["epochs_serviced"] > 0
-    assert _snapshot(switch, stats) == ref
-
-
-@pytest.mark.parametrize("knobs", [dict(native=True)], ids=["native"])
-def test_vector_streaming_matches_batch_native_and_jobs(knobs):
-    """The native kernel tier is a performance knob only — streamed
-    execution with it on still equals the plain batch run."""
-    program = make_sensitivity_program(num_stateful=4, register_size=64)
-    config = MP5Config(num_pipelines=4, remap_period=3)
-
-    batch = VectorSwitch(program, config)
-    ref = _snapshot(batch, batch.run(sensitivity_trace(600, 4, 4, 64, seed=0)))
-
-    switch, stats = _stream_vector(
-        program,
-        sensitivity_trace(600, 4, 4, 64, seed=0),
-        config,
-        chunk=64,
-        **knobs,
-    )
     assert _snapshot(switch, stats) == ref
 
 

@@ -11,7 +11,7 @@ module pins down:
   ordering, max_ticks cuts),
 * the metrics registry rolls identical windowed series and histograms,
 * the invariant monitor sees the same alert stream (zero on fault-free
-  runs) and health verdict at every ``native`` setting,
+  runs) and health verdict on both Phase B executors,
 * attaching sinks never changes the results (stats + registers), and
 * the profiler's vector channels (phase spans, kernel tiers, epochs)
   populate and surface through ``trace-summary``.
@@ -23,6 +23,7 @@ import pytest
 
 from repro.apps import ALL_APPS
 from repro.cli import main
+from repro.compiler.native import native_available
 from repro.errors import ConfigError
 from repro.harness.runall import SCALES, _observability_run
 from repro.mp5 import (
@@ -163,24 +164,37 @@ def test_trace_parity_empty_trace():
 
 
 # ---------------------------------------------------------------------------
-# Monitor parity across acceleration tiers
+# Monitor parity across Phase B executors
 # ---------------------------------------------------------------------------
 
 
+def _conga_inputs():
+    app = ALL_APPS["conga"]
+    config = MP5Config(num_pipelines=4)
+    return app.compile(), (lambda: app.workload(250, 4, seed=0)), config
+
+
 @pytest.mark.parametrize(
-    "native", (None, True), ids=("serial-numpy", "serial-native")
+    "inputs, fused",
+    ((_sensitivity_inputs, False), (_conga_inputs, True)),
+    ids=("serial-numpy", "serial-native"),
 )
-def test_monitor_zero_alerts_every_tier(native):
+def test_monitor_zero_alerts_every_tier(inputs, fused):
     """Fault-free vector runs stay alert-free — and byte-identical to
-    the fast engine — on either kernel tier."""
-    program, mk, config = _sensitivity_inputs()
-    vec = _run_observed(
-        run_mp5_vector, program, mk(), config, native=native
-    )
+    the fast engine — on either executor: the NumPy wave decomposition
+    (the all-wave sensitivity program) and the fused per-row kernel
+    (``conga``'s serial plan)."""
+    program, mk, config = inputs()
+    vec = _run_observed(run_mp5_vector, program, mk(), config, profile=True)
     fast = _run_observed(run_mp5, program, mk(), config)
     _assert_parity(vec, fast)
     assert vec["alerts"] == []
     assert vec["health"]["verdict"] == "ok"
+    tiers = {k["tier"] for k in vec["profiler"].kernels.values()}
+    if fused:
+        assert tiers == {"njit" if native_available() else "python"}
+    elif not native_available():
+        assert tiers == {"numpy"}
 
 
 def test_results_identical_with_observability_on_and_off():
@@ -260,17 +274,35 @@ def test_cli_trace_summary_epoch_section(tmp_path, capsys):
     assert "Service kernel tiers" in out
 
 
+def test_cli_profile_names_the_tier_that_ran(capsys):
+    """``--profile`` reads the tier off the kernel that ran (``njit``
+    only where Numba compiled it) and a vector run prints no empty
+    fast-path table."""
+    assert main(
+        ["run", "conga", "--packets", "200", "--engine", "vector",
+         "--profile"]
+    ) == 0
+    out = capsys.readouterr().out
+    assert ("tier=njit" in out) == native_available()
+    assert ("tier=python" in out) != native_available()
+    assert "Fast-path phase breakdown" not in out
+
+
 def test_cli_trace_summary_ignores_recorded_pool_block(tmp_path, capsys):
     """A trace recorded by an earlier ``--epoch-jobs`` run carries a
-    ``profiler.pool`` block and ``pool``-tier kernels; the key is
-    ignored and every remaining section still renders."""
+    ``profiler.pool`` block and ``pool``-tier kernels (and ``python``
+    meant the per-packet dict loop then); the key is ignored and every
+    remaining section still renders."""
     trace_path = tmp_path / "pooled.jsonl"
     profiler = {
         "ticks": 0,
         "seconds": {},
         "total_seconds": 0.0,
         "spans": {"phase_a": 0.02, "phase_b": 0.05},
-        "kernels": {"s1": {"tier": "pool", "seconds": 0.04, "calls": 2}},
+        "kernels": {
+            "s1": {"tier": "pool", "seconds": 0.04, "calls": 2},
+            "s2": {"tier": "python", "seconds": 0.01, "calls": 2},
+        },
         "pool": {"shared_bytes": 786432, "tasks": 4, "workers": 2},
         "epochs": [{"epoch": 0, "start": 0, "end": 1500, "remap_moves": 3}],
     }
@@ -281,7 +313,8 @@ def test_cli_trace_summary_ignores_recorded_pool_block(tmp_path, capsys):
     assert "Vector epochs (1 resolved)" in out
     assert "Phase split" in out
     assert "Service kernel tiers" in out
-    assert "pool" in out  # the recorded tier is still shown as recorded
+    # The recorded tiers are still shown as recorded.
+    assert "pool" in out and "python" in out
     assert "Epoch pool" not in out and "shared_bytes" not in out
 
 
