@@ -75,7 +75,7 @@ from .obs import (
     write_jsonl,
 )
 from .obs.health import VERDICT_VIOLATED
-from .workloads import line_rate_trace
+from .workloads import line_rate_trace, random_headers
 
 
 def _load_ast(spec: str):
@@ -85,20 +85,6 @@ def _load_ast(spec: str):
         analyze(ast)
         return ast
     return get_program(spec)
-
-
-def _random_headers(program):
-    """Generic header generator: every field uniform over a small range.
-
-    Good enough for smoke runs; real experiments use the workload
-    generators in :mod:`repro.workloads`.
-    """
-    fields = list(program.packet_fields)
-
-    def gen(rng: np.random.Generator, _i: int):
-        return {f: int(rng.integers(0, 256)) for f in fields}
-
-    return gen
 
 
 def cmd_programs(_args) -> int:
@@ -139,7 +125,7 @@ def cmd_run(args) -> int:
     trace = line_rate_trace(
         args.packets,
         args.pipelines,
-        _random_headers(compiled),
+        random_headers(compiled),
         packet_size=args.packet_size,
         seed=args.seed,
     )
@@ -295,42 +281,10 @@ def cmd_export_metrics(args) -> int:
     return 0
 
 
-def _top_poll_loop(client, model, lock, args, stop, draw):
-    """Cursor-polling fallback when SSE is unavailable: the same
-    documents, fetched with ``?since=`` cursors on the draw interval."""
-    from .service.client import ServiceClientError
-
-    metrics_cursor, alerts_cursor, segment = -1, 0, None
-    while not stop.is_set():
-        try:
-            status = client.status()
-            snap = client.metrics(metrics_cursor)
-            seg = snap.get("segment_index")
-            if seg != segment and segment is not None and seg is not None:
-                metrics_cursor = -1
-                snap = client.metrics(metrics_cursor)
-            segment = seg if seg is not None else segment
-            window = client.alerts(alerts_cursor)
-            health = client.health()
-        except (ServiceClientError, OSError):
-            break  # daemon gone
-        with lock:
-            model.apply_status(status)
-            model.apply_metrics(snap)
-            model.apply_alerts(window)
-            model.apply_health(health)
-        engine = snap.get("engine")
-        if engine is not None:
-            metrics_cursor = engine["cursor"]
-        alerts_cursor = window["cursor"]
-        draw()
-        stop.wait(args.interval)
-
-
 def cmd_top(args) -> int:
-    """``top``: live dashboard over a serving daemon (SSE push, falling
-    back to cursor polling), or a one-shot render of recorded
-    ``metrics.json``/``alerts.jsonl`` artifacts with ``--metrics``."""
+    """``top``: live dashboard over a serving daemon (SSE push), or a
+    one-shot render of recorded ``metrics.json``/``alerts.jsonl``
+    artifacts with ``--metrics``."""
     import threading
     import time
 
@@ -373,7 +327,6 @@ def cmd_top(args) -> int:
 
     lock = threading.Lock()
     stop = threading.Event()  # daemon ended (SSE end frame / conn lost)
-    degraded = threading.Event()  # SSE unsupported: fall back to polling
 
     def draw():
         with lock:
@@ -387,9 +340,8 @@ def cmd_top(args) -> int:
                 with lock:
                     apply(payload)
         except (ServiceClientError, OSError):
-            degraded.set()
-        else:
-            stop.set()
+            pass  # the daemon went away: the same exit as ``event: end``
+        stop.set()
 
     stream_poll = max(0.01, args.interval / 2)
     feeds = [
@@ -404,12 +356,9 @@ def cmd_top(args) -> int:
         for thread in threads:
             thread.start()
         while not stop.is_set():
-            if degraded.is_set():
-                _top_poll_loop(client, model, lock, args, stop, draw)
-                break
             draw()
             time.sleep(args.interval)
-        draw()  # final state (daemon shut down or poll loop ended)
+        draw()  # final state: the daemon shut down or went away
     except KeyboardInterrupt:
         pass
     finally:
@@ -423,7 +372,7 @@ def cmd_equiv(args) -> int:
     trace = line_rate_trace(
         args.packets,
         args.pipelines,
-        _random_headers(compiled),
+        random_headers(compiled),
         packet_size=args.packet_size,
         seed=args.seed,
     )
@@ -820,8 +769,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "top",
-        help="live terminal dashboard over a serving daemon (SSE push "
-        "with cursor-polling fallback), or a recorded artifact pair",
+        help="live terminal dashboard over a serving daemon (SSE push), "
+        "or a recorded artifact pair",
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8585)

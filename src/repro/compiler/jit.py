@@ -240,17 +240,14 @@ def compile_instrs(
     return fn
 
 
-def compile_operand_reader(
-    operand, env_keyed_by_name: bool = True
-) -> Callable[[Dict], int]:
+def compile_operand_reader(operand) -> Callable[[Dict], int]:
     """Compile one TAC operand into a reusable ``env -> value`` reader.
 
     The simulator's address-resolution stage evaluates the same guard and
     index operands for every packet; building the reader once at switch
     construction (instead of closing over each packet's ``env``) keeps
-    the per-packet fast path allocation-free. ``env_keyed_by_name``
-    selects the JIT environment convention (temps keyed by name) versus
-    the interpreter's (temps keyed by :class:`Temp`).
+    the per-packet fast path allocation-free. The ``env`` is the
+    compiled stage functions' (temps keyed by name).
     """
     if isinstance(operand, Const):
         value = operand.value
@@ -259,9 +256,7 @@ def compile_operand_reader(
             return _value
 
         return read_const
-    key = operand.name if env_keyed_by_name else operand
-
-    def read_temp(env, _key=key):
+    def read_temp(env, _key=operand.name):
         return env[_key]
 
     return read_temp

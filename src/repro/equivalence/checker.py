@@ -24,7 +24,7 @@ from ..errors import EquivalenceError
 from ..mp5.config import MP5Config
 from ..mp5.packet import DataPacket
 from ..mp5.stats import SwitchStats, c1_violations
-from ..mp5.switch import MP5Switch
+from ..mp5.switch import MP5Switch, run_scalar
 from ..workloads.traffic import clone_packets, reference_trace
 
 
@@ -218,9 +218,10 @@ def check_degraded(
     """Run ``trace`` under a fault schedule and audit the degraded
     contract (survivor C1 + drop accounting; see :class:`DegradedReport`).
 
-    ``engine`` selects ``"fast"`` (:class:`~repro.mp5.switch.MP5Switch`)
-    or ``"reference"`` (the dense engine) — the differential fault tests
-    run both and additionally require identical stats/registers/events.
+    ``engine`` is a scalar :data:`repro.mp5.ENGINES` name — ``"fast"``
+    (:class:`~repro.mp5.switch.MP5Switch`) or ``"dense"`` (the
+    reference engine); the differential fault tests run both and
+    additionally require identical stats/registers/events.
     With ``monitor`` (default) an :class:`~repro.obs.monitor.
     InvariantMonitor` streams alongside the run and its verdict feeds
     ``contract_holds`` — the post-hoc audit and the online checks must
@@ -231,16 +232,14 @@ def check_degraded(
 
     config = config or MP5Config()
     packets = clone_packets(trace)
-    switch_cls = {"fast": MP5Switch, "reference": ReferenceSwitch}.get(engine)
+    switch_cls = {"fast": MP5Switch, "dense": ReferenceSwitch}.get(engine)
     if switch_cls is None:
         raise EquivalenceError(f"unknown engine {engine!r}")
-    switch = switch_cls(program, config)
-    if faults is not None:
-        switch.attach_faults(faults)
     live_monitor = InvariantMonitor() if monitor else None
-    if live_monitor is not None:
-        switch.attach_observability(monitor=live_monitor)
-    stats = switch.run(packets, max_ticks=max_ticks, record_access_order=True)
+    stats, _registers = run_scalar(
+        switch_cls, program, packets, config, max_ticks=max_ticks,
+        record_access_order=True, faults=faults, monitor=live_monitor,
+    )
 
     dropped_ids = {pkt.pkt_id for pkt in packets if pkt.dropped}
     violations = 0

@@ -71,3 +71,12 @@ class EquivalenceError(ReproError):
     def __init__(self, message: str, report=None):
         super().__init__(message)
         self.report = report
+
+
+class ServiceError(ReproError):
+    """A control-plane request the service rejects; carries the HTTP
+    status the control plane should answer with."""
+
+    def __init__(self, message: str, status: int = 400):
+        super().__init__(message)
+        self.status = status

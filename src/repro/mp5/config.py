@@ -41,11 +41,6 @@ class MP5Config:
     ecn_threshold: Optional[int] = None  # mark packets once a queue hits this
     phantom_loss_rate: float = 0.0  # fault injection: P(phantom lost in flight)
     record_crossbar: bool = False  # collect crossbar telemetry (slower)
-    # Execute stage programs through the TAC-to-Python compiler (~5x
-    # faster than the instruction interpreter; semantics verified against
-    # it by the test suite). The single-pipeline reference always uses
-    # the interpreter, so equivalence checks cross-validate the JIT.
-    jit: bool = True
     flow_order_field: Optional[str] = None  # header used for the dummy
     flow_order_size: int = 1024  # ...final-stage ordering state (§3.4)
     # Teleport the tick counter across stretches where no stage holds

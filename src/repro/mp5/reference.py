@@ -22,13 +22,13 @@ from __future__ import annotations
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..compiler.codegen import CompiledProgram
-from ..compiler.tac import Const, TacEvaluator
+from ..compiler.tac import Const
 from ..domino.builtins import hash2
 from .config import MP5Config
 from .fifo import IdealOrderBuffer
 from .packet import DataPacket, PhantomPacket, StateAccess
 from .stats import SwitchStats
-from .switch import FLOW_ORDER_ARRAY, MP5Switch, TraceEntry
+from .switch import FLOW_ORDER_ARRAY, MP5Switch, TraceEntry, run_scalar
 
 
 def _slot_data_occupancy(fifo) -> int:
@@ -60,20 +60,14 @@ class ReferenceSwitch(MP5Switch):
     def _run_resolution(self, headers, registers, env):
         """Execute the stage-0 (address resolution) program against the
         given state and return an operand-value reader."""
-        if self._stage_fns is not None:
-            fn = self._stage_fns[0]
-            if fn is not None:
-                fn(headers, registers, env, None)
+        self._run_stage0(headers, registers, env)
 
-            def value(operand):
-                if isinstance(operand, Const):
-                    return operand.value
-                return env[operand.name]
+        def value(operand):
+            if isinstance(operand, Const):
+                return operand.value
+            return env[operand.name]
 
-            return value
-        evaluator = TacEvaluator(headers, registers, env)
-        evaluator.run(self._stage_instrs[0])
-        return evaluator.value
+        return value
 
     def _choose_entry_pipe(self, pkt: DataPacket) -> int:
         if self.config.spray_policy != "affinity":
@@ -379,13 +373,7 @@ def run_mp5_reference(
     program: CompiledProgram,
     trace: Iterable[TraceEntry],
     config: Optional[MP5Config] = None,
-    max_ticks: Optional[int] = None,
-    record_access_order: bool = False,
-    recorder=None,
-    metrics=None,
-    profiler=None,
-    faults=None,
-    monitor=None,
+    **run_args,
 ) -> Tuple[SwitchStats, Dict[str, List[int]]]:
     """Run a trace through the dense reference engine (see module doc).
 
@@ -393,27 +381,7 @@ def run_mp5_reference(
     (``recorder``), so differential tests can diff traces too; the
     profiler is accepted for interface parity but the dense ``_step``
     is not phase-timed. ``faults`` attaches a
-    :class:`repro.faults.FaultSchedule`, as in :func:`run_mp5`.
+    :class:`repro.faults.FaultSchedule`; every keyword is
+    :func:`~repro.mp5.switch.run_mp5`'s.
     """
-    switch = ReferenceSwitch(program, config)
-    if (
-        recorder is not None
-        or metrics is not None
-        or profiler is not None
-        or monitor is not None
-    ):
-        switch.attach_observability(
-            recorder=recorder, metrics=metrics, profiler=profiler,
-            monitor=monitor,
-        )
-    if faults is not None:
-        switch.attach_faults(faults)
-    stats = switch.run(
-        trace, max_ticks=max_ticks, record_access_order=record_access_order
-    )
-    registers = {
-        name: values
-        for name, values in switch.registers.items()
-        if name != FLOW_ORDER_ARRAY
-    }
-    return stats, registers
+    return run_scalar(ReferenceSwitch, program, trace, config, **run_args)

@@ -47,13 +47,13 @@ statistics and register state between the two.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
+from functools import partial
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..compiler.codegen import CompiledProgram
 from ..compiler.jit import compile_operand_reader
-from ..compiler.tac import TacEvaluator
 from ..domino.builtins import hash2
 from ..errors import ConfigError
 from .config import MP5Config
@@ -206,13 +206,8 @@ class MP5Switch:
             stage.instrs if idx < program.stage_count else []
             for idx, stage in enumerate(program.stages)
         ] + [[] for _ in range(self.depth - program.stage_count)]
-        if cfg.jit:
-            compiled = program.jit_stage_functions()
-            self._stage_fns = list(compiled) + [None] * (
-                self.depth - len(compiled)
-            )
-        else:
-            self._stage_fns = None
+        compiled = program.jit_stage_functions()
+        self._stage_fns = list(compiled) + [None] * (self.depth - len(compiled))
 
         # Fast-path state. ``_seated`` holds the occupied (pipe, stage)
         # slots with stage >= 1, sorted; ``_per_pipe`` is a reusable
@@ -246,7 +241,6 @@ class MP5Switch:
             tail -= 1
         self._tail_start = tail
         self._egress_mail: Dict[int, List[DataPacket]] = {}
-        env_by_name = cfg.jit
         # (stage, base_name, guard_read, index_read, size, conservative,
         #  access_label, is_multi)
         self._resolution_plans: List[Tuple] = []
@@ -254,12 +248,12 @@ class MP5Switch:
             if len(group) == 1:
                 plan = group[0]
                 guard_read = (
-                    compile_operand_reader(plan.guard_operand, env_by_name)
+                    compile_operand_reader(plan.guard_operand)
                     if plan.guard_operand is not None and plan.guard_resolvable
                     else None
                 )
                 index_read = (
-                    compile_operand_reader(plan.index_operand, env_by_name)
+                    compile_operand_reader(plan.index_operand)
                     if plan.index_operand is not None and plan.shardable
                     else None
                 )
@@ -380,6 +374,55 @@ class MP5Switch:
 
         self._faults = FaultInjector(schedule, self.config.num_pipelines)
 
+    def _metric_sources(self) -> List[Tuple[str, bool, Callable[[], int]]]:
+        """``(name, cumulative, read)`` of every pull sampler the switch
+        publishes, in registration order. This list is the sampler
+        schema: the scalar engines register each ``read`` as is, and
+        the vector engine registers the same names in the same order
+        over the columns it fills per window
+        (:func:`repro.obs.reconstruct.feed_window_sinks`) — which is
+        what keeps the registries' serialised forms byte-identical."""
+        stats = self.stats
+        fifos = list(self.fifos.values())
+
+        def depths():
+            return [f.data_occupancy() for f in fifos]
+
+        sources = [
+            (name, True, partial(getattr, stats, name))
+            for name in (
+                "egressed",
+                "dropped",
+                "steering_moves",
+                "remap_moves",
+                "phantoms_generated",
+                "phantoms_lost",
+                "ecn_marked",
+                "wasted_slots",
+            )
+        ]
+        sources += [
+            ("queue_depth_max", False, lambda: max(depths(), default=0)),
+            ("queue_depth_total", False, lambda: sum(depths())),
+            ("fifo_drops_full", True, lambda: sum(f.drops_full for f in fifos)),
+            (
+                "fifo_drops_no_phantom",
+                True,
+                lambda: sum(f.drops_no_phantom for f in fifos),
+            ),
+        ]
+        sources += [
+            (f"queue_depth.p{pipe}.s{stage}", False, fifo.data_occupancy)
+            for (pipe, stage), fifo in self.fifos.items()
+        ]
+        sources.append(("sharder_moves", True, self.sharder.total_moves))
+        if self.crossbar is not None:
+            crossbar = self.crossbar
+            sources.append(
+                ("crossbar_crossings", True, lambda: crossbar.total_crossings)
+            )
+        return sources
+
     def _register_metric_sources(self, metrics, latency: bool = True) -> None:
         """Publish the switch's components into the registry as pull
         samplers: their existing cumulative counters are read once per
@@ -387,55 +430,19 @@ class MP5Switch:
         registers everything except the per-egress latency histogram
         (used by the monitor's private registry, which must not steal
         the hot-path histogram shortcut from an attached registry)."""
-        stats = self.stats
-        for name in (
-            "egressed",
-            "dropped",
-            "steering_moves",
-            "remap_moves",
-            "phantoms_generated",
-            "phantoms_lost",
-            "ecn_marked",
-            "wasted_slots",
-        ):
-            metrics.add_sampler(
-                name, (lambda s=stats, n=name: getattr(s, n)), cumulative=True
-            )
-        fifos = list(self.fifos.values())
-        metrics.add_sampler(
-            "queue_depth_max",
-            lambda: max((f.data_occupancy() for f in fifos), default=0),
-        )
-        metrics.add_sampler(
-            "queue_depth_total",
-            lambda: sum(f.data_occupancy() for f in fifos),
-        )
-        metrics.add_sampler(
-            "fifo_drops_full",
-            lambda: sum(f.drops_full for f in fifos),
-            cumulative=True,
-        )
-        metrics.add_sampler(
-            "fifo_drops_no_phantom",
-            lambda: sum(f.drops_no_phantom for f in fifos),
-            cumulative=True,
-        )
-        for (pipe, stage), fifo in self.fifos.items():
-            metrics.add_sampler(
-                f"queue_depth.p{pipe}.s{stage}",
-                (lambda f=fifo: f.data_occupancy()),
-            )
-        metrics.add_sampler(
-            "sharder_moves", self.sharder.total_moves, cumulative=True
-        )
-        if self.crossbar is not None:
-            metrics.add_sampler(
-                "crossbar_crossings",
-                (lambda c=self.crossbar: c.total_crossings),
-                cumulative=True,
-            )
+        for name, cumulative, read in self._metric_sources():
+            metrics.add_sampler(name, read, cumulative=cumulative)
         if latency:
             self._metrics_latency = metrics.histogram("latency")
+
+    def public_registers(self) -> Dict[str, List[int]]:
+        """The program's register arrays — what a run returns: every
+        array but the engine's own flow-order bookkeeping."""
+        return {
+            name: values
+            for name, values in self.registers.items()
+            if name != FLOW_ORDER_ARRAY
+        }
 
     def run(
         self,
@@ -974,12 +981,9 @@ class MP5Switch:
         """Execute the stage-0 (address resolution) program against the
         given state; operand values land in ``env`` for the precompiled
         readers in ``_resolution_plans``."""
-        if self._stage_fns is not None:
-            fn = self._stage_fns[0]
-            if fn is not None:
-                fn(headers, registers, env, None)
-        else:
-            TacEvaluator(headers, registers, env).run(self._stage_instrs[0])
+        fn = self._stage_fns[0]
+        if fn is not None:
+            fn(headers, registers, env, None)
 
     def _choose_entry_pipe(self, pkt: DataPacket) -> int:
         """Entry pipeline per the spray policy (§3.1 D1 or the affinity
@@ -1231,15 +1235,9 @@ class MP5Switch:
             if logger is not None:
                 self._accessed_arrays.clear()
                 self._service_pkt_id = pkt.pkt_id
-            if self._stage_fns is not None:
-                fn = self._stage_fns[stage]
-                if fn is not None:
-                    fn(pkt.headers, self.registers, pkt.env, logger)
-            else:
-                evaluator = TacEvaluator(
-                    pkt.headers, self.registers, pkt.env, on_access=logger
-                )
-                evaluator.run(instrs)
+            fn = self._stage_fns[stage]
+            if fn is not None:
+                fn(pkt.headers, self.registers, pkt.env, logger)
 
         # Inline access_at_stage; the linear fallback only triggers for
         # packets whose access table was never frozen (reference engine).
@@ -1307,41 +1305,41 @@ class MP5Switch:
                 self.sharder.note_completed(access.array, access.index)
 
 
-def run_mp5(
+def run_scalar(
+    switch_cls,
     program: CompiledProgram,
     trace: Iterable[TraceEntry],
     config: Optional[MP5Config] = None,
     max_ticks: Optional[int] = None,
     record_access_order: bool = False,
-    recorder=None,
-    metrics=None,
-    profiler=None,
     faults=None,
-    monitor=None,
+    **sinks,
 ) -> Tuple[SwitchStats, Dict[str, List[int]]]:
-    """Convenience: run a trace through a fresh switch; returns the run
-    statistics and the final register state. ``recorder``, ``metrics``,
-    ``profiler`` and ``monitor`` are optional :mod:`repro.obs` sinks;
-    ``faults`` an optional :class:`repro.faults.FaultSchedule`."""
-    switch = MP5Switch(program, config)
-    if (
-        recorder is not None
-        or metrics is not None
-        or profiler is not None
-        or monitor is not None
-    ):
-        switch.attach_observability(
-            recorder=recorder, metrics=metrics, profiler=profiler,
-            monitor=monitor,
-        )
+    """Run a trace through a fresh ``switch_cls`` (:class:`MP5Switch`
+    or the dense :class:`~repro.mp5.reference.ReferenceSwitch`) — the
+    one body behind :func:`run_mp5` and
+    :func:`~repro.mp5.reference.run_mp5_reference`. ``sinks`` are
+    :meth:`MP5Switch.attach_observability`'s keywords."""
+    switch = switch_cls(program, config)
+    switch.attach_observability(**sinks)
     if faults is not None:
         switch.attach_faults(faults)
     stats = switch.run(
         trace, max_ticks=max_ticks, record_access_order=record_access_order
     )
-    registers = {
-        name: values
-        for name, values in switch.registers.items()
-        if name != FLOW_ORDER_ARRAY
-    }
-    return stats, registers
+    return stats, switch.public_registers()
+
+
+def run_mp5(
+    program: CompiledProgram,
+    trace: Iterable[TraceEntry],
+    config: Optional[MP5Config] = None,
+    **run_args,
+) -> Tuple[SwitchStats, Dict[str, List[int]]]:
+    """Convenience: run a trace through a fresh switch; returns the run
+    statistics and the final register state. Keywords (see
+    :func:`run_scalar`): ``max_ticks``, ``record_access_order``;
+    ``recorder``, ``metrics``, ``profiler`` and ``monitor``, the
+    optional :mod:`repro.obs` sinks; ``faults``, an optional
+    :class:`repro.faults.FaultSchedule`."""
+    return run_scalar(MP5Switch, program, trace, config, **run_args)

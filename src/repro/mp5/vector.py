@@ -848,12 +848,7 @@ def run_mp5_vector(
         except VectorUnsupported as exc:
             _warn_unsupported(exc)
         else:
-            registers = {
-                name: values
-                for name, values in switch.registers.items()
-                if name != FLOW_ORDER_ARRAY
-            }
-            return stats, registers
+            return stats, switch.public_registers()
     return run_mp5(
         program,
         entries,

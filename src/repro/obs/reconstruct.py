@@ -64,19 +64,6 @@ from ..errors import ConfigError
 
 _FAR = 1 << 62
 
-# Cumulative SwitchStats counters mirrored into the fed registries, in
-# the exact registration order of MP5Switch._register_metric_sources.
-_STAT_COUNTERS = (
-    "egressed",
-    "dropped",
-    "steering_moves",
-    "remap_moves",
-    "phantoms_generated",
-    "phantoms_lost",
-    "ecn_marked",
-    "wasted_slots",
-)
-
 # Within-tick dispatch priorities, mirroring the scalar _step phase
 # order (inject -> move/steer/match/egress -> pop -> service -> remap).
 # The priority doubles as the event kind in the synthesized tuples, and
@@ -123,24 +110,6 @@ class _SwitchView:
         )
         self.stats = switch.stats
         self._faults = None
-
-
-def _sampler_columns(switch) -> List[Tuple[str, bool]]:
-    """``(name, cumulative)`` per sampler, mirroring
-    ``MP5Switch._register_metric_sources`` name for name and in order.
-    ``crossbar_crossings`` is absent like on a scalar run:
-    ``record_crossbar`` is outside the vector envelope."""
-    columns = [(name, True) for name in _STAT_COUNTERS]
-    columns.append(("queue_depth_max", False))
-    columns.append(("queue_depth_total", False))
-    # The vector envelope excludes bounded FIFOs and phantom loss, so
-    # both drop sources are identically zero — like the scalar run.
-    columns.append(("fifo_drops_full", True))
-    columns.append(("fifo_drops_no_phantom", True))
-    for pipe, stage in switch.fifos:
-        columns.append((f"queue_depth.p{pipe}.s{stage}", False))
-    columns.append(("sharder_moves", True))
-    return columns
 
 
 def _register_sources(registry, columns, row: List[int]) -> None:
@@ -515,7 +484,11 @@ def feed_window_sinks(
     """
     stats = switch.stats
     ticks = stats.ticks
-    columns = _sampler_columns(switch)
+    # The scalar engines' own sampler schema, name for name and in
+    # order. The vector envelope excludes bounded FIFOs, phantom loss
+    # and ``record_crossbar``, so the drop columns stay zero and
+    # ``crossbar_crossings`` is absent — like on a scalar run.
+    columns = [(name, cum) for name, cum, _read in switch._metric_sources()]
     row = [0] * len(columns)
     user_rolls = mon_rolls = frozenset()
     if metrics is not None:

@@ -7,7 +7,9 @@ queue and is reconfigured at runtime — hot program swaps, fault
 schedules, monitor toggles, remap retunes — over a stdlib-only
 HTTP/JSON control plane (:mod:`repro.service.http`). The blocking
 :class:`~repro.service.client.ServiceClient` drives it from scripts and
-tests; the ``serve`` CLI subcommand runs it in the foreground.
+tests; the ``serve`` CLI subcommand runs it in the foreground. What the
+bytes of an ingest body mean — three wire formats, encode and decode —
+lives in one codec both ends import (:mod:`repro.service.wire`).
 
 The central guarantee is *served determinism*: every completed segment
 (one program on one engine between reconfigurations) produces results
@@ -17,15 +19,9 @@ See ``docs/service.md`` for the API reference and the hot-swap
 lifecycle.
 """
 
-from .daemon import (
-    ServiceError,
-    ServiceThread,
-    SwitchService,
-    columns_from_records,
-    packet_from_json,
-    render_payload,
-    segment_payload,
-)
+from ..errors import ServiceError
+from .daemon import ServiceThread, SwitchService, render_payload, segment_payload
+from .wire import columns_from_records, packet_from_json
 
 __all__ = [
     "ServiceError",

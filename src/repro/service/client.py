@@ -30,9 +30,11 @@ them: :meth:`ServiceClient.ingest` sends a record list as ``{"packets":
 [...]}`` or a column batch (a dict) as ``{"columns": {...}}``, and
 :meth:`ServiceClient.ingest_ndjson` frames records one per line.
 :meth:`ServiceClient.replay_trace` chooses per chunk, before sending:
-columns when the chunk passes the daemon's own column checks
-(:func:`repro.service.daemon.clean_columns`), NDJSON otherwise — never
-by retrying a rejected body.
+columns when the chunk passes the decoder's own column checks
+(:func:`repro.service.wire.clean_columns`), NDJSON otherwise — never
+by retrying a rejected body. The bodies themselves are built by
+:mod:`repro.service.wire`, the codec both ends share; this module
+imports nothing from the server.
 """
 
 from __future__ import annotations
@@ -44,13 +46,9 @@ import threading
 import time
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from .daemon import clean_columns
+from .wire import NDJSON_CTYPE, clean_columns, columns_body, ndjson_body, records_body
 
 __all__ = ["ServiceClient", "ServiceClientError"]
-
-# One compact encoder for every NDJSON line and column body:
-# ``json.dumps`` with non-default separators would construct one per call.
-_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class ServiceClientError(Exception):
@@ -200,25 +198,20 @@ class ServiceClient:
     def ingest(self, packets: Union[List[Dict], Dict]) -> Dict:
         """One ``POST /ingest`` as a JSON document: a list of packet
         records, or one column batch — the dict :func:`~repro.service.
-        daemon.clean_columns` builds (``{"arrival": [...], "headers":
+        wire.clean_columns` builds (``{"arrival": [...], "headers":
         {field: [...]}, ...}``), which the daemon loads with no
         per-record work but validates strictly."""
         if isinstance(packets, dict):
-            data = _encode_compact({"columns": packets}).encode()
-            return self._request("POST", "/ingest", data=data)
-        return self._request("POST", "/ingest", {"packets": packets})
+            return self._request("POST", "/ingest", data=columns_body(packets))
+        return self._request("POST", "/ingest", records_body(packets))
 
     def ingest_ndjson(self, packets: List[Dict]) -> Dict:
         """One ``POST /ingest`` framed as NDJSON — one record per line,
         no enclosing array, so the server parses each packet without
         materializing one giant JSON document. This is the fast ingest
         path; semantics are identical to :meth:`ingest`."""
-        data = "\n".join([*map(_encode_compact, packets), ""]).encode()
         return self._request(
-            "POST",
-            "/ingest",
-            data=data,
-            content_type="application/x-ndjson",
+            "POST", "/ingest", data=ndjson_body(packets), content_type=NDJSON_CTYPE
         )
 
     def replay(self, **spec) -> Dict:

@@ -52,31 +52,24 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..compiler import compile_program
-from ..errors import ConfigError, ReproError
+from ..errors import ConfigError, ReproError, ServiceError
 from ..faults import FaultSchedule
 from ..mp5 import MP5Config, MP5Switch, ReferenceSwitch
 from ..mp5.packet import DataPacket, PacketColumns
-from ..mp5.switch import FLOW_ORDER_ARRAY
 from ..mp5.vector import try_vector_switch
 from ..obs.alerts import SEVERITY_CRITICAL
 from ..obs.health import VERDICT_DEGRADED, VERDICT_OK, worst_verdict
 from ..obs.metrics import MetricsRegistry
 from ..obs.monitor import InvariantMonitor
 from ..workloads.traceio import stats_to_dict
-from ..workloads.traffic import line_rate_trace
+from ..workloads.traffic import line_rate_trace, random_headers
+# ``packet_from_json`` is unused here: benchmarks/e2e imports it from this module.
+from .wire import IngestBody, packet_from_json  # noqa: F401
 
 __all__ = [
-    "ServiceError",
     "ServiceThread",
     "SwitchService",
-    "clean_columns",
-    "columns_from_body",
-    "columns_from_records",
-    "packet_from_json",
-    "random_headers",
     "render_payload",
     "segment_payload",
 ]
@@ -86,15 +79,6 @@ PUMP_SLICE = 2048
 
 #: Hard cap on packets a single /replay request may schedule.
 REPLAY_MAX_PACKETS = 1_000_000
-
-
-class ServiceError(ReproError):
-    """A control-plane request the service rejects; carries the HTTP
-    status the control plane should answer with."""
-
-    def __init__(self, message: str, status: int = 400):
-        super().__init__(message)
-        self.status = status
 
 
 def segment_payload(stats, registers) -> Dict:
@@ -122,239 +106,6 @@ def render_payload(payload: Dict) -> str:
     fixed separators) — the byte string ``GET /segments/<i>/results``
     serves."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def random_headers(program):
-    """Generic header generator for server-side replay: every packet
-    field uniform over a small range (mirrors the CLI smoke-run
-    generator)."""
-    fields = list(program.packet_fields)
-
-    def gen(rng: np.random.Generator, _i: int):
-        return {f: int(rng.integers(0, 256)) for f in fields}
-
-    return gen
-
-
-#: Arrivals are float64 ticks: past 2**53 consecutive ticks collide.
-ARRIVAL_LIMIT = 2**53
-INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
-
-
-def packet_from_json(record: Dict, idx: int = 0) -> DataPacket:
-    """One ``/ingest`` packet record → :class:`DataPacket`.
-
-    Schema: ``{"arrival": float, "port": int, "headers": {str: int},
-    "size": int = 64, "flow": optional int or str}``. Ids are assigned
-    by the engine in arrival order, so the record carries none. The
-    arrival must be finite, ``>= 0`` and below 2**53; ``port``, ``size``
-    and header values must fit int64 (the engines' column type).
-
-    This is the per-record oracle of :func:`columns_from_records`: the
-    daemon calls it only for a batch the vectorised checks turned down,
-    so its diagnostics are the ingest route's diagnostics."""
-    try:
-        arrival = float(record["arrival"])
-        port = int(record.get("port", 0))
-        size = int(record.get("size", 64))
-        headers = {str(k): int(v) for k, v in record["headers"].items()}
-        flow = record.get("flow")
-        if not 0 <= arrival < ARRIVAL_LIMIT:  # NaN fails both bounds
-            raise ValueError(
-                f"arrival {arrival} must be finite, >= 0 and below 2**53"
-            )
-        lo = min(port, size, *headers.values())
-        hi = max(port, size, *headers.values())
-        if lo < INT64_MIN or hi > INT64_MAX:
-            raise ValueError(
-                "port, size and header values must fit int64, "
-                f"{lo if lo < INT64_MIN else hi} does not"
-            )
-        if flow is not None and not isinstance(flow, (int, str)):
-            raise TypeError(
-                "flow must be null, an integer or a string, not "
-                + type(flow).__name__
-            )
-        return DataPacket(idx, arrival, port, headers, size, flow)
-    except (
-        KeyError, TypeError, ValueError, AttributeError, OverflowError
-    ) as exc:
-        raise ServiceError(f"malformed packet record {record!r}: {exc}") from exc
-
-
-_NUMBERS = {int, float}
-_FLOWS = {type(None), int, str}
-# What a batch that does not transpose cleanly raises on the way.
-_DECLINED = (
-    KeyError, TypeError, ValueError, AttributeError, OverflowError, IndexError
-)
-
-
-class _BadColumn(ValueError):
-    """A column failed a check both wire shapes share. The record path
-    only needs to know that it did (the per-record oracle words the
-    rejection); a column body names the first row that fails ``ok``."""
-
-    def __init__(self, column: str, values: List, want: str, ok):
-        super().__init__(column)
-        self.column, self.values, self.want, self.ok = column, values, want, ok
-
-    def __str__(self) -> str:
-        row = next(i for i, v in enumerate(self.values) if not self.ok(v))
-        return (
-            f"column {self.column!r} row {row}: expected {self.want}, "
-            f"got {self.values[row]!r}"
-        )
-
-
-def _arrival_column(values: List) -> np.ndarray:
-    """``values`` as the float64 arrival column: JSON numbers, finite,
-    ``>= 0`` and below 2**53 (NaN fails both bounds)."""
-    if set(map(type, values)) <= _NUMBERS:
-        with contextlib.suppress(OverflowError):  # an int past float64
-            col = np.array(values, dtype=np.float64)
-            if 0 <= col.min() <= col.max() < ARRIVAL_LIMIT:
-                return col
-    raise _BadColumn(
-        "arrival", values, "a number that is finite, >= 0 and below 2**53",
-        lambda v: type(v) in _NUMBERS and 0 <= v < ARRIVAL_LIMIT,
-    )
-
-
-def _int64_column(name: str, values: List) -> np.ndarray:
-    """``values`` as an int64 column when every one is spelt as a JSON
-    integer that fits; any other spelling (``"5"``, ``5.7``, ``true``)
-    is a :class:`_BadColumn`."""
-    if set(map(type, values)) == {int}:
-        with contextlib.suppress(OverflowError):  # an int past int64
-            return np.array(values, dtype=np.int64)
-    raise _BadColumn(
-        name, values, "an integer that fits int64",
-        lambda v: type(v) is int and INT64_MIN <= v <= INT64_MAX,
-    )
-
-
-def _checked_columns(
-    arrival: List, port: List, size: List, flow: List, headers: Dict[str, List]
-) -> PacketColumns:
-    """The per-column checks every ingest batch passes, whichever wire
-    shape carried it: equal-length value lists in, one validated batch
-    out, :class:`_BadColumn` for the first column that fails."""
-    if not set(map(type, flow)) <= _FLOWS:
-        raise _BadColumn(
-            "flow", flow, "null, an integer or a string",
-            lambda v: type(v) in _FLOWS,
-        )
-    return PacketColumns(
-        _arrival_column(arrival),
-        _int64_column("port", port),
-        _int64_column("size", size),
-        flow,
-        {f: _int64_column(f"headers.{f}", col) for f, col in headers.items()},
-    )
-
-
-def _gather(records: List[Dict]) -> Dict:
-    """``records`` transposed into the column body's shape, one list per
-    column. Raises whatever the gather raised for records that do not
-    all carry the same header keys (or are not records at all)."""
-    hdrs = [r["headers"] for r in records]
-    fields = tuple(hdrs[0])
-    if not (
-        set(map(type, hdrs)) == {dict}
-        and set(map(type, fields)) <= {str}
-        and set(map(len, hdrs)) == {len(fields)}
-    ):
-        raise ValueError("headers differ from record to record")
-    return {
-        "arrival": [r["arrival"] for r in records],
-        "port": [r.get("port", 0) for r in records],
-        "size": [r.get("size", 64) for r in records],
-        "flow": [r.get("flow") for r in records],
-        "headers": {f: [h[f] for h in hdrs] for f in fields},
-    }
-
-
-def columns_from_records(records: List[Dict]) -> PacketColumns:
-    """The record decode entry: ``/ingest`` packet records (the schema
-    of :func:`packet_from_json`) → one validated
-    :class:`~repro.mp5.packet.PacketColumns` batch.
-
-    Equal, column for column, to gathering ``packet_from_json`` of
-    every record — which is what runs whenever the gather or the shared
-    column checks decline a batch (a coercible spelling such as ``"5"``
-    or ``5.7`` for a header value, sparse header keys, anything
-    malformed or out of range), so every rejection carries that
-    function's status and message and names the offending record."""
-    try:
-        return _checked_columns(**_gather(records))
-    except _DECLINED:
-        return PacketColumns.from_packets(
-            [packet_from_json(r, i) for i, r in enumerate(records)]
-        )
-
-
-def clean_columns(records: List[Dict]) -> Optional[Dict]:
-    """``records`` as the column body of ``POST /ingest``, or None when
-    :func:`columns_from_records` would hand them to the per-record
-    oracle — those must travel as records, where a coercible spelling
-    is still accepted and a rejection still names the record."""
-    try:
-        body = _gather(records)
-        _checked_columns(**body)
-    except _DECLINED:
-        return None
-    if not any(f is not None for f in body["flow"]):
-        del body["flow"]
-    return body
-
-
-def columns_from_body(body: Dict) -> PacketColumns:
-    """The column decode entry: the ``"columns"`` object of a
-    ``POST /ingest`` body — ``{"arrival": [...], "headers": {field:
-    [...]}, "port": [...], "size": [...], "flow": [...]}``, the last
-    three optional (0, 64 and null per packet, as in a record) — → one
-    validated batch, through the same column checks as records.
-
-    Strict, because there are no records to fall back on: a value not
-    spelt with its exact JSON type, an arrival out of range, an integer
-    past int64, a column that is not a list or not as long as
-    ``arrival``, an unknown column or an empty batch is a 400 naming
-    the column and the first offending row."""
-    try:
-        if type(body) is not dict or type(body.get("headers", {})) is not dict:
-            raise ValueError("'columns' and its 'headers' must be objects")
-        unknown = set(body) - {"arrival", "port", "size", "flow", "headers"}
-        if unknown:
-            raise ValueError(f"unknown column {min(unknown)!r}")
-        arrival, headers = body["arrival"], body["headers"]
-        named = {"arrival": arrival, **body}  # arrival first: it sets the length
-        del named["headers"]
-        named.update((f"headers.{f}", col) for f, col in headers.items())
-        for name, col in named.items():
-            if type(col) is not list:
-                raise ValueError(
-                    f"column {name!r} must be a list, got {type(col).__name__}"
-                )
-            if len(col) != len(arrival):
-                raise ValueError(
-                    f"column {name!r} row {min(len(col), len(arrival))}: column "
-                    f"has {len(col)} rows, 'arrival' has {len(arrival)}"
-                )
-        rows = len(arrival)
-        if not rows:
-            raise ValueError("column 'arrival' has no rows")
-        return _checked_columns(
-            arrival,
-            body.get("port", [0] * rows),
-            body.get("size", [64] * rows),
-            body.get("flow", [None] * rows),
-            headers,
-        )
-    except KeyError as exc:
-        raise ServiceError(f"malformed column batch: no column {exc}") from exc
-    except ValueError as exc:
-        raise ServiceError(f"malformed column batch: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -463,12 +214,7 @@ class _EngineAdapter:
         stats = self.switch.finish()
         if self.first_egress_ts is None and stats.egressed > 0:
             self.first_egress_ts = time.monotonic()
-        registers = {
-            name: values
-            for name, values in self.switch.registers.items()
-            if name != FLOW_ORDER_ARRAY
-        }
-        return stats, registers
+        return stats, self.switch.public_registers()
 
     def stream_stats(self) -> Optional[Dict[str, int]]:
         fn = getattr(self.switch, "stream_stats", None)
@@ -737,21 +483,15 @@ class SwitchService:
 
     # -- ingestion ------------------------------------------------------
 
-    def ingest(
-        self, records: Optional[List[Dict]] = None, columns: Optional[Dict] = None
-    ) -> Dict:
-        """Queue one batch: packet ``records``, or one ``columns`` body
-        (:func:`columns_from_body`). Bounded: raises 429 when the queue
-        is full, 409 when the batch breaks arrival-order monotonicity
-        within the open segment."""
+    def ingest(self, body: IngestBody) -> Dict:
+        """Queue the batch of one parsed ``POST /ingest`` body
+        (:func:`repro.service.wire.parse_ingest`): 400 when it does not
+        validate. Bounded: raises 429 when the queue is full, 409 when
+        the batch breaks arrival-order monotonicity within the open
+        segment."""
         if self.compiled is None:
             raise ServiceError("no program loaded", status=409)
-        if columns is not None:
-            batch = columns_from_body(columns)
-        elif not isinstance(records, list) or not records:
-            raise ServiceError("ingest expects a non-empty packet list")
-        else:
-            batch = columns_from_records(records)
+        batch = body.batch()
         self._enqueue_nowait(batch)
         return {"queued": len(batch), "queue_depth": self._queue.qsize()}
 

@@ -3,14 +3,12 @@
 A deliberately small HTTP/1.1 server over ``asyncio`` streams:
 persistent connections, JSON bodies in and out (a JSON body that is
 not an object is a 400 on every route). No routing framework, and
-exactly one piece of content negotiation — ``POST /ingest`` also
-accepts ``application/x-ndjson``, one packet record per line, which
-amortizes framing overhead across a batch. Its JSON body carries either
-``"packets"`` (records) or ``"columns"`` (the batch already transposed:
-no per-record work at all, which is what :meth:`~repro.service.client.
-ServiceClient.replay_trace` sends whenever a chunk allows it);
-:meth:`ControlPlane._ingest` picks the decode entry by key and counts
-the batch under its wire in ``ingest_batches``. The
+this module is framing and routing only: what the bytes of a body mean
+is :mod:`repro.service.wire`'s business. A control body goes through
+its ``json_object``; a ``POST /ingest`` body — records, NDJSON or
+columns, the one piece of content negotiation — goes through its
+``parse_ingest``, and :meth:`ControlPlane._ingest` counts the queued
+batch under the wire that carried it in ``ingest_batches``. The
 endpoint table in ``docs/service.md`` is the contract, and
 :class:`ControlPlane` is a dispatch dict over ``(method, path)`` plus
 one pattern route for ``/segments/<i>/results``.
@@ -49,7 +47,7 @@ Two response shapes exist:
   every stream flushes pending rows and sends a final ``event: end``
   frame.
 
-Errors map onto status codes via :class:`~repro.service.daemon.
+Errors map onto status codes via :class:`~repro.errors.
 ServiceError` (client mistakes: 400/404/409/413/429) and
 :class:`~repro.errors.ReproError` (400); anything else is a 500 with
 the exception text — the daemon itself never dies on a bad request.
@@ -65,8 +63,9 @@ import re
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from ..errors import ReproError
-from .daemon import ServiceError, SwitchService
+from ..errors import ReproError, ServiceError
+from .daemon import SwitchService
+from .wire import NDJSON_CTYPE, WIRES, IngestBody, json_object, parse_ingest
 
 __all__ = ["ControlPlane"]
 
@@ -87,7 +86,6 @@ STREAM_POLL_MIN = 0.005
 STREAM_HEARTBEAT = 15.0
 
 OPENMETRICS_CTYPE = "application/openmetrics-text; version=1.0.0; charset=utf-8"
-NDJSON_CTYPE = "application/x-ndjson"
 
 _STATUS_TEXT = {
     200: "OK",
@@ -117,71 +115,14 @@ def _qfloat(query: Dict, key: str, default: float) -> float:
         raise ServiceError(f"query parameter {key!r} must be a number") from exc
 
 
-# One record per line: the C scanner ``json.loads`` itself runs, minus
-# its per-call whitespace matching and decoder dispatch.
-_scan_record = json.JSONDecoder().scan_once
-_ASCII_SPACE = " \t\n\r\x0b\x0c"  # what ``bytes.strip`` strips
-#: Everything a JSON parse of untrusted bytes raises: ``ValueError``
-#: covers ``JSONDecodeError``, ``UnicodeDecodeError`` and the plain
-#: ``ValueError`` of an integer past ``sys.get_int_max_str_digits()``;
-#: nesting past the recursion limit is a ``RecursionError``.
-_BAD_JSON = (ValueError, RecursionError)
-
-
-def _parse_ndjson(body: bytes) -> Dict:
-    """NDJSON ingest body → the same payload shape the JSON route
-    builds: one packet record per non-blank line, diagnostics carry the
-    1-based line number so a client can fix the exact frame. Lines are
-    validated one by one — two broken lines can join into valid JSON,
-    so the body is never parsed as one document."""
-    try:
-        text = body.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise ServiceError(f"invalid NDJSON body: {exc}") from exc
-    records = []
-    append = records.append
-    for ln, line in enumerate(text.split("\n"), start=1):
-        try:
-            record, end = _scan_record(line, 0)
-        except (StopIteration, *_BAD_JSON):
-            end = -1
-        if end != len(line):
-            # Blank, padded or broken: the strict parse decides, and
-            # words the diagnostic.
-            if not line.strip(_ASCII_SPACE):
-                continue
-            try:
-                record = json.loads(line)
-            except _BAD_JSON as exc:
-                raise ServiceError(
-                    f"invalid NDJSON body: line {ln}: {exc}"
-                ) from exc
-        if type(record) is not dict:
-            raise ServiceError(
-                f"invalid NDJSON body: line {ln}: expected a packet "
-                f"object, got {type(record).__name__}"
-            )
-        append(record)
-    if not records:
-        raise ServiceError("invalid NDJSON body: no packet records")
-    return {"packets": records}
-
-
-def _decode_body(method: str, path: str, ctype: str, body: bytes) -> Optional[Dict]:
-    """A framed request body → its payload (``None`` when empty)."""
+def _decode_body(ctype: str, body: bytes) -> Optional[Dict]:
+    """A framed control-request body → its payload (``None`` when
+    empty)."""
     if not body:
         return None
     if ctype == NDJSON_CTYPE:
-        if (method, path) != ("POST", "/ingest"):
-            raise ServiceError("NDJSON bodies are only accepted on POST /ingest")
-        return _parse_ndjson(body)
-    try:
-        payload = json.loads(body)
-    except _BAD_JSON as exc:
-        raise ServiceError(f"invalid JSON body: {exc}") from exc
-    if type(payload) is not dict:
-        raise ServiceError("request body must be a JSON object")
-    return payload
+        raise ServiceError("NDJSON bodies are only accepted on POST /ingest")
+    return json_object(body)
 
 
 def _sse_frame(event: str, payload: Dict) -> bytes:
@@ -279,7 +220,7 @@ class ControlPlane:
         self.connections = 0  # accepted since start
         self.requests = 0  # request heads parsed since start
         # ``POST /ingest`` batches queued, by the framing that carried them.
-        self.ingest_batches = {"records": 0, "ndjson": 0, "columns": 0}
+        self.ingest_batches = dict.fromkeys(WIRES, 0)
 
     @property
     def connections_open(self) -> int:
@@ -334,7 +275,10 @@ class ControlPlane:
                 return False  # the client closed between requests
             method, path, query, sent_ctype, sent, keep = framed
             self.requests += 1
-            payload = _decode_body(method, path, sent_ctype, sent)
+            if (method, path) == ("POST", "/ingest"):
+                payload = parse_ingest(sent_ctype, sent)
+            else:
+                payload = _decode_body(sent_ctype, sent)
             if method == "GET" and path in _STREAM_FEEDS:
                 # Validate the subscription before any bytes go out so a
                 # bad query still gets a proper 400 JSON response.
@@ -344,7 +288,7 @@ class ControlPlane:
                 await self._handle_stream(writer, feed, poll, heartbeat)
                 return False
             status, body, raw, ctype = await self._dispatch(
-                method, path, query, payload, sent_ctype
+                method, path, query, payload
             )
         except ServiceError as exc:
             status, body, raw, ctype = exc.status, {"error": str(exc)}, None, None
@@ -475,24 +419,18 @@ class ControlPlane:
         path = split.path.rstrip("/") or "/"
         return method.upper(), path, parse_qs(split.query), ctype, body, keep
 
-    def _ingest(self, payload: Dict, ctype: str) -> Dict:
-        """``POST /ingest``: the body's key picks the decode entry — a
-        ``"packets"`` record list (what an NDJSON body also decodes to)
-        or one ``"columns"`` batch."""
-        if "columns" in payload:
-            if "packets" in payload:
-                raise ServiceError("ingest takes 'packets' or 'columns', not both")
-            wire = "columns"
-            queued = self.service.ingest(columns=payload["columns"])
-        else:
-            wire = "ndjson" if ctype == NDJSON_CTYPE else "records"
-            queued = self.service.ingest(payload.get("packets", []))
-        self.ingest_batches[wire] += 1
+    def _ingest(self, body: IngestBody) -> Dict:
+        """``POST /ingest``: queue the batch, then count it under the
+        wire that carried it."""
+        queued = self.service.ingest(body)
+        self.ingest_batches[body.wire] += 1
         return queued
 
     async def _dispatch(
-        self, method: str, path: str, query: Dict, payload: Optional[Dict], ctype: str
+        self, method: str, path: str, query: Dict, payload
     ) -> Tuple[int, Dict, Optional[bytes], Optional[str]]:
+        """Route one request. ``payload`` is its parsed body: an
+        :class:`IngestBody` on ``POST /ingest``, else a dict or None."""
         svc = self.service
         match = _SEGMENT_RESULTS.fullmatch(path)
         if match:
@@ -525,7 +463,7 @@ class ControlPlane:
         if key == ("POST", "/config"):
             return 200, await svc.configure(payload or {}), None, None
         if key == ("POST", "/ingest"):
-            return 200, self._ingest(payload or {}, ctype), None, None
+            return 200, self._ingest(payload), None, None
         if key == ("POST", "/replay"):
             return 200, await svc.replay(payload or {}), None, None
         if key == ("POST", "/pause"):

@@ -38,6 +38,7 @@ from .traffic import (
     FlowWorkload,
     clone_packets,
     line_rate_trace,
+    random_headers,
     reference_trace,
     variable_size_trace,
 )
@@ -59,6 +60,7 @@ __all__ = [
     "packet_to_dict",
     "make_access_pattern",
     "make_sensitivity_program",
+    "random_headers",
     "reference_trace",
     "save_stats",
     "save_trace",

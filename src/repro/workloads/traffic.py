@@ -64,6 +64,19 @@ def line_rate_trace(
     return packets
 
 
+def random_headers(program) -> HeaderGen:
+    """Generic header generator for a compiled program: every packet
+    field uniform over a small range. Good enough for smoke runs (the
+    CLI's ``run``/``equiv``, the daemon's ``POST /replay``); real
+    experiments use the workload generators of this package."""
+    fields = list(program.packet_fields)
+
+    def gen(rng: np.random.Generator, _i: int):
+        return {f: int(rng.integers(0, 256)) for f in fields}
+
+    return gen
+
+
 def variable_size_trace(
     num_packets: int,
     num_pipelines: int,

@@ -109,7 +109,6 @@ CONFIGS = {
     "ecn_flow_order": dict(ecn_threshold=4, flow_order_field="f0"),
     "affinity_spray": dict(spray_policy="affinity"),
     "crossbar": dict(record_crossbar=True),
-    "no_jit": dict(jit=False),
 }
 
 

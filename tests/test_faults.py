@@ -172,7 +172,7 @@ def test_engines_agree_under_faults(spec):
 
 
 @pytest.mark.parametrize("spec", EXAMPLES, ids=lambda p: p.stem)
-@pytest.mark.parametrize("engine", ("fast", "reference"))
+@pytest.mark.parametrize("engine", ("fast", pytest.param("dense", id="reference")))
 def test_degraded_contract_holds(spec, engine):
     schedule = FaultSchedule.load(spec)
     report = check_degraded(

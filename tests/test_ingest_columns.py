@@ -40,12 +40,11 @@ from repro.service import (
     render_payload,
     segment_payload,
 )
-from repro.service import client as client_module
 from repro.service import daemon as daemon_module
+from repro.service import wire as wire_module
 from repro.service.client import ServiceClient, ServiceClientError
-from repro.service.daemon import clean_columns, columns_from_body, random_headers
-from repro.service.http import _parse_ndjson
-from repro.workloads.traffic import line_rate_trace
+from repro.service.wire import _parse_ndjson, clean_columns, columns_from_body
+from repro.workloads.traffic import line_rate_trace, random_headers
 
 PIPELINES = 4
 CONFIG = MP5Config(num_pipelines=PIPELINES, seed=5)
@@ -179,7 +178,7 @@ def test_clean_batches_take_the_vectorised_path(n, monkeypatch):
     def boom(record, idx=0):
         raise AssertionError("per-record oracle called on the happy path")
 
-    monkeypatch.setattr(daemon_module, "packet_from_json", boom)
+    monkeypatch.setattr(wire_module, "packet_from_json", boom)
     assert_columns_equal(columns_from_records(records), want)
 
 
@@ -481,7 +480,7 @@ def test_a_failed_feed_loses_the_batch_not_the_pump(monkeypatch):
 
 def wire(body):
     """What the daemon sees of a column batch the client sent."""
-    return json.loads(client_module._encode_compact({"columns": body}))["columns"]
+    return json.loads(wire_module._encode_compact({"columns": body}))["columns"]
 
 
 @settings(
@@ -496,8 +495,8 @@ def test_column_body_equals_columns_from_records(records):
     entries agree column for column."""
     body = clean_columns(records)
     try:
-        daemon_module._checked_columns(**daemon_module._gather(records))
-    except daemon_module._DECLINED:
+        wire_module._checked_columns(**wire_module._gather(records))
+    except wire_module._DECLINED:
         assert body is None
         return
     assert "flow" in body or all(r.get("flow") is None for r in records)
@@ -529,7 +528,7 @@ def test_clean_column_batch_touches_no_record_code(monkeypatch):
     with ServiceThread(service) as thread:
         client = client_of(thread)
         for name in ("packet_from_json", "_gather", "columns_from_records"):
-            monkeypatch.setattr(daemon_module, name, boom)
+            monkeypatch.setattr(wire_module, name, boom)
         monkeypatch.setattr(DataPacket, "__init__", boom)
         for body in bodies:
             client.ingest(body)

@@ -44,9 +44,8 @@ from repro.service import (
     segment_payload,
 )
 from repro.service.client import ServiceClient, ServiceClientError
-from repro.service.daemon import random_headers
 from repro.workloads.traceio import packet_to_dict
-from repro.workloads.traffic import clone_packets, line_rate_trace
+from repro.workloads.traffic import clone_packets, line_rate_trace, random_headers
 
 PIPELINES = 4
 

@@ -129,7 +129,6 @@ NATIVE_CONFIGS = {
     "short_remap_period": dict(remap_period=3),
     "random_initial_shard": dict(initial_shard="random"),
     "flow_order": dict(flow_order_field="f0"),
-    "no_jit": dict(jit=False),
 }
 
 
