@@ -44,7 +44,8 @@ continues to gate the zero-overhead disabled path against history.
 
 **serve_fast** and **serve_vector** push the sensitivity workload
 through the live daemon — ``ServiceClient.replay_trace`` chunks (one
-column body per ``POST /ingest``; NDJSON before PR 16, hence the new
+column batch per ``POST /ingest`` — a packed binary frame since PR 23,
+a JSON body before; NDJSON before PR 16, hence the new
 workload string and a fresh ``--check-regression`` series), watermark-gated
 streaming execution, then a drain — timing the full client→segment-
 close path, the ingest rate (packets/sec through HTTP + parse + feed),

@@ -201,11 +201,12 @@ def render_top_frame(model: TopModel, clear: bool = False) -> str:
             f"segments={_fmt(svc.get('segments', 0))}  "
             f"alerts={_fmt(svc.get('alerts_total', 0))}"
         )
-        wires = svc.get("ingest_batches")
-        if wires:
-            line += "  wire=" + "/".join(
-                f"{wire}:{_fmt(wires[wire])}" for wire in sorted(wires)
-            )
+        for label, key in (("wire", "ingest_batches"), ("bytes", "ingest_bytes")):
+            wires = svc.get(key)
+            if wires:
+                line += f"  {label}=" + "/".join(
+                    f"{wire}:{_fmt(wires[wire])}" for wire in sorted(wires)
+                )
         if svc.get("watermark") is not None:
             line += f"  watermark={_fmt(svc['watermark'])}"
         if svc.get("first_egress_latency") is not None:

@@ -25,16 +25,16 @@ iterators each hold a connection of their own. :meth:`ServiceClient.
 close` (or leaving the ``with`` block) drops the connection; the client
 stays usable and reconnects on the next call.
 
-``POST /ingest`` has three wire shapes and the client speaks all of
+``POST /ingest`` has three wire formats and the client speaks all of
 them: :meth:`ServiceClient.ingest` sends a record list as ``{"packets":
-[...]}`` or a column batch (a dict) as ``{"columns": {...}}``, and
-:meth:`ServiceClient.ingest_ndjson` frames records one per line.
-:meth:`ServiceClient.replay_trace` chooses per chunk, before sending:
-columns when the chunk passes the decoder's own column checks
-(:func:`repro.service.wire.clean_columns`), NDJSON otherwise — never
-by retrying a rejected body. The bodies themselves are built by
-:mod:`repro.service.wire`, the codec both ends share; this module
-imports nothing from the server.
+[...]}`` or a column batch (a :class:`~repro.mp5.packet.PacketColumns`)
+as one packed binary frame, and :meth:`ServiceClient.ingest_ndjson`
+frames records one per line. :meth:`ServiceClient.replay_trace` chooses
+per chunk, before sending: columns when the chunk passes the record
+decoder's own column checks (:func:`repro.service.wire.clean_columns`),
+NDJSON otherwise — never by retrying a rejected body. The bodies
+themselves are built by :mod:`repro.service.wire`, the codec both ends
+share; this module imports nothing from the server.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ import threading
 import time
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from .wire import NDJSON_CTYPE, clean_columns, columns_body, ndjson_body, records_body
+from ..mp5.packet import PacketColumns
+from . import wire
 
 __all__ = ["ServiceClient", "ServiceClientError"]
 
@@ -195,24 +196,23 @@ class ServiceClient:
     def configure(self, **knobs) -> Dict:
         return self._request("POST", "/config", knobs)
 
-    def ingest(self, packets: Union[List[Dict], Dict]) -> Dict:
-        """One ``POST /ingest`` as a JSON document: a list of packet
-        records, or one column batch — the dict :func:`~repro.service.
-        wire.clean_columns` builds (``{"arrival": [...], "headers":
-        {field: [...]}, ...}``), which the daemon loads with no
-        per-record work but validates strictly."""
-        if isinstance(packets, dict):
-            return self._request("POST", "/ingest", data=columns_body(packets))
-        return self._request("POST", "/ingest", records_body(packets))
+    def ingest(self, packets: Union[List[Dict], PacketColumns]) -> Dict:
+        """One ``POST /ingest``: a list of packet records as a JSON
+        document, or one column batch — what :func:`~repro.service.
+        wire.clean_columns` builds — as a packed frame, which the
+        daemon loads with no per-value work but validates strictly."""
+        if isinstance(packets, PacketColumns):
+            body, ctype = wire.columns_body(packets), wire.COLUMNS_CTYPE
+            return self._request("POST", "/ingest", data=body, content_type=ctype)
+        return self._request("POST", "/ingest", wire.records_body(packets))
 
     def ingest_ndjson(self, packets: List[Dict]) -> Dict:
         """One ``POST /ingest`` framed as NDJSON — one record per line,
         no enclosing array, so the server parses each packet without
         materializing one giant JSON document. This is the fast ingest
         path; semantics are identical to :meth:`ingest`."""
-        return self._request(
-            "POST", "/ingest", data=ndjson_body(packets), content_type=NDJSON_CTYPE
-        )
+        body, ctype = wire.ndjson_body(packets), wire.NDJSON_CTYPE
+        return self._request("POST", "/ingest", data=body, content_type=ctype)
 
     def replay(self, **spec) -> Dict:
         return self._request("POST", "/replay", spec)
@@ -230,7 +230,7 @@ class ServiceClient:
 
         A chunk that transposes cleanly — every record spelt with exact
         JSON types, in range, the same header keys — travels as one
-        column batch. Any other chunk travels as NDJSON, where the
+        packed column frame. Any other chunk travels as NDJSON, where the
         daemon's per-record oracle accepts what is coercible and words
         the rejection of what is not."""
         if chunk < 1:
@@ -239,7 +239,7 @@ class ServiceClient:
         retries = 0
         for i in range(0, len(packets), chunk):
             part = packets[i : i + chunk]
-            columns = clean_columns(part)
+            columns = wire.clean_columns(part)
             deadline = time.monotonic() + max_wait
             while True:
                 try:

@@ -772,9 +772,14 @@ class SwitchService:
             "requests": plane.requests if plane else 0,
         }
 
-    def _ingest_batches(self) -> Dict[str, int]:
-        """``POST /ingest`` batches queued, per wire framing."""
-        return dict(self._plane.ingest_batches) if self._plane else {}
+    def _ingest_counts(self) -> Dict[str, Dict[str, int]]:
+        """``POST /ingest`` batches queued and the body bytes they took,
+        per wire framing."""
+        plane = self._plane
+        return {
+            "ingest_batches": dict(plane.ingest_batches) if plane else {},
+            "ingest_bytes": dict(plane.ingest_bytes) if plane else {},
+        }
 
     def metrics_snapshot(self, since: int = -1) -> Dict:
         ad = self._adapter
@@ -795,7 +800,7 @@ class SwitchService:
                 "watermark": ad.watermark if ad is not None else None,
                 "first_egress_latency": latency,
                 **self._connection_counts(),
-                "ingest_batches": self._ingest_batches(),
+                **self._ingest_counts(),
             },
             "segment_index": len(self._segments) if ad is not None else None,
             "engine": None,
@@ -878,19 +883,20 @@ class SwitchService:
             help_prefix="Service: ",
             helps=helps,
         )
-        wires = self._ingest_batches()
-        if wires:
-            service.append(
-                Family(
-                    "mp5_service_ingest_batches",
-                    "counter",
-                    "Service: POST /ingest batches queued, by wire framing.",
-                    [
-                        Sample("_total", (("wire", wire),), float(count))
-                        for wire, count in wires.items()
-                    ],
+        counts = self._ingest_counts()
+        for name, what in (("ingest_batches", "batches"), ("ingest_bytes", "body bytes")):
+            if counts[name]:
+                service.append(
+                    Family(
+                        f"mp5_service_{name}",
+                        "counter",
+                        f"Service: POST /ingest {what} queued, by wire framing.",
+                        [
+                            Sample("_total", (("wire", wire),), float(count))
+                            for wire, count in counts[name].items()
+                        ],
+                    )
                 )
-            )
         if ad is not None and ad.metrics is not None:
             return render_openmetrics(ad.metrics, extra_families=service)
         return render_families(service)

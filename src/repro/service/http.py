@@ -8,7 +8,8 @@ is :mod:`repro.service.wire`'s business. A control body goes through
 its ``json_object``; a ``POST /ingest`` body — records, NDJSON or
 columns, the one piece of content negotiation — goes through its
 ``parse_ingest``, and :meth:`ControlPlane._ingest` counts the queued
-batch under the wire that carried it in ``ingest_batches``. The
+batch and its bytes under the wire that carried it in
+``ingest_batches`` and ``ingest_bytes``. The
 endpoint table in ``docs/service.md`` is the contract, and
 :class:`ControlPlane` is a dispatch dict over ``(method, path)`` plus
 one pattern route for ``/segments/<i>/results``.
@@ -65,7 +66,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from ..errors import ReproError, ServiceError
 from .daemon import SwitchService
-from .wire import NDJSON_CTYPE, WIRES, IngestBody, json_object, parse_ingest
+from .wire import INGEST_ONLY_CTYPES, WIRES, IngestBody, json_object, parse_ingest
 
 __all__ = ["ControlPlane"]
 
@@ -120,8 +121,8 @@ def _decode_body(ctype: str, body: bytes) -> Optional[Dict]:
     empty)."""
     if not body:
         return None
-    if ctype == NDJSON_CTYPE:
-        raise ServiceError("NDJSON bodies are only accepted on POST /ingest")
+    if ctype in INGEST_ONLY_CTYPES:
+        raise ServiceError(f"{ctype} bodies are only accepted on POST /ingest")
     return json_object(body)
 
 
@@ -219,8 +220,10 @@ class ControlPlane:
         self._reading: set = set()  # writers whose handler awaits a request
         self.connections = 0  # accepted since start
         self.requests = 0  # request heads parsed since start
-        # ``POST /ingest`` batches queued, by the framing that carried them.
+        # ``POST /ingest`` batches queued and the body bytes they took,
+        # by the framing that carried them.
         self.ingest_batches = dict.fromkeys(WIRES, 0)
+        self.ingest_bytes = dict.fromkeys(WIRES, 0)
 
     @property
     def connections_open(self) -> int:
@@ -420,10 +423,11 @@ class ControlPlane:
         return method.upper(), path, parse_qs(split.query), ctype, body, keep
 
     def _ingest(self, body: IngestBody) -> Dict:
-        """``POST /ingest``: queue the batch, then count it under the
-        wire that carried it."""
+        """``POST /ingest``: queue the batch, then count it and its
+        framed bytes under the wire that carried it."""
         queued = self.service.ingest(body)
         self.ingest_batches[body.wire] += 1
+        self.ingest_bytes[body.wire] += body.nbytes
         return queued
 
     async def _dispatch(

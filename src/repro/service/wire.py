@@ -4,38 +4,43 @@
 them — pure code, importing nothing of the daemon, the HTTP layer, the
 client or asyncio:
 
-========= ======================== =====================================
-wire      content type             body
-========= ======================== =====================================
-records   ``application/json``     ``{"packets": [record, ...]}``
-ndjson    ``application/x-ndjson`` one record per line
-columns   ``application/json``     ``{"columns": {"arrival": [...],
-                                   "headers": {field: [...]}, ...}}``
-========= ======================== =====================================
+========= =============================== ==============================
+wire      content type                    body
+========= =============================== ==============================
+records   ``application/json``            ``{"packets": [record, ...]}``
+ndjson    ``application/x-ndjson``        one record per line
+columns   ``application/vnd.mp5.columns`` a packed frame: one JSON header
+                                          line, then 8-byte words
+========= =============================== ==============================
 
-A record is :func:`packet_from_json`'s schema; a column batch is the
-same facts already transposed. Whatever carried it, a batch ends as one
-:class:`~repro.mp5.packet.PacketColumns` through the same per-column
-checks (:func:`_checked_columns`) or is rejected whole with a
-:class:`~repro.errors.ServiceError` of status 400 — nothing else leaves
-this module, which ``tests/test_wire.py`` holds it to by fuzz.
+A record is :func:`packet_from_json`'s schema. A column frame is the
+same facts transposed and packed: the header line ``{"rows": n,
+"columns": ["arrival", "port", "size", "headers.<field>", ...],
+"flow"?: [...]}``, a newline, then each named column's ``rows`` values
+back to back, little-endian — float64 for ``arrival``, int64 for the
+rest (``port``, ``size`` and ``flow`` may be left out: 0, 64 and null
+per packet, as in a record). Whatever carried it, a batch ends as one
+validated :class:`~repro.mp5.packet.PacketColumns` or is rejected whole
+with a :class:`~repro.errors.ServiceError` of status 400 — nothing else
+leaves this module, which ``tests/test_wire.py`` holds it to by fuzz.
+A frame's columns are ``np.frombuffer`` views of the request body:
+read-only, at whatever byte offset the header line left them.
 
 **Decoding** is two steps because the daemon answers between them:
-:func:`parse_ingest` (400 for a body that is not JSON / NDJSON), the
-daemon's 409 when no program is loaded, then :meth:`IngestBody.batch`
-(400 for a malformed batch). :func:`decode_ingest` is both as one
-function; :func:`json_object` parses every other route's body.
-**Encoding** is the client's half: :func:`records_body`,
-:func:`ndjson_body`, :func:`columns_body`, and :func:`clean_columns`,
-which decides with the decoder's own checks whether records may travel
-as columns.
+:func:`parse_ingest` (400 for a body that is not JSON / NDJSON / a
+header line and a payload), the daemon's 409 when no program is loaded,
+then :meth:`IngestBody.batch` (400 for a malformed batch).
+:func:`decode_ingest` is both as one function; :func:`json_object`
+parses every other route's body. **Encoding** is the client's half:
+:func:`records_body`, :func:`ndjson_body`, :func:`columns_body`, and
+:func:`clean_columns`, which decides with the record decoder's own
+checks whether records may travel as columns.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -43,12 +48,13 @@ from ..errors import ServiceError
 from ..mp5.packet import DataPacket, PacketColumns
 
 __all__ = [
+    "COLUMNS_CTYPE",
+    "INGEST_ONLY_CTYPES",
     "IngestBody",
     "NDJSON_CTYPE",
     "WIRES",
     "clean_columns",
     "columns_body",
-    "columns_from_body",
     "columns_from_records",
     "decode_ingest",
     "json_object",
@@ -59,6 +65,9 @@ __all__ = [
 ]
 
 NDJSON_CTYPE = "application/x-ndjson"
+COLUMNS_CTYPE = "application/vnd.mp5.columns"
+#: The content types that mean something on ``POST /ingest`` alone.
+INGEST_ONLY_CTYPES = (NDJSON_CTYPE, COLUMNS_CTYPE)
 #: The wire names, as :attr:`IngestBody.wire` and ``ingest_batches`` spell them.
 WIRES = RECORDS, NDJSON, COLUMNS = ("records", "ndjson", "columns")
 
@@ -121,74 +130,45 @@ _DECLINED = (
 )
 
 
-class _BadColumn(ValueError):
-    """A column failed a check both wire shapes share. The record path
-    only needs to know that it did (the per-record oracle words the
-    rejection); a column body names the first row that fails ``ok``."""
-
-    def __init__(self, column: str, values: List, want: str, ok):
-        super().__init__(column)
-        self.column, self.values, self.want, self.ok = column, values, want, ok
-
-    def __str__(self) -> str:
-        row = next(i for i, v in enumerate(self.values) if not self.ok(v))
-        return (
-            f"column {self.column!r} row {row}: expected {self.want}, "
-            f"got {self.values[row]!r}"
-        )
+def _in_range(arrival: np.ndarray) -> bool:
+    """Every arrival finite, ``>= 0`` and below 2**53 (NaN fails both
+    bounds)."""
+    return bool(0 <= arrival.min() <= arrival.max() < ARRIVAL_LIMIT)
 
 
-def _arrival_column(values: List) -> np.ndarray:
-    """``values`` as the float64 arrival column: JSON numbers, finite,
-    ``>= 0`` and below 2**53 (NaN fails both bounds)."""
-    if set(map(type, values)) <= _NUMBERS:
-        with contextlib.suppress(OverflowError):  # an int past float64
-            col = np.array(values, dtype=np.float64)
-            if 0 <= col.min() <= col.max() < ARRIVAL_LIMIT:
-                return col
-    raise _BadColumn(
-        "arrival", values, "a number that is finite, >= 0 and below 2**53",
-        lambda v: type(v) in _NUMBERS and 0 <= v < ARRIVAL_LIMIT,
-    )
-
-
-def _int64_column(name: str, values: List) -> np.ndarray:
+def _int64_column(values: List) -> np.ndarray:
     """``values`` as an int64 column when every one is spelt as a JSON
     integer that fits; any other spelling (``"5"``, ``5.7``, ``true``)
-    is a :class:`_BadColumn`."""
-    if set(map(type, values)) == {int}:
-        with contextlib.suppress(OverflowError):  # an int past int64
-            return np.array(values, dtype=np.int64)
-    raise _BadColumn(
-        name, values, "an integer that fits int64",
-        lambda v: type(v) is int and INT64_MIN <= v <= INT64_MAX,
-    )
+    is declined."""
+    if set(map(type, values)) != {int}:
+        raise TypeError("not spelt as JSON integers")
+    return np.array(values, dtype=np.int64)  # OverflowError past int64
 
 
 def _checked_columns(
     arrival: List, port: List, size: List, flow: List, headers: Dict[str, List]
 ) -> PacketColumns:
-    """The per-column checks every ingest batch passes, whichever wire
-    shape carried it: equal-length value lists in, one validated batch
-    out, :class:`_BadColumn` for the first column that fails."""
-    if not set(map(type, flow)) <= _FLOWS:
-        raise _BadColumn(
-            "flow", flow, "null, an integer or a string",
-            lambda v: type(v) in _FLOWS,
-        )
+    """The per-column checks that let a record batch skip the per-record
+    oracle: equal-length value lists in, one validated batch out, one of
+    ``_DECLINED`` for the first column that fails."""
+    if not (set(map(type, arrival)) <= _NUMBERS and set(map(type, flow)) <= _FLOWS):
+        raise TypeError("arrival or flow not spelt with its JSON type")
+    ticks = np.array(arrival, dtype=np.float64)  # OverflowError past float64
+    if not _in_range(ticks):
+        raise ValueError("arrival out of range")
     return PacketColumns(
-        _arrival_column(arrival),
-        _int64_column("port", port),
-        _int64_column("size", size),
+        ticks,
+        _int64_column(port),
+        _int64_column(size),
         flow,
-        {f: _int64_column(f"headers.{f}", col) for f, col in headers.items()},
+        {f: _int64_column(col) for f, col in headers.items()},
     )
 
 
 def _gather(records: List[Dict]) -> Dict:
-    """``records`` transposed into the column body's shape, one list per
-    column. Raises whatever the gather raised for records that do not
-    all carry the same header keys (or are not records at all)."""
+    """``records`` transposed, one list per column. Raises whatever the
+    gather raised for records that do not all carry the same header
+    keys (or are not records at all)."""
     hdrs = [r["headers"] for r in records]
     fields = tuple(hdrs[0])
     if not (
@@ -206,84 +186,102 @@ def _gather(records: List[Dict]) -> Dict:
     }
 
 
+def clean_columns(records: List[Dict]) -> Optional[PacketColumns]:
+    """``records`` as the validated batch the column wire carries
+    (:func:`columns_body` packs it), or None when
+    :func:`columns_from_records` would hand them to the per-record
+    oracle — those must travel as records, where a coercible spelling
+    is still accepted and a rejection still names the record."""
+    try:
+        return _checked_columns(**_gather(records))
+    except _DECLINED:
+        return None
+
+
 def columns_from_records(records: List[Dict]) -> PacketColumns:
     """The record decode entry: ``/ingest`` packet records (the schema
     of :func:`packet_from_json`) → one validated
     :class:`~repro.mp5.packet.PacketColumns` batch.
 
     Equal, column for column, to gathering ``packet_from_json`` of
-    every record — which is what runs whenever the gather or the shared
+    every record — which is what runs whenever the gather or the
     column checks decline a batch (a coercible spelling such as ``"5"``
     or ``5.7`` for a header value, sparse header keys, anything
     malformed or out of range), so every rejection carries that
     function's status and message and names the offending record."""
-    try:
-        return _checked_columns(**_gather(records))
-    except _DECLINED:
-        return PacketColumns.from_packets(
+    batch = clean_columns(records)
+    if batch is None:
+        batch = PacketColumns.from_packets(
             [packet_from_json(r, i) for i, r in enumerate(records)]
         )
+    return batch
 
 
-def clean_columns(records: List[Dict]) -> Optional[Dict]:
-    """``records`` as the column body of ``POST /ingest``, or None when
-    :func:`columns_from_records` would hand them to the per-record
-    oracle — those must travel as records, where a coercible spelling
-    is still accepted and a rejection still names the record."""
+def _columns_from_frame(header: object, payload: memoryview) -> PacketColumns:
+    """The column decode entry: a packed frame's header line (parsed)
+    and payload → one validated batch whose columns are read-only
+    ``np.frombuffer`` views of the payload, wherever it starts.
+
+    Strict — there are no records to fall back on — and the dtype does
+    the per-value work: what is left to refuse is a header that is not
+    ``{"rows", "columns", "flow"?}``, an unknown or repeated column
+    name, a payload that is not exactly ``rows`` 8-byte words per
+    column (compared before anything is allocated), an arrival out of
+    range (naming the first offending row) and a bad ``flow``."""
     try:
-        body = _gather(records)
-        _checked_columns(**body)
-    except _DECLINED:
-        return None
-    if not any(f is not None for f in body["flow"]):
-        del body["flow"]
-    return body
-
-
-def columns_from_body(body: Dict) -> PacketColumns:
-    """The column decode entry: the ``"columns"`` object of a
-    ``POST /ingest`` body — ``{"arrival": [...], "headers": {field:
-    [...]}, "port": [...], "size": [...], "flow": [...]}``, the last
-    three optional (0, 64 and null per packet, as in a record) — → one
-    validated batch, through the same column checks as records.
-
-    Strict, because there are no records to fall back on: a value not
-    spelt with its exact JSON type, an arrival out of range, an integer
-    past int64, a column that is not a list or not as long as
-    ``arrival``, an unknown column or an empty batch is a 400 naming
-    the column and the first offending row."""
-    try:
-        if type(body) is not dict or type(body.get("headers", {})) is not dict:
-            raise ValueError("'columns' and its 'headers' must be objects")
-        unknown = set(body) - {"arrival", "port", "size", "flow", "headers"}
-        if unknown:
-            raise ValueError(f"unknown column {min(unknown)!r}")
-        arrival, headers = body["arrival"], body["headers"]
-        named = {"arrival": arrival, **body}  # arrival first: it sets the length
-        del named["headers"]
-        named.update((f"headers.{f}", col) for f, col in headers.items())
-        for name, col in named.items():
-            if type(col) is not list:
-                raise ValueError(
-                    f"column {name!r} must be a list, got {type(col).__name__}"
-                )
-            if len(col) != len(arrival):
-                raise ValueError(
-                    f"column {name!r} row {min(len(col), len(arrival))}: column "
-                    f"has {len(col)} rows, 'arrival' has {len(arrival)}"
-                )
-        rows = len(arrival)
-        if not rows:
-            raise ValueError("column 'arrival' has no rows")
-        return _checked_columns(
+        if type(header) is not dict or not header.keys() <= {"rows", "columns", "flow"}:
+            raise ValueError("header must be an object of 'rows', 'columns' and 'flow'")
+        rows, names, flow = (header.get(key) for key in ("rows", "columns", "flow"))
+        if type(rows) is not int or rows < 1:
+            raise ValueError(f"'rows' must be a positive integer, got {rows!r}")
+        if type(names) is not list:
+            raise ValueError("'columns' must be a list of column names")
+        seen = set()
+        for name in names:
+            if type(name) is not str or not (
+                name in ("arrival", "port", "size") or name.startswith("headers.")
+            ):
+                raise ValueError(f"unknown column {name!r}")
+            if name in seen:
+                raise ValueError(f"duplicate column {name!r}")
+            seen.add(name)
+        if "arrival" not in seen:
+            raise ValueError("no column 'arrival'")
+        want = rows * 8 * len(names)
+        if len(payload) != want:
+            raise ValueError(
+                f"{rows} rows of {len(names)} columns take {want} payload "
+                f"bytes, got {len(payload)}"
+            )
+        if flow is None:
+            flow = [None] * rows
+        elif not (
+            type(flow) is list and len(flow) == rows and set(map(type, flow)) <= _FLOWS
+        ):
+            raise ValueError(
+                f"'flow' must be {rows} values, each null, an integer or a string"
+            )
+        cols = {
+            name: np.frombuffer(
+                payload, "<f8" if name == "arrival" else "<i8", rows, i * rows * 8
+            )
+            for i, name in enumerate(names)
+        }
+        arrival = cols.pop("arrival")
+        if not _in_range(arrival):
+            row = int(np.argmin((arrival >= 0) & (arrival < ARRIVAL_LIMIT)))
+            raise ValueError(
+                f"column 'arrival' row {row}: expected a number that is finite, "
+                f">= 0 and below 2**53, got {float(arrival[row])!r}"
+            )
+        port, size = cols.pop("port", None), cols.pop("size", None)
+        return PacketColumns(
             arrival,
-            body.get("port", [0] * rows),
-            body.get("size", [64] * rows),
-            body.get("flow", [None] * rows),
-            headers,
+            np.zeros(rows, np.int64) if port is None else port,
+            np.full(rows, 64, np.int64) if size is None else size,
+            flow,
+            {name[len("headers.") :]: col for name, col in cols.items()},
         )
-    except KeyError as exc:
-        raise ServiceError(f"malformed column batch: no column {exc}") from exc
     except ValueError as exc:
         raise ServiceError(f"malformed column batch: {exc}") from exc
 
@@ -305,7 +303,7 @@ _BAD_JSON = (ValueError, RecursionError)
 
 def json_object(body: bytes) -> Dict:
     """A JSON request body → the object it spells (every route's body
-    but an NDJSON ingest)."""
+    but an NDJSON or column-frame ingest)."""
     try:
         payload = json.loads(body)
     except _BAD_JSON as exc:
@@ -354,19 +352,35 @@ def _parse_ndjson(body: bytes) -> Dict:
     return {"packets": records}
 
 
+def _parse_frame(body: bytes) -> Tuple[object, memoryview]:
+    """A packed column frame → its header line, parsed (any JSON value:
+    :meth:`IngestBody.batch` judges it), and a view of the words after
+    it — no byte of the payload is copied or looked at here."""
+    end = body.find(b"\n")
+    if end < 0:
+        raise ServiceError("invalid column frame: no header line")
+    try:
+        header = json.loads(body[:end])
+    except _BAD_JSON as exc:
+        raise ServiceError(f"invalid column frame: header line: {exc}") from exc
+    return header, memoryview(body)[end + 1 :]
+
+
 class IngestBody(NamedTuple):
     """A ``POST /ingest`` body parsed but not yet validated: ``wire``
-    names the format that carried it (the ``ingest_batches`` key) and
-    ``payload`` is its record list or its ``"columns"`` object."""
+    names the format that carried it (the ``ingest_batches`` key),
+    ``payload`` is its record list or its column frame's ``(header,
+    words)`` and ``nbytes`` is the length of the framed body."""
 
     wire: str
     payload: object
+    nbytes: int
 
     def batch(self) -> PacketColumns:
         """The validated batch, or the 400 that rejects it whole."""
         try:
             if self.wire == COLUMNS:
-                return columns_from_body(self.payload)
+                return _columns_from_frame(*self.payload)
             if not isinstance(self.payload, list) or not self.payload:
                 raise ServiceError("ingest expects a non-empty packet list")
             return columns_from_records(self.payload)
@@ -378,8 +392,10 @@ class IngestBody(NamedTuple):
 
 def parse_ingest(ctype: str, body: bytes) -> IngestBody:
     """The framed body of one ``POST /ingest`` → its wire and payload.
-    The content type picks NDJSON or a JSON document, and the
-    document's key picks records or columns."""
+    The content type alone picks the wire: a column frame, NDJSON, or
+    (anything else) a JSON document of records."""
+    if ctype == COLUMNS_CTYPE:
+        return IngestBody(COLUMNS, _parse_frame(body), len(body))
     ndjson = ctype == NDJSON_CTYPE
     if not body:
         payload: Dict = {}
@@ -387,11 +403,13 @@ def parse_ingest(ctype: str, body: bytes) -> IngestBody:
         payload = _parse_ndjson(body)
     else:
         payload = json_object(body)
-    if "columns" in payload:
-        if "packets" in payload:
-            raise ServiceError("ingest takes 'packets' or 'columns', not both")
-        return IngestBody(COLUMNS, payload["columns"])
-    return IngestBody(NDJSON if ndjson else RECORDS, payload.get("packets", []))
+        if "columns" in payload:
+            raise ServiceError(
+                "a JSON ingest body carries 'packets'; column batches "
+                f"travel as packed frames, Content-Type: {COLUMNS_CTYPE}"
+            )
+    wire = NDJSON if ndjson else RECORDS
+    return IngestBody(wire, payload.get("packets", []), len(body))
 
 
 def decode_ingest(ctype: str, body: bytes) -> PacketColumns:
@@ -405,7 +423,7 @@ def decode_ingest(ctype: str, body: bytes) -> PacketColumns:
 # Encoding: what the client sends
 # ----------------------------------------------------------------------
 
-# One compact encoder for every NDJSON line and column body:
+# One compact encoder for every NDJSON line and column header:
 # ``json.dumps`` with non-default separators would construct one per call.
 _encode_compact = json.JSONEncoder(separators=(",", ":")).encode
 
@@ -422,7 +440,24 @@ def ndjson_body(records: List[Dict]) -> bytes:
     return "\n".join([*map(_encode_compact, records), ""]).encode()
 
 
-def columns_body(columns: Dict) -> bytes:
-    """The column wire: ``columns`` (what :func:`clean_columns` builds)
-    as one compact JSON document."""
-    return _encode_compact({"columns": columns}).encode()
+def columns_body(batch: PacketColumns) -> bytes:
+    """The column wire (:data:`COLUMNS_CTYPE`): ``batch`` (what
+    :func:`clean_columns` builds) as one packed frame — the header
+    line, then each column's words, little-endian on any host."""
+    header = {
+        "rows": len(batch),
+        "columns": ["arrival", "port", "size", *(f"headers.{f}" for f in batch.headers)],
+    }
+    if any(f is not None for f in batch.flow):
+        header["flow"] = batch.flow
+    return b"".join(
+        [
+            _encode_compact(header).encode(),
+            b"\n",
+            batch.arrival.astype("<f8", copy=False).tobytes(),
+            *(
+                col.astype("<i8", copy=False).tobytes()
+                for col in (batch.port, batch.size, *batch.headers.values())
+            ),
+        ]
+    )

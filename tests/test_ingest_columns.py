@@ -12,16 +12,19 @@ Three layers of contract:
 * **edges** — what ingest rejects is rejected atomically (nothing
   queued, horizon untouched) and the daemon keeps answering and shuts
   down cleanly afterwards;
-* **column wire** — a ``{"columns": ...}`` body decodes to the same
-  batch as the records it was transposed from, serves the same bytes,
-  is rejected strictly (a 400 naming column and row, atomically), and
-  ``replay_trace`` sends it only for chunks the record path would
-  accept without its per-record oracle — every other chunk leaves as
-  the NDJSON bytes it always was.
+* **column wire** — a packed column frame decodes to the same batch as
+  the records it was transposed from, serves the same bytes, is
+  rejected strictly (a 400 naming what is wrong with the header, the
+  payload length or the first bad arrival, atomically), hands the
+  engines read-only columns at any byte offset, and ``replay_trace``
+  sends it only for chunks the record path would accept without its
+  per-record oracle — every other chunk leaves as the NDJSON bytes it
+  always was.
 """
 
 import json
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -29,8 +32,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import compile_program
-from repro.mp5 import ENGINES, MP5Config, PacketColumns
+from repro.mp5 import ENGINES, MP5Config, MP5Switch, PacketColumns, ReferenceSwitch
 from repro.mp5.packet import DataPacket
+from repro.mp5.vector import VectorSwitch
 from repro.service import (
     ServiceError,
     ServiceThread,
@@ -43,7 +47,14 @@ from repro.service import (
 from repro.service import daemon as daemon_module
 from repro.service import wire as wire_module
 from repro.service.client import ServiceClient, ServiceClientError
-from repro.service.wire import _parse_ndjson, clean_columns, columns_from_body
+from repro.service.wire import (
+    COLUMNS_CTYPE,
+    NDJSON_CTYPE,
+    _parse_ndjson,
+    clean_columns,
+    columns_body,
+    decode_ingest,
+)
 from repro.workloads.traffic import line_rate_trace, random_headers
 
 PIPELINES = 4
@@ -474,13 +485,31 @@ def test_a_failed_feed_loses_the_batch_not_the_pump(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# The column wire body: {"columns": {...}} on POST /ingest
+# The column wire: a packed frame on POST /ingest
 # ----------------------------------------------------------------------
 
 
-def wire(body):
-    """What the daemon sees of a column batch the client sent."""
-    return json.loads(wire_module._encode_compact({"columns": body}))["columns"]
+def frame(header, payload: bytes, offset: int = 0) -> bytes:
+    """A column frame put together by hand: any JSON value as the
+    header line, padded with spaces so that the payload starts
+    ``offset`` bytes past a multiple of 8, then the payload as given."""
+    line = json.dumps(header).encode()
+    return line + b" " * ((offset - len(line) - 1) % 8) + b"\n" + payload
+
+
+def unframe(body: bytes):
+    """``(header, payload)`` of a frame ``columns_body`` packed."""
+    line, _, payload = body.partition(b"\n")
+    return json.loads(line), payload
+
+
+def via_wire(batch: PacketColumns, offset=None) -> PacketColumns:
+    """What the daemon sees of a column batch the client sent — as
+    sent, or re-framed with its payload at ``offset``."""
+    body = columns_body(batch)
+    if offset is not None:
+        body = frame(*unframe(body), offset=offset)
+    return decode_ingest(COLUMNS_CTYPE, body)
 
 
 @settings(
@@ -491,27 +520,79 @@ def wire(body):
 @given(records=record_batches())
 def test_column_body_equals_columns_from_records(records):
     """A batch is a clean column batch exactly when the record path
-    would not consult the per-record oracle, and then both decode
-    entries agree column for column."""
-    body = clean_columns(records)
+    would not consult the per-record oracle, and then the frame decodes
+    column for column to what the records decode to."""
+    batch = clean_columns(records)
     try:
         wire_module._checked_columns(**wire_module._gather(records))
     except wire_module._DECLINED:
-        assert body is None
+        assert batch is None
         return
-    assert "flow" in body or all(r.get("flow") is None for r in records)
-    assert_columns_equal(
-        columns_from_body(wire(body)), columns_from_records(records)
-    )
+    header, payload = unframe(columns_body(batch))
+    assert ("flow" in header) == any(r.get("flow") is not None for r in records)
+    assert len(payload) == 8 * len(records) * len(header["columns"])
+    want = columns_from_records(records)
+    assert_columns_equal(batch, want)
+    assert_columns_equal(via_wire(batch), want)
 
 
 def test_optional_columns_default_as_record_fields_do():
     records = [{"arrival": i, "headers": {"a": i}} for i in range(5)]
-    body = {"arrival": [0, 1, 2, 3, 4], "headers": {"a": [0, 1, 2, 3, 4]}}
-    got = columns_from_body(body)
+    payload = struct.pack("<5d5q", *range(5), *range(5))
+    got = decode_ingest(
+        COLUMNS_CTYPE, frame({"rows": 5, "columns": ["arrival", "headers.a"]}, payload)
+    )
     assert_columns_equal(got, columns_from_records(records))
     assert got.port.tolist() == [0] * 5 and got.size.tolist() == [64] * 5
     assert got.flow == [None] * 5
+
+
+def fed(engine: str, *batches: PacketColumns) -> str:
+    """The segment a streaming switch closes over ``batches`` fed as
+    they are — what the daemon's pump does with a queued batch."""
+    cls = {"fast": MP5Switch, "dense": ReferenceSwitch, "vector": VectorSwitch}[engine]
+    switch = cls(compile_program(PROGRAM), CONFIG)
+    switch.start()
+    for batch in batches:
+        switch.feed(batch)
+    switch.pump()
+    return render_payload(segment_payload(switch.finish(), switch.public_registers()))
+
+
+def test_a_frame_decodes_alike_at_every_payload_offset():
+    """The header line's length sets where the payload starts: all
+    eight residues mod 8 give equal batches, read-only views of the
+    body whether or not the words ended up aligned."""
+    batch = clean_columns(clean_records(50))
+    aligned = []
+    for offset in range(8):
+        got = via_wire(batch, offset)
+        assert_columns_equal(got, batch)
+        for col in (got.arrival, got.port, got.size, *got.headers.values()):
+            assert not col.flags.writeable and not col.flags.owndata
+        aligned.append(bool(got.arrival.flags.aligned))
+    assert aligned == [True] + [False] * 7
+
+
+@pytest.mark.parametrize("engine", ["fast", "dense", "vector"])
+@pytest.mark.parametrize("flows", [True, False], ids=["flows", "no_flows"])
+@pytest.mark.parametrize("shuffled", [False, True], ids=["sorted", "unsorted"])
+def test_engines_take_read_only_unaligned_columns(engine, flows, shuffled):
+    """No engine writes into, or needs alignment of, what the socket
+    handed it: two decoded frames — read-only, one off the 8-byte grid
+    — feed straight in and close the offline segment."""
+    records = clean_records(120)
+    if not flows:
+        for rec in records:
+            rec.pop("flow", None)
+    parts = [records[:70], records[70:]]
+    if shuffled:
+        for part in parts:
+            random.Random(7).shuffle(part)
+    batches = [via_wire(clean_columns(part), i) for i, part in enumerate(parts)]
+    assert [bool(b.arrival.flags.aligned) for b in batches] == [True, False]
+    assert not any(b.arrival.flags.writeable for b in batches)
+    assert fed(engine, *batches) == offline(engine, records)
 
 
 def test_clean_column_batch_touches_no_record_code(monkeypatch):
@@ -541,7 +622,9 @@ def test_clean_column_batch_touches_no_record_code(monkeypatch):
 
 
 @pytest.mark.parametrize("engine", ["fast", "dense", "vector"])
-@pytest.mark.parametrize("chunk, n", [(1, 60), (7, 200), (100, 600), (512, 600)])
+@pytest.mark.parametrize(
+    "chunk, n", [(1, 60), (7, 200), (64, 400), (100, 600), (512, 600)]
+)
 def test_served_columns_equal_records_ndjson_and_offline(engine, chunk, n):
     records = served_records(n, chunk)
     want = offline(engine, records)
@@ -566,105 +649,201 @@ def test_served_columns_equal_records_ndjson_and_offline(engine, chunk, n):
 
 
 N_GOOD = 8
+NAMES = ["arrival", "port", "size", *(f"headers.{f}" for f in FIELDS)]
 
 
-def _good_body(start: int = 0):
+def _good_batch(start: int = 0) -> PacketColumns:
     rows = range(start, start + N_GOOD)
-    return {
-        "arrival": [float(i) for i in rows],
-        "port": [i % PIPELINES for i in rows],
-        "size": [64] * N_GOOD,
-        "flow": [None, 3, "f"] + [None] * (N_GOOD - 3),
-        "headers": {f: [i % 7 for i in rows] for f in FIELDS},
-    }
+    return PacketColumns(
+        np.array(rows, dtype=np.float64),
+        np.array([i % PIPELINES for i in rows]),
+        np.full(N_GOOD, 64),
+        [None, 3, "f"] + [None] * (N_GOOD - 3),
+        {f: np.array([i % 7 for i in rows]) for f in FIELDS},
+    )
 
 
-def _with(path, value, row=None):
-    """A good batch with one column (or one row of it) replaced."""
-    body = _good_body(100)
-    target = body
-    *parents, leaf = path.split(".")
-    for key in parents:
-        target = target[key]
-    if row is None:
-        target[leaf] = value
-    else:
-        target[leaf] = list(target[leaf])
-        target[leaf][row] = value
-    return body
+GOOD_HEADER, GOOD_PAYLOAD = unframe(columns_body(_good_batch(100)))
+
+
+def _with(**changes):
+    """The good frame's header with some keys replaced."""
+    return {**GOOD_HEADER, **changes}, GOOD_PAYLOAD
+
+
+def _arrival(row: int, value: float):
+    """The good frame with one word of its arrival column (the first)
+    replaced, and the rejection that names it."""
+    payload = GOOD_PAYLOAD[: row * 8] + struct.pack("<d", value) + GOOD_PAYLOAD[row * 8 + 8 :]
+    return (GOOD_HEADER, payload), (
+        f"column 'arrival' row {row}: expected a number that is finite, "
+        f">= 0 and below 2**53, got {value!r}"
+    )
+
+
+def _flow_row(row: int, value):
+    return _with(flow=[value if i == row else f for i, f in enumerate(GOOD_HEADER["flow"])])
 
 
 H0 = f"headers.{FIELDS[0]}"
-BAD_COLUMN_BODIES = [
-    ([1, 2], "'columns' and its 'headers' must be objects"),
-    (_with("headers", [1]), "'columns' and its 'headers' must be objects"),
-    ({"headers": {}}, "no column 'arrival'"),
-    ({"arrival": [1.0]}, "no column 'headers'"),
-    ({"arrival": [], "headers": {}}, "column 'arrival' has no rows"),
-    (_with("ports", [0] * N_GOOD), "unknown column 'ports'"),
-    (_with("arrival", 5), "column 'arrival' must be a list, got int"),
-    (_with("port", "0123"), "column 'port' must be a list, got str"),
-    (_with(H0, {"0": 1}), f"column {H0!r} must be a list, got dict"),
-    (_with("size", [64] * 5), "column 'size' row 5: column has 5 rows"),
-    (_with(H0, [1] * 9), f"column {H0!r} row 8: column has 9 rows"),
-    (_with("flow", [None]), "column 'flow' row 1: column has 1 rows"),
-    (_with(H0, "5", 3), f"column {H0!r} row 3: expected an integer"),
-    (_with(H0, 5.7, 0), f"column {H0!r} row 0: expected an integer"),
-    (_with("port", True, 7), "column 'port' row 7: expected an integer"),
-    (_with("size", None, 2), "column 'size' row 2: expected an integer"),
-    (_with("arrival", "101.0", 1), "column 'arrival' row 1: expected a number"),
-    (_with("arrival", True, 1), "column 'arrival' row 1: expected a number"),
-    (_with("arrival", float("nan"), 4), "column 'arrival' row 4: expected"),
-    (_with("arrival", float("inf"), 7), "column 'arrival' row 7: expected"),
-    (_with("arrival", -1, 0), "column 'arrival' row 0: expected"),
-    (_with("arrival", 2**53, 6), "column 'arrival' row 6: expected"),
-    (_with("arrival", 10**400, 6), "column 'arrival' row 6: expected"),
-    (_with(H0, 2**63, 5), f"column {H0!r} row 5: expected an integer that fits"),
-    (_with("port", -(2**63) - 1, 2), "column 'port' row 2: expected an integer"),
-    (_with("flow", [1, 2], 3), "column 'flow' row 3: expected null, an integer"),
-    (_with("flow", 1.5, 0), "column 'flow' row 0: expected null, an integer"),
+BYTES = N_GOOD * 8 * len(NAMES)
+TAKE = f"{N_GOOD} rows of {len(NAMES)} columns take {BYTES} payload bytes, "
+FLOW_WANT = f"'flow' must be {N_GOOD} values, each null, an integer or a string"
+BAD_COLUMN_FRAMES = [
+    (([1, 2], GOOD_PAYLOAD), "header must be an object of 'rows', 'columns' and"),
+    ((None, GOOD_PAYLOAD), "header must be an object of 'rows', 'columns' and"),
+    (_with(headers={}), "header must be an object of 'rows', 'columns' and"),
+    (({"columns": NAMES}, GOOD_PAYLOAD), "'rows' must be a positive integer, got None"),
+    (_with(rows=0), "'rows' must be a positive integer, got 0"),
+    (_with(rows=-N_GOOD), f"'rows' must be a positive integer, got -{N_GOOD}"),
+    (_with(rows=float(N_GOOD)), "'rows' must be a positive integer, got 8.0"),
+    (_with(rows=True), "'rows' must be a positive integer, got True"),
+    (_with(rows=str(N_GOOD)), "'rows' must be a positive integer, got '8'"),
+    (({"rows": N_GOOD}, GOOD_PAYLOAD), "'columns' must be a list of column names"),
+    (_with(columns="arrival"), "'columns' must be a list of column names"),
+    (_with(columns=["ports", *NAMES[1:]]), "unknown column 'ports'"),
+    (_with(columns=[*NAMES[:-1], "headers"]), "unknown column 'headers'"),
+    (_with(columns=[*NAMES[:-1], 7]), "unknown column 7"),
+    (_with(columns=[*NAMES[:-1], ["arrival"]]), "unknown column ['arrival']"),
+    (_with(columns=[*NAMES[:-1], "port"]), "duplicate column 'port'"),
+    (_with(columns=[*NAMES[:-1], H0]), f"duplicate column {H0!r}"),
+    (_with(columns=["headers.zz", *NAMES[1:]]), "no column 'arrival'"),
+    (_with(columns=[]), "no column 'arrival'"),
+    (_with(rows=2**62), f"{2**62} rows of {len(NAMES)} columns take {2**62 // N_GOOD * BYTES}"),
+    (_with(rows=N_GOOD - 1), f"{N_GOOD - 1} rows of {len(NAMES)} columns take"),
+    (_with(columns=NAMES[:-1]), f"{N_GOOD} rows of {len(NAMES) - 1} columns take"),
+    (_with(columns=[*NAMES, "headers.zz"]), f"{N_GOOD} rows of {len(NAMES) + 1} columns take"),
+    ((GOOD_HEADER, GOOD_PAYLOAD[:-1]), TAKE + f"got {BYTES - 1}"),
+    ((GOOD_HEADER, GOOD_PAYLOAD + b"\0"), TAKE + f"got {BYTES + 1}"),
+    ((GOOD_HEADER, b""), TAKE + "got 0"),
+    (_with(flow=[None]), FLOW_WANT),
+    (_with(flow=[None] * (N_GOOD + 1)), FLOW_WANT),
+    (_with(flow="f" * N_GOOD), FLOW_WANT),
+    (_with(flow={"0": 1}), FLOW_WANT),
+    (_flow_row(3, [1, 2]), FLOW_WANT),
+    (_flow_row(0, 1.5), FLOW_WANT),
+    (_flow_row(7, True), FLOW_WANT),
+    _arrival(4, float("nan")),
+    _arrival(7, float("inf")),
+    _arrival(2, float("-inf")),
+    _arrival(0, -0.5),
+    _arrival(6, 2.0**53),
+    _arrival(1, 1e300),
 ]
 
 
 def test_bad_column_bodies_are_400s_naming_column_and_row():
-    """Strict and atomic: every rejection is a 400 that names the
-    column and the first offending row, and leaves the counters, the
-    horizon and the next accepted batch exactly as they were."""
+    """Strict and atomic: every rejection is a 400 that names what is
+    wrong — a header key, a column name, the payload length, the first
+    offending arrival row — and leaves the counters, the horizon and
+    the next accepted batch exactly as they were. The JSON spelling of
+    a column batch, which this wire replaced, is one of them."""
     service = SwitchService(program=PROGRAM, engine="vector", config=CONFIG)
     with ServiceThread(service) as thread:
         client = ServiceClient(*thread.address, timeout=10)
-        client.ingest(_good_body())
+
+        def refused(body, ctype=COLUMNS_CTYPE) -> str:
+            with pytest.raises(ServiceClientError) as err:
+                client._request("POST", "/ingest", data=body, content_type=ctype)
+            assert err.value.status == 400, body
+            assert service._feed_horizon == horizon
+            return err.value.message
+
+        client.ingest(_good_batch())
         client.wait_settled()
         before = client.status()
         horizon = service._feed_horizon
         assert before["ingested"] == N_GOOD and horizon == (N_GOOD - 1.0, 3)
-        for body, text in BAD_COLUMN_BODIES:
-            with pytest.raises(ServiceClientError) as err:
-                client.ingest(body) if isinstance(body, dict) else client._request(
-                    "POST", "/ingest", {"columns": body}
-                )
-            assert err.value.status == 400, body
-            assert err.value.message.startswith("malformed column batch: " + text)
-            assert service._feed_horizon == horizon
-        with pytest.raises(ServiceClientError) as err:
-            client._request(
-                "POST", "/ingest", {"packets": [], "columns": _good_body(100)}
-            )
-        assert err.value.status == 400 and "not both" in err.value.message
+        for bad, text in BAD_COLUMN_FRAMES:
+            assert refused(frame(*bad)).startswith("malformed column batch: " + text)
+        assert refused(b'{"rows": 1') == "invalid column frame: no header line"
+        assert refused(b"{rows\n").startswith("invalid column frame: header line: ")
+        connections = client.metrics()["service"]["connections"]
+        for old in (
+            b'{"columns": {"arrival": [200.0], "headers": {}}}',
+            b'{"packets": [], "columns": {}}',
+        ):
+            assert COLUMNS_CTYPE in refused(old, "application/json")
+        assert client.metrics()["service"]["connections"] == connections
         assert client.status() == before
         assert client.health()["verdict"] == "ok"
-        client.ingest(_good_body(100))
+        client.ingest(_good_batch(100))
         record = client.drain()["closed_segment"]
         assert record["offered"] == 2 * N_GOOD
         assert client.metrics()["service"]["ingest_batches"]["columns"] == 2
-        want = columns_from_body(_good_body()).to_packets()
-        want += columns_from_body(_good_body(100)).to_packets()
+        want = _good_batch().to_packets() + _good_batch(100).to_packets()
         stats, registers = ENGINES["vector"](compile_program(PROGRAM), want, CONFIG)
         assert client.segment_results(0) == render_payload(
             segment_payload(stats, registers)
         )
         client.shutdown()
     assert not thread._thread.is_alive()
+
+
+def test_column_frames_are_refused_off_the_ingest_route():
+    """Like NDJSON: the packed content type on any other route is a
+    400 that says so, not a JSON decode error, and keeps the connection."""
+    service = SwitchService(program=PROGRAM, engine="vector", config=CONFIG)
+    with ServiceThread(service) as thread:
+        client = client_of(thread)
+        connections = client.metrics()["service"]["connections"]
+        body = columns_body(_good_batch())
+        for ctype in (COLUMNS_CTYPE, NDJSON_CTYPE):
+            with pytest.raises(ServiceClientError) as err:
+                client._request("POST", "/replay", data=body, content_type=ctype)
+            assert err.value.status == 400
+            assert err.value.message == f"{ctype} bodies are only accepted on POST /ingest"
+        assert client.metrics()["service"]["connections"] == connections
+        client.shutdown()
+
+
+def test_three_wires_report_three_byte_counts_and_equal_results():
+    """The cost side of the wire choice: one trace sent three ways
+    closes three identical segments and counts three different body
+    sizes — in ``/metrics``, ``/metrics.prom`` and ``repro top``."""
+    from repro.obs.export import parse_openmetrics
+    from repro.obs.top import TopModel, render_top_frame
+
+    records = clean_records(300)
+    service = SwitchService(program=PROGRAM, engine="vector", config=CONFIG)
+    assert service.metrics_snapshot()["service"]["ingest_bytes"] == {}
+    with ServiceThread(service) as thread:
+        client = client_of(thread)
+        parts = [records[i : i + 100] for i in range(0, 300, 100)]
+        for send in (
+            client.ingest,
+            client.ingest_ndjson,
+            lambda part: client.ingest(clean_columns(part)),
+        ):
+            for part in parts:
+                send(part)
+            client.drain()
+        sizes = client.metrics()["service"]["ingest_bytes"]
+        assert sizes == {
+            "records": sum(len(json.dumps({"packets": part})) for part in parts),
+            "ndjson": len(parent_ndjson(records)),
+            "columns": sum(len(columns_body(clean_columns(part))) for part in parts),
+        }
+        assert len(set(sizes.values())) == 3
+        assert len({client.segment_results(i) for i in range(3)}) == 1
+        with pytest.raises(ServiceClientError):
+            client.ingest_ndjson([{"arrival": float("nan"), "headers": {}}])
+        snap = client.metrics()
+        assert snap["service"]["ingest_bytes"] == sizes  # a refused body is not counted
+        family = parse_openmetrics(client.metrics_prom())["mp5_service_ingest_bytes"]
+        assert family["type"] == "counter"
+        assert family["samples"] == [
+            ("_total", (("wire", wire),), float(sizes[wire]))
+            for wire in ("records", "ndjson", "columns")
+        ]
+        model = TopModel()
+        model.apply_metrics(snap)
+        assert (
+            "  wire=columns:3/ndjson:3/records:3  bytes="
+            + "/".join(f"{wire}:{sizes[wire]}" for wire in sorted(sizes))
+            in render_top_frame(model)
+        )
+        client.shutdown()
 
 
 def test_409_and_429_on_a_column_batch_leave_no_trace():
@@ -742,13 +921,14 @@ def test_replay_trace_sends_clean_chunks_as_columns(captured):
     assert client.replay_trace(records, chunk=40) == {
         "sent": 100, "chunks": 3, "retries": 0
     }
-    assert [ctype for _, _, ctype in sent] == ["application/json"] * 3
+    assert [ctype for _, _, ctype in sent] == [COLUMNS_CTYPE] * 3
     for (_, data, _), i in zip(sent, (0, 40, 80)):
-        body = json.loads(data)
-        assert list(body) == ["columns"]
-        assert b" " not in data
+        header, payload = unframe(data)
+        assert header["rows"] == len(records[i : i + 40])
+        assert sorted(header["columns"]) == sorted(NAMES)
+        assert len(payload) == 8 * header["rows"] * len(NAMES)
         assert_columns_equal(
-            columns_from_body(body["columns"]),
+            decode_ingest(COLUMNS_CTYPE, data),
             columns_from_records(records[i : i + 40]),
         )
 
@@ -780,9 +960,7 @@ def test_replay_trace_sends_other_chunks_as_todays_ndjson(mutate, captured):
     records = clean_records(90)
     mutate(records[47])
     client.replay_trace(records, chunk=30)
-    assert [ctype for _, _, ctype in sent] == [
-        "application/json", "application/x-ndjson", "application/json"
-    ]
+    assert [ctype for _, _, ctype in sent] == [COLUMNS_CTYPE, NDJSON_CTYPE, COLUMNS_CTYPE]
     assert sent[1][1] == parent_ndjson(records[30:60])
 
 

@@ -3,7 +3,9 @@
 * **bytes-level fuzz** — whatever the bytes and whatever the content
   type, :func:`decode_ingest` returns a validated ``PacketColumns`` or
   raises ``ServiceError`` with status 400. Any other exception is a 500
-  on the served path, and fails the property;
+  on the served path, and fails the property. The packed column frame
+  is fuzzed as bytes: truncations, header mutations, a payload a byte
+  off, arrival words no JSON number could spell;
 * **wire agreement** — one record list sent by each of the three
   ``ServiceClient`` encoders decodes to column-for-column equal batches
   (or, for an unclean list, to the same rejection);
@@ -18,6 +20,7 @@ import ast
 import copy
 import json
 import random
+import struct
 import sys
 from pathlib import Path
 
@@ -33,19 +36,24 @@ from repro.service import ServiceThread, SwitchService
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.wire import (
     ARRIVAL_LIMIT,
+    COLUMNS_CTYPE,
     INT64_MAX,
     INT64_MIN,
     NDJSON_CTYPE,
     WIRES,
     clean_columns,
+    columns_body,
+    columns_from_records,
     decode_ingest,
     parse_ingest,
 )
 
-from .test_ingest_columns import assert_columns_equal, record_batches
+from .test_ingest_columns import assert_columns_equal, frame, record_batches, unframe
 
 JSON_CTYPE = "application/json"
-CTYPES = [JSON_CTYPE, NDJSON_CTYPE, "", "text/plain", "application/octet-stream"]
+CTYPES = [
+    JSON_CTYPE, NDJSON_CTYPE, COLUMNS_CTYPE, "", "text/plain", "application/octet-stream"
+]
 
 
 class CapturingClient(ServiceClient):
@@ -93,9 +101,14 @@ def outcome(ctype, body):
 _JUNK = st.sampled_from(
     [
         None, True, False, 0, -1, 1.5, -0.0, "5", "x", "", [], [1], [[]], {},
-        {"a": 1}, 2**63, -(2**63) - 1, 2**70, 10**400, 1e300,
-        float("nan"), float("inf"),
+        {"a": 1}, 2**62, 2**63, -(2**63) - 1, 2**70, 10**400, 1e300,
+        float("nan"), float("inf"), "arrival", "port", "headers.a", "ports",
     ]
+)
+# Words for an arrival column that no JSON number could have spelt, or
+# that are out of range.
+_WORDS = st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), -0.5, -0.0, 2.0**53, 1e300, 5e-324]
 )
 _DROP = object()
 
@@ -106,7 +119,7 @@ _HOSTILE = st.one_of(
     st.builds(
         lambda n, tail: b"[" * n + tail,
         st.sampled_from([1, 50, 900, 1_000, 5_000, 100_000]),
-        st.sampled_from([b"", b"1", b"]"]),
+        st.sampled_from([b"", b"1", b"]", b"\n", b"]\n" + b"\0" * 8]),
     ),
     st.sampled_from(
         [
@@ -116,6 +129,14 @@ _HOSTILE = st.one_of(
             b"\xef\xbb\xbf" + b'{"arrival": 1, "headers": {}}\n',
             b'{"packets": [], "columns": {}}',
             b'{"columns": null}',
+            b'{"rows": 1, "columns": ["arrival"]}\n',
+            b'{"rows": 1, "columns": ["arrival"]}\r\n' + b"\0" * 8,
+            b'{"rows": 1, "columns": ["arrival"]}\n\n' + b"\0" * 8,
+            b"\xef\xbb\xbf" + b'{"rows": 1, "columns": ["arrival"]}\n' + b"\0" * 8,
+            '{"rows": 1, "columns": ["arrival"]}'.encode("utf-16") + b"\n" + b"\0" * 8,
+            b'{"rows": 1e0, "columns": ["arrival"]}\n' + b"\0" * 8,
+            b'{"rows": ' + b"9" * 5000 + b', "columns": ["arrival"]}\n',
+            b"\n",
             b"null",
             b"[]\n{}",
             b"\n \r\n",
@@ -177,6 +198,20 @@ def fuzz_cases(draw):
     ctype, body = encodings[draw(st.sampled_from(WIRES))]
     if kind == "truncated":
         body = body[: draw(st.integers(0, len(body)))]
+    elif kind == "mutated" and ctype == COLUMNS_CTYPE:
+        header, payload = unframe(body)
+        how = draw(st.sampled_from(["header", "short", "long", "word"]))
+        if how == "header":
+            path = draw(st.sampled_from(list(_paths(header))))
+            header = _mutated(header, path, draw(st.one_of(_JUNK, st.just(_DROP))))
+        elif how == "short":
+            payload = payload[:-1]
+        elif how == "long":
+            payload += b"\0"
+        else:  # one word of the first column, which is ``arrival``
+            at = 8 * draw(st.integers(0, header["rows"] - 1))
+            payload = payload[:at] + struct.pack("<d", draw(_WORDS)) + payload[at + 8 :]
+        body = frame(header, payload, offset=draw(st.integers(0, 7)))
     elif kind == "mutated":
         lines = body.split(b"\n") if ctype == NDJSON_CTYPE else [body]
         at = draw(st.integers(0, len(lines) - 1))
@@ -205,6 +240,7 @@ def test_any_bytes_decode_to_a_batch_or_a_400(case):
         return
     # A batch the daemon can queue as is: typed, in range, spannable.
     assert isinstance(got, PacketColumns) and len(got) > 0
+    assert len(got.port) == len(got.size) == len(got)
     assert got.arrival.dtype == np.float64
     assert got.port.dtype == got.size.dtype == np.int64
     assert {col.dtype for col in got.headers.values()} <= {np.dtype(np.int64)}
@@ -214,6 +250,37 @@ def test_any_bytes_decode_to_a_batch_or_a_400(case):
     assert 0 <= lo <= hi < ARRIVAL_LIMIT
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_every_truncation_of_a_frame_is_a_400(seed):
+    """No prefix of a frame is a frame: a cut inside the header line
+    leaves no header, a cut inside the payload the wrong length —
+    ``rows`` words per column is checked before a byte is read."""
+    batch = clean_columns(valid_records(seed))
+    body = columns_body(batch)
+    assert_columns_equal(outcome(COLUMNS_CTYPE, body), batch)
+    for cut in range(len(body)):
+        got = outcome(COLUMNS_CTYPE, body[:cut])
+        assert isinstance(got, str), cut
+        assert got.startswith(("invalid column frame: ", "malformed column batch: "))
+
+
+def test_a_frame_claiming_2_to_the_62_rows_allocates_nothing(monkeypatch):
+    """The payload length is compared with what the header claims
+    before any column, default or flow list is built."""
+    def boom(*args, **kwargs):
+        raise AssertionError("allocated for a frame that cannot be right")
+
+    for name in ("frombuffer", "zeros", "full"):
+        monkeypatch.setattr(np, name, boom)
+    for header in (
+        {"rows": 2**62, "columns": ["arrival"]},
+        {"rows": 2**62, "columns": ["arrival", "headers.a"], "flow": [None]},
+        {"rows": 2**31, "columns": ["arrival"]},
+    ):
+        got = outcome(COLUMNS_CTYPE, frame(header, b"\0" * 64))
+        assert got.startswith(f"malformed column batch: {header['rows']} rows of")
+
+
 @pytest.mark.parametrize(
     "template, ctype",
     [
@@ -221,8 +288,11 @@ def test_any_bytes_decode_to_a_batch_or_a_400(case):
         (b'{"packets": [{"arrival": 1, "headers": {"a": %s}}]}', JSON_CTYPE),
         (b'{"arrival": 1, "headers": {"a": %s}}\n', NDJSON_CTYPE),
         (b'{"arrival": 1, "flow": %s, "headers": {}}\n', NDJSON_CTYPE),
-        (b'{"columns": {"arrival": [1], "headers": {"a": [%s]}}}', JSON_CTYPE),
-        (b'{"columns": {"arrival": [1], "flow": [%s], "headers": {}}}', JSON_CTYPE),
+        (b'{"rows": 1, "columns": ["arrival", %s]}\n' + b"\0" * 16, COLUMNS_CTYPE),
+        (
+            b'{"rows": 1, "columns": ["arrival"], "flow": [%s]}\n' + b"\0" * 8,
+            COLUMNS_CTYPE,
+        ),
     ],
     ids=["record", "header", "ndjson_header", "ndjson_flow", "column", "flow_column"],
 )
@@ -252,16 +322,20 @@ def test_nesting_around_the_recursion_limit_is_a_400(template, ctype):
 @given(records=record_batches())
 def test_three_client_encodings_decode_to_one_batch(records):
     """Clean lists travel all three ways and land column for column
-    equal. An unclean list has no column form, and its two record forms
-    are accepted alike or rejected alike — in the same words when every
-    line is a record (a line that is no object at all is refused by the
-    NDJSON parse, before the per-record oracle sees it)."""
+    equal — the packed frame on exactly what ``columns_from_records``
+    makes of the records. An unclean list has no column form, and its
+    two record forms are accepted alike or rejected alike — in the same
+    words when every line is a record (a line that is no object at all
+    is refused by the NDJSON parse, before the per-record oracle sees
+    it)."""
     encodings = client_encodings(records)
     assert ("columns" in encodings) == (clean_columns(records) is not None)
     decoded = {wire: outcome(*sent) for wire, sent in encodings.items()}
     want = decoded.pop("records")
     if "columns" in encodings:
-        assert isinstance(want, PacketColumns)
+        assert encodings["columns"][0] == COLUMNS_CTYPE
+        assert encodings["columns"][1] == columns_body(clean_columns(records))
+        assert_columns_equal(want, columns_from_records(records))
     for wire, got in decoded.items():
         if isinstance(want, PacketColumns):
             assert parse_ingest(*encodings[wire]).wire == wire and wire in WIRES
@@ -294,6 +368,11 @@ def test_ingest_answers_parse_then_program_then_batch_then_queue():
         def records(*recs):
             return json.dumps({"packets": list(recs)}).encode()
 
+        def packed(rec):
+            names = ["arrival", "port", *(f"headers.{f}" for f in rec["headers"])]
+            values = rec["arrival"], rec["port"], *rec["headers"].values()
+            return frame({"rows": 1, "columns": names}, struct.pack("<d3q", *values))
+
         # 1. A body that does not parse is a 400 with or without a program.
         status, text = post(b"{not json")
         assert status == 400 and text.startswith("invalid JSON body")
@@ -301,8 +380,16 @@ def test_ingest_answers_parse_then_program_then_batch_then_queue():
         assert post(b"{}\nnope\n", NDJSON_CTYPE)[1].startswith(
             "invalid NDJSON body: line 2"
         )
-        both = b'{"packets": [], "columns": {}}'
-        assert post(both) == (400, "ingest takes 'packets' or 'columns', not both")
+        for old_wire in (
+            b'{"columns": {"arrival": [5], "headers": {}}}',
+            b'{"packets": [], "columns": 7}',
+        ):
+            status, text = post(old_wire)
+            assert status == 400 and COLUMNS_CTYPE in text
+        status, text = post(b'{"rows": 1, "columns": ["arrival"]}', COLUMNS_CTYPE)
+        assert (status, text) == (400, "invalid column frame: no header line")
+        status, text = post(b"{rows\n" + b"\0" * 8, COLUMNS_CTYPE)
+        assert status == 400 and text.startswith("invalid column frame: header line: ")
         # 2. Anything that parses meets "no program loaded" before its
         #    batch is looked at.
         for body, ctype in (
@@ -310,24 +397,31 @@ def test_ingest_answers_parse_then_program_then_batch_then_queue():
             (records(bad), JSON_CTYPE),
             (b"", JSON_CTYPE),
             (b"", NDJSON_CTYPE),
-            (b'{"columns": 7}', JSON_CTYPE),
             (json.dumps(bad).encode() + b"\n", NDJSON_CTYPE),
+            (packed(good), COLUMNS_CTYPE),
+            (packed(bad), COLUMNS_CTYPE),
+            (b"7\n", COLUMNS_CTYPE),
         ):
             assert post(body, ctype) == (409, "no program loaded")
         client.load_program("heavy_hitter")
         # 3. Then batch validation.
-        assert post(both)[0] == 400
         assert post(b"") == (400, "ingest expects a non-empty packet list")
         assert post(b'{"packets": {}}')[1] == "ingest expects a non-empty packet list"
         assert post(records(good, bad))[1].startswith("malformed packet record")
-        assert post(b'{"columns": 7}')[1].startswith("malformed column batch")
+        assert post(b"7\n", COLUMNS_CTYPE)[1].startswith("malformed column batch: header")
+        assert post(packed(bad), COLUMNS_CTYPE)[1].startswith(
+            "malformed column batch: column 'arrival' row 0"
+        )
         # 4. Then monotonicity and backpressure — a malformed batch is a
         #    400 even where a good one would be a 409 or a 429.
         client.pause()
         assert post(records(good))[0] == 200
         assert post(records(dict(good, arrival=9)))[0] == 429
         assert post(records(dict(good, arrival=1)))[0] == 409
+        assert post(packed(dict(good, arrival=9)), COLUMNS_CTYPE)[0] == 429
+        assert post(packed(dict(good, arrival=1)), COLUMNS_CTYPE)[0] == 409
         assert post(records(bad))[0] == 400
+        assert post(packed(bad), COLUMNS_CTYPE)[0] == 400
         counts = client.metrics()["service"]["ingest_batches"]
         assert counts == {"records": 1, "ndjson": 0, "columns": 0}
         client.shutdown()
@@ -340,9 +434,10 @@ def test_ingest_answers_parse_then_program_then_batch_then_queue():
 SERVICE_DIR = Path(repro.service.__file__).parent
 WIRE_NAMES = {
     "ARRIVAL_LIMIT", "INT64_MIN", "INT64_MAX", "NDJSON_CTYPE", "packet_from_json",
-    "_BadColumn", "_arrival_column", "_int64_column", "_checked_columns",
-    "_gather", "columns_from_records", "columns_from_body", "clean_columns",
-    "_parse_ndjson", "_scan_record", "_BAD_JSON", "_encode_compact",
+    "COLUMNS_CTYPE", "INGEST_ONLY_CTYPES", "_in_range", "_int64_column",
+    "_checked_columns",
+    "_gather", "columns_from_records", "_columns_from_frame", "clean_columns",
+    "_parse_ndjson", "_parse_frame", "_scan_record", "_BAD_JSON", "_encode_compact",
     "records_body", "ndjson_body", "columns_body", "parse_ingest",
 }
 
