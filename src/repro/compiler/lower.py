@@ -114,7 +114,7 @@ class StageSSA:
     fields_read: Tuple[str, ...] = ()
     fields_written: Tuple[str, ...] = ()
     #: PHV temps loaded before the stage (first-use order) / published
-    #: after it (sorted by name)
+    #: after it (sorted by name; the live ones only, given ``live_out``)
     temps_in: Tuple[str, ...] = ()
     temps_out: Tuple[str, ...] = ()
     #: register arrays touched, sorted
@@ -132,10 +132,33 @@ def _value(op, names: Dict[Temp, str]) -> Value:
     return names[op]
 
 
+def cross_stage_temps(
+    stages: Sequence[Sequence[TacInstr]], also: Sequence = ()
+) -> Set[str]:
+    """Names of the temps that must travel in the PHV: those a stage
+    uses before defining (TAC is single-assignment, so an earlier stage
+    defined them) plus the :class:`Temp` operands in ``also`` that code
+    outside the stages reads. Any other temp dies with its stage."""
+    live = {op.name for op in also if isinstance(op, Temp)}
+    for instrs in stages:
+        defined: Set[Temp] = set()
+        for instr in instrs:
+            live.update(t.name for t in instr.uses() if t not in defined)
+            if instr.dest is not None:
+                defined.add(instr.dest)
+    return live
+
+
 def lower_stage(
-    instrs: Sequence[TacInstr], name: str = "stage"
+    instrs: Sequence[TacInstr],
+    name: str = "stage",
+    live_out: Optional[Set[str]] = None,
 ) -> Optional[StageSSA]:
     """Flatten one stage's TAC into a :class:`StageSSA`; None if empty.
+
+    ``live_out`` (a program's :func:`cross_stage_temps`) limits
+    ``temps_out`` to temps read after the stage, so the column printers
+    neither store nor allocate dead ones; None publishes them all.
 
     Deterministic: the same instruction list always lowers to the same
     statement list and the same variable names, so emitted kernels (and
@@ -269,7 +292,10 @@ def lower_stage(
         else:
             raise CompilerError(f"lower: unknown instruction kind {kind}")
 
-    temps_out = sorted(defined, key=lambda t: t.name)
+    temps_out = sorted(
+        (t for t in defined if live_out is None or t.name in live_out),
+        key=lambda t: t.name,
+    )
     temp_vars = {t.name: names[t] for t in used_before_def}
     temp_vars.update({t.name: names[t] for t in temps_out})
     return StageSSA(

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from ..domino.builtins import BUILTINS
 from .jit import ScalarPrinter
@@ -157,6 +157,7 @@ def compile_native_stage(
     name: str = "stage",
     track_reg: Optional[str] = None,
     force_python: bool = False,
+    live_out: Optional[Set[str]] = None,
 ) -> Optional[NativeKernel]:
     """Compile one stage to a fused per-row kernel; None for empty input.
 
@@ -165,9 +166,10 @@ def compile_native_stage(
     plain-Python kernel every platform without Numba gets, reachable for
     tests where Numba is installed. ``track_reg`` turns on wasted-slot
     counting and the per-position ``lane`` for one register array
-    (conservative phantoms).
+    (conservative phantoms). ``live_out`` as in
+    :func:`~repro.compiler.lower.lower_stage`.
     """
-    ssa = lower_stage(instrs, name)
+    ssa = lower_stage(instrs, name, live_out)
     if ssa is None:
         return None
     fname = f"_n{name}"

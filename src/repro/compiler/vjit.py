@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -212,10 +212,13 @@ def _i64(x):
 
 
 def compile_vector_stage(
-    instrs: Sequence[TacInstr], name: str = "stage"
+    instrs: Sequence[TacInstr],
+    name: str = "stage",
+    live_out: Optional[Set[str]] = None,
 ) -> Optional[VectorKernel]:
-    """Compile one stage's instruction list to a batch kernel."""
-    ssa = lower_stage(instrs, name)
+    """Compile one stage's instruction list to a batch kernel;
+    ``live_out`` as in :func:`~repro.compiler.lower.lower_stage`."""
+    ssa = lower_stage(instrs, name, live_out)
     if ssa is None:
         return None
     lines: List[str] = [

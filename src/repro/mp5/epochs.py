@@ -23,25 +23,29 @@ in-flight counters, and every remap decision derived from them.
   :class:`EpochSchedule`, the run's task DAG — per-plan pop streams in
   epoch order, independent of feed chunking and of how Phase B executes.
 
-* **Phase B** (:func:`execute_epoch_service`) — replays each epoch's
-  step against register state as Phase A emits it; an offline run is
-  the same loop with every step emitted at the drain. Per-row order
-  only matters *within* a register slot, and an epoch's pops all exceed
-  the previous epoch's cut, so the per-epoch execution visits every
-  slot in the scalar engines' global (tick, pipeline) service order.
-  An epoch chunk admits two executions that are exact by
-  construction, both in process: the NumPy wave decomposition (PR 5
-  semantics) and a fused per-row kernel in service order
-  (:mod:`repro.compiler.native`). The code picks between them from
-  what it can observe — no flag: a serial plan always runs the fused
-  kernel (``@njit`` when Numba imports and the stage calls no builtin,
-  the same source as plain Python otherwise); a wave plan runs it only
-  when it is jitted, else the wave decomposition.
+* **Phase B** (:func:`execute_epoch_service`) — replays each pump's
+  steps against register state: every epoch one
+  :meth:`~repro.mp5.vector.VectorSwitch.pump` closed is serviced in one
+  sweep, one pass per plan over the plan's chunks concatenated in epoch
+  order. An offline run is one sweep at the drain; ``pump(max_steps=1)``
+  is epoch-by-epoch service. Only Phase A needs the boundaries (the
+  remap reads counters there); a sweep of any width visits every slot
+  in the scalar engines' global (tick, pipeline) service order, for the
+  three reasons the function's docstring gives. A plan's sweep admits
+  two executions that are exact by construction, both in process: the
+  NumPy wave decomposition (PR 5 semantics) and a fused per-row kernel
+  in service order (:mod:`repro.compiler.native`). The code picks
+  between them from what it can observe — no flag: a serial plan
+  always runs the fused kernel (``@njit`` when Numba imports and the
+  stage calls no builtin, the same source as plain Python otherwise);
+  a wave plan runs it only when it is jitted, else the wave
+  decomposition.
 """
 
 from __future__ import annotations
 
 import hashlib
+from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -362,8 +366,8 @@ class EpochStreamer:
     ) -> List[Tuple[int, np.ndarray, np.ndarray]]:
         """Inject and pop everything scheduled at or before ``cut``.
         Returns the epoch's service step: per-plan ``(pi, rows, pops)``
-        entries in plan order — the unit :func:`execute_epoch_service`
-        consumes."""
+        entries in plan order — :func:`execute_epoch_service` consumes
+        a list of them."""
         vplans = self.vplans
         k = self.k
         cut_limit = self.cut_limit
@@ -588,7 +592,10 @@ def _fused_kernel(switch, stage: int, track_reg: Optional[str]):
     key = (stage, track_reg)
     if key not in cache:
         cache[key] = compile_native_stage(
-            switch._stage_instrs[stage], f"s{stage}", track_reg=track_reg
+            switch._stage_instrs[stage],
+            f"s{stage}",
+            track_reg=track_reg,
+            live_out=switch._live_temps(),
         )
     return cache[key]
 
@@ -615,84 +622,97 @@ def _fused_service(nkern, rows, H: Dict, E: Dict, R: Dict, mask) -> int:
 def _wave_service(
     kern, H, R, E, base, conservative, rows_p, idxs, mask=None
 ) -> int:
-    """One epoch chunk of a wave plan, PR 5 semantics: rows touching
-    distinct indices execute together; same-index rows execute in
-    successive waves in pop order (the chunk's concatenation order is
-    pop order per pipeline, and one index maps to one pipeline within
-    an epoch). When ``mask`` is given (trace reconstruction), the rows
-    whose conservative access wasted a slot are flagged in it."""
-    wasted = 0
+    """One sweep of a wave plan, PR 5 semantics: rows touching distinct
+    indices execute together; same-index rows execute in successive
+    waves in pop order. ``rows_p`` is the concatenation, in epoch order,
+    of per-pipeline pop-ordered chunks; one index maps to one pipeline
+    within an epoch and pops rise strictly across epochs, so a stable
+    sort by index keeps every index's rows in pop order and a row's
+    wave is its occurrence rank there. When ``mask`` is given (trace
+    reconstruction), the rows whose conservative access wasted a slot
+    are flagged in it."""
     n = rows_p.shape[0]
-    # Fast path: no index repeats in the chunk -> one wave.
-    if n == 1 or int(np.bincount(idxs).max()) <= 1:
+    bounds = (0, n)  # fast path: no index repeats in the sweep -> one wave
+    if n > 1 and int(np.bincount(idxs).max()) > 1:
+        # Indices fit the array's size: a 16-bit key sorts by radix.
+        key = idxs.astype(np.min_scalar_type(R[base].shape[0]))
+        order = np.argsort(key, kind="stable")
+        sorted_idx = key[order]
+        new_group = np.empty(n, dtype=bool)
+        new_group[0] = True
+        new_group[1:] = sorted_idx[1:] != sorted_idx[:-1]
+        pos = np.arange(n)
+        rank = pos - np.maximum.accumulate(np.where(new_group, pos, 0))
+        # One stable sort by occurrence rank lays the waves out as
+        # consecutive slices (a per-wave mask would re-scan every row).
+        rows_p = rows_p[order[np.argsort(rank, kind="stable")]]
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(rank)))).tolist()
+    wasted = 0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        sel = rows_p[lo:hi]
         if conservative:
-            lane = np.zeros(n, dtype=bool)
-            kern.fn(H, R, E, rows_p, {base: lane})
-            if mask is not None:
-                mask[rows_p[~lane]] = True
-            return int(n - np.count_nonzero(lane))
-        kern.fn(H, R, E, rows_p)
-        return 0
-    order = np.argsort(idxs, kind="stable")
-    sorted_idx = idxs[order]
-    new_group = np.empty(n, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = sorted_idx[1:] != sorted_idx[:-1]
-    starts = np.maximum.accumulate(np.where(new_group, np.arange(n), 0))
-    rank = np.arange(n) - starts
-    waves = np.empty(n, dtype=np.int64)
-    waves[order] = rank
-    n_waves = int(rank.max()) + 1
-    if conservative:
-        for w in range(n_waves):
-            sel = rows_p[waves == w]
-            lane = np.zeros(sel.shape[0], dtype=bool)
+            lane = np.zeros(hi - lo, dtype=bool)
             kern.fn(H, R, E, sel, {base: lane})
             if mask is not None:
                 mask[sel[~lane]] = True
-            wasted += int(sel.shape[0] - np.count_nonzero(lane))
-    elif n_waves == 1:
-        kern.fn(H, R, E, rows_p)
-    else:
-        for w in range(n_waves):
-            kern.fn(H, R, E, rows_p[waves == w])
+            wasted += int(hi - lo - np.count_nonzero(lane))
+        else:
+            kern.fn(H, R, E, sel)
     return wasted
 
 
 def execute_epoch_service(
     switch,
     streamer: EpochStreamer,
-    step: List[Tuple[int, np.ndarray, np.ndarray]],
+    steps: List[List[Tuple[int, np.ndarray, np.ndarray]]],
     H: Dict,
     E: Dict,
     R: Dict,
     profiler=None,
     wasted_out: Optional[List[Optional[np.ndarray]]] = None,
 ) -> int:
-    """Phase B: service one epoch's step as
-    :meth:`EpochStreamer.advance_epoch` emits it. An epoch's pops all
-    exceed the previous cut, so running plans in plan order within the
-    step, epoch after epoch, visits every register slot in global
-    (tick, pipeline) service order.
+    """Phase B: service the steps of consecutive epochs, in the order
+    :meth:`EpochStreamer.advance_epoch` emitted them, as one sweep — each
+    plan's chunks concatenated in epoch order and run in one pass, plan
+    after plan. Only Phase A needs the epoch boundaries (the remap reads
+    counters there); the sweep equals servicing epoch by epoch because
 
-    Mutates ``H``/``E``/``R`` in place and returns the step's
+    * pops rise strictly across epochs, so a stable sort by index (wave
+      plans) and ``lexsort((dest, pops))`` (serial plans) over the
+      concatenation visit every register slot in the scalar engines'
+      global (tick, pipeline) service order;
+    * a register array is touched at one plan stage only (construction
+      rejects anything else), so running plan *p* over every epoch
+      before plan *p+1* reorders only independent work;
+    * a row's plan-*p* pop lies in the same or an earlier epoch than its
+      plan-*(p+1)* pop, so its ``E`` temps are written before they are
+      read.
+
+    Mutates ``H``/``E``/``R`` in place and returns the sweep's
     wasted-slot count. ``profiler`` (a
     :class:`~repro.obs.profiler.PhaseProfiler`) receives per-stage
     timings tagged with the tier that ran (``njit`` | ``python`` for
-    the fused kernel, ``numpy`` for the wave decomposition);
-    ``wasted_out`` is a per-plan list of bool row masks the trace
-    reconstruction needs — a plan with a mask has the rows whose
-    conservative access wasted a slot flagged in it, by the same
-    executor that runs without one.
+    the fused kernel, ``numpy`` for the wave decomposition) and the
+    number of epoch chunks the pass covered, so ``calls`` counts
+    (epoch, plan) chunks whatever the sweep width; ``wasted_out`` is a
+    per-plan list of bool row masks the trace reconstruction needs — a
+    plan with a mask has the rows whose conservative access wasted a
+    slot flagged in it, by the same executor that runs without one.
     """
-    from time import perf_counter
-
     vplans = switch._vplans
+    pieces: List[List[Tuple[np.ndarray, np.ndarray]]] = [[] for _ in vplans]
+    for step in steps:
+        for pi, rows_p, pops in step:
+            pieces[pi].append((rows_p, pops))
     wasted = 0
-    for pi, rows_p, pops in step:
+    for pi, chunks in enumerate(pieces):
+        if not chunks:
+            continue
         plan = vplans[pi]
         mask = wasted_out[pi] if wasted_out is not None else None
         t0 = perf_counter() if profiler is not None else 0.0
+        rows_p = np.concatenate([c[0] for c in chunks])
+        pops = np.concatenate([c[1] for c in chunks])
         tier = None
         # 'none' (flow-order arrays, kernel-free stages): the FIFO
         # timing is the whole effect; nothing to execute.
@@ -706,9 +726,6 @@ def execute_epoch_service(
                 # or in-stage indexes) always; a wave plan only when
                 # the kernel is jitted — a plain-Python per-row loop
                 # loses to the wave decomposition on wave-sized chunks.
-                # Epoch-local (tick, pipeline) order; chunks concatenate
-                # to the global service order because pops rise across
-                # epochs.
                 order = rows_p[np.lexsort((streamer.dest[pi][rows_p], pops))]
                 got = _fused_service(nkern, order, H, E, R, mask)
                 tier = "njit" if nkern.jitted else "python"
@@ -721,7 +738,9 @@ def execute_epoch_service(
                 tier = "numpy"
             wasted += got
         if profiler is not None and tier is not None:
-            profiler.record_kernel(plan.stage, tier, perf_counter() - t0)
+            profiler.record_kernel(
+                plan.stage, tier, perf_counter() - t0, len(chunks)
+            )
         for u in switch._transit_after[pi]:
             switch._vkernels[u].fn(H, R, E, rows_p)
     return wasted

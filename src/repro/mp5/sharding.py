@@ -144,14 +144,23 @@ class ShardingRuntime:
     # Background remapping
     # ------------------------------------------------------------------
 
+    def pipeline_load(self, state: ShardedArray) -> np.ndarray:
+        """This epoch's access count per pipeline, int64[k]. The
+        weighted bincount sums in float64, exact while an epoch's total
+        stays below 2**53."""
+        return np.bincount(
+            state.index_to_pipeline,
+            weights=state.access_counts,
+            minlength=self.num_pipelines,
+        ).astype(np.int64)
+
     def remap_heuristic(self, array: str) -> bool:
         """One invocation of the Figure 6 heuristic. Returns True if an
         index moved."""
         state = self.arrays[array]
         if not state.shardable:
             return False
-        per_pipe = np.zeros(self.num_pipelines, dtype=np.int64)
-        np.add.at(per_pipe, state.index_to_pipeline, state.access_counts)
+        per_pipe = self.pipeline_load(state)
         high = int(per_pipe.argmax())
         low = int(per_pipe.argmin())
         c_max, c_min = int(per_pipe[high]), int(per_pipe[low])
@@ -187,8 +196,7 @@ class ShardingRuntime:
         state = self.arrays[array]
         if not state.shardable:
             return False
-        per_pipe = np.zeros(self.num_pipelines, dtype=np.int64)
-        np.add.at(per_pipe, state.index_to_pipeline, state.access_counts)
+        per_pipe = self.pipeline_load(state)
         moved_any = False
         for _ in range(state.size):
             high = int(per_pipe.argmax())
@@ -266,8 +274,7 @@ class ShardingRuntime:
         for state in self.arrays.values():
             if not state.shardable:
                 continue
-            per_pipe = np.zeros(self.num_pipelines, dtype=np.int64)
-            np.add.at(per_pipe, state.index_to_pipeline, state.access_counts)
+            per_pipe = self.pipeline_load(state)
             for p in targets:
                 loads[p] += int(per_pipe[p])
         for state in self.arrays.values():

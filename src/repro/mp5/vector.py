@@ -59,6 +59,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from ..compiler.lower import cross_stage_temps
 from ..compiler.tac import Temp
 from ..compiler.vjit import compile_vector_stage
 from ..errors import ConfigError, ReproError
@@ -155,6 +156,16 @@ class VectorSwitch(MP5Switch):
     # Planning
     # ------------------------------------------------------------------
 
+    def _live_temps(self):
+        """The temps a kernel must publish to ``E`` — those a later
+        stage loads and the plans' index operands (Phase A's injection
+        reads them); the rest get no store and no column. A function of
+        the program, so only kernel-cache misses compute it."""
+        return cross_stage_temps(
+            self._stage_instrs,
+            [p.index_operand for _, grp in self._plans_by_stage for p in grp],
+        )
+
     def _build_vector_plan(self) -> None:
         depth = self.depth
         # Kernel compilation is deterministic in the program, so cache
@@ -164,8 +175,9 @@ class VectorSwitch(MP5Switch):
         if cache is not None and len(cache) == depth:
             self._vkernels = cache
         else:
+            live = self._live_temps()
             self._vkernels = [
-                compile_vector_stage(instrs, f"s{i}")
+                compile_vector_stage(instrs, f"s{i}", live)
                 for i, instrs in enumerate(self._stage_instrs)
             ]
             try:
@@ -533,27 +545,26 @@ class VectorSwitch(MP5Switch):
         if final:
             self._drain_pumped = True
         sr = self._streamer
-        steps = 0
+        steps = []
         t0 = perf_counter()
-        while (max_steps is None or steps < max_steps) and not sr.done:
+        while (max_steps is None or len(steps) < max_steps) and not sr.done:
             step = sr.advance_epoch(until_tick, final)
             if step is None:
                 break
-            self._pa_time += perf_counter() - t0
-            self._service_step(step)
-            t0 = perf_counter()
-            steps += 1
+            steps.append(step)
         self._pa_time += perf_counter() - t0
-        return steps
+        if steps:
+            self._service_steps(steps)
+        return len(steps)
 
-    def _service_step(self, step) -> None:
-        """Phase B for one epoch, as soon as Phase A closes it."""
+    def _service_steps(self, steps) -> None:
+        """Phase B for the epochs one pump closed, as one sweep."""
         sr = self._streamer
         t0 = perf_counter()
         self._swasted += execute_epoch_service(
             self,
             sr,
-            step,
+            steps,
             self._H,
             self._E,
             self._R,
@@ -561,7 +572,7 @@ class VectorSwitch(MP5Switch):
             wasted_out=self._wmasks,
         )
         self._pb_time += perf_counter() - t0
-        self._epochs_serviced += 1
+        self._epochs_serviced += len(steps)
         # Live progress for dashboards; finish() recomputes both
         # exactly (these match the scalar engines' live counters).
         self.stats.egressed = int(sr.egr_assigned)
@@ -574,7 +585,7 @@ class VectorSwitch(MP5Switch):
     def finish(self) -> SwitchStats:
         """Drain the sweep — the same :meth:`pump` the daemon drives,
         with no watermark, so every epoch not yet serviced runs through
-        :meth:`_service_step` — and reconstruct the statistics.
+        :meth:`_service_steps` — and reconstruct the statistics.
         :meth:`run` is exactly ``start(); feed(); finish()``; with
         remapping off the drain's one step is the whole run."""
         if self._streamer is None:

@@ -69,14 +69,19 @@ class PhaseProfiler:
         """Accumulate one named coarse section (phase_a/phase_b/...)."""
         self.spans[name] = self.spans.get(name, 0.0) + seconds
 
-    def record_kernel(self, stage: int, tier: str, seconds: float) -> None:
-        """Accumulate one stage's service time under the tier that ran."""
+    def record_kernel(
+        self, stage: int, tier: str, seconds: float, chunks: int = 1
+    ) -> None:
+        """Accumulate one stage's service time under the tier that ran.
+        ``chunks`` is the number of epoch chunks the pass covered, so
+        ``calls`` counts (epoch, stage) chunks however many epochs one
+        Phase B sweep serviced."""
         entry = self.kernels.setdefault(
             f"s{stage}", {"tier": tier, "seconds": 0.0, "calls": 0}
         )
         entry["tier"] = tier
         entry["seconds"] += seconds
-        entry["calls"] += 1
+        entry["calls"] += chunks
 
     def record_epoch(
         self, index: int, start: int, end: int, remap_moves: Optional[int] = None

@@ -182,6 +182,24 @@ class TestOptimalRemap:
         assert not rt.remap_optimal("r")
 
 
+class TestPipelineLoad:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_add_at_on_random_counters(self, seed):
+        """The weighted bincount behind all three remaps equals the
+        ``np.add.at`` accumulation it replaced, dtype included — also
+        with an idle pipeline and with counters beyond 2**32."""
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 9))
+        rt = runtime(size=int(rng.integers(1, 300)), k=k, initial="random")
+        state = rt.arrays["r"]
+        state.index_to_pipeline[state.index_to_pipeline == k - 1] = 0
+        state.access_counts[:] = rng.integers(0, 1 << 40, size=state.size)
+        want = np.zeros(k, dtype=np.int64)
+        np.add.at(want, state.index_to_pipeline, state.access_counts)
+        got = rt.pipeline_load(state)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+
 class TestDiagnostics:
     def test_load_imbalance_metric(self):
         rt = runtime(size=8, k=4)

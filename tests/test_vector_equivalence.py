@@ -20,10 +20,14 @@ vector engine reconstructs the event stream after the closed-form run
 (see ``tests/test_vector_obs.py`` for the parity suite).
 """
 
+import functools
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.apps import ALL_APPS
 from repro.cli import main
@@ -46,6 +50,7 @@ from repro.workloads import line_rate_trace
 from repro.workloads.synthetic import make_sensitivity_program, sensitivity_trace
 
 from tests.test_fuzz_equivalence import FIELDS, random_program
+from tests.test_integration import HEADER_GENERATORS
 
 
 @pytest.fixture(autouse=True)
@@ -352,17 +357,33 @@ def _stream_vector(
     metrics=None,
     profiler=None,
     max_ticks=None,
+    max_steps=None,
 ):
-    """Feed ``trace`` in ``chunk``-sized batches with a watermark-gated
-    pump after every feed — the exact loop the service daemon runs."""
+    """Feed ``trace`` in ``chunk``-sized batches (an int, or a list of
+    sizes cycled through) with a watermark-gated pump after every feed —
+    the exact loop the service daemon runs. ``max_steps`` is the pump
+    budget: every Phase B sweep, the drain's included, then covers at
+    most that many epochs (1 is epoch-by-epoch service)."""
     switch = VectorSwitch(program, config)
     switch.attach_observability(
         metrics=metrics, monitor=monitor, profiler=profiler
     )
     switch.start(max_ticks=max_ticks)
-    for i in range(0, len(trace), chunk):
-        switch.feed(trace[i : i + chunk])
-        switch.pump(until_tick=switch.ingest_watermark)
+
+    def pump(until_tick):
+        # A pump that spent its whole budget may have left closed epochs.
+        while switch.pump(max_steps, until_tick=until_tick) == max_steps:
+            pass
+
+    sizes = itertools.cycle([chunk] if isinstance(chunk, int) else chunk)
+    i = 0
+    while i < len(trace):
+        n = next(sizes)
+        switch.feed(trace[i : i + n])
+        i += n
+        pump(switch.ingest_watermark)
+    if max_steps is not None:
+        pump(None)  # drain in budgeted sweeps; finish() finds none left
     stats = switch.finish()
     return switch, stats
 
@@ -527,6 +548,155 @@ def test_vector_run_is_a_streamed_run_that_drains(
     assert ref[0][0].wasted_slots > 0
     assert drive("feed_all") == ref
     assert drive("chunked") == ref
+
+
+def _predicate_trace():
+    return line_rate_trace(
+        900,
+        4,
+        lambda rng, _i: {"key": int(rng.integers(0, 50)), "out": 0},
+        seed=0,
+    )
+
+
+def _sensitivity_600():
+    return sensitivity_trace(600, 4, 4, 64, seed=0)
+
+
+# program factory, trace factory, MP5Config kwargs, max_ticks. Short
+# remap periods give every run tens of epochs, so a budget of 1 or 3
+# really splits the sweeps.
+GRANULARITY_CASES = {
+    # flowlet's two wave plans keep last-writer state (last_time,
+    # saved_hop): the final registers depend on per-slot service order,
+    # which a commutative counter would hide.
+    "all_wave": (
+        lambda: compile_program("flowlet"),
+        lambda: line_rate_trace(600, 4, HEADER_GENERATORS["flowlet"], seed=3),
+        dict(remap_period=7),
+        None,
+    ),
+    "all_serial": (
+        lambda: compile_program("conga"),
+        lambda: line_rate_trace(600, 4, HEADER_GENERATORS["conga"], seed=4),
+        dict(remap_period=7),
+        None,
+    ),
+    "two_serial_plans": (
+        lambda: compile_program("avq"),
+        lambda: line_rate_trace(600, 4, HEADER_GENERATORS["avq"], seed=2),
+        dict(remap_period=7),
+        None,
+    ),
+    "mixed": (
+        lambda: compile_program("stateful_predicate"),
+        _predicate_trace,
+        dict(remap_period=11),
+        None,
+    ),
+    "flow_order": (
+        lambda: make_sensitivity_program(num_stateful=4, register_size=64),
+        _sensitivity_600,
+        dict(remap_period=7, flow_order_field="idx0", flow_order_size=32),
+        None,
+    ),
+    "remap_none": (
+        lambda: compile_program("stateful_predicate"),
+        _predicate_trace,
+        dict(remap_algorithm="none"),
+        None,
+    ),
+    "max_ticks_mid_epoch": (
+        lambda: compile_program("stateful_predicate"),
+        _predicate_trace,
+        dict(remap_period=11),
+        137,
+    ),
+}
+
+
+def _granularity_sinks(monitored):
+    from repro.obs import MetricsRegistry, PhaseProfiler
+
+    sinks = dict(profiler=PhaseProfiler())
+    if monitored:
+        sinks.update(
+            monitor=InvariantMonitor(), metrics=MetricsRegistry(window=25)
+        )
+    return sinks
+
+
+def _granularity_observed(switch, stats, sinks):
+    """Everything a run exposes that Phase B's sweep width could touch."""
+    n = stats.offered
+    observed = [
+        _snapshot(switch, stats),
+        {
+            stage: (k["tier"], k["calls"])
+            for stage, k in sinks["profiler"].kernels.items()
+        },
+        switch.stream_stats()["epochs_serviced"],
+    ]
+    if "monitor" in sinks:
+        observed += [
+            sinks["monitor"].alerts.to_dicts(),
+            sinks["monitor"].health_report().to_dict(),
+            sinks["metrics"].since(-1),
+            [
+                None if m is None else np.flatnonzero(m[:n]).tolist()
+                for m in switch._wmasks
+            ],
+        ]
+    return observed
+
+
+@functools.lru_cache(maxsize=None)
+def _granularity_reference(case, monitored):
+    make_program, trace, cfg_kw, max_ticks = GRANULARITY_CASES[case]
+    sinks = _granularity_sinks(monitored)
+    switch = VectorSwitch(make_program(), MP5Config(num_pipelines=4, **cfg_kw))
+    switch.attach_observability(**sinks)
+    stats = switch.run(trace(), max_ticks=max_ticks)
+    return _granularity_observed(switch, stats, sinks)
+
+
+@pytest.mark.parametrize("case", sorted(GRANULARITY_CASES))
+@settings(
+    max_examples=4,
+    deadline=None,
+    suppress_health_check=[
+        HealthCheck.too_slow,
+        HealthCheck.function_scoped_fixture,
+    ],
+)
+@given(
+    sizes=st.lists(st.integers(1, 400), min_size=1, max_size=5),
+    monitored=st.booleans(),
+)
+def test_sweep_granularity_is_unobservable(case, sizes, monitored):
+    """How many epochs one Phase B sweep covers is set by the pump call
+    (``max_steps``, the watermark, the feed chunking) and shows nowhere:
+    registers, stats, DAG, the profiler's ``(tier, calls)``, the epochs
+    serviced and — with a monitor and metrics attached — alerts, health,
+    window series and wasted-slot masks equal ``run()``'s one sweep.
+    ``max_steps=1`` is epoch-by-epoch service, the order the engine had
+    before sweeps were merged, so any inexact merge fails here."""
+    make_program, trace, cfg_kw, max_ticks = GRANULARITY_CASES[case]
+    ref = _granularity_reference(case, monitored)
+    if case != "remap_none" and max_ticks is None:
+        assert ref[2] >= 20  # enough epochs for the budgets to differ
+    for max_steps in (1, 3, None):
+        sinks = _granularity_sinks(monitored)
+        switch, stats = _stream_vector(
+            make_program(),
+            trace(),
+            MP5Config(num_pipelines=4, **cfg_kw),
+            sizes,
+            max_ticks=max_ticks,
+            max_steps=max_steps,
+            **sinks,
+        )
+        assert _granularity_observed(switch, stats, sinks) == ref, max_steps
 
 
 def test_vector_feed_after_draining_pump_rejected():
