@@ -588,6 +588,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--packet-size", type=int, default=64)
         p.add_argument("--seed", type=int, default=0)
 
+    def add_engine_arg(p, default="fast"):
+        p.add_argument(
+            "--engine",
+            choices=sorted(ENGINES),
+            default=default,
+            help="simulation engine: dense = executable specification, "
+            "fast = sparse worklist, vector = batch SoA engine (streams "
+            "epoch by epoch when served); results are identical on every "
+            "engine. Where vector cannot run — faults attached, a config "
+            "knob or program shape outside its envelope — it falls back "
+            "to fast with one warning naming the reason (see "
+            "docs/simulator.md). Default: "
+            + (default or "vector at --scale large/xlarge, else fast"),
+        )
+
     p = sub.add_parser("compile", help="compile and show the pipeline layout")
     p.add_argument("program")
     p.set_defaults(func=cmd_compile)
@@ -598,19 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="simulate on MP5 and print statistics")
     add_program_args(p)
-    p.add_argument(
-        "--engine",
-        choices=sorted(ENGINES),
-        default="fast",
-        help="simulation engine: dense = executable specification, "
-        "fast = sparse worklist (default), vector = batch SoA engine "
-        "with full observability fed from its epoch schedule (falls back "
-        "to fast, with a one-line warning, when faults are attached or "
-        "the program has a shape outside the batch reduction — a "
-        "resolvable access guard, a stateful resolution stage, a "
-        "write-only array — and silently on the eight config knobs "
-        "outside its envelope; see docs/simulator.md)",
-    )
+    add_engine_arg(p)
     p.add_argument(
         "--trace",
         metavar="PATH",
@@ -684,14 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8585, help="0 = ephemeral")
     p.add_argument("--pipelines", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--engine",
-        choices=sorted(ENGINES),
-        default="fast",
-        help="engine every segment runs on; 'vector' streams too — each "
-        "epoch executes as soon as the ingest watermark proves its "
-        "arrivals complete",
-    )
+    add_engine_arg(p)
     p.add_argument(
         "--queue-depth",
         type=int,
@@ -887,15 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
             "0 = one per CPU; results are identical at any job count",
         )
 
-    def add_engine_arg(p):
-        p.add_argument(
-            "--engine",
-            choices=sorted(ENGINES),
-            default="fast",
-            help="simulation engine (results are identical for every "
-            "engine; vector is the batch fast path)",
-        )
-
     p = sub.add_parser("fig7", help="regenerate a Figure 7 panel")
     p.add_argument("panel", choices=("a", "b", "c", "d"))
     p.add_argument("--packets", type=int, default=4000)
@@ -920,14 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("tiny", "small", "full", "large", "xlarge"),
         default="full",
     )
-    p.add_argument(
-        "--engine",
-        choices=sorted(ENGINES),
-        default=None,
-        help="engine for the Figure 7/8 simulations (default: the "
-        "scale's preference — vector at --scale large/xlarge, else "
-        "fast); results are identical for every engine",
-    )
+    add_engine_arg(p, default=None)
     p.add_argument(
         "--trace",
         action="store_true",

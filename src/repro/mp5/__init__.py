@@ -25,9 +25,10 @@ against each other (``tests/test_fastpath_equivalence.py``,
 * ``fast`` — :class:`~repro.mp5.switch.MP5Switch`, the sparse worklist
   engine, and the only one that supports every config knob and faults;
 * ``vector`` — :class:`~repro.mp5.vector.VectorSwitch`, the
-  structure-of-arrays NumPy batch engine; falls back to ``fast`` when a
-  run needs something the batch reduction cannot express (faults,
-  unsupported configs or program shapes). Observability sinks attach
+  structure-of-arrays NumPy batch engine; falls back to ``fast``, with
+  a one-line warning naming the reason, when a run needs something the
+  batch reduction cannot express (faults, unsupported configs or
+  program shapes). Observability sinks attach
   natively and are fed after the run from the epoch schedule's tick
   columns (:mod:`repro.obs.reconstruct`): a recorder event by event, a
   registry and a monitor one window at a time. Its run

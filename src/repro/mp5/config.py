@@ -43,14 +43,6 @@ class MP5Config:
     record_crossbar: bool = False  # collect crossbar telemetry (slower)
     flow_order_field: Optional[str] = None  # header used for the dummy
     flow_order_size: int = 1024  # ...final-stage ordering state (§3.4)
-    # Teleport the tick counter across stretches where no stage holds
-    # live work and the next arrival is known (generalizes the fast
-    # path's tail teleport to the whole switch). Semantically invisible:
-    # results are identical on or off; like tail teleport it disengages
-    # automatically when faults or any observability sink is attached,
-    # and at remap boundaries (stale access counters can still move
-    # indices on an otherwise idle tick).
-    idle_compression: bool = True
     seed: int = 0
 
     def __post_init__(self):

@@ -504,14 +504,14 @@ class MP5Switch:
         # Idle-tick compression: when no stage holds live work and the
         # next arrival is known, the intervening ticks are no-ops — jump
         # the tick counter instead of stepping them (generalizes the
-        # tail teleport). Engaged only when nothing can observe the
-        # skipped ticks: faults, the monitor, metrics windows, and the
-        # profiler all see every tick, so any of them disables it.
-        # Remap boundary ticks always execute — leftover access counters
-        # can move indices on an otherwise idle tick.
+        # tail teleport). Semantically invisible, so always on — but
+        # engaged only when nothing can observe the skipped ticks:
+        # faults, the monitor, metrics windows, and the profiler all see
+        # every tick, so any of them disables it. Remap boundary ticks
+        # always execute — leftover access counters can move indices on
+        # an otherwise idle tick.
         self._idle_ok = (
-            self.config.idle_compression
-            and self._faults is None
+            self._faults is None
             and self._monitor is None
             and self._metrics is None
             and self._profiler is None

@@ -44,9 +44,10 @@ Exactness over generality: configurations the batch reduction cannot
 represent (bounded FIFOs, phantom loss, ECN, starvation preemption,
 ideal queues, affinity spray, resolvable access guards, write-only
 register arrays, attached faults) make :func:`run_mp5_vector` fall back
-to the fast engine — with a one-line deduplicated warning for faults
-and unsupported program shapes (including the reason), silently for
-config shapes — so ``--engine vector`` is always safe. Supported runs
+to the fast engine under one rule: every fallback prints
+``vector engine: <reason>; falling back to the fast engine`` once per
+warning scope (:func:`reset_fallback_warnings`) — so ``--engine
+vector`` is always safe, and never silently slow. Supported runs
 produce :class:`~repro.mp5.stats.SwitchStats` and final registers equal
 to both scalar engines, byte-for-byte once serialized.
 """
@@ -90,7 +91,10 @@ def reset_fallback_warnings() -> None:
     _warned_fallbacks.clear()
 
 
-def _warn_fallback(message: str) -> None:
+def _warn_fallback(reason) -> None:
+    """The one fallback notice: ``reason`` (a string or the
+    :class:`VectorUnsupported` raised), printed once per scope."""
+    message = f"vector engine: {reason}; falling back to the fast engine"
     if message not in _warned_fallbacks:
         _warned_fallbacks.add(message)
         print(message, file=sys.stderr)
@@ -140,15 +144,16 @@ class _VPlan:
 
 class VectorSwitch(MP5Switch):
     """Batch engine. Construction raises :class:`VectorUnsupported` for
-    program shapes the epoch reduction cannot represent; the config
-    gates of :func:`config_fallback_reason` are checked here too so
-    direct users get the same contract as the CLI."""
+    config knobs (:func:`config_fallback_reason`) and program shapes
+    the epoch reduction cannot represent."""
 
     def __init__(self, program, config: Optional[MP5Config] = None):
-        super().__init__(program, config)
-        reason = config_fallback_reason(self.config)
+        # Before the base constructor: a fallback then builds one
+        # switch, not two.
+        reason = config_fallback_reason(config or MP5Config())
         if reason is not None:
             raise VectorUnsupported(reason)
+        super().__init__(program, config)
         self._streamer: Optional[EpochStreamer] = None
         self._build_vector_plan()
 
@@ -775,13 +780,6 @@ class VectorSwitch(MP5Switch):
             )
 
 
-def _warn_unsupported(exc: VectorUnsupported) -> None:
-    _warn_fallback(
-        f"vector engine: unsupported program shape ({exc}); "
-        "falling back to the fast engine"
-    )
-
-
 def try_vector_switch(
     program,
     config: Optional[MP5Config],
@@ -790,21 +788,16 @@ def try_vector_switch(
     """The construct-time fallback ladder, shared by
     :func:`run_mp5_vector` and the service daemon: a
     :class:`VectorSwitch`, or None when the run needs the fast engine.
-    Armed faults and unsupported program shapes warn once (see
-    :func:`reset_fallback_warnings`); a config outside the envelope is
-    a knob the caller set, not a surprise, and falls back silently."""
+    Armed faults, a config knob outside the envelope and an unsupported
+    program shape each warn once with the reason (see
+    :func:`reset_fallback_warnings`)."""
     if faults_armed:
-        _warn_fallback(
-            "vector engine: faults attached; falling back to the "
-            "fast engine"
-        )
-        return None
-    if config_fallback_reason(config or MP5Config()) is not None:
+        _warn_fallback("faults attached")
         return None
     try:
         return VectorSwitch(program, config)
     except VectorUnsupported as exc:
-        _warn_unsupported(exc)
+        _warn_fallback(exc)
         return None
 
 
@@ -826,16 +819,15 @@ def run_mp5_vector(
     Observability sinks (``recorder``/``metrics``/``profiler``/
     ``monitor``) ride the batch path — fed post-run from the schedule,
     they end up identical to the scalar engines'
-    (:mod:`repro.obs.reconstruct`). Attached ``faults`` trigger the
-    fallback with a one-line stderr warning (so ``--engine vector`` is
-    always safe in scripts); unsupported configurations fall back
-    silently and unsupported program shapes (or run arguments:
-    ``record_access_order``, pre-seeded packet envs) warn once with the
-    :class:`VectorUnsupported` reason — sinks follow the run to the
-    fast engine in every fallback. Warnings are deduplicated per run —
-    a 1000-cell sweep that falls back prints one line, not 1000 (see
-    :func:`reset_fallback_warnings`). Either way the returned statistics
-    and registers are identical to :func:`~repro.mp5.switch.run_mp5`.
+    (:mod:`repro.obs.reconstruct`). Attached ``faults``, a config knob
+    outside the envelope, an unsupported program shape and run
+    arguments the batch path cannot honour (``record_access_order``,
+    pre-seeded packet envs) all fall back under one rule: one stderr
+    line naming the reason, deduplicated per scope — a 1000-cell sweep
+    that falls back prints one line, not 1000 (see
+    :func:`reset_fallback_warnings`) — and sinks follow the run to the
+    fast engine. Either way the returned statistics and registers are
+    identical to :func:`~repro.mp5.switch.run_mp5`.
     """
     entries = trace if isinstance(trace, list) else list(trace)
     switch = try_vector_switch(program, config, faults is not None)
@@ -857,7 +849,7 @@ def run_mp5_vector(
                 record_access_order=record_access_order,
             )
         except VectorUnsupported as exc:
-            _warn_unsupported(exc)
+            _warn_fallback(exc)
         else:
             return stats, switch.public_registers()
     return run_mp5(

@@ -32,8 +32,8 @@ so one adapter drives all three and results are independent of how
 arrivals were batched or when control requests interleaved. When the
 vector engine cannot run the segment (faults armed, a config knob it
 does not model, an unsupported program shape) the adapter falls back
-to the fast engine with the same ladder as
-:func:`repro.mp5.run_mp5_vector`.
+to the fast engine with the same ladder and the same one-line warning
+as :func:`repro.mp5.run_mp5_vector`.
 
 **Backpressure.** The ingest queue holds at most ``queue_depth``
 batches. ``POST /ingest`` never blocks: a full queue is answered with
@@ -119,11 +119,11 @@ class _EngineAdapter:
     ingest watermark proves no future feed can affect it — ticks for
     the scalar engines, whole epochs for the vector engine. The vector
     path shares :func:`repro.mp5.run_mp5_vector`'s fallback ladder
-    (:func:`repro.mp5.vector.try_vector_switch`: faults armed → warn
-    and use fast; config knob the vector model omits → silently use
-    fast; unsupported program shape → warn and use fast), so a
-    ``--engine vector`` service is never wedged by a mid-stream fault
-    attach — the next segment just runs scalar."""
+    (:func:`repro.mp5.vector.try_vector_switch`) and its one rule:
+    faults armed, a config knob the vector model omits or an
+    unsupported program shape → one warning naming the reason, then
+    fast. So a ``--engine vector`` service is never wedged by a
+    mid-stream fault attach — the next segment just runs scalar."""
 
     streaming = True
 
@@ -642,7 +642,6 @@ class SwitchService:
         allowed = {
             "remap_period",
             "remap_algorithm",
-            "idle_compression",
             "spray_policy",
             "fifo_capacity",
         }

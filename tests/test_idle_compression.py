@@ -1,13 +1,17 @@
 """Idle-tick compression must be semantically invisible.
 
-``MP5Config.idle_compression`` lets the scalar engines teleport the
-tick counter across stretches where no stage holds live work and the
-next arrival is known. The contract: statistics and registers are
-identical with the optimization on or off (the teleport only skips
-ticks that would have been pure no-ops), remap boundaries still fire,
-and the optimization disengages entirely whenever faults or any
-observability sink is attached — those consumers observe per-tick
-state, so skipping ticks would change what they see.
+The scalar engines teleport the tick counter across stretches where no
+stage holds live work and the next arrival is known. The contract:
+statistics and registers are identical to a run that steps every tick
+(the teleport only skips ticks that would have been pure no-ops), remap
+boundaries still fire, and the teleport disengages entirely whenever
+faults or any observability sink is attached — those consumers observe
+per-tick state, so skipping ticks would change what they see.
+
+The compression has no switch of its own. The tick-stepping reference
+is the same run with a :class:`~repro.obs.PhaseProfiler` attached: the
+profiler times every tick, so attaching it is the public way to pin a
+switch to stepping them, and every reference asserts that it did.
 """
 
 import json
@@ -16,19 +20,12 @@ from pathlib import Path
 import pytest
 
 from repro.faults import FaultSchedule
-from repro.mp5 import (
-    MP5Config,
-    MP5Switch,
-    ReferenceSwitch,
-    run_mp5,
-    run_mp5_reference,
-)
-from repro.obs import InvariantMonitor
+from repro.mp5 import MP5Config, MP5Switch, ReferenceSwitch
+from repro.obs import InvariantMonitor, PhaseProfiler
 from repro.workloads.synthetic import make_sensitivity_program, sensitivity_trace
 
 FAULT_DIR = Path("examples/faults")
 
-ENGINES = {"fast": run_mp5, "dense": run_mp5_reference}
 SWITCHES = {"fast": MP5Switch, "dense": ReferenceSwitch}
 
 
@@ -48,6 +45,19 @@ def _schedule(kind: str, num_packets: int = 150, seed: int = 0):
     return trace
 
 
+def _run(engine, trace, config, stepped, **run_args):
+    """One run on a fresh switch; ``stepped`` attaches a profiler, which
+    pins the switch to stepping every tick."""
+    program = make_sensitivity_program(num_stateful=4, register_size=64)
+    switch = SWITCHES[engine](program, config)
+    if stepped:
+        switch.attach_observability(profiler=PhaseProfiler())
+    stats = switch.run(trace, **run_args)
+    if stepped:
+        assert switch._idle_teleports == 0
+    return switch, stats
+
+
 CONFIG_VARIANTS = {
     "default": dict(),
     "remap_none": dict(remap_algorithm="none"),
@@ -58,26 +68,21 @@ CONFIG_VARIANTS = {
 }
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("engine", sorted(SWITCHES))
 @pytest.mark.parametrize("kind", ("bursty", "sparse"))
 @pytest.mark.parametrize("variant", sorted(CONFIG_VARIANTS))
 def test_compression_invisible(engine, kind, variant):
     """Stats, registers, and the JSON-rendered summary are identical
-    with compression on and off, on both scalar engines."""
-    program = make_sensitivity_program(num_stateful=4, register_size=64)
+    to the tick-stepped run, on both scalar engines."""
+    config = MP5Config(num_pipelines=4, **CONFIG_VARIANTS[variant])
     results = {}
-    for enabled in (True, False):
-        config = MP5Config(
-            num_pipelines=4,
-            idle_compression=enabled,
-            **CONFIG_VARIANTS[variant],
+    for stepped in (False, True):
+        switch, stats = _run(
+            engine, _schedule(kind), config, stepped, max_ticks=60000
         )
-        stats, regs = ENGINES[engine](
-            program, _schedule(kind), config, max_ticks=60000
-        )
-        results[enabled] = (stats, regs)
-    on_stats, on_regs = results[True]
-    off_stats, off_regs = results[False]
+        results[stepped] = (stats, switch.public_registers())
+    on_stats, on_regs = results[False]
+    off_stats, off_regs = results[True]
     assert on_stats == off_stats
     assert on_regs == off_regs
     # results.json fidelity: the summary serializes identically too.
@@ -88,33 +93,25 @@ def test_compression_invisible(engine, kind, variant):
 @pytest.mark.parametrize("kind", ("bursty", "sparse"))
 def test_compression_engages_and_preserves_tick_count(engine, kind):
     """On gappy schedules the teleport must actually fire, and the
-    final tick count must equal the uncompressed run's."""
-    program = make_sensitivity_program(num_stateful=4, register_size=64)
-    on = SWITCHES[engine](
-        program, MP5Config(num_pipelines=4, idle_compression=True)
-    )
-    on_stats = on.run(_schedule(kind))
-    off = SWITCHES[engine](
-        program, MP5Config(num_pipelines=4, idle_compression=False)
-    )
-    off_stats = off.run(_schedule(kind))
+    final tick count must equal the tick-stepped run's."""
+    config = MP5Config(num_pipelines=4)
+    on, on_stats = _run(engine, _schedule(kind), config, stepped=False)
+    _, off_stats = _run(engine, _schedule(kind), config, stepped=True)
     assert on._idle_teleports > 0
-    assert off._idle_teleports == 0
     assert on_stats.ticks == off_stats.ticks
 
 
 def test_compression_off_by_flag():
-    program = make_sensitivity_program(num_stateful=4, register_size=64)
-    switch = MP5Switch(
-        program, MP5Config(num_pipelines=4, idle_compression=False)
+    """The profiler alone disengages the teleport on a sparse trace."""
+    switch, _ = _run(
+        "fast", _schedule("sparse"), MP5Config(num_pipelines=4), stepped=True
     )
-    switch.run(_schedule("sparse"))
     assert switch._idle_teleports == 0
 
 
 def test_dense_line_rate_never_teleports():
-    """At line rate there is no idle stretch to compress; the flag must
-    not perturb a busy switch."""
+    """At line rate there is no idle stretch to compress; the teleport
+    must not perturb a busy switch."""
     program = make_sensitivity_program(num_stateful=4, register_size=64)
     switch = MP5Switch(program, MP5Config(num_pipelines=4))
     switch.run(sensitivity_trace(200, 4, 4, 64, seed=0))

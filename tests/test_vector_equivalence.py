@@ -12,8 +12,8 @@ back — never approximate.
 This module asserts both halves of that contract: native agreement
 over the sensitivity workload, every real application, fuzzed
 programs, and the supported config matrix; and fallback equivalence
-(silent for configs/program shapes, a one-line warning for faults)
-for everything else — plus the end-to-end check that ``run_all``
+(one warning per scope naming the reason, for config knobs, program
+shapes and faults alike) for everything else — plus the end-to-end check that ``run_all``
 produces byte-identical ``results.json`` under ``engine="vector"``
 and ``engine="fast"``. Observability sinks no longer fall back: the
 vector engine reconstructs the event stream after the closed-form run
@@ -227,7 +227,7 @@ def test_vector_agrees_fuzzed_program(seed):
         _assert_vector_agrees(program, trace_factory, config)
     except VectorUnsupported:
         # Out of the vector envelope: the wrapper must still match the
-        # fast engine via its silent fallback.
+        # fast engine via its (warned) fallback.
         vec = run_mp5_vector(program, trace_factory(), config)
         fast = run_mp5(program, trace_factory(), config)
         assert vec == fast
@@ -251,17 +251,27 @@ FALLBACK_CONFIGS = {
 
 @pytest.mark.parametrize("name", sorted(FALLBACK_CONFIGS))
 def test_unsupported_config_falls_back_silently(name, capsys):
+    """A config knob outside the envelope falls back to fast-engine
+    results and warns once per ``reset_fallback_warnings`` scope, naming
+    the knob — the same rule as faults and program shapes. (The name
+    predates the warning: config fallbacks used to be silent.)"""
     config = MP5Config(num_pipelines=4, **FALLBACK_CONFIGS[name])
-    assert config_fallback_reason(config) is not None
+    reason = config_fallback_reason(config)
+    assert reason is not None
+    line = f"vector engine: {reason}; falling back to the fast engine\n"
     program = make_sensitivity_program(num_stateful=4, register_size=64)
-    vec = run_mp5_vector(
-        program, sensitivity_trace(200, 4, 4, 64, seed=0), config
-    )
     fast = run_mp5(
         program, sensitivity_trace(200, 4, 4, 64, seed=0), config
     )
-    assert vec == fast
-    assert capsys.readouterr().err == ""  # config fallback stays quiet
+    for _ in range(2):
+        vec = run_mp5_vector(
+            program, sensitivity_trace(200, 4, 4, 64, seed=0), config
+        )
+        assert vec == fast
+    assert capsys.readouterr().err == line
+    reset_fallback_warnings()
+    run_mp5_vector(program, sensitivity_trace(50, 4, 4, 64, seed=0), config)
+    assert capsys.readouterr().err == line
 
 
 def test_observability_runs_on_vector_without_fallback(capsys):
