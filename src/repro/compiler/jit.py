@@ -9,9 +9,10 @@ guarded state accesses — and is verified against the interpreter by the
 test suite over every bundled program and fuzzed programs.
 
 :class:`ScalarPrinter` owns those semantics **once**: wrap, compare,
-truncating div/mod, masked shifts, guards, select and builtin calls.
-What differs between its two users is only *storage* — where a header
-field or a register slot lives — which each supplies as a few hooks:
+truncating div/mod, masked shifts, guards and select (a builtin call
+arrives lowered to those). What differs between its two users is only
+*storage* — where a header field or a register slot lives — which each
+supplies as a few hooks:
 
 * here, a packet's ``headers``/``env`` dicts plus the ``on_access``
   callback (:func:`compile_instrs`, the scalar engines);
@@ -34,7 +35,6 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..domino.builtins import BUILTINS
 from ..errors import CompilerError
 from .lower import SSAStmt, lower_stage
 from .tac import Const, TacInstr
@@ -43,7 +43,11 @@ _counter = itertools.count()
 
 # Operators whose Python semantics already match the evaluator's after a
 # single wrap of the result.
-_WRAPPED_BINOPS = {"+", "-", "*", "&", "|", "^"}
+_WRAPPED_BINOPS = {"+", "-", "*"}
+# Operators closed on the signed 32-bit range, printed without the wrap:
+# every SSA value is already in that range (field loads, constants and
+# arithmetic results are wrapped where they are defined).
+_BITWISE = {"&", "|", "^"}
 _COMPARISONS = {"==", "!=", "<", "<=", ">", ">="}
 
 StageFn = Callable[[dict, dict, dict, Optional[Callable]], None]
@@ -96,11 +100,6 @@ class ScalarPrinter:
     def reg_store(self, reg: str, idx: str, value: str) -> List[str]:
         raise NotImplementedError
 
-    def call_arg(self, var: str) -> str:
-        """A local handed to a builtin, which is arbitrary-precision
-        Python: storages whose values are not Python ints cast here."""
-        return var
-
     # -- semantics -----------------------------------------------------
 
     def _guarded(self, guard: Optional[str], body: List[str]) -> None:
@@ -130,12 +129,6 @@ class ScalarPrinter:
                 raise CompilerError(f"jit: unknown unary op {s.op!r}")
         elif s.kind == "binary":
             self._binary(s.dest, s.op, *args)
-        elif s.kind == "call":
-            joined = ", ".join(
-                a if isinstance(v, int) else self.call_arg(a)
-                for a, v in zip(args, s.args)
-            )
-            emit(f"{s.dest} = {_wrapped(f'_builtins[{s.op!r}]({joined})')}")
         elif s.kind == "select":
             g, a, b = args
             emit(f"{s.dest} = ({a}) if ({g}) != 0 else ({b})")
@@ -154,6 +147,8 @@ class ScalarPrinter:
         emit = self.emit
         if op in _WRAPPED_BINOPS:
             emit(f"{dest} = {_wrapped(f'({a}) {op} ({b})')}")
+        elif op in _BITWISE:
+            emit(f"{dest} = ({a}) {op} ({b})")
         elif op in _COMPARISONS:
             emit(f"{dest} = 1 if ({a}) {op} ({b}) else 0")
         elif op in ("/", "%"):
@@ -233,7 +228,7 @@ def compile_instrs(
         printer.emit(f"env[{temp!r}] = {ssa.temp_vars[temp]}")
 
     source = "\n".join(printer.lines)
-    scope = {"_builtins": BUILTINS}
+    scope: dict = {}
     exec(compile(source, f"<jit:{name}:{next(_counter)}>", "exec"), scope)
     fn = scope[f"_{name}"]
     fn.__doc__ = source  # keep the generated code inspectable

@@ -27,7 +27,8 @@ everything its printer needs — the register array for state accesses,
 the header field for loads/stores, the guard variable for predicated
 execution. Constants are read raw, as the TAC evaluator reads them:
 :mod:`repro.compiler.preprocess` wraps a literal to 32 bits where it
-enters the IR.
+enters the IR. A builtin call is the one expansion: :func:`lower_call`
+emits its ``binary``/``select`` ops, so no printer knows builtins exist.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from ..domino.builtins import BUILTINS
 from ..errors import CompilerError
 from .tac import Const, OpKind, TacInstr, Temp
 
@@ -54,7 +56,6 @@ class SSAStmt:
     * ``const``        — ``dest = args[0]``
     * ``unary``        — ``dest = op args[0]``
     * ``binary``       — ``dest = args[0] op args[1]``
-    * ``call``         — ``dest = wrap(builtin op(*args))``
     * ``select``       — ``dest = args[0] ? args[1] : args[2]``
     * ``reg_load``     — ``dest = reg[args[0] mod size]``       [guard]
     * ``reg_store``    — ``reg[args[0] mod size] = args[1]``    [guard]
@@ -77,31 +78,6 @@ class SSAStmt:
         — the one operand rule every printer shares."""
         return [repr(a) if isinstance(a, int) else a for a in self.args]
 
-    def render(self) -> str:
-        """Human-readable one-line form (tests and debugging)."""
-        g = f" if {self.guard}" if self.guard else ""
-        if self.kind == "field_load":
-            return f"{self.dest} = load p.{self.field}"
-        if self.kind == "field_store":
-            return f"p.{self.field} = {self.args[0]}{g}"
-        if self.kind == "const":
-            return f"{self.dest} = {self.args[0]}"
-        if self.kind == "unary":
-            return f"{self.dest} = {self.op} {self.args[0]}"
-        if self.kind == "binary":
-            return f"{self.dest} = {self.args[0]} {self.op} {self.args[1]}"
-        if self.kind == "call":
-            joined = ", ".join(str(a) for a in self.args)
-            return f"{self.dest} = {self.op}({joined})"
-        if self.kind == "select":
-            a, b, c = self.args
-            return f"{self.dest} = {a} ? {b} : {c}"
-        if self.kind == "reg_load":
-            return f"{self.dest} = {self.reg}[{self.args[0]}]{g}"
-        if self.kind == "reg_store":
-            return f"{self.reg}[{self.args[0]}] = {self.args[1]}{g}"
-        raise AssertionError(self.kind)
-
 
 @dataclass
 class StageSSA:
@@ -121,15 +97,27 @@ class StageSSA:
     regs: Tuple[str, ...] = ()
     #: local-variable name of each loaded PHV temp / published temp
     temp_vars: Dict[str, str] = field(default_factory=dict)
-    #: True when the stage contains a ``call`` statement (builtins are
-    #: arbitrary Python, so such a stage is never ``@njit``-compiled)
-    has_call: bool = False
 
 
 def _value(op, names: Dict[Temp, str]) -> Value:
     if isinstance(op, Const):
         return op.value
     return names[op]
+
+
+def lower_call(name: str, args: Sequence[Value], dest: str) -> List[SSAStmt]:
+    """Builtin ``name`` applied to ``args`` as the plain statements its
+    :class:`~repro.domino.builtins.Builtin` op list names. Op ``k``
+    defines the local ``{dest}_{k}``; the last op defines ``dest``."""
+    ops = BUILTINS[name].ops
+    local: Dict[str, Value] = {f"x{i}": a for i, a in enumerate(args)}
+    stmts = []
+    for k, (op, *operands) in enumerate(ops):
+        vals = tuple(local[o] if isinstance(o, str) else o for o in operands)
+        local[f"t{k}"] = target = dest if k == len(ops) - 1 else f"{dest}_{k}"
+        kind, op = ("select", "") if op == "?" else ("binary", op)
+        stmts.append(SSAStmt(kind, dest=target, op=op, args=vals))
+    return stmts
 
 
 def cross_stage_temps(
@@ -172,7 +160,6 @@ def lower_stage(
     fields_read: List[str] = []
     fields_written: List[str] = []
     regs: Set[str] = set()
-    has_call = False
 
     def var(temp: Temp) -> str:
         got = names.get(temp)
@@ -248,13 +235,11 @@ def lower_stage(
                 )
             )
         elif kind is OpKind.CALL:
-            has_call = True
-            stmts.append(
-                SSAStmt(
-                    "call",
-                    dest=var(instr.dest),
-                    op=instr.op,
-                    args=tuple(_value(a, names) for a in instr.args),
+            stmts.extend(
+                lower_call(
+                    instr.op,
+                    [_value(a, names) for a in instr.args],
+                    var(instr.dest),
                 )
             )
         elif kind is OpKind.SELECT:
@@ -307,5 +292,4 @@ def lower_stage(
         temps_out=tuple(t.name for t in temps_out),
         regs=tuple(sorted(regs)),
         temp_vars=temp_vars,
-        has_call=has_call,
     )

@@ -26,11 +26,9 @@ raw stores, indexes modulo the array size) are the scalar engines' by
 construction, not by a second copy.
 
 There is no flag. When Numba imports (``pip install ".[native]"`` is
-the opt-in) and the stage has no builtin ``call``, the loop is
-``@njit(nogil=True)``-compiled; otherwise the same source runs as plain
-Python over the same columns. A builtin is arbitrary Python (``hash2``
-mixes in arbitrary precision), so a stage that calls one runs its
-kernel unjitted, with the call's arguments cast to Python ints.
+the opt-in) the loop is ``@njit(nogil=True)``-compiled; otherwise the
+same source runs as plain Python over the same columns. A builtin call
+arrives lowered to plain ops, so every stage compiles alike.
 :attr:`NativeKernel.jitted` says which happened; callers choose from it.
 """
 
@@ -40,7 +38,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
-from ..domino.builtins import BUILTINS
 from .jit import ScalarPrinter
 from .lower import StageSSA, lower_stage
 from .tac import TacInstr
@@ -135,11 +132,6 @@ class _RowPrinter(ScalarPrinter):
     def field_store(self, field, value):
         return f"{self.field_col[field]}[_r] = {value}"
 
-    def call_arg(self, var):
-        # An int64 column value (a NumPy scalar when unjitted) would
-        # overflow in a builtin's arbitrary-precision hash mixing.
-        return f"int({var})"
-
     def _access(self, reg: str, access: str) -> List[str]:
         return [access] + (["_hit = 1"] if reg == self.track_reg else [])
 
@@ -161,12 +153,12 @@ def compile_native_stage(
 ) -> Optional[NativeKernel]:
     """Compile one stage to a fused per-row kernel; None for empty input.
 
-    When Numba is importable and the stage calls no builtin the loop is
-    ``@njit``-compiled; ``force_python=True`` skips that — the
-    plain-Python kernel every platform without Numba gets, reachable for
-    tests where Numba is installed. ``track_reg`` turns on wasted-slot
-    counting and the per-position ``lane`` for one register array
-    (conservative phantoms). ``live_out`` as in
+    When Numba is importable the loop is ``@njit``-compiled;
+    ``force_python=True`` skips that — the plain-Python kernel every
+    platform without Numba gets, reachable for tests where Numba is
+    installed. ``track_reg`` turns on wasted-slot counting and the
+    per-position ``lane`` for one register array (conservative
+    phantoms). ``live_out`` as in
     :func:`~repro.compiler.lower.lower_stage`.
     """
     ssa = lower_stage(instrs, name, live_out)
@@ -193,12 +185,12 @@ def compile_native_stage(
         pr.emit("_wasted += 1", 1)
         pr.emit("lane[_k] = True", 1)
     source = "\n".join(pr.lines + ["    return _wasted"])
-    scope: dict = {"_builtins": BUILTINS} if ssa.has_call else {}
+    scope: dict = {}
     exec(compile(source, f"<native:{name}:{next(_counter)}>", "exec"), scope)
     fn = scope[fname]
     fn.__doc__ = source
     jitted = False
-    if not force_python and not ssa.has_call:
+    if not force_python:
         numba, _reason = _numba()
         if numba is not None:
             fn = numba.njit(nogil=True, cache=False)(fn)

@@ -24,8 +24,9 @@ Semantics are bit-identical to the scalar printer / interpreter: 32-bit
 two's-complement wrap on arithmetic, C-style truncating division and
 modulo, shift counts masked to 5 bits, guarded register reads producing
 0 on a false guard, raw (unwrapped) register and header stores.
-Builtin calls (``hash2`` etc.) fall back to a per-row Python loop —
-they are rare and arbitrary Python.
+Builtin calls (``hash2`` etc.) arrive lowered to those statements, so
+they run as whole-column ops too; :func:`vector_builtin` prints one on
+its own for Phase A's flow-order hash.
 
 The caller is responsible for ordering: register read-modify-write
 chains are only correct when no two rows in one invocation touch the
@@ -43,9 +44,9 @@ import numpy as np
 
 from ..domino.builtins import BUILTINS
 from ..errors import CompilerError
-from .jit import _COMPARISONS, _WRAPPED_BINOPS, _wrapped
-from .lower import SSAStmt, lower_stage
-from .tac import TacInstr, _to_signed32
+from .jit import _BITWISE, _COMPARISONS, _WRAPPED_BINOPS, _wrapped
+from .lower import SSAStmt, lower_call, lower_stage
+from .tac import TacInstr
 
 _counter = itertools.count()
 
@@ -73,24 +74,11 @@ def _divv(a, b):
 
 
 def _modv(a, b):
-    """``a - b * trunc(a / b)``, 0 on division by zero, wrapped."""
-    a = np.asarray(a, dtype=np.int64)
+    """``a - b * trunc(a / b)``, 0 on division by zero, wrapped (the
+    wrapped quotient changes ``b * q`` by a multiple of 2**32 only)."""
     b = np.asarray(b, dtype=np.int64)
-    bb = np.where(b == 0, 1, b)
-    q = np.abs(a) // np.abs(bb)
-    q = np.where((a < 0) != (bb < 0), -q, q)
-    r = a - bb * q
+    r = a - b * _divv(a, b)
     return np.where(b == 0, 0, ((r + 2147483648) & 4294967295) - 2147483648)
-
-
-def _callv(fn, args: Tuple, n: int) -> np.ndarray:
-    """Per-row builtin call; args cast to Python ints so arbitrary-
-    precision builtin arithmetic (hash mixing) cannot overflow int64."""
-    cols = [np.broadcast_to(np.asarray(a, dtype=np.int64), (n,)) for a in args]
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        out[i] = _to_signed32(fn(*(int(c[i]) for c in cols)))
-    return out
 
 
 def _regset(arr, idx, val, mask=None) -> None:
@@ -158,11 +146,6 @@ def _print(s: SSAStmt, lines: List[str]) -> None:
             raise CompilerError(f"vjit: unknown unary op {s.op!r}")
     elif s.kind == "binary":
         lines.append(f"{pad}{s.dest} = {_binary(s.op, *args)}")
-    elif s.kind == "call":
-        lines.append(
-            f"{pad}{s.dest} = "
-            f"_callv(_builtins[{s.op!r}], ({', '.join(args)},), _n)"
-        )
     elif s.kind == "select":
         g, a, b = args
         lines.append(f"{pad}{s.dest} = _np.where(_truthy({g}), {a}, {b})")
@@ -190,6 +173,8 @@ def _print(s: SSAStmt, lines: List[str]) -> None:
 def _binary(op: str, a: str, b: str) -> str:
     if op in _WRAPPED_BINOPS:
         return _wrapped(f"({a}) {op} ({b})")
+    if op in _BITWISE:
+        return f"({a}) {op} ({b})"
     if op in _COMPARISONS:
         return f"_np.where(({a}) {op} ({b}), 1, 0)"
     if op == "/":
@@ -209,6 +194,21 @@ def _binary(op: str, a: str, b: str) -> str:
 
 def _i64(x):
     return np.asarray(x, dtype=np.int64)
+
+
+#: What generated kernels may name besides their parameters.
+_SCOPE = dict(
+    _np=np, _truthy=_truthy, _maskn=_maskn, _divv=_divv, _modv=_modv,
+    _regset=_regset, _acc_set=_acc_set, _acc_or=_acc_or, _i64=_i64,
+)
+
+
+def _exec(source: str, tag: str, fname: str) -> Callable:
+    scope = dict(_SCOPE)
+    exec(compile(source, f"<vjit:{tag}:{next(_counter)}>", "exec"), scope)
+    fn = scope[fname]
+    fn.__doc__ = source
+    return fn
 
 
 def compile_vector_stage(
@@ -233,24 +233,8 @@ def compile_vector_stage(
         lines.append(f"    E[{temp!r}][rows] = {ssa.temp_vars[temp]}")
 
     source = "\n".join(lines)
-    scope = {
-        "_np": np,
-        "_builtins": BUILTINS,
-        "_truthy": _truthy,
-        "_maskn": _maskn,
-        "_divv": _divv,
-        "_modv": _modv,
-        "_callv": _callv,
-        "_regset": _regset,
-        "_acc_set": _acc_set,
-        "_acc_or": _acc_or,
-        "_i64": _i64,
-    }
-    exec(compile(source, f"<vjit:{name}:{next(_counter)}>", "exec"), scope)
-    fn = scope[f"_{name}"]
-    fn.__doc__ = source
     return VectorKernel(
-        fn=fn,
+        fn=_exec(source, name, f"_{name}"),
         fields_read=frozenset(ssa.fields_read),
         fields_written=frozenset(ssa.fields_written),
         temps_in=ssa.temps_in,
@@ -258,3 +242,15 @@ def compile_vector_stage(
         stateful=tuple(i for i in instrs if i.is_stateful),
         source=source,
     )
+
+
+def vector_builtin(name: str) -> Callable:
+    """Builtin ``name`` as a function of ``int64`` columns (or ints)
+    returning its result column: :func:`~repro.compiler.lower.lower_call`'s
+    statements, printed like any stage's."""
+    params = [f"a{i}" for i in range(BUILTINS[name].arity)]
+    lines = [f"def _{name}({', '.join(params)}):"]
+    for stmt in lower_call(name, params, "_out"):
+        _print(stmt, lines)
+    lines.append("    return _out")
+    return _exec("\n".join(lines), name, f"_{name}")

@@ -41,6 +41,7 @@ from .ast_nodes import (
     TernaryExpr,
     UnaryExpr,
 )
+from .builtins import BUILTINS
 from .lexer import tokenize
 from .tokens import Token, TokenType
 
@@ -58,8 +59,6 @@ _PRECEDENCE_LEVELS = [
     ("+", "-"),
     ("*", "/", "%"),
 ]
-
-BUILTIN_FUNCTIONS = {"hash2", "hash3", "hash5", "min", "max"}
 
 
 class Parser:
@@ -355,10 +354,10 @@ class Parser:
                 )
             # Builtin call: hash2(a, b)
             if self._check(TokenType.LPAREN):
-                if token.text not in BUILTIN_FUNCTIONS:
+                if token.text not in BUILTINS:
                     raise DominoSyntaxError(
                         f"unknown function {token.text!r} (builtins: "
-                        f"{sorted(BUILTIN_FUNCTIONS)})",
+                        f"{sorted(BUILTINS)})",
                         token.line,
                         token.column,
                     )

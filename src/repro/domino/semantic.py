@@ -35,8 +35,7 @@ from .ast_nodes import (
     TernaryExpr,
     UnaryExpr,
 )
-
-_BUILTIN_ARITY = {"hash2": 2, "hash3": 3, "hash5": 5, "min": 2, "max": 2}
+from .builtins import BUILTINS
 
 
 @dataclass
@@ -217,14 +216,14 @@ class SemanticAnalyzer:
             expr.if_false = self._check_expr(expr.if_false, locals_in_scope)
             return expr
         if isinstance(expr, CallExpr):
-            arity = _BUILTIN_ARITY.get(expr.func)
-            if arity is None:
+            builtin = BUILTINS.get(expr.func)
+            if builtin is None:
                 raise DominoSemanticError(
                     f"unknown builtin {expr.func!r}", expr.line, expr.column
                 )
-            if len(expr.args) != arity:
+            if len(expr.args) != builtin.arity:
                 raise DominoSemanticError(
-                    f"builtin {expr.func!r} takes {arity} arguments, got "
+                    f"builtin {expr.func!r} takes {builtin.arity} arguments, got "
                     f"{len(expr.args)}",
                     expr.line,
                     expr.column,

@@ -36,8 +36,8 @@ in-flight counters, and every remap decision derived from them.
   NumPy wave decomposition (PR 5 semantics) and a fused per-row kernel
   in service order (:mod:`repro.compiler.native`). The code picks
   between them from what it can observe — no flag: a serial plan
-  always runs the fused kernel (``@njit`` when Numba imports and the
-  stage calls no builtin, the same source as plain Python otherwise);
+  always runs the fused kernel (``@njit`` when Numba imports, the same
+  source as plain Python otherwise);
   a wave plan runs it only when it is jitted, else the wave
   decomposition.
 """
@@ -52,9 +52,10 @@ import numpy as np
 
 from ..compiler.native import compile_native_stage
 from ..compiler.tac import Const
-from ..domino.builtins import hash2
+from ..compiler.vjit import vector_builtin
 
 _FAR = 1 << 62  # sentinel horizon: beyond any reachable tick
+_flow_hash = vector_builtin("hash2")  # flow-order index, as column ops
 
 
 def _grown(arr: np.ndarray, n: int, fill=None) -> np.ndarray:
@@ -175,10 +176,8 @@ class EpochStreamer:
     """
 
     def __init__(
-        self, switch, flow: List, H: Dict, E: Dict, R: Dict,
-        max_ticks: Optional[int],
+        self, switch, H: Dict, E: Dict, R: Dict, max_ticks: Optional[int]
     ):
-        self.flow = flow  # per-row flow ids; shared list, caller extends
         self.H = H  # shared dict objects; caller swaps grown columns in
         self.E = E
         self.R = R
@@ -320,15 +319,10 @@ class EpochStreamer:
         for pi, plan in enumerate(vplans):
             state = sharder.arrays[plan.base]
             if plan.is_flow:
-                size = plan.size
-                fkey = H[cfg.flow_order_field]
-                flow = self.flow
-                iv = np.empty(rows.shape[0], dtype=np.int64)
-                for pos, row in enumerate(rows.tolist()):
-                    key = int(fkey[row])
-                    iv[pos] = hash2(key, 0x5F0E) % size
-                    if flow[row] is None:
-                        flow[row] = key
+                # Raw keys: only their low 32 bits reach the hash's
+                # first multiply, whose int64 product wraps mod 2**64.
+                keys = H[cfg.flow_order_field][rows]
+                iv = _flow_hash(keys, 0x5F0E) % plan.size
             elif plan.has_index:
                 op = plan.index_operand
                 if isinstance(op, Const):

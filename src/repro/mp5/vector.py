@@ -434,7 +434,7 @@ class VectorSwitch(MP5Switch):
         self._max_ticks = max_ticks
         self._last_feed_key = None
         self._streamer = EpochStreamer(
-            self, self._flow, self._H, self._E, self._R, max_ticks
+            self, self._H, self._E, self._R, max_ticks
         )
         # Per-row wasted-slot attribution, only when a sink will replay
         # the stream: plans whose conservative access can waste a slot
@@ -509,12 +509,18 @@ class VectorSwitch(MP5Switch):
         hi = lo + n
         self._port = _grown(self._port, hi)
         self._port[lo:hi] = cols.port
-        self._flow.extend(cols.flow)
         for f in self._field_list:
             # A field the batch does not carry reads 0 in every row.
             col = _grown(self._H[f], hi)
             col[lo:hi] = cols.headers.get(f, 0)
             self._H[f] = col
+        flow = cols.flow
+        if self._flow_order_stage is not None and None in flow:
+            # The scalar engines name an unlabelled packet's flow by its
+            # flow-order key; only injected rows' ids are ever read.
+            keys = self._H[self.config.flow_order_field][lo:hi].tolist()
+            flow = [k if f is None else f for f, k in zip(flow, keys)]
+        self._flow.extend(flow)
         for t in self._temp_list:
             self._E[t] = _grown(self._E[t], hi, fill=0)
         if self._wmasks is not None:
