@@ -29,16 +29,22 @@ execution. Constants are read raw, as the TAC evaluator reads them:
 :mod:`repro.compiler.preprocess` wraps a literal to 32 bits where it
 enters the IR. A builtin call is the one expansion: :func:`lower_call`
 emits its ``binary``/``select`` ops, so no printer knows builtins exist.
+
+One analysis reads the lowered form back: :func:`scan_form` decides
+whether a plan stage's register update is a read-add-write or a
+predicated write (``x = wrap(a*x + b)`` with row-only ``a`` and ``b``),
+which the vector engine then runs as a prefix sum per register slot.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..domino.builtins import BUILTINS
 from ..errors import CompilerError
-from .tac import Const, OpKind, TacInstr, Temp
+from .tac import Const, OpKind, TacInstr, Temp, _to_signed32
 
 #: Operand of a lowered statement: a local variable name or an inlined
 #: integer constant.
@@ -292,4 +298,176 @@ def lower_stage(
         temps_out=tuple(t.name for t in temps_out),
         regs=tuple(sorted(regs)),
         temp_vars=temp_vars,
+    )
+
+
+def live_stmts(stmts: Sequence[SSAStmt], roots) -> List[SSAStmt]:
+    """``stmts`` pruned to the ones the locals in ``roots`` and the
+    field stores depend on, in order (constants in ``roots`` need
+    nothing)."""
+    need = {r for r in roots if isinstance(r, str)}
+    kept = []
+    for s in reversed(stmts):
+        if s.kind == "field_store" or s.dest in need:
+            kept.append(s)
+            need.update(a for a in s.args if isinstance(a, str))
+            if s.guard is not None:
+                need.add(s.guard)
+    kept.reverse()
+    return kept
+
+
+@dataclass(frozen=True)
+class ScanForm:
+    """A stage whose one store to its plan's register is
+    ``wrap(a*x + b)``, ``x`` the slot's value before the row, with
+    ``a`` in {0, 1} and ``a``, ``b``, ``index`` and ``access`` row
+    values. Per slot, a chain of such rows is a prefix sum of ``b``
+    restarted where ``a == 0``.
+
+    Each operand is an inlined constant or a local that ``row`` — the
+    stage's row-only statements plus the ones that build ``a``, ``b``
+    and ``access``, in program order — defines (prune with
+    :func:`live_stmts`). ``access`` is 1 where the row accesses the
+    register at all (a guard held). ``publish`` is the stage without
+    its store, pruned to what its field stores and published temps
+    need; its loads of the register carry no index, to be read from a
+    column of ``x``. It is empty when the stage publishes nothing.
+    """
+
+    a: Value
+    b: Value
+    index: Value
+    access: Value
+    row: Tuple[SSAStmt, ...]
+    publish: Tuple[SSAStmt, ...]
+
+
+def scan_form(ssa: StageSSA, reg: str) -> Optional[ScanForm]:
+    """``ssa``'s :class:`ScanForm` in register ``reg``, or None.
+
+    Abstract interpretation: a local is either a row value ``r``, read
+    as ``(0, r)``, or ``(a, b)`` standing for ``a*x + b``. A load of
+    ``reg`` is ``(1, 0)`` (``(g, 0)`` under guard ``g``); ``A + r``,
+    ``r + A`` and ``A - r`` add to ``b``; ``select(r, A, B)`` selects
+    both parts. The store under guard ``g`` leaves ``select(g, V,
+    (1, 0))`` in the slot, and a stage that only loads leaves the
+    identity ``(1, 0)``. Anything else that touches ``x`` — a compare,
+    a product, a division, ``r - A``, an ``x``-dependent guard, index
+    or select condition — and a second store, a load after the store,
+    another register, or a field loaded after the stage stores it
+    returns None."""
+    affine: Dict[str, Tuple[Value, Value]] = {}
+    consts: Dict[str, int] = {}
+    selects: Dict[str, SSAStmt] = {}
+    row: List[SSAStmt] = []
+    names = (f"_k{i}" for i in itertools.count())
+    index: Optional[Value] = None
+    guards: List[Optional[str]] = []
+    slot: Optional[Tuple[Value, Value]] = None
+    stored_fields: Set[str] = set()
+
+    def dep(v) -> bool:
+        return isinstance(v, str) and v in affine
+
+    def emit(kind: str, op: str, args: Tuple[Value, ...]) -> str:
+        s = SSAStmt(kind, dest=next(names), op=op, args=args)
+        row.append(s)
+        if kind == "select":
+            selects[s.dest] = s
+        return s.dest
+
+    def arith(op: str, p: Value, q: Value) -> Value:
+        if isinstance(p, int) and isinstance(q, int):
+            return _to_signed32(p + q if op == "+" else p - q)
+        if q == 0:
+            return p
+        if op == "+" and p == 0:
+            return q
+        return emit("binary", op, (p, q))
+
+    def pick(c: Value, p: Value, q: Value) -> Value:
+        c = consts.get(c, c)
+        if isinstance(c, int):
+            return p if c != 0 else q
+        # select(c, select(c, p1, p2), q) == select(c, p1, q), and so on.
+        if p in selects and selects[p].args[0] == c:
+            p = selects[p].args[1]
+        if q in selects and selects[q].args[0] == c:
+            q = selects[q].args[2]
+        return p if p == q else emit("select", "", (c, p, q))
+
+    def lift(v: Value) -> Tuple[Value, Value]:
+        return affine[v] if dep(v) else (0, consts.get(v, v))
+
+    for s in ssa.stmts:
+        args = s.args
+        if dep(s.guard):
+            return None
+        if s.kind in ("reg_load", "reg_store"):
+            if s.reg != reg or dep(args[0]) or slot is not None:
+                return None
+            if index is None:
+                index = args[0]
+            elif args[0] != index:
+                return None
+            guards.append(s.guard)
+            if s.kind == "reg_load":
+                a = 1 if s.guard is None else pick(s.guard, 1, 0)
+                affine[s.dest] = (a, 0)
+            else:
+                v = lift(args[1])
+                slot = v
+                if s.guard is not None:
+                    slot = (pick(s.guard, v[0], 1), pick(s.guard, v[1], 0))
+            continue
+        if s.kind == "field_store":
+            stored_fields.add(s.field)
+            continue
+        if not any(dep(v) for v in args):
+            if s.kind == "field_load" and s.field in stored_fields:
+                return None
+            row.append(s)
+            if s.kind == "const":
+                consts[s.dest] = args[0]
+        elif s.kind == "binary" and s.op in ("+", "-"):
+            x, r = args
+            if dep(r):
+                if dep(x) or s.op == "-":
+                    return None
+                x, r = r, x
+            a, b = affine[x]
+            affine[s.dest] = (a, arith(s.op, b, consts.get(r, r)))
+        elif s.kind == "select" and not dep(args[0]):
+            (pa, pb), (qa, qb) = lift(args[1]), lift(args[2])
+            affine[s.dest] = (pick(args[0], pa, qa), pick(args[0], pb, qb))
+        else:
+            return None
+    if index is None:
+        return None
+    a, b = slot if slot is not None else (1, 0)
+    access: Value = 1
+    if None not in guards:
+        access = guards[0]
+        for g in guards[1:]:
+            if g != access:
+                access = emit("binary", "||", (access, g))
+    outputs = [ssa.temp_vars[t] for t in ssa.temps_out]
+    publish = live_stmts(
+        [
+            SSAStmt("reg_load", dest=s.dest, guard=s.guard, reg=reg)
+            if s.kind == "reg_load"
+            else s
+            for s in ssa.stmts
+            if s.kind != "reg_store"
+        ],
+        outputs,
+    )
+    return ScanForm(
+        a=a,
+        b=b,
+        index=consts.get(index, index),
+        access=access,
+        row=tuple(row),
+        publish=tuple(publish),
     )

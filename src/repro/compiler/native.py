@@ -15,7 +15,8 @@ passes rows in global (tick, pipeline) service order gets the scalar
 engines' serialized register semantics for free: no wave partitioning,
 no per-statement batch traffic, and same-index read-modify-write chains
 are correct by construction. It is what services every *serial* plan
-(pinned or co-staged arrays, constant or in-stage indexes).
+(pinned or co-staged arrays, constant or in-stage indexes) that is not
+scan-shaped (:func:`repro.compiler.lower.scan_form`).
 
 The loop body is the scalar statement printer of
 :mod:`repro.compiler.jit` over a different storage — one row of the

@@ -30,8 +30,12 @@ its own for Phase A's flow-order hash.
 
 The caller is responsible for ordering: register read-modify-write
 chains are only correct when no two rows in one invocation touch the
-same register slot (the vector engine partitions batches into such
-"waves"; see :mod:`repro.mp5.vector`).
+same register slot (the vector engine's wave decomposition runs such
+"waves"; see :mod:`repro.mp5.epochs`). A scan-shaped stage
+(:func:`~repro.compiler.lower.scan_form`) has no such limit:
+:func:`compile_scan_stage` prints its update's row-only coefficients
+and its publishing statements, and the engine chains the rows of a
+register slot itself.
 """
 
 from __future__ import annotations
@@ -45,7 +49,15 @@ import numpy as np
 from ..domino.builtins import BUILTINS
 from ..errors import CompilerError
 from .jit import _BITWISE, _COMPARISONS, _WRAPPED_BINOPS, _wrapped
-from .lower import SSAStmt, lower_call, lower_stage
+from .lower import (
+    SSAStmt,
+    StageSSA,
+    Value,
+    live_stmts,
+    lower_call,
+    lower_stage,
+    scan_form,
+)
 from .tac import TacInstr
 
 _counter = itertools.count()
@@ -122,11 +134,16 @@ class VectorKernel:
     source: str
 
 
-def _print(s: SSAStmt, lines: List[str]) -> None:
-    """One lowered statement as NumPy whole-batch statements."""
+def _print(s: SSAStmt, lines: List[str], column: Optional[str] = None) -> None:
+    """One lowered statement as NumPy whole-batch statements. Given a
+    ``column``, a register load reads it instead of the register."""
     pad = "    "
     args = s.operands()
-    if s.kind == "field_load":
+    if s.kind == "reg_load" and column is not None:
+        if s.guard is not None:
+            column = f"_np.where(_maskn({s.guard}, _n), {column}, 0)"
+        lines.append(f"{pad}{s.dest} = {column}")
+    elif s.kind == "field_load":
         lines.append(f"{pad}{s.dest} = {_wrapped(f'H[{s.field!r}][rows]')}")
     elif s.kind == "field_store":
         if s.guard is None:
@@ -241,6 +258,103 @@ def compile_vector_stage(
         temps_out=ssa.temps_out,
         stateful=tuple(i for i in instrs if i.is_stateful),
         source=source,
+    )
+
+
+@dataclass(frozen=True)
+class ScanKernel:
+    """A scan-shaped stage (:func:`~repro.compiler.lower.scan_form`)
+    printed as two functions, each None when it would do nothing:
+
+    * ``coef(H, E, rows)`` returns ``(a, b, access, index)`` over the
+      rows, running only the row-only statements those need;
+    * ``publish(H, E, rows, x)`` runs the stage's publishing statements
+      with its register loads reading ``x`` — the slot's value before
+      each row — and stores nothing to the register.
+
+    ``a``, ``b``, ``access`` and ``index`` are the operands themselves:
+    an ``int`` where the analysis found a constant (what the engine
+    skips work on), else the local ``coef`` returns; ``index`` is None
+    when compiled without it.
+    """
+
+    coef: Optional[Callable]
+    publish: Optional[Callable]
+    a: Value
+    b: Value
+    access: Value
+    index: Optional[Value]
+    source: str
+
+
+def _scan_source(
+    ssa: StageSSA,
+    fname: str,
+    params: str,
+    stmts: Sequence[SSAStmt],
+    roots: Sequence,
+    tail: List[str],
+    column: Optional[str] = None,
+) -> str:
+    used = {r for r in roots if isinstance(r, str)}
+    for s in stmts:
+        used.update(a for a in s.args if isinstance(a, str))
+        used.add(s.guard)
+    lines = [f"def {fname}({params}):", "    _n = rows.shape[0]"]
+    for temp in ssa.temps_in:
+        if ssa.temp_vars[temp] in used:
+            lines.append(f"    {ssa.temp_vars[temp]} = E[{temp!r}][rows]")
+    for s in stmts:
+        _print(s, lines, column)
+    return "\n".join(lines + tail)
+
+
+def compile_scan_stage(
+    instrs: Sequence[TacInstr],
+    reg: str,
+    name: str = "stage",
+    live_out: Optional[Set[str]] = None,
+    with_index: bool = True,
+) -> Optional[ScanKernel]:
+    """Compile one stage as a :class:`ScanKernel` in register ``reg``;
+    None unless it is scan-shaped. ``with_index=False`` leaves the index
+    to the caller (a wave plan's Phase A has already resolved it);
+    ``live_out`` as in :func:`~repro.compiler.lower.lower_stage`."""
+    ssa = lower_stage(instrs, name, live_out)
+    form = scan_form(ssa, reg) if ssa is not None else None
+    if form is None:
+        return None
+    index = form.index if with_index else None
+    roots = (form.a, form.b, form.access, index)
+    coef = publish = None
+    sources = []
+    if any(isinstance(r, str) for r in roots):
+        text = ", ".join(repr(r) if not isinstance(r, str) else r for r in roots)
+        sources.append(
+            _scan_source(
+                ssa, f"_{name}_coef", "H, E, rows",
+                live_stmts(form.row, roots), roots, [f"    return {text}"],
+            )
+        )
+        coef = _exec(sources[-1], name, f"_{name}_coef")
+    if form.publish:
+        outs = [ssa.temp_vars[t] for t in ssa.temps_out]
+        sources.append(
+            _scan_source(
+                ssa, f"_{name}_publish", "H, E, rows, _x", form.publish, outs,
+                [f"    E[{t!r}][rows] = {v}" for t, v in zip(ssa.temps_out, outs)],
+                column="_x",
+            )
+        )
+        publish = _exec(sources[-1], name, f"_{name}_publish")
+    return ScanKernel(
+        coef=coef,
+        publish=publish,
+        a=form.a,
+        b=form.b,
+        access=form.access,
+        index=index,
+        source="\n\n".join(sources),
     )
 
 

@@ -32,14 +32,17 @@ in-flight counters, and every remap decision derived from them.
   remap reads counters there); a sweep of any width visits every slot
   in the scalar engines' global (tick, pipeline) service order, for the
   three reasons the function's docstring gives. A plan's sweep admits
-  two executions that are exact by construction, both in process: the
-  NumPy wave decomposition (PR 5 semantics) and a fused per-row kernel
-  in service order (:mod:`repro.compiler.native`). The code picks
-  between them from what it can observe — no flag: a serial plan
-  always runs the fused kernel (``@njit`` when Numba imports, the same
-  source as plain Python otherwise);
-  a wave plan runs it only when it is jitted, else the wave
-  decomposition.
+  three executions that are exact by construction, all in process: a
+  segmented prefix sum per register slot for a scan-shaped stage
+  (:func:`repro.compiler.lower.scan_form`: read-add-write and
+  predicated-write updates), the NumPy wave decomposition (same-index
+  rows in successive waves) and a fused per-row kernel in service order
+  (:mod:`repro.compiler.native`). The code picks from the program and
+  from what it can observe — no flag: a scan-shaped stage always
+  scans, wave or serial, jitted or not; any other serial plan runs the
+  fused kernel (``@njit`` when Numba imports, the same source as plain
+  Python otherwise); any other wave plan runs it only when it is
+  jitted, else the wave decomposition.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..compiler.native import compile_native_stage
-from ..compiler.tac import Const
+from ..compiler.tac import Const, _to_signed32
 from ..compiler.vjit import vector_builtin
 
 _FAR = 1 << 62  # sentinel horizon: beyond any reachable tick
@@ -573,16 +576,23 @@ class EpochStreamer:
 # ---------------------------------------------------------------------------
 
 
-def _fused_kernel(switch, stage: int, track_reg: Optional[str]):
-    """Fused per-row kernel for one stage. Cached on the program object
-    like the vjit kernels."""
-    cache = getattr(switch.program, "_native_kernel_cache", None)
+def program_cache(program, attr: str) -> Dict:
+    """The kernel cache dict stored on ``program`` under ``attr``:
+    compilation is deterministic in the program, and sweeps construct a
+    fresh switch per run over one compiled program."""
+    cache = getattr(program, attr, None)
     if cache is None:
         cache = {}
         try:
-            switch.program._native_kernel_cache = cache
+            setattr(program, attr, cache)
         except AttributeError:
             pass
+    return cache
+
+
+def _fused_kernel(switch, stage: int, track_reg: Optional[str]):
+    """Fused per-row kernel for one stage, cached on the program."""
+    cache = program_cache(switch.program, "_native_kernel_cache")
     key = (stage, track_reg)
     if key not in cache:
         cache[key] = compile_native_stage(
@@ -655,6 +665,116 @@ def _wave_service(
     return wasted
 
 
+def _column(v, n: int, perm: Optional[np.ndarray]) -> np.ndarray:
+    """Operand ``v`` (an int or a row column) as a fresh int64[n] in
+    ``perm`` order."""
+    if isinstance(v, int):
+        return np.full(n, v, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    return v[perm] if perm is not None else v.copy()
+
+
+def _wrap32(v: np.ndarray) -> np.ndarray:
+    return ((v + 2147483648) & 4294967295) - 2147483648
+
+
+def _scan_service(
+    plan, rows_p, pops, dest, acc_idx, H, E, R, mask=None
+) -> int:
+    """One sweep of a scan-shaped plan: each row sets its register slot
+    to ``wrap(a*x + b)`` (``plan.scan``), so a slot's chain of rows is a
+    prefix sum of ``b`` seeded from the slot and restarted at ``a == 0``
+    rows. The sums are int64 and wrapped once: that equals the serial
+    chain because every value already lies in int32 range and wrapping
+    commutes with addition. Work a stage does not need is skipped: with
+    ``a`` always 1 and nothing published the order of rows is
+    irrelevant and the sweep is ``R[i] = wrap(R[i] + sum(b))`` per slot
+    (a ``bincount`` for a constant ``b``), and only a publishing stage
+    runs a kernel over its rows — once, given the value each row's load
+    saw. Returns the wasted-slot count, which a conservative plan reads
+    off its guard column (flagging those rows in ``mask`` when given)."""
+    scan = plan.scan
+    reg = R[plan.base]
+    size = reg.shape[0]
+    summed = scan.a == 1 and scan.publish is None
+    rows = rows_p
+    if plan.category == "serial" and not summed:
+        rows = rows_p[np.lexsort((dest[rows_p], pops))]
+    n = rows.shape[0]
+    a, b, access, index = scan.a, scan.b, scan.access, scan.index
+    if scan.coef is not None:
+        a, b, access, index = scan.coef(H, E, rows)
+        a, b = (int(v) if np.ndim(v) == 0 else v for v in (a, b))
+    wasted = 0
+    if plan.conservative:
+        lane = np.broadcast_to(np.asarray(access) != 0, (n,))
+        wasted = n - int(np.count_nonzero(lane))
+        if mask is not None:
+            mask[rows[~lane]] = True
+    idx = None
+    if isinstance(scan.index, int):
+        slot = scan.index % size
+    elif plan.category == "wave":
+        idx = acc_idx[rows]  # Phase A resolved the same operand
+    else:
+        idx = np.asarray(index, dtype=np.int64) % size
+    if summed:
+        if idx is None:
+            total = n * b if isinstance(b, int) else int(np.sum(b))
+            reg[slot] = _to_signed32(int(reg[slot]) + total)
+        elif isinstance(b, int):
+            counts = np.bincount(idx, minlength=size)
+            hit = np.flatnonzero(counts)
+            reg[hit] = _wrap32(reg[hit] + counts[hit] * b)
+        else:
+            order = np.argsort(idx, kind="stable")
+            idx = idx[order]
+            starts = np.flatnonzero(np.r_[True, idx[1:] != idx[:-1]])
+            hit = idx[starts]
+            reg[hit] = _wrap32(reg[hit] + np.add.reduceat(b[order], starts))
+        return wasted
+
+    # Group the rows by slot. Within a wave plan's concatenation a
+    # slot's rows are in pop order, and a serial plan's rows are in
+    # service order already, so a stable sort keeps each chain's order.
+    first = np.zeros(n, dtype=bool)
+    first[0] = True
+    perm = None
+    if idx is None:
+        seed = reg[slot]
+    else:
+        perm = np.argsort(idx.astype(np.min_scalar_type(size)), kind="stable")
+        idx = idx[perm]
+        rows = rows[perm]
+        np.not_equal(idx[1:], idx[:-1], out=first[1:])
+        seed = reg[idx[first]]
+    c = _column(b, n, perm)
+    if isinstance(a, int) and a == 1:
+        restart = first
+        c[first] += seed
+    else:
+        a = _column(a, n, perm)
+        restart = first | (a == 0)
+        c[first] += np.where(a[first] != 0, seed, 0)
+    total = np.cumsum(c)
+    starts = np.flatnonzero(restart)
+    before = (total[starts] - c[starts])[np.cumsum(restart) - 1]
+    after = _wrap32(total - before)
+    if scan.publish is not None:
+        x = np.empty(n, dtype=np.int64)
+        x[1:] = after[:-1]
+        x[first] = seed
+        scan.publish(H, E, rows, x)
+    if idx is None:
+        reg[slot] = after[-1]
+    else:
+        last = np.empty(n, dtype=bool)
+        last[-1] = True
+        last[:-1] = first[1:]
+        reg[idx[last]] = after[last]
+    return wasted
+
+
 def execute_epoch_service(
     switch,
     streamer: EpochStreamer,
@@ -685,8 +805,9 @@ def execute_epoch_service(
     Mutates ``H``/``E``/``R`` in place and returns the sweep's
     wasted-slot count. ``profiler`` (a
     :class:`~repro.obs.profiler.PhaseProfiler`) receives per-stage
-    timings tagged with the tier that ran (``njit`` | ``python`` for
-    the fused kernel, ``numpy`` for the wave decomposition) and the
+    timings tagged with the tier that ran (``scan`` for a scan-shaped
+    plan, ``njit`` | ``python`` for the fused kernel, ``numpy`` for the
+    wave decomposition) and the
     number of epoch chunks the pass covered, so ``calls`` counts
     (epoch, plan) chunks whatever the sweep width; ``wasted_out`` is a
     per-plan list of bool row masks the trace reconstruction needs — a
@@ -710,7 +831,15 @@ def execute_epoch_service(
         tier = None
         # 'none' (flow-order arrays, kernel-free stages): the FIFO
         # timing is the whole effect; nothing to execute.
-        if plan.category != "none":
+        if plan.scan is not None:
+            # Read-add-write and predicated-write stages, wave or serial,
+            # jitted or not: one prefix pass per register slot.
+            wasted += _scan_service(
+                plan, rows_p, pops, streamer.dest[pi], streamer.acc_idx[pi],
+                H, E, R, mask,
+            )
+            tier = "scan"
+        elif plan.category != "none":
             track = plan.conservative and not plan.multi
             nkern = _fused_kernel(
                 switch, plan.stage, plan.base if track else None

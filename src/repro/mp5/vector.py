@@ -62,7 +62,7 @@ import numpy as np
 
 from ..compiler.lower import cross_stage_temps
 from ..compiler.tac import Temp
-from ..compiler.vjit import compile_vector_stage
+from ..compiler.vjit import compile_scan_stage, compile_vector_stage
 from ..errors import ConfigError, ReproError
 from .config import MP5Config
 from .epochs import (
@@ -70,6 +70,7 @@ from .epochs import (
     EpochStreamer,
     _grown,
     execute_epoch_service,
+    program_cache,
 )
 from .packet import PacketColumns
 from .stats import SwitchStats
@@ -135,6 +136,7 @@ class _VPlan:
         "index_operand",
         "category",  # 'wave' | 'serial' | 'none'
         "is_flow",
+        "scan",  # ScanKernel when the stage is scan-shaped, else None
     )
 
     def __init__(self, **kw):
@@ -170,6 +172,22 @@ class VectorSwitch(MP5Switch):
             self._stage_instrs,
             [p.index_operand for _, grp in self._plans_by_stage for p in grp],
         )
+
+    def _scan_kernel(self, stage: int, base: str, with_index: bool):
+        """Stage ``stage`` as a scan over ``base``
+        (:func:`~repro.compiler.vjit.compile_scan_stage`; None unless
+        scan-shaped), cached on the program like the other kernels."""
+        cache = program_cache(self.program, "_scan_kernel_cache")
+        key = (stage, base, with_index)
+        if key not in cache:
+            cache[key] = compile_scan_stage(
+                self._stage_instrs[stage],
+                base,
+                f"s{stage}",
+                self._live_temps(),
+                with_index,
+            )
+        return cache[key]
 
     def _build_vector_plan(self) -> None:
         depth = self.depth
@@ -236,6 +254,9 @@ class VectorSwitch(MP5Switch):
                         for instr in kern.stateful
                     ):
                         category = "wave"
+            scan = None
+            if category != "none" and not multi:
+                scan = self._scan_kernel(stage, base, category != "wave")
             vplans.append(
                 _VPlan(
                     stage=stage,
@@ -248,6 +269,7 @@ class VectorSwitch(MP5Switch):
                     index_operand=plan0.index_operand if has_index else None,
                     category=category,
                     is_flow=False,
+                    scan=scan,
                 )
             )
         # Stateful instructions at a stage with no plan: a write-only
@@ -271,6 +293,7 @@ class VectorSwitch(MP5Switch):
                     index_operand=None,
                     category="none",
                     is_flow=True,
+                    scan=None,
                 )
             )
             plan_stages.add(self._flow_order_stage)

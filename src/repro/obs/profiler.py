@@ -12,8 +12,9 @@ the coarser channels instead: :meth:`record_span` for its Phase A
 (the latter described by :meth:`record_sinks`: which sinks were fed,
 over how many windows, with how many invariant predicates),
 :meth:`record_kernel` for per-stage service timings tagged with the
-tier that ran (``njit`` or ``python`` for the fused per-row kernel,
-from ``kernel.jitted``; ``numpy`` for the wave decomposition), and
+tier that ran (``scan`` for a scan-shaped stage's prefix sum; ``njit``
+or ``python`` for the fused per-row kernel, from ``kernel.jitted``;
+``numpy`` for the wave decomposition), and
 :meth:`record_epoch` for the epoch boundaries Phase A resolved. All of
 them stay empty on the scalar engines, so their ``to_dict()`` output is
 unchanged.

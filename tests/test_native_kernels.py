@@ -1,13 +1,16 @@
-"""The fused per-row kernel is the vector engine's serial executor.
+"""The vector engine's Phase B executors, and which stage gets which.
 
 :mod:`repro.compiler.lower` flattens a stage's TAC into SSA;
 :mod:`repro.compiler.native` prints one fused per-row kernel per stage
 from that SSA (Numba-jitted when Numba is importable, plain Python
-otherwise). There is no flag: every serial plan
-runs it, a wave plan runs it only when it is jitted. So the oracle here
-is different code — the fast engine (:func:`repro.mp5.run_mp5`), plus
-the dense one on the serial-plan programs — and every (program, trace,
-config) must agree bit for bit, with or without Numba installed.
+otherwise). There is no flag: a scan-shaped stage
+(:func:`repro.compiler.lower.scan_form`) scans, any other serial plan
+runs the fused kernel, and any other wave plan runs it only when it is
+jitted. :data:`EXECUTORS` pins the choice for every bundled stage. The
+oracle here is different code — the fast engine
+(:func:`repro.mp5.run_mp5`), plus the dense one on the serial-plan
+programs — and every (program, trace, config) must agree bit for bit,
+with or without Numba installed.
 """
 
 import numpy as np
@@ -26,6 +29,7 @@ from repro.mp5 import (
     FLOW_ORDER_ARRAY,
     MP5Config,
     VectorSwitch,
+    VectorUnsupported,
     run_mp5,
     run_mp5_reference,
     run_mp5_vector,
@@ -59,17 +63,47 @@ SERIAL_PLAN_PROGRAMS = (
 #: What the profiler must record for a stage the fused kernel serviced.
 FUSED_TIER = "njit" if native_available() else "python"
 
+#: The Phase B executor of every stateful stage of every bundled
+#: program and of the benchmark program: ``"scan"``, or the one word
+#: for why the stage keeps the wave decomposition or the fused kernel.
+#: A program the vector engine does not admit is ``"out-of-envelope"``.
+EXECUTORS = {
+    "avq": {1: "scan", 4: "max"},
+    "bloom_filter": {1: "scan", 2: "scan", 3: "scan"},
+    "conga": {1: "co-staged"},
+    "dctcp_alpha": {1: "divides"},
+    "dns_ttl_change": {1: "scan", 3: "scan"},
+    "ewma_latency": {2: "divides"},
+    "figure3": "out-of-envelope",
+    "flowlet": {1: "scan", 4: "scan"},
+    "heavy_hitter": {1: "scan"},
+    "netcache": "out-of-envelope",
+    "packet_counter": {1: "scan"},
+    "rcp": "out-of-envelope",
+    "sampled_netflow": {1: "scan"},
+    "sequencer": {1: "scan"},
+    "stateful_firewall": {2: "scan"},
+    "stateful_index": {1: "scan", 3: "scan"},
+    "stateful_predicate": {1: "scan", 3: "scan", 4: "scan"},
+    "stateless_rewrite": {},
+    "syn_flood": {1: "scan"},
+    "token_bucket": {1: "scan", 3: "clamps"},
+    "wfq": {1: "scan", 2: "max"},
+    "sensitivity": {1: "scan", 2: "scan", 3: "scan", 4: "scan"},
+}
+
 #: ``big``'s guard depends on ``hits``, read one stage earlier, so its
 #: plan is serial *and* conservative: two packets in three waste the
-#: slot their phantom reserved.
+#: slot their phantom reserved. ``{update}`` decides the executor: a
+#: read-add-write scans, a division keeps the fused kernel.
 SERIAL_CONSERVATIVE = """
-struct Packet { int a; int b; };
+struct Packet {{ int a; int b; }};
 int hits = 0;
 int big = 0;
-void func(struct Packet p) {
-    if (hits % 3 == 0) { big = big + p.a; p.b = big; } else { p.b = 1; }
+void func(struct Packet p) {{
+    if (hits % 3 == 0) {{ big = {update}; p.b = big; }} else {{ p.b = 1; }}
     hits = hits + 1;
-}
+}}
 """
 
 
@@ -243,29 +277,75 @@ def test_native_matches_across_pipeline_counts(pipelines):
 @pytest.mark.parametrize("pipelines", (1, 2, 4))
 @pytest.mark.parametrize("name", SERIAL_PLAN_PROGRAMS)
 def test_serial_plan_programs_three_engines(name, pipelines):
-    """Every bundled program with a serial plan, on the fused kernel:
-    identical stats and registers to both scalar engines."""
+    """Every bundled program with a serial plan, on the executors
+    :data:`EXECUTORS` pins: identical stats and registers to both
+    scalar engines."""
     program = compile_program(name)
     config = MP5Config(num_pipelines=pipelines)
-    profiler = PhaseProfiler()
 
     def trace():
         return line_rate_trace(
             500, pipelines, HEADER_GENERATORS[name], seed=7
         )
 
-    vec = _vector(program, trace(), config, profiler=profiler)
+    vec = _vector(program, trace(), config)
     assert vec == run_mp5(program, trace(), config)
     assert vec == run_mp5_reference(program, trace(), config)
-    assert FUSED_TIER in {k["tier"] for k in profiler.kernels.values()}
 
 
-def test_serial_conservative_plan_observed_matches_fast():
+@pytest.mark.parametrize("name", sorted(EXECUTORS))
+def test_executor_table(name):
+    """Which stages scan is the classifier's call, and this table pins
+    it: a stage that starts or stops scanning fails here. The profiler
+    reports the executor that ran — ``scan``, else the fused kernel for
+    a serial plan and the wave decomposition (or, jitted, the fused
+    kernel) for a wave plan — and the run equals the fast engine's."""
+    want = EXECUTORS[name]
+    sensitivity = name == "sensitivity"
+    program = (
+        make_sensitivity_program(4, 512) if sensitivity else compile_program(name)
+    )
+
+    def trace():
+        if sensitivity:
+            return sensitivity_trace(400, 4, 4, 512, seed=1)
+        return line_rate_trace(400, 4, HEADER_GENERATORS[name], seed=1)
+
+    if want == "out-of-envelope":
+        with pytest.raises(VectorUnsupported):
+            VectorSwitch(program)
+        return
+    plans = {
+        p.stage: p for p in VectorSwitch(program)._vplans if p.category != "none"
+    }
+    assert {s: "scan" if p.scan else "-" for s, p in plans.items()} == {
+        s: "scan" if why == "scan" else "-" for s, why in want.items()
+    }
+    profiler = PhaseProfiler()
+    config = MP5Config(num_pipelines=4)
+    assert _vector(program, trace(), config, profiler=profiler) == run_mp5(
+        program, trace(), config
+    )
+    wave_tier = "njit" if native_available() else "numpy"
+    assert {s: k["tier"] for s, k in profiler.kernels.items()} == {
+        f"s{s}": "scan"
+        if why == "scan"
+        else FUSED_TIER
+        if plans[s].category == "serial"
+        else wave_tier
+        for s, why in want.items()
+    }
+
+
+def _check_serial_conservative_observed(update, tier):
     """Trace reconstruction needs *which* rows wasted their slot; the
-    fused kernel reports them itself, so attaching sinks does not swap
-    the executor: canonical trace, alerts and wasted slots equal the
-    fast engine's, and the profiler shows the fused tier ran."""
-    program = compile_program(SERIAL_CONSERVATIVE, name="serial_conservative")
+    scan reads them off its guard column and the fused kernel reports
+    them itself, so attaching sinks does not swap the executor:
+    canonical trace, alerts and wasted slots equal the fast engine's,
+    and the profiler shows which executor ran."""
+    program = compile_program(
+        SERIAL_CONSERVATIVE.format(update=update), name="serial_conservative"
+    )
     config = MP5Config(num_pipelines=4)
 
     def trace():
@@ -292,9 +372,21 @@ def test_serial_conservative_plan_observed_matches_fast():
             [a.to_dict() for a in monitor.alerts],
         )
         if label == "vector":
-            assert profiler.kernels["s4"]["tier"] == FUSED_TIER
+            assert profiler.kernels["s4"]["tier"] == tier
     assert observed["vector"] == observed["fast"]
     assert observed["vector"][0].wasted_slots == 400
+
+
+def test_serial_conservative_plan_observed_matches_fast():
+    """The read-add-write ``big = big + p.a`` scans, taking its wasted
+    slots from the guard column."""
+    _check_serial_conservative_observed("big + p.a", "scan")
+
+
+def test_serial_conservative_plan_observed_matches_fast_fused():
+    """``big = big / 2 + p.a`` divides its register, so it keeps the
+    fused kernel, which reports its wasted slots itself."""
+    _check_serial_conservative_observed("big / 2 + p.a", FUSED_TIER)
 
 
 @pytest.mark.parametrize("chunk", (1, 7, 64, 1000))

@@ -579,13 +579,33 @@ def _sensitivity_600():
 GRANULARITY_CASES = {
     # flowlet's two wave plans keep last-writer state (last_time,
     # saved_hop): the final registers depend on per-slot service order,
-    # which a commutative counter would hide.
+    # which a commutative counter would hide. Both scan.
     "all_wave": (
         lambda: compile_program("flowlet"),
         lambda: line_rate_trace(600, 4, HEADER_GENERATORS["flowlet"], seed=3),
         dict(remap_period=7),
         None,
     ),
+    # dctcp_alpha divides its register, so its wave plan keeps the NumPy
+    # wave decomposition (the fused kernel where Numba jits it). Eight
+    # flows and large marks push alpha past 16, where the truncating
+    # division makes per-slot order visible.
+    "wave_decomposition": (
+        lambda: compile_program("dctcp_alpha"),
+        lambda: line_rate_trace(
+            600,
+            4,
+            lambda r, _i: {
+                "flow": int(r.integers(0, 8)),
+                "ecn": int(r.integers(0, 64)),
+                "alpha_out": 0,
+            },
+            seed=5,
+        ),
+        dict(remap_period=7),
+        None,
+    ),
+    # conga's co-staged arrays keep the fused per-row kernel.
     "all_serial": (
         lambda: compile_program("conga"),
         lambda: line_rate_trace(600, 4, HEADER_GENERATORS["conga"], seed=4),

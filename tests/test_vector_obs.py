@@ -11,7 +11,7 @@ module pins down:
   ordering, max_ticks cuts),
 * the metrics registry rolls identical windowed series and histograms,
 * the invariant monitor sees the same alert stream (zero on fault-free
-  runs) and health verdict on both Phase B executors,
+  runs) and health verdict on every Phase B executor,
 * attaching sinks never changes the results (stats + registers), and
 * the profiler's vector channels (phase spans, kernel tiers, epochs)
   populate and surface through ``trace-summary``.
@@ -23,6 +23,7 @@ import pytest
 
 from repro.apps import ALL_APPS
 from repro.cli import main
+from repro.compiler import compile_program
 from repro.compiler.native import native_available
 from repro.errors import ConfigError
 from repro.harness.runall import SCALES, _observability_run
@@ -40,7 +41,10 @@ from repro.obs import (
     TraceRecorder,
     canonical_form,
 )
+from repro.workloads import line_rate_trace
 from repro.workloads.synthetic import make_sensitivity_program, sensitivity_trace
+
+from tests.test_integration import HEADER_GENERATORS
 
 
 def _run_observed(
@@ -174,27 +178,37 @@ def _conga_inputs():
     return app.compile(), (lambda: app.workload(250, 4, seed=0)), config
 
 
+def _dctcp_inputs():
+    config = MP5Config(num_pipelines=4)
+    return (
+        compile_program("dctcp_alpha"),
+        lambda: line_rate_trace(250, 4, HEADER_GENERATORS["dctcp_alpha"], seed=0),
+        config,
+    )
+
+
 @pytest.mark.parametrize(
-    "inputs, fused",
-    ((_sensitivity_inputs, False), (_conga_inputs, True)),
-    ids=("serial-numpy", "serial-native"),
+    "inputs, tier",
+    (
+        (_dctcp_inputs, "njit" if native_available() else "numpy"),
+        (_conga_inputs, "njit" if native_available() else "python"),
+        (_sensitivity_inputs, "scan"),
+    ),
+    ids=("serial-numpy", "serial-native", "scan"),
 )
-def test_monitor_zero_alerts_every_tier(inputs, fused):
+def test_monitor_zero_alerts_every_tier(inputs, tier):
     """Fault-free vector runs stay alert-free — and byte-identical to
-    the fast engine — on either executor: the NumPy wave decomposition
-    (the all-wave sensitivity program) and the fused per-row kernel
-    (``conga``'s serial plan)."""
+    the fast engine — on every executor: the scan (the sensitivity
+    program's counters), the fused per-row kernel (``conga``'s serial
+    plan) and the NumPy wave decomposition (``dctcp_alpha`` divides
+    its register, so it cannot scan)."""
     program, mk, config = inputs()
     vec = _run_observed(run_mp5_vector, program, mk(), config, profile=True)
     fast = _run_observed(run_mp5, program, mk(), config)
     _assert_parity(vec, fast)
     assert vec["alerts"] == []
     assert vec["health"]["verdict"] == "ok"
-    tiers = {k["tier"] for k in vec["profiler"].kernels.values()}
-    if fused:
-        assert tiers == {"njit" if native_available() else "python"}
-    elif not native_available():
-        assert tiers == {"numpy"}
+    assert {k["tier"] for k in vec["profiler"].kernels.values()} == {tier}
 
 
 def test_results_identical_with_observability_on_and_off():
@@ -235,7 +249,7 @@ def test_profiler_vector_channels_populate():
     assert set(profiler.spans) >= {"phase_a", "phase_b", "trace_reconstruct"}
     assert profiler.kernels  # every stateful stage records a tier
     assert all(
-        entry["tier"] in ("njit", "numpy", "python")
+        entry["tier"] in ("scan", "njit", "numpy", "python")
         for entry in profiler.kernels.values()
     )
     assert profiler.epochs and profiler.epochs[0]["start"] == 0
