@@ -18,7 +18,7 @@ import numpy as np
 from repro.baselines import run_single_pipeline_state, static_shard_config
 from repro.compiler import compile_program
 from repro.mp5 import MP5Config, run_mp5
-from repro.workloads import SkewedAccess, clone_packets, line_rate_trace
+from repro.workloads import SkewedAccess, line_rate_trace
 
 
 def main() -> None:
@@ -37,15 +37,13 @@ def main() -> None:
     trace = line_rate_trace(12000, num_pipelines, headers, seed=7)
 
     dynamic_stats, dynamic_regs = run_mp5(
-        program, clone_packets(trace), MP5Config(num_pipelines=num_pipelines)
+        program, trace, MP5Config(num_pipelines=num_pipelines)
     )
     static_stats, _ = run_mp5(
-        program,
-        clone_packets(trace),
-        static_shard_config(num_pipelines=num_pipelines),
+        program, trace, static_shard_config(num_pipelines=num_pipelines)
     )
     naive_stats, _ = run_single_pipeline_state(
-        program, clone_packets(trace), MP5Config(num_pipelines=num_pipelines)
+        program, trace, MP5Config(num_pipelines=num_pipelines)
     )
 
     print("Design                         throughput  remaps  max queue")

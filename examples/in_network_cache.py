@@ -20,7 +20,7 @@ import numpy as np
 from repro.baselines import no_phantom_config
 from repro.compiler import compile_program
 from repro.mp5 import MP5Config, MP5Switch
-from repro.workloads import clone_packets, line_rate_trace, zipf_access
+from repro.workloads import line_rate_trace, zipf_access
 
 
 def build_trace(num_packets: int, num_pipelines: int, seed: int = 0):
@@ -79,12 +79,12 @@ def main() -> None:
         ("MP5 (with D4)", MP5Config(num_pipelines=num_pipelines)),
         ("MP5 without D4", no_phantom_config(num_pipelines=num_pipelines)),
     ]:
-        packets = clone_packets(trace)
+        # The audit mode keeps the switch's packets, GET responses included.
         switch = MP5Switch(program, config)
-        stats = switch.run(packets)
+        stats = switch.run(trace, record_access_order=True)
         print(
             f"{name:15s}  {stats.throughput_normalized():10.3f}  "
-            f"{stale_reads(packets):19d}"
+            f"{stale_reads(switch.packets):19d}"
         )
 
     print(

@@ -20,7 +20,6 @@ Run:  python examples/network_sequencer.py
 from repro.apps import SEQUENCER
 from repro.baselines import RecircConfig, no_phantom_config, run_recirculation
 from repro.mp5 import MP5Config, MP5Switch
-from repro.workloads import clone_packets
 
 
 def sequence_errors(packets) -> int:
@@ -41,21 +40,23 @@ def main() -> None:
         ("MP5 (with D4)", MP5Config(num_pipelines=num_pipelines)),
         ("MP5 without D4", no_phantom_config(num_pipelines=num_pipelines)),
     ]:
-        packets = clone_packets(trace)
+        # The audit mode keeps the switch's packets, stamps included.
         switch = MP5Switch(program, config)
-        stats = switch.run(packets)
+        stats = switch.run(trace, record_access_order=True)
         print(
             f"{name:21s}  {stats.throughput_normalized():10.3f}  "
-            f"{sequence_errors(packets):19d}"
+            f"{sequence_errors(switch.packets):19d}"
         )
 
-    packets = clone_packets(trace)
-    stats, _switch = run_recirculation(
-        program, packets, RecircConfig(num_pipelines=num_pipelines)
+    stats, switch = run_recirculation(
+        program,
+        trace,
+        RecircConfig(num_pipelines=num_pipelines),
+        record_access_order=True,
     )
     print(
         f"{'recirculation':21s}  {stats.throughput_normalized():10.3f}  "
-        f"{sequence_errors(packets):19d}"
+        f"{sequence_errors(switch.packets):19d}"
     )
 
     print(

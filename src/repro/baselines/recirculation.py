@@ -31,7 +31,7 @@ import numpy as np
 from ..compiler.codegen import CompiledProgram
 from ..compiler.tac import TacEvaluator
 from ..errors import ConfigError
-from ..mp5.packet import DataPacket, StateAccess
+from ..mp5.packet import DataPacket, StateAccess, private_packet
 from ..mp5.stats import SwitchStats
 
 
@@ -106,6 +106,7 @@ class RecirculationSwitch:
         self.total_recirculations = 0
         self.total_passes = 0
         self._record_access_order = False
+        self.packets: Optional[List[DataPacket]] = None
 
     # ------------------------------------------------------------------
 
@@ -158,23 +159,17 @@ class RecirculationSwitch:
         max_ticks: Optional[int] = None,
         record_access_order: bool = False,
     ) -> SwitchStats:
-        """Drive a packet trace to completion; returns run statistics."""
+        """Drive a packet trace (only read, like the MP5 engines') to
+        completion; returns run statistics. ``record_access_order``
+        keeps the run's own packets, in id order, as :attr:`packets`."""
         cfg = self.config
         self._record_access_order = record_access_order
-        packets: List[DataPacket] = []
-        for i, entry in enumerate(trace):
-            if isinstance(entry, DataPacket):
-                packets.append(entry)
-            else:
-                arrival, port, headers = entry
-                packets.append(
-                    DataPacket(
-                        pkt_id=i, arrival=arrival, port=port, headers=dict(headers)
-                    )
-                )
+        packets = [private_packet(i, e) for i, e in enumerate(trace)]
         packets.sort(key=lambda p: (p.arrival, p.port, p.pkt_id))
         for seq, pkt in enumerate(packets):
             pkt.pkt_id = seq
+        if record_access_order:
+            self.packets = packets
         self.stats.offered = len(packets)
         self.stats.arrival_ticks = [p.arrival for p in packets]
 

@@ -24,8 +24,8 @@ from ..errors import EquivalenceError
 from ..mp5.config import MP5Config
 from ..mp5.packet import DataPacket
 from ..mp5.stats import SwitchStats, c1_violations
-from ..mp5.switch import MP5Switch, run_scalar
-from ..workloads.traffic import clone_packets, reference_trace
+from ..mp5.switch import MP5Switch
+from ..workloads.traffic import reference_trace
 
 
 @dataclass
@@ -76,9 +76,9 @@ def compare_runs(
     program: CompiledProgram,
     reference: RunResult,
     mp5_switch: MP5Switch,
-    mp5_packets: List[DataPacket],
 ) -> EquivalenceReport:
-    """Compare an already-executed reference run and MP5 run."""
+    """Compare an already-executed reference run and an MP5 run made
+    with ``record_access_order=True`` (which keeps its packets)."""
     ref_regs = reference.registers.snapshot()
     reg_mismatches: Dict[str, List[Tuple[int, int, int]]] = {}
     for name, want in ref_regs.items():
@@ -92,7 +92,7 @@ def compare_runs(
     ref_headers = reference.headers_by_id()
     pkt_mismatches: List[Tuple[int, str, int, int]] = []
     dropped = 0
-    for pkt in mp5_packets:
+    for pkt in mp5_switch.packets:
         if pkt.dropped:
             dropped += 1
             continue
@@ -230,18 +230,16 @@ def check_degraded(
     from ..mp5.reference import ReferenceSwitch  # cycle-free late import
     from ..obs.monitor import InvariantMonitor
 
-    config = config or MP5Config()
-    packets = clone_packets(trace)
     switch_cls = {"fast": MP5Switch, "dense": ReferenceSwitch}.get(engine)
     if switch_cls is None:
         raise EquivalenceError(f"unknown engine {engine!r}")
     live_monitor = InvariantMonitor() if monitor else None
-    stats, _registers = run_scalar(
-        switch_cls, program, packets, config, max_ticks=max_ticks,
-        record_access_order=True, faults=faults, monitor=live_monitor,
-    )
+    switch = switch_cls(program, config or MP5Config())
+    switch.attach_observability(monitor=live_monitor)
+    switch.attach_faults(faults)
+    stats = switch.run(trace, max_ticks=max_ticks, record_access_order=True)
 
-    dropped_ids = {pkt.pkt_id for pkt in packets if pkt.dropped}
+    dropped_ids = {pkt.pkt_id for pkt in switch.packets if pkt.dropped}
     violations = 0
     violating: List[Tuple[str, Optional[int]]] = []
     for key, order in stats.access_order.items():
@@ -298,7 +296,6 @@ def check_equivalence(
     reference = BanzaiPipeline(program).run(
         reference_trace(trace, config.num_pipelines), record_access_order=True
     )
-    packets = clone_packets(trace)
     switch = MP5Switch(program, config)
-    switch.run(packets, max_ticks=max_ticks, record_access_order=True)
-    return compare_runs(program, reference, switch, packets)
+    switch.run(trace, max_ticks=max_ticks, record_access_order=True)
+    return compare_runs(program, reference, switch)

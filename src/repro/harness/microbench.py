@@ -31,7 +31,7 @@ from ..mp5.config import MP5Config
 from ..mp5.stats import c1_metrics
 from ..mp5.switch import run_mp5
 from ..workloads.synthetic import make_sensitivity_program, sensitivity_trace
-from ..workloads.traffic import clone_packets, reference_trace
+from ..workloads.traffic import reference_trace
 from .report import format_table
 
 DEFAULT_K = 4
@@ -120,13 +120,13 @@ def run_d2(settings: Optional[MicrobenchSettings] = None) -> List[D2Result]:
             trace = _trace(settings, pattern, seed)
             dynamic, _ = run_mp5(
                 program,
-                clone_packets(trace),
+                trace,
                 MP5Config(num_pipelines=settings.num_pipelines),
                 max_ticks=settings.max_ticks,
             )
             static, _ = run_mp5(
                 program,
-                clone_packets(trace),
+                trace,
                 static_shard_config(
                     num_pipelines=settings.num_pipelines, seed=seed
                 ),
@@ -156,7 +156,7 @@ def run_d4(settings: Optional[MicrobenchSettings] = None) -> D4Result:
 
         stats, _ = run_mp5(
             program,
-            clone_packets(trace),
+            trace,
             MP5Config(num_pipelines=settings.num_pipelines),
             max_ticks=settings.max_ticks,
             record_access_order=True,
@@ -167,7 +167,7 @@ def run_d4(settings: Optional[MicrobenchSettings] = None) -> D4Result:
 
         stats, _ = run_mp5(
             program,
-            clone_packets(trace),
+            trace,
             no_phantom_config(num_pipelines=settings.num_pipelines),
             max_ticks=settings.max_ticks,
             record_access_order=True,
@@ -178,7 +178,7 @@ def run_d4(settings: Optional[MicrobenchSettings] = None) -> D4Result:
 
         stats, _switch = run_recirculation(
             program,
-            clone_packets(trace),
+            trace,
             RecircConfig(num_pipelines=settings.num_pipelines, seed=seed),
             max_ticks=settings.max_ticks,
             record_access_order=True,
@@ -207,7 +207,7 @@ def run_d3(settings: Optional[MicrobenchSettings] = None) -> D3Result:
         trace = _trace(settings, "skewed", seed)
         stats, _ = run_mp5(
             program,
-            clone_packets(trace),
+            trace,
             MP5Config(num_pipelines=settings.num_pipelines),
             max_ticks=settings.max_ticks,
         )
@@ -215,7 +215,7 @@ def run_d3(settings: Optional[MicrobenchSettings] = None) -> D3Result:
 
         stats, switch = run_recirculation(
             program,
-            clone_packets(trace),
+            trace,
             RecircConfig(num_pipelines=settings.num_pipelines, seed=seed),
             max_ticks=settings.max_ticks,
         )
@@ -224,7 +224,7 @@ def run_d3(settings: Optional[MicrobenchSettings] = None) -> D3Result:
 
         stats, _ = run_single_pipeline_state(
             program,
-            clone_packets(trace),
+            trace,
             MP5Config(num_pipelines=settings.num_pipelines),
             max_ticks=settings.max_ticks,
         )

@@ -80,13 +80,18 @@ class DataPacket:
                 return access
         return None
 
-    @property
-    def is_stateful(self) -> bool:
-        return bool(self.accesses)
 
-    @property
-    def done(self) -> bool:
-        return self.dropped or self.egress_tick is not None
+def private_packet(i: int, e) -> DataPacket:
+    """A run-owned packet for trace entry ``i`` — a :class:`DataPacket`
+    (its trace facts copied, none of its run state) or an ``(arrival,
+    port, headers)`` tuple. The scalar engines run these, so a trace is
+    only ever read and replays through any engine unchanged."""
+    if isinstance(e, DataPacket):
+        return DataPacket(
+            e.pkt_id, e.arrival, e.port, dict(e.headers), e.size_bytes, e.flow_id
+        )
+    arrival, port, headers = e
+    return DataPacket(i, arrival, port, dict(headers))
 
 
 class PacketColumns:

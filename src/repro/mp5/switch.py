@@ -59,7 +59,7 @@ from ..errors import ConfigError
 from .config import MP5Config
 from .crossbar import CrossbarTelemetry
 from .fifo import IdealOrderBuffer, StageFifoGroup
-from .packet import DataPacket, PacketColumns, PhantomPacket, StateAccess
+from .packet import DataPacket, PacketColumns, PhantomPacket, StateAccess, private_packet
 from .sharding import ShardingRuntime
 from .stats import SwitchStats
 
@@ -172,7 +172,9 @@ class MP5Switch:
         self._live = 0  # packets injected and not yet egressed/dropped
         self._idle_teleports = 0  # idle stretches compressed by run()
         self._ran = False
-        self._record_access_order = False
+        # The run's own packets in id order, kept only under
+        # record_access_order (see start()).
+        self.packets: Optional[List[DataPacket]] = None
         # Streaming-run state (start()/feed()/pump()/finish()). run() is
         # a thin wrapper over these; the long-lived service drives them
         # directly to pause/resume between arrival batches.
@@ -452,10 +454,10 @@ class MP5Switch:
     ) -> SwitchStats:
         """Drive a packet trace to completion and return run statistics.
 
-        ``trace`` entries are :class:`DataPacket` objects or
-        ``(arrival_tick, port, headers)`` tuples. Arrival ticks are in
-        MP5 pipeline clocks; at minimum packet size the line rate is
-        ``num_pipelines`` packets per tick.
+        ``trace`` (packets, ``(arrival_tick, port, headers)`` tuples or
+        one :class:`PacketColumns` batch) is only read, see :meth:`feed`.
+        Arrival ticks are in MP5 pipeline clocks; at minimum packet size
+        the line rate is ``num_pipelines`` packets per tick.
 
         Equivalent to ``start(); feed(trace); pump(); finish()`` — the
         streaming primitives the long-lived service drives directly.
@@ -481,6 +483,11 @@ class MP5Switch:
         closes the run and returns the stats. Observability sinks and
         fault schedules must already be attached — ``start`` freezes the
         instrumentation set exactly like ``run`` did.
+
+        ``record_access_order`` is the audit mode: ``stats.access_order``
+        records each state's access sequence, and :attr:`packets` keeps
+        the run's own packets (egress headers, drop flag and reason,
+        entry pipeline) in id order. Otherwise egressed packets are freed.
         """
         if self._ran:
             raise ConfigError(
@@ -489,8 +496,8 @@ class MP5Switch:
                 "fresh switch per run"
             )
         self._ran = True
-        self._record_access_order = record_access_order
         if record_access_order:
+            self.packets = []
             self._stage_logger = [self._log_access_ordered] * self.depth
         else:
             logger = self._log_access
@@ -521,11 +528,13 @@ class MP5Switch:
     def feed(self, entries: Iterable[TraceEntry]) -> int:
         """Append a batch of arrivals to the pending queue.
 
-        Entries follow the :meth:`run` trace format, or come as one
+        Entries follow the :meth:`run` trace format and are input: the
+        run writes only its own packets, copied once per entry
+        (:func:`~repro.mp5.packet.private_packet`) or, for a
         :class:`~repro.mp5.packet.PacketColumns` batch (the service's
-        ingest currency), materialised into packets here. Each batch is
-        sorted internally, but batches must be monotone across calls:
-        the earliest ``(arrival, port)`` of a batch may not precede the
+        ingest currency), materialised. Each batch is sorted internally,
+        but batches must be monotone across calls: the earliest
+        ``(arrival, port)`` of a batch may not precede the
         last packet already fed — packet ids are assigned in arrival
         order at feed time (the C1 reference order) and cannot be
         renumbered retroactively. Returns the number of packets added.
@@ -533,8 +542,9 @@ class MP5Switch:
         if self._pending is None or self._finished:
             raise ConfigError("feed() requires start() and precedes finish()")
         if isinstance(entries, PacketColumns):
-            entries = entries.to_packets()
-        packets = [self._coerce(i, entry) for i, entry in enumerate(entries)]
+            packets = entries.to_packets()
+        else:
+            packets = [private_packet(i, e) for i, e in enumerate(entries)]
         if not packets:
             return 0
         packets.sort(key=lambda p: (p.arrival, p.port, p.pkt_id))
@@ -551,6 +561,8 @@ class MP5Switch:
         self.stats.offered += len(packets)
         self.stats.arrival_ticks.extend(p.arrival for p in packets)
         self._pending.extend(packets)
+        if self.packets is not None:
+            self.packets.extend(packets)
         return len(packets)
 
     def pump(
@@ -970,12 +982,6 @@ class MP5Switch:
     # ------------------------------------------------------------------
     # Packet lifecycle
     # ------------------------------------------------------------------
-
-    def _coerce(self, i: int, entry: TraceEntry) -> DataPacket:
-        if isinstance(entry, DataPacket):
-            return entry
-        arrival, port, headers = entry
-        return DataPacket(pkt_id=i, arrival=arrival, port=port, headers=dict(headers))
 
     def _run_stage0(self, headers, registers, env) -> None:
         """Execute the stage-0 (address resolution) program against the

@@ -72,7 +72,7 @@ from .epochs import (
     execute_epoch_service,
     program_cache,
 )
-from .packet import PacketColumns
+from .packet import DataPacket, PacketColumns, private_packet
 from .stats import SwitchStats
 from .switch import FLOW_ORDER_ARRAY, MP5Switch, run_mp5
 
@@ -486,8 +486,9 @@ class VectorSwitch(MP5Switch):
         batch, or packets / ``(arrival, port, headers)`` tuples that one
         :meth:`PacketColumns.from_packets` gather turns into one. The
         header columns extend the SoA arrays and Phase A's injection
-        recurrence extends incrementally; no per-packet object is built
-        or kept."""
+        recurrence extends incrementally; no row is written back (so
+        packets are gathered as they are) and no per-packet object is
+        kept."""
         if self._streamer is None or self._finished:
             raise ConfigError("feed() requires start() and precedes finish()")
         if self._drain_pumped:
@@ -498,9 +499,10 @@ class VectorSwitch(MP5Switch):
             )
         cols = entries
         if not isinstance(cols, PacketColumns):
-            packets = [self._coerce(i, entry) for i, entry in enumerate(entries)]
-            if any(p.env for p in packets):
-                raise VectorUnsupported("pre-seeded packet env")
+            packets = [
+                e if isinstance(e, DataPacket) else private_packet(i, e)
+                for i, e in enumerate(entries)
+            ]
             cols = PacketColumns.from_packets(packets, self._field_list)
         n = len(cols)
         if n == 0:
@@ -691,8 +693,7 @@ class VectorSwitch(MP5Switch):
         record_access_order: bool = False,
     ) -> SwitchStats:
         self.start(max_ticks=max_ticks, record_access_order=record_access_order)
-        entries = trace if isinstance(trace, list) else list(trace)
-        self.feed(entries)
+        self.feed(trace)
         return self.finish()
 
     def _finalize_stats(self, schedule) -> None:
@@ -849,16 +850,17 @@ def run_mp5_vector(
     ``monitor``) ride the batch path — fed post-run from the schedule,
     they end up identical to the scalar engines'
     (:mod:`repro.obs.reconstruct`). Attached ``faults``, a config knob
-    outside the envelope, an unsupported program shape and run
-    arguments the batch path cannot honour (``record_access_order``,
-    pre-seeded packet envs) all fall back under one rule: one stderr
-    line naming the reason, deduplicated per scope — a 1000-cell sweep
-    that falls back prints one line, not 1000 (see
-    :func:`reset_fallback_warnings`) — and sinks follow the run to the
-    fast engine. Either way the returned statistics and registers are
-    identical to :func:`~repro.mp5.switch.run_mp5`.
+    outside the envelope, an unsupported program shape,
+    ``record_access_order`` and a negative arrival all fall back under
+    one rule: one stderr line naming the reason, deduplicated per scope
+    — a 1000-cell sweep that falls back prints one line, not 1000 (see
+    :func:`reset_fallback_warnings`) — and sinks and the same ``trace``
+    object (packets, tuples or columns; no engine writes it) follow the
+    run to the fast engine. Either way the returned statistics and
+    registers are identical to :func:`~repro.mp5.switch.run_mp5`.
     """
-    entries = trace if isinstance(trace, list) else list(trace)
+    if not isinstance(trace, (list, PacketColumns)):
+        trace = list(trace)  # a fallback reads it a second time
     switch = try_vector_switch(program, config, faults is not None)
     if switch is not None:
         switch.attach_observability(
@@ -868,12 +870,12 @@ def run_mp5_vector(
             monitor=monitor,
         )
         try:
-            # start()/feed() raise VectorUnsupported only before any
-            # packet is mutated — and sink binding is deferred until
-            # after Phase B — so the same entries list and the same
-            # untouched sinks can be replayed through the fast engine.
+            # The trace is only read, and sink binding is deferred until
+            # after Phase B, so when start()/feed() raise
+            # VectorUnsupported the same trace and the same untouched
+            # sinks replay through the fast engine.
             stats = switch.run(
-                entries,
+                trace,
                 max_ticks=max_ticks,
                 record_access_order=record_access_order,
             )
@@ -883,7 +885,7 @@ def run_mp5_vector(
             return stats, switch.public_registers()
     return run_mp5(
         program,
-        entries,
+        trace,
         config,
         max_ticks=max_ticks,
         record_access_order=record_access_order,

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from ..errors import ConfigError
-from ..mp5.packet import DataPacket
+from ..mp5.packet import DataPacket, private_packet
 from .distributions import BimodalPacketSizes, EmpiricalCDF, web_search_flow_sizes
 
 HeaderGen = Callable[[np.random.Generator, int], Dict[str, int]]
@@ -208,15 +208,6 @@ def reference_trace(packets: List[DataPacket], num_pipelines: int):
 
 
 def clone_packets(packets: List[DataPacket]) -> List[DataPacket]:
-    """Deep-enough copy for feeding the same trace to a second simulator."""
-    return [
-        DataPacket(
-            pkt_id=p.pkt_id,
-            arrival=p.arrival,
-            port=p.port,
-            headers=dict(p.headers),
-            size_bytes=p.size_bytes,
-            flow_id=p.flow_id,
-        )
-        for p in packets
-    ]
+    """A copy of a trace's packets (trace facts only, no run state). No
+    engine writes its trace, so this is for callers that edit one."""
+    return [private_packet(i, p) for i, p in enumerate(packets)]

@@ -67,9 +67,9 @@ class TestAppExecution:
         program = WFQ.compile()
         packets = WFQ.workload(800, 2, seed=2)
         switch = MP5Switch(program, MP5Config(num_pipelines=2))
-        switch.run(packets)
+        switch.run(packets, record_access_order=True)
         by_flow = {}
-        for pkt in packets:
+        for pkt in switch.packets:
             if pkt.egress_tick is None:
                 continue
             by_flow.setdefault(pkt.flow_id, []).append(pkt)
@@ -82,7 +82,9 @@ class TestAppExecution:
         program = SEQUENCER.compile()
         packets = SEQUENCER.workload(600, 4, seed=3)
         switch = MP5Switch(program, MP5Config(num_pipelines=4))
-        switch.run(packets)
-        stamps = [p.headers["seq"] for p in packets if p.egress_tick is not None]
+        switch.run(packets, record_access_order=True)
+        stamps = [
+            p.headers["seq"] for p in switch.packets if p.egress_tick is not None
+        ]
         assert len(stamps) == len(set(stamps))
         assert sorted(stamps) == list(range(1, len(stamps) + 1))

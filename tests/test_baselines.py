@@ -15,7 +15,6 @@ from repro.compiler import compile_program
 from repro.errors import ConfigError
 from repro.mp5 import MP5Config
 from repro.workloads import (
-    clone_packets,
     line_rate_trace,
     make_sensitivity_program,
     sensitivity_trace,
@@ -60,9 +59,8 @@ class TestSinglePipelineState:
 
     def test_still_functionally_correct(self, sequencer_program):
         trace = line_rate_trace(200, 4, lambda r, i: {"seq": 0}, seed=0)
-        packets = clone_packets(trace)
         stats, registers = run_single_pipeline_state(
-            sequencer_program, packets, MP5Config(num_pipelines=4)
+            sequencer_program, trace, MP5Config(num_pipelines=4)
         )
         assert registers["count"][0] == 200
 
@@ -103,10 +101,10 @@ class TestRecirculation:
 
         program, trace = self._program_and_trace()
         recirc_stats, _ = run_recirculation(
-            program, clone_packets(trace), RecircConfig(num_pipelines=4)
+            program, trace, RecircConfig(num_pipelines=4)
         )
         mp5_stats, _ = run_mp5(
-            program, clone_packets(trace), MP5Config(num_pipelines=4)
+            program, trace, MP5Config(num_pipelines=4)
         )
         assert (
             recirc_stats.throughput_normalized()
@@ -144,7 +142,7 @@ class TestRecirculation:
         reference = run_reference(program, reference_trace(trace, 4))
         stats, _ = run_recirculation(
             program,
-            clone_packets(trace),
+            trace,
             RecircConfig(num_pipelines=4),
             record_access_order=True,
         )

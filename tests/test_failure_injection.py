@@ -15,7 +15,7 @@ from repro.banzai import run_reference
 from repro.compiler import compile_program
 from repro.equivalence import check_equivalence
 from repro.mp5 import MP5Config, MP5Switch, run_mp5
-from repro.workloads import clone_packets, line_rate_trace, reference_trace
+from repro.workloads import line_rate_trace, reference_trace
 
 
 class TestPhantomLoss:
@@ -26,9 +26,8 @@ class TestPhantomLoss:
         )
         config = MP5Config(num_pipelines=4, phantom_loss_rate=loss)
         switch = MP5Switch(program, config)
-        packets = clone_packets(trace)
-        stats = switch.run(packets)
-        return program, packets, switch, stats
+        stats = switch.run(trace, record_access_order=True)
+        return program, switch.packets, switch, stats
 
     def test_conservation_under_loss(self):
         _prog, _pkts, _switch, stats = self._run(loss=0.05)
@@ -97,9 +96,8 @@ class TestOverflowLoss:
         # Four sources hammer four counters; 2-entry FIFOs overflow.
         config = MP5Config(num_pipelines=4, fifo_capacity=2)
         reference = run_reference(program, reference_trace(trace, 4))
-        packets = clone_packets(trace)
         switch = MP5Switch(program, config)
-        stats = switch.run(packets)
+        stats = switch.run(trace)
         assert stats.dropped > 0
         ref_total = sum(reference.registers.snapshot()["counts"])
         got_total = sum(switch.registers["counts"])
@@ -109,9 +107,8 @@ class TestOverflowLoss:
     def test_drop_reasons_recorded(self):
         program = compile_program("sequencer")
         trace = line_rate_trace(300, 4, lambda r, i: {"seq": 0}, seed=0)
-        packets = clone_packets(trace)
         switch = MP5Switch(program, MP5Config(num_pipelines=4, fifo_capacity=2))
-        switch.run(packets)
-        reasons = {p.drop_reason for p in packets if p.dropped}
+        switch.run(trace, record_access_order=True)
+        reasons = {p.drop_reason for p in switch.packets if p.dropped}
         assert reasons <= {"no_phantom", "phantom_fifo_full", "fifo_full"}
         assert reasons

@@ -16,7 +16,6 @@ from repro.mp5 import (
 )
 from repro.workloads import (
     FlowWorkload,
-    clone_packets,
     line_rate_trace,
     reference_trace,
 )
@@ -233,12 +232,8 @@ class TestDeterminism:
     def test_identical_runs_identical_results(self):
         program = compile_program("heavy_hitter")
         trace = line_rate_trace(400, 4, HEADER_GENERATORS["heavy_hitter"], seed=8)
-        stats_a, regs_a = run_mp5(
-            program, clone_packets(trace), MP5Config(num_pipelines=4)
-        )
-        stats_b, regs_b = run_mp5(
-            program, clone_packets(trace), MP5Config(num_pipelines=4)
-        )
+        stats_a, regs_a = run_mp5(program, trace, MP5Config(num_pipelines=4))
+        stats_b, regs_b = run_mp5(program, trace, MP5Config(num_pipelines=4))
         assert regs_a == regs_b
         assert stats_a.egress_ticks == stats_b.egress_ticks
         assert stats_a.remap_moves == stats_b.remap_moves

@@ -14,7 +14,6 @@ from repro.mp5 import (
     run_mp5,
 )
 from repro.workloads import (
-    clone_packets,
     line_rate_trace,
     reference_trace,
     make_sensitivity_program,
@@ -27,7 +26,7 @@ from .conftest import figure3_headers, heavy_hitter_headers
 def equivalence_ok(program, trace, config):
     reference = run_reference(program, reference_trace(trace, config.num_pipelines))
     switch = MP5Switch(program, config)
-    switch.run(clone_packets(trace), record_access_order=True)
+    switch.run(trace, record_access_order=True)
     ref_regs = reference.registers.snapshot()
     for name, want in ref_regs.items():
         if tuple(switch.registers[name]) != want:
@@ -51,10 +50,9 @@ class TestFunctionalEquivalence:
 
     def test_sequencer_stamps_arrival_order(self, sequencer_program):
         trace = line_rate_trace(200, 4, lambda r, i: {"seq": 0}, seed=1)
-        packets = clone_packets(trace)
         switch = MP5Switch(sequencer_program, MP5Config(num_pipelines=4))
-        switch.run(packets)
-        for pkt in packets:
+        switch.run(trace, record_access_order=True)
+        for pkt in switch.packets:
             assert pkt.egress_tick is not None
             assert pkt.headers["seq"] == pkt.pkt_id + 1
 
@@ -205,12 +203,11 @@ class TestPhantomMechanics:
 
     def test_dropped_packets_preserve_order_of_rest(self, sequencer_program):
         trace = line_rate_trace(300, 4, lambda r, i: {"seq": 0}, seed=0)
-        packets = clone_packets(trace)
         switch = MP5Switch(
             sequencer_program, MP5Config(num_pipelines=4, fifo_capacity=4)
         )
-        switch.run(packets)
-        delivered = [p for p in packets if p.egress_tick is not None]
+        switch.run(trace, record_access_order=True)
+        delivered = [p for p in switch.packets if p.egress_tick is not None]
         seqs = [p.headers["seq"] for p in sorted(delivered, key=lambda p: p.pkt_id)]
         assert seqs == sorted(seqs)  # survivors still sequenced in order
 
@@ -289,9 +286,8 @@ class TestFlowOrdering:
         cfg = MP5Config(
             num_pipelines=4, flow_order_field="src_ip", flow_order_size=64
         )
-        packets = clone_packets(trace)
         switch = MP5Switch(program, cfg)
-        stats = switch.run(packets)
+        stats = switch.run(trace)
         assert stats.reordered_packets() == 0
         assert stats.egressed == stats.offered
 

@@ -6,7 +6,6 @@ import pytest
 from repro.compiler import compile_program
 from repro.mp5 import MP5Config, MP5Switch
 from repro.workloads import (
-    clone_packets,
     line_rate_trace,
     make_sensitivity_program,
     sensitivity_trace,
@@ -43,10 +42,9 @@ class TestDropCleanup:
     def test_drop_reason_propagates(self):
         program = compile_program("sequencer")
         trace = line_rate_trace(300, 4, lambda r, i: {"seq": 0}, seed=0)
-        packets = clone_packets(trace)
         switch = MP5Switch(program, MP5Config(num_pipelines=4, fifo_capacity=1))
-        switch.run(packets)
-        dropped = [p for p in packets if p.dropped]
+        switch.run(trace, record_access_order=True)
+        dropped = [p for p in switch.packets if p.dropped]
         assert dropped
         assert all(p.egress_tick is None for p in dropped)
 
@@ -90,10 +88,9 @@ class TestResolutionDetails:
         trace = line_rate_trace(
             40, 4, lambda r, i: {"src_ip": i, "hot": 0}, seed=0
         )
-        packets = clone_packets(trace)
         switch = MP5Switch(program, MP5Config(num_pipelines=4))
-        switch.run(packets)
-        for pkt in packets:
+        switch.run(trace, record_access_order=True)
+        for pkt in switch.packets:
             assert 0 <= pkt.entry_pipeline < 4
             assert pkt.entry_tick >= 0
             assert len(pkt.accesses) == 1
@@ -104,10 +101,11 @@ class TestResolutionDetails:
         trace = line_rate_trace(
             8, 4, lambda r, i: {"ttl": 64, "dscp": 0, "out": 0}, seed=0
         )
-        packets = clone_packets(trace)
         switch = MP5Switch(program, MP5Config(num_pipelines=4))
-        switch.run(packets)
-        pipes = [p.entry_pipeline for p in sorted(packets, key=lambda p: p.pkt_id)]
+        switch.run(trace, record_access_order=True)
+        pipes = [
+            p.entry_pipeline for p in sorted(switch.packets, key=lambda p: p.pkt_id)
+        ]
         assert pipes == [0, 1, 2, 3, 0, 1, 2, 3]
 
     def test_resolved_index_wraps_array_size(self):
@@ -115,10 +113,9 @@ class TestResolutionDetails:
         trace = line_rate_trace(
             10, 2, lambda r, i: {"src_ip": 2**30 + i, "hot": 0}, seed=0
         )
-        packets = clone_packets(trace)
         switch = MP5Switch(program, MP5Config(num_pipelines=2))
-        switch.run(packets)
-        for pkt in packets:
+        switch.run(trace, record_access_order=True)
+        for pkt in switch.packets:
             assert 0 <= pkt.accesses[0].index < 4096
 
     def test_depth_extends_to_pipeline_depth(self):
@@ -146,7 +143,7 @@ class TestAffinitySpray:
             switch = MP5Switch(
                 program, MP5Config(num_pipelines=4, spray_policy=policy)
             )
-            stats = switch.run(clone_packets(trace))
+            stats = switch.run(trace)
             results[policy] = stats
         assert (
             results["affinity"].steering_moves
@@ -186,12 +183,13 @@ class TestAffinitySpray:
         trace = line_rate_trace(
             8, 4, lambda r, i: {"ttl": 64, "dscp": 0, "out": 0}, seed=0
         )
-        packets = clone_packets(trace)
         switch = MP5Switch(
             program, MP5Config(num_pipelines=4, spray_policy="affinity")
         )
-        switch.run(packets)
-        pipes = [p.entry_pipeline for p in sorted(packets, key=lambda p: p.pkt_id)]
+        switch.run(trace, record_access_order=True)
+        pipes = [
+            p.entry_pipeline for p in sorted(switch.packets, key=lambda p: p.pkt_id)
+        ]
         assert pipes == [0, 1, 2, 3, 0, 1, 2, 3]
 
     def test_unknown_policy_rejected(self):
