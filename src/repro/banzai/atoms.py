@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from ..compiler.tac import OpKind, TacEvaluator, TacInstr, Temp
+from ..compiler.tac import TacEvaluator, TacInstr, Temp
 from .registers import RegisterFile
 
 
@@ -51,11 +51,6 @@ class Atom:
         """
         evaluator = TacEvaluator(headers, registers.arrays, env, on_access=on_access)
         evaluator.run(self.instrs)
-
-    def reads_written_fields(self) -> List[str]:
-        return [
-            i.field_name for i in self.instrs if i.kind is OpKind.WRITE_FIELD
-        ]
 
     def __len__(self) -> int:
         return len(self.instrs)

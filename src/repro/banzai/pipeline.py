@@ -73,11 +73,6 @@ class RunResult:
     # (array, index); the C1 reference order.
     access_order: Dict[Tuple[str, int], List[int]] = field(default_factory=dict)
 
-    @property
-    def egress_order(self) -> List[int]:
-        done = [p for p in self.packets if p.egress_cycle is not None]
-        return [p.pkt_id for p in sorted(done, key=lambda p: (p.egress_cycle, p.pkt_id))]
-
     def headers_by_id(self) -> Dict[int, Dict[str, int]]:
         return {p.pkt_id: p.headers for p in self.packets}
 

@@ -40,9 +40,6 @@ class RegisterFile:
     def names(self) -> List[str]:
         return sorted(self._arrays)
 
-    def size_of(self, name: str) -> int:
-        return len(self._arrays[name])
-
     def read(self, name: str, index: int) -> int:
         array = self._arrays[name]
         return array[index % len(array)]

@@ -153,9 +153,6 @@ class TacProgram:
     def __str__(self) -> str:
         return "\n".join(str(i) for i in self.instrs)
 
-    def instructions_for_register(self, reg: str) -> List[TacInstr]:
-        return [i for i in self.instrs if i.reg == reg]
-
     @property
     def register_names(self) -> List[str]:
         return list(self.registers)

@@ -22,6 +22,7 @@ from ..banzai.pipeline import BanzaiPipeline, RunResult
 from ..compiler.codegen import CompiledProgram
 from ..errors import EquivalenceError
 from ..mp5.config import MP5Config
+from ..mp5.engines import build_switch
 from ..mp5.packet import DataPacket
 from ..mp5.stats import SwitchStats, c1_violations
 from ..mp5.switch import MP5Switch
@@ -221,22 +222,25 @@ def check_degraded(
     ``engine`` is a scalar :data:`repro.mp5.ENGINES` name — ``"fast"``
     (:class:`~repro.mp5.switch.MP5Switch`) or ``"dense"`` (the
     reference engine); the differential fault tests run both and
-    additionally require identical stats/registers/events.
+    additionally require identical stats/registers/events. ``"vector"``
+    is refused: :func:`~repro.mp5.engines.build_switch` would run it on
+    the fast engine, and the audit would pass without the engine named.
     With ``monitor`` (default) an :class:`~repro.obs.monitor.
     InvariantMonitor` streams alongside the run and its verdict feeds
     ``contract_holds`` — the post-hoc audit and the online checks must
     agree.
     """
-    from ..mp5.reference import ReferenceSwitch  # cycle-free late import
     from ..obs.monitor import InvariantMonitor
 
-    switch_cls = {"fast": MP5Switch, "dense": ReferenceSwitch}.get(engine)
-    if switch_cls is None:
-        raise EquivalenceError(f"unknown engine {engine!r}")
+    if engine not in ("fast", "dense"):
+        raise EquivalenceError(
+            f"check_degraded runs 'fast' or 'dense', not {engine!r}"
+        )
     live_monitor = InvariantMonitor() if monitor else None
-    switch = switch_cls(program, config or MP5Config())
+    switch = build_switch(
+        engine, program, config, faults=faults, record_access_order=True
+    )
     switch.attach_observability(monitor=live_monitor)
-    switch.attach_faults(faults)
     stats = switch.run(trace, max_ticks=max_ticks, record_access_order=True)
 
     dropped_ids = {pkt.pkt_id for pkt in switch.packets if pkt.dropped}

@@ -33,8 +33,8 @@ from ..faults import (
     KIND_PHANTOM,
     KIND_STALL,
 )
+from ..mp5 import run_mp5
 from ..mp5.config import MP5Config
-from ..mp5.switch import run_mp5
 from ..obs.health import worst_verdict
 from ..obs.monitor import InvariantMonitor
 from ..workloads.synthetic import make_sensitivity_program, sensitivity_trace

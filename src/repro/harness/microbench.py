@@ -27,9 +27,9 @@ from ..baselines import (
     run_single_pipeline_state,
     static_shard_config,
 )
+from ..mp5 import run_mp5
 from ..mp5.config import MP5Config
 from ..mp5.stats import c1_metrics
-from ..mp5.switch import run_mp5
 from ..workloads.synthetic import make_sensitivity_program, sensitivity_trace
 from ..workloads.traffic import reference_trace
 from .report import format_table
@@ -86,13 +86,6 @@ class D3Result:
     recirculation: List[float]
     single_pipeline_state: List[float]
     avg_recirculations: List[float]
-
-    @property
-    def reduction_vs_mp5(self) -> List[float]:
-        return [
-            1.0 - (r / m if m else 0.0)
-            for r, m in zip(self.recirculation, self.mp5)
-        ]
 
 
 def _trace(settings: MicrobenchSettings, pattern: str, seed: int):

@@ -16,7 +16,7 @@ packet streams and reports mean normalized throughput.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -111,18 +111,6 @@ def _seed_point(task) -> tuple:
         )
         scores.append(stats.throughput_normalized())
     return scores[0], scores[1]
-
-
-def _run_point(
-    parameter: str,
-    value: int,
-    settings: SweepSettings,
-    overrides: Dict[str, int],
-) -> SensitivityPoint:
-    """Serial single-point entry, kept for direct callers."""
-    seeds = list(settings.seeds)
-    results = [_seed_point((settings, overrides, seed)) for seed in seeds]
-    return _make_point(parameter, value, settings, results)
 
 
 def _make_point(

@@ -25,10 +25,7 @@ against each other (``tests/test_fastpath_equivalence.py``,
 * ``fast`` — :class:`~repro.mp5.switch.MP5Switch`, the sparse worklist
   engine, and the only one that supports every config knob and faults;
 * ``vector`` — :class:`~repro.mp5.vector.VectorSwitch`, the
-  structure-of-arrays NumPy batch engine; falls back to ``fast``, with
-  a one-line warning naming the reason, when a run needs something the
-  batch reduction cannot express (faults, unsupported configs or
-  program shapes). Observability sinks attach
+  structure-of-arrays NumPy batch engine. Observability sinks attach
   natively and are fed after the run from the epoch schedule's tick
   columns (:mod:`repro.obs.reconstruct`): a recorder event by event, a
   registry and a monitor one window at a time. Its run
@@ -44,6 +41,12 @@ Pick one by name through :data:`ENGINES` (the ``--engine`` CLI flag)::
 
     stats, registers = ENGINES["vector"](program, trace, config)
 
+Every name becomes a switch in one function,
+:func:`~repro.mp5.engines.build_switch`, which settles before the first
+packet whether ``vector`` runs: faults, access-order recording, a config
+knob or a program shape the batch reduction cannot express give the run
+to ``fast`` with one warning line naming the reason.
+
 Public surface::
 
     from repro.mp5 import MP5Switch, MP5Config, run_mp5
@@ -55,6 +58,13 @@ Public surface::
 from ..compiler.native import native_available, native_unavailable_reason
 from .config import MP5Config
 from .crossbar import CrossbarTelemetry
+from .engines import (
+    ENGINES,
+    build_switch,
+    run_mp5,
+    run_mp5_reference,
+    run_mp5_vector,
+)
 from .epochs import (
     EpochSchedule,
     EpochStreamer,
@@ -63,22 +73,15 @@ from .epochs import (
 from .fifo import IdealOrderBuffer, Slot, StageFifoGroup
 from .packet import DataPacket, PacketColumns, PhantomPacket, StateAccess
 from .partition import LogicalPartition, PartitionedMP5, PartitionResult
-from .reference import ReferenceSwitch, run_mp5_reference
+from .reference import ReferenceSwitch
 from .sharding import ShardedArray, ShardingRuntime
 from .stats import C1Report, SwitchStats, c1_metrics, c1_violations
-from .switch import FLOW_ORDER_ARRAY, MP5Switch, run_mp5
-from .vector import VectorSwitch, VectorUnsupported, run_mp5_vector
-
-#: Engine registry: every runner shares the signature of
-#: :func:`~repro.mp5.switch.run_mp5` and produces identical results.
-ENGINES = {
-    "dense": run_mp5_reference,
-    "fast": run_mp5,
-    "vector": run_mp5_vector,
-}
+from .switch import FLOW_ORDER_ARRAY, MP5Switch
+from .vector import VectorSwitch, VectorUnsupported
 
 __all__ = [
     "ENGINES",
+    "build_switch",
     "EpochSchedule",
     "EpochStreamer",
     "VectorSwitch",

@@ -39,7 +39,6 @@ class MP5Config:
     phantom_latency: int = 0  # ticks from generation to FIFO delivery
     starvation_threshold: Optional[int] = None  # drop stateless after this wait
     ecn_threshold: Optional[int] = None  # mark packets once a queue hits this
-    phantom_loss_rate: float = 0.0  # fault injection: P(phantom lost in flight)
     record_crossbar: bool = False  # collect crossbar telemetry (slower)
     flow_order_field: Optional[str] = None  # header used for the dummy
     flow_order_size: int = 1024  # ...final-stage ordering state (§3.4)
@@ -68,8 +67,6 @@ class MP5Config:
             raise ConfigError("flow_order_size must be >= 1")
         if self.ecn_threshold is not None and self.ecn_threshold < 1:
             raise ConfigError("ecn_threshold must be positive or None")
-        if not 0.0 <= self.phantom_loss_rate < 1.0:
-            raise ConfigError("phantom_loss_rate must be in [0, 1)")
 
     @classmethod
     def ideal(cls, **kwargs) -> "MP5Config":

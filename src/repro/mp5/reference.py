@@ -19,16 +19,13 @@ being hidden by shared bookkeeping.
 
 from __future__ import annotations
 
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, List, Optional
 
-from ..compiler.codegen import CompiledProgram
 from ..compiler.tac import Const
 from ..domino.builtins import hash2
-from .config import MP5Config
 from .fifo import IdealOrderBuffer
 from .packet import DataPacket, PhantomPacket, StateAccess
-from .stats import SwitchStats
-from .switch import FLOW_ORDER_ARRAY, MP5Switch, TraceEntry, run_scalar
+from .switch import FLOW_ORDER_ARRAY, MP5Switch
 
 
 def _slot_data_occupancy(fifo) -> int:
@@ -56,6 +53,8 @@ class ReferenceSwitch(MP5Switch):
     registers, and canonical event streams on every program, config —
     and, via ``attach_faults``, every fault schedule.
     """
+
+    engine = "dense"
 
     def _run_resolution(self, headers, registers, env):
         """Execute the stage-0 (address resolution) program against the
@@ -367,21 +366,3 @@ class ReferenceSwitch(MP5Switch):
             self._monitor.end_tick(tick, self)
 
         self.tick += 1
-
-
-def run_mp5_reference(
-    program: CompiledProgram,
-    trace: Iterable[TraceEntry],
-    config: Optional[MP5Config] = None,
-    **run_args,
-) -> Tuple[SwitchStats, Dict[str, List[int]]]:
-    """Run a trace through the dense reference engine (see module doc).
-
-    The reference emits the same lifecycle events as the fast engine
-    (``recorder``), so differential tests can diff traces too; the
-    profiler is accepted for interface parity but the dense ``_step``
-    is not phase-timed. ``faults`` attaches a
-    :class:`repro.faults.FaultSchedule`; every keyword is
-    :func:`~repro.mp5.switch.run_mp5`'s.
-    """
-    return run_scalar(ReferenceSwitch, program, trace, config, **run_args)

@@ -84,8 +84,11 @@ class MP5Switch:
 
     One instance simulates exactly one trace — register state and
     statistics are cumulative, so ``run`` refuses a second call; use
-    :func:`run_mp5` to get a fresh switch per run.
+    :func:`repro.mp5.run_mp5` to get a fresh switch per run.
     """
+
+    #: The engine name that runs: what a served segment record reports.
+    engine = "fast"
 
     def __init__(self, program: CompiledProgram, config: Optional[MP5Config] = None):
         self.program = program
@@ -158,11 +161,6 @@ class MP5Switch:
         for (pipe, stage), fifo in self.fifos.items():
             self._fifo_grid[pipe][stage] = fifo
         self._phantom_mail: Dict[int, List[Tuple[PhantomPacket, int]]] = {}
-        self._fault_rng = (
-            np.random.default_rng(cfg.seed + 0x5EED)
-            if cfg.phantom_loss_rate > 0
-            else None
-        )
         self._spray_next = 0
         self.crossbar = (
             CrossbarTelemetry(cfg.num_pipelines) if cfg.record_crossbar else None
@@ -537,7 +535,8 @@ class MP5Switch:
         ``(arrival, port)`` of a batch may not precede the
         last packet already fed — packet ids are assigned in arrival
         order at feed time (the C1 reference order) and cannot be
-        renumbered retroactively. Returns the number of packets added.
+        renumbered retroactively — and no arrival may be negative.
+        Returns the number of packets added.
         """
         if self._pending is None or self._finished:
             raise ConfigError("feed() requires start() and precedes finish()")
@@ -548,12 +547,7 @@ class MP5Switch:
         if not packets:
             return 0
         packets.sort(key=lambda p: (p.arrival, p.port, p.pkt_id))
-        head = (packets[0].arrival, packets[0].port)
-        if self._last_feed_key is not None and head < self._last_feed_key:
-            raise ConfigError(
-                "feed() batches must be monotone in (arrival, port): batch "
-                f"starts at {head} but {self._last_feed_key} was already fed"
-            )
+        self._check_head((packets[0].arrival, packets[0].port))
         for pkt in packets:
             pkt.pkt_id = self._feed_seq  # arrival-ordered ids (C1 order)
             self._feed_seq += 1
@@ -564,6 +558,20 @@ class MP5Switch:
         if self.packets is not None:
             self.packets.extend(packets)
         return len(packets)
+
+    def _check_head(self, head: Tuple[float, int]) -> None:
+        """Refuse a sorted batch by its first ``(arrival, port)``, before
+        any state changes: every engine's ticks start at 0, and batches
+        are monotone."""
+        if head[0] < 0:
+            raise ConfigError(
+                f"feed() arrivals must be >= 0: batch starts at {head}"
+            )
+        if self._last_feed_key is not None and head < self._last_feed_key:
+            raise ConfigError(
+                "feed() batches must be monotone in (arrival, port): batch "
+                f"starts at {head} but {self._last_feed_key} was already fed"
+            )
 
     def pump(
         self,
@@ -1083,7 +1091,7 @@ class MP5Switch:
             tick = self.tick
             latency = cfg.phantom_latency
             stats = self.stats
-            if latency == 0 and self._fault_rng is None and self._faults is None:
+            if latency == 0 and self._faults is None:
                 # Fault-free immediate delivery (the common case),
                 # _deliver_phantom inlined.
                 fifo_grid = self._fifo_grid
@@ -1139,8 +1147,8 @@ class MP5Switch:
                         pkt.pkt_id, access.pipeline, access.stage
                     )
                     if lost:
-                        # Scheduled phantom-channel loss: same recovery
-                        # path as the §3.5.1 random loss — the data
+                        # Phantom-channel loss (§3.5.1): the queue had
+                        # room, the channel lost the phantom, so the data
                         # packet will find no placeholder and drop.
                         stats.phantoms_lost += 1
                         if obs is not None:
@@ -1171,25 +1179,6 @@ class MP5Switch:
             # it (it was not queued yet), so discard it here — pushing it
             # would block the FIFO head forever.
             return True
-        if (
-            self._fault_rng is not None
-            and self._fault_rng.random() < self.config.phantom_loss_rate
-        ):
-            # Fault injection (§3.5.1): the phantom never arrives, so the
-            # data packet will find no placeholder and be dropped — the
-            # exact packet-loss mode whose equivalence consequences the
-            # paper analyzes. Counted separately from FIFO overflow: the
-            # queue had room, the channel lost the packet.
-            self.stats.phantoms_lost += 1
-            if self.obs is not None:
-                self.obs.phantom_loss(
-                    self.tick,
-                    phantom.pkt_id,
-                    phantom.pipeline,
-                    phantom.stage,
-                    phantom.array,
-                )
-            return True  # generation succeeded; the channel lost it
         fifo = self._fifo_grid[phantom.pipeline][phantom.stage]
         if (
             faults is not None
@@ -1309,43 +1298,3 @@ class MP5Switch:
                 fifo.expire_phantom(pkt.pkt_id)
             if access.array != FLOW_ORDER_ARRAY and "+" not in access.array:
                 self.sharder.note_completed(access.array, access.index)
-
-
-def run_scalar(
-    switch_cls,
-    program: CompiledProgram,
-    trace: Iterable[TraceEntry],
-    config: Optional[MP5Config] = None,
-    max_ticks: Optional[int] = None,
-    record_access_order: bool = False,
-    faults=None,
-    **sinks,
-) -> Tuple[SwitchStats, Dict[str, List[int]]]:
-    """Run a trace through a fresh ``switch_cls`` (:class:`MP5Switch`
-    or the dense :class:`~repro.mp5.reference.ReferenceSwitch`) — the
-    one body behind :func:`run_mp5` and
-    :func:`~repro.mp5.reference.run_mp5_reference`. ``sinks`` are
-    :meth:`MP5Switch.attach_observability`'s keywords."""
-    switch = switch_cls(program, config)
-    switch.attach_observability(**sinks)
-    if faults is not None:
-        switch.attach_faults(faults)
-    stats = switch.run(
-        trace, max_ticks=max_ticks, record_access_order=record_access_order
-    )
-    return stats, switch.public_registers()
-
-
-def run_mp5(
-    program: CompiledProgram,
-    trace: Iterable[TraceEntry],
-    config: Optional[MP5Config] = None,
-    **run_args,
-) -> Tuple[SwitchStats, Dict[str, List[int]]]:
-    """Convenience: run a trace through a fresh switch; returns the run
-    statistics and the final register state. Keywords (see
-    :func:`run_scalar`): ``max_ticks``, ``record_access_order``;
-    ``recorder``, ``metrics``, ``profiler`` and ``monitor``, the
-    optional :mod:`repro.obs` sinks; ``faults``, an optional
-    :class:`repro.faults.FaultSchedule`."""
-    return run_scalar(MP5Switch, program, trace, config, **run_args)

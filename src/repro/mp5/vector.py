@@ -40,23 +40,25 @@ run as whole-array predicates over every executed event tick. Same
 sink attached the engine skips it all, so the closed-form speed is
 untouched.
 
-Exactness over generality: configurations the batch reduction cannot
-represent (bounded FIFOs, phantom loss, ECN, starvation preemption,
-ideal queues, affinity spray, resolvable access guards, write-only
-register arrays, attached faults) make :func:`run_mp5_vector` fall back
-to the fast engine under one rule: every fallback prints
-``vector engine: <reason>; falling back to the fast engine`` once per
-warning scope (:func:`reset_fallback_warnings`) — so ``--engine
-vector`` is always safe, and never silently slow. Supported runs
-produce :class:`~repro.mp5.stats.SwitchStats` and final registers equal
-to both scalar engines, byte-for-byte once serialized.
+Exactness over generality: runs the batch reduction cannot represent
+(bounded FIFOs, ECN, starvation preemption, ideal queues, affinity
+spray, resolvable access guards, write-only register arrays, armed
+faults, access-order recording) get the fast engine from
+:func:`repro.mp5.engines.build_switch`, before the first packet, under
+one rule: every fallback prints ``vector engine: <reason>; falling
+back to the fast engine`` once per warning scope
+(:func:`reset_fallback_warnings`) — so ``--engine vector`` is always
+safe, and never silently slow. Construction is the only place this
+class raises :class:`VectorUnsupported`. Supported runs produce
+:class:`~repro.mp5.stats.SwitchStats` and final registers equal to both
+scalar engines, byte-for-byte once serialized.
 """
 
 from __future__ import annotations
 
 import sys
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -74,7 +76,7 @@ from .epochs import (
 )
 from .packet import DataPacket, PacketColumns, private_packet
 from .stats import SwitchStats
-from .switch import FLOW_ORDER_ARRAY, MP5Switch, run_mp5
+from .switch import FLOW_ORDER_ARRAY, MP5Switch
 
 
 class VectorUnsupported(ReproError):
@@ -113,8 +115,6 @@ def config_fallback_reason(cfg: MP5Config) -> Optional[str]:
         return "ecn_threshold"
     if cfg.starvation_threshold is not None:
         return "starvation_threshold"
-    if cfg.phantom_loss_rate > 0:
-        return "phantom_loss_rate > 0"
     if cfg.record_crossbar:
         return "record_crossbar"
     if cfg.spray_policy != "roundrobin":
@@ -148,6 +148,8 @@ class VectorSwitch(MP5Switch):
     """Batch engine. Construction raises :class:`VectorUnsupported` for
     config knobs (:func:`config_fallback_reason`) and program shapes
     the epoch reduction cannot represent."""
+
+    engine = "vector"
 
     def __init__(self, program, config: Optional[MP5Config] = None):
         # Before the base constructor: a fallback then builds one
@@ -345,10 +347,7 @@ class VectorSwitch(MP5Switch):
         per tick), ``shard_exclusivity`` (an index changes pipeline
         only across a remap boundary it was idle at) and
         ``conservation`` (in-flight >= 0 at each boundary; the engine's
-        counters against the columns at end of run). Binding is
-        deferred with everything else, which keeps a later
-        :class:`VectorUnsupported` fallback clean: the same sinks
-        re-attach to the fast engine untouched.
+        counters against the columns at end of run).
         """
         if self._ran:
             raise ConfigError(
@@ -363,6 +362,16 @@ class VectorSwitch(MP5Switch):
             self._metrics = metrics
         if monitor is not None:
             self._monitor = monitor
+
+    def attach_faults(self, schedule) -> None:
+        """Only an empty schedule (a no-op): ``build_switch`` gives an
+        armed one to the fast engine."""
+        if schedule is not None and not schedule.empty:
+            raise ConfigError(
+                "the vector engine runs no fault schedule; build the "
+                "switch with repro.mp5.build_switch"
+            )
+        super().attach_faults(schedule)
 
     def _replay_sinks(self, schedule, wasted_masks, drained) -> None:
         """Feed the attached sinks from the finished schedule; all sink
@@ -413,7 +422,14 @@ class VectorSwitch(MP5Switch):
         only when remapping is on: with ``remap_algorithm='none'``
         there are no epoch boundaries, so the sweep emits its single
         step at the drain and everything defers to :meth:`finish`.
+        ``record_access_order`` is refused: ``build_switch`` gives such
+        a run to the fast engine.
         """
+        if record_access_order:
+            raise ConfigError(
+                "the vector engine keeps no access order; build the "
+                "switch with repro.mp5.build_switch"
+            )
         if self._ran:
             raise ConfigError(
                 "MP5Switch.run was called twice on one instance; tick, "
@@ -421,10 +437,6 @@ class VectorSwitch(MP5Switch):
                 "fresh switch per run"
             )
         self._ran = True
-        if record_access_order:
-            raise VectorUnsupported("record_access_order")
-        if self._faults is not None:
-            raise VectorUnsupported("faults attached")
         cfg = self.config
         fields = set()
         temps = set()
@@ -507,8 +519,6 @@ class VectorSwitch(MP5Switch):
         n = len(cols)
         if n == 0:
             return 0
-        if cols.arrival.min() < 0:
-            raise VectorUnsupported("negative arrival")
         # Stable (arrival, port, position) sort — the scalar engines'
         # (arrival, port, pkt_id) list.sort as one lexsort. float64
         # arrivals may carry sub-tick fractions and compare exactly like
@@ -518,12 +528,7 @@ class VectorSwitch(MP5Switch):
             cols = cols.take(order)
         arr = cols.arrival
         ticks = cols.ticks()
-        head = (ticks[0], int(cols.port[0]))
-        if self._last_feed_key is not None and head < self._last_feed_key:
-            raise ConfigError(
-                "feed() batches must be monotone in (arrival, port): batch "
-                f"starts at {head} but {self._last_feed_key} was already fed"
-            )
+        self._check_head((ticks[0], int(cols.port[0])))
         self._last_feed_key = (ticks[-1], int(cols.port[-1]))
         stats = self.stats
         stats.offered += n
@@ -809,89 +814,3 @@ class VectorSwitch(MP5Switch):
                 drained=(schedule.egr_assigned == N),
             )
 
-
-def try_vector_switch(
-    program,
-    config: Optional[MP5Config],
-    faults_armed: bool,
-) -> Optional[VectorSwitch]:
-    """The construct-time fallback ladder, shared by
-    :func:`run_mp5_vector` and the service daemon: a
-    :class:`VectorSwitch`, or None when the run needs the fast engine.
-    Armed faults, a config knob outside the envelope and an unsupported
-    program shape each warn once with the reason (see
-    :func:`reset_fallback_warnings`)."""
-    if faults_armed:
-        _warn_fallback("faults attached")
-        return None
-    try:
-        return VectorSwitch(program, config)
-    except VectorUnsupported as exc:
-        _warn_fallback(exc)
-        return None
-
-
-def run_mp5_vector(
-    program,
-    trace: Iterable,
-    config: Optional[MP5Config] = None,
-    max_ticks: Optional[int] = None,
-    record_access_order: bool = False,
-    recorder=None,
-    metrics=None,
-    profiler=None,
-    faults=None,
-    monitor=None,
-) -> Tuple[SwitchStats, Dict[str, List[int]]]:
-    """Run a trace through the batch engine, falling back to the fast
-    engine whenever the vector reduction does not apply.
-
-    Observability sinks (``recorder``/``metrics``/``profiler``/
-    ``monitor``) ride the batch path — fed post-run from the schedule,
-    they end up identical to the scalar engines'
-    (:mod:`repro.obs.reconstruct`). Attached ``faults``, a config knob
-    outside the envelope, an unsupported program shape,
-    ``record_access_order`` and a negative arrival all fall back under
-    one rule: one stderr line naming the reason, deduplicated per scope
-    — a 1000-cell sweep that falls back prints one line, not 1000 (see
-    :func:`reset_fallback_warnings`) — and sinks and the same ``trace``
-    object (packets, tuples or columns; no engine writes it) follow the
-    run to the fast engine. Either way the returned statistics and
-    registers are identical to :func:`~repro.mp5.switch.run_mp5`.
-    """
-    if not isinstance(trace, (list, PacketColumns)):
-        trace = list(trace)  # a fallback reads it a second time
-    switch = try_vector_switch(program, config, faults is not None)
-    if switch is not None:
-        switch.attach_observability(
-            recorder=recorder,
-            metrics=metrics,
-            profiler=profiler,
-            monitor=monitor,
-        )
-        try:
-            # The trace is only read, and sink binding is deferred until
-            # after Phase B, so when start()/feed() raise
-            # VectorUnsupported the same trace and the same untouched
-            # sinks replay through the fast engine.
-            stats = switch.run(
-                trace,
-                max_ticks=max_ticks,
-                record_access_order=record_access_order,
-            )
-        except VectorUnsupported as exc:
-            _warn_fallback(exc)
-        else:
-            return stats, switch.public_registers()
-    return run_mp5(
-        program,
-        trace,
-        config,
-        max_ticks=max_ticks,
-        record_access_order=record_access_order,
-        recorder=recorder,
-        metrics=metrics,
-        profiler=profiler,
-        faults=faults,
-        monitor=monitor,
-    )

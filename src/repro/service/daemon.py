@@ -29,11 +29,12 @@ engine services a whole *epoch* once the watermark proves its arrivals
 are complete. Both expose the same ``start``/``feed``/``pump``/
 ``finish`` primitives and the uniform ``work_available(drain)`` probe,
 so one adapter drives all three and results are independent of how
-arrivals were batched or when control requests interleaved. When the
-vector engine cannot run the segment (faults armed, a config knob it
-does not model, an unsupported program shape) the adapter falls back
-to the fast engine with the same ladder and the same one-line warning
-as :func:`repro.mp5.run_mp5_vector`.
+arrivals were batched or when control requests interleaved. Each
+segment's switch comes from :func:`repro.mp5.build_switch`, so when the
+vector engine cannot run it (faults armed, a config knob it does not
+model, an unsupported program shape) the segment runs on the fast
+engine with the same one-line warning as an offline run, and its
+record names the engine that ran.
 
 **Backpressure.** The ingest queue holds at most ``queue_depth``
 batches. ``POST /ingest`` never blocks: a full queue is answered with
@@ -55,10 +56,8 @@ from typing import Dict, List, Optional, Tuple
 from ..compiler import compile_program
 from ..errors import ConfigError, ReproError, ServiceError
 from ..faults import FaultSchedule
-from ..mp5 import MP5Config, MP5Switch, ReferenceSwitch
+from ..mp5 import ENGINES, MP5Config, build_switch
 from ..mp5.packet import DataPacket, PacketColumns
-from ..mp5.vector import try_vector_switch
-from ..obs.alerts import SEVERITY_CRITICAL
 from ..obs.health import VERDICT_DEGRADED, VERDICT_OK, worst_verdict
 from ..obs.metrics import MetricsRegistry
 from ..obs.monitor import InvariantMonitor
@@ -117,18 +116,20 @@ class _EngineAdapter:
     """One open segment, any engine, one contract: batches stream in
     through ``feed`` and work advances through ``pump`` only once the
     ingest watermark proves no future feed can affect it — ticks for
-    the scalar engines, whole epochs for the vector engine. The vector
-    path shares :func:`repro.mp5.run_mp5_vector`'s fallback ladder
-    (:func:`repro.mp5.vector.try_vector_switch`) and its one rule:
-    faults armed, a config knob the vector model omits or an
-    unsupported program shape → one warning naming the reason, then
-    fast. So a ``--engine vector`` service is never wedged by a
-    mid-stream fault attach — the next segment just runs scalar."""
+    the scalar engines, whole epochs for the vector engine. The switch
+    comes from :func:`repro.mp5.build_switch` with the service's fault
+    schedule attached, so a ``--engine vector`` service is never wedged
+    by a mid-stream fault attach — the next segment just runs scalar."""
 
     streaming = True
 
     def __init__(self, service: "SwitchService"):
-        self.engine, self.switch = self._build_switch(service)
+        self.switch = build_switch(
+            service.engine,
+            service.compiled,
+            service.config,
+            faults=service.schedule,
+        )
         self.monitor = (
             InvariantMonitor() if service.monitor_enabled else None
         )
@@ -144,29 +145,15 @@ class _EngineAdapter:
             self.switch.attach_observability(
                 metrics=self.metrics, monitor=self.monitor
             )
-        schedule = service.schedule
-        if schedule is not None and schedule.faults and self.engine != "vector":
-            self.switch.attach_faults(schedule)
         self.switch.start()
         self.offered = 0
         self.first_feed_ts: Optional[float] = None
         self.first_egress_ts: Optional[float] = None
 
-    @staticmethod
-    def _build_switch(service: "SwitchService"):
-        engine = service.engine
-        if engine == "vector":
-            schedule = service.schedule
-            switch = try_vector_switch(
-                service.compiled,
-                service.config,
-                schedule is not None and bool(schedule.faults),
-            )
-            if switch is not None:
-                return "vector", switch
-            engine = "fast"
-        cls = ReferenceSwitch if engine == "dense" else MP5Switch
-        return engine, cls(service.compiled, service.config)
+    @property
+    def engine(self) -> str:
+        """The engine that runs this segment."""
+        return self.switch.engine
 
     @property
     def injector(self):
@@ -223,11 +210,6 @@ class _EngineAdapter:
     def alert_dicts(self) -> List[Dict]:
         return self.monitor.alerts.to_dicts() if self.monitor else []
 
-    def critical_alerts(self) -> int:
-        if self.monitor is None:
-            return 0
-        return len(self.monitor.alerts.by_severity(SEVERITY_CRITICAL))
-
     def health_report(self):
         return self.monitor.health_report() if self.monitor else None
 
@@ -260,7 +242,7 @@ class SwitchService:
         pump_slice: int = PUMP_SLICE,
         program_name: Optional[str] = None,
     ):
-        if engine not in ("fast", "dense", "vector"):
+        if engine not in ENGINES:
             raise ConfigError(f"unknown engine {engine!r}")
         self.engine = engine
         self.config = config or MP5Config()

@@ -6,27 +6,46 @@ downstream register updates, and subsequent packets see a different
 state. These tests inject phantom-channel loss and FIFO overflows and
 verify (a) the switch itself stays consistent (no deadlock, conservation
 of packets), and (b) the equivalence checker *detects* the divergence
-exactly as §3.5.1 predicts.
+exactly as §3.5.1 predicts. Uniform loss is a ``phantom_channel`` fault
+window that spans the run (:func:`whole_run_loss`).
 """
 
 import pytest
 
-from repro.banzai import run_reference
+from repro.banzai import BanzaiPipeline, run_reference
 from repro.compiler import compile_program
-from repro.equivalence import check_equivalence
-from repro.mp5 import MP5Config, MP5Switch, run_mp5
+from repro.equivalence import compare_runs
+from repro.errors import ConfigError
+from repro.faults import FaultEvent, FaultSchedule
+from repro.mp5 import MP5Config, MP5Switch
 from repro.workloads import line_rate_trace, reference_trace
 
 
+def whole_run_loss(rate: float) -> FaultSchedule:
+    """§3.5.1's uniform phantom loss: one ``phantom_channel`` window from
+    tick 0 that outlasts any run here; no window at all for rate 0."""
+    if not rate:
+        return FaultSchedule()
+    return FaultSchedule(
+        faults=[
+            FaultEvent(
+                "phantom_channel", start=0, duration=10**9, loss_rate=rate
+            )
+        ]
+    )
+
+
 class TestPhantomLoss:
-    def _run(self, loss, n=400, program_name="sequencer"):
-        program = compile_program(program_name)
-        trace = line_rate_trace(
+    def _trace(self, n=400):
+        return line_rate_trace(
             n, 4, lambda r, i: {"seq": 0}, packet_size=256, seed=1
         )
-        config = MP5Config(num_pipelines=4, phantom_loss_rate=loss)
-        switch = MP5Switch(program, config)
-        stats = switch.run(trace, record_access_order=True)
+
+    def _run(self, loss, n=400, program_name="sequencer"):
+        program = compile_program(program_name)
+        switch = MP5Switch(program, MP5Config(num_pipelines=4))
+        switch.attach_faults(whole_run_loss(loss))
+        stats = switch.run(self._trace(n), record_access_order=True)
         return program, switch.packets, switch, stats
 
     def test_conservation_under_loss(self):
@@ -51,13 +70,11 @@ class TestPhantomLoss:
         assert actual < expected_reference_count
 
     def test_checker_flags_divergence(self):
-        program = compile_program("sequencer")
-        trace = line_rate_trace(
-            400, 4, lambda r, i: {"seq": 0}, packet_size=256, seed=1
+        program, _pkts, switch, _stats = self._run(loss=0.1)
+        reference = BanzaiPipeline(program).run(
+            reference_trace(self._trace(), 4), record_access_order=True
         )
-        report = check_equivalence(
-            program, trace, MP5Config(num_pipelines=4, phantom_loss_rate=0.1)
-        )
+        report = compare_runs(program, reference, switch)
         assert not report.register_equal
         assert report.dropped_packets > 0
 
@@ -76,12 +93,12 @@ class TestPhantomLoss:
         assert seqs == sorted(seqs)
 
     def test_invalid_loss_rate_rejected(self):
-        from repro.errors import ConfigError
-
         with pytest.raises(ConfigError):
-            MP5Config(phantom_loss_rate=1.0)
+            whole_run_loss(1.5)
         with pytest.raises(ConfigError):
-            MP5Config(phantom_loss_rate=-0.1)
+            whole_run_loss(-0.1)
+        with pytest.raises(TypeError):  # the config knob is gone
+            MP5Config(phantom_loss_rate=0.1)
 
 
 class TestOverflowLoss:

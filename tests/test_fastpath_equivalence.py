@@ -8,8 +8,8 @@ is only admissible if the two engines produce tick-for-tick identical
 :class:`~repro.mp5.stats.SwitchStats` and identical final register
 state — this module asserts exactly that over fuzzed programs/traces
 and over every config dimension that selects a different engine path
-(phantom loss, starvation drops, ideal queues, ECN, flow ordering,
-crossbar recording, phantom latency, tiny FIFOs).
+(starvation drops, ideal queues, ECN, flow ordering, crossbar
+recording, phantom latency, tiny FIFOs), plus whole-run phantom loss.
 """
 
 import numpy as np
@@ -22,11 +22,17 @@ from repro.obs import TraceRecorder, canonical_form
 from repro.workloads import line_rate_trace
 from repro.workloads.synthetic import make_sensitivity_program, sensitivity_trace
 
+from tests.test_failure_injection import whole_run_loss
 from tests.test_fuzz_equivalence import FIELDS, random_program
 
 
 def _assert_engines_agree(
-    program, trace_factory, config, max_ticks=None, record_access_order=False
+    program,
+    trace_factory,
+    config,
+    max_ticks=None,
+    record_access_order=False,
+    faults=None,
 ):
     """Run both engines on identical inputs; the trace is regenerated
     per engine because the simulation mutates packet objects.
@@ -43,6 +49,7 @@ def _assert_engines_agree(
         max_ticks=max_ticks,
         record_access_order=record_access_order,
         recorder=fast_rec,
+        faults=faults,
     )
     ref_stats, ref_regs = run_mp5_reference(
         program,
@@ -51,6 +58,7 @@ def _assert_engines_agree(
         max_ticks=max_ticks,
         record_access_order=record_access_order,
         recorder=ref_rec,
+        faults=faults,
     )
     assert fast_stats == ref_stats
     assert fast_regs == ref_regs
@@ -101,7 +109,7 @@ def test_fuzzed_program_engines_agree(seed):
 
 CONFIGS = {
     "default": dict(),
-    "phantom_loss": dict(phantom_loss_rate=0.2),
+    "phantom_loss": dict(),  # with whole_run_loss(0.2) attached
     "starvation_tiny_fifo": dict(starvation_threshold=5, fifo_capacity=3),
     "tiny_fifo": dict(fifo_capacity=2),
     "ideal_queues": dict(ideal_queues=True),
@@ -127,6 +135,7 @@ def test_engines_agree_on_config(name, seed):
         MP5Config(num_pipelines=4, **CONFIGS[name]),
         max_ticks=4000,
         record_access_order=record,
+        faults=whole_run_loss(0.2) if name == "phantom_loss" else None,
     )
     assert stats.egressed + stats.dropped > 0
 
@@ -180,9 +189,11 @@ def test_phantom_loss_counted_separately():
     """In-flight phantom losses land in ``phantoms_lost``, not in the
     FIFO-full drop counter."""
     program = make_sensitivity_program(num_stateful=4, register_size=64)
-    config = MP5Config(num_pipelines=4, phantom_loss_rate=0.9)
     stats, _ = run_mp5(
-        program, sensitivity_trace(100, 4, 4, 64, seed=0), config
+        program,
+        sensitivity_trace(100, 4, 4, 64, seed=0),
+        MP5Config(num_pipelines=4),
+        faults=whole_run_loss(0.9),
     )
     assert stats.phantoms_lost > 0
     assert stats.drops_fifo_full == 0

@@ -64,7 +64,6 @@ CONFIG_VARIANTS = {
     "short_remap": dict(remap_period=7),
     "flow_order": dict(flow_order_field="f0"),
     "tiny_fifo": dict(fifo_capacity=2),
-    "phantom_loss": dict(phantom_loss_rate=0.3),
 }
 
 

@@ -6,14 +6,16 @@ admission rule is exactness: for every supported (program, config,
 trace) it must produce the *identical* :class:`SwitchStats` and final
 register state as the fast engine (itself pinned to the dense
 reference by ``test_fastpath_equivalence``). Anything it cannot
-reproduce bit-for-bit must raise :class:`VectorUnsupported` or fall
-back — never approximate.
+reproduce bit-for-bit must raise :class:`VectorUnsupported` at
+construction, or be handed to the fast engine by ``build_switch``
+before the first packet — never approximate.
 
 This module asserts both halves of that contract: native agreement
 over the sensitivity workload, every real application, fuzzed
-programs, and the supported config matrix; and fallback equivalence
+programs, and the supported config matrix; and the fallback ladder
 (one warning per scope naming the reason, for config knobs, program
-shapes and faults alike) for everything else — plus the end-to-end check that ``run_all``
+shapes, faults and access-order recording alike) for everything else —
+plus the end-to-end check that ``run_all``
 produces byte-identical ``results.json`` under ``engine="vector"``
 and ``engine="fast"``. Observability sinks no longer fall back: the
 vector engine reconstructs the event stream after the closed-form run
@@ -32,6 +34,7 @@ from hypothesis import strategies as st
 from repro.apps import ALL_APPS
 from repro.cli import main
 from repro.compiler import compile_program
+from repro.errors import ConfigError
 from repro.faults import FaultSchedule
 from repro.harness.runall import run_all
 from repro.mp5 import (
@@ -40,17 +43,24 @@ from repro.mp5 import (
     MP5Config,
     VectorSwitch,
     VectorUnsupported,
+    build_switch,
     run_mp5,
     run_mp5_reference,
     run_mp5_vector,
 )
-from repro.mp5.vector import config_fallback_reason, reset_fallback_warnings
+from repro.mp5.vector import reset_fallback_warnings
 from repro.obs import InvariantMonitor
-from repro.workloads import line_rate_trace
+from repro.service import ServiceThread, SwitchService
+from repro.service.client import ServiceClient
+from repro.service.daemon import render_payload, segment_payload
+from repro.workloads import line_rate_trace, random_headers
 from repro.workloads.synthetic import make_sensitivity_program, sensitivity_trace
+from repro.workloads.traceio import packet_to_dict
 
+from tests.test_failure_injection import whole_run_loss
 from tests.test_fuzz_equivalence import FIELDS, random_program
 from tests.test_integration import HEADER_GENERATORS
+from tests.test_trace_input import _assert_unchanged, _snapshot as _trace_snapshot
 
 
 @pytest.fixture(autouse=True)
@@ -234,44 +244,152 @@ def test_vector_agrees_fuzzed_program(seed):
 
 
 # ---------------------------------------------------------------------------
-# Fallback matrix
+# The fallback ladder: every rung, settled by build_switch
 # ---------------------------------------------------------------------------
 
-FALLBACK_CONFIGS = {
-    "ideal_queues": dict(ideal_queues=True),
-    "no_phantoms": dict(enable_phantoms=False),
-    "tiny_fifo": dict(fifo_capacity=2),
-    "ecn": dict(ecn_threshold=4),
-    "starvation": dict(starvation_threshold=5),
-    "phantom_loss": dict(phantom_loss_rate=0.2),
-    "crossbar": dict(record_crossbar=True),
-    "affinity_spray": dict(spray_policy="affinity"),
+
+def _sensitivity_program():
+    return make_sensitivity_program(num_stateful=4, register_size=64)
+
+
+# name -> (program, MP5Config kwargs, build_switch/run keywords, reason).
+# The seven config knobs of config_fallback_reason, armed faults (the
+# uniform phantom loss that was a knob), access-order recording, and
+# the three bundled programs outside the envelope.
+LADDER = {
+    "ideal_queues": (
+        _sensitivity_program, dict(ideal_queues=True), {}, "ideal_queues"
+    ),
+    "no_phantoms": (
+        _sensitivity_program,
+        dict(enable_phantoms=False),
+        {},
+        "enable_phantoms=False",
+    ),
+    "tiny_fifo": (
+        _sensitivity_program,
+        dict(fifo_capacity=2),
+        {},
+        "bounded fifo_capacity",
+    ),
+    "ecn": (_sensitivity_program, dict(ecn_threshold=4), {}, "ecn_threshold"),
+    "starvation": (
+        _sensitivity_program,
+        dict(starvation_threshold=5),
+        {},
+        "starvation_threshold",
+    ),
+    "crossbar": (
+        _sensitivity_program, dict(record_crossbar=True), {}, "record_crossbar"
+    ),
+    "affinity_spray": (
+        _sensitivity_program,
+        dict(spray_policy="affinity"),
+        {},
+        "spray_policy='affinity'",
+    ),
+    "phantom_loss": (
+        _sensitivity_program,
+        {},
+        dict(faults=whole_run_loss(0.2)),
+        "faults attached",
+    ),
+    "record_access_order": (
+        _sensitivity_program,
+        {},
+        dict(record_access_order=True),
+        "record_access_order",
+    ),
+    **{
+        name: (
+            functools.partial(compile_program, name),
+            {},
+            {},
+            "resolvable access guard",
+        )
+        for name in ("figure3", "netcache", "rcp")
+    },
 }
 
 
-@pytest.mark.parametrize("name", sorted(FALLBACK_CONFIGS))
+@pytest.mark.parametrize("name", sorted(LADDER))
 def test_unsupported_config_falls_back_silently(name, capsys):
-    """A config knob outside the envelope falls back to fast-engine
-    results and warns once per ``reset_fallback_warnings`` scope, naming
-    the knob — the same rule as faults and program shapes. (The name
-    predates the warning: config fallbacks used to be silent.)"""
-    config = MP5Config(num_pipelines=4, **FALLBACK_CONFIGS[name])
-    reason = config_fallback_reason(config)
-    assert reason is not None
+    """Every rung of the fallback ladder is settled in ``build_switch``
+    before the first packet: it returns a fast switch, prints exactly
+    one line naming the reason once per ``reset_fallback_warnings``
+    scope, and the run equals ``run_mp5``'s. (The name predates the
+    warning and the non-config rungs.)"""
+    make_program, cfg_kw, run_kw, reason = LADDER[name]
+    program = make_program()
+    config = MP5Config(num_pipelines=4, **cfg_kw)
     line = f"vector engine: {reason}; falling back to the fast engine\n"
-    program = make_sensitivity_program(num_stateful=4, register_size=64)
-    fast = run_mp5(
-        program, sensitivity_trace(200, 4, 4, 64, seed=0), config
-    )
+
+    def trace():
+        return line_rate_trace(200, 4, random_headers(program), seed=0)
+
+    fast = run_mp5(program, trace(), config, **run_kw)
+    record = run_kw.get("record_access_order", False)
     for _ in range(2):
-        vec = run_mp5_vector(
-            program, sensitivity_trace(200, 4, 4, 64, seed=0), config
-        )
-        assert vec == fast
+        switch = build_switch("vector", program, config, **run_kw)
+        assert switch.engine == "fast"
+        stats = switch.run(trace(), record_access_order=record)
+        assert (stats, switch.public_registers()) == fast
     assert capsys.readouterr().err == line
     reset_fallback_warnings()
-    run_mp5_vector(program, sensitivity_trace(50, 4, 4, 64, seed=0), config)
+    assert run_mp5_vector(program, trace(), config, **run_kw) == fast
     assert capsys.readouterr().err == line
+
+
+def test_vector_switch_refuses_what_the_ladder_settles():
+    """Past construction a ``VectorSwitch`` never falls back: a
+    non-empty schedule or access-order recording is misuse."""
+    switch = VectorSwitch(_sensitivity_program(), MP5Config(num_pipelines=4))
+    switch.attach_faults(FaultSchedule())  # empty: no schedule at all
+    with pytest.raises(ConfigError, match="fault schedule"):
+        switch.attach_faults(whole_run_loss(0.2))
+    with pytest.raises(ConfigError, match="access order"):
+        switch.start(record_access_order=True)
+
+
+def test_empty_fault_schedule_stays_on_vector(tmp_path, capsys):
+    """An empty schedule is no schedule, on every path: the runner, the
+    CLI and the daemon run the vector engine without a fallback line,
+    and the results equal the unscheduled run byte for byte."""
+    program = compile_program("heavy_hitter")
+    config = MP5Config(num_pipelines=4, seed=5)
+    trace = line_rate_trace(300, 4, random_headers(program), seed=3)
+
+    def rendered(run):
+        return render_payload(segment_payload(*run))
+
+    want = rendered(ENGINES["vector"](program, trace, config))
+    got = ENGINES["vector"](program, trace, config, faults=FaultSchedule())
+    assert rendered(got) == want
+    assert capsys.readouterr().err == ""
+
+    path = tmp_path / "empty.json"
+    FaultSchedule().save(path)
+    assert main(
+        ["run", "sequencer", "--packets", "200", "--engine", "vector",
+         "--faults", str(path)]
+    ) == 0
+    assert "falling back" not in capsys.readouterr().err
+
+    service = SwitchService(
+        program="heavy_hitter",
+        engine="vector",
+        config=config,
+        faults=FaultSchedule(),
+    )
+    with ServiceThread(service) as thread:
+        client = ServiceClient(*thread.address, timeout=30)
+        client.ingest([packet_to_dict(p) for p in trace])
+        record = client.drain()["closed_segment"]
+        served = client.segment_results(0)
+        client.shutdown()
+    assert record["engine"] == "vector"
+    assert served == want
+    assert "falling back" not in capsys.readouterr().err
 
 
 def test_observability_runs_on_vector_without_fallback(capsys):
@@ -745,36 +863,24 @@ def test_vector_feed_after_draining_pump_rejected():
         switch.feed(trace[100:])
 
 
-def test_negative_arrival_falls_back_and_matches_all_engines(capsys):
-    """The epoch recurrence starts at tick 0; a trace that arrives
-    before it must leave the vector engine before any shared state is
-    touched (it used to spin), and the fallback equals the oracles."""
+def test_negative_arrival_is_a_config_error_on_every_engine():
+    """Every engine's ticks start at 0, as the wire's range check
+    already says: a batch holding a negative arrival is a ``ConfigError``
+    from ``feed``, raised before any state changes, and the trace is
+    only read."""
     program = make_sensitivity_program(num_stateful=4, register_size=64)
     config = MP5Config(num_pipelines=4)
-
-    def trace():
-        packets = sensitivity_trace(2, 4, 4, 64, seed=0)
-        packets[0].arrival, packets[1].arrival = -5, 7
-        return packets
-
-    switch = VectorSwitch(program, config)
-    switch.start()
-    fed = trace()
-    with pytest.raises(VectorUnsupported, match="negative arrival"):
-        switch.feed(fed)
-    assert switch.stats.offered == 0 and switch.stream_stats()["buffered"] == 0
-    assert [p.pkt_id for p in fed] == [0, 1] and not fed[0].accesses
-
-    want = _result(run_mp5(program, trace(), config))
-    assert want[0]["egressed"] == 2
-    assert _result(run_mp5_reference(program, trace(), config)) == want
-    assert _result(ENGINES["vector"](program, trace(), config)) == want
-    assert "negative arrival" in capsys.readouterr().err
-
-
-def _result(run):
-    stats, registers = run
-    return stats.summary(), stats.latencies, registers
+    fed = sensitivity_trace(2, 4, 4, 64, seed=0)
+    fed[0].arrival, fed[1].arrival = 7, -5
+    snap = _trace_snapshot(fed)
+    for engine in ("dense", "fast", "vector"):
+        switch = build_switch(engine, program, config)
+        assert switch.engine == engine
+        switch.start()
+        with pytest.raises(ConfigError, match="arrivals must be >= 0"):
+            switch.feed(fed)
+        assert switch.stats.offered == 0, engine
+        _assert_unchanged(fed, snap)
 
 
 def test_vector_work_available_gates_on_watermark():
