@@ -9,16 +9,18 @@ layer — injection ticks, FIFO group membership, pop chains, access and
 in-flight counters, and every remap decision derived from them.
 
 * **Phase A** (:class:`EpochStreamer`) — the sequential sweep over
-  remap epochs, now *incremental*: :meth:`EpochStreamer.ingest`
-  extends the injection recurrence as packets arrive, and
-  :meth:`EpochStreamer.advance_epoch` processes one epoch cut as soon
-  as the ingest watermark proves its arrivals are complete (every
-  future packet has ``inj >= ceil(arrival) >= watermark > cut``). It
-  injects packets, maintains the per-(plan, pipeline) FIFO groups and
-  their pop chains (``pop[j] = max(pop[j-1] + 1, insert[j])``), drives
-  the real :class:`~repro.mp5.sharding.ShardingRuntime` at every
-  boundary, and records *who pops when, from which pipeline* — but
-  performs no stateful service. Once the sweep is done,
+  remap epochs, *incremental*: :meth:`EpochStreamer.ingest` extends
+  the injection recurrence and runs the resolution stage as packets
+  arrive, and :meth:`EpochStreamer.advance_epoch` processes one epoch
+  cut as soon as the ingest watermark proves its arrivals are complete
+  (every future packet has ``inj >= ceil(arrival) >= watermark >
+  cut``). A row's destinations are read from the index map when it
+  injects, behind every earlier member of its FIFO groups, so the cut
+  that injects it resolves its pops at every plan (``pop[j] =
+  max(pop[j-1] + 1, insert[j])``) and its egress; an epoch's chunk is
+  the rows that pop in it, which the in-flight counters the real
+  :class:`~repro.mp5.sharding.ShardingRuntime` remaps from at each
+  boundary follow. No stateful service runs here. Once the sweep is done,
   :meth:`EpochStreamer.finalize` snapshots it as an
   :class:`EpochSchedule`, the run's task DAG — per-plan pop streams in
   epoch order, independent of feed chunking and of how Phase B executes.
@@ -78,27 +80,6 @@ def _grown(arr: np.ndarray, n: int, fill=None) -> np.ndarray:
     return out
 
 
-class _Group:
-    """One (plan, pipeline) FIFO group: members in packet-id order."""
-
-    __slots__ = ("members", "count", "ptr", "last_pop")
-
-    def __init__(self, capacity: int = 0):
-        self.members = np.empty(capacity, dtype=np.int64)
-        self.count = 0  # filled members (membership fixed at inject)
-        self.ptr = 0  # members already popped
-        self.last_pop = -1
-
-    def push(self, rows: np.ndarray) -> None:
-        need = self.count + rows.shape[0]
-        if need > self.members.shape[0]:
-            # Growth copies; popped slices handed out earlier keep the
-            # old buffer alive and are never rewritten.
-            self.members = _grown(self.members, need)
-        self.members[self.count : need] = rows
-        self.count = need
-
-
 class EpochSchedule:
     """Phase A's output: the timing of one run, service still pending.
 
@@ -106,17 +87,18 @@ class EpochSchedule:
     ``(rows, pops)`` pairs in epoch order; the popped pipeline of a row
     is ``dest[pi][row]`` (group membership is fixed at inject). The
     remaining arrays are the per-packet timeline the statistics
-    reconstruction consumes.
+    reconstruction consumes; :meth:`lanes` splits a plan's injected
+    rows into its FIFO groups.
     """
 
     __slots__ = (
+        "k",
         "inj",
         "entry_pipe",
         "acc_idx",
         "dest",
         "ins_tick",
         "pop_tick",
-        "groups",
         "chunks",
         "egr_tick",
         "egr_pipe",
@@ -148,6 +130,17 @@ class EpochSchedule:
         digest.update(self.egr_pipe.tobytes())
         return digest.hexdigest()
 
+    def lanes(self, pi: int) -> List[np.ndarray]:
+        """Plan ``pi``'s FIFO groups: per pipeline, the injected rows
+        routed there in id order — which is their pop order, so a
+        group's pop ticks rise along it. One stable sort of ``dest``."""
+        dest = self.dest[pi][: self.injected]
+        order = np.argsort(
+            dest.astype(np.min_scalar_type(self.k - 1)), kind="stable"
+        )
+        ends = np.cumsum(np.bincount(dest, minlength=self.k))
+        return np.split(order, ends[:-1])
+
 
 class EpochStreamer:
     """Incremental Phase A: the epoch sweep as a resumable state
@@ -156,14 +149,15 @@ class EpochStreamer:
     The sweep's loop body is split at its two decision points:
 
     * **content** — compute the epoch's cut, inject every packet with
-      ``inj <= cut`` and pop every FIFO chain through it. Mid-stream
+      ``inj <= cut`` (resolving its timeline at every plan, see
+      :meth:`_inject`) and commit every pop at or before it. Mid-stream
       this requires the cut to be *closed*: ``cut < watermark`` proves
       no future packet can inject at or before it (monotone feeds give
       ``inj >= ceil(arrival) >= watermark``).
     * **decide** — at the boundary, re-create the scalar run loop's
       liveness test. ``injected > egr_assigned`` and
       ``last_egress >= boundary`` are exact once the content is
-      processed; ``inj_ptr < n_fed`` is the one clause that depends on
+      processed; ``injected < n_fed`` is the one clause that depends on
       packets not yet fed, so a boundary that looks dead mid-stream
       *stalls* (no remap, no progress) until either a later feed
       revives it or the drain (``final=True``) confirms it.
@@ -172,8 +166,9 @@ class EpochStreamer:
     cut is only provably complete at drain, so nothing advances
     mid-stream and memory-bounded streaming requires remapping on.
 
-    The per-packet arrays grow by doubling; every value is written by
-    the same expressions in the same order whenever its cut closes, so
+    The per-packet arrays grow by doubling. A row's timeline depends
+    only on earlier rows and on the index map at its injection, and a
+    chunk only on which pops fall at or before a cut, so
     :meth:`finalize`'s :class:`EpochSchedule` — and therefore the DAG
     signature — is bit-identical at any feed chunking.
     """
@@ -214,15 +209,17 @@ class EpochStreamer:
         self.dest = [np.empty(0, dtype=np.int64) for _ in self.vplans]
         self.ins_tick = [np.empty(0, dtype=np.int64) for _ in self.vplans]
         self.pop_tick = [np.empty(0, dtype=np.int64) for _ in self.vplans]
-        self.groups = [
-            [_Group() for _ in range(self.k)] for _ in self.vplans
-        ]
+        # Per plan: each group's last resolved pop, and the injected
+        # rows whose pop lies past the last cut, with those pops.
+        self.last_pop = [np.full(self.k, -1, np.int64) for _ in self.vplans]
+        none = np.empty(0, dtype=np.int64)
+        self.pending = [(none, none) for _ in self.vplans]
+        self._pipe_key = np.min_scalar_type(self.k - 1)  # radix sort key
         self.chunks: List[List[Tuple[np.ndarray, np.ndarray]]] = [
             [] for _ in self.vplans
         ]
         self.remap_records: List[Tuple[int, int]] = []
 
-        self.inj_ptr = 0
         self.injected = 0
         self.egr_assigned = 0
         self.last_egress = -1
@@ -251,8 +248,9 @@ class EpochStreamer:
 
         ``arrival`` is the batch's float64 arrival column, already in
         global (arrival, port, pkt_id) order — the caller enforces the
-        monotone-feed contract. Only the timing recurrence runs here;
-        injection itself happens when a cut that covers it is processed.
+        monotone-feed contract. The timing recurrence and the stateless
+        resolution stage run here (:meth:`_resolve`); injection itself
+        happens when a cut that covers it is processed.
         """
         n = int(arrival.shape[0])
         if n == 0:
@@ -285,140 +283,137 @@ class EpochStreamer:
             self._class_count[r] = count + sel.shape[0]
         self.entry_pipe[lo:hi] = np.arange(lo, hi, dtype=np.int64) % k
         self.n_fed = hi
+        self._resolve(lo, hi)
 
-    # -- the sweep ------------------------------------------------------
-
-    def _process_inject(self, rows: np.ndarray) -> None:
+    def _resolve(self, lo: int, hi: int) -> None:
+        """Run the resolution stage over fed rows ``[lo, hi)`` and read
+        off each plan's access index. Stage 0 and the pre-plan transit
+        stages are stateless by admission, so running them at ingest —
+        before any service executes — reads and writes only the rows'
+        own columns."""
         H, E, R = self.H, self.E, self.R
-        cfg = self.cfg
-        vplans = self.vplans
-        sharder = self.sharder
-        inj = self.inj
-        cut_limit = self.cut_limit
-        k = self.k
-        # The resolution stage and pre-plan transit stages are
-        # stateless by admission, so running them here — before any
-        # service executes — reads and writes only the rows' own
-        # columns, exactly as the interleaved engine did.
+        rows = np.arange(lo, hi, dtype=np.int64)
         kern0 = self.kernels[0]
         if kern0 is not None:
             kern0.fn(H, R, E, rows)
         for u in self.transit_after_inject:
             self.kernels[u].fn(H, R, E, rows)
-        t_rows = inj[rows]
-        if not vplans:
-            et = t_rows + (self.depth - 1)
-            rows_e = rows
-            if cut_limit is not None:
-                keep = et <= cut_limit
-                rows_e = rows[keep]
-                et = et[keep]
-            if rows_e.size:
-                self.egr_tick[rows_e] = et
-                self.egr_pipe[rows_e] = self.entry_pipe[rows_e]
-                self.egr_assigned += rows_e.shape[0]
-                self.last_egress = max(self.last_egress, int(et[-1]))
-            return
-        for pi, plan in enumerate(vplans):
-            state = sharder.arrays[plan.base]
+        for pi, plan in enumerate(self.vplans):
             if plan.is_flow:
                 # Raw keys: only their low 32 bits reach the hash's
                 # first multiply, whose int64 product wraps mod 2**64.
-                keys = H[cfg.flow_order_field][rows]
-                iv = _flow_hash(keys, 0x5F0E) % plan.size
+                keys = H[self.cfg.flow_order_field][lo:hi]
+                self.acc_idx[pi][lo:hi] = _flow_hash(keys, 0x5F0E) % plan.size
             elif plan.has_index:
                 op = plan.index_operand
                 if isinstance(op, Const):
-                    iv = np.full(
-                        rows.shape[0], op.value % plan.size, dtype=np.int64
-                    )
+                    self.acc_idx[pi][lo:hi] = op.value % plan.size
                 else:
-                    iv = E[op.name][rows] % plan.size
-            else:
-                iv = None
-            if iv is not None:
+                    self.acc_idx[pi][lo:hi] = E[op.name][lo:hi] % plan.size
+
+    # -- the sweep ------------------------------------------------------
+
+    def _chain(self, pi: int, dv: np.ndarray, ins: np.ndarray):
+        """Pops at plan ``pi`` of newly injected rows bound for pipelines
+        ``dv`` with insert ticks ``ins``: each group's chain ``pop[j] =
+        max(pop[j-1] + 1, ins[j])``, continued from its last pop, for
+        all pipelines in one running maximum. Returns the pops in row
+        order, then the rows' offsets and pops in (pipeline, id) order."""
+        n = dv.shape[0]
+        last = self.last_pop[pi]
+        order = dv.astype(self._pipe_key).argsort(kind="stable")
+        counts = np.bincount(dv, minlength=self.k)
+        ends = counts.cumsum()
+        seg = dv[order]
+        j = np.arange(n, dtype=np.int64) - (ends - counts)[seg]
+        v = np.maximum(ins[order], last[seg] + 1) - j
+        # Lift each group's values above every earlier group's, so the
+        # one running maximum restarts at each group boundary.
+        lift = seg * (int(v.max()) - int(v.min()) + 1)
+        pops_s = j + np.maximum.accumulate(v + lift) - lift
+        hit = counts > 0
+        last[hit] = pops_s[ends[hit] - 1]
+        pops = np.empty(n, dtype=np.int64)
+        pops[order] = pops_s
+        return pops, order, pops_s
+
+    def _inject(self, lo: int, hi: int) -> None:
+        """Inject rows ``[lo, hi)`` and resolve their whole timeline.
+        Per plan, in stage order: count the accesses into the sharder,
+        read each row's pipeline off the index map as it stands now,
+        continue the groups' pop chains and add the stage gap for the
+        next insert (after the last plan: the egress tick). The rows
+        join each plan's pending list in (pipeline, id) order."""
+        vplans = self.vplans
+        stages = [plan.stage for plan in vplans] + [self.depth]
+        ins = self.inj[lo:hi] + (stages[0] - 1)
+        dv = self.entry_pipe[lo:hi]
+        for pi, plan in enumerate(vplans):
+            self.ins_tick[pi][lo:hi] = ins
+            state = self.sharder.arrays[plan.base]
+            if plan.has_index:
+                iv = self.acc_idx[pi][lo:hi]
                 counts = np.bincount(iv, minlength=plan.size)
                 state.access_counts += counts
                 state.in_flight += counts.astype(state.in_flight.dtype)
                 dv = state.index_to_pipeline[iv].astype(np.int64)
-                self.acc_idx[pi][rows] = iv
             else:
-                dv = np.full(
-                    rows.shape[0],
-                    int(state.index_to_pipeline[0]),
-                    dtype=np.int64,
-                )
-            self.dest[pi][rows] = dv
-            if k == 1:
-                self.groups[pi][0].push(rows)
-            else:
-                for pipe in range(k):
-                    sel = rows[dv == pipe]
-                    if sel.size:
-                        self.groups[pi][pipe].push(sel)
-        self.ins_tick[0][rows] = t_rows + (vplans[0].stage - 1)
+                dv = np.full(hi - lo, int(state.index_to_pipeline[0]))
+            self.dest[pi][lo:hi] = dv
+            pops, order, pops_s = self._chain(pi, dv, ins)
+            self.pop_tick[pi][lo:hi] = pops
+            rows, pend = self.pending[pi]
+            self.pending[pi] = (
+                np.concatenate((rows, order + lo)),
+                np.concatenate((pend, pops_s)),
+            )
+            ins = pops + (stages[pi + 1] - plan.stage)
+        self.egr_tick[lo:hi] = ins
+        self.egr_pipe[lo:hi] = dv
+        self.injected = hi
+        if not vplans:
+            self._close_egress(ins)  # no FIFO on the way
+
+    def _close_egress(self, et: np.ndarray) -> None:
+        """Count the egresses ``et`` of rows whose last pop committed.
+        The run loop breaks before tick ``max_ticks``: an egress past
+        ``cut_limit`` never executes, and the packet stays buffered."""
+        if self.cut_limit is not None:
+            et = et[et <= self.cut_limit]
+        if et.size:
+            self.egr_assigned += et.shape[0]
+            self.last_egress = max(self.last_egress, int(et.max()))
 
     def _process_cut(
         self, cut: int
     ) -> List[Tuple[int, np.ndarray, np.ndarray]]:
-        """Inject and pop everything scheduled at or before ``cut``.
-        Returns the epoch's service step: per-plan ``(pi, rows, pops)``
-        entries in plan order — :func:`execute_epoch_service` consumes
-        a list of them."""
+        """Inject everything scheduled at or before ``cut`` and commit
+        every pop at or before it. Returns the epoch's service step:
+        per-plan ``(pi, rows, pops)`` entries in plan order —
+        :func:`execute_epoch_service` consumes a list of them. A chunk
+        is the plan's pending rows that pop by the cut, older rows
+        first, so one group's rows — and hence one index's — stay in
+        pop order."""
         vplans = self.vplans
-        k = self.k
-        cut_limit = self.cut_limit
         step: List[Tuple[int, np.ndarray, np.ndarray]] = []
 
         hi = int(
             np.searchsorted(self.inj[: self.n_fed], cut, side="right")
         )
-        if hi > self.inj_ptr:
-            rows = np.arange(self.inj_ptr, hi, dtype=np.int64)
-            self.inj_ptr = hi
-            self.injected += rows.shape[0]
-            self._process_inject(rows)
+        if hi > self.injected:
+            self._inject(self.injected, hi)
 
         for pi, plan in enumerate(vplans):
-            ipt = self.ins_tick[pi]
-            popped = []
-            for pipe in range(k):
-                g = self.groups[pi][pipe]
-                avail = g.count - g.ptr
-                if avail <= 0:
-                    continue
-                max_pops = cut - g.last_pop
-                if max_pops <= 0:
-                    continue
-                take = min(avail, max_pops)
-                seg_rows = g.members[g.ptr : g.ptr + take]
-                seg_ins = ipt[seg_rows]
-                unknown = np.nonzero(seg_ins < 0)[0]
-                if unknown.size:
-                    take = int(unknown[0])
-                    if take == 0:
-                        continue
-                    seg_rows = seg_rows[:take]
-                    seg_ins = seg_ins[:take]
-                j = np.arange(seg_rows.shape[0], dtype=np.int64)
-                base = np.maximum(seg_ins, g.last_pop + 1)
-                pops = j + np.maximum.accumulate(base - j)
-                cnt = int(np.searchsorted(pops, cut, side="right"))
-                if cnt == 0:
-                    continue
-                rows_p = seg_rows[:cnt]
-                pops = pops[:cnt]
-                g.ptr += cnt
-                g.last_pop = int(pops[-1])
-                self.pop_tick[pi][rows_p] = pops
-                popped.append((rows_p, pops))
-            if not popped:
+            rows_p, pops = self.pending[pi]
+            due = pops <= cut
+            cnt = int(np.count_nonzero(due))
+            if cnt == 0:
                 continue
-            if len(popped) == 1:
-                rows_p, pops = popped[0]
+            if cnt < pops.shape[0]:
+                self.pending[pi] = (rows_p[~due], pops[~due])
+                rows_p, pops = rows_p[due], pops[due]
             else:
-                rows_p = np.concatenate([c[0] for c in popped])
-                pops = np.concatenate([c[1] for c in popped])
+                self.pending[pi] = (rows_p[:0], pops[:0])
             self.chunks[pi].append((rows_p, pops))
             step.append((pi, rows_p, pops))
             if plan.has_index and not plan.is_flow:
@@ -426,26 +421,8 @@ class EpochStreamer:
                 state.in_flight -= np.bincount(
                     self.acc_idx[pi][rows_p], minlength=plan.size
                 ).astype(state.in_flight.dtype)
-            if pi + 1 < self.nplans:
-                delta = vplans[pi + 1].stage - plan.stage
-                self.ins_tick[pi + 1][rows_p] = pops + delta
-            else:
-                # The run loop breaks before tick max_ticks, so an
-                # egress scheduled past the cutoff never executes: the
-                # packet is stuck in the tail.
-                et = pops + (self.depth - plan.stage)
-                rows_e = rows_p
-                if cut_limit is not None:
-                    keep = et <= cut_limit
-                    rows_e = rows_p[keep]
-                    et = et[keep]
-                if rows_e.size:
-                    self.egr_tick[rows_e] = et
-                    self.egr_pipe[rows_e] = self.dest[pi][rows_e]
-                    self.egr_assigned += rows_e.shape[0]
-                    self.last_egress = max(
-                        self.last_egress, int(et.max())
-                    )
+            if pi + 1 == len(vplans):
+                self._close_egress(pops + (self.depth - plan.stage))
         self.executed_through = cut
         return step
 
@@ -461,7 +438,7 @@ class EpochStreamer:
             if self.cut_limit is not None and boundary > self.cut_limit:
                 return True  # one advance marks the sweep done
             return (
-                self.inj_ptr < self.n_fed
+                self.injected < self.n_fed
                 or self.injected > self.egr_assigned
                 or self.last_egress >= boundary
             )
@@ -495,7 +472,7 @@ class EpochStreamer:
                 # packets are still pending injection or in flight
                 # there — only then does that tick's remap execute.
                 alive = (
-                    self.inj_ptr < self.n_fed
+                    self.injected < self.n_fed
                     or self.injected > self.egr_assigned
                     or self.last_egress >= boundary
                 )
@@ -513,7 +490,7 @@ class EpochStreamer:
                     self.done = True
                     return None
                 # Dead as far as fed packets go, but a later feed can
-                # revive the boundary (the scalar test is inj_ptr < N
+                # revive the boundary (the scalar test is injected < N
                 # over the *whole* trace): stall until feed or drain.
                 return None
 
@@ -546,10 +523,22 @@ class EpochStreamer:
 
     def finalize(self) -> EpochSchedule:
         """Snapshot the finished sweep as an :class:`EpochSchedule`
-        (capacity arrays trimmed to the fed prefix; chunk and group
-        objects shared, not copied)."""
+        (capacity arrays trimmed to the fed prefix; chunk lists shared,
+        not copied). The run loop breaks before tick ``max_ticks``, so
+        a tick past ``cut_limit`` never executes: such a pop, the
+        insert it feeds and such an egress read -1."""
         n = self.n_fed
+        if self.cut_limit is not None:
+            for pi, pops in enumerate(self.pop_tick):
+                late = pops[:n] > self.cut_limit
+                pops[:n][late] = -1
+                if pi + 1 < self.nplans:
+                    self.ins_tick[pi + 1][:n][late] = -1
+            late = self.egr_tick[:n] > self.cut_limit
+            self.egr_tick[:n][late] = -1
+            self.egr_pipe[:n][late] = -1
         sched = EpochSchedule()
+        sched.k = self.k
         sched.cut_limit = self.cut_limit
         sched.remap_records = self.remap_records
         sched.inj = self.inj[:n]
@@ -560,7 +549,6 @@ class EpochStreamer:
         sched.dest = [d[:n] for d in self.dest]
         sched.ins_tick = [t[:n] for t in self.ins_tick]
         sched.pop_tick = [t[:n] for t in self.pop_tick]
-        sched.groups = self.groups
         sched.chunks = self.chunks
         sched.egr_tick = self.egr_tick[:n]
         sched.egr_pipe = self.egr_pipe[:n]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -208,9 +209,11 @@ def _header_columns(
     only when a header turns out sparse."""
     if fields is None:
         fields = tuple(dict.fromkeys(chain.from_iterable(hdrs)))
+    n = len(hdrs)
     try:
         return {
-            f: np.array([h[f] for h in hdrs], dtype=np.int64) for f in fields
+            f: np.fromiter(map(itemgetter(f), hdrs), np.int64, count=n)
+            for f in fields
         }
     except KeyError:
         return {

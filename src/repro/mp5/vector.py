@@ -74,7 +74,7 @@ from .epochs import (
     execute_epoch_service,
     program_cache,
 )
-from .packet import DataPacket, PacketColumns, private_packet
+from .packet import PacketColumns, private_packet
 from .stats import SwitchStats
 from .switch import FLOW_ORDER_ARRAY, MP5Switch
 
@@ -463,7 +463,8 @@ class VectorSwitch(MP5Switch):
             for name, values in self.registers.items()
         }
         # The per-packet facts kept past feed(), as columns by row:
-        # arrivals are ``stats.arrival_ticks``, plus port and flow.
+        # arrival (as given: ``stats.arrival_ticks``), port and flow.
+        self._arrival = np.empty(0, dtype=np.float64)
         self._port = np.empty(0, dtype=np.int64)
         self._flow: List = []
         self._max_ticks = max_ticks
@@ -511,11 +512,12 @@ class VectorSwitch(MP5Switch):
             )
         cols = entries
         if not isinstance(cols, PacketColumns):
-            packets = [
-                e if isinstance(e, DataPacket) else private_packet(i, e)
-                for i, e in enumerate(entries)
-            ]
-            cols = PacketColumns.from_packets(packets, self._field_list)
+            packets = entries if isinstance(entries, list) else list(entries)
+            try:
+                cols = PacketColumns.from_packets(packets, self._field_list)
+            except AttributeError:  # tuples: only these need packets
+                packets = [private_packet(i, e) for i, e in enumerate(packets)]
+                cols = PacketColumns.from_packets(packets, self._field_list)
         n = len(cols)
         if n == 0:
             return 0
@@ -539,6 +541,8 @@ class VectorSwitch(MP5Switch):
         hi = lo + n
         self._port = _grown(self._port, hi)
         self._port[lo:hi] = cols.port
+        self._arrival = _grown(self._arrival, hi)
+        self._arrival[lo:hi] = arr
         for f in self._field_list:
             # A field the batch does not carry reads 0 in every row.
             col = _grown(self._H[f], hi)
@@ -702,9 +706,7 @@ class VectorSwitch(MP5Switch):
         return self.finish()
 
     def _finalize_stats(self, schedule) -> None:
-        cfg = self.config
         stats = self.stats
-        k = cfg.num_pipelines
         N = len(self._flow)
         vplans = self._vplans
         nplans = len(vplans)
@@ -741,16 +743,20 @@ class VectorSwitch(MP5Switch):
             stats.egress_ticks = ticks_sorted.tolist()
             # Latency keeps the arrival's Python type (int arrivals give
             # int latencies, fractional ones floats) exactly like the
-            # scalar engines' per-packet subtraction.
+            # scalar engines' per-packet subtraction; one type throughout
+            # is one subtraction in int64 or IEEE-double arithmetic.
             arrivals = stats.arrival_ticks
-            stats.latencies = [
-                t - arrivals[row]
-                for t, row in zip(
-                    ticks_sorted.tolist(), ordered.tolist()
-                )
-            ]
+            kinds = set(map(type, arrivals))
+            if kinds in ({int}, {float}):
+                arrived = self._arrival[ordered].astype(kinds.pop())
+                stats.latencies = (ticks_sorted - arrived).tolist()
+            else:
+                stats.latencies = [
+                    t - arrivals[row]
+                    for t, row in zip(stats.egress_ticks, ordered.tolist())
+                ]
             flow_ids = self._flow
-            if any(f is not None for f in flow_ids):
+            if flow_ids.count(None) < N:
                 flow_egress = stats.flow_egress
                 for row in ordered.tolist():
                     fid = flow_ids[row]
@@ -767,24 +773,19 @@ class VectorSwitch(MP5Switch):
         max_depth = 0
         peaks = stats.per_stage_peak_queue
         for pi, plan in enumerate(vplans):
-            for pipe in range(k):
-                g = schedule.groups[pi][pipe]
-                if g.count == 0:
-                    continue
-                members = g.members[: g.count]
+            for pipe, members in enumerate(schedule.lanes(pi)):
                 ins = ins_tick[pi][members]
                 ins = ins[(ins >= 0) & (ins <= last_exec)]
                 if ins.size == 0:
                     continue
+                # A group pops in id order, so its executed pops are
+                # already a rising prefix.
                 pops = pop_tick[pi][members]
                 pops = pops[pops >= 0]
                 ins_sorted = np.sort(ins)
-                pop_sorted = np.sort(pops)
                 # End-of-tick data occupancy changes only at event
                 # ticks; its peak lands on an insert tick.
-                occ = np.searchsorted(
-                    pop_sorted, ins_sorted, side="right"
-                )
+                occ = np.searchsorted(pops, ins_sorted, side="right")
                 occ = np.arange(1, ins_sorted.shape[0] + 1) - occ
                 peak = int(occ.max())
                 if peak > 0:

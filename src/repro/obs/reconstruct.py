@@ -587,8 +587,6 @@ def synthesize_events(switch, schedule) -> List[Tuple]:
     leading integer fields always differ before any None/str/float field
     is compared (a packet visits each stage once; lanes are unique).
     """
-    cfg = switch.config
-    k = cfg.num_pipelines
     vplans = switch._vplans
     stats = switch.stats
     last_exec = stats.ticks - 1
@@ -658,12 +656,10 @@ def synthesize_events(switch, schedule) -> List[Tuple]:
         stage = plan.stage
         ins_col = schedule.ins_tick[pi]
         pop_col = schedule.pop_tick[pi]
-        for pipe in range(k):
-            g = schedule.groups[pi][pipe]
-            cnt = g.count
+        for pipe, members in enumerate(schedule.lanes(pi)):
+            cnt = members.shape[0]
             if cnt == 0:
                 continue
-            members = g.members[:cnt]
             ins_m = np.where(
                 ins_col[members] >= 0, ins_col[members], _FAR
             ).tolist()

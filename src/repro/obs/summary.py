@@ -226,7 +226,8 @@ def render_epoch_section(profiler: Dict) -> str:
 
     Shows the epoch boundaries Phase A resolved with each boundary's
     remap outcome, the Phase A / Phase B / reconstruction wall-clock
-    split, the per-stage kernel tier that serviced each stateful stage,
+    split with Phase A's cost per resolved epoch, the per-stage kernel
+    tier that serviced each stateful stage,
     and what the reconstruction span fed (sink kinds, windows rolled,
     invariant predicates evaluated). Keys it does not know — the
     ``pool`` gauges older runs recorded — are ignored. Raises
@@ -291,6 +292,9 @@ def render_epoch_section(profiler: Dict) -> str:
                 ],
             )
         )
+        if "phase_a" in spans and epochs:  # the sweep's fixed cost
+            per_epoch = 1e6 * spans["phase_a"] / len(epochs)
+            parts.append(f"  Phase A per epoch: {per_epoch:.1f} us")
     if kernels:
         parts.append("")
         parts.append("Service kernel tiers")

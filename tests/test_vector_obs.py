@@ -286,6 +286,10 @@ def test_cli_trace_summary_epoch_section(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Vector epochs" in out
     assert "Service kernel tiers" in out
+    # Phase A's fixed cost: the phase_a span over the resolved epochs.
+    header = json.loads(open(trace_path).readline())["profiler"]
+    per_epoch = 1e6 * header["spans"]["phase_a"] / len(header["epochs"])
+    assert f"  Phase A per epoch: {per_epoch:.1f} us\n" in out
 
 
 def test_cli_profile_names_the_tier_that_ran(capsys):
@@ -326,6 +330,7 @@ def test_cli_trace_summary_ignores_recorded_pool_block(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Vector epochs (1 resolved)" in out
     assert "Phase split" in out
+    assert "Phase A per epoch: 20000.0 us" in out
     assert "Service kernel tiers" in out
     # The recorded tiers are still shown as recorded.
     assert "pool" in out and "python" in out
