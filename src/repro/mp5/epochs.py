@@ -20,20 +20,25 @@ in-flight counters, and every remap decision derived from them.
   max(pop[j-1] + 1, insert[j])``) and its egress; an epoch's chunk is
   the rows that pop in it, which the in-flight counters the real
   :class:`~repro.mp5.sharding.ShardingRuntime` remaps from at each
-  boundary follow. No stateful service runs here. Once the sweep is done,
+  boundary follow, and the cut appends it to each plan's unserviced
+  list. No stateful service runs here. Once the sweep is done,
   :meth:`EpochStreamer.finalize` snapshots it as an
-  :class:`EpochSchedule`, the run's task DAG — per-plan pop streams in
-  epoch order, independent of feed chunking and of how Phase B executes.
+  :class:`EpochSchedule`, the one record of the run: per-row tick
+  columns in which -1 means "never executes" (not injected, or past a
+  ``max_ticks`` cut), each plan's FIFO lanes and the egress order —
+  independent of feed chunking and of how Phase B executes. Stats,
+  sinks and the profiler read it; none re-derives it.
 
-* **Phase B** (:func:`execute_epoch_service`) — replays each pump's
-  steps against register state: every epoch one
+* **Phase B** (:func:`execute_epoch_service`) — drains what Phase A
+  queued against register state: every epoch one
   :meth:`~repro.mp5.vector.VectorSwitch.pump` closed is serviced in one
-  sweep, one pass per plan over the plan's chunks concatenated in epoch
-  order. An offline run is one sweep at the drain; ``pump(max_steps=1)``
-  is epoch-by-epoch service. Only Phase A needs the boundaries (the
-  remap reads counters there); a sweep of any width visits every slot
-  in the scalar engines' global (tick, pipeline) service order, for the
-  three reasons the function's docstring gives. A plan's sweep admits
+  sweep, one pass per plan over the plan's unserviced chunks
+  concatenated in epoch order. An offline run is one sweep at the
+  drain; ``pump(max_steps=1)`` is epoch-by-epoch service. Only Phase A
+  needs the boundaries (the remap reads counters there); a sweep of any
+  width visits every slot in the scalar engines' global (tick,
+  pipeline) service order, for the three reasons the function's
+  docstring gives. A plan's sweep admits
   three executions that are exact by construction, all in process: a
   segmented prefix sum per register slot for a scan-shaped stage
   (:func:`repro.compiler.lower.scan_form`: read-add-write and
@@ -81,14 +86,16 @@ def _grown(arr: np.ndarray, n: int, fill=None) -> np.ndarray:
 
 
 class EpochSchedule:
-    """Phase A's output: the timing of one run, service still pending.
+    """Phase A's output: the timing of one run, settled once.
 
-    ``chunks[pi]`` holds plan ``pi``'s pop stream as per-epoch
-    ``(rows, pops)`` pairs in epoch order; the popped pipeline of a row
-    is ``dest[pi][row]`` (group membership is fixed at inject). The
-    remaining arrays are the per-packet timeline the statistics
-    reconstruction consumes; :meth:`lanes` splits a plan's injected
-    rows into its FIFO groups.
+    Every stored tick column (``ins_tick``, ``pop_tick``, ``egr_tick``)
+    reads -1 for an event that never executes — a row never injected,
+    or a tick past a ``max_ticks`` cut — so "executed" is ``t >= 0``
+    everywhere. ``lanes[pi][pipe]`` is plan ``pi``'s FIFO group on
+    ``pipe``: the injected rows routed there in id order, which is
+    their pop order, so a group's pop ticks rise along it.
+    ``egress_rows`` are the executed egresses in the scalar engines'
+    (tick, pipeline) order. Consumers read these; none re-derives them.
     """
 
     __slots__ = (
@@ -99,9 +106,10 @@ class EpochSchedule:
         "dest",
         "ins_tick",
         "pop_tick",
-        "chunks",
+        "lanes",
         "egr_tick",
         "egr_pipe",
+        "egress_rows",
         "injected",
         "egr_assigned",
         "last_egress",
@@ -111,35 +119,24 @@ class EpochSchedule:
     )
 
     def dag_signature(self) -> str:
-        """Digest of the task DAG — everything Phase B consumes. Equal
-        signatures mean equal service work however it is executed
-        (the determinism contract's test hook)."""
+        """Digest of the task DAG: the per-row columns that fix Phase
+        B's service order (``pop_tick``, ``dest``, ``acc_idx``,
+        ``egr_tick``, ``egr_pipe``) and what fixes the epoch partition
+        (``remap_records``, ``epochs``, ``injected``). Equal signatures
+        mean equal service work however it is executed (the determinism
+        contract's test hook)."""
         digest = hashlib.sha256()
-        digest.update(np.int64(self.epochs).tobytes())
-        digest.update(np.int64(self.injected).tobytes())
-        for pi, pieces in enumerate(self.chunks):
-            digest.update(np.int64(len(pieces)).tobytes())
-            for rows, pops in pieces:
-                digest.update(rows.tobytes())
-                digest.update(pops.tobytes())
-                digest.update(self.dest[pi][rows].tobytes())
+        digest.update(np.int64([self.epochs, self.injected]).tobytes())
+        digest.update(np.int64(self.remap_records).tobytes())
+        for pi, pops in enumerate(self.pop_tick):
+            digest.update(pops.tobytes())
+            digest.update(self.dest[pi].tobytes())
             idx = self.acc_idx[pi]
             if idx is not None:
                 digest.update(idx.tobytes())
         digest.update(self.egr_tick.tobytes())
         digest.update(self.egr_pipe.tobytes())
         return digest.hexdigest()
-
-    def lanes(self, pi: int) -> List[np.ndarray]:
-        """Plan ``pi``'s FIFO groups: per pipeline, the injected rows
-        routed there in id order — which is their pop order, so a
-        group's pop ticks rise along it. One stable sort of ``dest``."""
-        dest = self.dest[pi][: self.injected]
-        order = np.argsort(
-            dest.astype(np.min_scalar_type(self.k - 1)), kind="stable"
-        )
-        ends = np.cumsum(np.bincount(dest, minlength=self.k))
-        return np.split(order, ends[:-1])
 
 
 class EpochStreamer:
@@ -215,7 +212,9 @@ class EpochStreamer:
         none = np.empty(0, dtype=np.int64)
         self.pending = [(none, none) for _ in self.vplans]
         self._pipe_key = np.min_scalar_type(self.k - 1)  # radix sort key
-        self.chunks: List[List[Tuple[np.ndarray, np.ndarray]]] = [
+        #: Per plan: the chunks committed since the last Phase B sweep,
+        #: one ``(rows, pops)`` pair per epoch in epoch order.
+        self.unserviced: List[List[Tuple[np.ndarray, np.ndarray]]] = [
             [] for _ in self.vplans
         ]
         self.remap_records: List[Tuple[int, int]] = []
@@ -384,18 +383,14 @@ class EpochStreamer:
             self.egr_assigned += et.shape[0]
             self.last_egress = max(self.last_egress, int(et.max()))
 
-    def _process_cut(
-        self, cut: int
-    ) -> List[Tuple[int, np.ndarray, np.ndarray]]:
+    def _process_cut(self, cut: int) -> bool:
         """Inject everything scheduled at or before ``cut`` and commit
-        every pop at or before it. Returns the epoch's service step:
-        per-plan ``(pi, rows, pops)`` entries in plan order —
-        :func:`execute_epoch_service` consumes a list of them. A chunk
-        is the plan's pending rows that pop by the cut, older rows
-        first, so one group's rows — and hence one index's — stay in
-        pop order."""
+        every pop at or before it: each plan's pending rows that pop by
+        the cut join its :attr:`unserviced` list as the epoch's chunk,
+        older rows first, so one group's rows — and hence one index's —
+        stay in pop order. True iff some plan queued a chunk."""
         vplans = self.vplans
-        step: List[Tuple[int, np.ndarray, np.ndarray]] = []
+        queued = False
 
         hi = int(
             np.searchsorted(self.inj[: self.n_fed], cut, side="right")
@@ -414,8 +409,8 @@ class EpochStreamer:
                 rows_p, pops = rows_p[due], pops[due]
             else:
                 self.pending[pi] = (rows_p[:0], pops[:0])
-            self.chunks[pi].append((rows_p, pops))
-            step.append((pi, rows_p, pops))
+            self.unserviced[pi].append((rows_p, pops))
+            queued = True
             if plan.has_index and not plan.is_flow:
                 state = self.sharder.arrays[plan.base]
                 state.in_flight -= np.bincount(
@@ -424,59 +419,67 @@ class EpochStreamer:
             if pi + 1 == len(vplans):
                 self._close_egress(pops + (self.depth - plan.stage))
         self.executed_through = cut
-        return step
+        return queued
+
+    def _cut(self) -> Tuple[Optional[int], int]:
+        """The open epoch's boundary (None with remapping off) and its
+        cut: the boundary, or the single closed-form cut, clamped to the
+        last executable tick."""
+        boundary = (
+            (self._epoch_start + self.period) if self.remap_on else None
+        )
+        cut = _FAR if boundary is None else boundary
+        if self.cut_limit is not None and self.cut_limit < cut:
+            cut = self.cut_limit
+        return boundary, cut
+
+    def _closed(self, watermark: Optional[int]) -> bool:
+        """Whether the watermark closes the open epoch's cut mid-stream:
+        a future packet has ``inj >= ceil(arrival) >= watermark``, so
+        ``cut < watermark`` proves no arrival below it is missing. With
+        remapping off only the drain closes the one cut."""
+        boundary, cut = self._cut()
+        return (
+            boundary is not None and watermark is not None and cut < watermark
+        )
+
+    def _alive(self, boundary: int) -> bool:
+        """Whether the scalar run loop is alive at the boundary tick —
+        packets still pending injection or in flight there — so that
+        tick's remap executes. ``injected < n_fed`` is the one clause
+        that depends on packets not yet fed."""
+        return (
+            self.injected < self.n_fed
+            or self.injected > self.egr_assigned
+            or self.last_egress >= boundary
+        )
 
     def can_advance(self, watermark: Optional[int]) -> bool:
         """True iff :meth:`advance_epoch` with this watermark (and
         ``final=False``) would make progress — the daemon's
-        work-available probe. Mirrors the advance gates exactly, so a
+        work-available probe. It asks the advance's own two gates, so a
         True always buys state change and a False never spins."""
         if self.done:
             return False
         if self._phase == "decide":
-            boundary = self._boundary
-            if self.cut_limit is not None and boundary > self.cut_limit:
-                return True  # one advance marks the sweep done
-            return (
-                self.injected < self.n_fed
-                or self.injected > self.egr_assigned
-                or self.last_egress >= boundary
-            )
-        if not self.remap_on:
-            return False  # no boundaries: only the drain closes the cut
-        cut = self._epoch_start + self.period
-        if self.cut_limit is not None and self.cut_limit < cut:
-            cut = self.cut_limit
-        return watermark is not None and cut < watermark
+            return self._alive(self._boundary)
+        return self._closed(watermark)
 
     def advance_epoch(
         self, watermark: Optional[int] = None, final: bool = False
-    ) -> Optional[List[Tuple[int, np.ndarray, np.ndarray]]]:
-        """Run the sweep until one epoch's service step is produced, the
-        sweep completes, or it must wait (watermark too low / stalled
-        boundary). Returns the step, or None (check :attr:`done` to
-        tell completion from a stall). ``final=True`` asserts no
-        further packets will be fed — the drain."""
+    ) -> bool:
+        """Run the sweep until one epoch's chunks are queued on
+        :attr:`unserviced`, the sweep completes, or it must wait
+        (watermark too low / stalled boundary). True iff an epoch was
+        queued (check :attr:`done` to tell completion from a stall).
+        ``final=True`` asserts no further packets will be fed — the
+        drain."""
         while True:
             if self.done:
-                return None
+                return False
             if self._phase == "decide":
                 boundary = self._boundary
-                if (
-                    self.cut_limit is not None
-                    and boundary > self.cut_limit
-                ):
-                    self.done = True
-                    return None
-                # The scalar run loop is alive at the boundary tick iff
-                # packets are still pending injection or in flight
-                # there — only then does that tick's remap execute.
-                alive = (
-                    self.injected < self.n_fed
-                    or self.injected > self.egr_assigned
-                    or self.last_egress >= boundary
-                )
-                if alive:
+                if self._alive(boundary):
                     moved = self.sharder.end_epoch(
                         self.cfg.remap_algorithm
                     )
@@ -488,55 +491,38 @@ class EpochStreamer:
                     continue
                 if final:
                     self.done = True
-                    return None
                 # Dead as far as fed packets go, but a later feed can
                 # revive the boundary (the scalar test is injected < N
                 # over the *whole* trace): stall until feed or drain.
-                return None
+                return False
 
-            boundary = (
-                (self._epoch_start + self.period) if self.remap_on else None
-            )
-            cut = _FAR
-            if boundary is not None:
-                cut = boundary
-            if self.cut_limit is not None and self.cut_limit < cut:
-                cut = self.cut_limit
-            if not final:
-                # Mid-stream the cut must be closed: a future packet
-                # has inj >= ceil(arrival) >= watermark, so cut <
-                # watermark proves no arrival below it is missing.
-                if boundary is None or watermark is None or cut >= watermark:
-                    return None
-            step = self._process_cut(cut)
-            if not self.remap_on:
+            if not final and not self._closed(watermark):
+                return False
+            boundary, cut = self._cut()
+            queued = self._process_cut(cut)
+            if boundary is None or (
+                self.cut_limit is not None and boundary > self.cut_limit
+            ):
                 self.done = True
-                return step or None
-            if self.cut_limit is not None and boundary > self.cut_limit:
-                self.done = True
-                return step or None
+                return queued
             self._phase = "decide"
             self._boundary = boundary
-            if step:
-                return step
+            if queued:
+                return True
             # Empty epoch: fall through to the boundary decision.
 
     def finalize(self) -> EpochSchedule:
         """Snapshot the finished sweep as an :class:`EpochSchedule`
-        (capacity arrays trimmed to the fed prefix; chunk lists shared,
-        not copied). The run loop breaks before tick ``max_ticks``, so
-        a tick past ``cut_limit`` never executes: such a pop, the
-        insert it feeds and such an egress read -1."""
+        (capacity arrays trimmed to the fed prefix) and settle what its
+        columns mean. The run loop breaks before tick ``max_ticks``, so
+        a tick past ``cut_limit`` never executes: every such insert, pop
+        and egress reads -1. Each plan's lanes and the egress order are
+        sorted here, once."""
         n = self.n_fed
         if self.cut_limit is not None:
-            for pi, pops in enumerate(self.pop_tick):
-                late = pops[:n] > self.cut_limit
-                pops[:n][late] = -1
-                if pi + 1 < self.nplans:
-                    self.ins_tick[pi + 1][:n][late] = -1
-            late = self.egr_tick[:n] > self.cut_limit
-            self.egr_tick[:n][late] = -1
-            self.egr_pipe[:n][late] = -1
+            for col in self.ins_tick + self.pop_tick + [self.egr_tick]:
+                col[:n][col[:n] > self.cut_limit] = -1
+            self.egr_pipe[:n][self.egr_tick[:n] < 0] = -1
         sched = EpochSchedule()
         sched.k = self.k
         sched.cut_limit = self.cut_limit
@@ -549,9 +535,16 @@ class EpochStreamer:
         sched.dest = [d[:n] for d in self.dest]
         sched.ins_tick = [t[:n] for t in self.ins_tick]
         sched.pop_tick = [t[:n] for t in self.pop_tick]
-        sched.chunks = self.chunks
-        sched.egr_tick = self.egr_tick[:n]
+        sched.lanes = []
+        for dest in sched.dest:
+            dest = dest[: self.injected]
+            order = dest.astype(self._pipe_key).argsort(kind="stable")
+            ends = np.bincount(dest, minlength=self.k).cumsum()
+            sched.lanes.append(np.split(order, ends[:-1]))
+        sched.egr_tick = egr = self.egr_tick[:n]
         sched.egr_pipe = self.egr_pipe[:n]
+        done = np.flatnonzero(egr >= 0)
+        sched.egress_rows = done[np.lexsort((sched.egr_pipe[done], egr[done]))]
         sched.injected = self.injected
         sched.egr_assigned = self.egr_assigned
         sched.last_egress = self.last_egress
@@ -766,16 +759,17 @@ def _scan_service(
 def execute_epoch_service(
     switch,
     streamer: EpochStreamer,
-    steps: List[List[Tuple[int, np.ndarray, np.ndarray]]],
+    chunks: List[List[Tuple[np.ndarray, np.ndarray]]],
     H: Dict,
     E: Dict,
     R: Dict,
     profiler=None,
     wasted_out: Optional[List[Optional[np.ndarray]]] = None,
 ) -> int:
-    """Phase B: service the steps of consecutive epochs, in the order
-    :meth:`EpochStreamer.advance_epoch` emitted them, as one sweep — each
-    plan's chunks concatenated in epoch order and run in one pass, plan
+    """Phase B: service what Phase A queued since the last sweep —
+    ``chunks[pi]`` is plan ``pi``'s :attr:`EpochStreamer.unserviced`
+    list, one ``(rows, pops)`` chunk per epoch in epoch order — as one
+    sweep: each plan's chunks concatenated and run in one pass, plan
     after plan. Only Phase A needs the epoch boundaries (the remap reads
     counters there); the sweep equals servicing epoch by epoch because
 
@@ -803,19 +797,15 @@ def execute_epoch_service(
     slot flagged in it, by the same executor that runs without one.
     """
     vplans = switch._vplans
-    pieces: List[List[Tuple[np.ndarray, np.ndarray]]] = [[] for _ in vplans]
-    for step in steps:
-        for pi, rows_p, pops in step:
-            pieces[pi].append((rows_p, pops))
     wasted = 0
-    for pi, chunks in enumerate(pieces):
-        if not chunks:
+    for pi, pieces in enumerate(chunks):
+        if not pieces:
             continue
         plan = vplans[pi]
         mask = wasted_out[pi] if wasted_out is not None else None
         t0 = perf_counter() if profiler is not None else 0.0
-        rows_p = np.concatenate([c[0] for c in chunks])
-        pops = np.concatenate([c[1] for c in chunks])
+        rows_p = np.concatenate([c[0] for c in pieces])
+        pops = np.concatenate([c[1] for c in pieces])
         tier = None
         # 'none' (flow-order arrays, kernel-free stages): the FIFO
         # timing is the whole effect; nothing to execute.
@@ -850,7 +840,7 @@ def execute_epoch_service(
             wasted += got
         if profiler is not None and tier is not None:
             profiler.record_kernel(
-                plan.stage, tier, perf_counter() - t0, len(chunks)
+                plan.stage, tier, perf_counter() - t0, len(pieces)
             )
         for u in switch._transit_after[pi]:
             switch._vkernels[u].fn(H, R, E, rows_p)

@@ -373,26 +373,37 @@ class VectorSwitch(MP5Switch):
             )
         super().attach_faults(schedule)
 
-    def _replay_sinks(self, schedule, wasted_masks, drained) -> None:
-        """Feed the attached sinks from the finished schedule; all sink
-        work of a run happens inside this one ``trace_reconstruct``
-        span."""
-        from ..obs.reconstruct import replay_observability
-
-        prof = self._profiler
-        t0 = perf_counter()
-        fed = replay_observability(
-            self,
-            schedule,
-            wasted_masks,
-            drained,
-            recorder=self._recorder,
-            metrics=self._metrics,
-            monitor=self._monitor,
+    def _replay_sinks(self, schedule, drained: bool) -> None:
+        """Feed the attached sinks the run they never saw live: the
+        recorder event by event, the registry and the monitor window by
+        window from the schedule's columns. All sink work of a run
+        happens inside this one ``trace_reconstruct`` span."""
+        from ..obs.reconstruct import (
+            _dispatch_events,
+            feed_window_sinks,
+            synthesize_events,
         )
+
+        t0 = perf_counter()
+        sinks = (
+            ("recorder", self._recorder),
+            ("metrics", self._metrics),
+            ("monitor", self._monitor),
+        )
+        kinds = [kind for kind, sink in sinks if sink is not None]
+        fed = {}
+        if self._recorder is not None:
+            events = synthesize_events(self, schedule)
+            _dispatch_events(self._recorder, events, self.stats.ticks)
+        if self._metrics is not None or self._monitor is not None:
+            fed = feed_window_sinks(
+                self, schedule, self._wmasks, drained,
+                self._metrics, self._monitor,
+            )
+        prof = self._profiler
         if prof is not None:
             prof.record_span("trace_reconstruct", perf_counter() - t0)
-            prof.record_sinks(**fed)
+            prof.record_sinks(kinds, **fed)
 
     @property
     def _sinks_attached(self) -> bool:
@@ -420,8 +431,8 @@ class VectorSwitch(MP5Switch):
         :meth:`run` on the concatenated trace at any feed chunking,
         with buffered service work bounded by the largest epoch — but
         only when remapping is on: with ``remap_algorithm='none'``
-        there are no epoch boundaries, so the sweep emits its single
-        step at the drain and everything defers to :meth:`finish`.
+        there are no epoch boundaries, so the sweep queues its single
+        epoch at the drain and everything defers to :meth:`finish`.
         ``record_access_order`` is refused: ``build_switch`` gives such
         a run to the fast engine.
         """
@@ -464,6 +475,11 @@ class VectorSwitch(MP5Switch):
         }
         # The per-packet facts kept past feed(), as columns by row:
         # arrival (as given: ``stats.arrival_ticks``), port and flow.
+        # The arrival column duplicates ``stats.arrival_ticks`` for the
+        # latency subtraction at finish, at 8 bytes a row. Rebuilding it
+        # there with ``np.fromiter`` instead costs 1.1-2.0 ms per 50 000
+        # arrivals, against a 119-145 ms engine call on offline_vector's
+        # trace (2-core x86 host, min of 7 each).
         self._arrival = np.empty(0, dtype=np.float64)
         self._port = np.empty(0, dtype=np.int64)
         self._flow: List = []
@@ -590,26 +606,27 @@ class VectorSwitch(MP5Switch):
         if final:
             self._drain_pumped = True
         sr = self._streamer
-        steps = []
+        closed = 0
         t0 = perf_counter()
-        while (max_steps is None or len(steps) < max_steps) and not sr.done:
-            step = sr.advance_epoch(until_tick, final)
-            if step is None:
-                break
-            steps.append(step)
+        while (max_steps is None or closed < max_steps) and sr.advance_epoch(
+            until_tick, final
+        ):
+            closed += 1
         self._pa_time += perf_counter() - t0
-        if steps:
-            self._service_steps(steps)
-        return len(steps)
+        if closed:
+            self._service(closed)
+        return closed
 
-    def _service_steps(self, steps) -> None:
-        """Phase B for the epochs one pump closed, as one sweep."""
+    def _service(self, epochs: int) -> None:
+        """Phase B for the ``epochs`` one pump closed: drain what Phase A
+        queued, as one sweep."""
         sr = self._streamer
+        chunks, sr.unserviced = sr.unserviced, [[] for _ in sr.unserviced]
         t0 = perf_counter()
         self._swasted += execute_epoch_service(
             self,
             sr,
-            steps,
+            chunks,
             self._H,
             self._E,
             self._R,
@@ -617,7 +634,7 @@ class VectorSwitch(MP5Switch):
             wasted_out=self._wmasks,
         )
         self._pb_time += perf_counter() - t0
-        self._epochs_serviced += len(steps)
+        self._epochs_serviced += epochs
         # Live progress for dashboards; finish() recomputes both
         # exactly (these match the scalar engines' live counters).
         self.stats.egressed = int(sr.egr_assigned)
@@ -630,25 +647,15 @@ class VectorSwitch(MP5Switch):
     def finish(self) -> SwitchStats:
         """Drain the sweep — the same :meth:`pump` the daemon drives,
         with no watermark, so every epoch not yet serviced runs through
-        :meth:`_service_steps` — and reconstruct the statistics.
-        :meth:`run` is exactly ``start(); feed(); finish()``; with
-        remapping off the drain's one step is the whole run."""
+        :meth:`_service` — and reconstruct the statistics. :meth:`run`
+        is exactly ``start(); feed(); finish()``; with remapping off the
+        drain's one sweep is the whole run. A run that never steps (no
+        packets, or ``max_ticks <= 0``) takes the same path."""
         if self._streamer is None:
             raise ConfigError("finish() requires start()")
         if self._finished:
             raise ConfigError("finish() was already called on this switch")
         self._finished = True
-        stats = self.stats
-        max_ticks = self._max_ticks
-        fed = self._streamer.n_fed
-        if not fed or (max_ticks is not None and max_ticks <= 0):
-            stats.ticks = 0
-            if self._sinks_attached:
-                # The scalar loop never steps here either, but its sinks
-                # still see registration, the final window roll, and
-                # end_run (drained unless packets were cut by max_ticks).
-                self._replay_sinks(None, None, drained=not fed)
-            return stats
         self.pump()
         schedule = self._streamer.finalize()
         self._last_schedule = schedule  # test/debug hook: the run's DAG
@@ -657,7 +664,7 @@ class VectorSwitch(MP5Switch):
             prof.record_span("phase_a", self._pa_time)
             prof.record_span("phase_b", self._pb_time)
         self._finalize_stats(schedule)
-        return stats
+        return self.stats
 
     @property
     def has_work(self) -> bool:
@@ -709,17 +716,13 @@ class VectorSwitch(MP5Switch):
         stats = self.stats
         N = len(self._flow)
         vplans = self._vplans
-        nplans = len(vplans)
         max_ticks = self._max_ticks
-        wasted = self._swasted
         R = self._R
         prof = self._profiler
-        wasted_masks = self._wmasks
         ins_tick = schedule.ins_tick
         pop_tick = schedule.pop_tick
         dest = schedule.dest
         egr_tick = schedule.egr_tick
-        egr_pipe = schedule.egr_pipe
 
         # ------------------------------------------------------------------
         # Statistics reconstruction (Python-native values, so serialized
@@ -728,17 +731,15 @@ class VectorSwitch(MP5Switch):
         if schedule.egr_assigned == N:
             stats.ticks = int(schedule.last_egress) + 1
         else:
-            stats.ticks = int(max_ticks)
-        last_exec = stats.ticks - 1
+            # The scalar loop also reports 0 for a negative max_ticks.
+            stats.ticks = max(int(max_ticks), 0)
 
-        stats.phantoms_generated = schedule.injected * nplans
-        stats.wasted_slots = wasted
+        stats.phantoms_generated = schedule.injected * len(vplans)
+        stats.wasted_slots = self._swasted
 
-        done = np.nonzero(egr_tick >= 0)[0]
-        stats.egressed = int(done.size)
-        if done.size:
-            order = np.lexsort((egr_pipe[done], egr_tick[done]))
-            ordered = done[order]
+        ordered = schedule.egress_rows
+        stats.egressed = int(ordered.size)
+        if ordered.size:
             ticks_sorted = egr_tick[ordered]
             stats.egress_ticks = ticks_sorted.tolist()
             # Latency keeps the arrival's Python type (int arrivals give
@@ -764,18 +765,19 @@ class VectorSwitch(MP5Switch):
                         flow_egress.setdefault(fid, []).append(row)
 
         steering = 0
-        for pi, plan in enumerate(vplans):
-            executed = (ins_tick[pi] >= 0) & (ins_tick[pi] <= last_exec)
+        for pi in range(len(vplans)):
             prev = schedule.entry_pipe if pi == 0 else dest[pi - 1]
-            steering += int(np.count_nonzero(executed & (dest[pi] != prev)))
+            steering += int(
+                np.count_nonzero((ins_tick[pi] >= 0) & (dest[pi] != prev))
+            )
         stats.steering_moves = steering
 
         max_depth = 0
         peaks = stats.per_stage_peak_queue
         for pi, plan in enumerate(vplans):
-            for pipe, members in enumerate(schedule.lanes(pi)):
+            for pipe, members in enumerate(schedule.lanes[pi]):
                 ins = ins_tick[pi][members]
-                ins = ins[(ins >= 0) & (ins <= last_exec)]
+                ins = ins[ins >= 0]
                 if ins.size == 0:
                     continue
                 # A group pops in id order, so its executed pops are
@@ -798,8 +800,9 @@ class VectorSwitch(MP5Switch):
         for name, arr in R.items():
             self.registers[name] = arr.tolist()
 
-        if prof is not None:
-            # Epoch boundaries Phase A resolved, plus the final span.
+        if prof is not None and stats.ticks:
+            # Epoch boundaries Phase A resolved, plus the final span; a
+            # run that never steps resolves none.
             start = 0
             records = schedule.remap_records
             for i, (boundary, moved) in enumerate(records):
@@ -810,8 +813,5 @@ class VectorSwitch(MP5Switch):
             prof.record_epoch(len(records), start, stats.ticks)
         if self._sinks_attached:
             self._replay_sinks(
-                schedule,
-                wasted_masks,
-                drained=(schedule.egr_assigned == N),
+                schedule, drained=(schedule.egr_assigned == N)
             )
-

@@ -49,7 +49,7 @@ from .health import (
 from .metrics import Counter, Gauge, MetricsRegistry, WindowedHistogram
 from .monitor import INVARIANTS, InvariantMonitor, TeeEmitter
 from .profiler import PhaseProfiler
-from .reconstruct import replay_observability, synthesize_events
+from .reconstruct import synthesize_events
 from .summary import (
     render_alerts_section,
     render_epoch_section,
@@ -100,7 +100,6 @@ __all__ = [
     "render_openmetrics",
     "render_top_frame",
     "render_trace_summary",
-    "replay_observability",
     "sanitize_metric_name",
     "spark_row",
     "summarize_trace",

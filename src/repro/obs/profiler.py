@@ -19,13 +19,18 @@ or ``python`` for the fused per-row kernel, from ``kernel.jitted``;
 them stay empty on the scalar engines, so their ``to_dict()`` output is
 unchanged.
 
-``report()`` renders the breakdown the CLI prints under ``--profile``.
+``report()`` renders the breakdown the CLI prints under ``--profile``;
+for a vector run that is :func:`~repro.obs.summary.render_epoch_section`
+of :meth:`PhaseProfiler.to_dict`, the one renderer ``trace-summary``
+also uses.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
 from typing import Dict, List, Optional
+
+from .summary import render_epoch_section
 
 
 class PhaseProfiler:
@@ -130,10 +135,10 @@ class PhaseProfiler:
 
     def report(self) -> str:
         """Phase breakdown table, heaviest phase first; a vector run
-        (spans, no laps) reports through its own sections only."""
-        sections = self._vector_sections()
+        (spans, no laps) renders the section ``trace-summary`` prints
+        for its saved :meth:`to_dict`."""
         if self.spans and not self.ticks:
-            return "\n\n".join(sections)
+            return render_epoch_section(self.to_dict())
         total = self.total_seconds or 1.0
         ticks = self.ticks or 1
         headers = ("phase", "seconds", "share", "us/tick")
@@ -170,46 +175,4 @@ class PhaseProfiler:
             line(["-" * w for w in widths]),
         ]
         out.extend(line(row) for row in rows)
-        return "\n\n".join(["\n".join(out)] + sections)
-
-    def _vector_sections(self) -> List[str]:
-        """Vector-engine report sections (empty for scalar runs)."""
-        sections: List[str] = []
-        if self.spans:
-            total = sum(self.spans.values()) or 1.0
-            lines = ["Vector phase breakdown"]
-            for name, seconds in sorted(
-                self.spans.items(), key=lambda kv: kv[1], reverse=True
-            ):
-                lines.append(
-                    f"  {name:<18} {seconds:.4f}s  "
-                    f"{100 * seconds / total:5.1f}%"
-                )
-            sections.append("\n".join(lines))
-        if self.kernels:
-            lines = ["Service kernel tiers (per stage)"]
-            for stage, entry in sorted(self.kernels.items()):
-                lines.append(
-                    f"  {stage:<6} tier={entry['tier']:<7} "
-                    f"calls={entry['calls']:<4} {entry['seconds']:.4f}s"
-                )
-            sections.append("\n".join(lines))
-        if self.epochs:
-            bounds = ", ".join(
-                f"[{e['start']}, {e['end']})" for e in self.epochs[:8]
-            )
-            more = (
-                f" ... {len(self.epochs) - 8} more"
-                if len(self.epochs) > 8
-                else ""
-            )
-            sections.append(
-                f"Epochs: {len(self.epochs)} resolved — {bounds}{more}"
-            )
-        if self.sinks:
-            sections.append(
-                f"Sinks fed ({'+'.join(self.sinks['kinds'])}): "
-                f"{self.sinks['windows']} windows, "
-                f"{self.sinks['predicates']} predicates"
-            )
-        return sections
+        return "\n".join(out)

@@ -17,16 +17,21 @@ cannot. But its Phase A output — the :class:`~repro.mp5.epochs.EpochSchedule`
 * transit stages with instructions service a packet one stage per tick
   after injection (``inj + (u - 1)``) or after a pop
   (``pop[pi] + (u - stage[pi])``);
-* ``egress`` happens at ``egr_tick[r]``; ``remap`` at the boundaries
-  Phase A recorded in ``remap_records``;
+* ``egress`` happens at ``egr_tick[r]``, in the schedule's
+  ``egress_rows`` order; ``remap`` at the boundaries Phase A recorded
+  in ``remap_records``;
 * a ``fifo_block`` episode opens at the first tick the group head's
   phantom blocks queued data: ``max(prev_pop + 1, suffix_min(ins))`` —
   data presence implies the head's phantom has been delivered (global
   injection order plus the ``phantom_latency`` admission bound), so the
   blocked window never depends on the latency knob.
 
-:func:`replay_observability` feeds the attached sinks from those
-columns, on two paths that share nothing but the schedule:
+A stored tick column reads -1 for an event that never executes (see
+:class:`~repro.mp5.epochs.EpochSchedule`), so every consumer here
+tests ``t >= 0``; only the derived transit-service and blocking ticks
+are bounded by the run's last tick. The engine's ``_replay_sinks``
+feeds the attached sinks from those columns, on two paths that share
+nothing but the schedule:
 
 * **Windows, for the registry and the monitor** (:func:`feed_window_sinks`).
   Everything a :class:`~repro.obs.metrics.MetricsRegistry` and an
@@ -56,7 +61,7 @@ surface is untouched) as the oracle.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -103,11 +108,7 @@ class _SwitchView:
     __slots__ = ("_live", "stats", "_faults")
 
     def __init__(self, switch, schedule):
-        self._live = (
-            schedule.injected - schedule.egr_assigned
-            if schedule is not None
-            else 0
-        )
+        self._live = schedule.injected - schedule.egr_assigned
         self.stats = switch.stats
         self._faults = None
 
@@ -132,35 +133,14 @@ def _roll_ticks(registry, ticks: int) -> List[int]:
     return out
 
 
-class _Executed:
-    """The schedule's event columns with their executed-tick masks: an
-    event exists iff its tick lies in ``[0, last_exec]`` (a ``max_ticks``
-    cut leaves later ticks scheduled but never run)."""
-
-    def __init__(self, switch, schedule, last_exec: int):
-        self.schedule = schedule
-        self.vplans = switch._vplans
-        self.k = switch.config.num_pipelines
-        self.last_exec = last_exec
-        self.ninj = schedule.injected
-        self.inj = schedule.inj[: self.ninj]
-        egr = schedule.egr_tick
-        self.egr_ok = (egr >= 0) & (egr <= last_exec)
-        self.match_ok = [
-            (t >= 0) & (t <= last_exec) for t in schedule.ins_tick
-        ]
-        self.pop_ok = [(t >= 0) & (t <= last_exec) for t in schedule.pop_tick]
-
-
-def _sampler_table(run: _Executed, wasted_masks, columns, bounds):
+def _sampler_table(vplans, sched, wasted_masks, columns, bounds):
     """Every sampler's value at every boundary, as one row of Python
     ints per boundary (an event at tick ``t`` counts at boundary ``b``
     iff ``t <= b``: rolls happen after the tick's events)."""
     nb = bounds.shape[0]
     col_of = {name: col for col, (name, _cum) in enumerate(columns)}
     table = np.zeros((nb, len(columns)), dtype=np.int64)
-    sched = run.schedule
-    k = run.k
+    k = sched.k
 
     def bucket(ticks):
         return np.searchsorted(bounds, ticks, side="left")
@@ -169,25 +149,23 @@ def _sampler_table(run: _Executed, wasted_masks, columns, bounds):
         counts = np.bincount(bucket(ticks), weights, minlength=nb)
         return np.cumsum(counts).astype(np.int64)
 
-    table[:, col_of["egressed"]] = cumulative(sched.egr_tick[run.egr_ok])
-    table[:, col_of["phantoms_generated"]] = len(run.vplans) * cumulative(
-        run.inj
+    egr = sched.egr_tick
+    table[:, col_of["egressed"]] = cumulative(egr[egr >= 0])
+    table[:, col_of["phantoms_generated"]] = len(vplans) * cumulative(
+        sched.inj[: sched.injected]
     )
-    remaps = [r for r in sched.remap_records if r[0] <= run.last_exec]
-    if remaps:
-        moves = cumulative(
-            np.array([r[0] for r in remaps], dtype=np.int64),
-            np.array([r[1] for r in remaps], dtype=np.float64),
-        )
+    if sched.remap_records:
+        ticks, moves = np.array(sched.remap_records, dtype=np.int64).T
+        moves = cumulative(ticks, moves.astype(np.float64))
         table[:, col_of["remap_moves"]] = moves
         table[:, col_of["sharder_moves"]] = moves
     lane_cols = []
-    for pi, plan in enumerate(run.vplans):
+    for pi, plan in enumerate(vplans):
         dest = sched.dest[pi]
         ins = sched.ins_tick[pi]
         pop = sched.pop_tick[pi]
-        matched = run.match_ok[pi]
-        popped = run.pop_ok[pi]
+        matched = ins >= 0
+        popped = pop >= 0
         prev = sched.entry_pipe if pi == 0 else sched.dest[pi - 1]
         table[:, col_of["steering_moves"]] += cumulative(
             ins[matched & (dest != prev)]
@@ -216,7 +194,7 @@ def _sampler_table(run: _Executed, wasted_masks, columns, bounds):
     return table.tolist()
 
 
-def _wait_windows(run: _Executed, bounds):
+def _wait_windows(sched, bounds):
     """The FIFO wait (pop tick minus match tick) of every executed pop
     on every plan, grouped by the boundary that closes it. Returns the
     waits as Python ints plus the end offset of each boundary's group.
@@ -225,13 +203,12 @@ def _wait_windows(run: _Executed, bounds):
     they are ints, so their running sum is exact in any order, and the
     histogram sorts its window before summarizing it anyway — one
     composite ``np.sort`` here saves that sort its work."""
-    sched = run.schedule
     closes, waits = [], []
-    for pi in range(len(run.vplans)):
-        popped = run.pop_ok[pi]
-        pop = sched.pop_tick[pi][popped]
+    for pi, pop in enumerate(sched.pop_tick):
+        popped = pop >= 0
+        pop = pop[popped]
         ins = sched.ins_tick[pi][popped]
-        queued = run.match_ok[pi][popped] & (ins <= pop)
+        queued = (ins >= 0) & (ins <= pop)
         closes.append(np.searchsorted(bounds, pop, side="left"))
         waits.append(np.where(queued, pop - ins, 0))
     nb = bounds.shape[0]
@@ -264,23 +241,23 @@ class _Violations:
         )
 
 
-def _check_pairing(monitor, run: _Executed, drained: bool, out) -> None:
+def _check_pairing(monitor, vplans, sched, drained: bool, out) -> None:
     """**phantom_pairing** — on every plan a match never precedes the
     injection that emitted its phantom; every pop and every egress is
     preceded by the packet's match on every plan (a match that comes
     after its pop pairs nothing, which then shows at egress); and a
     drained run leaves no injected packet with an unpaired phantom."""
-    sched = run.schedule
     egr = sched.egr_tick
+    egressed = egr >= 0
     n = sched.inj.shape[0]
-    injected = np.arange(n) < run.ninj
+    injected = np.arange(n) < sched.injected
     emitted_at = np.where(injected, sched.inj, _FAR)
     paired_by_egress = np.zeros(n, dtype=np.int64)
     paired = np.zeros(n, dtype=np.int64)
-    for pi, plan in enumerate(run.vplans):
+    for pi, plan in enumerate(vplans):
         ins = sched.ins_tick[pi]
         pop = sched.pop_tick[pi]
-        matched = run.match_ok[pi]
+        matched = ins >= 0
         out.predicates += 1
         early = matched & (ins < emitted_at)
         for r in np.nonzero(early)[0].tolist():
@@ -288,12 +265,12 @@ def _check_pairing(monitor, run: _Executed, drained: bool, out) -> None:
                 ins[r], _P_PHANTOM_MATCH, r, monitor._match_without_emit,
                 r, int(sched.dest[pi][r]), plan.stage,
             )
-        pairs = matched & ~early & ~(run.pop_ok[pi] & (pop < ins))
+        pairs = matched & ~early & ~((pop >= 0) & (pop < ins))
         paired += pairs
         paired_by_egress += pairs & (ins <= egr)
-    emitted = np.where(injected, len(run.vplans), 0)
+    emitted = np.where(injected, len(vplans), 0)
     out.predicates += 1
-    short = run.egr_ok & (emitted > paired_by_egress)
+    short = egressed & (emitted > paired_by_egress)
     for r in np.nonzero(short)[0].tolist():
         out.add(
             egr[r], _P_EGRESS, r, monitor._egress_outstanding,
@@ -301,28 +278,28 @@ def _check_pairing(monitor, run: _Executed, drained: bool, out) -> None:
         )
     if drained:
         out.predicates += 1
-        dangling = injected & ~run.egr_ok & (emitted > paired)
+        dangling = injected & ~egressed & (emitted > paired)
         # end_run reports these from the monitor's own table.
         for r in np.nonzero(dangling)[0].tolist():
             monitor._outstanding[r] = int(emitted[r] - paired[r])
 
 
-def _check_lanes(monitor, run: _Executed, pi: int, out) -> None:
+def _check_lanes(monitor, plan, sched, pi: int, ticks: int, out) -> None:
     """**fifo_sanity** — per lane ``(pipe, stage)`` of plan ``pi``,
     matches so far cover pops so far at every pop (the j-th match is no
     later than the j-th pop), and no tick pops twice. One composite
     ``(lane, tick)`` key sorts each side."""
-    sched = run.schedule
-    stage = run.vplans[pi].stage
+    stage = plan.stage
     dest = sched.dest[pi]
     ins = sched.ins_tick[pi]
-    matched = run.match_ok[pi]
-    popped = run.pop_ok[pi]
-    span = run.last_exec + 2
+    pop = sched.pop_tick[pi]
+    matched = ins >= 0
+    popped = pop >= 0
+    span = ticks + 1
     match_keys = np.sort(dest[matched] * span + ins[matched])
-    pop_keys = np.sort(dest[popped] * span + sched.pop_tick[pi][popped])
+    pop_keys = np.sort(dest[popped] * span + pop[popped])
     lane = pop_keys // span
-    lane_starts = np.arange(run.k + 1) * span
+    lane_starts = np.arange(sched.k + 1) * span
     rank = np.arange(pop_keys.shape[0]) - np.searchsorted(
         pop_keys, lane_starts
     )[lane]
@@ -330,6 +307,7 @@ def _check_lanes(monitor, run: _Executed, pi: int, out) -> None:
     out.predicates += 1
     covered = pos < match_keys.shape[0]
     covered[covered] = match_keys[pos[covered]] <= pop_keys[covered]
+    ninj = sched.injected
     for j in np.nonzero(~covered)[0].tolist():
         pipe, tick = divmod(int(pop_keys[j]), span)
         in_lane = dest == pipe
@@ -337,7 +315,7 @@ def _check_lanes(monitor, run: _Executed, pi: int, out) -> None:
         data = int(np.count_nonzero(in_lane & matched & (ins <= tick))) - pops
         # Phantoms are emitted at injection; no ring exists to count.
         total = int(
-            np.count_nonzero(in_lane[: run.ninj] & (run.inj <= tick))
+            np.count_nonzero(in_lane[:ninj] & (sched.inj[:ninj] <= tick))
         ) - pops
         out.add(
             tick, _P_END_TICK, -1, monitor._fifo_counters,
@@ -355,19 +333,17 @@ def _check_lanes(monitor, run: _Executed, pi: int, out) -> None:
             )
 
 
-def _check_indices(monitor, run: _Executed, pi: int, remap_ticks, out) -> None:
+def _check_indices(monitor, plan, sched, pi: int, remap_ticks, out) -> None:
     """**c1_order** — per ``(stage, array, index)`` of plan ``pi``,
     packet ids ascend in pop order (``(tick, pkt)``, the scalar event
     order): over the popped rows of an index, pop ticks never fall as
     ids rise. **shard_exclusivity** — when consecutive accesses of one
     index land on different pipelines, the earlier one was popped
     before a remap boundary that the later one was injected after."""
-    sched = run.schedule
-    plan = run.vplans[pi]
     dest = sched.dest[pi]
     pop = sched.pop_tick[pi]
-    popped = run.pop_ok[pi]
-    idx = sched.acc_idx[pi][: run.ninj]
+    popped = pop >= 0
+    idx = sched.acc_idx[pi][: sched.injected]
     # Stable, so (index, pkt) order; 16-bit keys take the radix path.
     order = np.argsort(
         idx.astype(np.int16) if plan.size <= 1 << 15 else idx, kind="stable"
@@ -419,30 +395,29 @@ def _check_indices(monitor, run: _Executed, pi: int, remap_ticks, out) -> None:
             )
 
 
-def _check_in_flight(monitor, run: _Executed, bounds, out) -> None:
+def _check_in_flight(monitor, sched, bounds, ticks: int, out) -> None:
     """**conservation** — injected >= egressed at every boundary. (The
     cross-check of the engine's own counters against the columns runs
     at end of run, see :class:`_SwitchView`.)"""
     nb = bounds.shape[0]
     injected = np.cumsum(np.bincount(
-        np.searchsorted(bounds, run.inj, side="left"), minlength=nb
-    ))
-    egressed = np.cumsum(np.bincount(
-        np.searchsorted(
-            bounds, run.schedule.egr_tick[run.egr_ok], side="left"
-        ),
+        np.searchsorted(bounds, sched.inj[: sched.injected], side="left"),
         minlength=nb,
+    ))
+    egr = sched.egr_tick
+    egressed = np.cumsum(np.bincount(
+        np.searchsorted(bounds, egr[egr >= 0], side="left"), minlength=nb
     ))
     out.predicates += 1
     for j in np.nonzero(egressed > injected)[0].tolist():
         out.add(
-            min(int(bounds[j]), run.last_exec), _P_END_TICK, -1,
+            min(int(bounds[j]), ticks - 1), _P_END_TICK, -1,
             monitor._negative_in_flight,
             int(injected[j]), int(egressed[j]), 0,
         )
 
 
-def _schedule_violations(monitor, run: _Executed, bounds, drained: bool):
+def _schedule_violations(monitor, vplans, sched, bounds, ticks, drained):
     """Run every invariant over every executed event tick of the
     schedule; returns the :class:`_Violations`, sorted for raising.
     Each predicate is one vectorized test; the per-row loops behind
@@ -454,16 +429,16 @@ def _schedule_violations(monitor, run: _Executed, bounds, drained: bool):
     objects only the scalar engines populate."""
     out = _Violations()
     remap_ticks = np.array(
-        [tick for tick, _moved in run.schedule.remap_records], dtype=np.int64
+        [tick for tick, _moved in sched.remap_records], dtype=np.int64
     )
-    _check_pairing(monitor, run, drained, out)
-    for pi, plan in enumerate(run.vplans):
-        _check_lanes(monitor, run, pi, out)
+    _check_pairing(monitor, vplans, sched, drained, out)
+    for pi, plan in enumerate(vplans):
+        _check_lanes(monitor, plan, sched, pi, ticks, out)
         if plan.has_index and not plan.multi:
             # Array-level accesses are exempt: C1 and the in-flight rule
             # apply to the per-index states the paper shards.
-            _check_indices(monitor, run, pi, remap_ticks, out)
-    _check_in_flight(monitor, run, bounds, out)
+            _check_indices(monitor, plan, sched, pi, remap_ticks, out)
+    _check_in_flight(monitor, sched, bounds, ticks, out)
     out.found.sort()
     return out
 
@@ -477,13 +452,13 @@ def feed_window_sinks(
     The hook sequence per boundary is the scalar run loop's: the tick's
     violations, then ``metrics.roll``, then the monitor's window roll
     and detector step; after the last tick ``metrics.roll(ticks)`` and
-    ``monitor.end_run``. ``schedule`` may be None for runs that never
-    built one (empty trace, or ``max_ticks <= 0``); the sinks still see
-    registration and the final roll, like a scalar run whose loop never
-    stepped.
+    ``monitor.end_run``. A run that never stepped (empty trace, or
+    ``max_ticks <= 0``) has one boundary, at tick 0: the sinks see
+    registration and the final roll, like a scalar run.
     """
     stats = switch.stats
     ticks = stats.ticks
+    vplans = switch._vplans
     # The scalar engines' own sampler schema, name for name and in
     # order. The vector envelope excludes bounded FIFOs, phantom loss
     # and ``record_crossbar``, so the drop columns stay zero and
@@ -514,27 +489,23 @@ def feed_window_sinks(
     lat: List = []
     waits: List[int] = []
     lat_cuts = wait_cuts = [0] * len(bounds)
-    if schedule is None:
-        table = [row] * len(bounds)
-    else:
-        run = _Executed(switch, schedule, ticks - 1)
-        table = _sampler_table(run, wasted_masks, columns, bounds_arr)
-        if metrics is not None:
-            # The reconstructed stats already hold every latency (typed
-            # like its arrival) in the scalar engines' egress order,
-            # (tick, pipeline): float sums fold in the same order.
-            lat = stats.latencies
-            lat_cuts = np.searchsorted(
-                stats.egress_ticks, bounds_arr, side="right"
-            ).tolist()
-        if monitor is not None:
-            waits, wait_cuts = _wait_windows(run, bounds_arr)
-            violations = _schedule_violations(
-                monitor, run, bounds_arr, drained
-            )
-            found, predicates = violations.found, violations.predicates
-            monitor.injected = run.ninj
-            monitor.egressed = int(np.count_nonzero(run.egr_ok))
+    table = _sampler_table(vplans, schedule, wasted_masks, columns, bounds_arr)
+    if metrics is not None:
+        # The reconstructed stats already hold every latency (typed
+        # like its arrival) in the scalar engines' egress order,
+        # (tick, pipeline): float sums fold in the same order.
+        lat = stats.latencies
+        lat_cuts = np.searchsorted(
+            stats.egress_ticks, bounds_arr, side="right"
+        ).tolist()
+    if monitor is not None:
+        waits, wait_cuts = _wait_windows(schedule, bounds_arr)
+        violations = _schedule_violations(
+            monitor, vplans, schedule, bounds_arr, ticks, drained
+        )
+        found, predicates = violations.found, violations.predicates
+        monitor.injected = schedule.injected
+        monitor.egressed = int(np.count_nonzero(schedule.egr_tick >= 0))
 
     lat_pos = wait_pos = raised = 0
     for j, tick in enumerate(bounds):
@@ -634,11 +605,11 @@ def synthesize_events(switch, schedule) -> List[Tuple]:
         transits = switch._transit_after[pi]
         for r in range(ninj):
             it = ins[r]
-            if 0 <= it <= last_exec:
+            if it >= 0:
                 add((it, _P_STEER, r, stage, prev[r], d[r]))
                 add((it, _P_PHANTOM_MATCH, r, stage, d[r]))
             pt = pop[r]
-            if 0 <= pt <= last_exec:
+            if pt >= 0:
                 add((pt, _P_FIFO_POP, r, d[r], stage))
                 if has_service:
                     add((pt, _P_SERVICE, r, stage, d[r]))
@@ -656,7 +627,7 @@ def synthesize_events(switch, schedule) -> List[Tuple]:
         stage = plan.stage
         ins_col = schedule.ins_tick[pi]
         pop_col = schedule.pop_tick[pi]
-        for pipe, members in enumerate(schedule.lanes(pi)):
+        for pipe, members in enumerate(schedule.lanes[pi]):
             cnt = members.shape[0]
             if cnt == 0:
                 continue
@@ -690,13 +661,12 @@ def synthesize_events(switch, schedule) -> List[Tuple]:
                         add((b, _P_FIFO_BLOCK, pipe, stage))
                     break
 
-    # Egress and remap boundaries.
-    done = np.nonzero(schedule.egr_tick >= 0)[0]
-    if done.size:
-        egr = schedule.egr_tick[done].tolist()
-        arrival = stats.arrival_ticks
-        for t, r in zip(egr, done.tolist()):
-            add((t, _P_EGRESS, r, t - arrival[r]))
+    # Egress (latencies as the stats reconstructed them, in the same
+    # order) and remap boundaries.
+    for t, r, latency in zip(
+        stats.egress_ticks, schedule.egress_rows.tolist(), stats.latencies
+    ):
+        add((t, _P_EGRESS, r, latency))
     for boundary, moved in schedule.remap_records:
         add((int(boundary), _P_REMAP, int(moved)))
 
@@ -730,40 +700,3 @@ def _dispatch_events(recorder, events: List[Tuple], ticks: int) -> None:
         if ev[0] >= ticks:
             break  # scheduled past a max_ticks cut: never executed
         emit[ev[1]](ev[0], *ev[2:])
-
-
-# ---------------------------------------------------------------------------
-# Entry point
-# ---------------------------------------------------------------------------
-
-
-def replay_observability(
-    switch,
-    schedule,
-    wasted_masks: Optional[List],
-    drained: bool,
-    recorder=None,
-    metrics=None,
-    monitor=None,
-) -> Dict:
-    """Feed the attached sinks the run they never saw live: the
-    registry and the monitor window by window from the schedule's
-    columns, the recorder event by event. Returns what was fed, for the
-    profiler's ``trace_reconstruct`` record."""
-    fed: Dict = {"kinds": []}
-    if recorder is not None:
-        fed["kinds"].append("recorder")
-        if schedule is not None:
-            events = synthesize_events(switch, schedule)
-            _dispatch_events(recorder, events, switch.stats.ticks)
-    if metrics is not None or monitor is not None:
-        if metrics is not None:
-            fed["kinds"].append("metrics")
-        if monitor is not None:
-            fed["kinds"].append("monitor")
-        fed.update(
-            feed_window_sinks(
-                switch, schedule, wasted_masks, drained, metrics, monitor
-            )
-        )
-    return fed

@@ -18,6 +18,7 @@ last section pins that its knob fails loudly instead of being ignored
 (``tests/test_native_kernels.py`` does the same for the executor flag).
 """
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -83,11 +84,13 @@ def _check_workers_and_tiers(config):
     base_switch, base_stats = _run_switch(POOL_PACKETS, config=config)
     base_regs = dict(base_switch.registers)
     # The configuration does what it is named for: some plan serviced a
-    # chunk far past anything the default remap period produces.
+    # chunk far past anything the default remap period produces. An
+    # epoch's chunk is the rows popping up to its remap boundary.
+    schedule = base_switch._last_schedule
+    bounds = [tick for tick, _moved in schedule.remap_records]
     assert any(
-        rows.shape[0] >= 4096
-        for pieces in base_switch._last_schedule.chunks
-        for rows, _pops in pieces
+        np.bincount(np.searchsorted(bounds, pops[pops >= 0])).max() >= 4096
+        for pops in schedule.pop_tick
     )
     scalar_stats, scalar_regs = run_mp5(
         make_sensitivity_program(2, 64),

@@ -22,6 +22,7 @@ vector engine reconstructs the event stream after the closed-form run
 (see ``tests/test_vector_obs.py`` for the parity suite).
 """
 
+import collections
 import functools
 import itertools
 import json
@@ -49,7 +50,7 @@ from repro.mp5 import (
     run_mp5_vector,
 )
 from repro.mp5.vector import reset_fallback_warnings
-from repro.obs import InvariantMonitor
+from repro.obs import InvariantMonitor, TraceRecorder
 from repro.service import ServiceThread, SwitchService
 from repro.service.client import ServiceClient
 from repro.service.daemon import render_payload, segment_payload
@@ -870,7 +871,7 @@ def _blocked_heads(schedule, cut):
     blocked = 0
     for pi in range(len(schedule.pop_tick)):
         ins, pop = schedule.ins_tick[pi], schedule.pop_tick[pi]
-        for members in schedule.lanes(pi):
+        for members in schedule.lanes[pi]:
             waiting = members[pop[members] < 0]
             if waiting.size < 2:
                 continue
@@ -894,6 +895,48 @@ def test_blocked_head_case_cuts_behind_a_blocked_head():
     stats = switch.run(trace(), max_ticks=max_ticks)
     assert stats.ticks == max_ticks and stats.egressed < stats.offered
     assert _blocked_heads(switch._last_schedule, max_ticks - 1) > 0
+
+
+#: Cut runs for the stored-tick invariant: (case, max_ticks), where None
+#: takes the case's own cut.
+CUT_RUNS = {
+    "zero": ("max_ticks_mid_epoch", 0),
+    "mid_epoch": ("max_ticks_mid_epoch", None),
+    "blocked_head": ("max_ticks_blocked_head", None),
+}
+
+
+@pytest.mark.parametrize("k", (1, 4, 8))
+@pytest.mark.parametrize("cut", sorted(CUT_RUNS))
+def test_stored_ticks_are_the_executed_events(cut, k):
+    """In every stored tick column -1 means "never executes": per plan
+    stage, the fast engine's live trace of the same cut run holds one
+    ``phantom_match`` per executed insert, one ``fifo_pop`` per executed
+    pop, and one ``egress`` per executed egress. An insert that an
+    executed pop feeds lands past the cut too, and reads -1."""
+    case, max_ticks = CUT_RUNS[cut]
+    make_program, trace, cfg_kw, case_ticks = GRANULARITY_CASES[case]
+    if max_ticks is None:
+        max_ticks = case_ticks
+    config = MP5Config(num_pipelines=k, **cfg_kw)
+    recorder = TraceRecorder()
+    run_mp5(
+        make_program(), trace(), config, max_ticks=max_ticks,
+        recorder=recorder,
+    )
+    live = collections.Counter(
+        (event["type"], event.get("stage")) for event in recorder.events
+    )
+    switch = VectorSwitch(make_program(), config)
+    switch.run(trace(), max_ticks=max_ticks)
+    schedule = switch._last_schedule
+    for pi, plan in enumerate(switch._vplans):
+        executed = int(np.count_nonzero(schedule.ins_tick[pi] >= 0))
+        assert live["phantom_match", plan.stage] == executed, (pi, "insert")
+        executed = int(np.count_nonzero(schedule.pop_tick[pi] >= 0))
+        assert live["fifo_pop", plan.stage] == executed, (pi, "pop")
+    executed = int(np.count_nonzero(schedule.egr_tick >= 0))
+    assert live["egress", None] == executed
 
 
 #: Streaming gauges of three fixed (trace, chunking) runs, as the

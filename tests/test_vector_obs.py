@@ -254,7 +254,7 @@ def test_profiler_vector_channels_populate():
     )
     assert profiler.epochs and profiler.epochs[0]["start"] == 0
     report = profiler.report()
-    assert "Vector phase breakdown" in report
+    assert "Phase split" in report
     assert "Service kernel tiers" in report
     dumped = profiler.to_dict()
     assert json.dumps(dumped)  # JSON-safe for the trace header
@@ -267,7 +267,7 @@ def test_profiler_scalar_channels_stay_empty():
     profiler = fast["profiler"]
     assert not profiler.spans and not profiler.kernels
     assert not profiler.epochs
-    assert "Vector phase breakdown" not in profiler.report()
+    assert "Vector epochs" not in profiler.report()
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +301,10 @@ def test_cli_profile_names_the_tier_that_ran(capsys):
          "--profile"]
     ) == 0
     out = capsys.readouterr().out
-    assert ("tier=njit" in out) == native_available()
-    assert ("tier=python" in out) != native_available()
+    rows = out.split("Service kernel tiers\n")[1].splitlines()[2:]
+    tiers = {row.split()[1] for row in rows if row.strip()}
+    assert ("njit" in tiers) == native_available()
+    assert ("python" in tiers) != native_available()
     assert "Fast-path phase breakdown" not in out
 
 
@@ -432,6 +434,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.obs import DetectorConfig  # noqa: E402
 from repro.obs.reconstruct import (  # noqa: E402
+    _P_EGRESS,
     _dispatch_events,
     feed_window_sinks,
     synthesize_events,
@@ -647,11 +650,12 @@ def _array_monitor(switch, schedule, drained=True):
     return monitor
 
 
-def _emitter_monitor(switch, schedule, drained=True):
-    """The oracle: the schedule's event sequence through the monitor's
-    scalar-facing emitters (what the per-event replay fed it)."""
+def _emitter_monitor(switch, schedule, drained=True, extra=()):
+    """The oracle: the schedule's event sequence, plus the ``extra``
+    event tuples a corruption adds, through the monitor's scalar-facing
+    emitters (what the per-event replay fed it)."""
     monitor = InvariantMonitor()
-    events = synthesize_events(switch, schedule)
+    events = sorted(synthesize_events(switch, schedule) + list(extra))
     _dispatch_events(monitor, events, switch.stats.ticks)
     monitor.end_run(switch.stats.ticks, switch, drained)
     return monitor
@@ -768,9 +772,17 @@ def test_corrupt_egress_of_unmatched_row_breaks_pairing_and_conservation():
         schedule.ins_tick[last] < 0
     )
     row = int(np.nonzero(stuck)[0][0])
-    sched.egr_tick[row] = switch.stats.ticks - 1
+    tick = switch.stats.ticks - 1
+    sched.egr_tick[row] = tick
     array = _array_monitor(switch, sched, drained=False)
-    oracle = _emitter_monitor(switch, sched, drained=False)
+    # Egress events follow the schedule's egress order and the stats'
+    # latencies, which the corruption leaves alone: the oracle gets the
+    # added egress as an event of its own.
+    latency = tick - switch.stats.arrival_ticks[row]
+    oracle = _emitter_monitor(
+        switch, sched, drained=False,
+        extra=[(tick, _P_EGRESS, row, latency)],
+    )
     _assert_same_verdict_on("phantom_pairing", array, oracle)
     assert "conservation" not in oracle.violations
     assert array.violations["conservation"] == 2
