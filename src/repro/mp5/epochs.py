@@ -95,7 +95,8 @@ class EpochSchedule:
     ``pipe``: the injected rows routed there in id order, which is
     their pop order, so a group's pop ticks rise along it.
     ``egress_rows`` are the executed egresses in the scalar engines'
-    (tick, pipeline) order. Consumers read these; none re-derives them.
+    (tick, pipeline) order, the order of the stats' egress lists.
+    Consumers read these; none re-derives them.
     """
 
     __slots__ = (

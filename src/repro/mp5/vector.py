@@ -473,14 +473,8 @@ class VectorSwitch(MP5Switch):
             name: np.asarray(values, dtype=np.int64)
             for name, values in self.registers.items()
         }
-        # The per-packet facts kept past feed(), as columns by row:
-        # arrival (as given: ``stats.arrival_ticks``), port and flow.
-        # The arrival column duplicates ``stats.arrival_ticks`` for the
-        # latency subtraction at finish, at 8 bytes a row. Rebuilding it
-        # there with ``np.fromiter`` instead costs 1.1-2.0 ms per 50 000
-        # arrivals, against a 119-145 ms engine call on offline_vector's
-        # trace (2-core x86 host, min of 7 each).
-        self._arrival = np.empty(0, dtype=np.float64)
+        # The per-packet facts kept past feed(), as columns by row: port
+        # and flow (arrivals are ``stats.arrival_ticks``).
         self._port = np.empty(0, dtype=np.int64)
         self._flow: List = []
         self._max_ticks = max_ticks
@@ -557,8 +551,6 @@ class VectorSwitch(MP5Switch):
         hi = lo + n
         self._port = _grown(self._port, hi)
         self._port[lo:hi] = cols.port
-        self._arrival = _grown(self._arrival, hi)
-        self._arrival[lo:hi] = arr
         for f in self._field_list:
             # A field the batch does not carry reads 0 in every row.
             col = _grown(self._H[f], hi)
@@ -749,7 +741,11 @@ class VectorSwitch(MP5Switch):
             arrivals = stats.arrival_ticks
             kinds = set(map(type, arrivals))
             if kinds in ({int}, {float}):
-                arrived = self._arrival[ordered].astype(kinds.pop())
+                arrived = np.fromiter(
+                    arrivals,
+                    dtype=np.int64 if kinds.pop() is int else np.float64,
+                    count=len(arrivals),
+                )[ordered]
                 stats.latencies = (ticks_sorted - arrived).tolist()
             else:
                 stats.latencies = [

@@ -17,9 +17,8 @@ cannot. But its Phase A output — the :class:`~repro.mp5.epochs.EpochSchedule`
 * transit stages with instructions service a packet one stage per tick
   after injection (``inj + (u - 1)``) or after a pop
   (``pop[pi] + (u - stage[pi])``);
-* ``egress`` happens at ``egr_tick[r]``, in the schedule's
-  ``egress_rows`` order; ``remap`` at the boundaries Phase A recorded
-  in ``remap_records``;
+* ``egress`` happens at ``egr_tick[r]``; ``remap`` at the boundaries
+  Phase A recorded in ``remap_records``;
 * a ``fifo_block`` episode opens at the first tick the group head's
   phantom blocks queued data: ``max(prev_pop + 1, suffix_min(ins))`` —
   data presence implies the head's phantom has been delivered (global
@@ -661,12 +660,12 @@ def synthesize_events(switch, schedule) -> List[Tuple]:
                         add((b, _P_FIFO_BLOCK, pipe, stage))
                     break
 
-    # Egress (latencies as the stats reconstructed them, in the same
-    # order) and remap boundaries.
-    for t, r, latency in zip(
-        stats.egress_ticks, schedule.egress_rows.tolist(), stats.latencies
-    ):
-        add((t, _P_EGRESS, r, latency))
+    # Egress (every row whose ``egr_tick`` executes, as the window sinks
+    # count it) and remap boundaries.
+    done = np.flatnonzero(schedule.egr_tick >= 0)
+    arrival = stats.arrival_ticks
+    for t, r in zip(schedule.egr_tick[done].tolist(), done.tolist()):
+        add((t, _P_EGRESS, r, t - arrival[r]))
     for boundary, moved in schedule.remap_records:
         add((int(boundary), _P_REMAP, int(moved)))
 
