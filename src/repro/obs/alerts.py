@@ -40,8 +40,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
+
+from .metrics import _bisect_rows
 
 PathLike = Union[str, Path]
 
@@ -215,11 +218,16 @@ class AnomalyDetector:
             tracker = self._trackers[name] = _Ewma(self.config.ewma_alpha)
         return tracker
 
+    @staticmethod
+    def _at(rows, tick: int, key: Callable):
+        """The row a series holds for the window closed at ``tick``
+        (a block append may already hold later windows), or None."""
+        i = _bisect_rows(rows or [], tick, key)
+        return rows[i - 1] if i and key(rows[i - 1]) == tick else None
+
     def _latest(self, registry, name: str, tick: int) -> Optional[float]:
-        points = registry.series.get(name)
-        if points and points[-1][0] == tick:
-            return float(points[-1][1])
-        return None
+        point = self._at(registry.series.get(name), tick, itemgetter(0))
+        return None if point is None else float(point[1])
 
     def examine(self, registry, tick: int) -> List[Alert]:
         cfg = self.config
@@ -293,9 +301,8 @@ class AnomalyDetector:
             ),
         )
         waits = registry.histogram_series.get("phantom_wait")
-        wait_mean = None
-        if waits and waits[-1].get("tick") == tick:
-            wait_mean = float(waits[-1]["mean"])
+        waits = self._at(waits, tick, itemgetter("tick"))
+        wait_mean = None if waits is None else float(waits["mean"])
         rule(
             "phantom_wait",
             wait_mean,

@@ -491,9 +491,15 @@ class InvariantMonitor:
         private registry, and run the anomaly rules over the row it
         appended."""
         self.registry.maybe_roll(tick)
-        rolled = self.registry._last_roll
-        if rolled == tick and rolled != self._last_detector_roll:
-            self._last_detector_roll = rolled
+        if self.registry._last_roll == tick:
+            self.detect(tick)
+
+    def detect(self, tick: int) -> None:
+        """Run the anomaly rules once over the private registry's
+        window closed at ``tick`` (the row may come from a block
+        append that already holds later windows)."""
+        if tick != self._last_detector_roll:
+            self._last_detector_roll = tick
             for alert in self.detector.examine(self.registry, tick):
                 self.alerts.append(alert)
 
