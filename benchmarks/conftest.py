@@ -4,7 +4,8 @@ Every benchmark regenerates one table or figure of the paper and checks
 the *shape* criteria from DESIGN.md (who wins, monotone directions,
 where crossovers fall) — absolute numbers differ from the authors'
 testbed by construction. Rendered tables are printed so ``pytest
-benchmarks/ --benchmark-only -s`` shows the reproduced artifacts.
+benchmarks/ --ignore=benchmarks/e2e -s`` shows the reproduced
+artifacts.
 
 Scale knobs: set MP5_BENCH_SCALE=small for quicker smoke runs.
 """
@@ -36,8 +37,3 @@ def show():
         print("\n" + text)
 
     return _show
-
-
-def run_once(benchmark, func):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(func, rounds=1, iterations=1)

@@ -59,7 +59,7 @@ from repro.workloads import (
     sensitivity_trace,
 )
 
-# The engine workload of benchmarks/test_simulator_performance.py,
+# The engine workload (2000-packet sensitivity trace, k=4),
 # timed on the seed engine (commit 275ecc4) on the reference host:
 # best-of-15 0.1272 s, median 0.1459 s for the 2000-packet run.
 SEED_BASELINE = {

@@ -23,7 +23,7 @@ from repro.workloads import (
     sensitivity_trace,
 )
 
-from conftest import bench_params, run_once
+from conftest import bench_params
 
 
 def _throughput(program, trace, config):
@@ -31,7 +31,7 @@ def _throughput(program, trace, config):
     return stats.throughput_normalized()
 
 
-def test_ablation_remap_period(benchmark, show):
+def test_ablation_remap_period(show):
     params = bench_params()
     program = make_sensitivity_program(4, 512)
 
@@ -58,7 +58,7 @@ def test_ablation_remap_period(benchmark, show):
             rows.append((label, float(np.mean(scores))))
         return rows
 
-    rows = run_once(benchmark, sweep)
+    rows = sweep()
     show(format_table(["remap policy", "throughput"], rows,
                       title="Ablation: dynamic sharding remap period (skewed)"))
     scores = dict(rows)
@@ -75,7 +75,7 @@ def test_ablation_remap_period(benchmark, show):
     assert scores["optimal@100"] < scores["period=100"] + 0.08
 
 
-def test_ablation_fifo_capacity(benchmark, show):
+def test_ablation_fifo_capacity(show):
     params = bench_params()
 
     def sweep():
@@ -98,7 +98,7 @@ def test_ablation_fifo_capacity(benchmark, show):
         rows.append(("global counter (cap=8)", stats.dropped, stats.egressed))
         return rows
 
-    rows = run_once(benchmark, sweep)
+    rows = sweep()
     show(format_table(["scenario", "drops", "egressed"], rows,
                       title="Ablation: 8-entry FIFOs (the paper's sizing)"))
     by_name = {name: drops for name, drops, _e in rows}
@@ -107,7 +107,7 @@ def test_ablation_fifo_capacity(benchmark, show):
     assert by_name["global counter (cap=8)"] > 0
 
 
-def test_ablation_ecn_marking_gives_early_signal(benchmark, show):
+def test_ablation_ecn_marking_gives_early_signal(show):
     """§3.4's suggested ECN-style backpressure: under inadmissible load
     the marking rate rises well before drops would occur with adaptive
     FIFOs, giving senders a usable congestion signal."""
@@ -131,7 +131,7 @@ def test_ablation_ecn_marking_gives_early_signal(benchmark, show):
             )
         return rows
 
-    rows = run_once(benchmark, sweep)
+    rows = sweep()
     show(format_table(["offered load", "ECN marks", "drops"], rows,
                       title="Ablation: ECN marking vs offered load"))
     marks = {name: m for name, m, _d in rows}
@@ -140,7 +140,7 @@ def test_ablation_ecn_marking_gives_early_signal(benchmark, show):
     assert marks["load=1.0"] > 0
 
 
-def test_ablation_affinity_spray(benchmark, show):
+def test_ablation_affinity_spray(show):
     """Extension ablation: entering each packet at the pipeline of its
     first state access (the ingress evaluates the same stateless
     resolution logic) should cut crossbar traffic substantially at equal
@@ -180,7 +180,7 @@ def test_ablation_affinity_spray(benchmark, show):
             )
         return rows
 
-    rows = run_once(benchmark, sweep)
+    rows = sweep()
     show(format_table(["spray", "throughput", "steering", "crossing frac"],
                       rows, title="Ablation: ingress affinity spray"))
     by_policy = {r[0]: r for r in rows}

@@ -22,15 +22,15 @@ from repro.harness import (
     sweep_stateful_stages,
 )
 
-from conftest import bench_params, run_once
+from conftest import bench_params
 
 SETTINGS = SweepSettings(**bench_params())
 
 GAP_TOLERANCE = 0.12  # "MP5 closely matches the ideal" (§4.3.3)
 
 
-def test_fig7a_pipelines(benchmark, show):
-    points = run_once(benchmark, lambda: sweep_pipelines(SETTINGS))
+def test_fig7a_pipelines(show):
+    points = sweep_pipelines(SETTINGS)
     show(render_sweep(points, "7a"))
     tputs = [p.mp5_throughput for p in points]
     # Single pipeline processes at line rate; contention grows with k.
@@ -45,8 +45,8 @@ def test_fig7a_pipelines(benchmark, show):
         assert p.gap_to_ideal < GAP_TOLERANCE
 
 
-def test_fig7b_stateful_stages(benchmark, show):
-    points = run_once(benchmark, lambda: sweep_stateful_stages(SETTINGS))
+def test_fig7b_stateful_stages(show):
+    points = sweep_stateful_stages(SETTINGS)
     show(render_sweep(points, "7b"))
     tputs = [p.mp5_throughput for p in points]
     assert tputs[0] > 0.99  # zero stateful stages = stateless = line rate
@@ -58,8 +58,8 @@ def test_fig7b_stateful_stages(benchmark, show):
         assert p.gap_to_ideal < GAP_TOLERANCE
 
 
-def test_fig7c_register_size(benchmark, show):
-    points = run_once(benchmark, lambda: sweep_register_size(SETTINGS))
+def test_fig7c_register_size(show):
+    points = sweep_register_size(SETTINGS)
     show(render_sweep(points, "7c"))
     tputs = {p.value: p.mp5_throughput for p in points}
     # Size 1: every packet contends for a single state -> 1/k floor.
@@ -70,8 +70,8 @@ def test_fig7c_register_size(benchmark, show):
     assert tputs[4096] > 3 * tputs[1]
 
 
-def test_fig7d_packet_size(benchmark, show):
-    points = run_once(benchmark, lambda: sweep_packet_size(SETTINGS))
+def test_fig7d_packet_size(show):
+    points = sweep_packet_size(SETTINGS)
     show(render_sweep(points, "7d"))
     tputs = {p.value: p.mp5_throughput for p in points}
     # Larger packets widen the processing budget...

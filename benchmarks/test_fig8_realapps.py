@@ -13,17 +13,17 @@ import pytest
 
 from repro.harness import RealAppSettings, render_figure8, run_figure8
 
-from conftest import bench_params, run_once
+from conftest import bench_params
 
 PAPER_MAX_QUEUE = {"flowlet": 11, "conga": 8, "wfq": 7, "sequencer": 7}
 
 
-def test_fig8_real_applications(benchmark, show):
+def test_fig8_real_applications(show):
     params = bench_params()
     settings = RealAppSettings(
         num_packets=params["num_packets"], seeds=params["seeds"]
     )
-    results = run_once(benchmark, lambda: run_figure8(settings=settings))
+    results = run_figure8(settings=settings)
     show(render_figure8(results))
 
     assert set(results) == {"flowlet", "conga", "wfq", "sequencer"}
@@ -38,7 +38,7 @@ def test_fig8_real_applications(benchmark, show):
         assert max_queue <= 3 * PAPER_MAX_QUEUE[app] + 4, (app, max_queue)
 
 
-def test_fig8_scalar_state_limit_beyond_sweep(benchmark):
+def test_fig8_scalar_state_limit_beyond_sweep():
     """§3.5.2 check: past the sweep, a global-register application is
     fundamentally limited to mean_packet_size/(64*k) of line rate — at
     k=16 with ~740 B mean packets that is ~0.72, not line rate."""
@@ -50,9 +50,8 @@ def test_fig8_scalar_state_limit_beyond_sweep(benchmark):
         num_packets=params["num_packets"], seeds=params["seeds"][:1]
     )
 
-    points = run_once(
-        benchmark,
-        lambda: run_application(SEQUENCER, pipeline_counts=(16,), settings=settings),
+    points = run_application(
+        SEQUENCER, pipeline_counts=(16,), settings=settings
     )
     (point,) = points
     mean_bytes = 0.55 * 200 + 0.45 * 1400

@@ -14,12 +14,12 @@ from repro.harness import format_table
 from repro.mp5 import MP5Config, run_mp5
 from repro.workloads import make_sensitivity_program, sensitivity_trace
 
-from conftest import bench_params, run_once
+from conftest import bench_params
 
 LOADS = (0.3, 0.5, 0.7, 0.9)
 
 
-def test_latency_vs_load(benchmark, show):
+def test_latency_vs_load(show):
     params = bench_params()
     program = make_sensitivity_program(1, 4096)
     depth = 16
@@ -44,7 +44,7 @@ def test_latency_vs_load(benchmark, show):
             )
         return rows
 
-    rows = run_once(benchmark, sweep)
+    rows = sweep()
     show(
         format_table(
             ["load", "mean", "p50", "p99", "throughput"],

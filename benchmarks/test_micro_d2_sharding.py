@@ -10,12 +10,12 @@ import numpy as np
 
 from repro.harness import MicrobenchSettings, run_d2
 
-from conftest import micro_params, run_once
+from conftest import micro_params
 
 
-def test_d2_dynamic_vs_static_sharding(benchmark, show):
+def test_d2_dynamic_vs_static_sharding(show):
     settings = MicrobenchSettings(**micro_params())
-    results = run_once(benchmark, lambda: run_d2(settings))
+    results = run_d2(settings)
     by_pattern = {r.pattern: r for r in results}
 
     lines = ["D2: dynamic/static throughput ratio per stream"]

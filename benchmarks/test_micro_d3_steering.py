@@ -10,12 +10,12 @@ import numpy as np
 
 from repro.harness import MicrobenchSettings, run_d3
 
-from conftest import micro_params, run_once
+from conftest import micro_params
 
 
-def test_d3_steering_vs_recirculation(benchmark, show):
+def test_d3_steering_vs_recirculation(show):
     settings = MicrobenchSettings(**micro_params())
-    result = run_once(benchmark, lambda: run_d3(settings))
+    result = run_d3(settings)
 
     mp5 = float(np.mean(result.mp5))
     recirc = float(np.mean(result.recirculation))
@@ -38,9 +38,7 @@ def test_d3_steering_vs_recirculation(benchmark, show):
     assert float(np.mean(result.avg_recirculations)) > 1.5
 
 
-def test_d3_recirculation_below_naive_when_passes_exceed_pipelines(
-    benchmark, show
-):
+def test_d3_recirculation_below_naive_when_passes_exceed_pipelines(show):
     """The paper's worst case: with more stateful accesses spread over
     the pipelines, avg re-circulations/packet exceeds k and throughput
     falls below the naive single-pipeline-state design."""
@@ -51,7 +49,7 @@ def test_d3_recirculation_below_naive_when_passes_exceed_pipelines(
         num_stateful=8,  # more accesses -> more pipelines visited
         num_pipelines=4,
     )
-    result = run_once(benchmark, lambda: run_d3(settings))
+    result = run_d3(settings)
     recirc = float(np.mean(result.recirculation))
     naive = float(np.mean(result.single_pipeline_state))
     passes = float(np.mean(result.avg_recirculations))

@@ -11,12 +11,12 @@ import numpy as np
 
 from repro.harness import MicrobenchSettings, run_d4
 
-from conftest import micro_params, run_once
+from conftest import micro_params
 
 
-def test_d4_order_enforcement(benchmark, show):
+def test_d4_order_enforcement(show):
     settings = MicrobenchSettings(**micro_params())
-    result = run_once(benchmark, lambda: run_d4(settings))
+    result = run_d4(settings)
 
     show(
         "D4: C1 violation fraction (inversion / displaced metric)\n"

@@ -17,11 +17,9 @@ from repro.asic import (
 )
 from repro.harness import render_table1, run_table1
 
-from conftest import run_once
 
-
-def test_table1_area_and_clock(benchmark, show):
-    cells = run_once(benchmark, run_table1)
+def test_table1_area_and_clock(show):
+    cells = run_table1()
     show(render_table1(cells))
 
     assert len(cells) == 12
@@ -40,8 +38,8 @@ def test_table1_area_and_clock(benchmark, show):
         assert 3.0 < by_ks[(8, s)] / by_ks[(4, s)] < 5.0
 
 
-def test_table1_overhead_vs_commercial_asic(benchmark):
-    breakdown = run_once(benchmark, lambda: chip_area(4, 16))
+def test_table1_overhead_vs_commercial_asic():
+    breakdown = chip_area(4, 16)
     # §4.2: "the total area overhead for 4 pipelines and 16 stages is
     # only 3.36 mm^2 ... 0.5-1% overhead" against 300-700 mm^2 ASICs.
     assert breakdown.total_mm2 == pytest.approx(3.36, rel=0.05)
@@ -52,8 +50,8 @@ def test_table1_overhead_vs_commercial_asic(benchmark):
     assert 0.018 <= eight / 700 and eight / 300 <= 0.045
 
 
-def test_table1_sram_overhead(benchmark):
-    report = run_once(benchmark, sram_overhead_paper_example)
+def test_table1_sram_overhead():
+    report = sram_overhead_paper_example()
     # "the total SRAM overhead only comes to about 35 KB per pipeline"
     assert 33 <= report.kilobytes <= 38
     # "quite nominal given ... 50-100 MB of SRAM"

@@ -58,7 +58,7 @@ from .harness import (
     sweep_register_size,
     sweep_stateful_stages,
 )
-from .mp5 import ENGINES, MP5Config, run_mp5
+from .mp5 import DEFAULT_ENGINE, ENGINES, MP5Config, run_mp5
 from .obs import (
     AlertLog,
     InvariantMonitor,
@@ -588,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--packet-size", type=int, default=64)
         p.add_argument("--seed", type=int, default=0)
 
-    def add_engine_arg(p, default="fast"):
+    def add_engine_arg(p, default=DEFAULT_ENGINE):
         p.add_argument(
             "--engine",
             choices=sorted(ENGINES),

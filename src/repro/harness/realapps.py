@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..apps import ALL_APPS, FIGURE8_APPS, Application
-from ..mp5 import ENGINES
+from ..mp5 import DEFAULT_ENGINE, ENGINES
 from ..mp5.config import MP5Config
 from .parallel import parallel_map
 from .report import format_table
@@ -44,7 +44,7 @@ class RealAppSettings:
     num_ports: int = 64
     max_ticks: Optional[int] = None
     fifo_capacity: Optional[int] = None  # None = adaptive (no loss), as §4.3.1
-    engine: str = "fast"  # dense | fast | vector (see repro.mp5.ENGINES)
+    engine: str = DEFAULT_ENGINE  # a repro.mp5.ENGINES name
 
 
 def _run_app_serial(

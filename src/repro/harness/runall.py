@@ -15,7 +15,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Dict, Optional
 
-from ..mp5 import ENGINES
+from ..mp5 import DEFAULT_ENGINE, ENGINES
 from .microbench import MicrobenchSettings, render_microbench, run_d2, run_d3, run_d4
 from .realapps import RealAppSettings, render_figure8, run_figure8
 from .sensitivity import (
@@ -64,7 +64,7 @@ SCALES = {
 def _observability_run(
     out: Path,
     knobs: Dict[str, object],
-    engine: str = "fast",
+    engine: str = DEFAULT_ENGINE,
 ) -> Dict[str, object]:
     """One instrumented sensitivity run: trace + metrics + stall summary.
 
@@ -79,7 +79,6 @@ def _observability_run(
     schedule, so every artifact — and the returned block
     that lands in ``results.json`` — is byte-identical across engines.
     """
-    from ..mp5 import ENGINES
     from ..mp5.config import MP5Config
     from ..obs import (
         InvariantMonitor,
@@ -174,7 +173,7 @@ def run_all(
         raise ValueError(f"scale must be one of {sorted(SCALES)}")
     knobs = SCALES[scale]
     if engine is None:
-        engine = str(knobs.get("engine", "fast"))
+        engine = str(knobs.get("engine", DEFAULT_ENGINE))
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {sorted(ENGINES)}")
     say = progress or (lambda _msg: None)

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..mp5 import ENGINES
+from ..mp5 import DEFAULT_ENGINE, ENGINES
 from ..mp5.config import MP5Config
 from ..workloads.synthetic import make_sensitivity_program, sensitivity_trace
 from .parallel import parallel_map
@@ -64,7 +64,7 @@ class SweepSettings:
     seeds: Sequence[int] = (0, 1, 2)
     pattern: str = "uniform"
     max_ticks_factor: int = 40  # safety cap: ticks <= factor * packets / k
-    engine: str = "fast"  # dense | fast | vector (see repro.mp5.ENGINES)
+    engine: str = DEFAULT_ENGINE  # a repro.mp5.ENGINES name
 
 
 def _seed_point(task) -> tuple:

@@ -59,6 +59,7 @@ from ..compiler.native import native_available, native_unavailable_reason
 from .config import MP5Config
 from .crossbar import CrossbarTelemetry
 from .engines import (
+    DEFAULT_ENGINE,
     ENGINES,
     build_switch,
     run_mp5,
@@ -80,6 +81,7 @@ from .switch import FLOW_ORDER_ARRAY, MP5Switch
 from .vector import VectorSwitch, VectorUnsupported
 
 __all__ = [
+    "DEFAULT_ENGINE",
     "ENGINES",
     "build_switch",
     "EpochSchedule",

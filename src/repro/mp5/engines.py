@@ -111,6 +111,10 @@ def run_mp5_vector(program, trace, config=None, **run_args) -> _Result:
     return run_engine("vector", program, trace, config, **run_args)
 
 
+#: The engine every caller that names none runs: the CLI's
+#: ``--engine``, the daemon, the sweeps and ``reproduce --trace``.
+DEFAULT_ENGINE = "fast"
+
 #: Engine registry: the ``--engine`` names and their runners, which
 #: share one signature and produce identical results.
 ENGINES = {

@@ -339,8 +339,12 @@ class MP5Switch:
         if profiler is not None:
             self._profiler = profiler
         if metrics is not None:
+            # Pull samplers: the switch's cumulative counters are read
+            # once per window, so publishing adds no per-packet cost.
             self._metrics = metrics
-            self._register_metric_sources(metrics)
+            for name, cumulative, read in self._metric_sources():
+                metrics.add_sampler(name, read, cumulative=cumulative)
+            self._metrics_latency = metrics.histogram("latency")
         if monitor is not None:
             self._monitor = monitor
             monitor.bind(self)
@@ -422,18 +426,6 @@ class MP5Switch:
                 ("crossbar_crossings", True, lambda: crossbar.total_crossings)
             )
         return sources
-
-    def _register_metric_sources(self, metrics, latency: bool = True) -> None:
-        """Publish the switch's components into the registry as pull
-        samplers: their existing cumulative counters are read once per
-        window, so publishing adds no per-packet cost. ``latency=False``
-        registers everything except the per-egress latency histogram
-        (used by the monitor's private registry, which must not steal
-        the hot-path histogram shortcut from an attached registry)."""
-        for name, cumulative, read in self._metric_sources():
-            metrics.add_sampler(name, read, cumulative=cumulative)
-        if latency:
-            self._metrics_latency = metrics.histogram("latency")
 
     def public_registers(self) -> Dict[str, List[int]]:
         """The program's register arrays — what a run returns: every

@@ -29,7 +29,6 @@ from .alerts import (
     Alert,
     AlertLog,
     AnomalyDetector,
-    DetectorConfig,
     SEVERITIES,
 )
 from .events import EVENT_TYPES, canonical_form, events_by_tick
@@ -72,7 +71,6 @@ __all__ = [
     "AlertLog",
     "AnomalyDetector",
     "Counter",
-    "DetectorConfig",
     "EVENT_TYPES",
     "Gauge",
     "HealthReport",

@@ -17,22 +17,22 @@ Severities
 * ``critical`` — an invariant violation or packet loss; the run is
   *violated* (see :class:`repro.obs.health.HealthReport`).
 
-The :class:`AnomalyDetector` watches the per-window series the
-:class:`~repro.obs.metrics.MetricsRegistry` samplers already produce
-(the monitor owns a private registry fed by the same switch samplers)
-and flags windows whose value departs from an exponentially weighted
-moving average by more than ``z_threshold`` standard deviations:
+The :class:`AnomalyDetector` reads the five cumulative series of
+:data:`DETECTOR_SERIES` from the monitor's private
+:class:`~repro.obs.metrics.MetricsRegistry` (three switch samplers and
+the monitor's running phantom-wait totals) and flags windows whose
+value departs from an exponentially weighted moving average by more
+than ``Z_THRESHOLD`` standard deviations:
 
 * **throughput collapse** — windowed egress count falls to less than
-  ``collapse_fraction`` of its EWMA,
+  ``COLLAPSE_FRACTION`` of its EWMA,
 * **drop-rate step** — windowed drop count jumps,
 * **remap thrash** — the sharder moves far more indices than usual,
 * **phantom-wait spike** — the mean queueing wait of popped packets
-  jumps.
+  (the window's wait sum over its pop count) jumps.
 
-All thresholds live on :class:`DetectorConfig`; every decision is a
-pure function of the per-window series, so the fast and reference
-engines produce byte-identical alert streams.
+Every decision is a pure function of the per-window series, so the
+fast and reference engines produce byte-identical alert streams.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .metrics import _bisect_rows
 
@@ -152,49 +151,48 @@ class AlertLog:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class DetectorConfig:
-    """Tuning knobs of the windowed EWMA/z-score anomaly detector.
+#: The cumulative series the detector reads, per window delta: three
+#: switch samplers, then the monitor's running phantom-wait totals.
+DETECTOR_SERIES = (
+    "egressed", "dropped", "sharder_moves",
+    "phantom_wait_sum", "phantom_wait_count",
+)
 
-    The defaults are deliberately conservative: a healthy fault-free
-    run must produce *zero* alerts (the CLI's ``--fail-on-violation``
-    and the chaos sweep's health verdicts rely on that), so each rule
-    combines the z-score with an absolute floor that windowed noise on
-    small workloads cannot reach.
-    """
-
-    window: int = 100  # ticks per detector window
-    ewma_alpha: float = 0.3  # weight of the newest window
-    z_threshold: float = 4.0  # |z| needed to flag a window
-    warmup_windows: int = 3  # windows observed before any alert
-    min_sd: float = 1.0  # floor on the EWMA standard deviation
-    collapse_fraction: float = 0.5  # throughput below this x EWMA
-    min_throughput: float = 1.0  # EWMA egress/window worth watching
-    min_drop_step: int = 2  # windowed drops needed to flag
-    min_remap_moves: int = 8  # windowed index moves needed to flag
-    min_wait_spike: float = 2.0  # mean-wait increase (ticks) needed
+# The thresholds are conservative by contract: a healthy fault-free run
+# must produce *zero* alerts (the CLI's ``--fail-on-violation`` and the
+# chaos sweep's health verdicts rely on that), so each rule combines the
+# z-score with an absolute floor that windowed noise on small workloads
+# cannot reach.
+EWMA_ALPHA = 0.3  # weight of the newest window
+Z_THRESHOLD = 4.0  # |z| needed to flag a window
+WARMUP_WINDOWS = 3  # windows observed before any alert
+MIN_SD = 1.0  # floor on the EWMA standard deviation
+COLLAPSE_FRACTION = 0.5  # throughput below this x EWMA
+MIN_THROUGHPUT = 1.0  # EWMA egress/window worth watching
+MIN_DROP_STEP = 2  # windowed drops needed to flag
+MIN_REMAP_MOVES = 8  # windowed index moves needed to flag
+MIN_WAIT_SPIKE = 2.0  # mean-wait increase (ticks) needed
 
 
 class _Ewma:
     """EWMA mean/variance tracker for one windowed feature."""
 
-    __slots__ = ("mean", "var", "n", "alpha")
+    __slots__ = ("mean", "var", "n")
 
-    def __init__(self, alpha: float):
-        self.alpha = alpha
+    def __init__(self):
         self.mean = 0.0
         self.var = 0.0
         self.n = 0
 
-    def score(self, x: float, min_sd: float) -> float:
-        sd = max(math.sqrt(self.var), min_sd)
+    def score(self, x: float) -> float:
+        sd = max(math.sqrt(self.var), MIN_SD)
         return (x - self.mean) / sd
 
     def update(self, x: float) -> None:
         if self.n == 0:
             self.mean = x
         else:
-            a = self.alpha
+            a = EWMA_ALPHA
             self.var = a * (x - self.mean) ** 2 + (1.0 - a) * self.var
             self.mean = a * x + (1.0 - a) * self.mean
         self.n += 1
@@ -204,48 +202,41 @@ class AnomalyDetector:
     """EWMA/z-score anomaly rules over the monitor's per-window series.
 
     ``examine(registry, tick)`` is called by the monitor at every window
-    boundary with the registry it feeds; each rule reads the point the
-    just-closed window appended and returns the alerts it raised.
+    boundary with the registry it feeds; each rule reads the row of
+    :data:`DETECTOR_SERIES` the just-closed window appended and returns
+    the alerts it raised. ``window`` is the monitor's, quoted in the
+    evidence.
     """
 
-    def __init__(self, config: Optional[DetectorConfig] = None):
-        self.config = config or DetectorConfig()
+    def __init__(self, window: int = 100):
+        self.window = window
         self._trackers: Dict[str, _Ewma] = {}
 
     def _tracker(self, name: str) -> _Ewma:
         tracker = self._trackers.get(name)
         if tracker is None:
-            tracker = self._trackers[name] = _Ewma(self.config.ewma_alpha)
+            tracker = self._trackers[name] = _Ewma()
         return tracker
 
     @staticmethod
-    def _at(rows, tick: int, key: Callable):
-        """The row a series holds for the window closed at ``tick``
-        (a block append may already hold later windows), or None."""
-        i = _bisect_rows(rows or [], tick, key)
-        return rows[i - 1] if i and key(rows[i - 1]) == tick else None
-
-    def _latest(self, registry, name: str, tick: int) -> Optional[float]:
-        point = self._at(registry.series.get(name), tick, itemgetter(0))
-        return None if point is None else float(point[1])
+    def _latest(registry, name: str, tick: int):
+        """The delta series ``name`` holds for the window closed at
+        ``tick`` (a block append may already hold later windows), or
+        None."""
+        rows = registry.series.get(name) or []
+        i = _bisect_rows(rows, tick, lambda row: row[0])
+        return rows[i - 1][1] if i and rows[i - 1][0] == tick else None
 
     def examine(self, registry, tick: int) -> List[Alert]:
-        cfg = self.config
         alerts: List[Alert] = []
 
-        def rule(
-            feature: str,
-            value: Optional[float],
-            kind: str,
-            subsystem: str,
-            fires,
-            message,
-        ) -> None:
+        def rule(feature, value, kind, subsystem, fires, message) -> None:
             if value is None:
                 return
+            value = float(value)
             tracker = self._tracker(feature)
-            z = tracker.score(value, cfg.min_sd)
-            if tracker.n >= cfg.warmup_windows and fires(value, tracker, z):
+            z = tracker.score(value)
+            if tracker.n >= WARMUP_WINDOWS and fires(value, tracker, z):
                 alerts.append(
                     Alert(
                         severity=SEVERITY_WARNING,
@@ -254,7 +245,7 @@ class AnomalyDetector:
                         kind=kind,
                         message=message(value, tracker),
                         evidence={
-                            "window": cfg.window,
+                            "window": self.window,
                             "value": round(value, 4),
                             "ewma": round(tracker.mean, 4),
                             "z": round(z, 2),
@@ -263,15 +254,18 @@ class AnomalyDetector:
                 )
             tracker.update(value)
 
+        egressed, dropped, moves, wait_sum, pops = (
+            self._latest(registry, name, tick) for name in DETECTOR_SERIES
+        )
         rule(
             "throughput",
-            self._latest(registry, "egressed", tick),
+            egressed,
             "throughput_collapse",
             "egress",
             lambda x, t, z: (
-                z <= -cfg.z_threshold
-                and t.mean >= cfg.min_throughput
-                and x < cfg.collapse_fraction * t.mean
+                z <= -Z_THRESHOLD
+                and t.mean >= MIN_THROUGHPUT
+                and x < COLLAPSE_FRACTION * t.mean
             ),
             lambda x, t: (
                 f"windowed egress fell to {x:.0f} "
@@ -280,10 +274,10 @@ class AnomalyDetector:
         )
         rule(
             "drops",
-            self._latest(registry, "dropped", tick),
+            dropped,
             "drop_rate_step",
             "switch",
-            lambda x, t, z: z >= cfg.z_threshold and x >= cfg.min_drop_step,
+            lambda x, t, z: z >= Z_THRESHOLD and x >= MIN_DROP_STEP,
             lambda x, t: (
                 f"windowed drops jumped to {x:.0f} "
                 f"(EWMA {t.mean:.2f} drops/window)"
@@ -291,26 +285,23 @@ class AnomalyDetector:
         )
         rule(
             "remap",
-            self._latest(registry, "sharder_moves", tick),
+            moves,
             "remap_thrash",
             "sharding",
-            lambda x, t, z: z >= cfg.z_threshold and x >= cfg.min_remap_moves,
+            lambda x, t, z: z >= Z_THRESHOLD and x >= MIN_REMAP_MOVES,
             lambda x, t: (
                 f"sharder moved {x:.0f} indices this window "
                 f"(EWMA {t.mean:.2f} moves/window)"
             ),
         )
-        waits = registry.histogram_series.get("phantom_wait")
-        waits = self._at(waits, tick, itemgetter("tick"))
-        wait_mean = None if waits is None else float(waits["mean"])
+        # Int sum over int count: the window's exact mean wait; a window
+        # with no pop has none, and the rule skips it.
         rule(
             "phantom_wait",
-            wait_mean,
+            wait_sum / pops if pops else None,
             "phantom_wait_spike",
             "phantom_channel",
-            lambda x, t, z: (
-                z >= cfg.z_threshold and x >= t.mean + cfg.min_wait_spike
-            ),
+            lambda x, t, z: z >= Z_THRESHOLD and x >= t.mean + MIN_WAIT_SPIKE,
             lambda x, t: (
                 f"mean phantom wait rose to {x:.1f} ticks "
                 f"(EWMA {t.mean:.2f})"

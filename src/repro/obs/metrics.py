@@ -63,24 +63,23 @@ def _thin(rows: List) -> None:
     rows[:] = rows[(len(rows) - 1) % 2 :: 2]
 
 
-def summary(n: int, pick: Callable[[int], float], total: float) -> Dict:
-    """The histogram row of a window of ``n > 0`` values whose ``i``-th
-    smallest is ``pick(i)`` and whose sum is ``total``: count, min, max,
-    mean and the nearest-rank p50/p99."""
-    p50, p99 = (min(n - 1, round(q / 100 * (n - 1))) for q in (50, 99))
-    return {"count": n, "min": pick(0), "max": pick(n - 1),
-            "mean": total / n, "p50": pick(p50), "p99": pick(p99)}
-
-
 def window_rows(values: List, cuts: List[int]) -> List[Optional[Dict]]:
-    """One :func:`summary` per window ``values[cuts[i]:cuts[i + 1]]`` of
-    Python numbers in observation order, or None for an empty window.
-    Each window is sorted here by a stable sort, so ``mean`` is the
-    builtin ``sum`` in sorted order."""
-    windows = (sorted(values[lo:hi]) for lo, hi in zip(cuts, cuts[1:]))
-    return [
-        summary(len(w), w.__getitem__, sum(w)) if w else None for w in windows
-    ]
+    """The histogram row of each window ``values[cuts[i]:cuts[i + 1]]``
+    of Python numbers in observation order, or None for an empty
+    window: count, min, max, mean and the nearest-rank p50/p99. Each
+    window is sorted here by a stable sort, so ``mean`` is the builtin
+    ``sum`` in sorted order."""
+    rows: List[Optional[Dict]] = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        w = sorted(values[lo:hi])
+        n = len(w)
+        if not w:
+            rows.append(None)
+            continue
+        p50, p99 = (min(n - 1, round(q / 100 * (n - 1))) for q in (50, 99))
+        rows.append({"count": n, "min": w[0], "max": w[-1],
+                     "mean": sum(w) / n, "p50": w[p50], "p99": w[p99]})
+    return rows
 
 
 class Counter:

@@ -41,7 +41,9 @@ produce identical alert streams (asserted modulo
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from functools import partial
+from types import SimpleNamespace
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -50,7 +52,7 @@ from .alerts import (
     Alert,
     AlertLog,
     AnomalyDetector,
-    DetectorConfig,
+    DETECTOR_SERIES,
     SEVERITY_CRITICAL,
     SEVERITY_INFO,
 )
@@ -155,13 +157,13 @@ class InvariantMonitor:
     ``run_mp5_reference(..., monitor=...)`` or attach directly with
     ``switch.attach_observability(monitor=...)``, then read
     :attr:`alerts` and :meth:`health_report` after the run.
+    ``window`` is the anomaly detector's window in ticks.
     """
 
-    def __init__(self, detector_config: Optional[DetectorConfig] = None):
-        config = detector_config or DetectorConfig()
+    def __init__(self, window: int = 100):
         self.alerts = AlertLog()
-        self.detector = AnomalyDetector(config)
-        self.registry = MetricsRegistry(window=config.window)
+        self.detector = AnomalyDetector(window)
+        self.registry = MetricsRegistry(window=window)
         self.violations: Dict[str, int] = {}
         self.injected = 0
         self.egressed = 0
@@ -182,7 +184,8 @@ class InvariantMonitor:
         self._finalized: Set[int] = set()
         # pkt -> tick it entered a stage FIFO (wait accounting).
         self._queued: Dict[int, int] = {}
-        self._wait_hist = self.registry.histogram("phantom_wait")
+        # Running totals of those waits and of the pops that ended them.
+        self.waits = SimpleNamespace(sum=0, count=0)
         # Alert dedup keys already raised (one alert per invariant+site).
         self._alerted: Set[Tuple] = set()
         # Drops observed this tick, by reason (flushed by end_tick).
@@ -206,18 +209,32 @@ class InvariantMonitor:
 
     def bind(self, switch) -> None:
         """Called by ``attach_observability``: snapshot the shard maps
-        and publish the switch's samplers into the private registry the
-        anomaly detector reads."""
+        and register the anomaly detector's series."""
         if self._switch is not None:
             raise ConfigError(
                 "an InvariantMonitor tracks one run; construct a fresh "
                 "monitor per switch"
             )
         self._switch = switch
-        switch._register_metric_sources(self.registry, latency=False)
+        self._register_series(
+            {name: read for name, _cum, read in switch._metric_sources()}
+        )
         for name, state in switch.sharder.arrays.items():
             self._shard_maps[name] = state.index_to_pipeline.copy()
             self._inflight_prev[name] = state.in_flight.copy()
+
+    def _register_series(self, sources: Dict[str, Callable[[], int]]) -> None:
+        """Register :data:`~repro.obs.alerts.DETECTOR_SERIES` as
+        cumulative samplers: the switch's from ``sources`` (name ->
+        read), the wait totals from ``self.waits`` (no closure over the
+        monitor, so the registry holds no reference cycle)."""
+        waits = self.waits
+        sources = dict(
+            sources, phantom_wait_sum=partial(getattr, waits, "sum"),
+            phantom_wait_count=partial(getattr, waits, "count"),
+        )
+        for name in DETECTOR_SERIES:
+            self.registry.add_sampler(name, sources[name], cumulative=True)
 
     # ------------------------------------------------------------------
     # Alert plumbing
@@ -334,8 +351,9 @@ class InvariantMonitor:
         pass
 
     def fifo_pop(self, tick, pkt, pipe, stage) -> None:
-        entered = self._queued.pop(pkt, tick)
-        self._wait_hist.observe(tick - entered)
+        waits = self.waits
+        waits.sum += tick - self._queued.pop(pkt, tick)
+        waits.count += 1
         table = self._acc.get(pkt)
         access = table.get(stage) if table is not None else None
         if access is not None:
@@ -484,12 +502,7 @@ class InvariantMonitor:
             self._check_shard_maps(tick, switch)
         for name, state in switch.sharder.arrays.items():
             np.copyto(self._inflight_prev[name], state.in_flight)
-        self.roll_window(tick)
-
-    def roll_window(self, tick: int) -> None:
-        """Close the detector window if ``tick`` is a roll tick of the
-        private registry, and run the anomaly rules over the row it
-        appended."""
+        # Close the detector window if ``tick`` is a roll tick.
         self.registry.maybe_roll(tick)
         if self.registry._last_roll == tick:
             self.detect(tick)

@@ -35,17 +35,14 @@ nothing but the schedule:
 * **Windows, for the registry and the monitor** (:func:`feed_window_sinks`).
   Everything a :class:`~repro.obs.metrics.MetricsRegistry` and an
   :class:`~repro.obs.monitor.InvariantMonitor` observe is a function of
-  window boundaries (the union of both registries' roll ticks). One
-  bucket map per run, over every ``h``-th tick (``h`` the gcd of the
-  roll ticks), names the boundary that closes each tick, and every
-  column is gathered through it once (:func:`_columns`, which also holds
-  the ``t >= 0`` masks): every cumulative sampler and
-  ``queue_depth.p*.s*`` lane level is one ``bincount`` per column. The
-  histograms' own row rule (:func:`~repro.obs.metrics.summary`)
-  summarizes each ``latency`` window, cut from the scalar engines'
-  egress order and sorted as ``flush`` sorts it, and each
-  ``phantom_wait`` window, cut from one int64 column sorted by (window,
-  wait) and read by index. Each registry then gets all its rows in one
+  window boundaries (the union of both registries' roll ticks). Each
+  tick column is bucketed once by the boundary that closes its ticks
+  (:func:`_columns`, which also holds the ``t >= 0`` masks): every cumulative sampler, ``queue_depth.p*.s*``
+  lane level and the monitor's phantom-wait sum and pop count is one
+  ``bincount`` per column. The histogram row rule
+  (:func:`~repro.obs.metrics.window_rows`) summarizes each ``latency``
+  window, cut from the scalar engines' egress order and sorted as
+  ``flush`` sorts it. Each registry then gets all its rows in one
   block append per series; only the monitor's violations and detector
   step still go window by window, and the detector reads the row at its
   tick. The invariants run as whole-array predicates over *every*
@@ -65,7 +62,7 @@ surface is untouched) as the oracle.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import partial, reduce
 from operator import add
 from types import SimpleNamespace
 from typing import Dict, List, Tuple
@@ -73,7 +70,8 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..errors import ConfigError
-from .metrics import summary, window_rows
+from .alerts import DETECTOR_SERIES
+from .metrics import window_rows
 
 _FAR = 1 << 62
 
@@ -121,15 +119,6 @@ class _SwitchView:
         self._faults = None
 
 
-def _register_sources(registry, columns, row: List[int]) -> None:
-    """Samplers that read ``row``: the list that holds the last
-    boundary's values once the window rows are appended."""
-    for col, (name, cumulative) in enumerate(columns):
-        registry.add_sampler(
-            name, (lambda r=row, c=col: r[c]), cumulative=cumulative
-        )
-
-
 def _roll_ticks(registry, ticks: int) -> range:
     """The ticks at which a per-tick ``maybe_roll`` over ``range(ticks)``
     would close a window (the next roll is always a window multiple)."""
@@ -140,13 +129,8 @@ def _columns(sched, bounds) -> SimpleNamespace:
     """The schedule as every window consumer reads it, derived once per
     run: the ``t >= 0`` mask of each stored tick column, and the index
     of the boundary that closes each executed tick (the first bound
-    ``>= t``: rolls happen after the tick's events), read from a map
-    over every ``h``-th tick: ``h`` divides every roll tick, so the
-    first bound ``>= t`` is the first ``>=`` the next multiple of ``h``."""
-    ticks = int(bounds[-1])
-    h = int(np.gcd.reduce(bounds[:-1])) or ticks + 1
-    at = np.searchsorted(bounds, np.minimum(np.arange(0, ticks + h, h), ticks))
-    bucket = lambda t: at.take(-(-t // h))
+    ``>= t``: rolls happen after the tick's events)."""
+    bucket = partial(np.searchsorted, bounds)
     matched = [ins >= 0 for ins in sched.ins_tick]
     popped = [pop >= 0 for pop in sched.pop_tick]
     egressed = sched.egr_tick >= 0
@@ -209,36 +193,20 @@ def _sampler_table(vplans, sched, cols, wasted_masks, columns, nb):
     return table
 
 
-def _wait_windows(sched, cols, wins, ticks: int):
-    """The FIFO wait (pop tick minus match tick) of every executed pop
-    on every plan, as one int64 column sorted by (window, wait) — one
-    composite ``np.sort`` — and each window's :func:`_column_rows`.
-    ``wins`` are the monitor's windows, as indices of bounds."""
-    span = ticks + 1  # a wait is shorter than the run
-    window_of = np.searchsorted(wins, np.arange(wins[-1] + 1)) * span
-    keys = [np.zeros(0, np.int64)]
+def _wait_so_far(sched, cols):
+    """The monitor's phantom-wait sum and pop count at every boundary.
+    Each executed pop on every plan counts once and adds its FIFO wait:
+    pop tick minus match tick, or 0 with no earlier match, as the scalar
+    monitor's ``fifo_pop`` measures it."""
+    waits = []
     for pi, pop in enumerate(sched.pop_tick):
         popped = cols.popped[pi]
         pop = pop[popped]
         ins = sched.ins_tick[pi][popped]
-        wait = np.where((ins >= 0) & (ins <= pop), pop - ins, 0)
-        keys.append(window_of[cols.pop_b[pi]] + wait)
-    keys = np.sort(np.concatenate(keys))
-    cuts = np.searchsorted(keys, np.arange(wins.shape[0] + 1) * span)
-    waits = keys % span
-    return waits, _column_rows(waits, cuts.tolist())
-
-
-def _column_rows(column, cuts: List[int]):
-    """:func:`~repro.obs.metrics.window_rows` of an int64 column already
-    sorted within each window, with no per-value Python work: picks by
-    index, totals from one cumulative sum (ints: exact in any order)."""
-    sums = np.concatenate(([0], np.cumsum(column))).take(cuts).tolist()
-    return [
-        summary(hi - lo, column[lo:hi].item, sums[j + 1] - sums[j])
-        if hi > lo else None
-        for j, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
-    ]
+        waits.append(np.where((ins >= 0) & (ins <= pop), pop - ins, 0))
+    pop_b = np.concatenate([np.zeros(0, np.int64)] + cols.pop_b)
+    waits = np.concatenate([np.zeros(0, np.int64)] + waits)
+    return cols.so_far(pop_b, waits.astype(np.float64)), cols.so_far(pop_b)
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +445,17 @@ def feed_window_sinks(
     # and ``record_crossbar``, so the drop columns stay zero and
     # ``crossbar_crossings`` is absent — like on a scalar run.
     columns = [(name, cum) for name, cum, _read in switch._metric_sources()]
+    # Samplers that read ``row``: the list that holds the last
+    # boundary's values once the window rows are appended.
     row = [0] * len(columns)
+    readers = {
+        name: (lambda c=col: row[c])
+        for col, (name, _cum) in enumerate(columns)
+    }
     user_rolls = mon_rolls = []
     if metrics is not None:
-        _register_sources(metrics, columns, row)
+        for name, cumulative in columns:
+            metrics.add_sampler(name, readers[name], cumulative=cumulative)
         user_rolls = _roll_ticks(metrics, ticks)
     if monitor is not None:
         if monitor._switch is not None:
@@ -489,7 +464,7 @@ def feed_window_sinks(
                 "monitor per switch"
             )
         view = monitor._switch = _SwitchView(switch, schedule)
-        _register_sources(monitor.registry, columns, row)
+        monitor._register_series(readers)
         mon_rolls = _roll_ticks(monitor.registry, ticks)
     # In-run roll ticks of either registry, then the end of the run.
     bounds = np.array(
@@ -500,16 +475,18 @@ def feed_window_sinks(
         vplans, schedule, cols, wasted_masks, columns, bounds.shape[0]
     )
     row[:] = table[-1].tolist()  # what the samplers read from now on
+    by_bound = dict(zip(readers, table.T))
 
-    def windows_of(rolls):
+    def windows_of(rolls, names):
         """A registry's windows within ``bounds`` — its roll ticks, then
-        the end of the run: their indices, ticks and sampler rows."""
+        the end of the run: their indices, ticks and the rows of the
+        series ``names``."""
         at = np.append(np.searchsorted(bounds, rolls), bounds.shape[0] - 1)
-        names = (name for name, _cum in columns)
-        return at, bounds[at].tolist(), dict(zip(names, table[at].T.tolist()))
+        samples = {name: by_bound[name][at].tolist() for name in names}
+        return at, bounds[at].tolist(), samples
 
     if metrics is not None:
-        wins, user_ticks, samples = windows_of(user_rolls)
+        wins, user_ticks, samples = windows_of(user_rolls, readers)
         # The reconstructed stats hold every latency (typed like its
         # arrival) in the scalar engines' egress order, (tick,
         # pipeline): the running total folds in that order.
@@ -523,12 +500,13 @@ def feed_window_sinks(
         )
     predicates = 0
     if monitor is not None:
-        wins, mon_ticks, samples = windows_of(mon_rolls)
-        waits, rows = _wait_windows(schedule, cols, wins, ticks)
-        hist = monitor._wait_hist
-        hist.total_count += waits.shape[0]
-        hist.total_sum += int(waits.sum())  # ints: exact in any order
-        monitor.registry.append_windows(mon_ticks, samples, {"phantom_wait": rows})
+        wait_sum, wait_count = _wait_so_far(schedule, cols)
+        by_bound["phantom_wait_sum"] = wait_sum
+        by_bound["phantom_wait_count"] = wait_count
+        monitor.waits.sum = int(wait_sum[-1])
+        monitor.waits.count = int(wait_count[-1])
+        _wins, mon_ticks, samples = windows_of(mon_rolls, DETECTOR_SERIES)
+        monitor.registry.append_windows(mon_ticks, samples)
         violations = _schedule_violations(
             monitor, vplans, schedule, cols, bounds, ticks, drained
         )

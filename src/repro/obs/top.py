@@ -12,8 +12,9 @@ renderer :func:`render_top_frame`:
   ``repro top --once`` against recorded artifacts is byte-reproducible
   run over run (the determinism contract the tests pin).
 
-The live loop (SSE subscription with cursor-polling fallback) lives in
-``repro.cli``; this module never imports the service layer.
+The live loop (``cmd_top`` in ``repro.cli``: one SSE subscription per
+stream, redrawn every interval until the daemon ends the stream) lives
+in the CLI; this module never imports the service layer.
 """
 
 from __future__ import annotations

@@ -56,7 +56,7 @@ from typing import Dict, List, Optional, Tuple
 from ..compiler import compile_program
 from ..errors import ConfigError, ReproError, ServiceError
 from ..faults import FaultSchedule
-from ..mp5 import ENGINES, MP5Config, build_switch
+from ..mp5 import DEFAULT_ENGINE, ENGINES, MP5Config, build_switch
 from ..mp5.packet import DataPacket, PacketColumns
 from ..obs.health import VERDICT_DEGRADED, VERDICT_OK, worst_verdict
 from ..obs.metrics import MetricsRegistry
@@ -231,7 +231,7 @@ class SwitchService:
     def __init__(
         self,
         program: Optional[str] = None,
-        engine: str = "fast",
+        engine: str = DEFAULT_ENGINE,
         config: Optional[MP5Config] = None,
         queue_depth: int = 8,
         monitor: bool = False,
@@ -299,6 +299,7 @@ class SwitchService:
         self._loop = asyncio.get_running_loop()
         self._queue = asyncio.Queue(maxsize=self.queue_depth)
         self._wake = asyncio.Event()
+        self._room = asyncio.Event()  # set whenever the pump takes a batch
         self._shutdown_event = asyncio.Event()
         self._plane = plane = ControlPlane(self)
         server = await asyncio.start_server(plane.handle, host, port)
@@ -358,6 +359,7 @@ class SwitchService:
             return False
         while self._queue is not None and not self._queue.empty():
             batch = self._queue.get_nowait()
+            self._room.set()
             try:
                 self._ensure_adapter().feed(batch)
             except Exception as exc:
@@ -470,14 +472,23 @@ class SwitchService:
         (:func:`repro.service.wire.parse_ingest`): 400 when it does not
         validate. Bounded: raises 429 when the queue is full, 409 when
         the batch breaks arrival-order monotonicity within the open
-        segment."""
+        segment — which any batch does while a replay is feeding, since
+        the replay's later chunks would reach the engine after it."""
         if self.compiled is None:
             raise ServiceError("no program loaded", status=409)
         batch = body.batch()
-        self._enqueue_nowait(batch)
+        if self._replay_tasks:
+            self._rejected += len(batch)
+            raise ServiceError("a replay is feeding the open segment; "
+                               "ingest once it has finished", status=409)
+        self._admit(batch)
         return {"queued": len(batch), "queue_depth": self._queue.qsize()}
 
-    def _enqueue_nowait(self, batch: PacketColumns):
+    def _admit(self, batch: PacketColumns):
+        """The one admission check of ingest batches and replay chunks:
+        queue ``batch`` if it follows everything the open segment
+        accepted and the queue has room, else 409 / 429. It never
+        awaits, so nothing is admitted between the check and the put."""
         lo, hi = batch.span()
         if self._feed_horizon is not None and lo < self._feed_horizon:
             self._rejected += len(batch)
@@ -527,7 +538,9 @@ class SwitchService:
             utilization=utilization,
         )
         lo = (packets[0].arrival, packets[0].port)
-        if self._feed_horizon is not None and lo < self._feed_horizon:
+        if self._replay_tasks or (
+            self._feed_horizon is not None and lo < self._feed_horizon
+        ):
             raise ServiceError(
                 "replay starts at arrival 0 but the open segment is mid-"
                 "stream; drain first to reset the arrival clock",
@@ -543,11 +556,11 @@ class SwitchService:
 
     async def _feed_replay(self, packets: List[DataPacket], chunk: int):
         for i in range(0, len(packets), chunk):
-            part = packets[i : i + chunk]
-            await self._queue.put(PacketColumns.from_packets(part))
-            hi = (part[-1].arrival, part[-1].port)
-            self._feed_horizon = max(self._feed_horizon or hi, hi)
-            self._wake.set()
+            batch = PacketColumns.from_packets(packets[i : i + chunk])
+            while self._queue.full():  # await room, then admit at once
+                self._room.clear()
+                await self._room.wait()
+            self._admit(batch)
 
     # -- control operations (each quiesces) -----------------------------
 

@@ -29,7 +29,6 @@ from repro.obs import (
     Alert,
     AlertLog,
     AnomalyDetector,
-    DetectorConfig,
     EVENT_TYPES,
     HealthReport,
     InvariantMonitor,
@@ -364,7 +363,7 @@ class TestDetector:
         return registry
 
     def test_throughput_collapse_fires_after_warmup(self):
-        detector = AnomalyDetector(DetectorConfig(window=10))
+        detector = AnomalyDetector(window=10)
         # Warm up with steady egress, then collapse to zero.
         for i, value in enumerate((100, 100, 100, 100)):
             registry = self._registry_with(
@@ -378,12 +377,12 @@ class TestDetector:
         assert alerts[0].evidence["z"] <= -4.0
 
     def test_no_alerts_during_warmup(self):
-        detector = AnomalyDetector(DetectorConfig(window=10))
+        detector = AnomalyDetector(window=10)
         registry = self._registry_with({"egressed": [[10, 0]]})
         assert detector.examine(registry, 10) == []
 
     def test_stale_series_point_ignored(self):
-        detector = AnomalyDetector(DetectorConfig(window=10))
+        detector = AnomalyDetector(window=10)
         registry = self._registry_with({"egressed": [[10, 100]]})
         # Examining a later tick must not reuse the tick-10 point.
         assert detector.examine(registry, 20) == []

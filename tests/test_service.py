@@ -337,6 +337,32 @@ def test_out_of_order_batch_rejected_and_reset_by_drain():
         client.shutdown()
 
 
+def test_ingest_during_replay_is_refused_or_fed_in_order():
+    """An ingest far ahead in time lands while a server-side replay is
+    still feeding. It is refused (409) or fed in arrival order; either
+    way the drain answers 200, no feed fails, and every batch the
+    daemon accepted reaches a segment."""
+    record = records_of(make_trace("packet_counter", 1))[0]
+    record["arrival"] = 1e7
+    service, thread = serve(
+        program="packet_counter", engine="vector", queue_depth=2
+    )
+    with thread:
+        client = client_of(thread)
+        client.replay(packets=200000, chunk=64)
+        try:
+            client.ingest([record])
+        except ServiceClientError as err:
+            assert err.status == 409
+        client.drain()
+        errors = client.status()["errors"]
+        assert not [e for e in errors if "feed failed" in e]
+        client.shutdown()
+    offered = sum(seg["offered"] for seg in service._segments)
+    assert offered == service._ingested
+    assert service._rejected in (0, 1)
+
+
 def test_program_validate_only_and_compile_errors():
     service, thread = serve(program="heavy_hitter")
     with thread:

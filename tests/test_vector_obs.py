@@ -83,10 +83,12 @@ def _run_observed(
     }
 
 
-def _sensitivity_inputs(n=250, k=4, **cfg_kw):
+def _sensitivity_inputs(n=250, k=4, seed=0, **cfg_kw):
     program = make_sensitivity_program(num_stateful=4, register_size=64)
     config = MP5Config(num_pipelines=k, **cfg_kw)
-    return program, (lambda: sensitivity_trace(n, k, 4, 64, seed=0)), config
+    return (
+        program, (lambda: sensitivity_trace(n, k, 4, 64, seed=seed)), config
+    )
 
 
 def _assert_parity(vec, ref, dense=None):
@@ -432,9 +434,8 @@ import numpy as np  # noqa: E402
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.obs import DetectorConfig  # noqa: E402
+from repro.obs.alerts import DETECTOR_SERIES  # noqa: E402
 from repro.obs.reconstruct import (  # noqa: E402
-    _column_rows,
     _dispatch_events,
     feed_window_sinks,
     synthesize_events,
@@ -465,9 +466,7 @@ def _observe(
             window=reg_window, retention=retention
         )
     if "monitor" in sinks:
-        attached["monitor"] = InvariantMonitor(
-            DetectorConfig(window=det_window)
-        )
+        attached["monitor"] = InvariantMonitor(window=det_window)
     if "recorder" in sinks:
         attached["recorder"] = TraceRecorder()
     stats, regs = runner(
@@ -579,10 +578,10 @@ def test_window_sinks_parity_configs(cfg_kw):
 )
 def test_window_sinks_parity_unequal_windows(window, n):
     """The registry and the detector on different windows: the bounds
-    are a real union (20+50: the bucket map steps by their gcd, 10, and
-    holds ticks that are no roll), each registry's rows land only on
-    its own roll ticks, and the detector — which fires here — reads the
-    row at its tick, not the last one the block append left."""
+    are a real union (20+50: neither window divides the other), each
+    registry's rows land only on its own roll ticks, and the detector —
+    which fires here — reads the row at its tick, not the last one the
+    block append left."""
     program, mk, config = _sensitivity_inputs(
         n=n, flow_order_field="f0", flow_order_size=32
     )
@@ -656,14 +655,30 @@ def test_window_sinks_parity_windows_without_egress(gap):
 
 
 def test_detector_alert_stream_matches_when_it_fires():
-    """A run whose phantom-wait detector warns: the warning comes out
-    of the window pass with the scalar engines' tick and evidence."""
-    program, mk, config = _sensitivity_inputs(
-        n=300, flow_order_field="f0", flow_order_size=32
-    )
-    vec = _assert_three_engines(program, mk, config, ("monitor",), 7)
-    assert [a["kind"] for a in vec["alerts"]] == ["phantom_wait_spike"]
-    assert vec["health"]["verdict"] == "degraded"
+    """Runs whose phantom-wait detector warns (flow ordering on seed 0,
+    none on seed 4): the warning comes out of the window pass with the
+    scalar engines' tick and evidence. The monitor's registry holds
+    exactly the detector's five cumulative series, and the warning's
+    value is the window's wait sum over its pop count."""
+    for inputs in (
+        dict(n=300, flow_order_field="f0", flow_order_size=32),
+        dict(seed=4),
+    ):
+        program, mk, config = _sensitivity_inputs(**inputs)
+        vec = _assert_three_engines(program, mk, config, ("monitor",), 7)
+        (alert,) = vec["alerts"]
+        assert alert["kind"] == "phantom_wait_spike"
+        assert vec["health"]["verdict"] == "degraded"
+        registry = vec["monitor_registry"]
+        assert list(registry["series"]) == list(DETECTOR_SERIES)
+        assert registry["histograms"] == {}
+        assert set(registry["kinds"].values()) == {"counter"}
+        row = {
+            name: dict(map(tuple, rows))[alert["tick"]]
+            for name, rows in registry["series"].items()
+        }
+        mean = row["phantom_wait_sum"] / row["phantom_wait_count"]
+        assert alert["evidence"]["value"] == round(mean, 4)
 
 
 @settings(
@@ -997,19 +1012,6 @@ def test_window_rows_equal_flush_on_floats_with_ties():
     expected = json.dumps([_summary(w) for w in windows])
     assert json.dumps(window_rows(flat, _cuts(windows))) == expected
     assert json.dumps(_flushed(windows)) == expected
-
-
-def test_column_rows_equal_flush_on_sorted_int_column():
-    """The phantom-wait windows' int64 column path (sorted within each
-    window, totals from a cumulative sum) gives the rule's rows, with
-    Python ints in them."""
-    windows = [[4], [], [9, 1, 1, 6, 3], list(range(200, 0, -3)), [0, 0]]
-    column = np.concatenate(
-        [np.sort(np.array(w, dtype=np.int64)) for w in windows]
-    )
-    rows = _column_rows(column, _cuts(windows))
-    assert json.dumps(rows) == json.dumps([_summary(w) for w in windows])
-    assert rows == _flushed(windows)
 
 
 def test_clean_monitored_vector_run_does_not_import_numpy_ma():
