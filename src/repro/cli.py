@@ -880,7 +880,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=jobs_type,
             default=1,
             help="worker processes for the sweep: 1 = serial (default), "
-            "0 = one per CPU; results are identical at any job count",
+            "0 = one per CPU; results are identical at any job count, "
+            "and a failed worker pool stops the run with its error",
         )
 
     p = sub.add_parser("fig7", help="regenerate a Figure 7 panel")

@@ -84,7 +84,12 @@ class CompiledProgram:
     arrays: Dict[str, ArrayPlan]
     packet_fields: List[str]
     tac: TacProgram
-    _jit_cache: object = field(default=None, repr=False, compare=False)
+    # Compiled kernels, keyed by kernel kind and its parameters:
+    # compilation is deterministic in the program, and sweeps construct
+    # a fresh switch per run over one compiled program.
+    kernels: Dict[tuple, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def stage_count(self) -> int:
@@ -136,11 +141,11 @@ class CompiledProgram:
         Index-aligned with ``stages``; ``None`` for empty stages. Shared
         across every simulator instance running this program.
         """
-        if self._jit_cache is None:
+        if ("jit",) not in self.kernels:
             from .jit import compile_program_stages
 
-            object.__setattr__(self, "_jit_cache", compile_program_stages(self))
-        return self._jit_cache
+            self.kernels[("jit",)] = compile_program_stages(self)
+        return self.kernels[("jit",)]
 
     def describe(self) -> str:
         """Human-readable summary of the compiled layout."""

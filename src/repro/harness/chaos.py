@@ -38,7 +38,7 @@ from ..mp5.config import MP5Config
 from ..obs.health import worst_verdict
 from ..obs.monitor import InvariantMonitor
 from ..workloads.synthetic import make_sensitivity_program, sensitivity_trace
-from .parallel import parallel_map
+from .parallel import map_cells
 from .report import format_table
 
 BASELINE_KIND = "none"
@@ -132,16 +132,19 @@ def schedule_for(
     )
 
 
-def _chaos_run(task) -> Tuple[float, float, int, int, int, int, str, int]:
+def _chaos_run(
+    cell, seed: int
+) -> Tuple[float, float, int, int, int, int, str, int]:
     """One (kind, intensity, seed) simulation.
 
-    Module-level and tuple-driven so it can cross a process boundary
-    (see :func:`repro.harness.sensitivity._seed_point`); the result is a
-    pure function of the task regardless of which worker runs it. An
-    :class:`InvariantMonitor` rides along and its health verdict and
-    first critical-alert tick travel back as picklable scalars.
+    Module-level and driven by plain data so it can cross a process
+    boundary (see :func:`repro.harness.sensitivity._seed_point`); the
+    result is a pure function of the task regardless of which worker
+    runs it. An :class:`InvariantMonitor` rides along and its health
+    verdict and first critical-alert tick travel back as picklable
+    scalars.
     """
-    settings, kind, intensity, seed = task
+    settings, kind, intensity = cell
     program = make_sensitivity_program(
         num_stateful=settings.num_stateful,
         register_size=settings.register_size,
@@ -190,30 +193,21 @@ def run_chaos_sweep(
     """Run the full kinds x intensities grid plus the fault-free
     baseline; returns one :class:`ChaosPoint` per cell, baseline first.
 
-    Tasks are enumerated baseline-first then kinds-major / intensities /
-    seeds-minor, and :func:`parallel_map` returns results in task order,
-    so the aggregation is identical at any job count.
+    Cells are enumerated baseline-first then kinds-major / intensities
+    and run as one grid (:func:`~repro.harness.parallel.map_cells`), so
+    the aggregation is identical at any job count.
     """
     settings = settings or ChaosSettings()
-    seeds = list(settings.seeds)
-    cells: List[Tuple[str, float]] = [(BASELINE_KIND, 0.0)]
+    cells: List[Tuple[ChaosSettings, str, float]] = [
+        (settings, BASELINE_KIND, 0.0)
+    ]
     for kind in settings.kinds:
         for intensity in settings.intensities:
-            cells.append((kind, float(intensity)))
-    tasks = [
-        (settings, kind, intensity, seed)
-        for kind, intensity in cells
-        for seed in seeds
-    ]
-    results = parallel_map(_chaos_run, tasks, jobs=jobs)
-
-    def chunk(i: int) -> List[tuple]:
-        return results[i * len(seeds) : (i + 1) * len(seeds)]
-
-    baseline_ticks = float(np.mean([r[2] for r in chunk(0)]))
+            cells.append((settings, kind, float(intensity)))
+    per_cell = map_cells(_chaos_run, cells, settings.seeds, jobs=jobs)
+    baseline_ticks = float(np.mean([r[2] for r in per_cell[0]]))
     points = []
-    for i, (kind, intensity) in enumerate(cells):
-        rows = chunk(i)
+    for (_, kind, intensity), rows in zip(cells, per_cell):
         first_ticks = [r[7] for r in rows if r[7] >= 0]
         points.append(
             ChaosPoint(
@@ -227,7 +221,7 @@ def run_chaos_sweep(
                 drops=float(np.mean([r[3] for r in rows])),
                 phantoms_lost=float(np.mean([r[4] for r in rows])),
                 remap_moves=float(np.mean([r[5] for r in rows])),
-                seeds=len(seeds),
+                seeds=len(rows),
                 health=worst_verdict(*[r[6] for r in rows]),
                 first_violation_tick=min(first_ticks) if first_ticks else -1,
             )

@@ -1,36 +1,33 @@
 """Process-parallel execution of independent simulation tasks.
 
-Every harness sweep (Figure 7, Figure 8, ``run_all``) is a list of
-fully independent simulations: one (parameter value, seed) pair per
-task, with no shared mutable state. :func:`parallel_map` fans such a
-task list out over a :class:`~concurrent.futures.ProcessPoolExecutor`
+Every harness sweep (Figure 7, Figure 8, the chaos sweep) is a grid of
+fully independent simulations: one (cell, seed) pair per task, with no
+shared mutable state. :func:`map_cells` is the one runner for such a
+grid; it flattens it into a task list for :func:`parallel_map`, which
+fans the list out over a :class:`~concurrent.futures.ProcessPoolExecutor`
 and returns results **in task order**, so callers aggregate exactly as
-the serial loop would and the rendered artifacts (``results.json``
+a serial loop would and the rendered artifacts (``results.json``
 included) are byte-identical at any job count.
 
 Determinism contract for task functions:
 
-* the task tuple carries everything that varies — in particular the RNG
+* the task carries everything that varies — in particular the RNG
   seed — so a task's result depends only on its arguments, never on
   which worker ran it or in what order;
 * task functions and their arguments must be picklable (module-level
-  functions, plain data).
+  functions, plain data) whenever ``jobs > 1``.
 
 ``jobs`` semantics, shared by every harness entry point:
 
-* ``None`` or ``1`` — serial, in-process (the default; zero overhead,
-  bit-for-bit the historical behavior);
+* ``None`` or ``1`` — serial, in-process (the default, and the only
+  serial path);
 * ``0`` — one worker per CPU (:func:`default_jobs`);
 * ``n > 1`` — ``n`` worker processes.
 
-If a pool cannot be created or breaks mid-run (sandboxed environments
-forbidding ``fork``, worker OOM-kills), the sweep transparently falls
-back to the serial path rather than failing the reproduction run. A
-pool that never managed to run anything marks the environment as
-pool-hostile, so a multi-sweep reproduction pays the doomed spawn
-attempt once, not once per figure panel; a pool that breaks after
-having delivered results is assumed transient and re-created for the
-next sweep (``shutdown_pool`` resets both states).
+Failures are loud. A task's exception reaches the caller as the worker
+raised it. A pool failure (workers cannot be spawned, or one dies and
+breaks the pool) drops the cached pool, so the next call builds a fresh
+one, and propagates. Nothing is ever recomputed in the parent.
 """
 
 from __future__ import annotations
@@ -41,32 +38,15 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, List, Optional, Sequence, TypeVar
 
+C = TypeVar("C")
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-class _PoolState:
-    """The cached executor plus the worker count it was built with."""
-
-    __slots__ = ("pool", "jobs", "proven")
-
-    def __init__(self, pool: ProcessPoolExecutor, jobs: int):
-        self.pool = pool
-        self.jobs = jobs
-        # True once this pool has completed a map: a failure on a proven
-        # pool is transient (worker OOM-kill) and worth retrying next
-        # sweep; a failure before any success means the environment
-        # cannot spawn workers at all.
-        self.proven = False
-
 
 # One lazily-created pool per process, reused across sweeps so workers
 # pay the interpreter + import startup cost once per reproduction run,
 # not once per figure panel.
-_pool: Optional[_PoolState] = None
-# Memoized "this environment cannot run a pool": later sweep families
-# skip straight to the serial path. Cleared by shutdown_pool().
-_pool_unavailable: bool = False
+_pool: Optional[ProcessPoolExecutor] = None
+_pool_jobs = 0
 
 
 def default_jobs() -> int:
@@ -85,47 +65,24 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def _get_pool(jobs: int) -> _PoolState:
-    global _pool
-    if _pool is not None and _pool.jobs != jobs:
-        _pool.pool.shutdown(wait=False)
-        _pool = None
+def _get_pool(jobs: int) -> ProcessPoolExecutor:
+    global _pool, _pool_jobs
+    if _pool is not None and _pool_jobs != jobs:
+        shutdown_pool(wait=False)
     if _pool is None:
-        _pool = _PoolState(ProcessPoolExecutor(max_workers=jobs), jobs)
+        _pool, _pool_jobs = ProcessPoolExecutor(max_workers=jobs), jobs
     return _pool
 
 
-def shutdown_pool() -> None:
+def shutdown_pool(wait: bool = True) -> None:
     """Tear down the cached worker pool (idempotent; re-created lazily).
 
-    Also clears the memoized pool-unavailable verdict, so a caller that
-    knows the environment changed can force a fresh spawn attempt.
+    ``wait=False`` drops a failed pool without joining its workers.
     """
-    global _pool, _pool_unavailable
-    if _pool is not None:
-        _pool.pool.shutdown(wait=True)
-        _pool = None
-    _pool_unavailable = False
-
-
-def _discard_pool() -> None:
-    """Drop a broken pool without waiting on its (dead) workers.
-
-    A pool that broke before ever finishing a map means the environment
-    cannot spawn workers (sandbox forbidding ``fork``); memoize that so
-    subsequent sweep families go straight to the serial path instead of
-    repeating the doomed spawn attempt once per family.
-    """
-    global _pool, _pool_unavailable
-    state, _pool = _pool, None
-    if state is None:
-        # The executor constructor itself raised: the pool never even
-        # entered the cache, the strongest possible "cannot spawn".
-        _pool_unavailable = True
-        return
-    if not state.proven:
-        _pool_unavailable = True
-    state.pool.shutdown(wait=False)
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None:
+        pool.shutdown(wait=wait, cancel_futures=True)
 
 
 atexit.register(shutdown_pool)
@@ -140,22 +97,55 @@ def parallel_map(
 
     Runs serially for ``jobs`` in (None, 1) or when there is at most one
     task; otherwise distributes over the cached process pool (changing
-    ``jobs`` recreates it). Any pool failure (creation or mid-run) falls
-    back to recomputing the whole task list serially — correct because
-    tasks are pure functions of their arguments.
+    ``jobs`` recreates it). See the module docstring for how failures
+    surface.
     """
     tasks = list(tasks)
     jobs = resolve_jobs(jobs)
-    if jobs <= 1 or len(tasks) <= 1 or _pool_unavailable:
+    if jobs <= 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
     # Chunk so each worker round-trip amortizes pickling over several
     # tasks; cap at 4 waves per worker to keep the tail balanced.
     chunksize = max(1, len(tasks) // (jobs * 4))
     try:
-        state = _get_pool(jobs)
-        results = list(state.pool.map(fn, tasks, chunksize=chunksize))
-        state.proven = True
-        return results
-    except (BrokenProcessPool, OSError, PermissionError, RuntimeError):
-        _discard_pool()
-        return [fn(task) for task in tasks]
+        # map() submits every chunk before it returns, so a spawn
+        # failure raises here; a task's own exception surfaces only
+        # while the results are read, and leaves the pool healthy.
+        results = _get_pool(jobs).map(fn, tasks, chunksize=chunksize)
+    except BaseException:
+        shutdown_pool(wait=False)
+        raise
+    try:
+        return list(results)
+    except BrokenProcessPool:
+        shutdown_pool(wait=False)
+        raise
+
+
+def _cell_seed(task):
+    """Worker entry for :func:`map_cells`: one (cell, seed) task."""
+    fn, cell, seed = task
+    return fn(cell, seed)
+
+
+def map_cells(
+    fn: Callable[[C, int], R],
+    cells: Sequence[C],
+    seeds: Sequence[int],
+    jobs: Optional[int] = None,
+) -> List[List[R]]:
+    """Run ``fn(cell, seed)`` over the whole cells x seeds grid.
+
+    Returns one list per cell, in ``cells`` order, holding that cell's
+    results in ``seeds`` order. The grid runs as one flat task list
+    (cells-major, seeds-minor), so a multi-panel sweep keeps every
+    worker busy rather than parallelizing panel by panel.
+    """
+    seeds = list(seeds)
+    results = parallel_map(
+        _cell_seed,
+        [(fn, cell, seed) for cell in cells for seed in seeds],
+        jobs=jobs,
+    )
+    n = len(seeds)
+    return [results[i * n : (i + 1) * n] for i in range(len(cells))]

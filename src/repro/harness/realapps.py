@@ -14,10 +14,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..apps import ALL_APPS, FIGURE8_APPS, Application
+from ..apps import FIGURE8_APPS, Application
 from ..mp5 import DEFAULT_ENGINE, ENGINES
 from ..mp5.config import MP5Config
-from .parallel import parallel_map
+from .parallel import map_cells
 from .report import format_table
 
 # Up to Tofino-2-class parallelism. Beyond k=8 the scalar-register
@@ -47,10 +47,11 @@ class RealAppSettings:
     engine: str = DEFAULT_ENGINE  # a repro.mp5.ENGINES name
 
 
-def _run_app_serial(
-    app: Application, k: int, settings: RealAppSettings, seed: int
-) -> tuple:
-    """One (application, pipeline count, seed) simulation."""
+def _app_run(cell, seed: int) -> tuple:
+    """One (application, pipeline count, seed) simulation. The cell
+    carries the :class:`Application` itself, so with ``jobs > 1`` it
+    must pickle (every catalog application does)."""
+    app, k, settings = cell
     program = app.compile()
     trace = app.workload(
         settings.num_packets,
@@ -76,51 +77,30 @@ def _run_app_serial(
     )
 
 
-def _app_seed_task(task) -> tuple:
-    """Worker entry: the application travels by catalog name (an
-    :class:`Application` carries a workload closure that may not
-    pickle), so only names from :data:`~repro.apps.ALL_APPS` can run in
-    workers; callers check that before fanning out."""
-    app_name, k, settings, seed = task
-    return _run_app_serial(ALL_APPS[app_name], k, settings, seed)
-
-
 def _app_points(
-    app: Application,
+    apps: Sequence[Application],
     pipeline_counts: Sequence[int],
     settings: RealAppSettings,
     jobs: Optional[int],
-) -> List[RealAppPoint]:
-    seeds = list(settings.seeds)
-    if ALL_APPS.get(app.name) is app:
-        tasks = [
-            (app.name, k, settings, seed)
-            for k in pipeline_counts
-            for seed in seeds
-        ]
-        results = parallel_map(_app_seed_task, tasks, jobs=jobs)
-    else:
-        # An application outside the catalog cannot be named across a
-        # process boundary; run it serially against the object itself.
-        results = [
-            _run_app_serial(app, k, settings, seed)
-            for k in pipeline_counts
-            for seed in seeds
-        ]
-    points = []
-    for i, k in enumerate(pipeline_counts):
-        chunk = results[i * len(seeds) : (i + 1) * len(seeds)]
-        points.append(
+) -> Dict[str, List[RealAppPoint]]:
+    """Every (app, pipeline count) cell of ``apps`` as one grid
+    (:func:`~repro.harness.parallel.map_cells`), grouped by app."""
+    cells = [(app, k, settings) for app in apps for k in pipeline_counts]
+    out: Dict[str, List[RealAppPoint]] = {}
+    for (app, k, _), rows in zip(
+        cells, map_cells(_app_run, cells, settings.seeds, jobs=jobs)
+    ):
+        out.setdefault(app.name, []).append(
             RealAppPoint(
                 app=app.name,
                 num_pipelines=k,
-                throughput=float(np.mean([r[0] for r in chunk])),
-                max_queue_depth=int(np.max([r[1] for r in chunk])),
-                wasted_slots=int(np.max([r[2] for r in chunk])),
-                dropped=int(np.sum([r[3] for r in chunk])),
+                throughput=float(np.mean([r[0] for r in rows])),
+                max_queue_depth=int(np.max([r[1] for r in rows])),
+                wasted_slots=int(np.max([r[2] for r in rows])),
+                dropped=int(np.sum([r[3] for r in rows])),
             )
         )
-    return points
+    return out
 
 
 def run_application(
@@ -131,7 +111,8 @@ def run_application(
 ) -> List[RealAppPoint]:
     """Sweep one application over pipeline counts."""
     settings = settings or RealAppSettings()
-    return _app_points(app, pipeline_counts, settings, jobs)
+    points = _app_points([app], pipeline_counts, settings, jobs)
+    return points.get(app.name, [])
 
 
 def run_figure8(
@@ -139,40 +120,10 @@ def run_figure8(
     settings: Optional[RealAppSettings] = None,
     jobs: Optional[int] = None,
 ) -> Dict[str, List[RealAppPoint]]:
-    """All four Figure 8 panels.
-
-    With ``jobs`` set, every (app, pipeline count, seed) simulation
-    across all four panels becomes one flat task list, maximizing
-    worker occupancy instead of parallelizing panel-by-panel.
-    """
+    """All four Figure 8 panels, run as one grid so every (app,
+    pipeline count, seed) simulation shares the workers."""
     settings = settings or RealAppSettings()
-    seeds = list(settings.seeds)
-    tasks = [
-        (app.name, k, settings, seed)
-        for app in FIGURE8_APPS
-        for k in pipeline_counts
-        for seed in seeds
-    ]
-    results = parallel_map(_app_seed_task, tasks, jobs=jobs)
-    per_app = len(pipeline_counts) * len(seeds)
-    out: Dict[str, List[RealAppPoint]] = {}
-    for a, app in enumerate(FIGURE8_APPS):
-        chunk = results[a * per_app : (a + 1) * per_app]
-        points = []
-        for i, k in enumerate(pipeline_counts):
-            sub = chunk[i * len(seeds) : (i + 1) * len(seeds)]
-            points.append(
-                RealAppPoint(
-                    app=app.name,
-                    num_pipelines=k,
-                    throughput=float(np.mean([r[0] for r in sub])),
-                    max_queue_depth=int(np.max([r[1] for r in sub])),
-                    wasted_slots=int(np.max([r[2] for r in sub])),
-                    dropped=int(np.sum([r[3] for r in sub])),
-                )
-            )
-        out[app.name] = points
-    return out
+    return _app_points(FIGURE8_APPS, pipeline_counts, settings, jobs)
 
 
 def render_figure8(results: Dict[str, List[RealAppPoint]]) -> str:

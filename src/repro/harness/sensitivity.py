@@ -23,7 +23,7 @@ import numpy as np
 from ..mp5 import DEFAULT_ENGINE, ENGINES
 from ..mp5.config import MP5Config
 from ..workloads.synthetic import make_sensitivity_program, sensitivity_trace
-from .parallel import parallel_map
+from .parallel import map_cells
 from .report import ascii_chart, format_table
 
 DEFAULTS = dict(
@@ -67,14 +67,14 @@ class SweepSettings:
     engine: str = DEFAULT_ENGINE  # a repro.mp5.ENGINES name
 
 
-def _seed_point(task) -> tuple:
+def _seed_point(cell, seed: int) -> tuple:
     """One (parameter value, seed) simulation pair: MP5 plus ideal-MP5.
 
-    Module-level and driven by a plain tuple so it can cross a process
+    Module-level and driven by plain data so it can cross a process
     boundary; the seed travels in the task, making the result a pure
     function of the arguments regardless of which worker runs it.
     """
-    settings, overrides, seed = task
+    settings, overrides = cell
     params = dict(DEFAULTS)
     params.update(overrides)
     program = make_sensitivity_program(
@@ -138,24 +138,14 @@ def _sweep(
     override_key: str,
     jobs: Optional[int],
 ) -> List[SensitivityPoint]:
-    """Run one Figure 7 panel as a flat values x seeds task list.
-
-    Tasks are enumerated values-major / seeds-minor and results come
-    back in task order, so re-grouping by value preserves the serial
-    aggregation order bit-for-bit.
-    """
-    seeds = list(settings.seeds)
-    tasks = [
-        (settings, {override_key: value}, seed)
-        for value in values
-        for seed in seeds
+    """Run one Figure 7 panel as a values x seeds grid
+    (:func:`~repro.harness.parallel.map_cells`)."""
+    cells = [(settings, {override_key: value}) for value in values]
+    per_value = map_cells(_seed_point, cells, settings.seeds, jobs=jobs)
+    return [
+        _make_point(parameter, value, settings, rows)
+        for value, rows in zip(values, per_value)
     ]
-    results = parallel_map(_seed_point, tasks, jobs=jobs)
-    points = []
-    for i, value in enumerate(values):
-        chunk = results[i * len(seeds) : (i + 1) * len(seeds)]
-        points.append(_make_point(parameter, value, settings, chunk))
-    return points
 
 
 def sweep_pipelines(

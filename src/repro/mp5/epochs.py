@@ -558,24 +558,10 @@ class EpochStreamer:
 # ---------------------------------------------------------------------------
 
 
-def program_cache(program, attr: str) -> Dict:
-    """The kernel cache dict stored on ``program`` under ``attr``:
-    compilation is deterministic in the program, and sweeps construct a
-    fresh switch per run over one compiled program."""
-    cache = getattr(program, attr, None)
-    if cache is None:
-        cache = {}
-        try:
-            setattr(program, attr, cache)
-        except AttributeError:
-            pass
-    return cache
-
-
 def _fused_kernel(switch, stage: int, track_reg: Optional[str]):
     """Fused per-row kernel for one stage, cached on the program."""
-    cache = program_cache(switch.program, "_native_kernel_cache")
-    key = (stage, track_reg)
+    cache = switch.program.kernels
+    key = ("native", stage, track_reg)
     if key not in cache:
         cache[key] = compile_native_stage(
             switch._stage_instrs[stage],

@@ -72,7 +72,6 @@ from .epochs import (
     EpochStreamer,
     _grown,
     execute_epoch_service,
-    program_cache,
 )
 from .packet import PacketColumns, private_packet
 from .stats import SwitchStats
@@ -179,8 +178,8 @@ class VectorSwitch(MP5Switch):
         """Stage ``stage`` as a scan over ``base``
         (:func:`~repro.compiler.vjit.compile_scan_stage`; None unless
         scan-shaped), cached on the program like the other kernels."""
-        cache = program_cache(self.program, "_scan_kernel_cache")
-        key = (stage, base, with_index)
+        cache = self.program.kernels
+        key = ("scan", stage, base, with_index)
         if key not in cache:
             cache[key] = compile_scan_stage(
                 self._stage_instrs[stage],
@@ -193,22 +192,14 @@ class VectorSwitch(MP5Switch):
 
     def _build_vector_plan(self) -> None:
         depth = self.depth
-        # Kernel compilation is deterministic in the program, so cache
-        # it on the program object: sweeps construct a fresh switch per
-        # run but reuse one compiled program across thousands of runs.
-        cache = getattr(self.program, "_vector_kernel_cache", None)
-        if cache is not None and len(cache) == depth:
-            self._vkernels = cache
-        else:
+        key = ("vector", depth)
+        if key not in self.program.kernels:
             live = self._live_temps()
-            self._vkernels = [
+            self.program.kernels[key] = [
                 compile_vector_stage(instrs, f"s{i}", live)
                 for i, instrs in enumerate(self._stage_instrs)
             ]
-            try:
-                self.program._vector_kernel_cache = self._vkernels
-            except AttributeError:
-                pass
+        self._vkernels = self.program.kernels[key]
         kern0 = self._vkernels[0]
         if kern0 is not None and kern0.stateful:
             raise VectorUnsupported("stateful resolution stage")

@@ -133,18 +133,13 @@ class _EngineAdapter:
         self.monitor = (
             InvariantMonitor() if service.monitor_enabled else None
         )
-        self.metrics = (
-            MetricsRegistry(
-                window=service.metrics_window,
-                retention=service.metrics_retention,
-            )
-            if service.metrics_enabled
-            else None
+        self.metrics = MetricsRegistry(
+            window=service.metrics_window,
+            retention=service.metrics_retention,
         )
-        if self.monitor is not None or self.metrics is not None:
-            self.switch.attach_observability(
-                metrics=self.metrics, monitor=self.monitor
-            )
+        self.switch.attach_observability(
+            metrics=self.metrics, monitor=self.monitor
+        )
         self.switch.start()
         self.offered = 0
         self.first_feed_ts: Optional[float] = None
@@ -236,10 +231,8 @@ class SwitchService:
         queue_depth: int = 8,
         monitor: bool = False,
         faults: Optional[FaultSchedule] = None,
-        metrics: bool = True,
         metrics_window: int = 100,
         metrics_retention: Optional[int] = None,
-        pump_slice: int = PUMP_SLICE,
         program_name: Optional[str] = None,
     ):
         if engine not in ENGINES:
@@ -250,13 +243,11 @@ class SwitchService:
             faults.validate(self.config.num_pipelines)
         self.schedule = faults
         self.monitor_enabled = monitor
-        self.metrics_enabled = metrics
         self.metrics_window = metrics_window
         if metrics_retention is not None and metrics_retention < 2:
             raise ConfigError("metrics_retention must be >= 2 window rows")
         self.metrics_retention = metrics_retention
         self.queue_depth = queue_depth
-        self.pump_slice = pump_slice
         if program is None:
             self.compiled = None
         elif isinstance(program, str):
@@ -375,7 +366,7 @@ class SwitchService:
             progressed = True
         ad = self._adapter
         if ad is not None and ad.runnable(self._draining):
-            ad.pump(self.pump_slice, self._draining)
+            ad.pump(PUMP_SLICE, self._draining)
             progressed = True
         return progressed
 
@@ -803,15 +794,14 @@ class SwitchService:
             stream = ad.stream_stats()
             if stream is not None:
                 out["service"]["stream"] = stream
-        if ad is not None and ad.metrics is not None:
             out["engine"] = ad.metrics.since(since)
         return out
 
     def openmetrics(self) -> str:
         """The ``GET /metrics.prom`` document: service-level counters
-        plus, when a segment is open with a registry attached, the
-        engine's current totals/gauges/summaries — one OpenMetrics text
-        exposition any Prometheus-compatible scraper ingests."""
+        plus, when a segment is open, the engine's current
+        totals/gauges/summaries — one OpenMetrics text exposition any
+        Prometheus-compatible scraper ingests."""
         from ..obs.export import (
             Family,
             Sample,
@@ -891,7 +881,7 @@ class SwitchService:
                         ],
                     )
                 )
-        if ad is not None and ad.metrics is not None:
+        if ad is not None:
             return render_openmetrics(ad.metrics, extra_families=service)
         return render_families(service)
 

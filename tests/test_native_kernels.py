@@ -166,6 +166,31 @@ def test_native_compile_source_is_deterministic():
     assert compiled > 0
 
 
+def test_kernels_cached_per_program_and_depth(monkeypatch):
+    """Kernels live on the program, keyed by depth: once a program has
+    run at two depths, further switches at either depth compile
+    nothing."""
+    import repro.mp5.vector as vector
+
+    calls = []
+    real = vector.compile_vector_stage
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(vector, "compile_vector_stage", counted)
+    program = make_sensitivity_program(4, 64)
+    first = VectorSwitch(program, MP5Config(pipeline_depth=16))
+    VectorSwitch(program, MP5Config(pipeline_depth=12))
+    assert len(calls) == 16 + 12
+    del calls[:]
+    again = VectorSwitch(program, MP5Config(pipeline_depth=16))
+    VectorSwitch(program, MP5Config(pipeline_depth=12))
+    assert calls == []
+    assert again._vkernels is first._vkernels
+
+
 def test_builtin_stage_lowers_to_plain_ops():
     """A stage containing a builtin CALL lowers to plain ops, so its
     fused kernel is jitted wherever Numba imports; ``avq``'s serial

@@ -1,23 +1,30 @@
 """The parallel sweep harness must be invisible in the results: any job
-count produces exactly the serial output, in the same order."""
+count produces exactly the serial output, in the same order. Failures
+are loud: nothing is ever recomputed in the parent."""
+
+import os
 
 import pytest
 
 import repro.harness.parallel as par
+from repro.apps import FLOWLET
 from repro.harness.parallel import (
     default_jobs,
     parallel_map,
     resolve_jobs,
     shutdown_pool,
 )
-from repro.harness.realapps import RealAppSettings, run_figure8
+from repro.harness.realapps import (
+    RealAppSettings,
+    run_application,
+    run_figure8,
+)
 from repro.harness.sensitivity import SweepSettings, sweep_pipelines
 
 
 def _default_pool():
     """The cached pool executor (None when absent)."""
-    state = par._pool
-    return None if state is None else state.pool
+    return par._pool
 
 
 def _square(x):
@@ -26,6 +33,27 @@ def _square(x):
 
 def _boom(x):
     raise ValueError(x)
+
+
+def _pid_boom(x):
+    raise RuntimeError(os.getpid())
+
+
+def _pid(x):
+    return os.getpid()
+
+
+def _die(x):
+    os._exit(1)
+
+
+# Appended to only by tasks that run in this (the parent) process.
+_RAN_IN_PARENT = []
+
+
+def _recorded_square(x):
+    _RAN_IN_PARENT.append(x)
+    return x * x
 
 
 @pytest.fixture(autouse=True)
@@ -104,41 +132,85 @@ def test_pool_recreated_when_jobs_change():
     assert _default_pool() is not pool2
 
 
-def test_unproven_pool_failure_memoized(monkeypatch):
-    """An environment where workers can never spawn pays the doomed
-    attempt once; later families go straight to the serial path."""
-    shutdown_pool()
-    attempts = []
+def test_task_error_propagates_from_worker_and_pool_stays():
+    """A task raising RuntimeError under jobs=2 surfaces the error the
+    worker raised; the pool is kept, and the next call runs in workers,
+    not serially in the parent."""
+    with pytest.raises(RuntimeError) as err:
+        parallel_map(_pid_boom, [1, 2, 3, 4], jobs=2)
+    assert err.value.args[0] != os.getpid()
+    pool = _default_pool()
+    assert pool is not None
+    pids = parallel_map(_pid, [1, 2, 3, 4], jobs=2)
+    assert os.getpid() not in pids
+    assert _default_pool() is pool
+
+
+def test_spawn_failure_propagates_and_is_not_memoized(monkeypatch):
+    """A pool that cannot spawn workers stops the sweep with its error;
+    no task runs in the parent, and the next call tries a fresh pool."""
+    _RAN_IN_PARENT.clear()
+    built = []
 
     class Doomed:
-        def __init__(self, max_workers, **kwargs):
-            attempts.append(max_workers)
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def map(self, fn, tasks, chunksize=1):
             raise OSError("spawn forbidden")
 
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
     monkeypatch.setattr(par, "ProcessPoolExecutor", Doomed)
-    assert parallel_map(_square, [1, 2, 3], jobs=2) == [1, 4, 9]
-    assert parallel_map(_square, [4, 5, 6], jobs=2) == [16, 25, 36]
-    assert attempts == [2]  # second family never retried
-    assert par._pool_unavailable
-    # shutdown_pool clears the verdict for a changed environment.
-    shutdown_pool()
-    assert not par._pool_unavailable
+    with pytest.raises(OSError, match="spawn forbidden"):
+        parallel_map(_recorded_square, [1, 2, 3], jobs=2)
+    assert _default_pool() is None
+    with pytest.raises(OSError, match="spawn forbidden"):
+        parallel_map(_recorded_square, [4, 5, 6], jobs=2)
+    assert built == [2, 2]  # retried, not memoized
+    assert _RAN_IN_PARENT == []
+    monkeypatch.undo()
+    assert parallel_map(_recorded_square, [7, 8], jobs=2) == [49, 64]
+    assert _RAN_IN_PARENT == []
 
 
-def test_proven_pool_breakage_not_memoized(monkeypatch):
-    """A pool that already delivered results may break transiently
-    (worker OOM-kill); the next sweep gets a fresh pool."""
+def test_broken_pool_propagates_and_is_replaced(monkeypatch):
+    """A pool whose map raises BrokenProcessPool (a worker died)
+    propagates the error, runs no task in the parent, and is replaced
+    by a fresh pool on the next call."""
+    _RAN_IN_PARENT.clear()
     assert parallel_map(_square, list(range(6)), jobs=2) == [
         x * x for x in range(6)
     ]
-    assert par._pool.proven
     broken = _default_pool()
 
     def explode(*args, **kwargs):
         raise par.BrokenProcessPool("worker died")
 
     monkeypatch.setattr(broken, "map", explode)
-    assert parallel_map(_square, [7, 8], jobs=2) == [49, 64]  # serial fallback
-    assert not par._pool_unavailable
-    assert parallel_map(_square, [9, 10], jobs=2) == [81, 100]
+    with pytest.raises(par.BrokenProcessPool, match="worker died"):
+        parallel_map(_recorded_square, [7, 8], jobs=2)
+    assert _RAN_IN_PARENT == []
+    assert _default_pool() is None
+    assert parallel_map(_recorded_square, [9, 10], jobs=2) == [81, 100]
+    assert _RAN_IN_PARENT == []
     assert _default_pool() is not broken
+
+
+def test_worker_death_propagates_and_pool_is_replaced():
+    """A worker that dies mid-sweep breaks the pool: the sweep stops
+    with BrokenProcessPool and the next call runs in a fresh pool."""
+    assert parallel_map(_square, [1, 2], jobs=2) == [1, 4]
+    dead = _default_pool()
+    with pytest.raises(par.BrokenProcessPool):
+        parallel_map(_die, [1, 2, 3, 4], jobs=2)
+    assert _default_pool() is None
+    assert os.getpid() not in parallel_map(_pid, [1, 2], jobs=2)
+    assert _default_pool() is not dead
+
+
+def test_run_application_independent_of_jobs():
+    settings = RealAppSettings(num_packets=150, seeds=(0, 1))
+    serial = run_application(FLOWLET, (1, 2), settings, jobs=1)
+    assert run_application(FLOWLET, (1, 2), settings, jobs=2) == serial

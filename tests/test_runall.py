@@ -7,6 +7,15 @@ import pytest
 from repro.harness import run_all
 from repro.harness.runall import SCALES, _observability_run
 
+#: The instrumented artifacts that are byte-identical across engines;
+#: trace.json and trace.jsonl differ in within-tick event order.
+ENGINE_INVARIANT = (
+    "trace_canonical.json",
+    "metrics.json",
+    "alerts.jsonl",
+    "trace_summary.txt",
+)
+
 
 class TestRunAll:
     @pytest.fixture(scope="class")
@@ -99,3 +108,15 @@ class TestObservabilityRun:
         assert len(types) >= 8
         summary_text = (tmp_path / record["trace_summary"]).read_text()
         assert "Top phantom-wait stalls" in summary_text
+
+    def test_engine_invariant_artifacts_identical(self, tmp_path):
+        records = {}
+        for engine in ("fast", "vector"):
+            (tmp_path / engine).mkdir()
+            records[engine] = _observability_run(
+                tmp_path / engine, SCALES["tiny"], engine=engine
+            )
+        assert records["fast"] == records["vector"]
+        for name in ENGINE_INVARIANT:
+            fast = (tmp_path / "fast" / name).read_bytes()
+            assert fast == (tmp_path / "vector" / name).read_bytes(), name
