@@ -12,13 +12,18 @@ takes, and gates nothing on time. Each row, and why it is here:
   ``275ecc4``), measured once on the reference host and quoted against
   ``engine``; re-measure it in a checkout of that commit before
   trusting the speedup on other hardware.
-* ``engine_traced`` — ``engine`` with a :class:`repro.obs.TraceRecorder`
-  and a metrics registry attached; no e2e workload attaches a recorder.
-* ``engine_vector`` — the vector engine on the same workload, kept only
-  as the denominator of ``engine_vector_traced``'s overhead.
-* ``engine_vector_traced`` — the recorder's cost on the vector engine
-  (events synthesized from the epoch schedule); no e2e workload
-  attaches a recorder.
+* ``engine_traced`` / ``engine_vector_traced`` — what a
+  :class:`repro.obs.TraceRecorder` costs the fast / vector engine on
+  ``offline_monitored``'s 20k-packet trace (``benchmarks/e2e``, seed 1):
+  each round runs the engine plain, then traced until the trace is
+  written (the call, ``recorder.events``, ``write_jsonl``). No e2e
+  workload attaches a recorder. Full runs only. To time one engine
+  against any checkout's ``src/``::
+
+      PYTHONPATH=<checkout>/src python -c "import sys; sys.path.insert(0,
+          'benchmarks'); from run_bench import bench_traced;
+          print(bench_traced(3, 'vector'))"
+
 * ``vector_1m`` — two 1M-packet vector runs, the ``scale=xlarge``
   per-point size (e2e's largest run is 50k packets); ``seconds_first``
   sits beside ``seconds_min`` because the first 1M call in a process
@@ -31,8 +36,8 @@ takes, and gates nothing on time. Each row, and why it is here:
 
 The exit code is non-zero only when the chaos sweep or the two
 ``results.json`` diverge. A full run rewrites ``--out``
-(``benchmarks/BENCH_mp5.json``); ``--quick`` (5 rounds, no sweep, no 1M
-run) writes nothing. ``BENCH_history.jsonl`` is the frozen record of
+(``benchmarks/BENCH_mp5.json``); ``--quick`` (5 rounds, no traced
+rows, no sweep, no 1M run) writes nothing. ``BENCH_history.jsonl`` is the frozen record of
 earlier runs; nothing appends to it.
 
 Usage::
@@ -46,13 +51,14 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
+import sys
 import tempfile
 import time
 from pathlib import Path
 
 from repro.harness.runall import run_all
 from repro.mp5 import ENGINES, MP5Config
-from repro.obs import MetricsRegistry, TraceRecorder
+from repro.obs import TraceRecorder, write_jsonl
 from repro.workloads import (
     clone_packets,
     make_sensitivity_program,
@@ -70,34 +76,20 @@ SEED_BASELINE = {
 
 
 def bench_engine(
-    rounds: int,
-    observed: bool = False,
-    engine: str = "fast",
-    num_packets: int = 2000,
+    rounds: int, engine: str = "fast", num_packets: int = 2000
 ) -> dict:
     program = make_sensitivity_program(4, 512)
     trace = sensitivity_trace(num_packets, 4, 4, 512, seed=0)
     runner = ENGINES[engine]
     times = []
     ticks = None
-    events = None
     for _ in range(rounds):
         batch = clone_packets(trace)
-        recorder = TraceRecorder() if observed else None
-        metrics = MetricsRegistry(window=100) if observed else None
         start = time.perf_counter()
-        stats, _ = runner(
-            program,
-            batch,
-            MP5Config(num_pipelines=4),
-            recorder=recorder,
-            metrics=metrics,
-        )
+        stats, _ = runner(program, batch, MP5Config(num_pipelines=4))
         times.append(time.perf_counter() - start)
         ticks = stats.ticks
         assert stats.egressed == num_packets
-        if observed:
-            events = len(recorder.events)
     best = min(times)
     workload = f"sensitivity {num_packets} pkts, k=4, m=4, r=512"
     if engine != "fast":
@@ -111,15 +103,42 @@ def bench_engine(
         "seconds_first": round(times[0], 4),
         "ticks_per_sec": round(ticks / best),
     }
-    if observed:
-        report["events"] = events
     return report
 
 
-def with_overhead(traced: dict, untraced: dict) -> dict:
-    """``traced`` plus its cost over the same-process untraced run."""
-    overhead = traced["seconds_min"] / untraced["seconds_min"] - 1
-    return dict(traced, overhead_vs_untraced=round(overhead, 4))
+def bench_traced(rounds: int, engine: str) -> dict:
+    """``engine`` on ``offline_monitored``'s trace, plain and traced
+    until its trace is written, alternating within each round."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
+    from workloads import OfflineMonitored
+
+    workload = OfflineMonitored(seed=1)
+    workload.build()
+    runner = ENGINES[engine]
+    times = {"plain": [], "traced": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        for _ in range(rounds):
+            for mode in times:
+                recorder = TraceRecorder() if mode == "traced" else None
+                batch = clone_packets(workload.trace)
+                start = time.perf_counter()
+                runner(
+                    workload.program, batch, workload.config, recorder=recorder
+                )
+                if recorder is not None:
+                    write_jsonl(recorder.events, Path(tmp) / "trace.jsonl")
+                times[mode].append(time.perf_counter() - start)
+    plain, traced = min(times["plain"]), min(times["traced"])
+    return {
+        "workload": f"offline_monitored, {len(workload.trace)} pkts, seed 1, "
+        f"{engine} engine",
+        "rounds": rounds,
+        "events": len(recorder),
+        "plain_seconds_min": round(plain, 4),
+        "traced_written_seconds_min": round(traced, 4),
+        "traced_written_seconds_median": round(statistics.median(times["traced"]), 4),
+        "overhead_vs_untraced": round(traced / plain - 1, 4),
+    }
 
 
 def bench_chaos_smoke(jobs: int) -> dict:
@@ -174,8 +193,8 @@ def main() -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke: 5 rounds, skip the sweep and the 1M-packet run, "
-        "don't rewrite --out",
+        help="CI smoke: 5 rounds, skip the traced rows, the sweep and the "
+        "1M-packet run, don't rewrite --out",
     )
     parser.add_argument(
         "--out",
@@ -191,20 +210,16 @@ def main() -> int:
     engine["speedup_vs_seed_median"] = round(
         SEED_BASELINE["engine_seconds_median"] / engine["seconds_median"], 2
     )
-    engine_vector = bench_engine(rounds, engine="vector")
     report = {
         "engine": engine,
         "seed_baseline": SEED_BASELINE,
-        "engine_traced": with_overhead(bench_engine(rounds, observed=True), engine),
-        "engine_vector": engine_vector,
-        "engine_vector_traced": with_overhead(
-            bench_engine(rounds, observed=True, engine="vector"), engine_vector
-        ),
         "chaos_smoke": bench_chaos_smoke(args.jobs),
     }
     if not report["chaos_smoke"]["jobs_invariant"]:
         raise SystemExit("chaos sweep diverged between serial and parallel")
     if not args.quick:
+        report["engine_traced"] = bench_traced(args.rounds, "fast")
+        report["engine_vector_traced"] = bench_traced(args.rounds, "vector")
         # Two rounds: the first 1M call in a process runs ~2x every
         # later one (not GC — gc.freeze() leaves it; cause otherwise
         # unattributed), so one round would record the cold cost as

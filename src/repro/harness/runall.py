@@ -76,11 +76,9 @@ def _observability_run(
     order-independent :func:`canonical_form`, diffable across engines),
     ``metrics.json``, ``alerts.jsonl``, and ``trace_summary.txt`` into
     ``out``. The vector engine feeds the same sinks from its epoch
-    schedule, so ``trace_canonical.json``, ``metrics.json``,
-    ``alerts.jsonl``, ``trace_summary.txt`` and the returned block that
-    lands in ``results.json`` are byte-identical across engines.
-    ``trace.json`` and ``trace.jsonl`` hold the same events, but their
-    order within a tick differs by engine.
+    schedule, and every recorder writes one within-tick order, so all
+    six files and the returned block that lands in ``results.json`` are
+    byte-identical across engines.
     """
     from ..mp5.config import MP5Config
     from ..obs import (
@@ -164,8 +162,7 @@ def run_all(
     ``out_dir`` — off by default so ``results.json`` stays
     byte-identical with earlier releases. The vector engine feeds the
     same sinks from its epoch schedule, so every instrumented artifact
-    except ``trace.json`` and ``trace.jsonl`` (whose within-tick event
-    order differs) also diffs clean across engines.
+    also diffs clean across engines.
     ``engine`` selects the simulation engine for the Figure 7 sweeps
     and Figure 8 (``dense``/``fast``/``vector``; default: the scale's
     preference — ``vector`` at ``scale=large``/``xlarge``, else

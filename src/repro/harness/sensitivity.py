@@ -88,21 +88,22 @@ def _seed_point(cell, seed: int) -> tuple:
     # remap heuristic needs a fixed number of epochs to converge.
     num_packets = settings.num_packets * max(1, k // DEFAULTS["num_pipelines"])
     max_ticks = settings.max_ticks_factor * max(1, num_packets // max(k, 1))
+    # No engine writes its trace, so both configs run the one trace.
+    trace = sensitivity_trace(
+        num_packets,
+        k,
+        params["num_stateful"],
+        params["register_size"],
+        pattern=settings.pattern,
+        packet_size=params["packet_size"],
+        seed=seed,
+        num_ports=params["num_ports"],
+    )
     scores = []
     for config in (
         MP5Config(num_pipelines=k, pipeline_depth=params["num_stages"]),
         MP5Config.ideal(num_pipelines=k, pipeline_depth=params["num_stages"]),
     ):
-        trace = sensitivity_trace(
-            num_packets,
-            k,
-            params["num_stateful"],
-            params["register_size"],
-            pattern=settings.pattern,
-            packet_size=params["packet_size"],
-            seed=seed,
-            num_ports=params["num_ports"],
-        )
         stats, _ = ENGINES[settings.engine](
             program,
             trace,

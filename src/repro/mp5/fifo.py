@@ -315,7 +315,10 @@ class IdealOrderBuffer:
                 best_key = key
         if best_slot is None:
             return None
-        self.queues[best_key].popleft()
+        queue = self.queues[best_key]
+        queue.popleft()
+        if not queue:  # timestamps are unique: dict order never decides
+            del self.queues[best_key]
         self._total -= 1
         self._data -= 1
         return best_slot.payload  # type: ignore[return-value]

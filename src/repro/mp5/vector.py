@@ -31,11 +31,11 @@ compression of the scalar engines.
 Observability (recorder, metrics registry, profiler, monitor) rides the
 batch path: attached sinks are fed *after* Phase B from the schedule's
 tick columns (:mod:`repro.obs.reconstruct`) — a recorder gets the
-scalar engines' event stream, synthesized and dispatched through its
-own emitters; a registry and a monitor get their windows, histograms
+scalar engines' event stream as one column block per event type; a
+registry and a monitor get their windows, histograms
 and detector steps at the roll boundaries, and the monitor's invariants
 run as whole-array predicates over every executed event tick. Same
-``canonical_form``, same alert stream, same metrics series, and
+trace, same alert stream, same metrics series, and
 ``results.json`` stays byte-identical with sinks on or off. With no
 sink attached the engine skips it all, so the closed-form speed is
 untouched.
@@ -327,7 +327,7 @@ class VectorSwitch(MP5Switch):
         The batch engine has no per-tick hot path to instrument, so the
         sinks are only *stored* here; after Phase B completes,
         :mod:`repro.obs.reconstruct` feeds them from the schedule's tick
-        columns. A recorder gets the synthesized event stream. A
+        columns. A recorder gets the event stream as column blocks. A
         registry gets the scalar sampler set, rolled at its window
         boundaries. A monitor gets its detector windows and — instead
         of per-tick walks over FIFOs and shard maps this engine never
@@ -366,14 +366,11 @@ class VectorSwitch(MP5Switch):
 
     def _replay_sinks(self, schedule, drained: bool) -> None:
         """Feed the attached sinks the run they never saw live: the
-        recorder event by event, the registry and the monitor window by
-        window from the schedule's columns. All sink work of a run
-        happens inside this one ``trace_reconstruct`` span."""
-        from ..obs.reconstruct import (
-            _dispatch_events,
-            feed_window_sinks,
-            synthesize_events,
-        )
+        recorder one column block per event type, the registry and the
+        monitor window by window from the schedule's columns. All sink
+        work of a run happens inside this one ``trace_reconstruct``
+        span."""
+        from ..obs.reconstruct import feed_recorder, feed_window_sinks
 
         t0 = perf_counter()
         sinks = (
@@ -384,8 +381,7 @@ class VectorSwitch(MP5Switch):
         kinds = [kind for kind, sink in sinks if sink is not None]
         fed = {}
         if self._recorder is not None:
-            events = synthesize_events(self, schedule)
-            _dispatch_events(self._recorder, events, self.stats.ticks)
+            feed_recorder(self._recorder, self, schedule)
         if self._metrics is not None or self._monitor is not None:
             fed = feed_window_sinks(
                 self, schedule, self._wmasks, drained,

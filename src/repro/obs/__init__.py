@@ -19,10 +19,10 @@ Everything is gated behind a single attribute check in the engine: with
 nothing attached, the fast path executes the same code it does today.
 The scalar engines emit events live, tick by tick; the vector engine
 feeds the same sinks from its epoch schedule after the closed-form run
-(:mod:`repro.obs.reconstruct` — the recorder event by event, the
-registry and the monitor one window at a time, the invariants as
-whole-array predicates), so all three engines honor the same contract. See ``docs/observability.md`` for the event
-schema and workflows.
+(:mod:`repro.obs.reconstruct` — the recorder column blocks, the registry
+and the monitor windows, the invariants whole-array predicates), so all
+three engines write the same trace and honor the same contract. See
+``docs/observability.md`` for the event schema and workflows.
 """
 
 from .alerts import (
@@ -48,7 +48,6 @@ from .health import (
 from .metrics import Counter, Gauge, MetricsRegistry, WindowedHistogram
 from .monitor import INVARIANTS, InvariantMonitor, TeeEmitter
 from .profiler import PhaseProfiler
-from .reconstruct import synthesize_events
 from .summary import (
     render_alerts_section,
     render_epoch_section,
@@ -101,7 +100,6 @@ __all__ = [
     "sanitize_metric_name",
     "spark_row",
     "summarize_trace",
-    "synthesize_events",
     "worst_verdict",
     "write_chrome",
     "write_jsonl",

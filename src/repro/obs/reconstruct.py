@@ -19,6 +19,8 @@ cannot. But its Phase A output — the :class:`~repro.mp5.epochs.EpochSchedule`
   (``pop[pi] + (u - stage[pi])``);
 * ``egress`` happens at ``egr_tick[r]``; ``remap`` at the boundaries
   Phase A recorded in ``remap_records``;
+* a ``fifo_pop``'s ``wait`` is ``pop - ins`` where ``0 <= ins <= pop``,
+  else 0;
 * a ``fifo_block`` episode opens at the first tick the group head's
   phantom blocks queued data: ``max(prev_pop + 1, suffix_min(ins))`` —
   data presence implies the head's phantom has been delivered (global
@@ -48,15 +50,15 @@ nothing but the schedule:
   tick. The invariants run as whole-array predicates over *every*
   executed event tick (see :func:`_schedule_violations`) and raise
   through the monitor's own violation helpers.
-* **Events, for the recorder** (:func:`synthesize_events`). A trace is
-  per-event by nature, so a :class:`~repro.obs.trace.TraceRecorder`
-  still gets the synthesized stream, sorted into the scalar engines'
-  per-tick phase order and dispatched through its emitters (so wait /
-  blocked derivations are the recorder's own).
+* **Column blocks, for the recorder** (:func:`feed_recorder`). Each
+  event type's rows are cut from the columns whole — one
+  :meth:`~repro.obs.trace.TraceRecorder.extend` per type and plan — and
+  the recorder puts them in the within-tick order of
+  :mod:`repro.obs.events` when its events are read.
 
-The resulting trace ``canonical_form``, alert stream, and metrics series
-are engine-independent — the three-way differential contract of
-``tests/test_vector_obs.py``, with the scalar engines (whose emitter
+The resulting trace, alert stream, and metrics series are
+engine-independent, byte for byte — the three-way differential contract
+of ``tests/test_vector_obs.py``, with the scalar engines (whose emitter
 surface is untouched) as the oracle.
 """
 
@@ -71,24 +73,29 @@ import numpy as np
 
 from ..errors import ConfigError
 from .alerts import DETECTOR_SERIES
+from .events import (
+    EVENT_EGRESS,
+    EVENT_FIFO_BLOCK,
+    EVENT_FIFO_POP,
+    EVENT_INGRESS,
+    EVENT_PHANTOM_EMIT,
+    EVENT_PHANTOM_MATCH,
+    EVENT_REMAP,
+    EVENT_SERVICE,
+    EVENT_STEER,
+    KINDS,
+    NUM_PHASES,
+)
 from .metrics import window_rows
 
 _FAR = 1 << 62
 
-# Within-tick dispatch priorities, mirroring the scalar _step phase
-# order (inject -> move/steer/match/egress -> pop -> service -> remap).
-# The priority doubles as the event kind in the synthesized tuples, and
-# orders same-tick violations the array predicates raise.
-_P_INGRESS = 0
-_P_PHANTOM_EMIT = 1
-_P_STEER = 2
-_P_PHANTOM_MATCH = 3
-_P_EGRESS = 4
-_P_FIFO_BLOCK = 5
-_P_FIFO_POP = 6
-_P_SERVICE = 7
-_P_REMAP = 8
-_P_END_TICK = 9
+# Same-tick violations are raised in the within-tick order of the event
+# each predicate stands for; the end-of-tick checks come after them all.
+_P_PHANTOM_MATCH = KINDS[EVENT_PHANTOM_MATCH].phase
+_P_EGRESS = KINDS[EVENT_EGRESS].phase
+_P_FIFO_POP = KINDS[EVENT_FIFO_POP].phase
+_P_END_TICK = NUM_PHASES
 
 
 # ---------------------------------------------------------------------------
@@ -528,172 +535,99 @@ def feed_window_sinks(
 
 
 # ---------------------------------------------------------------------------
-# Event synthesis, for the recorder
+# Column blocks, for the recorder
 # ---------------------------------------------------------------------------
 
 
-def synthesize_events(switch, schedule) -> List[Tuple]:
-    """The run's full event stream as sortable tuples.
+def _block_episodes(recorder, schedule, pi: int, stage: int, last_exec: int):
+    """Plan ``pi``'s head-of-line blocking episodes, per FIFO group
+    (pipeline lane): the head's pop waits until ``max(prev_pop + 1, its
+    insert tick)``; the episode opens at the first tick queued data
+    coexists with the head's still-absent data — the suffix-minimum of
+    later members' insert ticks, clamped by the pop cadence. The final
+    head of a cut run opens one too if that tick executed. Appends the
+    ``fifo_block`` rows; returns every row's episode length (-1 where
+    its pop ends none)."""
+    blocked = np.full(schedule.pop_tick[pi].shape[0], -1, dtype=np.int64)
+    for pipe, members in enumerate(schedule.lanes[pi]):
+        ins = schedule.ins_tick[pi][members]
+        ins = np.where(ins >= 0, ins, _FAR)
+        pop = schedule.pop_tick[pi][members]
+        # min over strictly-later members' insert ticks
+        later = np.append(np.minimum.accumulate(ins[::-1])[::-1][1:], _FAR)
+        cut = np.flatnonzero(pop < 0)
+        heads = int(cut[0]) if cut.size else pop.shape[0]
+        # Every popped head, and the final head of a cut run.
+        span = min(heads + 1, pop.shape[0])
+        prev = np.concatenate(([-1], pop[: span - 1]))  # the previous pop
+        opens = np.maximum(prev + 1, later[:span])
+        popped = opens[:heads] < pop[:heads]
+        ticks = opens[:heads][popped]
+        blocked[members[:heads][popped]] = pop[:heads][popped] - ticks
+        # The final head's pop would have landed after both its insert
+        # and the previous pop, but the run was cut.
+        if heads < span and opens[heads] <= last_exec and opens[heads] < max(
+            ins[heads], prev[heads] + 1
+        ):
+            ticks = np.append(ticks, opens[heads])
+        recorder.extend(EVENT_FIFO_BLOCK, ticks, pipe, stage)
+    return blocked
 
-    Tuple layouts (every field a Python int unless noted):
 
-    ========== ==========================================
-    priority    payload after ``(tick, priority, ...)``
-    ========== ==========================================
-    ingress     pkt, pipe, port, flow (flow may be None)
-    phantom     pkt, stage, pipe, array (str), index (or None)
-    steer       pkt, stage, src, pipe
-    match       pkt, stage, pipe
-    egress      pkt, latency (arrival-typed)
-    block       pipe, stage
-    pop         pkt, pipe, stage
-    service     pkt, stage, pipe
-    remap       moves
-    ========== ==========================================
-
-    Plain ``list.sort`` is safe: within one (tick, priority) class the
-    leading integer fields always differ before any None/str/float field
-    is compared (a packet visits each stage once; lanes are unique).
-    """
-    vplans = switch._vplans
-    stats = switch.stats
-    last_exec = stats.ticks - 1
+def feed_recorder(recorder, switch, schedule) -> None:
+    """Append the run's events to ``recorder`` as column blocks, straight
+    from the schedule's tick columns (``t >= 0`` masks; services derived
+    one stage per tick are bounded by the last executed tick). The
+    recorder puts them in the within-tick order when it builds."""
+    last_exec = switch.stats.ticks - 1
     ninj = schedule.injected
-    inj = schedule.inj.tolist()
-    entry_pipe = schedule.entry_pipe
-    dest = schedule.dest
-    events: List[Tuple] = []
-    add = events.append
+    inj = schedule.inj[:ninj]
+    rows = np.arange(ninj, dtype=np.int64)
+    entry = schedule.entry_pipe[:ninj]
+    add = recorder.extend
+
+    def services(ticks, pkts, pipes, stage):
+        ran = ticks <= last_exec
+        add(EVENT_SERVICE, ticks[ran], pkts[ran], pipes[ran], stage)
 
     # Injection tick: ingress, one phantom per plan, and the services of
     # instruction-bearing stateless stages before the first plan stage.
-    entry_l = entry_pipe.tolist()
-    port = switch._port[:ninj].tolist()
-    flow = switch._flow
-    for r in range(ninj):
-        add((inj[r], _P_INGRESS, r, entry_l[r], port[r], flow[r]))
-    for pi, plan in enumerate(vplans):
-        d = dest[pi].tolist()
-        stage = plan.stage
-        label = plan.label
-        if plan.has_index and not plan.multi:
-            idx = schedule.acc_idx[pi].tolist()
-            for r in range(ninj):
-                add((inj[r], _P_PHANTOM_EMIT, r, stage, d[r], label, idx[r]))
-        else:
-            for r in range(ninj):
-                add((inj[r], _P_PHANTOM_EMIT, r, stage, d[r], label, None))
+    add(EVENT_INGRESS, inj, rows, entry, 0, switch._port[:ninj],
+        switch._flow[:ninj])
+    for pi, plan in enumerate(switch._vplans):
+        index = plan.has_index and not plan.multi
+        add(EVENT_PHANTOM_EMIT, inj, rows, schedule.dest[pi][:ninj],
+            plan.stage, plan.label, schedule.acc_idx[pi][:ninj] if index else None)
     for u in switch._transit_after_inject:
-        off = u - 1
-        for r in range(ninj):
-            t = inj[r] + off
-            if t <= last_exec:
-                add((t, _P_SERVICE, r, u, entry_l[r]))
+        services(inj + (u - 1), rows, entry, u)
 
     # Per-plan FIFO lifecycle: steer+match at insert, pop (+service) at
     # the pop-chain tick, post-plan transit services one stage per tick.
-    for pi, plan in enumerate(vplans):
-        ins = schedule.ins_tick[pi].tolist()
-        pop = schedule.pop_tick[pi].tolist()
-        d = dest[pi].tolist()
-        prev = entry_l if pi == 0 else dest[pi - 1].tolist()
+    for pi, plan in enumerate(switch._vplans):
         stage = plan.stage
-        has_service = bool(switch._stage_instrs[stage])
-        transits = switch._transit_after[pi]
-        for r in range(ninj):
-            it = ins[r]
-            if it >= 0:
-                add((it, _P_STEER, r, stage, prev[r], d[r]))
-                add((it, _P_PHANTOM_MATCH, r, stage, d[r]))
-            pt = pop[r]
-            if pt >= 0:
-                add((pt, _P_FIFO_POP, r, d[r], stage))
-                if has_service:
-                    add((pt, _P_SERVICE, r, stage, d[r]))
-                for u in transits:
-                    t = pt + (u - stage)
-                    if t <= last_exec:
-                        add((t, _P_SERVICE, r, u, d[r]))
-
-    # Head-of-line blocking episodes, per (plan, pipeline) FIFO group:
-    # the head's pop waits until max(prev_pop + 1, its insert tick);
-    # the episode opens at the first tick queued data coexists with the
-    # head's still-absent data — the suffix-minimum of later members'
-    # insert ticks, clamped by the pop cadence.
-    for pi, plan in enumerate(vplans):
-        stage = plan.stage
-        ins_col = schedule.ins_tick[pi]
-        pop_col = schedule.pop_tick[pi]
-        for pipe, members in enumerate(schedule.lanes[pi]):
-            cnt = members.shape[0]
-            if cnt == 0:
-                continue
-            ins_m = np.where(
-                ins_col[members] >= 0, ins_col[members], _FAR
-            ).tolist()
-            pop_m = pop_col[members].tolist()
-            # suffix-min of strictly-later members' insert ticks
-            suf = [0] * cnt
-            running = _FAR
-            for j in range(cnt - 1, -1, -1):
-                suf[j] = running
-                if ins_m[j] < running:
-                    running = ins_m[j]
-            prev_pop = -1
-            for j in range(cnt):
-                b = prev_pop + 1
-                if suf[j] > b:
-                    b = suf[j]
-                pj = pop_m[j]
-                if pj >= 0:
-                    if b < pj:
-                        add((b, _P_FIFO_BLOCK, pipe, stage))
-                    prev_pop = pj
-                else:
-                    # Final head: its pop would have landed at pw but the
-                    # run was cut; the episode still opens if data queued
-                    # behind it within the executed ticks.
-                    pw = ins_m[j] if ins_m[j] > prev_pop else prev_pop + 1
-                    if b < pw and b <= last_exec:
-                        add((b, _P_FIFO_BLOCK, pipe, stage))
-                    break
+        dest = schedule.dest[pi][:ninj]
+        prev = entry if pi == 0 else schedule.dest[pi - 1][:ninj]
+        ins = schedule.ins_tick[pi][:ninj]
+        at = ins >= 0
+        add(EVENT_STEER, ins[at], rows[at], dest[at], stage, prev[at])
+        add(EVENT_PHANTOM_MATCH, ins[at], rows[at], dest[at], stage)
+        blocked = _block_episodes(recorder, schedule, pi, stage, last_exec)
+        pop = schedule.pop_tick[pi][:ninj]
+        at = pop >= 0
+        tick, pkt, pipe, ins = pop[at], rows[at], dest[at], ins[at]
+        wait = np.where((ins >= 0) & (ins <= tick), tick - ins, 0)
+        add(EVENT_FIFO_POP, tick, pkt, pipe, stage, wait, blocked[:ninj][at])
+        if switch._stage_instrs[stage]:
+            add(EVENT_SERVICE, tick, pkt, pipe, stage)
+        for u in switch._transit_after[pi]:
+            services(tick + (u - stage), pkt, pipe, u)
 
     # Egress (every row whose ``egr_tick`` executes, as the window sinks
-    # count it) and remap boundaries.
+    # count it; latency typed like its arrival) and remap boundaries.
     done = np.flatnonzero(schedule.egr_tick >= 0)
-    arrival = stats.arrival_ticks
-    for t, r in zip(schedule.egr_tick[done].tolist(), done.tolist()):
-        add((t, _P_EGRESS, r, t - arrival[r]))
-    for boundary, moved in schedule.remap_records:
-        add((int(boundary), _P_REMAP, int(moved)))
-
-    events.sort()
-    return events
-
-
-def _dispatch_events(recorder, events: List[Tuple], ticks: int) -> None:
-    """Dispatch the sorted stream through an emitter surface (the
-    recorder's; the corrupted-schedule tests pass a monitor's)."""
-    emit = {
-        _P_INGRESS: recorder.ingress,
-        _P_PHANTOM_EMIT: lambda t, r, stage, pipe, array, index: (
-            recorder.phantom_emit(t, r, pipe, stage, array, index)
-        ),
-        _P_STEER: lambda t, r, stage, src, pipe: (
-            recorder.steer(t, r, src, pipe, stage)
-        ),
-        _P_PHANTOM_MATCH: lambda t, r, stage, pipe: (
-            recorder.phantom_match(t, r, pipe, stage)
-        ),
-        _P_EGRESS: recorder.egress,
-        _P_FIFO_BLOCK: recorder.fifo_block,
-        _P_FIFO_POP: recorder.fifo_pop,
-        _P_SERVICE: lambda t, r, stage, pipe: (
-            recorder.service(t, r, pipe, stage)
-        ),
-        _P_REMAP: recorder.remap,
-    }
-    for ev in events:
-        if ev[0] >= ticks:
-            break  # scheduled past a max_ticks cut: never executed
-        emit[ev[1]](ev[0], *ev[2:])
+    egr = schedule.egr_tick[done]
+    arrival = switch.stats.arrival_ticks
+    add(EVENT_EGRESS, egr, done,
+        [t - arrival[r] for t, r in zip(egr.tolist(), done.tolist())])
+    remaps = np.array(schedule.remap_records, dtype=np.int64).reshape(-1, 2)
+    add(EVENT_REMAP, remaps[:, 0], remaps[:, 1])

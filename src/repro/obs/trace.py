@@ -1,10 +1,17 @@
 """Per-packet lifecycle trace recorder and its two export formats.
 
 A :class:`TraceRecorder` is attached to a switch with
-``MP5Switch.attach_observability(recorder=...)``; the engine then calls
-one emitter method per lifecycle event (see :mod:`repro.obs.events`).
-When no recorder is attached the engine's hot paths skip the calls
-behind a single attribute check, so recording costs nothing disabled.
+``MP5Switch.attach_observability(recorder=...)``. The scalar engines
+call one emitter method per lifecycle event, which appends one row (a
+tuple in the type's field order, see :data:`repro.obs.events.KINDS`);
+the vector engine appends whole column blocks per event type from its
+epoch schedule (:meth:`TraceRecorder.extend`). Either way the recorder
+stores rows, one store per event type, and builds the event dicts once,
+in the within-tick order :mod:`repro.obs.events` defines, when
+:attr:`TraceRecorder.events` is first read — so every engine's trace of
+one run is the same list. When no recorder is attached the engine's hot
+paths skip the calls behind a single attribute check, so recording
+costs nothing disabled.
 
 Exports:
 
@@ -23,8 +30,11 @@ Exports:
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 from .events import (
     EVENT_DROP,
@@ -43,6 +53,8 @@ from .events import (
     EVENT_REMAP,
     EVENT_SERVICE,
     EVENT_STEER,
+    KINDS,
+    row_order,
 )
 
 TRACE_EVENTS_VERSION = 1
@@ -51,25 +63,53 @@ TICK_US = 1.0  # one tick renders as one microsecond in Perfetto
 
 PathLike = Union[str, Path]
 
+_JSONL_CHUNK = 4096  # events per encoder call and write
+
+#: The types with a row store. A row is ``tick``, then the record
+#: fields; a ``fifo_pop`` row also carries the length of the blocking
+#: episode its pop ends (-1: none), the ``fifo_unblock`` after it.
+_STORED = [kind for kind in KINDS if kind != EVENT_FIFO_UNBLOCK]
+
+
+def _builder(kind: str) -> Callable[[List[Tuple]], List[Dict]]:
+    """A function from ``kind``'s rows to its event dicts, generated
+    from its schema: a dict display per row builds in about half the
+    time of ``dict(zip(names, row))``, and the build is most of what
+    reading a trace costs."""
+    fields = ("tick",) + KINDS[kind].fields
+    names = [f"v{i}" for i in range(len(fields) + (kind == EVENT_FIFO_POP))]
+    items = "".join(f", {field!r}: {name}" for field, name in zip(fields, names))
+    return eval(
+        f"lambda rows: [{{'type': {kind!r}{items}}} for {', '.join(names)} in rows]"
+    )
+
+
+_RECORDS = {kind: _builder(kind) for kind in KINDS}
+
 
 class TraceRecorder:
     """Collects lifecycle events from one simulation run.
 
-    The emitter methods are the engine-facing surface; they append plain
-    dicts to :attr:`events`. The recorder also derives the FIFO
+    The emitter methods are the scalar engines' surface; each appends
+    one row to its type's store. The recorder also derives the FIFO
     block/unblock *episodes* from the per-tick block signals the engine
     raises, and the queueing ``wait`` of every popped packet from its
-    phantom-match (or steer) tick.
+    phantom-match (or steer) tick. :meth:`extend` is the vector engine's
+    surface: a block of rows as columns, derivations included.
     """
 
-    __slots__ = ("events", "_queued", "_blocked")
+    __slots__ = ("_rows", "_unblocks", "_queued", "_blocked", "_built")
 
     def __init__(self) -> None:
-        self.events: List[Dict] = []
+        # type -> its rows, in append order
+        self._rows: Dict[str, List[Tuple]] = {kind: [] for kind in _STORED}
+        self._unblocks = 0
         # pkt id -> tick it entered a stage FIFO (match/steer time)
         self._queued: Dict[int, int] = {}
         # (pipe, stage) -> tick the current blocking episode began
         self._blocked: Dict[Tuple[int, int], int] = {}
+        # (len(self), events) of the last build
+        self._built: Tuple[int, List[Dict]] = (0, [])
 
     # ------------------------------------------------------------------
     # Engine-facing emitters (one per lifecycle event)
@@ -78,17 +118,7 @@ class TraceRecorder:
     def ingress(
         self, tick: int, pkt: int, pipe: int, port: int, flow: Optional[int]
     ) -> None:
-        self.events.append(
-            {
-                "type": EVENT_INGRESS,
-                "tick": tick,
-                "pkt": pkt,
-                "pipe": pipe,
-                "stage": 0,
-                "port": port,
-                "flow": flow,
-            }
-        )
+        self._rows[EVENT_INGRESS].append((tick, pkt, pipe, 0, port, flow))
 
     def phantom_emit(
         self,
@@ -99,57 +129,21 @@ class TraceRecorder:
         array: str,
         index: Optional[int],
     ) -> None:
-        self.events.append(
-            {
-                "type": EVENT_PHANTOM_EMIT,
-                "tick": tick,
-                "pkt": pkt,
-                "pipe": pipe,
-                "stage": stage,
-                "array": array,
-                "index": index,
-            }
-        )
+        self._rows[EVENT_PHANTOM_EMIT].append((tick, pkt, pipe, stage, array, index))
 
     def phantom_loss(
         self, tick: int, pkt: int, pipe: int, stage: int, array: str
     ) -> None:
-        self.events.append(
-            {
-                "type": EVENT_PHANTOM_LOSS,
-                "tick": tick,
-                "pkt": pkt,
-                "pipe": pipe,
-                "stage": stage,
-                "array": array,
-            }
-        )
+        self._rows[EVENT_PHANTOM_LOSS].append((tick, pkt, pipe, stage, array))
 
     def phantom_match(self, tick: int, pkt: int, pipe: int, stage: int) -> None:
         self._queued[pkt] = tick
-        self.events.append(
-            {
-                "type": EVENT_PHANTOM_MATCH,
-                "tick": tick,
-                "pkt": pkt,
-                "pipe": pipe,
-                "stage": stage,
-            }
-        )
+        self._rows[EVENT_PHANTOM_MATCH].append((tick, pkt, pipe, stage))
 
     def steer(self, tick: int, pkt: int, src: int, pipe: int, stage: int) -> None:
         # With phantoms disabled the steer push *is* the FIFO entry.
         self._queued.setdefault(pkt, tick)
-        self.events.append(
-            {
-                "type": EVENT_STEER,
-                "tick": tick,
-                "pkt": pkt,
-                "pipe": pipe,
-                "stage": stage,
-                "src": src,
-            }
-        )
+        self._rows[EVENT_STEER].append((tick, pkt, pipe, stage, src))
 
     def fifo_block(self, tick: int, pipe: int, stage: int) -> None:
         """The engine raises this every tick a FIFO pop is blocked by a
@@ -158,113 +152,104 @@ class TraceRecorder:
         if key in self._blocked:
             return
         self._blocked[key] = tick
-        self.events.append(
-            {"type": EVENT_FIFO_BLOCK, "tick": tick, "pipe": pipe, "stage": stage}
-        )
+        self._rows[EVENT_FIFO_BLOCK].append((tick, pipe, stage))
 
     def fifo_pop(self, tick: int, pkt: int, pipe: int, stage: int) -> None:
         entered = self._queued.pop(pkt, tick)
-        self.events.append(
-            {
-                "type": EVENT_FIFO_POP,
-                "tick": tick,
-                "pkt": pkt,
-                "pipe": pipe,
-                "stage": stage,
-                "wait": tick - entered,
-            }
-        )
         start = self._blocked.pop((pipe, stage), None)
-        if start is not None:
-            self.events.append(
-                {
-                    "type": EVENT_FIFO_UNBLOCK,
-                    "tick": tick,
-                    "pipe": pipe,
-                    "stage": stage,
-                    "blocked": tick - start,
-                }
-            )
+        blocked = -1 if start is None else tick - start
+        self._unblocks += start is not None
+        self._rows[EVENT_FIFO_POP].append(
+            (tick, pkt, pipe, stage, tick - entered, blocked)
+        )
 
     def service(self, tick: int, pkt: int, pipe: int, stage: int) -> None:
-        self.events.append(
-            {
-                "type": EVENT_SERVICE,
-                "tick": tick,
-                "pkt": pkt,
-                "pipe": pipe,
-                "stage": stage,
-            }
-        )
+        self._rows[EVENT_SERVICE].append((tick, pkt, pipe, stage))
 
     def ecn_mark(self, tick: int, pkt: int, pipe: int, stage: int) -> None:
-        self.events.append(
-            {
-                "type": EVENT_ECN,
-                "tick": tick,
-                "pkt": pkt,
-                "pipe": pipe,
-                "stage": stage,
-            }
-        )
+        self._rows[EVENT_ECN].append((tick, pkt, pipe, stage))
 
     def remap(self, tick: int, moves: int) -> None:
-        self.events.append({"type": EVENT_REMAP, "tick": tick, "moves": moves})
+        self._rows[EVENT_REMAP].append((tick, moves))
 
     def egress(self, tick: int, pkt: int, latency: float) -> None:
-        self.events.append(
-            {"type": EVENT_EGRESS, "tick": tick, "pkt": pkt, "latency": latency}
-        )
+        self._rows[EVENT_EGRESS].append((tick, pkt, latency))
 
     def drop(self, tick: int, pkt: int, reason: str) -> None:
-        self.events.append(
-            {"type": EVENT_DROP, "tick": tick, "pkt": pkt, "reason": reason}
-        )
+        self._rows[EVENT_DROP].append((tick, pkt, reason))
 
     def fault_start(
         self, tick: int, kind: str, pipe: Optional[int], stage: Optional[int]
     ) -> None:
-        self.events.append(
-            {
-                "type": EVENT_FAULT_START,
-                "tick": tick,
-                "kind": kind,
-                "pipe": pipe,
-                "stage": stage,
-            }
-        )
+        self._rows[EVENT_FAULT_START].append((tick, kind, pipe, stage))
 
     def fault_end(
         self, tick: int, kind: str, pipe: Optional[int], stage: Optional[int]
     ) -> None:
-        self.events.append(
-            {
-                "type": EVENT_FAULT_END,
-                "tick": tick,
-                "kind": kind,
-                "pipe": pipe,
-                "stage": stage,
-            }
-        )
+        self._rows[EVENT_FAULT_END].append((tick, kind, pipe, stage))
 
     def emergency_remap(
         self, tick: int, pipe: int, moved: int, deferred: int, attempt: int
     ) -> None:
-        self.events.append(
-            {
-                "type": EVENT_EMERGENCY_REMAP,
-                "tick": tick,
-                "pipe": pipe,
-                "moved": moved,
-                "deferred": deferred,
-                "attempt": attempt,
-            }
-        )
+        self._rows[EVENT_EMERGENCY_REMAP].append((tick, pipe, moved, deferred, attempt))
 
     # ------------------------------------------------------------------
+    # Column blocks and the built stream
+    # ------------------------------------------------------------------
+
+    def extend(self, kind: str, *columns) -> None:
+        """Append a block of ``kind`` rows given as columns laid out like
+        its stored rows — ``tick``, the record fields, and a
+        ``fifo_pop``'s episode length — each an int array, a list, or
+        one value for every row; ``tick`` sets the length."""
+        rows = list(zip(*(
+            column.tolist() if isinstance(column, np.ndarray)
+            else column if isinstance(column, list) else repeat(column)
+            for column in columns
+        )))
+        if kind == EVENT_FIFO_POP:
+            self._unblocks += sum(row[-1] >= 0 for row in rows)
+        self._rows[kind] += rows
+
+    @property
+    def events(self) -> List[Dict]:
+        """Every recorded event as a dict, in the within-tick order of
+        :mod:`repro.obs.events`; built once per recorded length."""
+        if self._built[0] != len(self):
+            self._built = (len(self), self._build())
+        return self._built[1]
+
+    def _build(self) -> List[Dict]:
+        parts, records = [], []  # (ticks, phase, seqs) of each run of records
+        for kind, rows in self._rows.items():
+            if not rows:
+                continue
+            tick = np.array([row[0] for row in rows], dtype=np.int64)
+            order = row_order(kind, tick, rows)
+            rows = [rows[i] for i in order.tolist()]
+            tick, seq = tick[order], np.arange(0, 2 * len(rows), 2)
+            parts.append((tick, KINDS[kind].phase, seq))
+            records += _RECORDS[kind](rows)
+            if kind == EVENT_FIFO_POP:
+                # Each unblock directly after the pop that ends it.
+                ended = [i for i, row in enumerate(rows) if row[-1] >= 0]
+                parts.append((tick[ended], KINDS[kind].phase, seq[ended] + 1))
+                records += _RECORDS[EVENT_FIFO_UNBLOCK]([
+                    (at, pipe, stage, blocked)
+                    for at, _, pipe, stage, _, blocked in map(rows.__getitem__, ended)
+                ])
+        if not records:
+            return []
+        ticks, phases, seqs = zip(*parts)
+        merged = np.lexsort((
+            np.concatenate(seqs),
+            np.repeat(phases, [len(tick) for tick in ticks]),
+            np.concatenate(ticks),
+        ))
+        return [records[i] for i in merged.tolist()]
 
     def __len__(self) -> int:
-        return len(self.events)
+        return self._unblocks + sum(map(len, self._rows.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +264,43 @@ def write_jsonl(
     header.update(meta or {})
     with open(path, "w") as fh:
         fh.write(json.dumps(header) + "\n")
-        for event in events:
-            fh.write(json.dumps(event) + "\n")
+        for start in range(0, len(events), _JSONL_CHUNK):
+            chunk = events[start : start + _JSONL_CHUNK]
+            # One encoder call per chunk: the array's item separator is
+            # the line break, unless some value holds a "}, {" too.
+            body = json.dumps(chunk)[1:-1]
+            if body.count("}, {") == len(chunk) - 1:
+                fh.write(body.replace("}, {", "}\n{") + "\n")
+            else:
+                fh.write("".join(json.dumps(e) + "\n" for e in chunk))
+
+
+def _event(record, where: str) -> Dict:
+    """``record`` if it is an event — an object with a string ``type``
+    and an int ``tick`` — else a ValueError naming ``where``."""
+    if isinstance(record, dict) and isinstance(record.get("type"), str):
+        if type(record.get("tick")) is int:
+            return record
+    raise ValueError(
+        f"{where}: not an event (an object with a string 'type' and an int 'tick')"
+    )
 
 
 def read_jsonl(path: PathLike) -> Tuple[Dict, List[Dict]]:
     with open(path) as fh:
         header = json.loads(fh.readline())
-        if header.get("format") != JSONL_FORMAT:
+        if not isinstance(header, dict) or header.get("format") != JSONL_FORMAT:
             raise ValueError(f"{path}: not an {JSONL_FORMAT} file")
-        events = [json.loads(line) for line in fh if line.strip()]
+        events = []
+        for number, line in enumerate(fh, 2):
+            if not line.strip():
+                continue
+            where = f"line {number}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            events.append(_event(record, where))
     return header, events
 
 
@@ -384,13 +396,18 @@ def write_chrome(
 def events_from_chrome(document: Dict) -> List[Dict]:
     """Recover the original event stream from a Chrome export (every
     record is carried verbatim in ``args``)."""
+    records = document.get("traceEvents", [])
+    if not isinstance(records, list):
+        raise ValueError("traceEvents: not a list")
     events = []
-    for record in document.get("traceEvents", ()):
+    for i, record in enumerate(records):
+        if not isinstance(record, dict):
+            raise ValueError(f"traceEvents[{i}]: not an object")
         if record.get("ph") == "M":
             continue
         args = record.get("args")
         if isinstance(args, dict) and "type" in args and "tick" in args:
-            events.append(args)
+            events.append(_event(args, f"traceEvents[{i}].args"))
     return events
 
 
@@ -407,6 +424,6 @@ def load_trace(path: PathLike) -> Tuple[Dict, List[Dict]]:
         if isinstance(header, dict) and header.get("format") == JSONL_FORMAT:
             return read_jsonl(path)
         document = json.loads(text)
-        if "traceEvents" in document:
+        if isinstance(document, dict) and "traceEvents" in document:
             return document.get("otherData", {}), events_from_chrome(document)
     raise ValueError(f"{path}: neither an mp5 JSONL trace nor a Chrome trace")

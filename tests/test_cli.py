@@ -135,6 +135,29 @@ class TestObservabilityCli:
         assert main(["trace-summary", str(truncated)]) == 2
         assert "cannot read" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "name, body, names",
+        (
+            ("events.json", '{"traceEvents": 5}', "traceEvents"),
+            ("list.jsonl", '{"format": "mp5-trace-events"}\n[1]\n', "line 2"),
+            (
+                "tickless.jsonl",
+                '{"format": "mp5-trace-events"}\n{"type": "service"}\n',
+                "line 2",
+            ),
+        ),
+        ids=("traceEvents_not_a_list", "line_not_an_object", "no_tick"),
+    )
+    def test_trace_summary_rejects_malformed_records(
+        self, tmp_path, capsys, name, body, names
+    ):
+        path = tmp_path / name
+        path.write_text(body)
+        assert main(["trace-summary", str(path)]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith(f"trace-summary: cannot read {path}: ")
+        assert names in line
+
 
 class TestMonitorCli:
     def test_run_monitor_prints_health(self, capsys):

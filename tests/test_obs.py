@@ -8,6 +8,7 @@ rules, and the disabled-by-default invariant).
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
@@ -86,6 +87,60 @@ class TestTraceRecorder:
         rec.remap(100, 2)
         assert len(rec) == 1
 
+    def test_events_come_out_in_the_within_tick_order(self):
+        """Whatever order a tick's emitters ran in: by phase (the scalar
+        step's order), then by key — packet first, then stage before
+        pipe — and each unblock right after the pop that ends it."""
+        rec = TraceRecorder()
+        rec.fifo_block(2, 1, 2)
+        rec.remap(5, 1)
+        rec.service(5, 3, 0, 2)
+        rec.fifo_pop(5, 4, 1, 2)
+        rec.egress(5, 9, 5)
+        rec.fifo_pop(5, 3, 0, 2)
+        rec.phantom_match(5, 6, 0, 2)
+        rec.steer(5, 6, 1, 0, 2)
+        rec.phantom_emit(5, 7, 0, 3, "r", 1)
+        rec.phantom_emit(5, 7, 1, 2, "r", 1)
+        rec.ingress(5, 7, 0, 0, None)
+        rec.drop(5, 8, "fifo_full")
+        rec.fault_start(5, "pipeline_stall", 1, None)
+        got = [
+            (e["type"], e.get("pkt"), e.get("stage"))
+            for e in rec.events if e["tick"] == 5
+        ]
+        assert got == [
+            ("fault_start", None, None),
+            ("ingress", 7, 0),
+            ("phantom_emit", 7, 2),
+            ("phantom_emit", 7, 3),
+            ("steer", 6, 2),
+            ("phantom_match", 6, 2),
+            ("egress", 9, None),
+            ("drop", 8, None),
+            ("fifo_pop", 3, 2),
+            ("fifo_pop", 4, 2),
+            ("fifo_unblock", None, 2),
+            ("service", 3, 2),
+            ("remap", None, None),
+        ]
+        assert rec.events[0]["type"] == "fifo_block"
+        assert len(rec) == len(rec.events) == 14
+
+    def test_column_blocks_equal_emitted_rows(self):
+        """The vector engine's surface: a block of columns (arrays,
+        lists, or one value for every row) records what the emitters
+        would, in the same order."""
+        emitted, blocks = TraceRecorder(), TraceRecorder()
+        for pkt in (2, 0, 1):
+            emitted.phantom_emit(3, pkt, pkt % 2, 4, "r", None)
+        blocks.extend(
+            "phantom_emit", np.array([3, 3, 3]), np.array([2, 0, 1]),
+            [0, 0, 1], 4, "r", None,
+        )
+        assert len(blocks) == 3
+        assert blocks.events == emitted.events
+
 
 class TestEventHelpers:
     def test_events_by_tick_groups(self):
@@ -121,6 +176,17 @@ class TestExports:
         assert header["format"] == "mp5-trace-events"
         assert header["program"] == "synthetic"
         assert events == rec.events
+
+    def test_jsonl_writes_one_line_per_event_whatever_the_values(self, tmp_path):
+        """An array name that looks like an item separator stays one
+        line, as every other event does."""
+        rec = TraceRecorder()
+        for pkt in range(3):
+            rec.phantom_emit(1, pkt, 0, 1, "a}, {b" if pkt == 1 else "r", pkt)
+        path = tmp_path / "odd.jsonl"
+        write_jsonl(rec.events, path)
+        assert len(path.read_text().splitlines()) == 1 + 3
+        assert read_jsonl(path)[1] == rec.events
 
     def test_jsonl_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -7,9 +7,10 @@ import pytest
 from repro.harness import run_all
 from repro.harness.runall import SCALES, _observability_run
 
-#: The instrumented artifacts that are byte-identical across engines;
-#: trace.json and trace.jsonl differ in within-tick event order.
+#: The instrumented artifacts, all byte-identical across engines.
 ENGINE_INVARIANT = (
+    "trace.json",
+    "trace.jsonl",
     "trace_canonical.json",
     "metrics.json",
     "alerts.jsonl",
@@ -111,12 +112,14 @@ class TestObservabilityRun:
 
     def test_engine_invariant_artifacts_identical(self, tmp_path):
         records = {}
-        for engine in ("fast", "vector"):
+        for engine in ("dense", "fast", "vector"):
             (tmp_path / engine).mkdir()
             records[engine] = _observability_run(
                 tmp_path / engine, SCALES["tiny"], engine=engine
             )
-        assert records["fast"] == records["vector"]
+        assert records["dense"] == records["fast"] == records["vector"]
         for name in ENGINE_INVARIANT:
-            fast = (tmp_path / "fast" / name).read_bytes()
-            assert fast == (tmp_path / "vector" / name).read_bytes(), name
+            vector = (tmp_path / "vector" / name).read_bytes()
+            for engine in ("dense", "fast"):
+                got = (tmp_path / engine / name).read_bytes()
+                assert got == vector, (engine, name)

@@ -31,6 +31,9 @@ from tests.test_integration import HEADER_GENERATORS
 SHAPES = ("packets", "tuples", "columns")
 ORDERS = list(permutations(("dense", "fast", "vector")))
 CONFIG = MP5Config(num_pipelines=4, remap_period=20)
+#: The ideal baseline queues in an IdealOrderBuffer (and the vector
+#: engine runs it on the fast engine): the trace must survive it too.
+CONFIGS = {"default": CONFIG, "ideal": MP5Config.ideal(num_pipelines=4)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -87,21 +90,37 @@ def _render(stats, registers):
 
 
 @functools.lru_cache(maxsize=None)
-def _expected(shape):
-    return _render(*ENGINES["fast"](_program(), _trace(shape), CONFIG))
+def _expected(shape, config="default"):
+    return _render(
+        *ENGINES["fast"](_program(), _trace(shape), CONFIGS[config])
+    )
+
+
+def _run_in_order(shape, order, config):
+    trace = _trace(shape)
+    snap = _snapshot(trace)
+    for engine in order:
+        rendered = _render(
+            *ENGINES[engine](_program(), trace, CONFIGS[config])
+        )
+        _assert_unchanged(trace, snap)
+        assert rendered == _expected(shape, config), engine
 
 
 @pytest.mark.parametrize("order", ORDERS, ids="-".join)
 @pytest.mark.parametrize("shape", SHAPES)
 def test_engines_leave_the_trace_unchanged_in_any_order(shape, order, capsys):
     reset_fallback_warnings()
-    trace = _trace(shape)
-    snap = _snapshot(trace)
-    for engine in order:
-        rendered = _render(*ENGINES[engine](_program(), trace, CONFIG))
-        _assert_unchanged(trace, snap)
-        assert rendered == _expected(shape), engine
+    _run_in_order(shape, order, "default")
     assert "vector engine:" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", ORDERS, ids="-".join)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_ideal_config_leaves_the_trace_unchanged_in_any_order(shape, order):
+    """Figure 7 runs the ideal baseline on the trace the default config
+    just ran; its IdealOrderBuffer must not write it either."""
+    _run_in_order(shape, order, "ideal")
 
 
 def test_column_trace_runs_on_every_engine_like_the_packet_list():

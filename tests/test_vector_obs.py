@@ -1,14 +1,14 @@
 """Observability parity: the vector engine's reconstructed streams.
 
 The vector engine never steps ticks, so it cannot emit lifecycle
-events live. Instead :mod:`repro.obs.reconstruct` synthesizes the
-event stream from the epoch schedule after the closed-form run and
-replays it through whatever sinks were attached. The contract this
-module pins down:
+events live. Instead :mod:`repro.obs.reconstruct` feeds whatever sinks
+were attached from the epoch schedule after the closed-form run — the
+recorder one column block per event type. The contract this module
+pins down:
 
-* the reconstructed trace's :func:`canonical_form` equals both scalar
-  engines' live traces (sensitivity workload, every app, flow
-  ordering, max_ticks cuts),
+* the reconstructed trace equals both scalar engines' live traces,
+  written JSONL byte for byte and in :func:`canonical_form`
+  (sensitivity workload, every app, flow ordering, max_ticks cuts),
 * the metrics registry rolls identical windowed series and histograms,
 * the invariant monitor sees the same alert stream (zero on fault-free
   runs) and health verdict on every Phase B executor,
@@ -18,6 +18,8 @@ module pins down:
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -40,11 +42,20 @@ from repro.obs import (
     PhaseProfiler,
     TraceRecorder,
     canonical_form,
+    write_jsonl,
 )
 from repro.workloads import line_rate_trace
 from repro.workloads.synthetic import make_sensitivity_program, sensitivity_trace
 
 from tests.test_integration import HEADER_GENERATORS
+
+
+def _jsonl_bytes(recorder):
+    """The trace as ``write_jsonl`` writes it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        write_jsonl(recorder.events, path)
+        return path.read_bytes()
 
 
 def _run_observed(
@@ -75,7 +86,8 @@ def _run_observed(
         "stats": stats,
         "regs": regs,
         "trace": canonical_form(recorder.events),
-        "events": len(recorder.events),
+        "jsonl": _jsonl_bytes(recorder),
+        "events": len(recorder),
         "metrics": metrics.to_dict(),
         "alerts": [a.to_dict() for a in monitor.alerts],
         "health": monitor.health_report().to_dict(),
@@ -95,11 +107,13 @@ def _assert_parity(vec, ref, dense=None):
     assert vec["stats"] == ref["stats"]
     assert vec["regs"] == ref["regs"]
     assert vec["trace"] == ref["trace"]
+    assert vec["jsonl"] == ref["jsonl"]
     assert vec["metrics"] == ref["metrics"]
     assert vec["alerts"] == ref["alerts"]
     assert vec["health"] == ref["health"]
     if dense is not None:
         assert vec["trace"] == dense["trace"]
+        assert vec["jsonl"] == dense["jsonl"]
         assert vec["alerts"] == dense["alerts"]
 
 
@@ -399,9 +413,9 @@ def test_cli_monitor_report_shows_vector_epochs(tmp_path, capsys):
 
 def test_observability_run_artifacts_identical_across_engines(tmp_path):
     """The CI ``obs-vector-smoke`` contract: every artifact the
-    instrumented run writes — canonical trace, metrics, alerts, and the
-    block embedded in ``results.json`` — is byte-identical between the
-    vector and fast engines."""
+    instrumented run writes — both trace files, canonical trace,
+    metrics, alerts, and the block embedded in ``results.json`` — is
+    byte-identical between the vector and fast engines."""
     knobs = SCALES["tiny"]
     out_fast = tmp_path / "fast"
     out_vec = tmp_path / "vector"
@@ -410,10 +424,9 @@ def test_observability_run_artifacts_identical_across_engines(tmp_path):
     block_fast = _observability_run(out_fast, knobs, engine="fast")
     block_vec = _observability_run(out_vec, knobs, engine="vector")
     assert block_fast == block_vec
-    # The raw trace.jsonl may interleave same-tick events of different
-    # packets differently; trace_canonical.json is the order-free form
-    # the contract (and the CI cmp) is defined over.
     for name in (
+        "trace.json",
+        "trace.jsonl",
         "trace_canonical.json",
         "metrics.json",
         "alerts.jsonl",
@@ -436,9 +449,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.obs.alerts import DETECTOR_SERIES  # noqa: E402
 from repro.obs.reconstruct import (  # noqa: E402
-    _dispatch_events,
+    feed_recorder,
     feed_window_sinks,
-    synthesize_events,
 )
 
 SINK_SETS = (
@@ -488,6 +500,7 @@ def _observe(
         out["violations"] = dict(monitor.violations)
     if "recorder" in attached:
         out["trace"] = canonical_form(attached["recorder"].events)
+        out["jsonl"] = _jsonl_bytes(attached["recorder"])
     return out
 
 
@@ -761,12 +774,33 @@ def _array_monitor(switch, schedule, drained=True):
     return monitor
 
 
+#: Each recorded type's emitter arguments after ``tick``, in call order
+#: (``fifo_unblock`` is recorder-internal: no emitter takes it).
+_EMITTER_ARGS = {
+    "ingress": ("pkt", "pipe", "port", "flow"),
+    "phantom_emit": ("pkt", "pipe", "stage", "array", "index"),
+    "steer": ("pkt", "src", "pipe", "stage"),
+    "phantom_match": ("pkt", "pipe", "stage"),
+    "egress": ("pkt", "latency"),
+    "fifo_block": ("pipe", "stage"),
+    "fifo_pop": ("pkt", "pipe", "stage"),
+    "service": ("pkt", "pipe", "stage"),
+    "remap": ("moves",),
+}
+
+
 def _emitter_monitor(switch, schedule, drained=True):
-    """The oracle: the schedule's event sequence through the monitor's
-    scalar-facing emitters (what the per-event replay fed it)."""
+    """The oracle: the schedule's recorded event stream replayed, in
+    order, through the monitor's scalar-facing emitters."""
+    recorder = TraceRecorder()
+    feed_recorder(recorder, switch, schedule)
     monitor = InvariantMonitor()
-    events = synthesize_events(switch, schedule)
-    _dispatch_events(monitor, events, switch.stats.ticks)
+    for event in recorder.events:
+        args = _EMITTER_ARGS.get(event["type"])
+        if args is not None:
+            getattr(monitor, event["type"])(
+                event["tick"], *(event[name] for name in args)
+            )
     monitor.end_run(switch.stats.ticks, switch, drained)
     return monitor
 
