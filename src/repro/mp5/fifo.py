@@ -24,9 +24,10 @@ model of the "ideal MP5" baseline in §4.3.3.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Deque, Dict, List, Optional, Set, Tuple, Union
 
 from ..errors import ConfigError
 from .packet import DataPacket, PhantomPacket
@@ -238,6 +239,14 @@ class IdealOrderBuffer:
 
     Exposes the same push/insert/pop surface as :class:`StageFifoGroup`
     (capacity is unbounded — the ideal design has no practical limits).
+
+    ``pop`` reads a heap of ready heads (data slots at a queue's front)
+    keyed by timestamp instead of scanning every queue. ``insert``,
+    ``expire_phantom`` and ``pop`` only mark the queue they change as
+    touched; the next ``pop`` drops consumed slots from the front of
+    the touched queues — the only ones that can have any — and enters
+    each one's head if it is data. A heap entry whose slot no longer
+    heads its queue is stale and skipped when it surfaces.
     """
 
     def __init__(self, num_pipelines: int, capacity: Optional[int] = None):
@@ -245,6 +254,8 @@ class IdealOrderBuffer:
         self.capacity = capacity  # accepted for interface parity; unused
         self.queues: Dict[Tuple[str, Optional[int]], Deque[Slot]] = {}
         self.directory: Dict[int, Tuple[Slot, Tuple[str, Optional[int]]]] = {}
+        self._ready: List[Tuple[Timestamp, Tuple[str, Optional[int]]]] = []
+        self._touched: Set[Tuple[str, Optional[int]]] = set()
         self.drops_full = 0
         self.drops_no_phantom = 0
         self.peak_occupancy = 0
@@ -295,33 +306,35 @@ class IdealOrderBuffer:
             return False
         entry[0].payload = pkt
         entry[0].is_phantom = False
+        self._touched.add(entry[1])
         self._data += 1
         return True
 
     def pop(self) -> Optional[DataPacket]:
-        best_key = None
-        best_slot: Optional[Slot] = None
-        for key, queue in self.queues.items():
+        queues, ready = self.queues, self._ready
+        for key in self._touched:
+            queue = queues[key]
             while queue and queue[0].consumed:
                 queue.popleft()
                 self._total -= 1
-            if not queue:
-                continue
-            head = queue[0]
-            if head.is_phantom:
-                continue  # this index waits; others may proceed
-            if best_slot is None or head.timestamp < best_slot.timestamp:
-                best_slot = head
-                best_key = key
-        if best_slot is None:
+            if queue and not queue[0].is_phantom:
+                heapq.heappush(ready, (queue[0].timestamp, key))
+        self._touched.clear()
+        while ready:  # timestamps are unique: keys are never compared
+            stamp, key = heapq.heappop(ready)
+            queue = queues.get(key)
+            if queue and queue[0].timestamp == stamp:
+                break
+        else:
             return None
-        queue = self.queues[best_key]
-        queue.popleft()
-        if not queue:  # timestamps are unique: dict order never decides
-            del self.queues[best_key]
+        slot = queue.popleft()
+        if queue:
+            self._touched.add(key)
+        else:
+            del queues[key]
         self._total -= 1
         self._data -= 1
-        return best_slot.payload  # type: ignore[return-value]
+        return slot.payload  # type: ignore[return-value]
 
     def head_data_age(self, tick: int) -> Optional[int]:
         ages = []
@@ -335,4 +348,5 @@ class IdealOrderBuffer:
         if entry is None:
             return False
         entry[0].consumed = True
+        self._touched.add(entry[1])
         return True

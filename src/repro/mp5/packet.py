@@ -50,8 +50,10 @@ class DataPacket:
     headers: Dict[str, int]
     size_bytes: int = 64
     flow_id: Optional[int] = None
-    env: Dict[Temp, int] = field(default_factory=dict)
-    accesses: List[StateAccess] = field(default_factory=list)
+    # Run state: None on a trace packet; an engine's private copy
+    # (private_packet, PacketColumns.to_packets) gets its own.
+    env: Optional[Dict[Temp, int]] = None
+    accesses: Optional[List[StateAccess]] = None
     entry_pipeline: int = -1
     entry_tick: int = -1
     egress_tick: Optional[int] = None
@@ -84,15 +86,16 @@ class DataPacket:
 
 def private_packet(i: int, e) -> DataPacket:
     """A run-owned packet for trace entry ``i`` — a :class:`DataPacket`
-    (its trace facts copied, none of its run state) or an ``(arrival,
-    port, headers)`` tuple. The scalar engines run these, so a trace is
+    (its trace facts copied) or an ``(arrival, port, headers)`` tuple —
+    with fresh run state. The scalar engines run these, so a trace is
     only ever read and replays through any engine unchanged."""
     if isinstance(e, DataPacket):
         return DataPacket(
-            e.pkt_id, e.arrival, e.port, dict(e.headers), e.size_bytes, e.flow_id
+            e.pkt_id, e.arrival, e.port, dict(e.headers), e.size_bytes, e.flow_id,
+            env={}, accesses=[],
         )
     arrival, port, headers = e
-    return DataPacket(i, arrival, port, dict(headers))
+    return DataPacket(i, arrival, port, dict(headers), env={}, accesses=[])
 
 
 class PacketColumns:
@@ -186,8 +189,9 @@ class PacketColumns:
         )
 
     def to_packets(self) -> List["DataPacket"]:
-        """Materialise the batch for the per-packet engines; ids are
-        positions (``feed`` renumbers in arrival order anyway)."""
+        """Materialise the batch for the per-packet engines, each row
+        with its own run state; ids are positions (``feed`` renumbers in
+        arrival order anyway)."""
         names = list(self.headers)
         values = [self.headers[f].tolist() for f in names]
         rows = zip(*values) if values else repeat(())
@@ -195,7 +199,10 @@ class PacketColumns:
             self.ticks(), self.port.tolist(), rows, self.size.tolist(), self.flow
         )
         return [
-            DataPacket(i, arrival, port, dict(zip(names, row)), size, flow)
+            DataPacket(
+                i, arrival, port, dict(zip(names, row)), size, flow,
+                env={}, accesses=[],
+            )
             for i, (arrival, port, row, size, flow) in enumerate(facts)
         ]
 

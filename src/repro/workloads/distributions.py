@@ -118,6 +118,12 @@ class UniformAccess:
     def sample(self, rng: np.random.Generator) -> int:
         return int(rng.integers(0, self.size))
 
+    def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` samples in one call: the draws of ``count``
+        :meth:`sample` calls, in order (the scalar and batched bounded
+        integer paths take one generator word per sample alike)."""
+        return rng.integers(0, self.size, count)
+
 
 @dataclass
 class SkewedAccess:
@@ -144,6 +150,13 @@ class SkewedAccess:
         if self.hot_count >= self.size:
             return int(rng.integers(0, self.size))
         return int(rng.integers(self.hot_count, self.size))
+
+    def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` :meth:`sample` calls. Not one block: it interleaves
+        64-bit ``random()`` with 32-bit integer draws, which the
+        generator serves from a buffered half-word, so the draws depend
+        on their order."""
+        return np.array([self.sample(rng) for _ in range(count)], dtype=np.int64)
 
 
 def zipf_access(size: int, alpha: float, rng: np.random.Generator, count: int) -> np.ndarray:

@@ -20,7 +20,7 @@ Index header fields are filled by the workload from a uniform or skewed
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from ..compiler import BanzaiTarget, CompiledProgram, compile_program
 from ..errors import ConfigError
 from ..mp5.packet import DataPacket
 from .distributions import SkewedAccess, UniformAccess
-from .traffic import line_rate_trace
+from .traffic import check_trace_args, line_rate_trace
 
 
 def synthetic_source(num_stateful: int, register_size: int) -> str:
@@ -92,17 +92,18 @@ def sensitivity_trace(
     seed: int = 0,
     num_ports: int = 64,
 ) -> List[DataPacket]:
-    """A line-rate trace whose headers carry per-stage register indexes."""
+    """A line-rate trace whose headers carry per-stage register indexes,
+    all drawn in one sampler call: packet by packet, field by field."""
+    check_trace_args(num_packets)
     sampler = make_access_pattern(pattern, register_size)
-    field_count = max(num_stateful, 1)
-
-    def headers(rng: np.random.Generator, _i: int) -> Dict[str, int]:
-        return {f"idx{j}": sampler.sample(rng) for j in range(field_count)}
-
+    names = [f"idx{j}" for j in range(max(num_stateful, 1))]
+    rng = np.random.default_rng(seed)
+    block = sampler.sample_many(rng, num_packets * len(names))
+    rows = block.reshape(num_packets, len(names)).tolist()
     return line_rate_trace(
         num_packets,
         num_pipelines,
-        headers,
+        lambda _rng, i: dict(zip(names, rows[i])),
         packet_size=packet_size,
         num_ports=num_ports,
         seed=seed,

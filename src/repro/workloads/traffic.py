@@ -17,12 +17,20 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from ..errors import ConfigError
-from ..mp5.packet import DataPacket, private_packet
+from ..mp5.packet import DataPacket
 from .distributions import BimodalPacketSizes, EmpiricalCDF, web_search_flow_sizes
 
 HeaderGen = Callable[[np.random.Generator, int], Dict[str, int]]
 
 MIN_PACKET_BYTES = 64
+
+
+def check_trace_args(num_packets: int, utilization: float = 1.0) -> None:
+    """The packet count and load every trace generator refuses."""
+    if num_packets < 1:
+        raise ConfigError("num_packets must be >= 1")
+    if not 0.0 < utilization <= 1.0:
+        raise ConfigError("utilization must be in (0, 1]")
 
 
 def line_rate_trace(
@@ -40,28 +48,19 @@ def line_rate_trace(
     switch's peak service rate (``num_pipelines`` packets/tick) — the
     worst case §4.3.1 stresses.
     """
-    if num_packets < 1:
-        raise ConfigError("num_packets must be >= 1")
+    check_trace_args(num_packets, utilization)
     if packet_size < MIN_PACKET_BYTES:
         raise ConfigError(f"packet_size must be >= {MIN_PACKET_BYTES}")
-    if not 0.0 < utilization <= 1.0:
-        raise ConfigError("utilization must be in (0, 1]")
     rng = np.random.default_rng(seed)
     gap = packet_size / (MIN_PACKET_BYTES * num_pipelines * utilization)
-    packets = []
-    now = 0.0
-    for i in range(num_packets):
-        packets.append(
-            DataPacket(
-                pkt_id=i,
-                arrival=now,
-                port=i % num_ports,
-                headers=header_gen(rng, i),
-                size_bytes=packet_size,
-            )
-        )
-        now += gap
-    return packets
+    gaps = np.full(num_packets, gap)
+    gaps[0] = 0.0
+    # cumsum adds left to right: the float additions of ``now += gap``.
+    arrivals = np.cumsum(gaps).tolist()
+    return [
+        DataPacket(i, arrival, i % num_ports, header_gen(rng, i), packet_size)
+        for i, arrival in enumerate(arrivals)
+    ]
 
 
 def random_headers(program) -> HeaderGen:
@@ -87,22 +86,16 @@ def variable_size_trace(
     utilization: float = 1.0,
 ) -> List[DataPacket]:
     """Line-rate trace with per-packet sizes from a bimodal distribution."""
+    check_trace_args(num_packets, utilization)
     rng = np.random.default_rng(seed)
     sizes = sizes or BimodalPacketSizes()
+    rate = MIN_PACKET_BYTES * num_pipelines * utilization
     packets = []
     now = 0.0
     for i in range(num_packets):
         size = sizes.sample(rng)
-        packets.append(
-            DataPacket(
-                pkt_id=i,
-                arrival=now,
-                port=i % num_ports,
-                headers=header_gen(rng, i),
-                size_bytes=size,
-            )
-        )
-        now += size / (MIN_PACKET_BYTES * num_pipelines * utilization)
+        packets.append(DataPacket(i, now, i % num_ports, header_gen(rng, i), size))
+        now += size / rate
     return packets
 
 
@@ -144,6 +137,7 @@ class FlowWorkload:
 
     def generate(self, num_packets: int) -> List[DataPacket]:
         """Produce ``num_packets`` flow-structured packets."""
+        check_trace_args(num_packets, self.utilization)
         rng = np.random.default_rng(self.seed)
         flows: List[Flow] = []
         next_flow_id = 0
@@ -165,28 +159,21 @@ class FlowWorkload:
             flows.append(new_flow())
 
         packets: List[DataPacket] = []
+        rate = MIN_PACKET_BYTES * self.num_pipelines * self.utilization
         now = 0.0
         for i in range(num_packets):
             slot = int(rng.integers(0, len(flows)))
             flow = flows[slot]
             size = min(self.sizes.sample(rng), max(flow.remaining_bytes, MIN_PACKET_BYTES))
             size = max(size, MIN_PACKET_BYTES)
-            headers = {
-                "sport": flow.sport,
-                "dport": flow.dport,
-            }
+            headers = {"sport": flow.sport, "dport": flow.dport}
             pkt = DataPacket(
-                pkt_id=i,
-                arrival=now,
-                port=flow.flow_id % self.num_ports,
-                headers=headers,
-                size_bytes=size,
-                flow_id=flow.flow_id,
+                i, now, flow.flow_id % self.num_ports, headers, size, flow.flow_id
             )
             if self.extra_fields is not None:
-                pkt.headers.update(self.extra_fields(rng, pkt))
+                headers.update(self.extra_fields(rng, pkt))
             packets.append(pkt)
-            now += size / (MIN_PACKET_BYTES * self.num_pipelines * self.utilization)
+            now += size / rate
             flow.remaining_bytes -= size
             flow.sent_packets += 1
             if flow.remaining_bytes <= 0:
@@ -210,4 +197,7 @@ def reference_trace(packets: List[DataPacket], num_pipelines: int):
 def clone_packets(packets: List[DataPacket]) -> List[DataPacket]:
     """A copy of a trace's packets (trace facts only, no run state). No
     engine writes its trace, so this is for callers that edit one."""
-    return [private_packet(i, p) for i, p in enumerate(packets)]
+    return [
+        DataPacket(p.pkt_id, p.arrival, p.port, dict(p.headers), p.size_bytes, p.flow_id)
+        for p in packets
+    ]

@@ -1,6 +1,8 @@
 """Tests for the per-stage FIFO groups (push/insert/pop, §3.2)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.mp5 import DataPacket, IdealOrderBuffer, PhantomPacket, StageFifoGroup
@@ -191,3 +193,64 @@ class TestIdealOrderBuffer:
         buf.push(phantom(1, index=0), 0, 0)
         assert buf.occupancy() == 1
         assert buf.data_occupancy() == 0
+
+
+class ScanningIdealBuffer(IdealOrderBuffer):
+    """The ready-head heap's oracle: every pop drops consumed slots from
+    the front of every queue, then scans all heads for the oldest data
+    one."""
+
+    def pop(self):
+        best_key, best = None, None
+        for key, queue in self.queues.items():
+            while queue and queue[0].consumed:
+                queue.popleft()
+                self._total -= 1
+            if queue and not queue[0].is_phantom:
+                if best is None or queue[0].timestamp < best.timestamp:
+                    best_key, best = key, queue[0]
+        if best is None:
+            return None
+        queue = self.queues[best_key]
+        queue.popleft()
+        if not queue:
+            del self.queues[best_key]
+        self._total -= 1
+        self._data -= 1
+        return best.payload
+
+
+def _buffer_view(buf, tick):
+    queues = {
+        key: [(s.payload.pkt_id, s.is_phantom, s.consumed) for s in q]
+        for key, q in buf.queues.items()
+    }
+    return queues, buf.occupancy(), buf.data_occupancy(), buf.head_data_age(tick)
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from("pie"), st.integers(0, 3), st.integers(0, 20)),
+        max_size=80,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_ideal_heap_pops_like_a_scan_of_every_head(ops):
+    """Pushes to a few indexes, inserts and expiries of random phantoms,
+    and pops: the heap buffer and the scanning oracle pop the same
+    packets and hold the same queues and counts after every step."""
+    heap, scan = IdealOrderBuffer(1), ScanningIdealBuffer(1)
+    next_id = 0
+    for tick, (op, index, pick) in enumerate(ops):
+        for buf in (heap, scan):
+            if op == "p":
+                buf.push(phantom(next_id, index=index), 0, tick)
+            elif op == "i":
+                buf.insert(data(pick % max(next_id, 1)), tick)
+            elif op == "e":
+                buf.expire_phantom(pick % max(next_id, 1))
+        next_id += op == "p"
+        if pick % 3 == 0:
+            got, want = heap.pop(), scan.pop()
+            assert (got and got.pkt_id) == (want and want.pkt_id)
+        assert _buffer_view(heap, tick) == _buffer_view(scan, tick)

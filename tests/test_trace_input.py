@@ -20,10 +20,15 @@ import pytest
 from repro.apps import FLOWLET
 from repro.compiler import compile_program
 from repro.faults import FaultEvent, FaultSchedule
-from repro.mp5 import ENGINES, MP5Config, PacketColumns, VectorSwitch
+from repro.mp5 import ENGINES, MP5Config, MP5Switch, PacketColumns, VectorSwitch
 from repro.mp5.vector import reset_fallback_warnings
 from repro.service.daemon import render_payload, segment_payload
-from repro.workloads import line_rate_trace
+from repro.workloads import (
+    clone_packets,
+    line_rate_trace,
+    sensitivity_trace,
+    variable_size_trace,
+)
 from repro.workloads.traceio import stats_to_dict
 
 from tests.test_integration import HEADER_GENERATORS
@@ -169,3 +174,46 @@ def test_faulted_fallback_leaves_the_trace_unchanged(capsys):
     assert "faults attached; falling back" in capsys.readouterr().err
     assert rendered[0] == rendered[1]
     assert rendered[0] != _expected("packets")  # the faults bit
+
+
+# ----------------------------------------------------------------------
+# Run state belongs to the run: trace packets carry none, and every
+# engine copy allocates its own.
+# ----------------------------------------------------------------------
+
+
+def test_generated_trace_packets_carry_no_run_state():
+    traces = {
+        "flowlet": FLOWLET.workload(50, 4, seed=1),
+        "sensitivity": sensitivity_trace(50, 4, 2, 64, seed=1),
+        "line_rate": line_rate_trace(50, 4, HEADER_GENERATORS["avq"], seed=1),
+        "variable_size": variable_size_trace(50, 4, lambda r, i: {"x": i}, seed=1),
+    }
+    traces["clone"] = clone_packets(traces["flowlet"])
+    for name, trace in traces.items():
+        assert all(p.env is None and p.accesses is None for p in trace), name
+
+
+def _run_state_ids(packets):
+    return {id(p.env) for p in packets} | {id(p.accesses) for p in packets}
+
+
+def test_fast_runs_of_one_trace_never_share_run_state():
+    trace = _trace("packets")
+    runs = []
+    for _ in range(2):
+        switch = MP5Switch(_program(), CONFIG)
+        switch.run(trace, record_access_order=True)
+        runs.append(switch.packets)
+    for packets in runs:
+        assert len(packets) == len(trace)
+        assert all(p.env is not None and p.accesses is not None for p in packets)
+        assert len(_run_state_ids(packets)) == 2 * len(packets)
+    assert not _run_state_ids(runs[0]) & _run_state_ids(runs[1])
+    assert all(p.env is None and p.accesses is None for p in trace)
+
+
+def test_to_packets_gives_each_row_its_own_run_state():
+    packets = _trace("columns").to_packets()
+    assert all(p.env == {} and p.accesses == [] for p in packets)
+    assert len(_run_state_ids(packets)) == 2 * len(packets)

@@ -1,8 +1,14 @@
 """Tests for workload generation."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.apps import CONGA, FLOWLET
+from repro.compiler import compile_program
 from repro.errors import ConfigError
 from repro.workloads import (
     BimodalPacketSizes,
@@ -13,6 +19,7 @@ from repro.workloads import (
     clone_packets,
     line_rate_trace,
     make_sensitivity_program,
+    random_headers,
     reference_trace,
     sensitivity_trace,
     synthetic_source,
@@ -20,6 +27,69 @@ from repro.workloads import (
     web_search_flow_sizes,
     zipf_access,
 )
+
+
+def trace_digest(packets) -> str:
+    """sha256 over every packet's trace facts, in trace order."""
+    h = hashlib.sha256()
+    for p in packets:
+        facts = (repr(p.arrival), p.port, sorted(p.headers.items()), p.size_bytes, p.flow_id)
+        h.update(repr(facts).encode())
+    return h.hexdigest()
+
+
+#: Every generator's draws, pinned: digests taken from the per-sample
+#: generators before block draws and positional packets replaced them.
+#: A change of any draw, its order or an arrival bit fails here, and a
+#: changed digest is a changed trace, not a value to re-record. 300 is
+#: a register size that is not a power of two.
+GOLDEN_DIGESTS = {
+    "sensitivity-uniform-512-0": "a3899796c0bc4ad21afd856c54aaf397a16f03fcbafd064811422b149eed6672",
+    "sensitivity-uniform-512-1": "8dee775cc787625453aca3c5ad242bdd063ce0c42e7a303347da57e21ac1f7cc",
+    "sensitivity-uniform-512-2": "b256bb3ebddab4c7ef20dc5d242550445ecf8a385790ab429bde2ab3594eaf74",
+    "sensitivity-uniform-300-0": "27a4886dd11242a987d327076275bdcaccc84a381c011b040496b466ebb38b59",
+    "sensitivity-uniform-300-1": "d5114bd40e0e5081ec3b6ba0a2ccfe453188a59e93637ecdf58c348d0f990eb8",
+    "sensitivity-uniform-300-2": "986c962166cdec8d223549f9d9cd2be28d9397752e4846fedf5f4e11b301edb1",
+    "sensitivity-skewed-512-0": "ba4850cdf98743bdc306fef7ed112de3db0d1437583a1547058010c71490e61f",
+    "sensitivity-skewed-512-1": "994afd047662b245520339abbb8ffbe7b097ebe05f7977f8fa2c5558dc450846",
+    "sensitivity-skewed-512-2": "e74773421c49863d264688ed8135b3a8018e282da30db5921df82af08c0f64d1",
+    "sensitivity-skewed-300-0": "286cc76a2bd206fe0f0a2b9387d223ff83dac8d2d20e60132a68c8ca82f5130d",
+    "sensitivity-skewed-300-1": "194342031f015f14a77f21f7fe06a2a6e816313c3a8dad03bfca1c93e4c64662",
+    "sensitivity-skewed-300-2": "901bdb9b1f192f4a779a47a2bcaf054add892eefa464d0609a70e2fb699440d0",
+    "line_rate-random_headers": "68688232bc1a400094a488f7b1636110165b2bf3b81cfc7f25dd3d40ed450338",
+    "variable_size": "8a52fcb5271fb9c1714ef39614f9788943239a8ff2446bffd209164e8fa63f50",
+    "flowlet": "7cef7f6f520f8267395ac22f7827d63926e78f47afb45bce46f334f1f3e4d36b",
+    "conga": "2a43a91a4432f0a1d10858ff75e0458016772487744b486da7016898d84c04ac",
+}
+
+
+def _golden_trace(name: str):
+    kind, _, rest = name.partition("-")
+    if kind == "sensitivity":
+        pattern, size, seed = rest.split("-")
+        return sensitivity_trace(400, 4, 4, int(size), pattern, seed=int(seed))
+    headers = random_headers(compile_program("conga"))
+    if kind == "line_rate":
+        return line_rate_trace(400, 4, headers, seed=5)
+    if kind == "variable_size":
+        return variable_size_trace(400, 4, headers, seed=6)
+    if kind == "flowlet":
+        return FLOWLET.workload(400, 4, seed=7)
+    return CONGA.workload(400, 4, seed=8)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_generator_draws_are_pinned(name):
+    assert trace_digest(_golden_trace(name)) == GOLDEN_DIGESTS[name]
+
+
+@given(size=st.integers(1, 2**40), seed=st.integers(0, 2**32 - 1), count=st.integers(0, 40))
+@settings(max_examples=60, deadline=None)
+def test_uniform_block_draw_equals_per_sample_draws(size, seed, count):
+    sampler = UniformAccess(size)
+    block = sampler.sample_many(np.random.default_rng(seed), count)
+    rng = np.random.default_rng(seed)
+    assert block.tolist() == [sampler.sample(rng) for _ in range(count)]
 
 
 class TestEmpiricalCDF:
@@ -133,6 +203,37 @@ class TestTraces:
             line_rate_trace(10, 4, lambda r, i: {}, packet_size=32)
         with pytest.raises(ConfigError):
             line_rate_trace(10, 4, lambda r, i: {}, utilization=0.0)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, 1.0), "num_packets must be >= 1"),
+            ((-3, 1.0), "num_packets must be >= 1"),
+            ((10, 0.0), "utilization must be in"),
+            ((10, 1.5), "utilization must be in"),
+        ],
+    )
+    def test_every_generator_refuses_bad_count_and_load(self, args, message):
+        num_packets, utilization = args
+
+        def gen(rng, i):
+            return {"x": 0}
+
+        calls = [
+            lambda: line_rate_trace(num_packets, 4, gen, utilization=utilization),
+            lambda: variable_size_trace(num_packets, 4, gen, utilization=utilization),
+            lambda: FlowWorkload(num_pipelines=4, utilization=utilization).generate(
+                num_packets
+            ),
+            lambda: FLOWLET.workload(num_packets, 4, utilization=utilization),
+        ]
+        for call in calls:
+            with pytest.raises(ConfigError, match=message):
+                call()
+
+    def test_sensitivity_trace_refuses_an_empty_trace(self):
+        with pytest.raises(ConfigError, match="num_packets must be >= 1"):
+            sensitivity_trace(0, 4, 2, 16)
 
     def test_variable_size_trace_sizes_bimodal(self):
         trace = variable_size_trace(200, 4, lambda r, i: {"x": 0}, seed=0)
