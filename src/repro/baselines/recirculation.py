@@ -5,17 +5,21 @@ Models the state of the art described in §2.3:
 * **static port-to-pipeline mapping** — port ``p`` belongs to pipeline
   ``p // (num_ports / k)`` (the Tofino layout);
 * **no state sharing between pipelines** — register indexes are sharded
-  statically at configuration time and never move;
+  statically at configuration time and never move (arrays that share a
+  stage share one pipeline, as in a real stage);
 * **re-circulation** — a packet that needs state resident in another
   pipeline finishes its current pass and re-enters the target pipeline's
   input, paying a full pipeline traversal per extra pipeline visited and
-  competing with fresh arrivals for the input slot.
+  competing with fresh arrivals for the input slot (re-circulated
+  packets are admitted first).
 
-Within one pass a packet performs the maximal stage-ordered *prefix* of
-its outstanding accesses whose arrays are resident in the current
-pipeline (an access cannot run before the accesses its inputs depend
-on). Neither arrival-order state access (C1) nor line rate is
-guaranteed — which is exactly what §4.3.2's microbenchmarks measure.
+Each compiled stage runs once per packet, as a packet transaction does
+on a single pipeline. The resolution stage runs at the packet's first
+admission; a pass then runs the packet's next stages in order, one
+stage per tick, and stops before the first stage holding a planned
+access whose state lives in another pipeline. Neither arrival-order
+state access (C1) nor line rate is guaranteed — which is exactly what
+§4.3.2's microbenchmarks measure.
 """
 
 from __future__ import annotations
@@ -24,15 +28,17 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..compiler.codegen import CompiledProgram
-from ..compiler.tac import TacEvaluator
+from ..compiler.jit import compile_operand_reader
 from ..errors import ConfigError
-from ..mp5.packet import DataPacket, StateAccess, private_packet
+from ..mp5.packet import DataPacket, private_packet
 from ..mp5.stats import SwitchStats
+
+RECIRC_LATENCY = 1  # extra ticks from egress back to an input
 
 
 @dataclass
@@ -42,9 +48,7 @@ class RecircConfig:
     num_pipelines: int = 4
     num_ports: int = 64
     pipeline_depth: int = 16
-    recirc_latency: int = 1  # extra ticks from egress back to an input
     seed: int = 0
-    recirc_priority: bool = True  # recirculated packets admitted first
 
     def __post_init__(self):
         if self.num_pipelines < 1:
@@ -53,28 +57,6 @@ class RecircConfig:
             raise ConfigError("need at least one port per pipeline")
         if self.pipeline_depth < 2:
             raise ConfigError("pipeline_depth must be >= 2")
-        if self.recirc_latency < 0:
-            raise ConfigError("recirc_latency must be >= 0")
-
-
-class _RecircEvaluator(TacEvaluator):
-    """TAC evaluator that executes register ops only for allowed arrays.
-
-    Disallowed reads define their destination with a placeholder zero;
-    the instructions consuming it are re-executed on the pass that
-    actually covers the access, so final values are correct.
-    """
-
-    def __init__(self, headers, registers, env, allowed: Set[str], on_access=None):
-        super().__init__(headers, registers, env, on_access=on_access)
-        self.allowed = allowed
-
-    def run_instr(self, instr):
-        if instr.is_stateful and instr.reg not in self.allowed:
-            if instr.dest is not None:
-                self.env.setdefault(instr.dest, 0)
-            return
-        super().run_instr(instr)
 
 
 class RecirculationSwitch:
@@ -86,20 +68,41 @@ class RecirculationSwitch:
         cfg = self.config
         self.depth = max(cfg.pipeline_depth, program.stage_count)
         self.registers = program.make_register_store()
+        self._stage_fns = program.jit_stage_functions()
         rng = np.random.default_rng(cfg.seed)
 
-        # Static random sharding, never updated (§2.3).
+        # Static random sharding, never updated (§2.3). Every pinned
+        # array draws a pipeline, but co-staged arrays (one pin_key)
+        # all take their group's first draw: a pass runs a stage whole.
         self.index_to_pipeline: Dict[str, np.ndarray] = {}
+        pinned: Dict[str, int] = {}
         for plan in program.arrays_in_stage_order():
             if plan.shardable and cfg.num_pipelines > 1:
                 mapping = rng.integers(
                     0, cfg.num_pipelines, size=plan.size, dtype=np.int32
                 )
             else:
-                mapping = np.full(
-                    plan.size, rng.integers(0, cfg.num_pipelines), dtype=np.int32
+                pipe = pinned.setdefault(
+                    plan.pin_key, rng.integers(0, cfg.num_pipelines)
                 )
+                mapping = np.full(plan.size, pipe, dtype=np.int32)
             self.index_to_pipeline[plan.name] = mapping
+
+        # (stage, mapping, guard reader, index reader) per array, in
+        # stage order: what address resolution evaluates per packet.
+        self._plans = [
+            (
+                plan.stage,
+                self.index_to_pipeline[plan.name],
+                compile_operand_reader(plan.guard_operand)
+                if plan.guard_operand is not None and plan.guard_resolvable
+                else None,
+                compile_operand_reader(plan.index_operand)
+                if plan.index_operand is not None
+                else None,
+            )
+            for plan in program.arrays_in_stage_order()
+        ]
 
         self._ports_per_pipe = max(1, cfg.num_ports // cfg.num_pipelines)
         self.stats = SwitchStats()
@@ -115,41 +118,22 @@ class RecirculationSwitch:
             port // self._ports_per_pipe, self.config.num_pipelines - 1
         )
 
-    def _pipe_of_access(self, access: StateAccess) -> int:
-        mapping = self.index_to_pipeline[access.array]
-        if access.index is None:
-            return int(mapping[0])
-        return int(mapping[access.index % len(mapping)])
-
-    def _resolve(self, pkt: DataPacket) -> None:
-        """Run the address-resolution logic to plan the packet's accesses
-        (the baseline still knows its program's access pattern; what it
-        lacks is steering, sharding and ordering machinery)."""
-        evaluator = TacEvaluator(pkt.headers, self.registers, pkt.env)
-        evaluator.run(self.program.stages[0].instrs)
-        accesses: List[StateAccess] = []
-        by_stage: Dict[int, List] = {}
-        for plan in self.program.arrays_in_stage_order():
-            by_stage.setdefault(plan.stage, []).append(plan)
-        for stage, plans in sorted(by_stage.items()):
-            for plan in plans:
-                if plan.guard_operand is not None and plan.guard_resolvable:
-                    if not evaluator.value(plan.guard_operand):
-                        continue
-                if plan.index_operand is not None:
-                    index = evaluator.value(plan.index_operand) % plan.size
-                else:
-                    index = None
-                accesses.append(
-                    StateAccess(
-                        array=plan.name,
-                        stage=stage,
-                        pipeline=-1,  # resolved per pass
-                        index=index,
-                        conservative=plan.conservative_phantom,
-                    )
-                )
-        pkt.accesses = accesses
+    def _resolve(self, pkt: DataPacket) -> List[Tuple[int, int]]:
+        """Run the resolution stage and plan the packet's accesses as
+        (stage, pipeline) pairs in stage order (the baseline still knows
+        its program's access pattern; what it lacks is steering,
+        sharding and ordering machinery)."""
+        resolution = self._stage_fns[0]
+        if resolution is not None:
+            resolution(pkt.headers, self.registers, pkt.env)
+        env = pkt.env
+        homes = []
+        for stage, mapping, guard_read, index_read in self._plans:
+            if guard_read is not None and not guard_read(env):
+                continue
+            index = index_read(env) if index_read is not None else 0
+            homes.append((stage, int(mapping[index % len(mapping)])))
+        return homes
 
     # ------------------------------------------------------------------
 
@@ -173,13 +157,19 @@ class RecirculationSwitch:
         self.stats.offered = len(packets)
         self.stats.arrival_ticks = [p.arrival for p in packets]
 
+        stage_count = self.program.stage_count
+        # Per packet id: planned (stage, pipeline) accesses, and the
+        # first stage it has not run yet.
+        homes: List[Optional[List[Tuple[int, int]]]] = [None] * len(packets)
+        next_stage = [1] * len(packets)
         pending = deque(packets)
         fresh: List[Deque[DataPacket]] = [deque() for _ in range(cfg.num_pipelines)]
         recirc: List[Deque[DataPacket]] = [deque() for _ in range(cfg.num_pipelines)]
         # (due_tick, seq, target_pipe, packet) — packets in the loopback.
         loopback: List[Tuple[int, int, int, DataPacket]] = []
-        # (exec_tick, seq, pipe, packet, stage, allowed arrays this pass)
-        events: List[Tuple[int, int, int, DataPacket, int, frozenset]] = []
+        # (exec_tick, seq, packet, stage or -1 for the pass's end,
+        #  pipeline to re-circulate to at the end or -1 to egress)
+        events: List[Tuple[int, int, DataPacket, int, int]] = []
         seq = itertools.count()
         live = len(packets)
         tick = 0
@@ -197,46 +187,42 @@ class RecirculationSwitch:
                 fresh[self._pipe_of_port(pkt.port)].append(pkt)
             # Admit at most one packet per pipeline input per tick.
             for pipe in range(cfg.num_pipelines):
-                queue_order = (
-                    (recirc[pipe], fresh[pipe])
-                    if cfg.recirc_priority
-                    else (fresh[pipe], recirc[pipe])
-                )
-                pkt = None
-                for queue in queue_order:
-                    if queue:
-                        pkt = queue.popleft()
-                        break
-                if pkt is None:
+                if recirc[pipe]:
+                    pkt = recirc[pipe].popleft()
+                elif fresh[pipe]:
+                    pkt = fresh[pipe].popleft()
+                else:
                     continue
-                if not pkt.accesses and pkt.entry_tick < 0:
-                    self._resolve(pkt)
-                pkt.entry_tick = tick
+                pid = pkt.pkt_id
+                if homes[pid] is None:
+                    homes[pid] = self._resolve(pkt)
                 self.total_passes += 1
-                covered = self._covered_prefix(pkt, pipe)
-                for stage in range(self.program.stage_count):
-                    heapq.heappush(
-                        events,
-                        (tick + stage, next(seq), pipe, pkt, stage, covered),
-                    )
+                start = next_stage[pid]
+                stop, target = stage_count, -1
+                for stage, home in homes[pid]:
+                    if stage >= start and home != pipe:
+                        stop, target = stage, home
+                        break
+                next_stage[pid] = stop
+                for stage in range(start, stop):
+                    heapq.heappush(events, (tick + stage, next(seq), pkt, stage, -1))
                 heapq.heappush(
-                    events,
-                    (
-                        tick + self.depth - 1,
-                        next(seq),
-                        pipe,
-                        pkt,
-                        -1,  # completion marker
-                        covered,
-                    ),
+                    events, (tick + self.depth - 1, next(seq), pkt, -1, target)
                 )
             # Execute this tick's stage events in deterministic order.
             while events and events[0][0] <= tick:
-                _t, _s, pipe, pkt, stage, covered = heapq.heappop(events)
+                _t, _s, pkt, stage, target = heapq.heappop(events)
                 if stage >= 0:
-                    self._execute_stage(pkt, stage, covered)
+                    self._execute_stage(pkt, stage)
+                elif target < 0:
+                    self._egress(pkt, tick)
+                    live -= 1
                 else:
-                    live -= self._complete_pass(pkt, tick, loopback, seq)
+                    self.total_recirculations += 1
+                    heapq.heappush(
+                        loopback,
+                        (tick + 1 + RECIRC_LATENCY, next(seq), target, pkt),
+                    )
             tick += 1
 
         self.stats.ticks = tick
@@ -244,59 +230,28 @@ class RecirculationSwitch:
 
     # ------------------------------------------------------------------
 
-    def _covered_prefix(self, pkt: DataPacket, pipe: int) -> frozenset:
-        """Arrays this pass may access: the maximal stage-ordered prefix of
-        outstanding accesses resident in ``pipe``."""
-        covered = set()
-        for access in pkt.accesses:
-            if access.completed:
-                continue
-            if self._pipe_of_access(access) != pipe:
-                break
-            covered.add(access.array)
-        return frozenset(covered)
-
-    def _execute_stage(self, pkt: DataPacket, stage: int, covered: frozenset) -> None:
-        instrs = self.program.stages[stage].instrs
-        if not instrs:
+    def _execute_stage(self, pkt: DataPacket, stage: int) -> None:
+        fn = self._stage_fns[stage]
+        if fn is None:
             return
         if self._record_access_order:
-            pkt_id = pkt.pkt_id
+            access_order = self.stats.access_order
 
-            def logger(reg, idx, kind, _pid=pkt_id):
-                order = self.stats.access_order.setdefault((reg, idx), [])
+            def logger(reg, idx, kind, _pid=pkt.pkt_id):
+                order = access_order.setdefault((reg, idx), [])
                 if not order or order[-1] != _pid:
                     order.append(_pid)
 
         else:
             logger = None
-        evaluator = _RecircEvaluator(
-            pkt.headers, self.registers, pkt.env, covered, on_access=logger
-        )
-        evaluator.run(instrs)
-        if stage > 0:
-            for access in pkt.accesses:
-                if access.stage == stage and access.array in covered:
-                    access.completed = True
+        fn(pkt.headers, self.registers, pkt.env, logger)
 
-    def _complete_pass(self, pkt, tick, loopback, seq) -> int:
-        """Handle a packet reaching the pipeline output. Returns 1 when
-        the packet is fully processed (egressed), else 0."""
-        remaining = [a for a in pkt.accesses if not a.completed]
-        if not remaining:
-            pkt.egress_tick = tick
-            self.stats.egressed += 1
-            self.stats.egress_ticks.append(tick)
-            if pkt.flow_id is not None:
-                self.stats.flow_egress.setdefault(pkt.flow_id, []).append(pkt.pkt_id)
-            return 1
-        self.total_recirculations += 1
-        target = self._pipe_of_access(remaining[0])
-        heapq.heappush(
-            loopback,
-            (tick + 1 + self.config.recirc_latency, next(seq), target, pkt),
-        )
-        return 0
+    def _egress(self, pkt: DataPacket, tick: int) -> None:
+        pkt.egress_tick = tick
+        self.stats.egressed += 1
+        self.stats.egress_ticks.append(tick)
+        if pkt.flow_id is not None:
+            self.stats.flow_egress.setdefault(pkt.flow_id, []).append(pkt.pkt_id)
 
     @property
     def avg_recirculations(self) -> float:

@@ -10,6 +10,7 @@ from typing import Iterable, Optional, Tuple
 
 from ..compiler.codegen import CompiledProgram
 from ..mp5.config import MP5Config
+from ..mp5.engines import DEFAULT_ENGINE, build_switch
 from ..mp5.stats import SwitchStats
 from ..mp5.switch import MP5Switch
 
@@ -31,13 +32,15 @@ def no_phantom_config(**kwargs) -> MP5Config:
 
 
 def make_single_pipeline_state_switch(
-    program: CompiledProgram, config: Optional[MP5Config] = None
+    program: CompiledProgram,
+    config: Optional[MP5Config] = None,
+    engine: str = DEFAULT_ENGINE,
 ) -> MP5Switch:
     """The naive design from §3.1 Challenge #1: all register state lives
     in pipeline 0, so every stateful packet funnels through it and the
-    stateful processing rate caps at 1/k of line rate."""
-    config = config or MP5Config()
-    switch = MP5Switch(program, config)
+    stateful processing rate caps at 1/k of line rate. ``engine`` is a
+    :func:`~repro.mp5.engines.build_switch` name."""
+    switch = build_switch(engine, program, config or MP5Config())
     for state in switch.sharder.arrays.values():
         state.index_to_pipeline[:] = 0
         state.shardable = False  # remap must never spread it again
@@ -50,10 +53,11 @@ def run_single_pipeline_state(
     config: Optional[MP5Config] = None,
     max_ticks: Optional[int] = None,
     record_access_order: bool = False,
+    engine: str = DEFAULT_ENGINE,
 ) -> Tuple[SwitchStats, dict]:
     """Run a trace through the naive single-pipeline-state design."""
-    switch = make_single_pipeline_state_switch(program, config)
+    switch = make_single_pipeline_state_switch(program, config, engine)
     stats = switch.run(
         trace, max_ticks=max_ticks, record_access_order=record_access_order
     )
-    return stats, switch.registers
+    return stats, switch.public_registers()

@@ -27,11 +27,12 @@ from ..baselines import (
     run_single_pipeline_state,
     static_shard_config,
 )
-from ..mp5 import run_mp5
+from ..mp5 import DEFAULT_ENGINE, ENGINES
 from ..mp5.config import MP5Config
 from ..mp5.stats import c1_metrics
 from ..workloads.synthetic import make_sensitivity_program, sensitivity_trace
 from ..workloads.traffic import reference_trace
+from .parallel import map_cells
 from .report import format_table
 
 DEFAULT_K = 4
@@ -46,7 +47,7 @@ class MicrobenchSettings:
     num_pipelines: int = DEFAULT_K
     num_stateful: int = DEFAULT_STATEFUL
     register_size: int = DEFAULT_REGSIZE
-    max_ticks: Optional[int] = None
+    engine: str = DEFAULT_ENGINE  # a repro.mp5.ENGINES name
 
 
 @dataclass
@@ -75,9 +76,9 @@ class D4Result:
     with_d4: List[float]  # inversion fraction per seed (should be 0)
     without_d4: List[float]
     recirculation: List[float]
-    with_d4_displaced: List[float] = None
-    without_d4_displaced: List[float] = None
-    recirculation_displaced: List[float] = None
+    with_d4_displaced: List[float]
+    without_d4_displaced: List[float]
+    recirculation_displaced: List[float]
 
 
 @dataclass
@@ -88,8 +89,13 @@ class D3Result:
     avg_recirculations: List[float]
 
 
-def _trace(settings: MicrobenchSettings, pattern: str, seed: int):
-    return sensitivity_trace(
+def _setup(settings: MicrobenchSettings, pattern: str, seed: int):
+    """The program and one seed's trace. Every task builds its own, so
+    a task is a pure function of its (cell, seed) arguments."""
+    program = make_sensitivity_program(
+        settings.num_stateful, settings.register_size
+    )
+    trace = sensitivity_trace(
         settings.num_packets,
         settings.num_pipelines,
         settings.num_stateful,
@@ -97,137 +103,107 @@ def _trace(settings: MicrobenchSettings, pattern: str, seed: int):
         pattern=pattern,
         seed=seed,
     )
+    return program, trace
 
 
-def run_d2(settings: Optional[MicrobenchSettings] = None) -> List[D2Result]:
+def _columns(rows: Sequence[tuple]) -> List[List[float]]:
+    """Per-seed result tuples, transposed into one list per field."""
+    return [list(column) for column in zip(*rows)]
+
+
+def _d2_seed(cell, seed: int) -> float:
+    """One (pattern, seed) task: dynamic / static throughput."""
+    settings, pattern = cell
+    program, trace = _setup(settings, pattern, seed)
+    run = ENGINES[settings.engine]
+    k = settings.num_pipelines
+    dynamic, _ = run(program, trace, MP5Config(num_pipelines=k))
+    static, _ = run(program, trace, static_shard_config(num_pipelines=k, seed=seed))
+    denominator = static.throughput_normalized() or 1e-9
+    return dynamic.throughput_normalized() / denominator
+
+
+def run_d2(
+    settings: Optional[MicrobenchSettings] = None, jobs: Optional[int] = None
+) -> List[D2Result]:
     """Dynamic vs static sharding (paper: 1.1-3.3x on skewed, 1-1.5x on
     uniform access)."""
     settings = settings or MicrobenchSettings()
-    program = make_sensitivity_program(
-        settings.num_stateful, settings.register_size
+    patterns = ("skewed", "uniform")
+    cells = [(settings, pattern) for pattern in patterns]
+    per_pattern = map_cells(_d2_seed, cells, settings.seeds, jobs=jobs)
+    return [
+        D2Result(pattern=pattern, ratios=ratios)
+        for pattern, ratios in zip(patterns, per_pattern)
+    ]
+
+
+def _d4_seed(settings: MicrobenchSettings, seed: int) -> tuple:
+    """One seed's C1 fractions in :class:`D4Result`'s field order: the
+    inversion readings with D4, without D4 and with re-circulation, then
+    the displaced readings."""
+    program, trace = _setup(settings, "skewed", seed)
+    k = settings.num_pipelines
+    reference = BanzaiPipeline(program).run(
+        reference_trace(trace, k), record_access_order=True
     )
-    results = []
-    for pattern in ("skewed", "uniform"):
-        ratios = []
-        for seed in settings.seeds:
-            trace = _trace(settings, pattern, seed)
-            dynamic, _ = run_mp5(
-                program,
-                trace,
-                MP5Config(num_pipelines=settings.num_pipelines),
-                max_ticks=settings.max_ticks,
-            )
-            static, _ = run_mp5(
-                program,
-                trace,
-                static_shard_config(
-                    num_pipelines=settings.num_pipelines, seed=seed
-                ),
-                max_ticks=settings.max_ticks,
-            )
-            denominator = static.throughput_normalized() or 1e-9
-            ratios.append(dynamic.throughput_normalized() / denominator)
-        results.append(D2Result(pattern=pattern, ratios=ratios))
-    return results
+    run = ENGINES[settings.engine]
+    orders = [
+        run(program, trace, config, record_access_order=True)[0].access_order
+        for config in (MP5Config(num_pipelines=k), no_phantom_config(num_pipelines=k))
+    ]
+    stats, _ = run_recirculation(
+        program,
+        trace,
+        RecircConfig(num_pipelines=k, seed=seed),
+        record_access_order=True,
+    )
+    orders.append(stats.access_order)
+    reports = [
+        c1_metrics(reference.access_order, order, len(trace)) for order in orders
+    ]
+    return tuple(r.inversion_fraction for r in reports) + tuple(
+        r.displaced_fraction for r in reports
+    )
 
 
-def run_d4(settings: Optional[MicrobenchSettings] = None) -> D4Result:
+def run_d4(
+    settings: Optional[MicrobenchSettings] = None, jobs: Optional[int] = None
+) -> D4Result:
     """C1 violations with D4, without D4, and with re-circulation."""
     settings = settings or MicrobenchSettings()
-    program = make_sensitivity_program(
-        settings.num_stateful, settings.register_size
+    (rows,) = map_cells(_d4_seed, [settings], settings.seeds, jobs=jobs)
+    return D4Result(*_columns(rows))
+
+
+def _d3_seed(settings: MicrobenchSettings, seed: int) -> tuple:
+    """One seed's throughputs (MP5, re-circulation, single-pipeline
+    state) and re-circulations per packet."""
+    program, trace = _setup(settings, "skewed", seed)
+    k = settings.num_pipelines
+    config = MP5Config(num_pipelines=k)
+    mp5, _ = ENGINES[settings.engine](program, trace, config)
+    recirc, switch = run_recirculation(
+        program, trace, RecircConfig(num_pipelines=k, seed=seed)
     )
-    with_d4, without_d4, recirc = [], [], []
-    with_d4_disp, without_d4_disp, recirc_disp = [], [], []
-    for seed in settings.seeds:
-        trace = _trace(settings, "skewed", seed)
-        reference = BanzaiPipeline(program).run(
-            reference_trace(trace, settings.num_pipelines),
-            record_access_order=True,
-        )
-        n = len(trace)
-
-        stats, _ = run_mp5(
-            program,
-            trace,
-            MP5Config(num_pipelines=settings.num_pipelines),
-            max_ticks=settings.max_ticks,
-            record_access_order=True,
-        )
-        report = c1_metrics(reference.access_order, stats.access_order, n)
-        with_d4.append(report.inversion_fraction)
-        with_d4_disp.append(report.displaced_fraction)
-
-        stats, _ = run_mp5(
-            program,
-            trace,
-            no_phantom_config(num_pipelines=settings.num_pipelines),
-            max_ticks=settings.max_ticks,
-            record_access_order=True,
-        )
-        report = c1_metrics(reference.access_order, stats.access_order, n)
-        without_d4.append(report.inversion_fraction)
-        without_d4_disp.append(report.displaced_fraction)
-
-        stats, _switch = run_recirculation(
-            program,
-            trace,
-            RecircConfig(num_pipelines=settings.num_pipelines, seed=seed),
-            max_ticks=settings.max_ticks,
-            record_access_order=True,
-        )
-        report = c1_metrics(reference.access_order, stats.access_order, n)
-        recirc.append(report.inversion_fraction)
-        recirc_disp.append(report.displaced_fraction)
-    return D4Result(
-        with_d4=with_d4,
-        without_d4=without_d4,
-        recirculation=recirc,
-        with_d4_displaced=with_d4_disp,
-        without_d4_displaced=without_d4_disp,
-        recirculation_displaced=recirc_disp,
+    naive, _ = run_single_pipeline_state(
+        program, trace, config, engine=settings.engine
+    )
+    return (
+        mp5.throughput_normalized(),
+        recirc.throughput_normalized(),
+        naive.throughput_normalized(),
+        switch.avg_recirculations,
     )
 
 
-def run_d3(settings: Optional[MicrobenchSettings] = None) -> D3Result:
+def run_d3(
+    settings: Optional[MicrobenchSettings] = None, jobs: Optional[int] = None
+) -> D3Result:
     """Steering vs re-circulation vs the naive single-pipeline design."""
     settings = settings or MicrobenchSettings()
-    program = make_sensitivity_program(
-        settings.num_stateful, settings.register_size
-    )
-    mp5_scores, recirc_scores, naive_scores, recirc_counts = [], [], [], []
-    for seed in settings.seeds:
-        trace = _trace(settings, "skewed", seed)
-        stats, _ = run_mp5(
-            program,
-            trace,
-            MP5Config(num_pipelines=settings.num_pipelines),
-            max_ticks=settings.max_ticks,
-        )
-        mp5_scores.append(stats.throughput_normalized())
-
-        stats, switch = run_recirculation(
-            program,
-            trace,
-            RecircConfig(num_pipelines=settings.num_pipelines, seed=seed),
-            max_ticks=settings.max_ticks,
-        )
-        recirc_scores.append(stats.throughput_normalized())
-        recirc_counts.append(switch.avg_recirculations)
-
-        stats, _ = run_single_pipeline_state(
-            program,
-            trace,
-            MP5Config(num_pipelines=settings.num_pipelines),
-            max_ticks=settings.max_ticks,
-        )
-        naive_scores.append(stats.throughput_normalized())
-    return D3Result(
-        mp5=mp5_scores,
-        recirculation=recirc_scores,
-        single_pipeline_state=naive_scores,
-        avg_recirculations=recirc_counts,
-    )
+    (rows,) = map_cells(_d3_seed, [settings], settings.seeds, jobs=jobs)
+    return D3Result(*_columns(rows))
 
 
 def render_microbench(
@@ -249,17 +225,14 @@ def render_microbench(
             float(np.mean(d4.with_d4)),
             float(np.mean(d4.without_d4)),
             float(np.mean(d4.recirculation)),
-        )
+        ),
+        (
+            "C1 displaced packets",
+            float(np.mean(d4.with_d4_displaced)),
+            float(np.mean(d4.without_d4_displaced)),
+            float(np.mean(d4.recirculation_displaced)),
+        ),
     ]
-    if d4.with_d4_displaced is not None:
-        rows.append(
-            (
-                "C1 displaced packets",
-                float(np.mean(d4.with_d4_displaced)),
-                float(np.mean(d4.without_d4_displaced)),
-                float(np.mean(d4.recirculation_displaced)),
-            )
-        )
     sections.append(
         format_table(
             ["metric", "MP5 (D4)", "no D4", "recirculation"],

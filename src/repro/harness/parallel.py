@@ -1,7 +1,7 @@
 """Process-parallel execution of independent simulation tasks.
 
-Every harness sweep (Figure 7, Figure 8, the chaos sweep) is a grid of
-fully independent simulations: one (cell, seed) pair per task, with no
+Every harness sweep (the §4.3.2 microbenchmarks, Figure 7, Figure 8,
+the chaos sweep) is a grid of fully independent simulations: one (cell, seed) pair per task, with no
 shared mutable state. :func:`map_cells` is the one runner for such a
 grid; it flattens it into a task list for :func:`parallel_map`, which
 fans the list out over a :class:`~concurrent.futures.ProcessPoolExecutor`

@@ -35,9 +35,9 @@ SCALES = {
     "full": dict(num_packets=5000, seeds=(0, 1), micro_seeds=tuple(range(10))),
     # Statistically heavier tier enabled by the vector engine: 50k-packet
     # streams, multi-seed. The microbenchmarks keep a smaller stream --
-    # they need record_access_order and static-shard configs, which only
-    # the scalar engines support, so 50k packets there would dominate the
-    # wall clock without the batch speedup.
+    # D4's rows record the access order, which falls back to the fast
+    # engine, and the re-circulation baseline is a scalar simulator, so
+    # 50k packets there would dominate the wall clock.
     "large": dict(
         num_packets=50000,
         seeds=(0, 1),
@@ -49,7 +49,7 @@ SCALES = {
     # seed) point through the vector engine. The Figure 7 sweeps stay
     # at 50k -- their cost scales with the pipeline sweep (k=16
     # quadruples the stream) and the statistics converge well before
-    # 1M -- as do the scalar-only microbenchmarks.
+    # 1M -- as do the microbenchmarks, for the reasons above.
     "xlarge": dict(
         num_packets=1_000_000,
         seeds=(0,),
@@ -154,21 +154,21 @@ def run_all(
 
     When ``out_dir`` is given, writes one ``.txt`` per artifact and a
     ``results.json`` with the structured numbers. ``jobs`` fans the
-    Figure 7 sweeps and Figure 8 out over worker processes (see
-    :mod:`repro.harness.parallel`); artifacts are identical at any job
-    count, so ``results.json`` can be diffed across serial and parallel
-    runs. ``observe`` additionally records one instrumented run (trace,
-    metrics, monitor alerts, stall summary) on the selected engine into
-    ``out_dir`` — off by default so ``results.json`` stays
-    byte-identical with earlier releases. The vector engine feeds the
+    §4.3.2 microbenchmarks, the Figure 7 sweeps and Figure 8 out over
+    worker processes (see :mod:`repro.harness.parallel`); artifacts are
+    identical at any job count, so ``results.json`` can be diffed across
+    serial and parallel runs. ``observe`` additionally records one
+    instrumented run (trace, metrics, monitor alerts, stall summary) on
+    the selected engine into ``out_dir`` — off by default so
+    ``results.json`` stays byte-identical with earlier releases. The vector engine feeds the
     same sinks from its epoch schedule, so every instrumented artifact
     also diffs clean across engines.
-    ``engine`` selects the simulation engine for the Figure 7 sweeps
-    and Figure 8 (``dense``/``fast``/``vector``; default: the scale's
-    preference — ``vector`` at ``scale=large``/``xlarge``, else
-    ``fast``). All engines produce identical numbers, so the choice
-    never appears in ``results.json`` and outputs diff clean across
-    engines.
+    ``engine`` selects the simulation engine for every MP5 run of the
+    microbenchmarks, the Figure 7 sweeps and Figure 8
+    (``dense``/``fast``/``vector``; default: the scale's preference —
+    ``vector`` at ``scale=large``/``xlarge``, else ``DEFAULT_ENGINE``).
+    All engines produce identical numbers, so the choice never appears
+    in ``results.json`` and outputs diff clean across engines.
     """
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {sorted(SCALES)}")
@@ -186,12 +186,10 @@ def run_all(
         seeds=knobs["seeds"],
         engine=engine,
     )
-    # The microbenchmarks always run the fast engine: they depend on
-    # record_access_order and static-shard configurations, which are
-    # outside the vector engine's supported envelope.
     micro_settings = MicrobenchSettings(
         num_packets=int(knobs.get("micro_packets", knobs["num_packets"])),
         seeds=knobs["micro_seeds"],
+        engine=engine,
     )
     app_settings = RealAppSettings(
         num_packets=knobs["num_packets"],
@@ -209,9 +207,9 @@ def run_all(
 
     say("§4.3.2 microbenchmarks (D2/D3/D4)")
     started = time.time()
-    d2 = run_d2(micro_settings)
-    d4 = run_d4(micro_settings)
-    d3 = run_d3(micro_settings)
+    d2 = run_d2(micro_settings, jobs=jobs)
+    d4 = run_d4(micro_settings, jobs=jobs)
+    d3 = run_d3(micro_settings, jobs=jobs)
     artifacts["microbench"] = render_microbench(d2, d4, d3)
     structured["d2"] = [asdict(r) for r in d2]
     structured["d3"] = asdict(d3)

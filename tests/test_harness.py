@@ -1,5 +1,7 @@
 """Tests for the experiment harness (scaled-down runs of every driver)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.harness import (
@@ -78,6 +80,15 @@ class TestMicrobenchDriver:
         for mp5, recirc in zip(result.mp5, result.recirculation):
             assert recirc < mp5
         assert all(r > 1.0 for r in result.avg_recirculations)
+
+    @pytest.mark.parametrize("driver", [run_d2, run_d3, run_d4])
+    def test_same_results_on_any_engine_and_job_count(self, driver):
+        # Two seeds, so every driver's grid has more than one task and
+        # jobs=2 really runs in worker processes.
+        settings = replace(SMALL_MICRO, seeds=(0, 1))
+        serial = driver(replace(settings, engine="fast"), jobs=1)
+        parallel = driver(replace(settings, engine="vector"), jobs=2)
+        assert parallel == serial
 
     def test_render_microbench(self):
         text = render_microbench(
