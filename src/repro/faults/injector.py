@@ -11,6 +11,13 @@ One :class:`FaultInjector` is attached per switch instance
 3. runs due emergency remaps per the degradation policy (drain, then
    retry with backoff while in-flight packets pin indices in place).
 
+On a tick where none of that happens it only re-derives ``stalled``
+(a slowdown's changes per tick). Two questions are answered from the
+schedule alone, so the fast engine can skip ticks nothing observes:
+:meth:`FaultInjector.next_change` (the next tick ``begin_tick`` has
+work) and :meth:`FaultInjector.egress_tick` (when a packet in its
+pipeline's stateless tail egresses, stalls included).
+
 Determinism contract: every decision is a pure function of (tick,
 schedule, seed, packet id). Phantom loss/delay draws use the same
 integer hash both engines share (:func:`repro.domino.builtins.hash2`)
@@ -21,6 +28,7 @@ packets in different orders.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..domino.builtins import hash2
@@ -34,6 +42,7 @@ from .schedule import (
 )
 
 _HASH_SPAN = 1000003  # prime modulus for rate-threshold draws
+NEVER = 1 << 62  # next_change when nothing is left to happen
 
 
 def _stall_services(event: FaultEvent, tick: int) -> bool:
@@ -60,9 +69,19 @@ class FaultInjector:
         # Window transitions precomputed: tick -> [(index, event)].
         self._starts: Dict[int, List[Tuple[int, FaultEvent]]] = {}
         self._ends: Dict[int, List[Tuple[int, FaultEvent]]] = {}
+        # Stall windows per pipeline, for egress_tick.
+        self._stalls: List[List[FaultEvent]] = [[] for _ in range(num_pipelines)]
         for idx, event in enumerate(schedule.faults):
             self._starts.setdefault(event.start, []).append((idx, event))
             self._ends.setdefault(event.end, []).append((idx, event))
+            if event.kind == KIND_STALL:
+                self._stalls[event.pipeline].append(event)
+        # Every tick at which a window opens or closes, ascending.
+        self._changes = sorted(set(self._starts) | set(self._ends))
+        self.has_phantom_faults = any(
+            event.kind == KIND_PHANTOM for event in schedule.faults
+        )
+        self._next = 0  # the first tick begin_tick has work at
         self._active: List[Tuple[int, FaultEvent]] = []
         self._phantom_active: List[Tuple[int, FaultEvent]] = []
         self._stall_active: List[Tuple[int, FaultEvent]] = []
@@ -72,6 +91,9 @@ class FaultInjector:
         # so the gate stays a single "is not None" check).
         self.stalled: Optional[Set[int]] = None
         self.crossbar_failed: Optional[Set[int]] = None
+        # Pipelines under a full stall (service_rate 0) for the open
+        # windows: frozen on every tick until the next change.
+        self.frozen: Set[int] = set()
         # Degradation protocol state: pending emergency remaps.
         self._pending_remaps: List[Dict] = []
         # Packets dropped mid-flight: their delayed phantoms are void.
@@ -86,6 +108,10 @@ class FaultInjector:
     def begin_tick(self, tick: int, switch) -> None:
         """Advance the fault state machine to ``tick`` (phase 0 of the
         engine's step, before any packet moves)."""
+        if tick < self._next:
+            if self._stall_active:
+                self._set_stalled(tick)
+            return
         transition = False
         ending = self._ends.get(tick)
         if ending:
@@ -129,27 +155,69 @@ class FaultInjector:
                     )
         if transition:
             self._refresh_active(switch)
-
-        # Per-tick stall set: full stalls hold for the window; slowdowns
-        # release the pipeline only on their service ticks.
-        if self._stall_active:
-            stalled = {
-                event.pipeline
-                for _idx, event in self._stall_active
-                if not _stall_services(event, tick)
-            }
-            self.stalled = stalled or None
-        else:
-            self.stalled = None
-
+        self._set_stalled(tick)
         if self._pending_remaps:
             self._run_due_remaps(tick, switch)
+        self._next = self.next_change(tick + 1)
+
+    def _set_stalled(self, tick: int) -> None:
+        """Per-tick stall set: full stalls hold for the window; slowdowns
+        release the pipeline only on their service ticks."""
+        stalled = {
+            event.pipeline
+            for _idx, event in self._stall_active
+            if not _stall_services(event, tick)
+        }
+        self.stalled = stalled or None
+
+    def next_change(self, tick: int) -> int:
+        """The first tick ``>= tick`` at which a window opens or closes
+        or an emergency-remap attempt falls due (:data:`NEVER` if none):
+        until then :meth:`begin_tick` changes nothing but a slowdown's
+        per-tick ``stalled`` set."""
+        i = bisect_left(self._changes, tick)
+        nxt = self._changes[i] if i < len(self._changes) else NEVER
+        for request in self._pending_remaps:
+            if request["due"] < nxt:
+                nxt = request["due"]
+        return nxt
+
+    def egress_tick(self, tick: int, pipe: int, hops: int) -> int:
+        """The tick at which a packet that entered ``pipe``'s stateless
+        tail at ``tick`` egresses, ``hops`` moves later: the ``hops``-th
+        tick after ``tick`` on which ``pipe`` is not stalled. A full
+        stall skips to its window's end; a slowdown counts its service
+        ticks (:func:`_stall_services`)."""
+        windows = self._stalls[pipe]
+        t = tick
+        while hops:
+            t += 1
+            active = [e for e in windows if e.start <= t < e.end]
+            if not active:
+                # Free until the next window on this pipeline opens.
+                opens = min((e.start for e in windows if e.start > t), default=NEVER)
+                if opens - t >= hops:
+                    return t + hops - 1
+                hops -= opens - t
+                t = opens - 1
+                continue
+            full = [e.end for e in active if e.service_rate <= 0.0]
+            if full:
+                t = max(full) - 1
+            elif all(_stall_services(e, t) for e in active):
+                hops -= 1
+        return t
 
     def _refresh_active(self, switch) -> None:
         """Recompute the derived views after a window transition."""
         self._stall_active = [
             entry for entry in self._active if entry[1].kind == KIND_STALL
         ]
+        self.frozen = {
+            event.pipeline
+            for _idx, event in self._stall_active
+            if event.service_rate <= 0.0
+        }
         self._phantom_active = [
             entry for entry in self._active if entry[1].kind == KIND_PHANTOM
         ]

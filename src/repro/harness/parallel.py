@@ -28,6 +28,10 @@ Failures are loud. A task's exception reaches the caller as the worker
 raised it. A pool failure (workers cannot be spawned, or one dies and
 breaks the pool) drops the cached pool, so the next call builds a fresh
 one, and propagates. Nothing is ever recomputed in the parent.
+
+Notices are the parent's: a worker collects the vector engine's
+fallback notices its task raises and returns them with the result, and
+the parent prints each once per warning scope, as a serial run does.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, List, Optional, Sequence, TypeVar
+
+from ..mp5.vector import collect_fallback_notices, print_fallback_notice
 
 C = TypeVar("C")
 T = TypeVar("T")
@@ -111,15 +117,30 @@ def parallel_map(
         # map() submits every chunk before it returns, so a spawn
         # failure raises here; a task's own exception surfaces only
         # while the results are read, and leaves the pool healthy.
-        results = _get_pool(jobs).map(fn, tasks, chunksize=chunksize)
+        results = _get_pool(jobs).map(
+            _with_notices, [(fn, task) for task in tasks], chunksize=chunksize
+        )
     except BaseException:
         shutdown_pool(wait=False)
         raise
     try:
-        return list(results)
+        done = list(results)
     except BrokenProcessPool:
         shutdown_pool(wait=False)
         raise
+    for _result, notices in done:
+        for message in notices:
+            print_fallback_notice(message)
+    return [result for result, _notices in done]
+
+
+def _with_notices(task):
+    """Worker entry for :func:`parallel_map`: one task's result and the
+    fallback notices it raised."""
+    fn, arg = task
+    with collect_fallback_notices() as notices:
+        result = fn(arg)
+    return result, notices
 
 
 def _cell_seed(task):

@@ -354,7 +354,7 @@ class EpochStreamer:
             if plan.has_index:
                 iv = self.acc_idx[pi][lo:hi]
                 counts = np.bincount(iv, minlength=plan.size)
-                state.access_counts += counts
+                self.sharder.note_counts(plan.base, counts)
                 state.in_flight += counts.astype(state.in_flight.dtype)
                 dv = state.index_to_pipeline[iv].astype(np.int64)
             else:

@@ -56,6 +56,21 @@ class ReferenceSwitch(MP5Switch):
 
     engine = "dense"
 
+    def start(
+        self,
+        max_ticks: Optional[int] = None,
+        record_access_order: bool = False,
+    ) -> None:
+        super().start(max_ticks, record_access_order)
+        # The oracle steps every tick of a faulted run: the fast
+        # engine's teleports across stalls are checked against it.
+        if self._faults is not None:
+            self._idle_ok = False
+
+    def _quiet(self) -> bool:
+        # No sparse worklist here: quiet needs an empty switch.
+        return self._live == 0 and super()._quiet()
+
     def _run_resolution(self, headers, registers, env):
         """Execute the stage-0 (address resolution) program against the
         given state and return an operand-value reader."""

@@ -17,7 +17,11 @@ The runtime also keeps, per index, a packet **access counter**
 (incremented at address resolution, reset each epoch) and an
 **in-flight counter** (incremented at resolution, decremented when the
 access completes) that prevents remapping an index with packets already
-steered toward its old location.
+steered toward its old location. Every index an epoch counts joins that
+epoch's *touched* set, and the remap reads and resets only those: an
+index outside it has a zero counter, so the heuristic's only use for it
+is as the fallback candidate — the lowest idle index on the busiest
+pipeline — found by a scan from index 0 that stops at the first hit.
 
 The **optimal** policy used by the ideal baseline replaces the
 single-move heuristic with a longest-processing-time (LPT) repack of all
@@ -27,8 +31,9 @@ do exactly but that LPT approximates within 4/3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+import heapq
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -47,6 +52,10 @@ class ShardedArray:
     access_counts: np.ndarray  # int64[size], reset each epoch
     in_flight: np.ndarray  # int32[size]
     moves: int = 0
+    # Indexes counted this epoch: one at a time by the scalar engines
+    # (note_resolved), in blocks by the vector engine (note_counts).
+    touched: Set[int] = field(default_factory=set)
+    touched_blocks: List[np.ndarray] = field(default_factory=list)
 
     def pipeline_of(self, index: Optional[int]) -> int:
         if index is None:
@@ -54,6 +63,9 @@ class ShardedArray:
             # the same pipeline, use slot 0 as the representative.
             return int(self.index_to_pipeline[0])
         return int(self.index_to_pipeline[index % self.size])
+
+
+_NO_INDEXES = np.zeros(0, dtype=np.int64)
 
 
 class ShardingRuntime:
@@ -129,7 +141,17 @@ class ShardingRuntime:
         index %= state.size
         state.access_counts[index] += 1
         state.in_flight[index] += 1
+        state.touched.add(index)
         return int(state.index_to_pipeline[index])
+
+    def note_counts(self, array: str, counts: np.ndarray) -> None:
+        """Account a block of resolved accesses as per-index counts (a
+        bincount over the whole array): the access counters grow by it
+        and its nonzero indexes join the epoch's touched set. In-flight
+        counters are the caller's."""
+        state = self.arrays[array]
+        state.access_counts += counts
+        state.touched_blocks.append(counts.astype(bool).nonzero()[0])
 
     def note_completed(self, array: str, index: Optional[int]) -> None:
         """Account a completed access (in-flight decrement)."""
@@ -144,38 +166,86 @@ class ShardingRuntime:
     # Background remapping
     # ------------------------------------------------------------------
 
+    @staticmethod
+    def _touched_indexes(state: ShardedArray) -> np.ndarray:
+        """The distinct indexes counted this epoch, ascending. Every
+        index with a nonzero access counter is among them."""
+        blocks = state.touched_blocks
+        if state.touched:
+            block = np.fromiter(state.touched, np.int64, len(state.touched))
+            block.sort()
+            blocks.append(block)
+            state.touched.clear()
+        if len(blocks) > 1:
+            seen = np.zeros(state.size, dtype=bool)
+            for block in blocks:
+                seen[block] = True
+            blocks[:] = [seen.nonzero()[0]]
+        return blocks[0] if blocks else _NO_INDEXES
+
+    def _touched_load(self, state: ShardedArray):
+        """``(touched, their pipelines, their counts, per-pipeline
+        load)``. The load is float64[k]: the weighted bincount is exact
+        while an epoch's total stays below 2**53."""
+        touched = self._touched_indexes(state)
+        dest = state.index_to_pipeline[touched]
+        weight = state.access_counts[touched]
+        load = np.bincount(dest, weights=weight, minlength=self.num_pipelines)
+        return touched, dest, weight, load
+
     def pipeline_load(self, state: ShardedArray) -> np.ndarray:
-        """This epoch's access count per pipeline, int64[k]. The
-        weighted bincount sums in float64, exact while an epoch's total
-        stays below 2**53."""
-        return np.bincount(
-            state.index_to_pipeline,
-            weights=state.access_counts,
-            minlength=self.num_pipelines,
-        ).astype(np.int64)
+        """This epoch's access count per pipeline, int64[k]."""
+        return self._touched_load(state)[3].astype(np.int64)
+
+    @staticmethod
+    def _first_idle(state: ShardedArray, pipe: int) -> Optional[int]:
+        """The lowest index on ``pipe`` with no access this epoch and
+        none in flight, scanning from index 0 in growing blocks (it is
+        usually found in the first)."""
+        lo, step = 0, 64
+        while lo < state.size:
+            hi = lo + step
+            idle = state.index_to_pipeline[lo:hi] == pipe
+            idle &= state.access_counts[lo:hi] == 0
+            idle &= state.in_flight[lo:hi] == 0
+            at = int(idle.argmax())
+            if idle[at]:
+                return lo + at
+            lo, step = hi, step * 4
+        return None
 
     def remap_heuristic(self, array: str) -> bool:
         """One invocation of the Figure 6 heuristic. Returns True if an
-        index moved."""
+        index moved.
+
+        The candidate is the heaviest touched index on the busiest
+        pipeline whose counter is below half the load gap and that has
+        nothing in flight (ties go to the lowest index); failing that,
+        the lowest idle index there — the index a sweep of the whole
+        array picks, since every untouched counter is zero."""
         state = self.arrays[array]
         if not state.shardable:
             return False
-        per_pipe = self.pipeline_load(state)
-        high = int(per_pipe.argmax())
-        low = int(per_pipe.argmin())
-        c_max, c_min = int(per_pipe[high]), int(per_pipe[low])
-        if high == low or c_max == c_min:
+        touched, dest, weight, load = self._touched_load(state)
+        high = int(load.argmax())
+        low = int(load.argmin())
+        gap = load[high] - load[low]
+        if not gap:
             return False
-        threshold = (c_max - c_min) / 2
-        on_high = np.nonzero(state.index_to_pipeline == high)[0]
-        if on_high.size == 0:
-            return False
-        counts = state.access_counts[on_high]
-        eligible = (counts < threshold) & (state.in_flight[on_high] == 0)
-        if not eligible.any():
-            return False
-        candidates = on_high[eligible]
-        best = candidates[int(state.access_counts[candidates].argmax())]
+        eligible = (
+            (dest == high)
+            & (weight < gap / 2)
+            & (state.in_flight[touched] == 0)
+        )
+        # Touched counters are >= 1, so the heaviest eligible one scores
+        # above every ineligible zero.
+        at = int((weight * eligible).argmax())
+        if eligible[at]:
+            best = int(touched[at])
+        else:
+            best = self._first_idle(state, high)
+            if best is None:
+                return False
         # Atomic move: the register value itself lives in the global
         # store (exactly one copy is active), so the move is purely a
         # map update — mirroring the single-cycle state move in §3.4.
@@ -196,7 +266,10 @@ class ShardingRuntime:
         state = self.arrays[array]
         if not state.shardable:
             return False
-        per_pipe = self.pipeline_load(state)
+        # Only touched indexes have a nonzero counter, so only they move.
+        touched, dest, weight, per_pipe = self._touched_load(state)
+        per_pipe = per_pipe.astype(np.int64)
+        idle = state.in_flight[touched] == 0
         moved_any = False
         for _ in range(state.size):
             high = int(per_pipe.argmax())
@@ -204,30 +277,26 @@ class ShardingRuntime:
             gap = int(per_pipe[high]) - int(per_pipe[low])
             if high == low or gap <= 0:
                 break
-            on_high = np.nonzero(state.index_to_pipeline == high)[0]
-            counts = state.access_counts[on_high]
             # Any index lighter than the gap strictly narrows it; pick the
             # heaviest such (the biggest single-step improvement).
-            eligible = (counts < gap) & (counts > 0) & (
-                state.in_flight[on_high] == 0
-            )
+            eligible = (dest == high) & (weight < gap) & (weight > 0) & idle
             if not eligible.any():
                 break
-            candidates = on_high[eligible]
-            best = candidates[int(state.access_counts[candidates].argmax())]
-            weight = int(state.access_counts[best])
-            state.index_to_pipeline[best] = low
-            per_pipe[high] -= weight
-            per_pipe[low] += weight
+            at = np.flatnonzero(eligible)[weight[eligible].argmax()]
+            moved = int(weight[at])
+            state.index_to_pipeline[touched[at]] = low
+            dest[at] = low
+            per_pipe[high] -= moved
+            per_pipe[low] += moved
             moved_any = True
         if moved_any:
             state.moves += 1
         return moved_any
 
     def end_epoch(self, algorithm: str = "heuristic") -> int:
-        """Run the configured remap on every array, then reset access
-        counters for the next epoch. Returns the number of arrays whose
-        mapping changed."""
+        """Run the configured remap on every array, then reset the
+        touched access counters for the next epoch. Returns the number
+        of arrays whose mapping changed."""
         changed = 0
         for name, state in self.arrays.items():
             if algorithm == "heuristic":
@@ -238,7 +307,8 @@ class ShardingRuntime:
                 pass
             else:
                 raise ConfigError(f"unknown remap algorithm {algorithm!r}")
-            state.access_counts[:] = 0
+            state.access_counts[self._touched_indexes(state)] = 0
+            state.touched_blocks.clear()
         return changed
 
     def emergency_remap(
@@ -268,28 +338,29 @@ class ShardingRuntime:
         moved = deferred = 0
         if not targets:
             return 0, 0
+        shardable = [s for s in self.arrays.values() if s.shardable]
         # Seed destination loads with the current epoch's access counts
         # so evacuated hot indices spread instead of piling on one pipe.
-        loads = {p: 0 for p in targets}
-        for state in self.arrays.values():
-            if not state.shardable:
-                continue
+        # The heap's (load, pipeline) order is the tie rule.
+        loads = [[0, p] for p in targets]
+        for state in shardable:
             per_pipe = self.pipeline_load(state)
-            for p in targets:
-                loads[p] += int(per_pipe[p])
-        for state in self.arrays.values():
-            if not state.shardable:
-                continue
-            on_failed = np.nonzero(state.index_to_pipeline == failed)[0]
-            for index in on_failed:
-                if state.in_flight[index] > 0:
-                    deferred += 1
-                    continue
-                dest = min(targets, key=lambda p: (loads[p], p))
-                state.index_to_pipeline[index] = dest
-                loads[dest] += int(state.access_counts[index]) + 1
-                state.moves += 1
-                moved += 1
+            for entry in loads:
+                entry[0] += int(per_pipe[entry[1]])
+        heapq.heapify(loads)
+        for state in shardable:
+            on_failed = np.flatnonzero(state.index_to_pipeline == failed)
+            busy = state.in_flight[on_failed] > 0
+            deferred += int(np.count_nonzero(busy))
+            movers = on_failed[~busy]
+            dests = []
+            for weight in state.access_counts[movers].tolist():
+                load, dest = loads[0]
+                heapq.heapreplace(loads, [load + weight + 1, dest])
+                dests.append(dest)
+            state.index_to_pipeline[movers] = dests
+            state.moves += len(dests)
+            moved += len(dests)
         return moved, deferred
 
     # ------------------------------------------------------------------

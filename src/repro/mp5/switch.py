@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
+from operator import itemgetter
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -56,6 +57,7 @@ from ..compiler.codegen import CompiledProgram
 from ..compiler.jit import compile_operand_reader
 from ..domino.builtins import hash2
 from ..errors import ConfigError
+from ..faults.injector import NEVER, FaultInjector
 from .config import MP5Config
 from .crossbar import CrossbarTelemetry
 from .fifo import IdealOrderBuffer, StageFifoGroup
@@ -66,6 +68,8 @@ from .stats import SwitchStats
 FLOW_ORDER_ARRAY = "__flow_order__"
 
 TraceEntry = Union[DataPacket, Tuple[float, int, Dict[str, int]]]
+
+_mail_pipe = itemgetter(0)
 
 
 class MP5Switch:
@@ -228,7 +232,8 @@ class MP5Switch:
         # stateful (no FIFO, so no pops, drops or ECN there) nor executes
         # instructions. A packet through-moving into this tail can only
         # advance one stage per tick until it egresses, so its egress
-        # tick is fully determined on entry; movement schedules the
+        # tick is fully determined on entry (under faults the injector
+        # answers it from the stall windows); movement schedules the
         # egress directly instead of stepping the packet through
         # depth - T no-op hops. Disabled while crossbar telemetry is on
         # (it records every per-hop move).
@@ -240,7 +245,8 @@ class MP5Switch:
         ):
             tail -= 1
         self._tail_start = tail
-        self._egress_mail: Dict[int, List[DataPacket]] = {}
+        # Egress tick -> [(pipeline, packet)] of tail packets.
+        self._egress_mail: Dict[int, List[Tuple[int, DataPacket]]] = {}
         # (stage, base_name, guard_read, index_read, size, conservative,
         #  access_label, is_multi)
         self._resolution_plans: List[Tuple] = []
@@ -363,9 +369,9 @@ class MP5Switch:
 
         Builds the per-run :class:`~repro.faults.FaultInjector`; like
         :meth:`attach_observability` this must happen before
-        :meth:`run`. An empty schedule is accepted and leaves the
-        engine on its fault-free paths (``self._faults`` stays None),
-        so attaching one is byte-identical to not attaching at all.
+        :meth:`run`. An empty schedule is accepted and attaches nothing
+        (``self._faults`` stays None), so attaching one is
+        byte-identical to not attaching at all.
         """
         if self._ran:
             raise ConfigError(
@@ -374,8 +380,6 @@ class MP5Switch:
             )
         if schedule is None or schedule.empty:
             return
-        from ..faults.injector import FaultInjector
-
         self._faults = FaultInjector(schedule, self.config.num_pipelines)
 
     def _metric_sources(self) -> List[Tuple[str, bool, Callable[[], int]]]:
@@ -498,22 +502,26 @@ class MP5Switch:
         self._feed_seq = 0
         self._last_feed_key = None
         self._max_ticks = max_ticks
-        # Idle-tick compression: when no stage holds live work and the
-        # next arrival is known, the intervening ticks are no-ops — jump
-        # the tick counter instead of stepping them (generalizes the
-        # tail teleport). Semantically invisible, so always on — but
-        # engaged only when nothing can observe the skipped ticks:
-        # faults, the monitor, metrics windows, and the profiler all see
-        # every tick, so any of them disables it. Remap boundary ticks
-        # always execute — leftover access counters can move indices on
-        # an otherwise idle tick.
+        # Idle-tick compression: while nothing can move (see _quiet),
+        # the ticks up to the next arrival, scheduled egress, remap
+        # boundary or fault-schedule change are no-ops — jump the tick
+        # counter instead of stepping them (generalizes the tail
+        # teleport). Semantically invisible, so always on — but engaged
+        # only when nothing observes the skipped ticks: the monitor,
+        # metrics windows, and the profiler all see every tick, so any
+        # of them disables it. Remap boundary ticks always execute —
+        # leftover access counters can move indices on an otherwise
+        # idle tick.
         self._idle_ok = (
-            self._faults is None
-            and self._monitor is None
+            self._monitor is None
             and self._metrics is None
             and self._profiler is None
         )
-        self._all_fifos = list(self.fifos.values())
+        # Zero-latency phantoms go straight into their FIFO unless the
+        # schedule can lose or delay them in the channel.
+        self._inline_phantoms = self.config.phantom_latency == 0 and (
+            self._faults is None or not self._faults.has_phantom_faults
+        )
 
     def feed(self, entries: Iterable[TraceEntry]) -> int:
         """Append a batch of arrivals to the pending queue.
@@ -586,7 +594,6 @@ class MP5Switch:
         max_ticks = self._max_ticks
         period = self.config.remap_period
         remap_on = self.config.remap_algorithm != "none"
-        all_fifos = self._all_fifos
         steps = 0
         while pending or self._live > 0:
             if max_ticks is not None and self.tick >= max_ticks:
@@ -598,31 +605,55 @@ class MP5Switch:
             steps += 1
             if (
                 idle_ok
-                and self._live == 0
-                and pending
-                and not self._phantom_mail
-                and not self._egress_mail
                 and not (remap_on and self.tick > 0 and self.tick % period == 0)
-                # Stale phantoms of dropped packets keep draining on
-                # otherwise idle ticks — only truly empty queues skip.
-                and all(f._total == 0 for f in all_fifos)
+                and self._quiet()
             ):
-                arrival = pending[0].arrival
-                target = int(arrival) if arrival == int(arrival) else int(arrival) + 1
-                if remap_on:
-                    boundary = (self.tick // period + 1) * period
-                    if boundary < target:
-                        target = boundary
+                target = self._wake_tick(pending, period if remap_on else None)
                 if max_ticks is not None and max_ticks < target:
                     target = max_ticks
                 if until_tick is not None and until_tick < target:
                     target = until_tick
-                if target > self.tick:
+                if self.tick < target < NEVER:
                     self.tick = target
                     self._idle_teleports += 1
                     continue
             self._step(pending)
         return steps
+
+    def _quiet(self) -> bool:
+        """True when no tick can change anything until the next arrival,
+        scheduled egress or fault-schedule change: no phantom is in the
+        channel, and every seated packet and every non-empty FIFO is on
+        a pipeline under a full stall (with no faults: none is). Stale
+        phantoms of dropped packets keep draining on otherwise idle
+        ticks, so a non-empty FIFO anywhere else is work."""
+        if self._phantom_mail:
+            return False
+        frozen = self._faults.frozen if self._faults is not None else ()
+        for pipe, _stage in self._seated:
+            if pipe not in frozen:
+                return False
+        for fifo, _row, _stage, key in self._fifo_scan:
+            if fifo._total and key[0] not in frozen:
+                return False
+        return True
+
+    def _wake_tick(self, pending, period: Optional[int]) -> int:
+        """The first tick after a quiet one at which something happens:
+        the next arrival, scheduled egress, remap boundary (``period``,
+        None with remapping off) or fault-schedule change."""
+        tick = self.tick
+        target = NEVER
+        if pending:
+            arrival = pending[0].arrival
+            target = int(arrival) if arrival == int(arrival) else int(arrival) + 1
+        if self._egress_mail:
+            target = min(target, min(self._egress_mail))
+        if period is not None:
+            target = min(target, (tick // period + 1) * period)
+        if self._faults is not None:
+            target = min(target, self._faults.next_change(tick))
+        return target
 
     def finish(self) -> SwitchStats:
         """Close a streaming run: final metrics roll, monitor end-of-run
@@ -767,20 +798,17 @@ class MP5Switch:
         if crossbar is not None:
             crossbar.begin_tick()
         # Packets whose scheduled egress tick arrived. When the tail
-        # fast path is active every egress goes through this mail, and
-        # entries are enqueued in (tick, pipeline) order — exactly the
-        # order the dense movement scan egresses them.
+        # fast path is active every egress goes through this mail, one
+        # per pipeline per tick; they leave in pipeline order — the
+        # order the dense movement scan egresses them (a stall can make
+        # a later tail entry egress on the same tick as an earlier one).
         ready = self._egress_mail.pop(tick, None)
         if ready:
-            for pkt in ready:
+            if len(ready) > 1:
+                ready.sort(key=_mail_pipe)
+            for _pipe, pkt in ready:
                 self._egress(pkt)
-        # Tail teleport pre-schedules egress ticks, which a mid-flight
-        # stall would falsify — with faults attached every packet steps
-        # hop by hop (the fault-free equivalence of the two modes is
-        # what the differential tests prove).
-        tail_start = (
-            self._tail_start if crossbar is None and faults is None else depth
-        )
+        tail_start = self._tail_start if crossbar is None else depth
         egress_mail = self._egress_mail
         fifo_grid = self._fifo_grid
         enable_phantoms = cfg.enable_phantoms
@@ -816,14 +844,18 @@ class MP5Switch:
                 if access is None or access.completed:
                     if nxt >= tail_start:
                         # Instruction-free stateless tail: the packet
-                        # egresses depth - nxt ticks from now, nothing
-                        # can touch it in between.
-                        when = tick + depth - nxt
+                        # egresses after depth - nxt more moves, and
+                        # nothing but a stall can touch it in between.
+                        when = (
+                            tick + depth - nxt
+                            if faults is None
+                            else faults.egress_tick(tick, pipe, depth - nxt)
+                        )
                         lst = egress_mail.get(when)
                         if lst is None:
-                            egress_mail[when] = [pkt]
+                            egress_mail[when] = [(pipe, pkt)]
                         else:
-                            lst.append(pkt)
+                            lst.append((pipe, pkt))
                         continue
                     if crossbar is not None:
                         crossbar.record(pipe, pipe, nxt)
@@ -1083,9 +1115,9 @@ class MP5Switch:
             tick = self.tick
             latency = cfg.phantom_latency
             stats = self.stats
-            if latency == 0 and self._faults is None:
-                # Fault-free immediate delivery (the common case),
-                # _deliver_phantom inlined.
+            if self._inline_phantoms:
+                # Immediate delivery through a channel no fault touches
+                # (the common case), _deliver_phantom inlined.
                 fifo_grid = self._fifo_grid
                 for access in accesses:
                     phantom = PhantomPacket(

@@ -57,8 +57,9 @@ scalar engines, byte-for-byte once serialized.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -86,6 +87,10 @@ class VectorUnsupported(ReproError):
 # falls back does so identically in every cell, so the notice prints
 # once per run (the CLI resets this at entry), not once per cell.
 _warned_fallbacks: set = set()
+# While a sweep worker runs a task, its notices are collected here and
+# travel back with the result; the parent prints them, so the scope is
+# the parent's at any job count (repro.harness.parallel).
+_collected: Optional[List[str]] = None
 
 
 def reset_fallback_warnings() -> None:
@@ -93,13 +98,33 @@ def reset_fallback_warnings() -> None:
     _warned_fallbacks.clear()
 
 
+def print_fallback_notice(message: str) -> None:
+    """Print ``message`` to stderr unless this scope already did."""
+    if message not in _warned_fallbacks:
+        _warned_fallbacks.add(message)
+        print(message, file=sys.stderr)
+
+
+@contextmanager
+def collect_fallback_notices() -> Iterator[List[str]]:
+    """Collect the notices raised inside the block, each once, instead
+    of printing them."""
+    global _collected
+    saved, _collected = _collected, []
+    try:
+        yield _collected
+    finally:
+        _collected = saved
+
+
 def _warn_fallback(reason) -> None:
     """The one fallback notice: ``reason`` (a string or the
     :class:`VectorUnsupported` raised), printed once per scope."""
     message = f"vector engine: {reason}; falling back to the fast engine"
-    if message not in _warned_fallbacks:
-        _warned_fallbacks.add(message)
-        print(message, file=sys.stderr)
+    if _collected is None:
+        print_fallback_notice(message)
+    elif message not in _collected:
+        _collected.append(message)
 
 
 def config_fallback_reason(cfg: MP5Config) -> Optional[str]:

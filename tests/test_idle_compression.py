@@ -1,12 +1,15 @@
 """Idle-tick compression must be semantically invisible.
 
-The scalar engines teleport the tick counter across stretches where no
-stage holds live work and the next arrival is known. The contract:
-statistics and registers are identical to a run that steps every tick
-(the teleport only skips ticks that would have been pure no-ops), remap
-boundaries still fire, and the teleport disengages entirely whenever
-faults or any observability sink is attached — those consumers observe
-per-tick state, so skipping ticks would change what they see.
+The scalar engines teleport the tick counter across stretches where
+nothing can move and the next arrival, scheduled egress, remap boundary
+or fault-schedule change is known. The contract: statistics, registers
+and recorder events are identical to a run that steps every tick (the
+teleport only skips ticks that would have been pure no-ops), remap
+boundaries still fire, and the teleport disengages whenever an
+observability sink that samples every tick (monitor, metrics, profiler)
+is attached. Under a fault schedule the fast engine keeps teleporting —
+it clamps at the injector's next change and skips across full stalls —
+while the dense engine steps every tick, so it stays the oracle.
 
 The compression has no switch of its own. The tick-stepping reference
 is the same run with a :class:`~repro.obs.PhaseProfiler` attached: the
@@ -21,7 +24,7 @@ import pytest
 
 from repro.faults import FaultSchedule
 from repro.mp5 import MP5Config, MP5Switch, ReferenceSwitch
-from repro.obs import InvariantMonitor, PhaseProfiler
+from repro.obs import InvariantMonitor, PhaseProfiler, TraceRecorder, canonical_form
 from repro.workloads.synthetic import make_sensitivity_program, sensitivity_trace
 
 FAULT_DIR = Path("examples/faults")
@@ -45,13 +48,15 @@ def _schedule(kind: str, num_packets: int = 150, seed: int = 0):
     return trace
 
 
-def _run(engine, trace, config, stepped, **run_args):
+def _run(engine, trace, config, stepped, faults=None, recorder=None, **run_args):
     """One run on a fresh switch; ``stepped`` attaches a profiler, which
     pins the switch to stepping every tick."""
     program = make_sensitivity_program(num_stateful=4, register_size=64)
     switch = SWITCHES[engine](program, config)
-    if stepped:
-        switch.attach_observability(profiler=PhaseProfiler())
+    switch.attach_faults(faults)
+    switch.attach_observability(
+        recorder=recorder, profiler=PhaseProfiler() if stepped else None
+    )
     stats = switch.run(trace, **run_args)
     if stepped:
         assert switch._idle_teleports == 0
@@ -123,17 +128,81 @@ def _fault_schedules():
     return paths
 
 
+@pytest.mark.parametrize("kind", ("bursty", "sparse"))
 @pytest.mark.parametrize(
     "path", _fault_schedules(), ids=lambda p: p.stem
 )
-def test_compression_auto_disables_under_faults(path):
-    """Every bundled fault schedule pins the switch to real per-tick
-    stepping, even on a sparse trace that would otherwise teleport."""
-    program = make_sensitivity_program(num_stateful=4, register_size=64)
-    switch = MP5Switch(program, MP5Config(num_pipelines=4))
-    switch.attach_faults(FaultSchedule.load(str(path)))
-    switch.run(_schedule("sparse", num_packets=40), max_ticks=20000)
-    assert switch._idle_teleports == 0
+def test_compression_invisible_under_faults(path, kind):
+    """Under every bundled fault schedule the fast engine still
+    teleports, and its run equals both the tick-stepped fast run and the
+    dense run (which steps every tick under faults): stats, registers
+    and recorder events."""
+    config = MP5Config(num_pipelines=4)
+    schedule = FaultSchedule.load(str(path))
+    runs = {}
+    for name, engine, stepped in (
+        ("fast", "fast", False),
+        ("stepped", "fast", True),
+        ("dense", "dense", False),
+    ):
+        recorder = TraceRecorder()
+        switch, stats = _run(
+            engine,
+            _schedule(kind, num_packets=40),
+            config,
+            stepped,
+            faults=schedule,
+            recorder=recorder,
+            max_ticks=20000,
+        )
+        runs[name] = (switch, stats, switch.public_registers(), recorder.events)
+    assert runs["fast"][0]._idle_teleports > 0
+    assert runs["dense"][0]._idle_teleports == 0
+    fast, stepped, dense = runs["fast"], runs["stepped"], runs["dense"]
+    assert fast[1] == stepped[1] == dense[1]
+    assert fast[2] == stepped[2] == dense[2]
+    assert fast[3] == stepped[3]
+    assert canonical_form(fast[3]) == canonical_form(dense[3])
+
+
+def _flowlet_packet(arrival: int, sport: int):
+    return (float(arrival), 0, {"sport": sport, "dport": 80, "arrival": arrival})
+
+
+# Schedule name -> (stalled pipeline, trace). Flowlet's stages 6-15 are an
+# instruction-free tail. With dport 80, sport 2 hashes to an index on
+# pipeline 1, sport 1 to pipeline 2 and sport 13 to pipeline 0 (the
+# initial map is round-robin). The first packet enters its pipeline's
+# tail before the stall or slowdown opens and is held there; the second
+# enters pipeline 0's tail much later, and both egress on one tick.
+SAME_TICK_EGRESS = {
+    "stall": (1, [_flowlet_packet(10, 2), _flowlet_packet(50, 13)]),
+    "slowdown": (2, [_flowlet_packet(10, 1), _flowlet_packet(28, 13)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAME_TICK_EGRESS))
+def test_tail_egress_in_pipeline_order_under_stall(flowlet_program, name):
+    """A stalled pipeline's tail packet and another pipeline's later
+    tail packet egress on the same tick: they leave in pipeline order,
+    as the dense engine's movement scan egresses them."""
+    stalled, trace = SAME_TICK_EGRESS[name]
+    schedule = FaultSchedule.load(str(FAULT_DIR / f"{name}.json"))
+    results = {}
+    for engine, cls in SWITCHES.items():
+        switch = cls(flowlet_program, MP5Config(num_pipelines=4))
+        switch.attach_faults(schedule)
+        stats = switch.run(trace, record_access_order=True)
+        tails = [(p.egress_tick, p.accesses[-1].pipeline) for p in switch.packets]
+        results[engine] = (stats, switch.public_registers(), tails)
+    first, second = results["fast"][2]
+    assert first == (second[0], stalled) and second[1] == 0
+    # Pipeline order: the later entry (pipeline 0) leaves first.
+    assert results["fast"][0].latencies == [
+        second[0] - trace[1][0],
+        first[0] - trace[0][0],
+    ]
+    assert results["fast"] == results["dense"]
 
 
 def test_compression_auto_disables_under_monitor():

@@ -14,12 +14,14 @@ from repro.harness.parallel import (
     resolve_jobs,
     shutdown_pool,
 )
+from repro.harness.microbench import MicrobenchSettings, run_d4
 from repro.harness.realapps import (
     RealAppSettings,
     run_application,
     run_figure8,
 )
 from repro.harness.sensitivity import SweepSettings, sweep_pipelines
+from repro.mp5.vector import reset_fallback_warnings
 
 
 def _default_pool():
@@ -214,3 +216,22 @@ def test_run_application_independent_of_jobs():
     settings = RealAppSettings(num_packets=150, seeds=(0, 1))
     serial = run_application(FLOWLET, (1, 2), settings, jobs=1)
     assert run_application(FLOWLET, (1, 2), settings, jobs=2) == serial
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_fallback_notice_prints_once_at_any_jobs(capfd, jobs):
+    """D4's access-order rows fall back to the fast engine in every
+    task; the notice prints once per warning scope whether the tasks
+    run in the parent or in workers (which hand it back with their
+    results)."""
+    settings = MicrobenchSettings(num_packets=300, seeds=(0, 1), engine="vector")
+    reset_fallback_warnings()
+    capfd.readouterr()
+    run_d4(settings, jobs=jobs)
+    run_d4(settings, jobs=jobs)
+    err = capfd.readouterr().err
+    line = "vector engine: record_access_order; falling back to the fast engine"
+    assert err.splitlines().count(line) == 1
+    reset_fallback_warnings()
+    run_d4(settings, jobs=jobs)
+    assert capfd.readouterr().err.splitlines().count(line) == 1

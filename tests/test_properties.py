@@ -116,8 +116,7 @@ def test_fifo_occupancy_never_negative_and_bounded(ops):
 def test_remap_never_worsens_balance(size, k, counts):
     rt = ShardingRuntime([("r", size, True, "r")], k, rng=np.random.default_rng(0))
     state = rt.arrays["r"]
-    for i, c in enumerate(counts[:size]):
-        state.access_counts[i % size] += c
+    rt.note_counts("r", np.array(counts[:size] + [0] * (size - len(counts))))
 
     def imbalance():
         loads = np.zeros(k, dtype=np.int64)
@@ -139,7 +138,7 @@ def test_every_index_always_mapped_to_valid_pipeline(size, k):
         [("r", size, True, "r")], k, initial="random", rng=np.random.default_rng(1)
     )
     state = rt.arrays["r"]
-    state.access_counts[:] = np.arange(size)
+    rt.note_counts("r", np.arange(size))
     rt.end_epoch("optimal")
     assert ((state.index_to_pipeline >= 0) & (state.index_to_pipeline < k)).all()
 

@@ -89,7 +89,7 @@ class TestHeuristicRemap:
         rt = runtime(size=8, k=2)
         state = rt.arrays["r"]
         state.index_to_pipeline[:] = 0  # all on pipeline 0
-        state.access_counts[:] = [10, 9, 8, 1, 0, 0, 0, 0]
+        rt.note_counts("r", np.array([10, 9, 8, 1, 0, 0, 0, 0]))
         assert rt.remap_heuristic("r")
         # Something moved to pipeline 1.
         assert (state.index_to_pipeline == 1).sum() == 1
@@ -98,7 +98,7 @@ class TestHeuristicRemap:
         rt = runtime(size=4, k=2)
         state = rt.arrays["r"]
         state.index_to_pipeline[:] = 0
-        state.access_counts[:] = [10, 6, 3, 1]
+        rt.note_counts("r", np.array([10, 6, 3, 1]))
         rt.remap_heuristic("r")
         # gap = 20, C = 10; largest counter < 10 is index 1 (6).
         assert state.index_to_pipeline[1] == 1
@@ -107,7 +107,7 @@ class TestHeuristicRemap:
         rt = runtime(size=2, k=2)
         state = rt.arrays["r"]
         state.index_to_pipeline[:] = 0
-        state.access_counts[:] = [10, 4]
+        rt.note_counts("r", np.array([10, 4]))
         state.in_flight[:] = [0, 3]  # only the movable candidate is busy
         assert not rt.remap_heuristic("r")
 
@@ -115,12 +115,12 @@ class TestHeuristicRemap:
         rt = runtime(size=4, k=2)
         state = rt.arrays["r"]
         state.index_to_pipeline[:] = [0, 1, 0, 1]
-        state.access_counts[:] = [5, 5, 5, 5]
+        rt.note_counts("r", np.array([5, 5, 5, 5]))
         assert not rt.remap_heuristic("r")
 
     def test_non_shardable_never_moves(self):
         rt = runtime(shardable=False)
-        rt.arrays["r"].access_counts[:] = [100, 0, 0, 0, 0, 0, 0, 0]
+        rt.note_counts("r", np.array([100, 0, 0, 0, 0, 0, 0, 0]))
         assert not rt.remap_heuristic("r")
 
     def test_end_epoch_resets_counters(self):
@@ -133,7 +133,7 @@ class TestHeuristicRemap:
         rt = runtime(size=8, k=2)
         state = rt.arrays["r"]
         state.index_to_pipeline[:] = 0
-        state.access_counts[:] = 5
+        rt.note_counts("r", np.full(8, 5))
         assert rt.end_epoch("none") == 0
         assert (state.index_to_pipeline == 0).all()
 
@@ -148,7 +148,7 @@ class TestOptimalRemap:
         rt = runtime(size=8, k=2)
         state = rt.arrays["r"]
         state.index_to_pipeline[:] = 0
-        state.access_counts[:] = [8, 7, 6, 5, 4, 3, 2, 1]
+        rt.note_counts("r", np.array([8, 7, 6, 5, 4, 3, 2, 1]))
         rt.remap_optimal("r")
         loads = np.zeros(2, dtype=int)
         np.add.at(loads, state.index_to_pipeline, state.access_counts)
@@ -161,7 +161,7 @@ class TestOptimalRemap:
         for rt in (rt_h, rt_o):
             state = rt.arrays["r"]
             state.index_to_pipeline[:] = 0
-            state.access_counts[:] = counts
+            rt.note_counts("r", np.array(counts))
 
         def imbalance(rt):
             state = rt.arrays["r"]
@@ -177,7 +177,7 @@ class TestOptimalRemap:
         rt = runtime(size=2, k=2)
         state = rt.arrays["r"]
         state.index_to_pipeline[:] = 0
-        state.access_counts[:] = [5, 4]
+        rt.note_counts("r", np.array([5, 4]))
         state.in_flight[:] = [1, 1]
         assert not rt.remap_optimal("r")
 
@@ -193,7 +193,7 @@ class TestPipelineLoad:
         rt = runtime(size=int(rng.integers(1, 300)), k=k, initial="random")
         state = rt.arrays["r"]
         state.index_to_pipeline[state.index_to_pipeline == k - 1] = 0
-        state.access_counts[:] = rng.integers(0, 1 << 40, size=state.size)
+        rt.note_counts("r", rng.integers(0, 1 << 40, size=state.size))
         want = np.zeros(k, dtype=np.int64)
         np.add.at(want, state.index_to_pipeline, state.access_counts)
         got = rt.pipeline_load(state)
