@@ -596,8 +596,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="simulation engine: dense = executable specification, "
             "fast = sparse worklist, vector = batch SoA engine (streams "
             "epoch by epoch when served); results are identical on every "
-            "engine. Where vector cannot run — faults attached, a config "
-            "knob or program shape outside its envelope — it falls back "
+            "engine. Where vector cannot run — phantom_channel faults, "
+            "sinks on a faulted run, a config knob or program shape "
+            "outside its envelope — it falls back "
             "to fast with one warning naming the reason (see "
             "docs/simulator.md). Default: "
             + (default or "vector at --scale large/xlarge, else fast"),

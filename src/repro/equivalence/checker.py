@@ -238,9 +238,13 @@ def check_degraded(
         )
     live_monitor = InvariantMonitor() if monitor else None
     switch = build_switch(
-        engine, program, config, faults=faults, record_access_order=True
+        engine,
+        program,
+        config,
+        faults=faults,
+        record_access_order=True,
+        monitor=live_monitor,
     )
-    switch.attach_observability(monitor=live_monitor)
     stats = switch.run(trace, max_ticks=max_ticks, record_access_order=True)
 
     dropped_ids = {pkt.pkt_id for pkt in switch.packets if pkt.dropped}

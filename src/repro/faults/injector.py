@@ -12,11 +12,15 @@ One :class:`FaultInjector` is attached per switch instance
    retry with backoff while in-flight packets pin indices in place).
 
 On a tick where none of that happens it only re-derives ``stalled``
-(a slowdown's changes per tick). Two questions are answered from the
-schedule alone, so the fast engine can skip ticks nothing observes:
-:meth:`FaultInjector.next_change` (the next tick ``begin_tick`` has
-work) and :meth:`FaultInjector.egress_tick` (when a packet in its
-pipeline's stateless tail egresses, stalls included).
+(a slowdown's changes per tick). Other questions are answered from the
+schedule alone: :meth:`FaultInjector.next_change` (the next tick
+``begin_tick`` has work) and :meth:`FaultInjector.egress_tick` (the
+``hops``-th tick a pipeline is not stalled) let the fast engine skip
+ticks nothing observes, and with :meth:`FaultInjector.next_free`,
+:meth:`FaultInjector.crossbar_down` and
+:meth:`FaultInjector.fifo_capacity_steps` they are the calendar the
+vector engine's per-row sweep (:mod:`repro.mp5.rowsweep`) resolves
+timelines over without stepping a tick.
 
 Determinism contract: every decision is a pure function of (tick,
 schedule, seed, packet id). Phantom loss/delay draws use the same
@@ -28,7 +32,7 @@ packets in different orders.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..domino.builtins import hash2
@@ -58,6 +62,35 @@ def _stall_services(event: FaultEvent, tick: int) -> bool:
     return int((offset + 1) * rate) > int(offset * rate)
 
 
+def _merged(windows: List[Tuple[int, int]]) -> Tuple[List[int], List[int]]:
+    """``[start, end)`` windows as sorted, disjoint, non-touching runs
+    ``(starts, ends)``."""
+    starts: List[int] = []
+    ends: List[int] = []
+    for start, end in sorted(windows):
+        if ends and start <= ends[-1]:
+            ends[-1] = max(ends[-1], end)
+        else:
+            starts.append(start)
+            ends.append(end)
+    return starts, ends
+
+
+def _shrunk(
+    capacity: Optional[int], shrinks: List[FaultEvent], pipe: int, stage: int
+) -> Optional[int]:
+    """``capacity`` (None = unbounded) under the ``fifo_shrink`` windows
+    ``shrinks`` that target ``(pipe, stage)``: overlaps compose via min."""
+    for event in shrinks:
+        if event.pipeline is not None and event.pipeline != pipe:
+            continue
+        if event.stage is not None and event.stage != stage:
+            continue
+        if capacity is None or event.capacity < capacity:
+            capacity = event.capacity
+    return capacity
+
+
 class FaultInjector:
     """Applies one schedule to one switch run (not reusable)."""
 
@@ -69,13 +102,38 @@ class FaultInjector:
         # Window transitions precomputed: tick -> [(index, event)].
         self._starts: Dict[int, List[Tuple[int, FaultEvent]]] = {}
         self._ends: Dict[int, List[Tuple[int, FaultEvent]]] = {}
-        # Stall windows per pipeline, for egress_tick.
-        self._stalls: List[List[FaultEvent]] = [[] for _ in range(num_pipelines)]
+        # The calendar the schedule-only queries read, per pipeline:
+        # full stalls and crossbar failures merged into disjoint
+        # ``(starts, ends)`` runs, slowdown windows as listed and as
+        # merged runs, and the first/last tick any stall touches.
+        full: List[List[Tuple[int, int]]] = [[] for _ in range(num_pipelines)]
+        down: List[List[Tuple[int, int]]] = [[] for _ in range(num_pipelines)]
+        self._slow: List[List[FaultEvent]] = [[] for _ in range(num_pipelines)]
+        self._shrinks: List[FaultEvent] = []
         for idx, event in enumerate(schedule.faults):
             self._starts.setdefault(event.start, []).append((idx, event))
             self._ends.setdefault(event.end, []).append((idx, event))
             if event.kind == KIND_STALL:
-                self._stalls[event.pipeline].append(event)
+                if event.service_rate <= 0.0:
+                    full[event.pipeline].append((event.start, event.end))
+                else:
+                    self._slow[event.pipeline].append(event)
+            elif event.kind == KIND_CROSSBAR:
+                down[event.pipeline].append((event.start, event.end))
+            elif event.kind == KIND_FIFO:
+                self._shrinks.append(event)
+        self._full = [_merged(w) for w in full]
+        self._down = [_merged(w) for w in down]
+        self._slow_runs = [
+            _merged([(e.start, e.end) for e in w]) for w in self._slow
+        ]
+        self._stall_span = [
+            (
+                min(f[0][:1] + s[0][:1], default=NEVER),
+                max(f[1][-1:] + s[1][-1:], default=0),
+            )
+            for f, s in zip(self._full, self._slow_runs)
+        ]
         # Every tick at which a window opens or closes, ascending.
         self._changes = sorted(set(self._starts) | set(self._ends))
         self.has_phantom_faults = any(
@@ -185,28 +243,74 @@ class FaultInjector:
     def egress_tick(self, tick: int, pipe: int, hops: int) -> int:
         """The tick at which a packet that entered ``pipe``'s stateless
         tail at ``tick`` egresses, ``hops`` moves later: the ``hops``-th
-        tick after ``tick`` on which ``pipe`` is not stalled. A full
-        stall skips to its window's end; a slowdown counts its service
-        ticks (:func:`_stall_services`)."""
-        windows = self._stalls[pipe]
-        t = tick
+        tick after ``tick`` on which ``pipe`` is not stalled (``tick``
+        itself for 0 hops). A full stall is skipped by bisecting the
+        pipeline's merged full-stall runs; only ticks inside a slowdown
+        window are counted one by one (:func:`_stall_services`)."""
+        first, last = self._stall_span[pipe]
+        if tick + hops < first or tick + 1 >= last:
+            return tick + hops
+        fs, fe = self._full[pipe]
+        ss, se = self._slow_runs[pipe]
+        t = tick  # the last tick accounted for
         while hops:
-            t += 1
-            active = [e for e in windows if e.start <= t < e.end]
-            if not active:
-                # Free until the next window on this pipeline opens.
-                opens = min((e.start for e in windows if e.start > t), default=NEVER)
-                if opens - t >= hops:
-                    return t + hops - 1
-                hops -= opens - t
-                t = opens - 1
+            nt = t + 1
+            i = bisect_right(fs, nt) - 1
+            if i >= 0 and nt < fe[i]:
+                t = fe[i] - 1  # runs are merged: fe[i] is not fully stalled
                 continue
-            full = [e.end for e in active if e.service_rate <= 0.0]
-            if full:
-                t = max(full) - 1
-            elif all(_stall_services(e, t) for e in active):
-                hops -= 1
+            j = bisect_right(ss, nt) - 1
+            if j >= 0 and nt < se[j]:
+                if all(
+                    _stall_services(e, nt)
+                    for e in self._slow[pipe]
+                    if e.start <= nt < e.end
+                ):
+                    hops -= 1
+                t = nt
+                continue
+            # Free until the next window on this pipeline opens.
+            opens = min(
+                fs[i + 1] if i + 1 < len(fs) else NEVER,
+                ss[j + 1] if j + 1 < len(ss) else NEVER,
+            )
+            if opens - nt >= hops:
+                return nt + hops - 1
+            hops -= opens - nt
+            t = opens - 1
         return t
+
+    def next_free(self, pipe: int, tick: int) -> int:
+        """The first tick ``>= tick`` on which ``pipe`` is not stalled:
+        when its FIFOs pop and its front admits a packet."""
+        return self.egress_tick(tick - 1, pipe, 1)
+
+    def crossbar_down(self, pipe: int, tick: int) -> bool:
+        """Whether the crossbar ports into ``pipe`` are down at ``tick``."""
+        starts, ends = self._down[pipe]
+        i = bisect_right(starts, tick) - 1
+        return i >= 0 and tick < ends[i]
+
+    def fifo_capacity_steps(
+        self, pipe: int, stage: int, base: Optional[int]
+    ) -> Tuple[List[int], List[Optional[int]]]:
+        """The capacity of ``(pipe, stage)``'s ring buffers over time as
+        a step function ``(ticks, capacities)``: from ``ticks[i]`` on it
+        is ``capacities[i]`` (None = unbounded) — ``base``, shrunk by the
+        windows open then the way :meth:`_apply_fifo_capacity` shrinks
+        it."""
+        edges = sorted(
+            {e.start for e in self._shrinks} | {e.end for e in self._shrinks}
+        )
+        ticks: List[int] = [-NEVER]
+        caps = [base]
+        for at in edges:
+            active = [e for e in self._shrinks if e.start <= at < e.end]
+            cap = _shrunk(base, active, pipe, stage)
+            if cap != caps[-1]:
+                ticks.append(at)
+                caps.append(cap)
+        return ticks, caps
 
     def _refresh_active(self, switch) -> None:
         """Recompute the derived views after a window transition."""
@@ -243,18 +347,7 @@ class FaultInjector:
             }
         shrinks = [e for _i, e in self._active if e.kind == KIND_FIFO]
         for key, fifo in switch.fifos.items():
-            capacity = self._base_capacity[key]
-            for event in shrinks:
-                if event.pipeline is not None and event.pipeline != key[0]:
-                    continue
-                if event.stage is not None and event.stage != key[1]:
-                    continue
-                capacity = (
-                    event.capacity
-                    if capacity is None
-                    else min(capacity, event.capacity)
-                )
-            fifo.capacity = capacity
+            fifo.capacity = _shrunk(self._base_capacity[key], shrinks, *key)
 
     # ------------------------------------------------------------------
     # Degradation protocol

@@ -43,9 +43,10 @@ Pick one by name through :data:`ENGINES` (the ``--engine`` CLI flag)::
 
 Every name becomes a switch in one function,
 :func:`~repro.mp5.engines.build_switch`, which settles before the first
-packet whether ``vector`` runs: faults, access-order recording, a config
-knob or a program shape the batch reduction cannot express give the run
-to ``fast`` with one warning line naming the reason.
+packet whether ``vector`` runs: ``phantom_channel`` faults, sinks on a
+run that can drop packets, access-order recording, a config knob or a
+program shape the batch reduction cannot express give the run to
+``fast`` with one warning line naming the reason.
 
 Public surface::
 

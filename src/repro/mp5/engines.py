@@ -17,13 +17,21 @@ from .config import MP5Config
 from .reference import ReferenceSwitch
 from .stats import SwitchStats
 from .switch import MP5Switch, TraceEntry
-from .vector import VectorSwitch, VectorUnsupported, _warn_fallback
+from .vector import (
+    VectorSwitch,
+    VectorUnsupported,
+    _warn_fallback,
+    drop_fallback_reason,
+)
 
 _SWITCHES = {
     cls.engine: cls for cls in (ReferenceSwitch, MP5Switch, VectorSwitch)
 }
 
 _Result = Tuple[SwitchStats, Dict[str, List[int]]]
+
+#: The sinks the vector engine replays from its schedule after the run.
+_REPLAYED_SINKS = ("recorder", "metrics", "monitor")
 
 
 def build_switch(
@@ -32,17 +40,24 @@ def build_switch(
     config: Optional[MP5Config] = None,
     faults=None,
     record_access_order: bool = False,
+    **sinks,
 ) -> MP5Switch:
     """A fresh switch for ``engine`` with ``faults`` (a
-    :class:`repro.faults.FaultSchedule` or None) attached.
+    :class:`repro.faults.FaultSchedule` or None) and ``sinks``
+    (:meth:`~repro.mp5.switch.MP5Switch.attach_observability`'s keywords)
+    attached.
 
     ``"vector"`` builds a :class:`~repro.mp5.vector.VectorSwitch` unless,
-    checked in this order, faults are armed (a non-empty schedule), the
-    run records its access order, a config knob is outside the envelope
+    checked in this order, the run records its access order, it can drop
+    packets in a way the per-row sweep does not model
+    (:func:`~repro.mp5.vector.drop_fallback_reason`: a
+    ``phantom_channel`` window, or a recorder, registry or monitor on a
+    faulted or bounded-FIFO run), a config knob is outside the envelope
     (:func:`~repro.mp5.vector.config_fallback_reason`) or the program's
     shape is (construction raises
-    :class:`~repro.mp5.vector.VectorUnsupported`). The first reason that
-    applies prints one line naming it, once per warning scope
+    :class:`~repro.mp5.vector.VectorUnsupported`). Any other fault
+    schedule runs on the vector engine. The first reason that applies
+    prints one line naming it, once per warning scope
     (:func:`~repro.mp5.vector.reset_fallback_warnings`), and the fast
     engine is built instead.
     """
@@ -52,20 +67,28 @@ def build_switch(
             f"unknown engine {engine!r}; expected one of "
             f"{', '.join(sorted(_SWITCHES))}"
         )
+    switch = None
     if cls is VectorSwitch:
-        if faults is not None and not faults.empty:
-            reason = "faults attached"
-        elif record_access_order:
+        if record_access_order:
             reason = "record_access_order"
         else:
+            reason = drop_fallback_reason(
+                config or MP5Config(),
+                faults,
+                any(sinks.get(s) is not None for s in _REPLAYED_SINKS),
+            )
+        if reason is None:
             try:
-                return VectorSwitch(program, config)  # no faults to attach
+                switch = VectorSwitch(program, config)
             except VectorUnsupported as exc:
                 reason = exc
-        _warn_fallback(reason)
-        cls = MP5Switch
-    switch = cls(program, config)
+        if switch is None:
+            _warn_fallback(reason)
+            cls = MP5Switch
+    if switch is None:
+        switch = cls(program, config)
     switch.attach_faults(faults)
+    switch.attach_observability(**sinks)
     return switch
 
 
@@ -85,8 +108,9 @@ def run_engine(
     the final register state. ``sinks`` are
     :meth:`~repro.mp5.switch.MP5Switch.attach_observability`'s keywords:
     ``recorder``, ``metrics``, ``profiler`` and ``monitor``."""
-    switch = build_switch(engine, program, config, faults, record_access_order)
-    switch.attach_observability(**sinks)
+    switch = build_switch(
+        engine, program, config, faults, record_access_order, **sinks
+    )
     stats = switch.run(
         trace, max_ticks=max_ticks, record_access_order=record_access_order
     )

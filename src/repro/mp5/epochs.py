@@ -88,10 +88,15 @@ def _grown(arr: np.ndarray, n: int, fill=None) -> np.ndarray:
 class EpochSchedule:
     """Phase A's output: the timing of one run, settled once.
 
-    Every stored tick column (``ins_tick``, ``pop_tick``, ``egr_tick``)
-    reads -1 for an event that never executes — a row never injected,
-    or a tick past a ``max_ticks`` cut — so "executed" is ``t >= 0``
-    everywhere. ``lanes[pi][pipe]`` is plan ``pi``'s FIFO group on
+    Every stored tick column (``ins_tick``, ``pop_tick``, ``egr_tick``
+    and, on a run that can drop, ``drop_tick``) reads -1 for an event
+    that never executes — a row never injected, dropped before it, or a
+    tick past a ``max_ticks`` cut — so "executed" is ``t >= 0``
+    everywhere. ``retired`` rows egressed or dropped, the last of them
+    at ``last_retired``; ``steering`` counts the crossbar moves to
+    another pipeline, ``phantoms`` the phantoms generated, and ``drops``
+    (None when nothing can drop) holds the drop counters to set on the
+    stats. ``lanes[pi][pipe]`` is plan ``pi``'s FIFO group on
     ``pipe``: the injected rows routed there in id order, which is
     their pop order, so a group's pop ticks rise along it.
     ``egress_rows`` are the executed egresses in the scalar engines'
@@ -117,6 +122,12 @@ class EpochSchedule:
         "epochs",
         "cut_limit",
         "remap_records",
+        "steering",
+        "retired",
+        "last_retired",
+        "phantoms",
+        "drop_tick",
+        "drops",
     )
 
     def dag_signature(self) -> str:
@@ -137,6 +148,8 @@ class EpochSchedule:
                 digest.update(idx.tobytes())
         digest.update(self.egr_tick.tobytes())
         digest.update(self.egr_pipe.tobytes())
+        if self.drop_tick is not None:
+            digest.update(self.drop_tick.tobytes())
         return digest.hexdigest()
 
 
@@ -258,16 +271,7 @@ class EpochStreamer:
         lo = self.n_fed
         hi = lo + n
         k = self.k
-        self.inj = _grown(self.inj, hi)
-        self.entry_pipe = _grown(self.entry_pipe, hi)
-        self.egr_tick = _grown(self.egr_tick, hi, fill=-1)
-        self.egr_pipe = _grown(self.egr_pipe, hi, fill=-1)
-        for pi in range(self.nplans):
-            if self.acc_idx[pi] is not None:
-                self.acc_idx[pi] = _grown(self.acc_idx[pi], hi, fill=-1)
-            self.dest[pi] = _grown(self.dest[pi], hi, fill=0)
-            self.ins_tick[pi] = _grown(self.ins_tick[pi], hi, fill=-1)
-            self.pop_tick[pi] = _grown(self.pop_tick[pi], hi, fill=-1)
+        self._grow(hi)
         ceil_a = np.ceil(arrival).astype(np.int64)
         for r in range(min(k, hi)):
             start = lo + ((r - lo) % k)
@@ -284,6 +288,19 @@ class EpochStreamer:
         self.entry_pipe[lo:hi] = np.arange(lo, hi, dtype=np.int64) % k
         self.n_fed = hi
         self._resolve(lo, hi)
+
+    def _grow(self, hi: int) -> None:
+        """Give every per-row column room for ``hi`` rows."""
+        self.inj = _grown(self.inj, hi)
+        self.entry_pipe = _grown(self.entry_pipe, hi)
+        self.egr_tick = _grown(self.egr_tick, hi, fill=-1)
+        self.egr_pipe = _grown(self.egr_pipe, hi, fill=-1)
+        for pi in range(self.nplans):
+            if self.acc_idx[pi] is not None:
+                self.acc_idx[pi] = _grown(self.acc_idx[pi], hi, fill=-1)
+            self.dest[pi] = _grown(self.dest[pi], hi, fill=0)
+            self.ins_tick[pi] = _grown(self.ins_tick[pi], hi, fill=-1)
+            self.pop_tick[pi] = _grown(self.pop_tick[pi], hi, fill=-1)
 
     def _resolve(self, lo: int, hi: int) -> None:
         """Run the resolution stage over fed rows ``[lo, hi)`` and read
@@ -455,6 +472,15 @@ class EpochStreamer:
             or self.last_egress >= boundary
         )
 
+    def _remap(self, boundary: int) -> None:
+        """The remap at the end of tick ``boundary``; the next epoch
+        starts there."""
+        moved = self.sharder.end_epoch(self.cfg.remap_algorithm)
+        self.stats.remap_moves += moved
+        self.remap_records.append((boundary, moved))
+        self._epoch_start = boundary
+        self.epochs += 1
+
     def can_advance(self, watermark: Optional[int]) -> bool:
         """True iff :meth:`advance_epoch` with this watermark (and
         ``final=False``) would make progress — the daemon's
@@ -481,13 +507,7 @@ class EpochStreamer:
             if self._phase == "decide":
                 boundary = self._boundary
                 if self._alive(boundary):
-                    moved = self.sharder.end_epoch(
-                        self.cfg.remap_algorithm
-                    )
-                    self.stats.remap_moves += moved
-                    self.remap_records.append((boundary, moved))
-                    self._epoch_start = boundary
-                    self.epochs += 1
+                    self._remap(boundary)
                     self._phase = "content"
                     continue
                 if final:
@@ -550,6 +570,17 @@ class EpochStreamer:
         sched.egr_assigned = self.egr_assigned
         sched.last_egress = self.last_egress
         sched.epochs = self.epochs
+        sched.steering = sum(
+            int(np.count_nonzero((ins >= 0) & (dest != prev)))
+            for ins, dest, prev in zip(
+                sched.ins_tick, sched.dest, [sched.entry_pipe] + sched.dest
+            )
+        )
+        sched.retired = self.egr_assigned
+        sched.last_retired = self.last_egress
+        sched.phantoms = self.injected * self.nplans
+        sched.drop_tick = None
+        sched.drops = None
         return sched
 
 

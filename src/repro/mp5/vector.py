@@ -40,10 +40,15 @@ trace, same alert stream, same metrics series, and
 sink attached the engine skips it all, so the closed-form speed is
 untouched.
 
+A run that can drop packets — under a fault schedule or with bounded
+FIFOs — keeps the batch representation but resolves its timing one row
+at a time over the fault calendar (:mod:`repro.mp5.rowsweep`).
+
 Exactness over generality: runs the batch reduction cannot represent
-(bounded FIFOs, ECN, starvation preemption, ideal queues, affinity
-spray, resolvable access guards, write-only register arrays, armed
-faults, access-order recording) get the fast engine from
+(ECN, starvation preemption, ideal queues, affinity spray, resolvable
+access guards, write-only register arrays, ``phantom_channel`` faults,
+sinks on a run that can drop, access-order recording) get the fast
+engine from
 :func:`repro.mp5.engines.build_switch`, before the first packet, under
 one rule: every fallback prints ``vector engine: <reason>; falling
 back to the fast engine`` once per warning scope
@@ -67,6 +72,7 @@ from ..compiler.lower import cross_stage_temps
 from ..compiler.tac import Temp
 from ..compiler.vjit import compile_scan_stage, compile_vector_stage
 from ..errors import ConfigError, ReproError
+from ..faults.schedule import KIND_PHANTOM
 from .config import MP5Config
 from .epochs import (
     _FAR,
@@ -75,6 +81,7 @@ from .epochs import (
     execute_epoch_service,
 )
 from .packet import PacketColumns, private_packet
+from .rowsweep import RowStreamer
 from .stats import SwitchStats
 from .switch import FLOW_ORDER_ARRAY, MP5Switch
 
@@ -133,8 +140,6 @@ def config_fallback_reason(cfg: MP5Config) -> Optional[str]:
         return "ideal_queues"
     if not cfg.enable_phantoms:
         return "enable_phantoms=False"
-    if cfg.fifo_capacity is not None:
-        return "bounded fifo_capacity"
     if cfg.ecn_threshold is not None:
         return "ecn_threshold"
     if cfg.starvation_threshold is not None:
@@ -143,6 +148,22 @@ def config_fallback_reason(cfg: MP5Config) -> Optional[str]:
         return "record_crossbar"
     if cfg.spray_policy != "roundrobin":
         return f"spray_policy={cfg.spray_policy!r}"
+    return None
+
+
+def drop_fallback_reason(
+    cfg: MP5Config, schedule=None, sinks: bool = False
+) -> Optional[str]:
+    """Why a run that can drop packets — an armed fault ``schedule``
+    (a :class:`repro.faults.FaultSchedule`) or a bounded
+    ``fifo_capacity`` — needs the fast engine; None when the per-row
+    sweep (:mod:`repro.mp5.rowsweep`) runs it or nothing can drop.
+    ``sinks``: a recorder, registry or monitor is attached."""
+    armed = schedule is not None and not schedule.empty
+    if armed and any(e.kind == KIND_PHANTOM for e in schedule.faults):
+        return "phantom_channel faults"
+    if sinks and (armed or cfg.fifo_capacity is not None):
+        return "observability sinks on a faulted or bounded-FIFO run"
     return None
 
 
@@ -378,16 +399,24 @@ class VectorSwitch(MP5Switch):
             self._metrics = metrics
         if monitor is not None:
             self._monitor = monitor
+        self._refuse(self._faults.schedule if self._faults else None)
 
     def attach_faults(self, schedule) -> None:
-        """Only an empty schedule (a no-op): ``build_switch`` gives an
-        armed one to the fast engine."""
-        if schedule is not None and not schedule.empty:
+        """Attach a schedule with no ``phantom_channel`` window, run by
+        the per-row sweep; ``build_switch`` gives the others — and any
+        schedule with sinks attached — to the fast engine."""
+        self._refuse(schedule)
+        super().attach_faults(schedule)
+
+    def _refuse(self, schedule) -> None:
+        reason = drop_fallback_reason(
+            self.config, schedule, self._sinks_attached
+        )
+        if reason is not None:
             raise ConfigError(
-                "the vector engine runs no fault schedule; build the "
+                f"the vector engine cannot run {reason}; build the "
                 "switch with repro.mp5.build_switch"
             )
-        super().attach_faults(schedule)
 
     def _replay_sinks(self, schedule, drained: bool) -> None:
         """Feed the attached sinks the run they never saw live: the
@@ -491,7 +520,9 @@ class VectorSwitch(MP5Switch):
         self._flow: List = []
         self._max_ticks = max_ticks
         self._last_feed_key = None
-        self._streamer = EpochStreamer(
+        # A run that can drop packets takes the per-row sweep.
+        bounded = self._faults is not None or cfg.fifo_capacity is not None
+        self._streamer = (RowStreamer if bounded else EpochStreamer)(
             self, self._H, self._E, self._R, max_ticks
         )
         # Per-row wasted-slot attribution, only when a sink will replay
@@ -725,21 +756,23 @@ class VectorSwitch(MP5Switch):
         prof = self._profiler
         ins_tick = schedule.ins_tick
         pop_tick = schedule.pop_tick
-        dest = schedule.dest
         egr_tick = schedule.egr_tick
 
         # ------------------------------------------------------------------
         # Statistics reconstruction (Python-native values, so serialized
         # output is byte-identical with the scalar engines).
         # ------------------------------------------------------------------
-        if schedule.egr_assigned == N:
-            stats.ticks = int(schedule.last_egress) + 1
+        if schedule.retired == N:
+            stats.ticks = int(schedule.last_retired) + 1
         else:
             # The scalar loop also reports 0 for a negative max_ticks.
             stats.ticks = max(int(max_ticks), 0)
 
-        stats.phantoms_generated = schedule.injected * len(vplans)
+        stats.phantoms_generated = schedule.phantoms
         stats.wasted_slots = self._swasted
+        if schedule.drops is not None:
+            for name, value in schedule.drops.items():
+                setattr(stats, name, value)
 
         ordered = schedule.egress_rows
         stats.egressed = int(ordered.size)
@@ -772,13 +805,7 @@ class VectorSwitch(MP5Switch):
                     if fid is not None:
                         flow_egress.setdefault(fid, []).append(row)
 
-        steering = 0
-        for pi in range(len(vplans)):
-            prev = schedule.entry_pipe if pi == 0 else dest[pi - 1]
-            steering += int(
-                np.count_nonzero((ins_tick[pi] >= 0) & (dest[pi] != prev))
-            )
-        stats.steering_moves = steering
+        stats.steering_moves = schedule.steering
 
         max_depth = 0
         peaks = stats.per_stage_peak_queue
@@ -821,5 +848,5 @@ class VectorSwitch(MP5Switch):
             prof.record_epoch(len(records), start, stats.ticks)
         if self._sinks_attached:
             self._replay_sinks(
-                schedule, drained=(schedule.egr_assigned == N)
+                schedule, drained=(schedule.retired == N)
             )

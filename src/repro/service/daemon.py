@@ -31,10 +31,11 @@ are complete. Both expose the same ``start``/``feed``/``pump``/
 so one adapter drives all three and results are independent of how
 arrivals were batched or when control requests interleaved. Each
 segment's switch comes from :func:`repro.mp5.build_switch`, so when the
-vector engine cannot run it (faults armed, a config knob it does not
-model, an unsupported program shape) the segment runs on the fast
-engine with the same one-line warning as an offline run, and its
-record names the engine that ran.
+vector engine cannot run it (faults armed — a segment always carries a
+metrics registry, which the vector engine does not replay on a faulted
+run —, a config knob it does not model, an unsupported program shape)
+the segment runs on the fast engine with the same one-line warning as
+an offline run, and its record names the engine that ran.
 
 **Backpressure.** The ingest queue holds at most ``queue_depth``
 batches. ``POST /ingest`` never blocks: a full queue is answered with
@@ -118,18 +119,16 @@ class _EngineAdapter:
     ingest watermark proves no future feed can affect it — ticks for
     the scalar engines, whole epochs for the vector engine. The switch
     comes from :func:`repro.mp5.build_switch` with the service's fault
-    schedule attached, so a ``--engine vector`` service is never wedged
-    by a mid-stream fault attach — the next segment just runs scalar."""
+    schedule and the segment's sinks attached, so a mid-stream fault
+    attach never wedges a ``--engine vector`` service: the next segment
+    is settled like any run. A segment always carries a metrics
+    registry, and the vector engine replays no sinks on a faulted run,
+    so a faulted vector segment runs on the fast engine and its record
+    names it."""
 
     streaming = True
 
     def __init__(self, service: "SwitchService"):
-        self.switch = build_switch(
-            service.engine,
-            service.compiled,
-            service.config,
-            faults=service.schedule,
-        )
         self.monitor = (
             InvariantMonitor() if service.monitor_enabled else None
         )
@@ -137,8 +136,13 @@ class _EngineAdapter:
             window=service.metrics_window,
             retention=service.metrics_retention,
         )
-        self.switch.attach_observability(
-            metrics=self.metrics, monitor=self.monitor
+        self.switch = build_switch(
+            service.engine,
+            service.compiled,
+            service.config,
+            faults=service.schedule,
+            metrics=self.metrics,
+            monitor=self.monitor,
         )
         self.switch.start()
         self.offered = 0

@@ -134,10 +134,10 @@ def test_warn_fallback_reset(capsys):
 def test_cli_invocations_each_warn_once(capsys):
     """main() resets the warning budget, so two CLI runs in one process
     warn once each — not once total, not twice per run. Observability
-    no longer falls back, so the faulted run is the warning path."""
+    no longer falls back, so a phantom_channel run is the warning path."""
     argv = [
         "run", "heavy_hitter", "--packets", "200",
-        "--engine", "vector", "--faults", "examples/faults/slowdown.json",
+        "--engine", "vector", "--faults", "examples/faults/phantom_loss.json",
     ]
     for _ in range(2):
         assert main(argv) == 0

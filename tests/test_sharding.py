@@ -111,6 +111,22 @@ class TestHeuristicRemap:
         state.in_flight[:] = [0, 3]  # only the movable candidate is busy
         assert not rt.remap_heuristic("r")
 
+    def test_every_loaded_candidate_in_flight_moves_an_idle_index(self):
+        """Pins today's order, which differs from Figure 6's (pick the
+        heaviest candidate first, then check its in-flight counter):
+        in-flight indexes are filtered out before the pick, so when
+        every loaded candidate on the busiest pipeline is in flight the
+        move goes to an index with zero accesses and shifts no load.
+        EXPERIMENTS.md lists this deviation."""
+        rt = runtime(size=4, k=2)
+        state = rt.arrays["r"]
+        state.index_to_pipeline[:] = [0, 0, 0, 1]
+        rt.note_counts("r", np.array([10, 4, 0, 1]))
+        state.in_flight[:] = [2, 1, 0, 0]  # both loaded candidates busy
+        assert rt.remap_heuristic("r")
+        assert state.index_to_pipeline.tolist() == [0, 0, 1, 1]
+        assert state.access_counts[2] == 0  # the moved index carried nothing
+
     def test_balanced_load_no_move(self):
         rt = runtime(size=4, k=2)
         state = rt.arrays["r"]

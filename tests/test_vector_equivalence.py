@@ -36,7 +36,7 @@ from repro.apps import ALL_APPS
 from repro.cli import main
 from repro.compiler import compile_program
 from repro.errors import ConfigError
-from repro.faults import FaultSchedule
+from repro.faults import FaultEvent, FaultSchedule
 from repro.harness.runall import run_all
 from repro.mp5 import (
     ENGINES,
@@ -50,7 +50,7 @@ from repro.mp5 import (
     run_mp5_vector,
 )
 from repro.mp5.vector import reset_fallback_warnings
-from repro.obs import InvariantMonitor, TraceRecorder
+from repro.obs import InvariantMonitor, MetricsRegistry, TraceRecorder
 from repro.service import ServiceThread, SwitchService
 from repro.service.client import ServiceClient
 from repro.service.daemon import render_payload, segment_payload
@@ -253,10 +253,13 @@ def _sensitivity_program():
     return make_sensitivity_program(num_stateful=4, register_size=64)
 
 
-# name -> (program, MP5Config kwargs, build_switch/run keywords, reason).
-# The seven config knobs of config_fallback_reason, armed faults (the
-# uniform phantom loss that was a knob), access-order recording, and
-# the three bundled programs outside the envelope.
+# name -> (program, MP5Config kwargs, build_switch/run keywords, reason);
+# a sink keyword holds its factory.
+# The six config knobs of config_fallback_reason, the runs that can drop
+# packets the per-row sweep does not model (a phantom_channel window —
+# the uniform phantom loss that was a knob — and replayed sinks on a
+# faulted or bounded-FIFO run), access-order recording, and the three
+# bundled programs outside the envelope.
 LADDER = {
     "ideal_queues": (
         _sensitivity_program, dict(ideal_queues=True), {}, "ideal_queues"
@@ -266,12 +269,6 @@ LADDER = {
         dict(enable_phantoms=False),
         {},
         "enable_phantoms=False",
-    ),
-    "tiny_fifo": (
-        _sensitivity_program,
-        dict(fifo_capacity=2),
-        {},
-        "bounded fifo_capacity",
     ),
     "ecn": (_sensitivity_program, dict(ecn_threshold=4), {}, "ecn_threshold"),
     "starvation": (
@@ -293,7 +290,24 @@ LADDER = {
         _sensitivity_program,
         {},
         dict(faults=whole_run_loss(0.2)),
-        "faults attached",
+        "phantom_channel faults",
+    ),
+    "faults_with_monitor": (
+        _sensitivity_program,
+        {},
+        dict(
+            faults=FaultSchedule(
+                faults=[FaultEvent("pipeline_stall", 20, 40, pipeline=1)]
+            ),
+            monitor=InvariantMonitor,
+        ),
+        "observability sinks on a faulted or bounded-FIFO run",
+    ),
+    "tiny_fifo_with_metrics": (
+        _sensitivity_program,
+        dict(fifo_capacity=2),
+        dict(metrics=functools.partial(MetricsRegistry, window=50)),
+        "observability sinks on a faulted or bounded-FIFO run",
     ),
     "record_access_order": (
         _sensitivity_program,
@@ -328,28 +342,288 @@ def test_unsupported_config_falls_back_silently(name, capsys):
     def trace():
         return line_rate_trace(200, 4, random_headers(program), seed=0)
 
-    fast = run_mp5(program, trace(), config, **run_kw)
+    def fresh():
+        # A registry or monitor observes one run: one per run.
+        return {
+            key: value() if key in ("metrics", "monitor") else value
+            for key, value in run_kw.items()
+        }
+
+    fast = run_mp5(program, trace(), config, **fresh())
     record = run_kw.get("record_access_order", False)
     for _ in range(2):
-        switch = build_switch("vector", program, config, **run_kw)
+        switch = build_switch("vector", program, config, **fresh())
         assert switch.engine == "fast"
         stats = switch.run(trace(), record_access_order=record)
         assert (stats, switch.public_registers()) == fast
     assert capsys.readouterr().err == line
     reset_fallback_warnings()
-    assert run_mp5_vector(program, trace(), config, **run_kw) == fast
+    assert run_mp5_vector(program, trace(), config, **fresh()) == fast
     assert capsys.readouterr().err == line
+
+
+# ---------------------------------------------------------------------------
+# Runs that can drop packets: the per-row sweep (repro.mp5.rowsweep)
+# ---------------------------------------------------------------------------
+
+
+def _three_engines(
+    program, trace_factory, config, faults=None, max_ticks=None
+):
+    """Run vector, fast and dense under one schedule; the vector run must
+    not fall back. Returns the vector switch and its (stats, registers)."""
+    results = []
+    for engine in ("vector", "fast", "dense"):
+        switch = build_switch(engine, program, config, faults=faults)
+        assert switch.engine == engine
+        stats = switch.run(trace_factory(), max_ticks=max_ticks)
+        results.append((switch, (stats, switch.public_registers())))
+    (vswitch, vec), (_f, fast), (_d, dense) = results
+    assert vec == fast
+    assert vec == dense
+    # Dict equality ignores order; the CLI prints reasons as first met.
+    assert list(vec[0].drops_by_reason) == list(fast[0].drops_by_reason)
+    rendered = [render_payload(segment_payload(*r)) for _s, r in results]
+    assert rendered[0] == rendered[1] == rendered[2]
+    return vswitch, vec
+
+
+#: The bundled schedules without a phantom_channel window.
+VECTOR_SCHEDULES = ("stall", "slowdown", "crossbar", "fifo_shrink")
+
+
+@pytest.mark.parametrize("name", VECTOR_SCHEDULES)
+@pytest.mark.parametrize("max_ticks", (None, 45))
+def test_bundled_schedules_three_engine_identity(name, max_ticks, capsys):
+    """Every bundled schedule without a phantom_channel window runs on
+    the vector engine, silently, with stats and registers equal to both
+    scalar engines' and a DAG signature that repeats run to run and
+    across feed chunkings."""
+    program = make_sensitivity_program(num_stateful=4, register_size=16)
+    config = MP5Config(num_pipelines=4, remap_period=20)
+
+    def trace():
+        return sensitivity_trace(400, 4, 4, 16, pattern="skewed", seed=1)
+
+    def schedule():
+        return FaultSchedule.load(f"examples/faults/{name}.json")
+
+    switch, (stats, _r) = _three_engines(
+        program, trace, config, schedule(), max_ticks=max_ticks
+    )
+    assert capsys.readouterr().err == ""
+    signature = switch._last_schedule.dag_signature()
+    again = build_switch("vector", program, config, faults=schedule())
+    again.run(trace(), max_ticks=max_ticks)
+    assert again._last_schedule.dag_signature() == signature
+    streamed, _stats = _stream_vector(
+        program, trace(), config, [5, 17, 40], max_ticks=max_ticks,
+        faults=schedule(), max_steps=2,
+    )
+    assert streamed._last_schedule.dag_signature() == signature
+    if max_ticks is None and name in ("crossbar", "fifo_shrink"):
+        assert stats.dropped > 0
+    if name in ("stall", "slowdown", "crossbar"):
+        assert stats.emergency_remaps > 0
+
+
+@pytest.mark.parametrize("capacity", (1, 2, 3))
+@pytest.mark.parametrize("remap", ("heuristic", "optimal"))
+def test_tiny_fifo_three_engine_identity(capacity, remap):
+    """A bounded ``fifo_capacity`` runs on the per-row sweep with no
+    schedule: phantoms that find their ring buffer full drop their
+    packet at injection, on every engine alike."""
+    program = make_sensitivity_program(num_stateful=4, register_size=64)
+    config = MP5Config(
+        num_pipelines=4, fifo_capacity=capacity, remap_algorithm=remap
+    )
+
+    def trace():
+        return sensitivity_trace(400, 4, 4, 64, pattern="skewed", seed=0)
+
+    _switch, (stats, _r) = _three_engines(program, trace, config)
+    assert stats.drops_by_reason.get("phantom_fifo_full", 0) > 0
+
+
+def test_flow_order_under_faults_three_engine_identity():
+    """The flow-order plan rides the sweep like any other (its in-flight
+    counters are never released, as in the scalar engines)."""
+    from repro.faults import generate_schedule
+
+    program = make_sensitivity_program(num_stateful=4, register_size=64)
+    config = MP5Config(
+        num_pipelines=4, fifo_capacity=2, remap_period=7,
+        flow_order_field="idx0", flow_order_size=32,
+    )
+    schedule = generate_schedule(
+        5, kinds=["pipeline_stall", "crossbar_fail", "fifo_shrink"],
+        num_pipelines=4, horizon=200, events=4,
+    )
+
+    def trace():
+        return sensitivity_trace(400, 4, 4, 64, pattern="skewed", seed=5)
+
+    _switch, (stats, _r) = _three_engines(program, trace, config, schedule)
+    assert stats.dropped > 0 and stats.emergency_remaps > 0
+
+
+@pytest.mark.parametrize("capacity", (1, 2))
+def test_delayed_phantoms_three_engine_identity(capacity):
+    """With ``phantom_latency`` a phantom that finds its ring buffer full
+    is lost on delivery, not at injection: its packet keeps its slot,
+    runs, is steered and drops at that stage for want of a phantom
+    (``no_phantom``), while its other phantoms are consumed then."""
+    from repro.faults import generate_schedule
+
+    program = ALL_APPS["stateful_firewall"].compile()
+    config = MP5Config(
+        num_pipelines=4, fifo_capacity=capacity, phantom_latency=1,
+        remap_period=25,
+    )
+    schedule = generate_schedule(
+        3, kinds=["pipeline_stall", "crossbar_fail", "fifo_shrink"],
+        num_pipelines=4, horizon=150, events=5,
+    )
+
+    def trace():
+        return line_rate_trace(400, 4, random_headers(program), seed=capacity)
+
+    _switch, (stats, _r) = _three_engines(program, trace, config, schedule)
+    assert stats.drops_no_phantom > 0
+    assert stats.drops_by_reason.get("phantom_fifo_full", 0) == 0
+
+
+# (stateful stages, register size, k, fifo_capacity, remap algorithm,
+# index pattern, seed, fault kinds, windows): two draws on which a
+# consumed phantom's slot leaving its ring buffer one tick early (at the
+# pop of the slot ahead of it, not at the next pop scan) changes which
+# packets drop at injection.
+PURGE_CASES = {
+    "stalls_optimal": (
+        2, 4, 4, 8, "optimal", "skewed", 75, ["pipeline_stall"], 3
+    ),
+    "mixed_heuristic": (
+        4, 4, 3, 3, "heuristic", "uniform", 187,
+        ["pipeline_stall", "crossbar_fail", "fifo_shrink"], 6,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PURGE_CASES))
+def test_consumed_slots_wait_for_a_pop_scan(case):
+    """A dropped packet's phantom stays in its ring buffer — and counts
+    against the capacity — until a pop scan finds it at the head: one
+    tick after the pop of the slot ahead of it at the earliest."""
+    from repro.faults import generate_schedule
+
+    (stateful, size, k, capacity, remap, pattern, seed, kinds,
+     events) = PURGE_CASES[case]
+    program = make_sensitivity_program(
+        num_stateful=stateful, register_size=size
+    )
+    config = MP5Config(
+        num_pipelines=k, fifo_capacity=capacity, remap_algorithm=remap
+    )
+    schedule = generate_schedule(
+        seed, kinds=kinds, num_pipelines=k, horizon=400, events=events
+    )
+
+    def trace():
+        return sensitivity_trace(
+            600, k, stateful, size, pattern=pattern, seed=seed
+        )
+
+    _switch, (stats, _r) = _three_engines(program, trace, config, schedule)
+    assert stats.drops_fifo_full > 0
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    schedule_seed=st.integers(0, 10_000),
+    trace_seed=st.integers(0, 10_000),
+    k=st.integers(1, 4),
+    capacity=st.sampled_from([None, None, 2, 4]),
+    app=st.sampled_from(["flowlet", "heavy_hitter", "conga", "sequencer"]),
+)
+def test_generated_schedules_vector_equals_fast(
+    schedule_seed, trace_seed, k, capacity, app
+):
+    """Property: under any ``generate_schedule`` draw of stalls,
+    crossbar failures and FIFO shrinks, the vector engine's results
+    equal the fast engine's."""
+    from repro.faults import generate_schedule
+
+    program = compile_program(app)
+    config = MP5Config(
+        num_pipelines=k, fifo_capacity=capacity, remap_period=25
+    )
+    schedule = generate_schedule(
+        schedule_seed,
+        kinds=["pipeline_stall", "crossbar_fail", "fifo_shrink"],
+        num_pipelines=k,
+        horizon=150,
+        events=4,
+    )
+
+    def trace():
+        return line_rate_trace(
+            250, k, HEADER_GENERATORS[app], seed=trace_seed, utilization=0.8
+        )
+
+    switch = build_switch("vector", program, config, faults=schedule)
+    assert switch.engine == "vector"
+    vec = (switch.run(trace()), switch.public_registers())
+    assert vec == run_mp5(program, trace(), config, faults=schedule)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_faulted_streaming_matches_run(seed):
+    """Under a schedule, feeding in random chunks with watermark-gated
+    pumps of random budgets equals ``run()``: stats, registers and the
+    DAG (the fault calendar's events are cuts the watermark closes like
+    any other)."""
+    rng = np.random.default_rng(seed)
+    program = compile_program("flowlet")
+    config = MP5Config(num_pipelines=4, remap_period=int(rng.integers(5, 40)))
+    schedule = FaultSchedule.load(
+        f"examples/faults/{VECTOR_SCHEDULES[seed]}.json"
+    )
+
+    def trace():
+        return line_rate_trace(
+            500, 4, HEADER_GENERATORS["flowlet"], seed=seed, utilization=0.9
+        )
+
+    batch = build_switch("vector", program, config, faults=schedule)
+    ref = _snapshot(batch, batch.run(trace()))
+    chunks = [int(c) for c in rng.integers(1, 80, size=8)]
+    budget = [None, 1, 3][seed % 3]
+    switch, stats = _stream_vector(
+        program, trace(), config, chunks, faults=schedule, max_steps=budget
+    )
+    assert _snapshot(switch, stats) == ref
+    assert switch.stream_stats()["buffered"] == 0
 
 
 def test_vector_switch_refuses_what_the_ladder_settles():
     """Past construction a ``VectorSwitch`` never falls back: a
-    non-empty schedule or access-order recording is misuse."""
+    ``phantom_channel`` schedule, sinks on a faulted run or access-order
+    recording is misuse."""
+    schedule = FaultSchedule.load("examples/faults/phantom_loss.json")
     switch = VectorSwitch(_sensitivity_program(), MP5Config(num_pipelines=4))
     switch.attach_faults(FaultSchedule())  # empty: no schedule at all
-    with pytest.raises(ConfigError, match="fault schedule"):
-        switch.attach_faults(whole_run_loss(0.2))
+    with pytest.raises(ConfigError, match="phantom_channel faults"):
+        switch.attach_faults(schedule)
     with pytest.raises(ConfigError, match="access order"):
         switch.start(record_access_order=True)
+    switch = VectorSwitch(_sensitivity_program(), MP5Config(num_pipelines=4))
+    switch.attach_faults(FaultSchedule.load("examples/faults/stall.json"))
+    with pytest.raises(ConfigError, match="observability sinks"):
+        switch.attach_observability(monitor=InvariantMonitor())
 
 
 def test_empty_fault_schedule_stays_on_vector(tmp_path, capsys):
@@ -418,19 +692,19 @@ def test_observability_runs_on_vector_without_fallback(capsys):
 def test_faults_fall_back_with_warning(capsys):
     program = make_sensitivity_program(num_stateful=4, register_size=64)
     config = MP5Config(num_pipelines=4)
-    schedule = FaultSchedule.load("examples/faults/slowdown.json")
+    schedule = FaultSchedule.load("examples/faults/phantom_loss.json")
     vec = run_mp5_vector(
         program,
         sensitivity_trace(200, 4, 4, 64, seed=0),
         config,
         faults=schedule,
     )
-    assert "faults attached" in capsys.readouterr().err
+    assert "phantom_channel faults" in capsys.readouterr().err
     fast = run_mp5(
         program,
         sensitivity_trace(200, 4, 4, 64, seed=0),
         config,
-        faults=FaultSchedule.load("examples/faults/slowdown.json"),
+        faults=FaultSchedule.load("examples/faults/phantom_loss.json"),
     )
     assert vec == fast
 
@@ -449,14 +723,15 @@ def test_cli_vector_monitor_no_fallback(capsys):
 
 
 def test_cli_vector_faults_fallback_warns_once(capsys):
-    """Faults remain outside the vector envelope: the CLI run warns
-    exactly once and still prints the statistics block."""
+    """``phantom_channel`` windows remain outside the vector envelope:
+    the CLI run warns exactly once and still prints the statistics
+    block."""
     assert main(
         ["run", "heavy_hitter", "--packets", "300", "--engine", "vector",
-         "--faults", "examples/faults/slowdown.json"]
+         "--faults", "examples/faults/phantom_loss.json"]
     ) == 0
     captured = capsys.readouterr()
-    assert captured.err.count("faults attached") == 1
+    assert captured.err.count("phantom_channel faults") == 1
     assert captured.err.count("falling back to the fast engine") == 1
     assert "throughput" in captured.out
 
@@ -487,6 +762,7 @@ def _stream_vector(
     profiler=None,
     max_ticks=None,
     max_steps=None,
+    faults=None,
 ):
     """Feed ``trace`` in ``chunk``-sized batches (an int, or a list of
     sizes cycled through) with a watermark-gated pump after every feed —
@@ -494,6 +770,7 @@ def _stream_vector(
     budget: every Phase B sweep, the drain's included, then covers at
     most that many epochs (1 is epoch-by-epoch service)."""
     switch = VectorSwitch(program, config)
+    switch.attach_faults(faults)
     switch.attach_observability(
         metrics=metrics, monitor=monitor, profiler=profiler
     )
