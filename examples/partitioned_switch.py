@@ -6,14 +6,15 @@ pipelines with one program and the rest with another, creating multiple
 independent logical MP5 switches. Here an 8-pipeline switch dedicates
 six pipelines to flowlet switching (heavy traffic, shardable state) and
 two to a network telemetry sketch, then reports each partition's
-throughput, latency, and state — including crossbar telemetry showing
-how much inter-pipeline steering each partition really performs.
+throughput, latency, and state — including the crossbar steering
+moves that show how much inter-pipeline traffic each partition really
+carries.
 
 Run:  python examples/partitioned_switch.py
 """
 
 from repro.apps import FLOWLET, HEAVY_HITTER
-from repro.mp5 import LogicalPartition, MP5Config, PartitionedMP5
+from repro.mp5 import LogicalPartition, PartitionedMP5
 
 
 def main() -> None:
@@ -26,7 +27,6 @@ def main() -> None:
             LogicalPartition(flowlet_program, 6, name="flowlet-lb"),
             LogicalPartition(sketch_program, 2, name="telemetry"),
         ],
-        base_config=MP5Config(record_crossbar=True),
     )
     print(f"physical pipelines: 8, spare: {switch.spare_pipelines}")
     for part, pipes in zip(switch.partitions, switch.ranges):
@@ -39,12 +39,11 @@ def main() -> None:
 
     print("partition     throughput  p99 latency  steering  max queue")
     print("------------  ----------  -----------  --------  ---------")
-    for result, inner in zip(results, switch.switches):
+    for result in results:
         stats = result.stats
-        crossings = inner.crossbar.total_crossings if inner.crossbar else 0
         print(
             f"{result.name:12s}  {stats.throughput_normalized():10.3f}  "
-            f"{stats.latency_percentile(99):11.1f}  {crossings:8d}  "
+            f"{stats.latency_percentile(99):11.1f}  {stats.steering_moves:8d}  "
             f"{stats.max_queue_depth:9d}"
         )
 

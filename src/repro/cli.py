@@ -513,11 +513,11 @@ def cmd_fig8(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    # --monitor / --fail-on-violation ride the same instrumented run
-    # --trace records, so any of the three switches it on.
-    observe = args.trace or args.monitor or args.fail_on_violation
+    # --fail-on-violation gates the instrumented run --trace records,
+    # so either switches it on.
+    observe = args.trace or args.fail_on_violation
     if observe and args.out is None:
-        print("reproduce --trace/--monitor needs --out to write into")
+        print("reproduce --trace/--fail-on-violation needs --out to write into")
         return 2
     artifacts = run_all(
         out_dir=args.out,
@@ -914,20 +914,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         action="store_true",
         help="also record one instrumented run (trace + metrics + stall "
-        "summary) into --out",
-    )
-    p.add_argument(
-        "--monitor",
-        action="store_true",
-        help="run the instrumented run's invariant monitor and print "
-        "its health verdict (implied by --trace, which always attaches "
-        "the monitor)",
+        "summary) into --out, with an invariant monitor whose health "
+        "verdict is printed",
     )
     p.add_argument(
         "--fail-on-violation",
         action="store_true",
         help="exit non-zero when the instrumented run's health verdict "
-        "is 'violated' (implies --monitor)",
+        "is 'violated' (implies --trace)",
     )
     add_jobs_arg(p)
     p.set_defaults(func=cmd_reproduce)

@@ -24,7 +24,7 @@ from ..errors import EquivalenceError
 from ..mp5.config import MP5Config
 from ..mp5.engines import build_switch
 from ..mp5.packet import DataPacket
-from ..mp5.stats import SwitchStats, c1_violations
+from ..mp5.stats import SwitchStats, c1_metrics
 from ..mp5.switch import MP5Switch
 from ..workloads.traffic import reference_trace
 
@@ -106,7 +106,7 @@ def compare_runs(
             if a != b:
                 pkt_mismatches.append((pkt.pkt_id, fld, a, b))
 
-    violations, fraction = c1_violations(
+    c1 = c1_metrics(
         reference.access_order,
         mp5_switch.stats.access_order,
         mp5_switch.stats.offered,
@@ -114,8 +114,8 @@ def compare_runs(
     return EquivalenceReport(
         register_equal=not reg_mismatches,
         packet_equal=not pkt_mismatches,
-        c1_violating_packets=violations,
-        c1_fraction=fraction,
+        c1_violating_packets=c1.displaced_packets,
+        c1_fraction=c1.displaced_fraction,
         register_mismatches=reg_mismatches,
         packet_mismatches=pkt_mismatches,
         dropped_packets=dropped,

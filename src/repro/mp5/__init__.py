@@ -10,7 +10,8 @@ The four design decisions of §3 map onto this package:
   emergency evacuation used under faults, all in
   :mod:`repro.mp5.sharding`.
 * **D3** (inter-stage crossbars) — steering happens inline in the
-  engines; :mod:`repro.mp5.crossbar` adds the telemetry/assertion model.
+  engines; each crossing counts in ``SwitchStats.steering_moves`` and
+  is a ``steer`` event whose ``src`` differs from its ``pipe``.
 * **D4** (phantom packets + per-stage k-FIFO groups) — the
   push/insert/pop discipline of :mod:`repro.mp5.fifo`, which enforces
   correctness condition **C1**: every register state is accessed in
@@ -58,7 +59,6 @@ Public surface::
 
 from ..compiler.native import native_available, native_unavailable_reason
 from .config import MP5Config
-from .crossbar import CrossbarTelemetry
 from .engines import (
     DEFAULT_ENGINE,
     ENGINES,
@@ -77,7 +77,7 @@ from .packet import DataPacket, PacketColumns, PhantomPacket, StateAccess
 from .partition import LogicalPartition, PartitionedMP5, PartitionResult
 from .reference import ReferenceSwitch
 from .sharding import ShardedArray, ShardingRuntime
-from .stats import C1Report, SwitchStats, c1_metrics, c1_violations
+from .stats import C1Report, SwitchStats, c1_metrics
 from .switch import FLOW_ORDER_ARRAY, MP5Switch
 from .vector import VectorSwitch, VectorUnsupported
 
@@ -93,7 +93,6 @@ __all__ = [
     "native_available",
     "native_unavailable_reason",
     "run_mp5_vector",
-    "CrossbarTelemetry",
     "DataPacket",
     "PacketColumns",
     "FLOW_ORDER_ARRAY",
@@ -113,7 +112,6 @@ __all__ = [
     "C1Report",
     "SwitchStats",
     "c1_metrics",
-    "c1_violations",
     "run_mp5",
     "run_mp5_reference",
 ]

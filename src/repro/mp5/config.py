@@ -37,9 +37,7 @@ class MP5Config:
     enable_phantoms: bool = True  # D4 on/off (off = ablation)
     ideal_queues: bool = False  # per-index queues (ideal baseline)
     phantom_latency: int = 0  # ticks from generation to FIFO delivery
-    starvation_threshold: Optional[int] = None  # drop stateless after this wait
     ecn_threshold: Optional[int] = None  # mark packets once a queue hits this
-    record_crossbar: bool = False  # collect crossbar telemetry (slower)
     flow_order_field: Optional[str] = None  # header used for the dummy
     flow_order_size: int = 1024  # ...final-stage ordering state (§3.4)
     seed: int = 0

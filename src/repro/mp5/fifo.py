@@ -203,25 +203,6 @@ class StageFifoGroup:
 
     # ------------------------------------------------------------------
 
-    def _drop_consumed_heads(self) -> None:
-        for buffer in self.buffers:
-            while buffer and buffer[0].consumed:
-                buffer.popleft()
-                self._total -= 1
-
-    def head_data_age(self, tick: int) -> Optional[int]:
-        """Age (in ticks) of the oldest head if it is a data packet."""
-        self._drop_consumed_heads()
-        best_slot: Optional[Slot] = None
-        for buffer in self.buffers:
-            if buffer and (
-                best_slot is None or buffer[0].timestamp < best_slot.timestamp
-            ):
-                best_slot = buffer[0]
-        if best_slot is None or best_slot.is_phantom:
-            return None
-        return tick - best_slot.timestamp[0]
-
     def expire_phantom(self, pkt_id: int) -> bool:
         """Retire a phantom whose data packet will never come (used when a
         data packet is dropped upstream). Marks the slot consumed so it
@@ -335,13 +316,6 @@ class IdealOrderBuffer:
         self._total -= 1
         self._data -= 1
         return slot.payload  # type: ignore[return-value]
-
-    def head_data_age(self, tick: int) -> Optional[int]:
-        ages = []
-        for queue in self.queues.values():
-            if queue and not queue[0].is_phantom and not queue[0].consumed:
-                ages.append(tick - queue[0].timestamp[0])
-        return max(ages) if ages else None
 
     def expire_phantom(self, pkt_id: int) -> bool:
         entry = self.directory.pop(pkt_id, None)

@@ -260,8 +260,6 @@ class ReferenceSwitch(MP5Switch):
             [None] * self.depth for _ in range(cfg.num_pipelines)
         ]
         last = self.depth - 1
-        if self.crossbar is not None:
-            self.crossbar.begin_tick()
         for pipe in range(cfg.num_pipelines):
             row = self.occ[pipe]
             if stalled is not None and pipe in stalled:
@@ -277,16 +275,12 @@ class ReferenceSwitch(MP5Switch):
                     continue
                 access = pkt.access_at_stage(stage + 1)
                 if access is None:
-                    if self.crossbar is not None:
-                        self.crossbar.record(pipe, pipe, stage + 1)
                     new_occ[pipe][stage + 1] = pkt
                     continue
                 dest = access.pipeline
                 if xfail is not None and dest in xfail:
                     self._drop(pkt, "crossbar_down")
                     continue
-                if self.crossbar is not None:
-                    self.crossbar.record(pipe, dest, stage + 1)
                 if dest != pipe:
                     self.stats.steering_moves += 1
                 if obs is not None:
@@ -313,25 +307,12 @@ class ReferenceSwitch(MP5Switch):
                     if not ok:
                         self._drop(pkt, "fifo_full")
 
-        if self.crossbar is not None:
-            self.crossbar.end_tick()
-
         # (4) Pops: fill free slots of stateful stages.
         for (pipe, stage), fifo in self.fifos.items():
             if stalled is not None and pipe in stalled:
                 continue
-            slot = new_occ[pipe][stage]
-            if slot is not None:
-                if cfg.starvation_threshold is not None:
-                    age = fifo.head_data_age(tick)
-                    if age is not None and age > cfg.starvation_threshold:
-                        self._drop(slot, "starvation_preemption")
-                        self.stats.drops_starvation += 1
-                        new_occ[pipe][stage] = None
-                    else:
-                        continue
-                else:
-                    continue
+            if new_occ[pipe][stage] is not None:
+                continue
             popped = fifo.pop()
             if popped is not None:
                 new_occ[pipe][stage] = popped

@@ -15,7 +15,6 @@ class SwitchStats:
     dropped: int = 0
     drops_fifo_full: int = 0
     drops_no_phantom: int = 0
-    drops_starvation: int = 0
     wasted_slots: int = 0  # conservative phantoms whose guard was false
     steering_moves: int = 0  # crossbar moves to a different pipeline
     phantoms_generated: int = 0
@@ -126,7 +125,6 @@ class SwitchStats:
             "dropped": self.dropped,
             "drops_fifo_full": self.drops_fifo_full,
             "drops_no_phantom": self.drops_no_phantom,
-            "drops_starvation": self.drops_starvation,
             "drops_crossbar": self.drops_crossbar,
             "throughput": self.throughput_normalized(),
             "delivery_ratio": self.delivery_ratio,
@@ -180,6 +178,9 @@ def c1_metrics(
         total_accesses += len(observed)
         expected = reference_order.get(key)
         if expected is None or len(expected) != len(observed):
+            # No usable reference sequence (e.g. a drop changed the
+            # accessor set): arrival order must still hold within the
+            # observed sequence, since packet ids are arrival-ordered.
             expected = sorted(observed)
         for want, got in zip(expected, observed):
             if want != got:
@@ -194,30 +195,3 @@ def c1_metrics(
         inversion_fraction=inversions / total_accesses if total_accesses else 0.0,
     )
 
-
-def c1_violations(
-    reference_order: Dict[Tuple[str, int], List[int]],
-    observed_order: Dict[Tuple[str, Optional[int]], List[int]],
-    total_packets: int,
-) -> Tuple[int, float]:
-    """Count packets violating condition C1 (state-access-order
-    equivalence, §3).
-
-    A packet violates C1 if, for some state, it accessed that state
-    before another packet that arrived earlier (packet ids are assigned
-    in arrival order, so id order is arrival order). Returns
-    ``(violating_packet_count, fraction)``.
-    """
-    violators = set()
-    for key, observed in observed_order.items():
-        expected = reference_order.get(key)
-        if expected is None or len(expected) != len(observed):
-            # No usable reference sequence (e.g. a drop changed the
-            # accessor set): arrival order must still hold within the
-            # observed sequence, since packet ids are arrival-ordered.
-            expected = sorted(observed)
-        for want, got in zip(expected, observed):
-            if want != got:
-                violators.add(got)
-    fraction = len(violators) / total_packets if total_packets else 0.0
-    return len(violators), fraction

@@ -59,7 +59,6 @@ from ..domino.builtins import hash2
 from ..errors import ConfigError
 from ..faults.injector import NEVER, FaultInjector
 from .config import MP5Config
-from .crossbar import CrossbarTelemetry
 from .fifo import IdealOrderBuffer, StageFifoGroup
 from .packet import DataPacket, PacketColumns, PhantomPacket, StateAccess, private_packet
 from .sharding import ShardingRuntime
@@ -166,9 +165,6 @@ class MP5Switch:
             self._fifo_grid[pipe][stage] = fifo
         self._phantom_mail: Dict[int, List[Tuple[PhantomPacket, int]]] = {}
         self._spray_next = 0
-        self.crossbar = (
-            CrossbarTelemetry(cfg.num_pipelines) if cfg.record_crossbar else None
-        )
         self.stats = SwitchStats()
         self.tick = 0
         self._live = 0  # packets injected and not yet egressed/dropped
@@ -235,8 +231,7 @@ class MP5Switch:
         # tick is fully determined on entry (under faults the injector
         # answers it from the stall windows); movement schedules the
         # egress directly instead of stepping the packet through
-        # depth - T no-op hops. Disabled while crossbar telemetry is on
-        # (it records every per-hop move).
+        # depth - T no-op hops.
         tail = self.depth
         while (
             tail > 1
@@ -424,11 +419,6 @@ class MP5Switch:
             for (pipe, stage), fifo in self.fifos.items()
         ]
         sources.append(("sharder_moves", True, self.sharder.total_moves))
-        if self.crossbar is not None:
-            crossbar = self.crossbar
-            sources.append(
-                ("crossbar_crossings", True, lambda: crossbar.total_crossings)
-            )
         return sources
 
     def public_registers(self) -> Dict[str, List[int]]:
@@ -794,9 +784,6 @@ class MP5Switch:
             per_pipe[pipe].append(stage)  # stages >= 1, ascending
         last = self.depth - 1
         depth = self.depth
-        crossbar = self.crossbar
-        if crossbar is not None:
-            crossbar.begin_tick()
         # Packets whose scheduled egress tick arrived. When the tail
         # fast path is active every egress goes through this mail, one
         # per pipeline per tick; they leave in pipeline order — the
@@ -808,7 +795,7 @@ class MP5Switch:
                 ready.sort(key=_mail_pipe)
             for _pipe, pkt in ready:
                 self._egress(pkt)
-        tail_start = self._tail_start if crossbar is None else depth
+        tail_start = self._tail_start
         egress_mail = self._egress_mail
         fifo_grid = self._fifo_grid
         enable_phantoms = cfg.enable_phantoms
@@ -857,8 +844,6 @@ class MP5Switch:
                         else:
                             lst.append((pipe, pkt))
                         continue
-                    if crossbar is not None:
-                        crossbar.record(pipe, pipe, nxt)
                     row[nxt] = pkt
                     through.append((pipe, nxt))
                     continue
@@ -869,8 +854,6 @@ class MP5Switch:
                     # packet is lost — its phantom is expired by _drop.
                     self._drop(pkt, "crossbar_down")
                     continue
-                if crossbar is not None:
-                    crossbar.record(pipe, dest, nxt)
                 if dest != pipe:
                     stats.steering_moves += 1
                 if obs is not None:
@@ -897,38 +880,16 @@ class MP5Switch:
                     if not fifo.push(pkt, pipe, tick):
                         self._drop(pkt, "fifo_full")
 
-        if crossbar is not None:
-            crossbar.end_tick()
         if prof is not None:
             prof.lap("move")
 
         # (4) Pops: fill free slots of stateful stages; through packets
-        # keep priority unless a queued packet is starving.
-        starvation = cfg.starvation_threshold
-        preempted: Optional[set] = None
+        # keep priority.
         popped: List[Tuple[int, int]] = []
         for fifo, row, stage, key in self._fifo_scan:
             if stalled is not None and key[0] in stalled:
                 continue  # a stalled pipeline's stages do not pop
-            slot = row[stage]
-            if slot is not None:
-                if starvation is not None:
-                    age = fifo.head_data_age(tick)
-                    if age is not None and age > starvation:
-                        # Drop the stateless through packet in favor of the
-                        # starving stateful one (§3.4) — stateless packets
-                        # are dropped, never queued, so Invariant 2 holds.
-                        self._drop(slot, "starvation_preemption")
-                        stats.drops_starvation += 1
-                        row[stage] = None
-                        if preempted is None:
-                            preempted = set()
-                        preempted.add(key)
-                    else:
-                        continue
-                else:
-                    continue
-            elif not fifo._total:
+            if row[stage] is not None or not fifo._total:
                 continue
             pkt = fifo.pop()
             if pkt is not None:
@@ -948,8 +909,6 @@ class MP5Switch:
         # stage) order like the dense reference engine: within one tick
         # the service order is observable through the recorded state
         # access order.
-        if preempted:
-            through = [entry for entry in through if entry not in preempted]
         # Popped packets always need service (their access completes
         # here); through packets only at stages that execute instructions
         # — at instruction-free stages their service is a provable no-op

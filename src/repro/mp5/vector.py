@@ -45,7 +45,7 @@ FIFOs — keeps the batch representation but resolves its timing one row
 at a time over the fault calendar (:mod:`repro.mp5.rowsweep`).
 
 Exactness over generality: runs the batch reduction cannot represent
-(ECN, starvation preemption, ideal queues, affinity spray, resolvable
+(ECN, no phantoms, ideal queues, affinity spray, resolvable
 access guards, write-only register arrays, ``phantom_channel`` faults,
 sinks on a run that can drop, access-order recording) get the fast
 engine from
@@ -142,10 +142,6 @@ def config_fallback_reason(cfg: MP5Config) -> Optional[str]:
         return "enable_phantoms=False"
     if cfg.ecn_threshold is not None:
         return "ecn_threshold"
-    if cfg.starvation_threshold is not None:
-        return "starvation_threshold"
-    if cfg.record_crossbar:
-        return "record_crossbar"
     if cfg.spray_policy != "roundrobin":
         return f"spray_policy={cfg.spray_policy!r}"
     return None

@@ -81,7 +81,6 @@ _HELP = {
     "fifo_drops_full": "Packets dropped by full stage FIFOs.",
     "fifo_drops_no_phantom": "Packets dropped for a missing phantom.",
     "sharder_moves": "Array indices moved by the sharding runtime.",
-    "crossbar_crossings": "Inter-pipeline crossbar crossings.",
     "latency": "Per-packet ingress-to-egress latency in ticks.",
 }
 

@@ -146,7 +146,6 @@ _LOSS_SUBSYSTEM = {
     "no_phantom": "phantom_channel",
     "phantom_fifo_full": "phantom_channel",
     "fifo_full": "fifo",
-    "starvation_preemption": "scheduler",
 }
 
 

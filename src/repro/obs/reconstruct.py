@@ -448,9 +448,9 @@ def feed_window_sinks(
     ticks = stats.ticks
     vplans = switch._vplans
     # The scalar engines' own sampler schema, name for name and in
-    # order. The vector envelope excludes bounded FIFOs, phantom loss
-    # and ``record_crossbar``, so the drop columns stay zero and
-    # ``crossbar_crossings`` is absent — like on a scalar run.
+    # order. Sinks on a run that can drop (faults, bounded FIFOs) put
+    # it on the fast engine (``drop_fallback_reason``), so the drop
+    # columns stay zero here.
     columns = [(name, cum) for name, cum, _read in switch._metric_sources()]
     # Samplers that read ``row``: the list that holds the last
     # boundary's values once the window rows are appended.

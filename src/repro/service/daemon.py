@@ -218,6 +218,40 @@ class _EngineAdapter:
 # ----------------------------------------------------------------------
 
 
+#: ``GET /metrics.prom``'s scalar service families, keyed by
+#: :meth:`SwitchService._service_counts`: (family name, kind, help). A
+#: count that is None (no open segment, no egress yet) is not exposed.
+_SERVICE_FAMILIES = {
+    "ingested": ("ingested", "counter", "Packets accepted into the ingest queue."),
+    "batches": ("batches", "counter", "Ingest batches accepted."),
+    "rejected": (
+        "rejected", "counter", "Packets rejected (backpressure or ordering)."
+    ),
+    "segments": ("segments", "counter", "Segments closed so far."),
+    "alerts_total": ("alerts", "counter", "Alerts raised across all segments."),
+    "queue_depth": ("queue_depth", "gauge", "Ingest queue occupancy in batches."),
+    "connections_open": (
+        "connections_open", "gauge", "Control-plane connections open now."
+    ),
+    "connections": ("connections", "counter", "Control-plane connections accepted."),
+    "requests": (
+        "requests",
+        "counter",
+        "Control-plane requests read (reuse = requests / connections).",
+    ),
+    "watermark": (
+        "watermark",
+        "gauge",
+        "Open segment's ingest watermark (ticks proven complete).",
+    ),
+    "first_egress_latency": (
+        "first_egress_latency_seconds",
+        "gauge",
+        "Seconds from a segment's first feed to its first egress.",
+    ),
+}
+
+
 class SwitchService:
     """One long-lived switch: engine + program + control state.
 
@@ -751,46 +785,41 @@ class SwitchService:
             ],
         }
 
-    def _connection_counts(self) -> Dict[str, int]:
-        """Control-plane connection telemetry; ``requests /
-        connections`` is the keep-alive reuse ratio."""
+    def _service_counts(self) -> Dict:
+        """The service section ``GET /metrics`` and ``GET
+        /metrics.prom`` both publish: ingest and segment totals, the
+        alerts raised (closed segments' and the open one's), the queue
+        depth, control-plane connections (``requests / connections`` is
+        the keep-alive reuse ratio), the open segment's watermark, the
+        first-egress latency (the open segment's once it has one, else
+        the last closed one's), and the ``POST /ingest`` batches and
+        body bytes queued per wire framing."""
+        ad = self._adapter
         plane = self._plane
+        latency = ad.first_egress_latency if ad is not None else None
         return {
+            "ingested": self._ingested,
+            "batches": self._batches,
+            "rejected": self._rejected,
+            "segments": len(self._segments),
+            "alerts_total": len(self._alerts)
+            + (len(ad.alert_dicts()) if ad is not None else 0),
+            "queue_depth": self._queue.qsize() if self._queue else 0,
+            "watermark": ad.watermark if ad is not None else None,
+            "first_egress_latency": (
+                self._first_egress_latency if latency is None else latency
+            ),
             "connections_open": plane.connections_open if plane else 0,
             "connections": plane.connections if plane else 0,
             "requests": plane.requests if plane else 0,
-        }
-
-    def _ingest_counts(self) -> Dict[str, Dict[str, int]]:
-        """``POST /ingest`` batches queued and the body bytes they took,
-        per wire framing."""
-        plane = self._plane
-        return {
             "ingest_batches": dict(plane.ingest_batches) if plane else {},
             "ingest_bytes": dict(plane.ingest_bytes) if plane else {},
         }
 
     def metrics_snapshot(self, since: int = -1) -> Dict:
         ad = self._adapter
-        live_alerts = ad.alert_dicts() if ad is not None else []
-        latency = (
-            ad.first_egress_latency
-            if ad is not None and ad.first_egress_latency is not None
-            else self._first_egress_latency
-        )
         out = {
-            "service": {
-                "ingested": self._ingested,
-                "batches": self._batches,
-                "rejected": self._rejected,
-                "segments": len(self._segments),
-                "alerts_total": len(self._alerts) + len(live_alerts),
-                "queue_depth": self._queue.qsize() if self._queue else 0,
-                "watermark": ad.watermark if ad is not None else None,
-                "first_egress_latency": latency,
-                **self._connection_counts(),
-                **self._ingest_counts(),
-            },
+            "service": self._service_counts(),
             "segment_index": len(self._segments) if ad is not None else None,
             "engine": None,
         }
@@ -814,64 +843,19 @@ class SwitchService:
             render_openmetrics,
         )
 
-        ad = self._adapter
-        live_alerts = ad.alert_dicts() if ad is not None else []
+        counts = self._service_counts()
         values = {
-            "ingested": self._ingested,
-            "batches": self._batches,
-            "rejected": self._rejected,
-            "segments": len(self._segments),
-            "alerts": len(self._alerts) + len(live_alerts),
-            "queue_depth": self._queue.qsize() if self._queue else 0,
-            **self._connection_counts(),
+            name: counts[key]
+            for key, (name, _kind, _help) in _SERVICE_FAMILIES.items()
+            if counts[key] is not None
         }
-        kinds = {
-            "ingested": "counter",
-            "batches": "counter",
-            "rejected": "counter",
-            "segments": "counter",
-            "alerts": "counter",
-            "queue_depth": "gauge",
-            "connections_open": "gauge",
-            "connections": "counter",
-            "requests": "counter",
-        }
-        helps = {
-            "ingested": "Packets accepted into the ingest queue.",
-            "batches": "Ingest batches accepted.",
-            "rejected": "Packets rejected (backpressure or ordering).",
-            "segments": "Segments closed so far.",
-            "alerts": "Alerts raised across all segments.",
-            "queue_depth": "Ingest queue occupancy in batches.",
-            "connections_open": "Control-plane connections open now.",
-            "connections": "Control-plane connections accepted.",
-            "requests": "Control-plane requests read (reuse = requests / connections).",
-        }
-        if ad is not None:
-            values["watermark"] = ad.watermark
-            kinds["watermark"] = "gauge"
-            helps["watermark"] = (
-                "Open segment's ingest watermark (ticks proven complete)."
-            )
-        latency = (
-            ad.first_egress_latency
-            if ad is not None and ad.first_egress_latency is not None
-            else self._first_egress_latency
-        )
-        if latency is not None:
-            values["first_egress_latency_seconds"] = latency
-            kinds["first_egress_latency_seconds"] = "gauge"
-            helps["first_egress_latency_seconds"] = (
-                "Seconds from a segment's first feed to its first egress."
-            )
         service = families_from_values(
             values,
-            kinds,
+            {name: kind for name, kind, _help in _SERVICE_FAMILIES.values()},
             prefix="mp5_service_",
             help_prefix="Service: ",
-            helps=helps,
+            helps={name: text for name, _kind, text in _SERVICE_FAMILIES.values()},
         )
-        counts = self._ingest_counts()
         for name, what in (("ingest_batches", "batches"), ("ingest_bytes", "body bytes")):
             if counts[name]:
                 service.append(
@@ -885,6 +869,7 @@ class SwitchService:
                         ],
                     )
                 )
+        ad = self._adapter
         if ad is not None:
             return render_openmetrics(ad.metrics, extra_families=service)
         return render_families(service)

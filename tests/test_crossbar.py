@@ -1,101 +1,94 @@
-"""Tests for the explicit crossbar model (D3)."""
+"""The D3 crossbar's per-tick constraints, checked on every engine.
+
+Steering happens inline in the engines; a crossing is one
+``SwitchStats.steering_moves`` count and one ``steer`` event whose
+``src`` differs from its ``pipe``. A k x k crossbar at one stage
+boundary can, per tick:
+
+* carry at most one packet from each input (each stage emits <= 1);
+* deliver up to k packets into one stage input — which is exactly why
+  each stage input has k FIFOs (§3.2): simultaneous arrivals from
+  different source pipelines land in different ring buffers.
+
+Every engine's trace is held to both, and to the steering counter.
+"""
+
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from repro.compiler import compile_program
-from repro.errors import SimulationError
-from repro.mp5 import MP5Config, MP5Switch
-from repro.mp5.crossbar import CrossbarTelemetry
+from repro.mp5 import MP5Config, build_switch
+from repro.obs import TraceRecorder
 from repro.workloads import line_rate_trace
 
 from .conftest import heavy_hitter_headers
 
+ENGINES = ("dense", "fast", "vector")
+K = 4
 
-class TestTelemetryUnit:
-    def test_straight_vs_crossing(self):
-        telemetry = CrossbarTelemetry(num_pipelines=4)
-        telemetry.begin_tick()
-        telemetry.record(0, 0, boundary=1)
-        telemetry.record(1, 2, boundary=1)
-        telemetry.end_tick()
-        assert telemetry.total_straight == 1
-        assert telemetry.total_crossings == 1
-        assert telemetry.crossing_fraction() == 0.5
 
-    def test_input_port_double_use_rejected(self):
-        telemetry = CrossbarTelemetry(num_pipelines=2)
-        telemetry.begin_tick()
-        telemetry.record(0, 0, boundary=1)
-        with pytest.raises(SimulationError, match="two"):
-            telemetry.record(0, 1, boundary=1)
+def _steered_run(engine, program, k=K, packets=600, seed=1, **config):
+    recorder = TraceRecorder()
+    switch = build_switch(
+        engine, program, MP5Config(num_pipelines=k, **config), recorder=recorder
+    )
+    assert switch.engine == engine
+    stats = switch.run(line_rate_trace(packets, k, heavy_hitter_headers, seed=seed))
+    steers = [e for e in recorder.events if e["type"] == "steer"]
+    return switch, stats, steers
 
-    def test_same_source_different_boundary_fine(self):
-        telemetry = CrossbarTelemetry(num_pipelines=2)
-        telemetry.begin_tick()
-        telemetry.record(0, 0, boundary=1)
-        telemetry.record(0, 1, boundary=2)
 
-    def test_fan_in_histogram(self):
-        telemetry = CrossbarTelemetry(num_pipelines=4)
-        telemetry.begin_tick()
-        for src in range(4):
-            telemetry.record(src, 0, boundary=3)
-        telemetry.end_tick()
-        assert telemetry.max_fan_in() == 4
-        assert telemetry.fan_in_histogram[4] == 1
-
-    def test_bad_port_rejected(self):
-        telemetry = CrossbarTelemetry(num_pipelines=2)
-        telemetry.begin_tick()
-        with pytest.raises(SimulationError):
-            telemetry.record(5, 0, boundary=1)
-        with pytest.raises(SimulationError):
-            telemetry.record(0, 5, boundary=1)
-
-    def test_empty_summary(self):
-        telemetry = CrossbarTelemetry(num_pipelines=2)
-        assert telemetry.crossing_fraction() == 0.0
-        assert telemetry.busiest_boundary() == (0, 0)
+@pytest.fixture(scope="module")
+def runs(heavy_hitter_program):
+    """heavy_hitter at k=4, 600 packets, seed 1, on every engine."""
+    return {e: _steered_run(e, heavy_hitter_program) for e in ENGINES}
 
 
 class TestTelemetryInEngine:
-    def test_disabled_by_default(self, heavy_hitter_program):
-        switch = MP5Switch(heavy_hitter_program, MP5Config(num_pipelines=2))
-        assert switch.crossbar is None
+    def test_constraints_hold_during_real_run(self, runs):
+        for engine, (_switch, _stats, steers) in runs.items():
+            inputs = Counter((e["tick"], e["src"], e["stage"]) for e in steers)
+            outputs = Counter((e["tick"], e["pipe"], e["stage"]) for e in steers)
+            assert steers, engine
+            assert max(inputs.values()) == 1, engine
+            assert max(outputs.values()) <= K, engine
 
-    def test_constraints_hold_during_real_run(self, heavy_hitter_program):
-        # The engine must never violate the hardware constraints the
-        # telemetry asserts (one packet per input port per tick, fan-in
-        # bounded by k).
-        trace = line_rate_trace(600, 4, heavy_hitter_headers, seed=1)
-        switch = MP5Switch(
-            heavy_hitter_program, MP5Config(num_pipelines=4, record_crossbar=True)
-        )
-        switch.run(trace)  # SimulationError would fail the test
-        assert switch.crossbar.max_fan_in() <= 4
+    def test_crossings_match_steering_moves(self, runs):
+        for engine, (_switch, stats, steers) in runs.items():
+            crossings = sum(e["src"] != e["pipe"] for e in steers)
+            assert crossings == stats.steering_moves == 439, engine
 
-    def test_crossings_match_steering_moves(self, heavy_hitter_program):
-        trace = line_rate_trace(500, 4, heavy_hitter_headers, seed=2)
-        switch = MP5Switch(
-            heavy_hitter_program, MP5Config(num_pipelines=4, record_crossbar=True)
-        )
-        stats = switch.run(trace)
-        assert switch.crossbar.total_crossings == stats.steering_moves
+    def test_busiest_boundary_is_before_stateful_stage(
+        self, runs, heavy_hitter_program
+    ):
+        stage = heavy_hitter_program.arrays["counts"].stage
+        for engine, (_switch, _stats, steers) in runs.items():
+            assert {e["stage"] for e in steers if e["src"] != e["pipe"]} == {
+                stage
+            }, engine
 
     def test_single_pipeline_never_crosses(self, heavy_hitter_program):
-        trace = line_rate_trace(200, 1, heavy_hitter_headers, seed=0)
-        switch = MP5Switch(
-            heavy_hitter_program, MP5Config(num_pipelines=1, record_crossbar=True)
-        )
-        switch.run(trace)
-        assert switch.crossbar.total_crossings == 0
+        for engine in ENGINES:
+            _switch, stats, steers = _steered_run(
+                engine, heavy_hitter_program, k=1, packets=200, seed=0
+            )
+            assert stats.steering_moves == 0, engine
+            assert steers and all(e["src"] == e["pipe"] for e in steers), engine
 
-    def test_busiest_boundary_is_before_stateful_stage(self):
-        program = compile_program("heavy_hitter")
-        trace = line_rate_trace(500, 4, heavy_hitter_headers, seed=3)
-        switch = MP5Switch(
-            program, MP5Config(num_pipelines=4, record_crossbar=True)
-        )
-        switch.run(trace)
-        boundary, _count = switch.crossbar.busiest_boundary()
-        assert boundary == program.arrays["counts"].stage
+
+@pytest.mark.parametrize("engine", ("dense", "fast"))
+@pytest.mark.parametrize(
+    "policy, moves", (("roundrobin", 439), ("affinity", 206))
+)
+def test_crossing_fraction(engine, policy, moves, heavy_hitter_program):
+    """The crossing fraction is steering moves per stage traversal: on
+    a run that egresses every packet, each packet crosses ``depth - 1``
+    stage boundaries. Ingress-affinity spray roughly halves it
+    (EXPERIMENTS.md's ablation)."""
+    switch, stats, _steers = _steered_run(
+        engine, heavy_hitter_program, spray_policy=policy
+    )
+    assert stats.egressed == stats.offered == 600
+    traversals = stats.egressed * (switch.depth - 1)
+    assert Fraction(stats.steering_moves, traversals) == Fraction(moves, 9000)

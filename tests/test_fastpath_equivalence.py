@@ -8,8 +8,8 @@ is only admissible if the two engines produce tick-for-tick identical
 :class:`~repro.mp5.stats.SwitchStats` and identical final register
 state — this module asserts exactly that over fuzzed programs/traces
 and over every config dimension that selects a different engine path
-(starvation drops, ideal queues, ECN, flow ordering, crossbar
-recording, phantom latency, tiny FIFOs), plus whole-run phantom loss.
+(ideal queues, no phantoms, ECN, flow ordering, affinity spray,
+phantom latency, tiny FIFOs), plus whole-run phantom loss.
 """
 
 import numpy as np
@@ -110,13 +110,12 @@ def test_fuzzed_program_engines_agree(seed):
 CONFIGS = {
     "default": dict(),
     "phantom_loss": dict(),  # with whole_run_loss(0.2) attached
-    "starvation_tiny_fifo": dict(starvation_threshold=5, fifo_capacity=3),
+    "fifo_capacity_3": dict(fifo_capacity=3),
     "tiny_fifo": dict(fifo_capacity=2),
     "ideal_queues": dict(ideal_queues=True),
     "no_phantoms": dict(enable_phantoms=False),
     "ecn_flow_order": dict(ecn_threshold=4, flow_order_field="f0"),
     "affinity_spray": dict(spray_policy="affinity"),
-    "crossbar": dict(record_crossbar=True),
 }
 
 

@@ -126,16 +126,6 @@ class TestPhantomProtocol:
         fifo = StageFifoGroup(num_pipelines=1)
         assert not fifo.expire_phantom(42)
 
-    def test_head_data_age(self):
-        fifo = StageFifoGroup(num_pipelines=1)
-        fifo.push(data(1), 0, 5)
-        assert fifo.head_data_age(tick=9) == 4
-
-    def test_head_data_age_none_for_phantom(self):
-        fifo = StageFifoGroup(num_pipelines=1)
-        fifo.push(phantom(1), 0, 0)
-        assert fifo.head_data_age(tick=3) is None
-
     def test_data_occupancy_excludes_phantoms(self):
         fifo = StageFifoGroup(num_pipelines=1)
         fifo.push(phantom(1), 0, 0)
@@ -220,12 +210,12 @@ class ScanningIdealBuffer(IdealOrderBuffer):
         return best.payload
 
 
-def _buffer_view(buf, tick):
+def _buffer_view(buf):
     queues = {
         key: [(s.payload.pkt_id, s.is_phantom, s.consumed) for s in q]
         for key, q in buf.queues.items()
     }
-    return queues, buf.occupancy(), buf.data_occupancy(), buf.head_data_age(tick)
+    return queues, buf.occupancy(), buf.data_occupancy()
 
 
 @given(
@@ -253,4 +243,4 @@ def test_ideal_heap_pops_like_a_scan_of_every_head(ops):
         if pick % 3 == 0:
             got, want = heap.pop(), scan.pop()
             assert (got and got.pkt_id) == (want and want.pkt_id)
-        assert _buffer_view(heap, tick) == _buffer_view(scan, tick)
+        assert _buffer_view(heap) == _buffer_view(scan)

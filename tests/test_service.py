@@ -937,3 +937,75 @@ def test_segment_results_serve_the_string_rendered_at_close(engine):
     assert first == second == service._payloads[0]
     config = MP5Config(num_pipelines=PIPELINES, seed=5)
     assert first == offline_payload(engine, "heavy_hitter", trace, config)
+
+
+def _scripted_metrics_session(monkeypatch):
+    """``/metrics`` JSON and ``/metrics.prom`` bytes at four points of
+    one scripted session: before traffic, with a faulted monitored
+    segment open and settled, after its drain, and with a second segment
+    open. The daemon's clock is a counter, so the first-egress latency
+    (the open segment's, else the last closed one's) is deterministic;
+    settling is polled in-process so the request counters are too."""
+    from types import SimpleNamespace
+
+    from repro.service import daemon
+
+    ticks = (0.25 * i for i in range(1, 10**6))
+    monkeypatch.setattr(daemon, "time", SimpleNamespace(monotonic=ticks.__next__))
+    first = make_trace("heavy_hitter", 300, seed=4)
+    second = make_trace("heavy_hitter", 40, seed=6)
+    service = SwitchService(
+        program="heavy_hitter",
+        config=MP5Config(num_pipelines=PIPELINES, seed=5),
+        monitor=True,
+        faults=FaultSchedule.load("examples/faults/crossbar.json"),
+    )
+    documents = []
+    with ServiceThread(service) as thread:
+        client = client_of(thread)
+
+        def scrape():
+            documents.append(client._request("GET", "/metrics?since=-1", raw=True))
+            documents.append(client.metrics_prom())
+
+        def settle():
+            deadline = time.monotonic() + 60
+            while not service.status()["settled"]:
+                assert time.monotonic() < deadline, "service never settled"
+                time.sleep(0.01)
+
+        scrape()
+        client.ingest(records_of(first))
+        settle()
+        scrape()
+        client.drain()
+        scrape()
+        client.ingest(records_of(second))
+        settle()
+        scrape()
+        client.shutdown()
+    return documents
+
+
+# sha256 of each document _scripted_metrics_session scrapes, in order.
+METRICS_SESSION_DIGESTS = (
+    "e921786b8837015e3e77cdfb46261d3fcb98d7e149ee18a3789737e4165729c5",
+    "e89c2c3ae1a5d193d08fbf272b25f43edd17d8a4d1c38f4eefb52ec9fc9d490c",
+    "3910dd93ed21611ade85f2fbeb5082a844fcfbcc08f58533da439b27ea9c8b4f",
+    "cb32925c3f9d4bbc433b373fd22ada598bd88d93f33caa8338443cf12743be95",
+    "77b623d9ee40068a47cb4e3a2da7df3e7930d7c9545455961f4b9006437fa170",
+    "810f4bb67608b5f5b477555a5dd1c536a7c4ed828a55bddfa043770317cf2f8c",
+    "54a0f68a53cc0b2f646e16a5b9e98e35831cff50022c6ba6bc920e56d31d56d5",
+    "1184a6d0b457eae2751b8baa2cc3d3353ee1ec9ec205bc38727f19f06397a176",
+)
+
+
+def test_metrics_documents_are_pinned(monkeypatch):
+    """The service counters (ingest, segments, alerts, queue depth,
+    connections, first-egress latency) both documents publish, and the
+    engine's series beside them, equal the pinned session's bytes."""
+    import hashlib
+
+    documents = _scripted_metrics_session(monkeypatch)
+    digests = tuple(hashlib.sha256(d.encode()).hexdigest() for d in documents)
+    assert digests == METRICS_SESSION_DIGESTS

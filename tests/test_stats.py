@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mp5 import SwitchStats, c1_metrics, c1_violations
+from repro.mp5 import SwitchStats, c1_metrics
 from repro.mp5.stats import C1Report
 
 
@@ -44,11 +44,9 @@ class TestThroughput:
         stats = self._stats([0.0], [1.0])
         stats.drops_fifo_full = 3
         stats.drops_no_phantom = 2
-        stats.drops_starvation = 1
         summary = stats.summary()
         assert summary["drops_fifo_full"] == 3
         assert summary["drops_no_phantom"] == 2
-        assert summary["drops_starvation"] == 1
 
 
 class TestLatencyPercentile:
@@ -130,10 +128,10 @@ class TestC1Metrics:
         report = c1_metrics({}, obs, 2)
         assert report.inversion_fraction == pytest.approx(0.25)
 
-    def test_legacy_tuple_api(self):
-        count, fraction = c1_violations({}, {("r", 0): [1, 0]}, 2)
-        assert count == 2
-        assert fraction == 1.0
+    def test_swap_without_reference_displaces_both(self):
+        report = c1_metrics({}, {("r", 0): [1, 0]}, 2)
+        assert report.displaced_packets == 2
+        assert report.displaced_fraction == 1.0
 
     def test_empty_observation(self):
         report = c1_metrics({}, {}, 0)

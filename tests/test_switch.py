@@ -316,28 +316,6 @@ class TestFlowOrdering:
         assert FLOW_ORDER_ARRAY not in registers
 
 
-class TestStarvation:
-    def test_starving_stateful_packet_preempts_stateless(self):
-        # Mixed traffic at line rate with a stateful hotspot: without the
-        # guard, stateful packets can wait arbitrarily behind stateless
-        # through-traffic.
-        program = compile_program("stateful_firewall")
-
-        def headers(rng, i):
-            return {
-                "src_ip": 1,
-                "dst_ip": 1,
-                "syn": 1,  # every packet stateful on the same index
-                "allowed": 0,
-            }
-
-        trace = line_rate_trace(400, 4, headers, seed=0)
-        cfg = MP5Config(num_pipelines=4, starvation_threshold=20)
-        stats, _ = run_mp5(program, trace, cfg)
-        # The run completes; preemption drops are possible but bounded.
-        assert stats.egressed + stats.dropped == stats.offered
-
-
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",

@@ -255,7 +255,7 @@ def _sensitivity_program():
 
 # name -> (program, MP5Config kwargs, build_switch/run keywords, reason);
 # a sink keyword holds its factory.
-# The six config knobs of config_fallback_reason, the runs that can drop
+# The four config knobs of config_fallback_reason, the runs that can drop
 # packets the per-row sweep does not model (a phantom_channel window —
 # the uniform phantom loss that was a knob — and replayed sinks on a
 # faulted or bounded-FIFO run), access-order recording, and the three
@@ -271,15 +271,6 @@ LADDER = {
         "enable_phantoms=False",
     ),
     "ecn": (_sensitivity_program, dict(ecn_threshold=4), {}, "ecn_threshold"),
-    "starvation": (
-        _sensitivity_program,
-        dict(starvation_threshold=5),
-        {},
-        "starvation_threshold",
-    ),
-    "crossbar": (
-        _sensitivity_program, dict(record_crossbar=True), {}, "record_crossbar"
-    ),
     "affinity_spray": (
         _sensitivity_program,
         dict(spray_policy="affinity"),
