@@ -17,7 +17,7 @@ schedule alone: :meth:`FaultInjector.next_change` (the next tick
 ``begin_tick`` has work) and :meth:`FaultInjector.egress_tick` (the
 ``hops``-th tick a pipeline is not stalled) let the fast engine skip
 ticks nothing observes, and with :meth:`FaultInjector.next_free`,
-:meth:`FaultInjector.crossbar_down` and
+:meth:`FaultInjector.stalled_mask`, :meth:`FaultInjector.crossbar_down` and
 :meth:`FaultInjector.fifo_capacity_steps` they are the calendar the
 vector engine's per-row sweep (:mod:`repro.mp5.rowsweep`) resolves
 timelines over without stepping a tick.
@@ -74,6 +74,13 @@ def _merged(windows: List[Tuple[int, int]]) -> Tuple[List[int], List[int]]:
             starts.append(start)
             ends.append(end)
     return starts, ends
+
+
+def _covers(runs: Tuple[List[int], List[int]], tick: int) -> bool:
+    """Whether one of the merged ``(starts, ends)`` runs holds ``tick``."""
+    starts, ends = runs
+    i = bisect_right(starts, tick) - 1
+    return i >= 0 and tick < ends[i]
 
 
 def _shrunk(
@@ -134,6 +141,25 @@ class FaultInjector:
             )
             for f, s in zip(self._full, self._slow_runs)
         ]
+        # stalled_mask's table: the sorted edges of every pipeline's
+        # merged full-stall and slowdown runs and, per segment from one
+        # edge to the next, the mask of fully stalled pipelines and the
+        # slowed ones left to resolve per tick.
+        runs = self._full + self._slow_runs
+        edges = sorted({at for starts, ends in runs for at in starts + ends})
+        self._mask_edges = edges
+        self._mask_full: List[int] = []
+        self._mask_slow: List[Tuple[int, ...]] = []
+        for at in edges:
+            full_mask = 0
+            slowed = []
+            for pipe in range(num_pipelines):
+                if _covers(self._full[pipe], at):
+                    full_mask |= 1 << pipe
+                elif _covers(self._slow_runs[pipe], at):
+                    slowed.append(pipe)
+            self._mask_full.append(full_mask)
+            self._mask_slow.append(tuple(slowed))
         # Every tick at which a window opens or closes, ascending.
         self._changes = sorted(set(self._starts) | set(self._ends))
         self.has_phantom_faults = any(
@@ -261,11 +287,7 @@ class FaultInjector:
                 continue
             j = bisect_right(ss, nt) - 1
             if j >= 0 and nt < se[j]:
-                if all(
-                    _stall_services(e, nt)
-                    for e in self._slow[pipe]
-                    if e.start <= nt < e.end
-                ):
+                if not self._slowed(pipe, nt):
                     hops -= 1
                 t = nt
                 continue
@@ -280,9 +302,35 @@ class FaultInjector:
             t = opens - 1
         return t
 
+    def _slowed(self, pipe: int, tick: int) -> bool:
+        """Whether a slowdown window open on ``pipe`` at ``tick`` withholds
+        its service slot there."""
+        return not all(
+            _stall_services(e, tick)
+            for e in self._slow[pipe]
+            if e.start <= tick < e.end
+        )
+
+    def stalled_mask(self, tick: int) -> int:
+        """Bitmask of the pipelines stalled at ``tick`` (those whose
+        :meth:`next_free` is later): one bisect into the segment table,
+        and a :func:`_stall_services` check only for the pipelines a
+        slowdown window holds there."""
+        i = bisect_right(self._mask_edges, tick) - 1
+        if i < 0:
+            return 0
+        mask = self._mask_full[i]
+        for pipe in self._mask_slow[i]:
+            if self._slowed(pipe, tick):
+                mask |= 1 << pipe
+        return mask
+
     def next_free(self, pipe: int, tick: int) -> int:
         """The first tick ``>= tick`` on which ``pipe`` is not stalled:
         when its FIFOs pop and its front admits a packet."""
+        first, last = self._stall_span[pipe]
+        if tick < first or tick >= last:  # egress_tick's own fast path
+            return tick
         return self.egress_tick(tick - 1, pipe, 1)
 
     def crossbar_down(self, pipe: int, tick: int) -> bool:

@@ -121,7 +121,13 @@ class RowStreamer(EpochStreamer):
         ]
         self._last_done = -1  # latest egress or drop of an injected row
         self._phantoms = 0
-        self._arrive = np.empty(0, dtype=np.int64)  # ceil(arrival) by row
+        # Python-int mirrors of what the per-row recurrence reads, grown
+        # once per feed batch: ceil(arrival) by row, and per plan its
+        # access index by row (None for a plan with no index).
+        self._arrive: List[int] = []
+        self._acc: List[Optional[List[int]]] = [
+            None if acc is None else [] for acc in self.acc_idx
+        ]
         self._latency = self.cfg.phantom_latency
         self.drop_tick = np.empty(0, dtype=np.int64)
         self.drop_why = np.empty(0, dtype=np.int8)
@@ -132,8 +138,6 @@ class RowStreamer(EpochStreamer):
         self._used = 0
         self._taken = 0
         self._spray = 0
-        self._mask_tick = -1
-        self._mask = 0
 
     # -- ingest ---------------------------------------------------------
 
@@ -158,24 +162,14 @@ class RowStreamer(EpochStreamer):
         self.drop_why = _grown(self.drop_why, hi, fill=-1)
         self.drop_plan = _grown(self.drop_plan, hi, fill=-1)
         self.full_pushes = _grown(self.full_pushes, hi, fill=0)
-        self._arrive = _grown(self._arrive, hi)
-        self._arrive[lo:hi] = np.ceil(arrival)
+        self._arrive.extend(np.ceil(arrival).astype(np.int64).tolist())
         self.n_fed = hi
         self._resolve(lo, hi)
+        for acc, mirror in zip(self.acc_idx, self._acc):
+            if mirror is not None:
+                mirror.extend(acc[lo:hi].tolist())
 
     # -- the recurrence ---------------------------------------------------
-
-    def _stalled(self, tick: int) -> int:
-        """Bitmask of the pipelines stalled at ``tick``."""
-        if tick != self._mask_tick:
-            free = self.injector.next_free
-            self._mask_tick = tick
-            self._mask = sum(
-                1 << pipe
-                for pipe in range(self.k)
-                if free(pipe, tick) != tick
-            )
-        return self._mask
 
     def _slot(self, row: int) -> Tuple[int, int, int, int]:
         """Where the spray puts ``row`` from its current state: ``(tick,
@@ -183,13 +177,15 @@ class RowStreamer(EpochStreamer):
         stand at that tick before the row. Pure: a row due past the cut
         is asked again at the next one."""
         t, used, taken = self._t, self._used, self._taken
-        arrive = int(self._arrive[row])
+        arrive = self._arrive[row]
         if arrive > t:
             t, used, taken = arrive, 0, 0
         k = self.k
+        every = (1 << k) - 1
+        stalled = self.injector.stalled_mask
         while True:
             if used < k:
-                free = ~(taken | self._stalled(t)) & ((1 << k) - 1)
+                free = ~(taken | stalled(t)) & every
                 if free:
                     pipe = self._spray
                     while not free >> pipe & 1:
@@ -233,19 +229,20 @@ class RowStreamer(EpochStreamer):
         self.entry_pipe[row] = entry
         k = self.k
         nplans = self.nplans
+        states = self._states
+        dest_cols = self.dest
         dests = []
-        for pi in range(nplans):
-            state = self._states[pi]
-            acc = self.acc_idx[pi]
+        for pi, acc in enumerate(self._acc):
+            state = states[pi]
             if acc is None:
-                dest = int(state.index_to_pipeline[0])
+                dest = state.index_to_pipeline.item(0)
             else:
-                idx = int(acc[row])
+                idx = acc[row]
                 state.access_counts[idx] += 1
                 state.in_flight[idx] += 1
                 state.touched.add(idx)
-                dest = int(state.index_to_pipeline[idx])
-            self.dest[pi][row] = dest
+                dest = state.index_to_pipeline.item(idx)
+            dest_cols[pi][row] = dest
             dests.append(dest)
 
         # Phantom pushes in plan order, ``phantom_latency`` ticks after
@@ -256,8 +253,7 @@ class RowStreamer(EpochStreamer):
         latency = self._latency
         pushed_at = t0 + latency
         lost = 0  # plans whose phantom found its buffer full, as bits
-        for pi in range(nplans):
-            bufs = self._bufs[pi]
+        for pi, bufs in enumerate(self._bufs):
             if bufs is None:
                 continue
             dest = dests[pi]
@@ -278,14 +274,15 @@ class RowStreamer(EpochStreamer):
                     self._consume(pj, dests[pj], entry, t0)
                 for pj in range(nplans):
                     if self._tracked[pj]:
-                        self._states[pj].in_flight[self.acc_idx[pj][row]] -= 1
+                        states[pj].in_flight[self._acc[pj][row]] -= 1
                 self._drop(row, pi, t0, 0)
                 return False
         self._phantoms += nplans
 
-        advance = self.injector.egress_tick
-        next_free = self.injector.next_free
-        down = self.injector.crossbar_down
+        injector = self.injector
+        advance = injector.egress_tick
+        next_free = injector.next_free
+        down = injector.crossbar_down
         t = advance(t0, entry, self._first_hops)
         pipe = entry
         for pi in range(nplans):
@@ -346,7 +343,7 @@ class RowStreamer(EpochStreamer):
             if not due or due[0][0] > cut:
                 continue
             flight = self._states[pi].in_flight if self._tracked[pi] else None
-            acc = self.acc_idx[pi]
+            acc = self._acc[pi]
             rows, pops = [], []
             while due and due[0][0] <= cut:
                 tick, r, popped = heappop(due)

@@ -68,6 +68,43 @@ class ShardedArray:
 _NO_INDEXES = np.zeros(0, dtype=np.int64)
 
 
+def _water_level(base: List[int], count: int) -> int:
+    """The value of the ``count``-th smallest pair ``(load + c, pipe)``,
+    ``c >= 0``, over the loads ``base``: the level ``count`` unit steps
+    onto the least-loaded pipe fill the loads up to."""
+    ordered = sorted(base)
+    total = 0
+    for j, load in enumerate(ordered, 1):
+        total += load
+        # The least v at which the j lowest pipes hold count pairs; the
+        # next pipe holds none at or below it unless its load is <= v.
+        level = -(-(count + total) // j) - 1
+        if j == len(ordered) or level < ordered[j]:
+            break
+    return level
+
+
+def _spread(loads: List[List[int]], dests: np.ndarray, lo: int, hi: int):
+    """Place the idle movers ``dests[lo:hi]`` where ``hi - lo`` steps of
+    weight 1 on the ``[load, pipe]`` heap ``loads`` would put them, and
+    add them to its loads. Those steps take the smallest ``(load + c,
+    pipe)`` pairs in order, so one lexsort of the pairs at or below the
+    water level (fewer than ``hi - lo + len(loads)``) finds them."""
+    count = hi - lo
+    base = [load for load, _pipe in loads]
+    level = _water_level(base, count)
+    pipes = np.array([pipe for _load, pipe in loads], dtype=np.int64)
+    cand = np.concatenate([np.arange(load, level + 1) for load in base])
+    entry = np.repeat(
+        np.arange(len(loads)), [max(0, level + 1 - load) for load in base]
+    )
+    picks = entry[np.lexsort((pipes[entry], cand))[:count]]
+    dests[lo:hi] = pipes[picks]
+    for slot, placed in zip(loads, np.bincount(picks, minlength=len(loads))):
+        slot[0] += int(placed)
+    heapq.heapify(loads)
+
+
 class ShardingRuntime:
     """Owns the maps and counters for every array of a program.
 
@@ -227,8 +264,9 @@ class ShardingRuntime:
         if not state.shardable:
             return False
         touched, dest, weight, load = self._touched_load(state)
-        high = int(load.argmax())
-        low = int(load.argmin())
+        load = load.tolist()  # k floats: pick in Python, not NumPy
+        high = load.index(max(load))
+        low = load.index(min(load))
         gap = load[high] - load[low]
         if not gap:
             return False
@@ -353,14 +391,24 @@ class ShardingRuntime:
             busy = state.in_flight[on_failed] > 0
             deferred += int(np.count_nonzero(busy))
             movers = on_failed[~busy]
-            dests = []
-            for weight in state.access_counts[movers].tolist():
-                load, dest = loads[0]
-                heapq.heapreplace(loads, [load + weight + 1, dest])
-                dests.append(dest)
+            n = len(movers)
+            weights = state.access_counts[movers]
+            dests = np.empty(n, dtype=np.int64)
+            # One heap step per mover with accesses; each run of idle
+            # movers between them lands in one pass.
+            start = 0
+            for hot in np.flatnonzero(weights).tolist() + [n]:
+                if hot > start:
+                    _spread(loads, dests, start, hot)
+                if hot < n:
+                    load, dest = loads[0]
+                    weight = int(weights[hot])
+                    heapq.heapreplace(loads, [load + weight + 1, dest])
+                    dests[hot] = dest
+                start = hot + 1
             state.index_to_pipeline[movers] = dests
-            state.moves += len(dests)
-            moved += len(dests)
+            state.moves += n
+            moved += n
         return moved, deferred
 
     # ------------------------------------------------------------------

@@ -3,7 +3,8 @@
 ``egress_tick`` answers full stalls by bisecting merged runs and counts
 tick by tick only inside slowdown windows; the per-hop loop it replaced
 is kept here as the oracle. ``next_free``, ``crossbar_down`` and
-``fifo_capacity_steps`` are checked against direct scans of the windows.
+``fifo_capacity_steps`` are checked against direct scans of the windows,
+and ``stalled_mask`` against ``next_free``.
 """
 
 from hypothesis import given, settings
@@ -118,3 +119,33 @@ def test_crossbar_and_capacity_match_window_scans(draws, tick):
                 ticks, caps = injector.fifo_capacity_steps(pipe, stage, base)
                 at = max(i for i, t in enumerate(ticks) if t <= tick)
                 assert caps[at] == want
+
+
+_stall = st.tuples(
+    st.integers(0, 80),
+    st.integers(1, 40),
+    st.integers(0, K - 1),
+    st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.75]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_stall, max_size=8))
+def test_stalled_mask_matches_next_free(stalls):
+    """Overlapping full stalls and slowdowns, asked on every tick from
+    before the first window to after the last, window edges included."""
+    schedule = FaultSchedule(
+        faults=[
+            FaultEvent("pipeline_stall", start, duration, pipe,
+                       service_rate=rate)
+            for start, duration, pipe, rate in stalls
+        ]
+    )
+    injector = FaultInjector(schedule, K)
+    for tick in range(130):
+        want = sum(
+            1 << pipe
+            for pipe in range(K)
+            if injector.next_free(pipe, tick) != tick
+        )
+        assert injector.stalled_mask(tick) == want

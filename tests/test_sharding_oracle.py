@@ -7,7 +7,9 @@ the emergency evacuation, each over every slot of the array. Hypothesis
 draws maps, counts (fed per access, as the scalar engines do, or as
 bincount blocks, as the vector engine does), in-flight counters and
 mid-epoch emergency moves; every remap must move exactly what the
-oracle moves, and every counter must be zero after ``end_epoch``.
+oracle moves, and every counter must be zero after ``end_epoch``. A
+second property evacuates arrays of 256-1024 slots whose movers form
+long runs with no accesses, which the evacuation places in one pass.
 """
 
 from types import SimpleNamespace
@@ -186,3 +188,61 @@ def test_touched_remap_moves_what_the_dense_sweep_moves(script):
             )
             assert not state.access_counts.any()
             assert not state.touched and not state.touched_blocks
+
+
+@st.composite
+def evacuation(draw):
+    """One array of 256+ slots, most of them on the failed pipeline, so
+    the movers form long idle runs with a few touched or in-flight
+    slots between them; the targets' loads are drawn from a few values
+    so that ties are common."""
+    k = draw(st.integers(min_value=2, max_value=6))
+    size = draw(st.integers(min_value=256, max_value=1024))
+    failed = draw(st.integers(0, k - 1))
+    slot = st.integers(0, size - 1)
+    sparse = st.dictionaries(slot, st.integers(1, 9))
+    return dict(
+        k=k,
+        size=size,
+        failed=failed,
+        healthy=draw(st.lists(st.integers(0, k - 1), max_size=k + 1)),
+        elsewhere=draw(st.dictionaries(slot, st.integers(0, k - 1))),
+        counts=draw(sparse),
+        in_flight=draw(sparse),
+        # Extra per-pipeline load, added through one index per target.
+        base=draw(
+            st.lists(st.sampled_from((0, 0, 1, 5)), min_size=k, max_size=k)
+        ),
+    )
+
+
+@given(evacuation())
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_evacuation_of_long_idle_runs_moves_what_the_heap_moves(case):
+    k, size, failed = case["k"], case["size"], case["failed"]
+    rt = ShardingRuntime([("big", size, True, "big")], k)
+    state = rt.arrays["big"]
+    state.index_to_pipeline[:] = failed
+    for index, pipe in case["elsewhere"].items():
+        state.index_to_pipeline[index] = pipe
+    # Slot p carries pipeline p's base load.
+    for pipe, load in enumerate(case["base"]):
+        if load and pipe != failed:
+            state.index_to_pipeline[pipe] = pipe
+            state.access_counts[pipe] = load
+            state.touched.add(pipe)
+    for index, count in case["counts"].items():
+        state.access_counts[index] += count
+        state.touched.add(index)
+    for index, count in case["in_flight"].items():
+        state.in_flight[index] = count
+    oracle = [_copy(state)]
+    want = dense_emergency(oracle, k, failed, case["healthy"])
+    assert rt.emergency_remap(failed, case["healthy"]) == want
+    assert state.index_to_pipeline.tolist() == (
+        oracle[0].index_to_pipeline.tolist()
+    )

@@ -30,6 +30,44 @@ class TestThroughput:
     def test_empty_run(self):
         assert SwitchStats().throughput_normalized() == 0.0
 
+    @staticmethod
+    def _generator_counts(arrivals, egresses, warmup=0.5):
+        """The window counts as first written: generator sums."""
+        first, last = min(arrivals), max(arrivals)
+        window_start = first + (last - first) * warmup
+        return (
+            sum(1 for t in arrivals if t >= window_start),
+            sum(1 for t in egresses if window_start <= t <= last),
+        )
+
+    @pytest.mark.parametrize("kind", ["int", "float", "mixed"])
+    @pytest.mark.parametrize("warmup", [0.5, 0.2, 0])
+    def test_window_counts_include_both_edges(self, kind, warmup):
+        """Ticks equal to ``window_start`` and to ``last`` count, on int,
+        float and mixed tick lists, and the ratio equals the generator
+        sums' to the bit."""
+        arrivals = [0, 3, 5, 5, 7, 9, 10, 10, 2, 8]
+        egresses = [1, 5, 5, 6, 10, 10, 11, 12, 4, 9, 10, 13, 5, 2, 0, 2]
+        if kind == "float":
+            arrivals = [float(t) for t in arrivals]
+            egresses = [t + 0.0 for t in egresses]
+        elif kind == "mixed":
+            arrivals = [
+                float(t) if i % 2 else t for i, t in enumerate(arrivals)
+            ]
+            egresses = [
+                t + 0.5 if i % 4 == 3 else t for i, t in enumerate(egresses)
+            ]
+        stats = self._stats(arrivals, egresses)
+        arrived, egressed = self._generator_counts(arrivals, egresses, warmup)
+        start = 10 * warmup
+        assert start in arrivals and start in egresses  # on the edges
+        assert max(arrivals) in egresses
+        assert arrived and egressed
+        got = stats.throughput_normalized(warmup)
+        assert got == min(1.0, egressed / arrived)
+        assert type(got) is float
+
     def test_delivery_ratio(self):
         stats = self._stats([0.0, 1.0], [5.0], offered=2)
         assert stats.delivery_ratio == 0.5
