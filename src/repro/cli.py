@@ -714,7 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=100,
         help="window length in ticks for the /metrics series "
-        "(default 100)",
+        "(default 100); only segments on the scalar engines (fast, "
+        "dense) fill them while open",
     )
     p.add_argument(
         "--metrics-retention",

@@ -243,11 +243,19 @@ class EpochStreamer:
         self._epoch_start = 0
         self._phase = "content"
         self._boundary: Optional[int] = None
-        # Injection recurrence per residue class r = row % k:
-        # inj[i] = i_local + max_{j<=i}(ceil(arrival_j) - j_local), a
-        # running maximum that extends across feed batches.
-        self._class_count = [0] * self.k
-        self._class_run = [-_FAR] * self.k
+        # Injection recurrence per residue class r = row % k, where row
+        # i is the class's (i // k)-th: inj[i] = i // k + max over the
+        # class's rows j <= i of (ceil(arrival_j) - j // k), a running
+        # maximum per class carried across feed batches.
+        self._class_run = np.full(self.k, -_FAR, dtype=np.int64)
+        # Per shardable, indexed array other than the flow order's: its
+        # plans. The boundary remap is the only reader of its in-flight
+        # counters here, so _remap settles them from the pending rows.
+        self._settled: Dict[str, List[int]] = {}
+        for pi, plan in enumerate(self.vplans):
+            if plan.has_index and not plan.is_flow:
+                if self.sharder.arrays[plan.base].shardable:
+                    self._settled.setdefault(plan.base, []).append(pi)
 
     # -- ingest ---------------------------------------------------------
 
@@ -272,20 +280,20 @@ class EpochStreamer:
         hi = lo + n
         k = self.k
         self._grow(hi)
-        ceil_a = np.ceil(arrival).astype(np.int64)
-        for r in range(min(k, hi)):
-            start = lo + ((r - lo) % k)
-            sel = np.arange(start, hi, k)
-            if sel.shape[0] == 0:
-                continue
-            count = self._class_count[r]
-            i_local = count + np.arange(sel.shape[0], dtype=np.int64)
-            runmax = np.maximum.accumulate(ceil_a[sel - lo] - i_local)
-            np.maximum(runmax, self._class_run[r], out=runmax)
-            self.inj[sel] = i_local + runmax
-            self._class_run[r] = int(runmax[-1])
-            self._class_count[r] = count + sel.shape[0]
-        self.entry_pipe[lo:hi] = np.arange(lo, hi, dtype=np.int64) % k
+        # Every class at once: a (blocks x k) grid whose row b holds rows
+        # b*k .. b*k+k-1, padded outside [lo, hi) with -_FAR, so one
+        # running maximum down the columns continues each class's.
+        first = lo - lo % k
+        rows = np.arange(lo, hi, dtype=np.int64)
+        local = rows // k
+        grid = np.full(-(-(hi - first) // k) * k, -_FAR, dtype=np.int64)
+        grid[lo - first : hi - first] = np.ceil(arrival).astype(np.int64) - local
+        grid = grid.reshape(-1, k)
+        np.maximum(grid[0], self._class_run, out=grid[0])
+        grid = np.maximum.accumulate(grid, axis=0)
+        self._class_run = grid[-1].copy()  # not a view: frees the grid
+        self.inj[lo:hi] = local + grid.ravel()[lo - first : hi - first]
+        self.entry_pipe[lo:hi] = rows - local * k
         self.n_fed = hi
         self._resolve(lo, hi)
 
@@ -372,7 +380,8 @@ class EpochStreamer:
                 iv = self.acc_idx[pi][lo:hi]
                 counts = np.bincount(iv, minlength=plan.size)
                 self.sharder.note_counts(plan.base, counts)
-                state.in_flight += counts.astype(state.in_flight.dtype)
+                if plan.is_flow:  # never released, as in the scalar engines
+                    state.in_flight += counts.astype(state.in_flight.dtype)
                 dv = state.index_to_pipeline[iv].astype(np.int64)
             else:
                 dv = np.full(hi - lo, int(state.index_to_pipeline[0]))
@@ -429,11 +438,6 @@ class EpochStreamer:
                 self.pending[pi] = (rows_p[:0], pops[:0])
             self.unserviced[pi].append((rows_p, pops))
             queued = True
-            if plan.has_index and not plan.is_flow:
-                state = self.sharder.arrays[plan.base]
-                state.in_flight -= np.bincount(
-                    self.acc_idx[pi][rows_p], minlength=plan.size
-                ).astype(state.in_flight.dtype)
             if pi + 1 == len(vplans):
                 self._close_egress(pops + (self.depth - plan.stage))
         self.executed_through = cut
@@ -474,7 +478,15 @@ class EpochStreamer:
 
     def _remap(self, boundary: int) -> None:
         """The remap at the end of tick ``boundary``; the next epoch
-        starts there."""
+        starts there. Its in-flight counters are settled first: an
+        index's count is the pending rows — injected by the cut, popped
+        past it — that access it."""
+        for base, plans in self._settled.items():
+            idx = [self.acc_idx[pi][self.pending[pi][0]] for pi in plans]
+            state = self.sharder.arrays[base]
+            state.in_flight[:] = np.bincount(
+                np.concatenate(idx), minlength=state.size
+            )
         moved = self.sharder.end_epoch(self.cfg.remap_algorithm)
         self.stats.remap_moves += moved
         self.remap_records.append((boundary, moved))

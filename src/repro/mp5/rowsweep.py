@@ -95,6 +95,9 @@ class RowStreamer(EpochStreamer):
         self._tracked = [
             plan.has_index and not plan.is_flow for plan in self.vplans
         ]
+        # Emergency remaps read those counters mid-epoch, so they are
+        # kept per row, never settled at the boundary.
+        self._settled = {}
         base = self.cfg.fifo_capacity
         self._caps = [
             [

@@ -31,11 +31,14 @@ are complete. Both expose the same ``start``/``feed``/``pump``/
 so one adapter drives all three and results are independent of how
 arrivals were batched or when control requests interleaved. Each
 segment's switch comes from :func:`repro.mp5.build_switch`, so when the
-vector engine cannot run it (faults armed — a segment always carries a
-metrics registry, which the vector engine does not replay on a faulted
-run —, a config knob it does not model, an unsupported program shape)
-the segment runs on the fast engine with the same one-line warning as
-an offline run, and its record names the engine that ran.
+vector engine cannot run it (faults armed with ``--monitor`` on — the
+vector engine replays no sinks on a faulted run —, a config knob it
+does not model, an unsupported program shape) the segment runs on the
+fast engine with the same one-line warning as an offline run, and its
+record names the engine that ran. A segment's metrics registry is
+attached only to a scalar engine, the one kind that fills it while the
+segment is open; an open vector segment exposes the service families
+alone.
 
 **Backpressure.** The ingest queue holds at most ``queue_depth``
 batches. ``POST /ingest`` never blocks: a full queue is answered with
@@ -119,12 +122,13 @@ class _EngineAdapter:
     ingest watermark proves no future feed can affect it — ticks for
     the scalar engines, whole epochs for the vector engine. The switch
     comes from :func:`repro.mp5.build_switch` with the service's fault
-    schedule and the segment's sinks attached, so a mid-stream fault
+    schedule and the segment's monitor attached, so a mid-stream fault
     attach never wedges a ``--engine vector`` service: the next segment
-    is settled like any run. A segment always carries a metrics
-    registry, and the vector engine replays no sinks on a faulted run,
-    so a faulted vector segment runs on the fast engine and its record
-    names it."""
+    is settled like any run. The segment's metrics registry is attached
+    only to a scalar engine, which fills it while the segment is open:
+    the vector engine would fill it in ``finish()``, after the segment's
+    routes stop reading it. So only a *monitored* faulted vector segment
+    runs on the fast engine, and its record names it."""
 
     streaming = True
 
@@ -141,9 +145,10 @@ class _EngineAdapter:
             service.compiled,
             service.config,
             faults=service.schedule,
-            metrics=self.metrics,
             monitor=self.monitor,
         )
+        if self.switch.engine != "vector":
+            self.switch.attach_observability(metrics=self.metrics)
         self.switch.start()
         self.offered = 0
         self.first_feed_ts: Optional[float] = None

@@ -244,14 +244,17 @@ def test_mid_traffic_fault_attach_matches_offline_alerts():
     assert served_alerts == offline_alerts
 
 
-def test_health_ok_degraded_ok_under_emergency_remap():
+@pytest.mark.parametrize("engine", ["fast", "vector"])
+def test_health_ok_degraded_ok_under_emergency_remap(engine):
     """/health walks ok → degraded (open fault window + emergency
-    remap) → ok once the window passes and the segment drains."""
+    remap) → ok once the window passes and the segment drains. With no
+    monitor the faulted vector segment stays on the vector engine,
+    whose per-row sweep drives the same fault calendar."""
     trace = make_trace("heavy_hitter", 240, seed=9)
     part1 = [p for p in trace if p.arrival < 20]
     part2 = [p for p in trace if p.arrival >= 20]
 
-    service, thread = serve(program="heavy_hitter")
+    service, thread = serve(program="heavy_hitter", engine=engine)
     with thread:
         client = client_of(thread)
         assert client.health()["verdict"] == "ok"
@@ -265,6 +268,7 @@ def test_health_ok_degraded_ok_under_emergency_remap():
 
         client.ingest(records_of(part2))
         record = client.drain()["closed_segment"]
+        assert record["engine"] == engine
         payload = json.loads(client.segment_results(record["index"]))
         assert payload["stats"]["emergency_remap_moves"] > 0
         assert client.health()["verdict"] == "ok"
@@ -608,6 +612,40 @@ def test_vector_service_fault_attach_falls_back_to_fast():
     assert served_alerts, "crossbar schedule must raise alerts"
 
 
+@pytest.mark.parametrize("chunk", [37, 150])
+@pytest.mark.parametrize(
+    "schedule", ["stall", "slowdown", "crossbar", "fifo_shrink"]
+)
+def test_unmonitored_faulted_vector_segment_stays_on_vector(
+    schedule, chunk, capsys
+):
+    """Without ``--monitor`` a faulted segment attaches no sink the
+    vector engine would replay, so it runs on the per-row sweep as an
+    offline run does: no fallback line, and the payload equals the
+    fast engine's offline run."""
+    from repro.mp5.vector import reset_fallback_warnings
+
+    path = f"examples/faults/{schedule}.json"
+    trace = make_trace("heavy_hitter", 400, seed=4)
+    reset_fallback_warnings()
+    service, thread = serve(
+        program="heavy_hitter", engine="vector", faults=FaultSchedule.load(path)
+    )
+    with thread:
+        client = client_of(thread)
+        client.replay_trace(records_of(trace), chunk=chunk)
+        record = client.drain()["closed_segment"]
+        served = client.segment_results(record["index"])
+        client.shutdown()
+
+    assert record["engine"] == "vector"
+    assert "falling back" not in capsys.readouterr().err
+    config = MP5Config(num_pipelines=PIPELINES, seed=5)
+    assert served == offline_payload(
+        "fast", "heavy_hitter", trace, config, faults=FaultSchedule.load(path)
+    )
+
+
 # ----------------------------------------------------------------------
 # Streaming telemetry: SSE push, OpenMetrics exposition, retention
 # ----------------------------------------------------------------------
@@ -939,13 +977,14 @@ def test_segment_results_serve_the_string_rendered_at_close(engine):
     assert first == offline_payload(engine, "heavy_hitter", trace, config)
 
 
-def _scripted_metrics_session(monkeypatch):
+def _scripted_metrics_session(monkeypatch, **serve_kw):
     """``/metrics`` JSON and ``/metrics.prom`` bytes at four points of
-    one scripted session: before traffic, with a faulted monitored
-    segment open and settled, after its drain, and with a second segment
-    open. The daemon's clock is a counter, so the first-egress latency
-    (the open segment's, else the last closed one's) is deterministic;
-    settling is polled in-process so the request counters are too."""
+    one scripted session of a daemon built with ``serve_kw``: before
+    traffic, with a segment open and settled, after its drain, and with
+    a second segment open. The daemon's clock is a counter, so the
+    first-egress latency (the open segment's, else the last closed
+    one's) is deterministic; settling is polled in-process so the
+    request counters are too."""
     from types import SimpleNamespace
 
     from repro.service import daemon
@@ -957,8 +996,7 @@ def _scripted_metrics_session(monkeypatch):
     service = SwitchService(
         program="heavy_hitter",
         config=MP5Config(num_pipelines=PIPELINES, seed=5),
-        monitor=True,
-        faults=FaultSchedule.load("examples/faults/crossbar.json"),
+        **serve_kw,
     )
     documents = []
     with ServiceThread(service) as thread:
@@ -999,13 +1037,40 @@ METRICS_SESSION_DIGESTS = (
     "1184a6d0b457eae2751b8baa2cc3d3353ee1ec9ec205bc38727f19f06397a176",
 )
 
+# The same for an unmonitored vector session, recorded while every
+# segment still attached its registry: an open vector segment exposes
+# the service families only, and that did not change.
+VECTOR_SESSION_DIGESTS = (
+    "e921786b8837015e3e77cdfb46261d3fcb98d7e149ee18a3789737e4165729c5",
+    "e89c2c3ae1a5d193d08fbf272b25f43edd17d8a4d1c38f4eefb52ec9fc9d490c",
+    "3d5be28417e19406cf20a8fa90ec2dcd179102bfb188fb3bcf3cbe482e1ec8f6",
+    "b8960cb3d7955aa6b3a7ba2300cbf9f388004413c5ac7db6cc5b55db2899e08a",
+    "126f35b3e82ddef1151efc3f36f4efd4caec06b7f2a5e6bc45f1d66413c6c345",
+    "bf21c6ef81e9e13cb3096ba0b1570abca3c4b1c36413db4289996408749c822a",
+    "cc04f2b19a5082e355de1fd099558e8eb9bb8da55584d7c6ceb029ca14fcd043",
+    "f5c11d9c2aee32f5ab016851ab7eb721f2e9ecf0db2aff481c52c4ba574d6710",
+)
+
+
+def _session_digests(monkeypatch, **serve_kw):
+    import hashlib
+
+    documents = _scripted_metrics_session(monkeypatch, **serve_kw)
+    return tuple(hashlib.sha256(d.encode()).hexdigest() for d in documents)
+
 
 def test_metrics_documents_are_pinned(monkeypatch):
     """The service counters (ingest, segments, alerts, queue depth,
     connections, first-egress latency) both documents publish, and the
     engine's series beside them, equal the pinned session's bytes."""
-    import hashlib
-
-    documents = _scripted_metrics_session(monkeypatch)
-    digests = tuple(hashlib.sha256(d.encode()).hexdigest() for d in documents)
+    faults = FaultSchedule.load("examples/faults/crossbar.json")
+    digests = _session_digests(monkeypatch, monitor=True, faults=faults)
     assert digests == METRICS_SESSION_DIGESTS
+
+
+def test_vector_metrics_documents_are_pinned(monkeypatch):
+    """A vector segment fills no registry while it is open, so the
+    documents of an unmonitored vector session equal the pinned bytes
+    whether or not the segment attaches one."""
+    digests = _session_digests(monkeypatch, engine="vector")
+    assert digests == VECTOR_SESSION_DIGESTS
