@@ -1,8 +1,9 @@
 """Minimal synchronous client for the switch daemon's control plane.
 
-``http.client`` underneath; one method per endpoint, JSON in/out.
-Raises :class:`ServiceClientError` (carrying the HTTP status and the
-server's one-line diagnostic) on any non-2xx answer::
+One method per endpoint, JSON in/out, over a small blocking HTTP/1.1
+transport on a plain socket (:class:`_Connection`); the module imports
+no HTTP library. Raises :class:`ServiceClientError` (carrying the HTTP
+status and the server's one-line diagnostic) on any non-2xx answer::
 
     from repro.service.client import ServiceClient
 
@@ -20,10 +21,12 @@ once, and only when a *reused* connection failed before any byte of the
 response arrived — the signature of the server having hung up on an
 idle connection; a timeout or a partial response is never retried, so
 no request is executed twice. Transport failures surface as ``OSError``
-(``ConnectionError`` for protocol-level ones). The SSE ``stream_*``
-iterators each hold a connection of their own. :meth:`ServiceClient.
-close` (or leaving the ``with`` block) drops the connection; the client
-stays usable and reconnects on the next call.
+(``ConnectionError`` for protocol-level ones: a status line that is not
+``HTTP/``, a malformed ``Content-Length``, EOF inside a response), and
+the socket is closed after every error. The SSE ``stream_*`` iterators
+each hold a connection of their own on the same transport.
+:meth:`ServiceClient.close` (or leaving the ``with`` block) drops the
+connection; the client stays usable and reconnects on the next call.
 
 ``POST /ingest`` has three wire formats and the client speaks all of
 them: :meth:`ServiceClient.ingest` sends a record list as ``{"packets":
@@ -39,8 +42,8 @@ share; this module imports nothing from the server.
 
 from __future__ import annotations
 
-import http.client
 import json
+import re
 import socket
 import threading
 import time
@@ -50,6 +53,12 @@ from ..mp5.packet import PacketColumns
 from . import wire
 
 __all__ = ["ServiceClient", "ServiceClientError"]
+
+
+#: Bytes asked of the socket per ``recv``.
+RECV_SIZE = 65536
+
+_STATUS_LINE = re.compile(rb"HTTP/\d\.\d (\d{3})(?: |$)")
 
 
 class ServiceClientError(Exception):
@@ -72,12 +81,131 @@ def _raise_for_status(status: int, body: bytes):
     raise ServiceClientError(status, detail)
 
 
+class _Connection:
+    """One blocking HTTP/1.1 connection on a plain socket.
+
+    It speaks the subset of HTTP/1.1 the daemon answers with. A request
+    goes out as one ``sendall`` of head and body, on a socket opened on
+    demand with ``TCP_NODELAY``. A response head is read from the byte
+    buffer up to its blank line; the body by ``Content-Length``, or to
+    EOF when that header is absent. Bytes read past a body stay in the
+    buffer for the next response. A body read to EOF, a ``Connection:
+    close`` answer and :meth:`close` drop the socket. Framing it does not
+    speak — a status line that is not ``HTTP/x.y NNN``, a malformed
+    ``Content-Length``, a ``Transfer-Encoding`` — and EOF inside a
+    response raise ``ConnectionError``; the caller closes the connection
+    after any error.
+    """
+
+    def __init__(self, host: str, port: int, timeout: float):
+        self.address = (host, port)
+        self.timeout = timeout
+        self.sock: Optional[socket.socket] = None
+        self.buffer = bytearray()
+        self._host = f"Host: {host}:{port}\r\n"
+
+    def close(self):
+        if self.sock is not None:
+            self.sock.close()
+            self.sock = None
+        self.buffer.clear()
+
+    def send(
+        self, method: str, path: str, data: Optional[bytes] = None, content_type: str = ""
+    ):
+        if self.sock is None:
+            self.sock = socket.create_connection(self.address, self.timeout)
+            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        data = data or b""
+        head = f"{method} {path} HTTP/1.1\r\n{self._host}"
+        if data:
+            head += f"Content-Type: {content_type}\r\n"
+        head += f"Content-Length: {len(data)}\r\n\r\n"
+        self.sock.sendall(head.encode("latin-1") + data)
+
+    def fill(self) -> bool:
+        """One ``recv`` into the buffer; False at EOF."""
+        chunk = self.sock.recv(RECV_SIZE)
+        self.buffer += chunk
+        return bool(chunk)
+
+    def read_head(self) -> Tuple[int, Dict[str, str]]:
+        """The next response's status and headers (names lower-cased)."""
+        start = 0
+        while True:
+            end = self.buffer.find(b"\r\n\r\n", start)
+            if end >= 0:
+                break
+            start = max(0, len(self.buffer) - 3)
+            if not self.fill():
+                raise ConnectionError("connection closed inside a response head")
+        head = bytes(self.buffer[:end])
+        del self.buffer[: end + 4]
+        status_line, _, header_block = head.partition(b"\r\n")
+        match = _STATUS_LINE.match(status_line)
+        if match is None:
+            raise ConnectionError(f"malformed status line {status_line[:80]!r}")
+        headers = {}
+        for line in header_block.decode("latin-1").split("\r\n"):
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        return int(match.group(1)), headers
+
+    def read_body(self, headers: Dict[str, str]) -> bytes:
+        """The body the head announced; drops the socket when the
+        server will not keep it."""
+        if "transfer-encoding" in headers:
+            raise ConnectionError("chunked responses are not supported")
+        length = headers.get("content-length")
+        if length is None:
+            while self.fill():
+                pass
+            body = bytes(self.buffer)
+            self.close()
+            return body
+        if not (length.isascii() and length.isdigit()):
+            raise ConnectionError(f"malformed Content-Length {length[:40]!r}")
+        size = int(length)
+        while len(self.buffer) < size:
+            if not self.fill():
+                raise ConnectionError("connection closed inside a response body")
+        body = bytes(self.buffer[:size])
+        del self.buffer[:size]
+        if "close" in headers.get("connection", "").lower():
+            self.close()
+        return body
+
+    def readline(self) -> bytes:
+        """The next line through its ``\\n``; what is left at EOF."""
+        start = 0
+        while True:
+            end = self.buffer.find(b"\n", start)
+            if end >= 0:
+                break
+            start = len(self.buffer)
+            if not self.fill():
+                line = bytes(self.buffer)
+                self.buffer.clear()
+                return line
+        line = bytes(self.buffer[: end + 1])
+        del self.buffer[: end + 1]
+        return line
+
+
 class ServiceClient:
+    """Blocking client for one daemon at ``host:port``.
+
+    Route calls share one keep-alive :class:`_Connection`, serialized by
+    a lock; ``timeout`` bounds every connect, send and receive on it and
+    on each SSE stream's connection. See the module docstring for when a
+    request is re-sent.
+    """
+
     def __init__(self, host: str = "127.0.0.1", port: int = 8585, timeout: float = 30.0):
         self.base = f"http://{host}:{port}"
         self.timeout = timeout
         # Connects on first use, and again after every ``close()``.
-        self._conn = http.client.HTTPConnection(host, port, timeout=timeout)
+        self._conn = _Connection(host, port, timeout)
         self._lock = threading.Lock()
 
     def close(self):
@@ -103,17 +231,16 @@ class ServiceClient:
         data: Optional[bytes] = None,
         content_type: str = "application/json",
     ):
-        if data is None:
-            data = json.dumps(body).encode() if body is not None else None
-        headers = {"Content-Type": content_type} if data else {}
+        if data is None and body is not None:
+            data = json.dumps(body).encode()
         conn = self._conn
         with self._lock:
             reused = conn.sock is not None
             try:
                 while True:
                     try:
-                        conn.request(method, path, body=data, headers=headers)
-                        if conn.sock.recv(1, socket.MSG_PEEK):
+                        conn.send(method, path, data, content_type)
+                        if conn.buffer or conn.fill():
                             break
                         raise ConnectionResetError("server closed the connection")
                     except ConnectionError:
@@ -125,12 +252,11 @@ class ServiceClient:
                         if not reused:
                             raise
                         reused = False
-                resp = conn.getresponse()
-                status, payload = resp.status, resp.read()
-            except http.client.HTTPException as exc:
-                conn.close()
-                raise ConnectionError(f"{type(exc).__name__}: {exc}") from exc
-            except OSError:
+                status, headers = conn.read_head()
+                payload = conn.read_body(headers)
+            except BaseException:
+                # A cut-short exchange leaves the framing in doubt:
+                # never read the next response from this socket.
                 conn.close()
                 raise
         _raise_for_status(status, payload)
@@ -294,16 +420,14 @@ class ServiceClient:
             query += f"&poll={poll}"
         if heartbeat is not None:
             query += f"&heartbeat={heartbeat}"
-        conn = http.client.HTTPConnection(
-            self._conn.host, self._conn.port, timeout=self.timeout
-        )
+        conn = _Connection(*self._conn.address, self.timeout)
         try:
-            conn.request("GET", path + query)
-            resp = conn.getresponse()
-            if resp.status != 200:
-                _raise_for_status(resp.status, resp.read())
+            conn.send("GET", path + query)
+            status, headers = conn.read_head()
+            if status != 200:
+                _raise_for_status(status, conn.read_body(headers))
             event, data_lines = None, []
-            for raw in resp:
+            while raw := conn.readline():
                 line = raw.decode().rstrip("\n").rstrip("\r")
                 if line.startswith(":"):
                     continue  # heartbeat comment
@@ -319,8 +443,6 @@ class ServiceClient:
                         return
                     yield event, payload
                     event, data_lines = None, []
-        except http.client.HTTPException as exc:
-            raise ConnectionError(f"{type(exc).__name__}: {exc}") from exc
         finally:
             conn.close()
 

@@ -345,6 +345,7 @@ class SwitchService:
             await self._shutdown_event.wait()
         finally:
             self._stopping = True
+            self._shutdown_event.set()  # wakes every SSE stream's wait
             self._wake.set()
             for task in list(self._replay_tasks):
                 task.cancel()

@@ -45,8 +45,9 @@ Two response shapes exist:
   machinery the ``?since=`` polling endpoints read, so an SSE stream
   delivers exactly the rows the equivalent poll loop would. Heartbeat
   comments keep idle connections verifiably alive; on daemon shutdown
-  every stream flushes pending rows and sends a final ``event: end``
-  frame.
+  every stream wakes at once, whatever its ``?poll=``, flushes pending
+  rows and sends a final ``event: end`` frame. A non-finite ``poll`` or
+  ``heartbeat`` is a 400 that names the parameter.
 
 Errors map onto status codes via :class:`~repro.errors.
 ServiceError` (client mistakes: 400/404/409/413/429) and
@@ -60,6 +61,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import re
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -111,9 +113,12 @@ def _qint(query: Dict, key: str, default: int) -> int:
 
 def _qfloat(query: Dict, key: str, default: float) -> float:
     try:
-        return float(query.get(key, [default])[0])
+        value = float(query.get(key, [default])[0])
     except (TypeError, ValueError) as exc:
         raise ServiceError(f"query parameter {key!r} must be a number") from exc
+    if not math.isfinite(value):
+        raise ServiceError(f"query parameter {key!r} must be a finite number")
+    return value
 
 
 def _decode_body(ctype: str, body: bytes) -> Optional[Dict]:
@@ -349,7 +354,11 @@ class ControlPlane:
                     idle = 0.0
             if writer.is_closing():
                 return
-            await asyncio.sleep(poll)
+            # Wakes at once on daemon shutdown, however long ``poll`` is.
+            try:
+                await asyncio.wait_for(svc._shutdown_event.wait(), poll)
+            except asyncio.TimeoutError:
+                pass
         # Shutdown: flush whatever rolled since the last frame, then
         # tell the subscriber this was a clean end, not a drop.
         payload = feed.poll()

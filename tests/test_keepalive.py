@@ -21,6 +21,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.mp5 import MP5Config
 from repro.obs.export import parse_openmetrics
@@ -343,46 +345,82 @@ def test_idle_timeout_closes_silent_socket_and_client_reconnects(monkeypatch):
 
 class _FakeServer:
     """Accepts connections and answers each request by script: the
-    retry rules need a server that misbehaves on purpose."""
+    retry rules and the client's framing need a server that misbehaves
+    on purpose.
+
+    A script step is one of :data:`ACTIONS` by name, or ``(pieces,
+    after)``: send each piece of bytes on its own, :data:`PIECE_GAP`
+    apart so the client reads them apart, then ``"keep"`` the
+    connection for the next request, ``"close"`` it, or ``"hold"`` it
+    open and unread (until :meth:`close`) while the next request is
+    accepted on a new connection. ``connections[i]`` numbers the
+    connection that carried ``requests[i]``, from 1.
+    """
+
+    PIECE_GAP = 0.001
+    ACTIONS = {
+        "ok": (
+            [b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: keep-alive\r\n\r\n{}"],
+            "keep",
+        ),
+        "die-mid-body": (
+            [b'HTTP/1.1 200 OK\r\nContent-Length: 50\r\n\r\n{"pa'], "close"
+        ),
+        "die-mid-status": ([b"HTTP/1.1 2"], "close"),
+        "die-silent": ([], "close"),
+    }
 
     def __init__(self, script):
-        self.script = list(script)
+        self.script = [
+            self.ACTIONS[step] if isinstance(step, str) else step for step in script
+        ]
         self.requests = []
+        self.connections = []
+        self.done = threading.Event()
         self.listener = socket.create_server(("127.0.0.1", 0))
         self.address = self.listener.getsockname()[:2]
         self.thread = threading.Thread(target=self._run, daemon=True)
         self.thread.start()
 
     def _run(self):
-        conn = None
-        for action in self.script:
-            if conn is None:
-                conn, _ = self.listener.accept()
-            head = b""
-            while b"\r\n\r\n" not in head:
-                chunk = conn.recv(65536)
-                if not chunk:
-                    break
-                head += chunk
-            self.requests.append(head.split(b"\r\n", 1)[0])
-            if action == "ok":
-                conn.sendall(
-                    b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n"
-                    b"Connection: keep-alive\r\n\r\n{}"
-                )
-                continue
-            if action == "die-mid-body":
-                conn.sendall(b'HTTP/1.1 200 OK\r\nContent-Length: 50\r\n\r\n{"pa')
-            elif action == "die-mid-status":
-                conn.sendall(b"HTTP/1.1 2")
-            else:
-                assert action == "die-silent"
-            conn.close()
-            conn = None
-        if conn is not None:
-            conn.close()
+        conn, accepted, held = None, 0, []
+        try:
+            for pieces, after in self.script:
+                if conn is None:
+                    conn, _ = self.listener.accept()
+                    accepted, unread = accepted + 1, b""
+                # A client answered early may send its next request
+                # before this one is read: keep what follows the head.
+                while b"\r\n\r\n" not in unread:
+                    chunk = conn.recv(65536)
+                    if not chunk:
+                        break
+                    unread += chunk
+                head, _, unread = unread.partition(b"\r\n\r\n")
+                self.requests.append(head.split(b"\r\n", 1)[0])
+                self.connections.append(accepted)
+                for i, piece in enumerate(pieces):
+                    if i:
+                        time.sleep(self.PIECE_GAP)
+                    conn.sendall(piece)
+                if after == "close":
+                    conn.close()
+                elif after == "hold":
+                    held.append(conn)
+                else:
+                    assert after == "keep"
+                    continue
+                conn = None
+            # Whatever is still open stays open, unread, until the test
+            # is done with it: an early EOF would look like a hang-up.
+            self.done.wait(timeout=60)
+        finally:
+            for sock in held + [conn]:
+                if sock is not None:
+                    sock.close()
 
     def close(self):
+        self.done.set()
         self.listener.close()
         self.thread.join(timeout=5)
         assert not self.thread.is_alive()
@@ -434,6 +472,111 @@ def test_client_resends_once_on_a_reused_connection_only():
             with pytest.raises(ConnectionError):
                 client.pause()
         assert len(server.requests) == 3
+    finally:
+        server.close()
+
+
+def _scripted(body: bytes, framing: str, length_name: str) -> bytes:
+    """One 200 response carrying ``body``: ``"keep"`` and ``"close"``
+    frame it by length (and say so in ``Connection:``), ``"eof"`` by
+    closing the connection after it."""
+    if framing == "eof":
+        return b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\r\n" + body
+    connection = "keep-alive" if framing == "keep" else "close"
+    head = f"HTTP/1.1 200 OK\r\n{length_name}: {len(body)}\r\nConnection: {connection}"
+    return head.encode() + b"\r\n\r\n" + body
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    responses=st.lists(
+        st.tuples(
+            st.text(max_size=40),
+            st.sampled_from(["keep", "close", "eof"]),
+            st.sampled_from(["Content-Length", "content-length", "CONTENT-LENGTH"]),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    data=st.data(),
+)
+def test_client_reads_every_response_however_its_bytes_are_cut(responses, data):
+    """Each connection's responses are one byte stream, cut at arbitrary
+    points (down to single bytes). After each request the server sends
+    the pieces that complete its response, so a piece may carry the head
+    of the next response early. A ``Connection: close`` answer is held
+    open by the server: a client that reused it would wait forever."""
+    # Group the responses into connections: one ends after any response
+    # that is not keep-alive. What the server does after each response:
+    after_framing = {"keep": "keep", "close": "hold", "eof": "close"}
+    connections = [[]]
+    for body, framing, length_name in responses:
+        reply = _scripted(body.encode(), framing, length_name)
+        connections[-1].append((reply, after_framing[framing]))
+        if framing != "keep":
+            connections.append([])
+    script, expected_connections = [], []
+    for number, replies in enumerate(filter(None, connections), start=1):
+        stream = b"".join(reply for reply, _ in replies)
+        cuts = data.draw(st.lists(st.integers(1, len(stream) - 1), max_size=12))
+        edges = sorted({0, len(stream), *cuts})
+        pieces = [stream[a:b] for a, b in zip(edges, edges[1:])]
+        sent = end = 0
+        for reply, after in replies:
+            end += len(reply)
+            step = []
+            while sent < end:  # the pieces that complete this response
+                step.append(pieces.pop(0))
+                sent += len(step[-1])
+            script.append((step, after))
+            expected_connections.append(number)
+    server = _FakeServer(script)
+    try:
+        with ServiceClient(*server.address, timeout=2) as client:
+            for index, (body, _, _) in enumerate(responses):
+                assert client.segment_results(index) == body
+    finally:
+        server.close()  # joins: the last request may be read after its answer
+    assert server.requests == [
+        f"GET /segments/{index}/results HTTP/1.1".encode()
+        for index in range(len(responses))
+    ]
+    assert server.connections == expected_connections
+
+
+@pytest.mark.parametrize(
+    "reply, error",
+    [
+        (b"SPDY/3 200 OK\r\nContent-Length: 2\r\n\r\n{}", ConnectionError),
+        (b"HTTP/1.1 2OO OK\r\nContent-Length: 2\r\n\r\n{}", ConnectionError),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: two\r\n\r\n{}", ConnectionError),
+        (
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+            ConnectionError,
+        ),
+        (None, socket.timeout),  # not one byte, and the socket stays open
+    ],
+    ids=["not_http", "bad_status_code", "bad_content_length", "chunked", "timeout"],
+)
+def test_client_never_resends_after_an_error_and_closes_the_socket(reply, error):
+    server = _FakeServer(["ok", ([reply] if reply else [], "hold"), "ok"])
+    try:
+        with ServiceClient(*server.address, timeout=0.5) as client:
+            assert client.status() == {}
+            with pytest.raises(error):
+                client.pause()  # on the reused connection
+            assert client._conn.sock is None
+            # The held connection is never read again: the next call
+            # only succeeds on a new one.
+            assert client.health() == {}
+        assert server.requests == [
+            b"GET /status HTTP/1.1", b"POST /pause HTTP/1.1", b"GET /health HTTP/1.1"
+        ]
+        assert server.connections == [1, 1, 2]
     finally:
         server.close()
 
@@ -532,6 +675,55 @@ def test_sse_subscriber_beside_keepalive_poller_equals_cursor_polls():
         assert not subscriber.is_alive(), "stream did not end on shutdown"
     assert polled["series"], "workload must roll metrics windows"
     assert _streamed_union(frames) == polled
+
+
+def test_a_stream_with_a_huge_poll_ends_cleanly_and_promptly_on_shutdown():
+    """A subscriber's ``?poll=`` bounds how often it is fed, not how
+    long shutdown waits for it: the stream still gets its ``event: end``
+    frame, well inside :data:`SHUTDOWN_GRACE`."""
+    service, thread = serve(program="heavy_hitter")
+    thread.start()
+    with RawConnection(thread.address) as stream:
+        stream.send(_request("GET", "/stream/health?poll=1e9"))
+        while b"\n\n" not in stream.buffer:  # the first, immediate frame
+            assert stream._fill()
+        assert stream.buffer.startswith(b"HTTP/1.1 200 OK\r\n")
+        start = time.monotonic()
+        with client_of(thread) as client:
+            assert client.shutdown()["stopped"] is True
+        thread.stop()
+        elapsed = time.monotonic() - start
+        while stream._fill():
+            pass
+    assert not thread._thread.is_alive()
+    assert elapsed < http_module.SHUTDOWN_GRACE / 2, f"shutdown took {elapsed:.2f}s"
+    assert stream.buffer.endswith(b"event: end\ndata: {}\n\n")
+
+
+@pytest.mark.parametrize(
+    "query, name",
+    [
+        ("poll=inf", "poll"),
+        ("poll=nan", "poll"),
+        ("heartbeat=1e999", "heartbeat"),
+        ("poll=0.01&heartbeat=-inf", "heartbeat"),
+    ],
+)
+def test_non_finite_stream_pacing_is_a_400_that_keeps_the_connection(query, name):
+    service, thread = serve(program="heavy_hitter")
+    with thread, RawConnection(thread.address) as conn:
+        conn.send(_request("GET", f"/stream/metrics?{query}"))
+        status, headers, body = conn.response()
+        assert status == 400 and headers["connection"] == "keep-alive"
+        assert json.loads(body) == {
+            "error": f"query parameter {name!r} must be a finite number"
+        }
+        conn.send(_request("GET", "/health"))
+        assert conn.response()[0] == 200
+        with client_of(thread) as client:
+            with pytest.raises(ServiceClientError) as err:
+                next(client.stream_alerts(**{name: float("nan")}))
+        assert err.value.status == 400 and repr(name) in err.value.message
 
 
 # ----------------------------------------------------------------------

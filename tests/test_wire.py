@@ -12,15 +12,18 @@
 * **order of answers** — parse error, then "no program loaded", then
   batch validation, then monotonicity / backpressure;
 * **layering** — the codec imports nothing from the daemon, the HTTP
-  layer, the client or asyncio, the client nothing from the server, and
-  no wire name is defined outside ``wire.py``.
+  layer, the client or asyncio, the client nothing from the server and
+  no HTTP library (``http.client``, ``email``), and no wire name is
+  defined outside ``wire.py``.
 """
 
 import ast
 import copy
 import json
+import os
 import random
 import struct
+import subprocess
 import sys
 from pathlib import Path
 
@@ -480,3 +483,23 @@ def test_the_wire_has_one_owner():
     assert WIRE_NAMES <= _defined("wire")
     for module in ("daemon", "http", "client"):
         assert not WIRE_NAMES & _defined(module), module
+
+
+def test_the_client_loads_no_http_library():
+    """The client frames HTTP/1.1 itself: a fresh interpreter that
+    imports it has neither ``http.client`` nor the ``email`` package
+    that parses its headers, so no second transport creeps back."""
+    probe = (
+        "import sys, repro.service.client; "
+        "print(sorted(m for m in sys.modules "
+        "if m == 'http.client' or m.partition('.')[0] == 'email'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(SERVICE_DIR.parents[1])),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
