@@ -478,20 +478,24 @@ class EpochStreamer:
 
     def _remap(self, boundary: int) -> None:
         """The remap at the end of tick ``boundary``; the next epoch
-        starts there. Its in-flight counters are settled first: an
-        index's count is the pending rows — injected by the cut, popped
-        past it — that access it."""
+        starts there."""
+        moved = self._end_epoch()
+        self.stats.remap_moves += moved
+        self.remap_records.append((boundary, moved))
+        self._epoch_start = boundary
+        self.epochs += 1
+
+    def _end_epoch(self) -> int:
+        """The sharder's remap; returns the arrays whose map changed. The
+        in-flight counters are settled first: an index's count is the
+        pending rows (injected by the cut, popped past it) that access it."""
         for base, plans in self._settled.items():
             idx = [self.acc_idx[pi][self.pending[pi][0]] for pi in plans]
             state = self.sharder.arrays[base]
             state.in_flight[:] = np.bincount(
                 np.concatenate(idx), minlength=state.size
             )
-        moved = self.sharder.end_epoch(self.cfg.remap_algorithm)
-        self.stats.remap_moves += moved
-        self.remap_records.append((boundary, moved))
-        self._epoch_start = boundary
-        self.epochs += 1
+        return self.sharder.end_epoch(self.cfg.remap_algorithm)
 
     def can_advance(self, watermark: Optional[int]) -> bool:
         """True iff :meth:`advance_epoch` with this watermark (and

@@ -34,16 +34,26 @@ per-tick rules become per-row rules:
   each tick its pipeline is not stalled
   (:meth:`~repro.faults.FaultInjector.egress_tick`).
 
-The epoch structure is the closed form's: a cut injects every row due
-at or before it and commits every pop and drop there, so the real
-:class:`~repro.mp5.sharding.ShardingRuntime` remaps from the scalar
-engines' counters. The fault calendar adds cuts: every tick at which a
-window opens or closes or an emergency remap falls due is run through
-:meth:`~repro.faults.FaultInjector.begin_tick` after a cut just before
-it, so :meth:`~repro.mp5.sharding.ShardingRuntime.emergency_remap`
-reads the in-flight counters the fast engine reads at that tick's
-start. Phase B, the stats and the DAG signature read the resulting
-columns; ``drop_tick`` joins them.
+The epoch structure is the closed form's: each cut is one loop that
+injects every row due at or before it, with its whole timeline, and
+commits every pop and drop there. The fault calendar adds cuts: every
+tick at which a window opens or closes or an emergency remap falls due
+is run through :meth:`~repro.faults.FaultInjector.begin_tick` after a
+cut just before it. Phase B, the stats and the DAG signature read the
+resulting columns; ``drop_tick`` joins them.
+
+The D2 counters live here, in Python, per indexed array: this epoch's
+access counts (a dict by index), every index's in-flight count (a
+list) and the indexes whose in-flight count changed since the last
+publish (a set). A row counts its accesses at injection and releases
+them when its pop or drop commits. Their only readers (no sink attaches
+to a run that can drop) are the boundary remap — Figure 6 over them
+(:meth:`~repro.mp5.sharding.ShardingRuntime.remap_counted`), or any
+other ``remap_algorithm`` in the sharder over published ones — and,
+through the sharder's arrays, where they are published, an event's
+emergency remaps (just before ``begin_tick``, as the fast engine's
+stand at that tick's start) and whoever reads the sharder after the
+run (:meth:`finalize`).
 """
 
 from __future__ import annotations
@@ -89,15 +99,29 @@ class RowStreamer(EpochStreamer):
         # plan stage or to egress.
         self._first_hops = stages[0] - 1
         self._hops = [b - a for a, b in zip(stages, stages[1:])]
-        self._states = [self.sharder.arrays[p.base] for p in self.vplans]
-        # Plans whose in-flight counters completions release (the
-        # flow-order array's never are, as in the scalar engines).
-        self._tracked = [
-            plan.has_index and not plan.is_flow for plan in self.vplans
+        self._counters = {  # per array (see the module docstring)
+            p.base: ({}, [0] * p.size, set()) for p in self.vplans
+        }
+        # Python-int mirrors of what the per-row recurrence reads, grown
+        # once per feed batch: ceil(arrival) by row, and per plan its
+        # access index by row (None for a plan with no index).
+        self._arrive: List[int] = []
+        self._acc: List[Optional[List[int]]] = [
+            None if acc is None else [] for acc in self.acc_idx
         ]
-        # Emergency remaps read those counters mid-epoch, so they are
-        # kept per row, never settled at the boundary.
-        self._settled = {}
+        # Per plan: its access column and counters (None: no index), the
+        # ones completions release (never the flow order's) and its map.
+        self._counted = [
+            None if acc is None else (acc, *self._counters[p.base])
+            for acc, p in zip(self._acc, self.vplans)
+        ]
+        self._release = [
+            None if p.is_flow else c for c, p in zip(self._counted, self.vplans)
+        ]
+        self._where = [
+            self.sharder.arrays[p.base].index_to_pipeline.item
+            for p in self.vplans
+        ]
         base = self.cfg.fifo_capacity
         self._caps = [
             [
@@ -115,32 +139,21 @@ class RowStreamer(EpochStreamer):
             else None
             for steps in self._caps
         ]
+        self._bounded = [pi for pi, b in enumerate(self._bufs) if b is not None]
         self._purge_from = [[0] * (k * k) for _ in self.vplans]
         # Per plan and pipeline: the first tick its group may pop next.
         self._floor = [[0] * k for _ in self.vplans]
         # Per plan: (tick, row, popped) completions not yet committed.
-        self._due: List[List[Tuple[int, int, bool]]] = [
-            [] for _ in self.vplans
-        ]
+        self._due: List[List[Tuple[int, int, bool]]] = [[] for _ in self.vplans]
         self._last_done = -1  # latest egress or drop of an injected row
         self._phantoms = 0
-        # Python-int mirrors of what the per-row recurrence reads, grown
-        # once per feed batch: ceil(arrival) by row, and per plan its
-        # access index by row (None for a plan with no index).
-        self._arrive: List[int] = []
-        self._acc: List[Optional[List[int]]] = [
-            None if acc is None else [] for acc in self.acc_idx
-        ]
-        self._latency = self.cfg.phantom_latency
         self.drop_tick = np.empty(0, dtype=np.int64)
         self.drop_why = np.empty(0, dtype=np.int8)
         self.drop_plan = np.empty(0, dtype=np.int16)
         self.full_pushes = np.empty(0, dtype=np.int16)  # by row
-        # The spray's state: its tick, injections and taken fronts there.
-        self._t = 0
-        self._used = 0
-        self._taken = 0
-        self._spray = 0
+        # The spray's state: its tick, injections and taken fronts there,
+        # and the pipeline round-robin goes on from.
+        self._t = self._used = self._taken = self._spray = 0
 
     # -- ingest ---------------------------------------------------------
 
@@ -172,33 +185,35 @@ class RowStreamer(EpochStreamer):
             if mirror is not None:
                 mirror.extend(acc[lo:hi].tolist())
 
-    # -- the recurrence ---------------------------------------------------
+    # -- the counters -----------------------------------------------------
 
-    def _slot(self, row: int) -> Tuple[int, int, int, int]:
-        """Where the spray puts ``row`` from its current state: ``(tick,
-        pipeline, injections, taken fronts)``, the last two as they
-        stand at that tick before the row. Pure: a row due past the cut
-        is asked again at the next one."""
-        t, used, taken = self._t, self._used, self._taken
-        arrive = self._arrive[row]
-        if arrive > t:
-            t, used, taken = arrive, 0, 0
-        k = self.k
-        every = (1 << k) - 1
-        stalled = self.injector.stalled_mask
-        while True:
-            if used < k:
-                free = ~(taken | stalled(t)) & every
-                if free:
-                    pipe = self._spray
-                    while not free >> pipe & 1:
-                        pipe = pipe + 1 if pipe + 1 < k else 0
-                    return t, pipe, used, taken
-                if not taken:  # every front stalled: skip to the first free
-                    nf = self.injector.next_free
-                    t = min(nf(pipe, t) for pipe in range(k))
-                    continue
-            t, used, taken = t + 1, 0, 0
+    def _publish(self) -> None:
+        """Store the counters in the sharder's arrays: this epoch's access
+        counts and the in-flight counts changed since the last publish."""
+        for name, (counts, flight, changed) in self._counters.items():
+            state = self.sharder.arrays[name]
+            state.access_counts[list(counts)] = list(counts.values())
+            state.touched.update(counts)
+            state.in_flight[list(changed)] = [flight[i] for i in changed]
+            changed.clear()
+
+    def _end_epoch(self) -> int:
+        """The boundary remap over the counters (see the module
+        docstring); then the counts restart."""
+        algorithm = self.cfg.remap_algorithm
+        if algorithm == "heuristic":
+            moved = sum(
+                self.sharder.remap_counted(name, counts, flight)
+                for name, (counts, flight, _c) in self._counters.items()
+            )
+        else:
+            self._publish()
+            moved = self.sharder.end_epoch(algorithm)
+        for counts, _flight, _changed in self._counters.values():
+            counts.clear()
+        return moved
+
+    # -- the recurrence ---------------------------------------------------
 
     def _consume(self, pi: int, dest: int, entry: int, tick: int) -> None:
         """A dropped row's phantom at plan ``pi`` is consumed at
@@ -221,147 +236,170 @@ class RowStreamer(EpochStreamer):
         self.drop_tick[row] = tick
         self.drop_why[row] = why
         self.drop_plan[row] = plan
-        if tick > self._last_done:
-            self._last_done = tick
-
-    def _inject_row(self, row: int, t0: int, entry: int) -> bool:
-        """Inject ``row`` at tick ``t0`` into pipeline ``entry`` and
-        resolve its whole timeline. False when it drops at injection,
-        which frees its front for a later row of the same tick."""
-        self.inj[row] = t0
-        self.entry_pipe[row] = entry
-        k = self.k
-        nplans = self.nplans
-        states = self._states
-        dest_cols = self.dest
-        dests = []
-        for pi, acc in enumerate(self._acc):
-            state = states[pi]
-            if acc is None:
-                dest = state.index_to_pipeline.item(0)
-            else:
-                idx = acc[row]
-                state.access_counts[idx] += 1
-                state.in_flight[idx] += 1
-                state.touched.add(idx)
-                dest = state.index_to_pipeline.item(idx)
-            dest_cols[pi][row] = dest
-            dests.append(dest)
-
-        # Phantom pushes in plan order, ``phantom_latency`` ticks after
-        # injection. With no latency the first full buffer drops the row
-        # and the phantoms already pushed are consumed with it; a
-        # delayed phantom that finds its buffer full is only lost, and
-        # its packet drops when it finds no phantom to claim.
-        latency = self._latency
-        pushed_at = t0 + latency
-        lost = 0  # plans whose phantom found its buffer full, as bits
-        for pi, bufs in enumerate(self._bufs):
-            if bufs is None:
-                continue
-            dest = dests[pi]
-            ticks, caps = self._caps[pi][dest]
-            cap = caps[bisect_right(ticks, pushed_at) - 1]
-            if cap is None:
-                continue
-            buf = bufs[dest * k + entry]
-            while buf and buf[0] < pushed_at:
-                buf.popleft()
-            if len(buf) >= cap:
-                self.full_pushes[row] += 1
-                if latency:
-                    lost |= 1 << pi
-                    continue
-                self._phantoms += pi + 1
-                for pj in range(pi):
-                    self._consume(pj, dests[pj], entry, t0)
-                for pj in range(nplans):
-                    if self._tracked[pj]:
-                        states[pj].in_flight[self._acc[pj][row]] -= 1
-                self._drop(row, pi, t0, 0)
-                return False
-        self._phantoms += nplans
-
-        injector = self.injector
-        advance = injector.egress_tick
-        next_free = injector.next_free
-        down = injector.crossbar_down
-        t = advance(t0, entry, self._first_hops)
-        pipe = entry
-        for pi in range(nplans):
-            dest = dests[pi]
-            if down(dest, t) or lost >> pi & 1:
-                for pj in range(pi, nplans):
-                    if not lost >> pj & 1:
-                        self._consume(pj, dests[pj], entry, t)
-                    if self._tracked[pj]:
-                        heappush(self._due[pj], (t, row, False))
-                self._drop(row, pi, t, 1 if down(dest, t) else 2)
-                return True
-            self.ins_tick[pi][row] = t
-            floor = self._floor[pi]
-            pop = next_free(dest, t if t > floor[dest] else floor[dest])
-            floor[dest] = pop + 1
-            self.pop_tick[pi][row] = pop
-            heappush(self._due[pi], (pop, row, True))
-            bufs = self._bufs[pi]
-            if bufs is not None:
-                at = dest * k + entry
-                bufs[at].append(pop)
-                self._purge_from[pi][at] = pop + 1
-            t = advance(pop, dest, self._hops[pi])
-            pipe = dest
-        self.egr_tick[row] = t
-        self.egr_pipe[row] = pipe
-        if t > self._last_done:
-            self._last_done = t
-        if self.cut_limit is None or t <= self.cut_limit:
-            self.egr_assigned += 1  # a row's egress is known at injection
-            self.last_egress = max(self.last_egress, t)
-        return True
 
     # -- the sweep ------------------------------------------------------
 
     def _process_cut(self, cut: int) -> bool:
-        """Inject every row the spray places at or before ``cut`` and
-        commit every pop and drop there: popped rows join their plan's
-        :attr:`unserviced` list in (tick, row) order, and completions
-        release the in-flight counters. True iff some plan queued a
-        chunk."""
+        """Inject every row the spray places at or before ``cut``, with
+        its whole timeline, and commit every pop and drop there: popped
+        rows join their plan's :attr:`unserviced` list in (tick, row)
+        order. True iff some plan queued a chunk."""
         k = self.k
+        every = (1 << k) - 1
+        nplans = self.nplans
+        injector = self.injector
+        stalled, next_free = injector.stalled_mask, injector.next_free
+        advance, down = injector.egress_tick, injector.crossbar_down
+        consume, drop = self._consume, self._drop
+        arrive, latency = self._arrive, self.cfg.phantom_latency
+        release = self._release
+        inj, entry_col, full_pushes = self.inj, self.entry_pipe, self.full_pushes
+        egr_tick, egr_pipe = self.egr_tick, self.egr_pipe
+        dues, bufs_all, caps_all = self._due, self._bufs, self._caps
+        bounded, first_hops = self._bounded, self._first_hops
+        resolve = list(zip(self._counted, self._where, self.dest))
+        path = list(zip(
+            range(nplans), self.ins_tick, self.pop_tick, self._floor, dues,
+            bufs_all, self._purge_from, self._hops,
+        ))
+        limit = _FAR if self.cut_limit is None else self.cut_limit
+        phantoms, assigned = self._phantoms, 0
+        last_done, last_egress = self._last_done, self.last_egress
+        t, used, taken, spray = self._t, self._used, self._taken, self._spray
         row, n = self.injected, self.n_fed
         while row < n:
-            t, pipe, used, taken = self._slot(row)
-            if t > cut:
+            # The spray: the row's slot is the next pipeline round-robin
+            # whose front is neither stalled nor taken, at most k a tick.
+            # A row due past the cut leaves the state for the next cut.
+            t0, u, tk = t, used, taken
+            if arrive[row] > t0:
+                t0, u, tk = arrive[row], 0, 0
+            while True:
+                if u < k:
+                    free = ~(tk | stalled(t0)) & every
+                    if free:
+                        break
+                    if not tk:  # every front stalled: skip to the first free
+                        t0 = min(next_free(pipe, t0) for pipe in range(k))
+                        continue
+                t0, u, tk = t0 + 1, 0, 0
+            if t0 > cut:
                 break
-            if self._inject_row(row, t, pipe):
-                taken |= 1 << pipe
-            self._t, self._used, self._taken = t, used + 1, taken
-            self._spray = pipe + 1 if pipe + 1 < k else 0
+            entry = spray
+            while not free >> entry & 1:
+                entry = entry + 1 if entry + 1 < k else 0
+            spray = entry + 1 if entry + 1 < k else 0
+            t, used, taken = t0, u + 1, tk
+            inj[row] = t0
+            entry_col[row] = entry
+
+            # Resolution: count the access, read the map as it stands.
+            dests = []
+            for c, where, dest_col in resolve:
+                if c is None:
+                    dest = where(0)
+                else:
+                    acc, counts, flight, changed = c
+                    idx = acc[row]
+                    counts[idx] = counts.get(idx, 0) + 1
+                    flight[idx] += 1
+                    changed.add(idx)
+                    dest = where(idx)
+                dest_col[row] = dest
+                dests.append(dest)
+
+            # Phantom pushes in plan order, ``phantom_latency`` ticks after
+            # injection. With no latency the first full buffer drops the
+            # row and the phantoms already pushed are consumed with it; a
+            # delayed phantom that finds its buffer full is only lost, and
+            # its packet drops when it finds no phantom to claim.
+            pushed_at = t0 + latency
+            lost = full = 0  # plans whose phantom was lost (bits); full pushes
+            refused = -1  # the plan whose full buffer drops the row
+            for pi in bounded:
+                dest = dests[pi]
+                ticks, caps = caps_all[pi][dest]
+                cap = caps[bisect_right(ticks, pushed_at) - 1]
+                if cap is None:
+                    continue
+                buf = bufs_all[pi][dest * k + entry]
+                while buf and buf[0] < pushed_at:
+                    buf.popleft()
+                if len(buf) >= cap:
+                    full += 1
+                    if not latency:
+                        refused = pi
+                        break
+                    lost |= 1 << pi
+            if full:
+                full_pushes[row] = full
+            if refused >= 0:  # the front stays free for a later row
+                phantoms += refused + 1
+                for pj in range(refused):
+                    consume(pj, dests[pj], entry, t0)
+                for acc, _counts, flight, _changed in filter(None, release):
+                    flight[acc[row]] -= 1
+                drop(row, refused, t0, 0)
+                if t0 > last_done:
+                    last_done = t0
+                row += 1
+                continue
+            taken |= 1 << entry
+            phantoms += nplans
+
+            # The path: steer into each plan stage, pop, transit on.
+            at = advance(t0, entry, first_hops)
+            for pi, ins_col, pop_col, floor, due, bufs, purge, hop in path:
+                dest = dests[pi]
+                cut_off = down(dest, at)
+                if cut_off or lost >> pi & 1:
+                    for pj in range(pi, nplans):
+                        if not lost >> pj & 1:
+                            consume(pj, dests[pj], entry, at)
+                        if release[pj] is not None:
+                            heappush(dues[pj], (at, row, False))
+                    drop(row, pi, at, 1 if cut_off else 2)
+                    break
+                ins_col[row] = at
+                pop = next_free(dest, at if at > floor[dest] else floor[dest])
+                floor[dest] = pop + 1
+                pop_col[row] = pop
+                heappush(due, (pop, row, True))
+                if bufs is not None:
+                    slot = dest * k + entry
+                    bufs[slot].append(pop)
+                    purge[slot] = pop + 1
+                at = advance(pop, dest, hop)
+            else:
+                egr_tick[row] = at
+                egr_pipe[row] = dests[-1] if dests else entry
+                if at <= limit:  # a row's egress is known at injection
+                    assigned += 1
+                    if at > last_egress:
+                        last_egress = at
+            if at > last_done:
+                last_done = at
             row += 1
-        self.injected = row
+        self._t, self._used, self._taken, self._spray = t, used, taken, spray
+        self.injected, self._phantoms, self._last_done = row, phantoms, last_done
+        self.egr_assigned += assigned
+        self.last_egress = last_egress
 
         queued = False
-        for pi, due in enumerate(self._due):
-            if not due or due[0][0] > cut:
-                continue
-            flight = self._states[pi].in_flight if self._tracked[pi] else None
-            acc = self._acc[pi]
+        for c, due, unserviced in zip(release, dues, self.unserviced):
             rows, pops = [], []
             while due and due[0][0] <= cut:
                 tick, r, popped = heappop(due)
-                if flight is not None:
+                if c is not None:
+                    acc, _counts, flight, changed = c
                     flight[acc[r]] -= 1
+                    changed.add(acc[r])
                 if popped:
                     rows.append(r)
                     pops.append(tick)
             if rows:
-                self.unserviced[pi].append(
-                    (
-                        np.array(rows, dtype=np.int64),
-                        np.array(pops, dtype=np.int64),
-                    )
-                )
+                rows, pops = np.array(rows, np.int64), np.array(pops, np.int64)
+                unserviced.append((rows, pops))
                 queued = True
         self.executed_through = cut
         return queued
@@ -414,7 +452,9 @@ class RowStreamer(EpochStreamer):
                     if decide:
                         self._remap(at)
                     else:
+                        self._publish()  # what its emergency remaps read
                         self.injector.begin_tick(at, self._host)
+                        self.sharder.end_epoch("none")  # counts stay here
                         self._event = self.injector.next_change(at + 1)
                     self._phase = "content"
                     continue
@@ -444,6 +484,7 @@ class RowStreamer(EpochStreamer):
         the packets that found no phantom (the crossbar moved them, the
         insert failed)."""
         sched = super().finalize()
+        self._publish()  # the sharder's counters as the run leaves them
         n = self.n_fed
         limit = _FAR if self.cut_limit is None else self.cut_limit
         drop = self.drop_tick[:n]
@@ -472,7 +513,7 @@ class RowStreamer(EpochStreamer):
         )
         counts = np.bincount(why, minlength=len(_REASONS)).tolist()
         inj = self.inj[:n]
-        pushed = (inj >= 0) & (inj + self._latency <= limit)
+        pushed = (inj >= 0) & (inj + self.cfg.phantom_latency <= limit)
         drops = {
             "dropped": int(hit.shape[0]),
             # Full-buffer pushes: a delayed phantom's loss drops nothing

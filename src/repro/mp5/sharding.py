@@ -235,19 +235,20 @@ class ShardingRuntime:
         return self._touched_load(state)[3].astype(np.int64)
 
     @staticmethod
-    def _first_idle(state: ShardedArray, pipe: int) -> Optional[int]:
-        """The lowest index on ``pipe`` with no access this epoch and
-        none in flight, scanning from index 0 in growing blocks (it is
-        usually found in the first)."""
+    def _first_idle(state, pipe, counts=None, in_flight=None) -> Optional[int]:
+        """The lowest index on ``pipe`` with no access this epoch and none
+        in flight (by ``counts`` and ``in_flight`` if given), scanning
+        from index 0 in growing blocks (usually found in the first)."""
         lo, step = 0, 64
         while lo < state.size:
             hi = lo + step
             idle = state.index_to_pipeline[lo:hi] == pipe
-            idle &= state.access_counts[lo:hi] == 0
-            idle &= state.in_flight[lo:hi] == 0
-            at = int(idle.argmax())
-            if idle[at]:
-                return lo + at
+            if counts is None:
+                idle &= state.access_counts[lo:hi] == 0
+                idle &= state.in_flight[lo:hi] == 0
+            for index in (np.flatnonzero(idle) + lo).tolist():
+                if counts is None or not (index in counts or in_flight[index]):
+                    return index
             lo, step = hi, step * 4
         return None
 
@@ -287,6 +288,39 @@ class ShardingRuntime:
         # Atomic move: the register value itself lives in the global
         # store (exactly one copy is active), so the move is purely a
         # map update — mirroring the single-cycle state move in §3.4.
+        state.index_to_pipeline[best] = low
+        state.moves += 1
+        return True
+
+    def remap_counted(
+        self, array: str, counts: Dict[int, int], in_flight: Sequence[int]
+    ) -> bool:
+        """:meth:`remap_heuristic`, same choice, over counters kept in
+        Python: ``counts`` by index counted this epoch, ``in_flight`` by
+        index. The array's own counters are neither read nor reset."""
+        state = self.arrays[array]
+        if not state.shardable:
+            return False
+        where = state.index_to_pipeline.item
+        pipes = [where(index) for index in counts]
+        load = [0] * self.num_pipelines
+        for pipe, count in zip(pipes, counts.values()):
+            load[pipe] += count
+        high, low = load.index(max(load)), load.index(min(load))
+        gap = load[high] - load[low]
+        if not gap:
+            return False
+        # The heaviest eligible index, the lowest on a tie.
+        eligible = [
+            (-count, index)
+            for pipe, (index, count) in zip(pipes, counts.items())
+            if pipe == high and 2 * count < gap and not in_flight[index]
+        ]
+        best = min(eligible, default=(0, None))[1]
+        if best is None:
+            best = self._first_idle(state, high, counts, in_flight)
+        if best is None:
+            return False
         state.index_to_pipeline[best] = low
         state.moves += 1
         return True

@@ -571,12 +571,12 @@ class VectorSwitch(MP5Switch):
         if n == 0:
             return 0
         # Stable (arrival, port, position) sort — the scalar engines'
-        # (arrival, port, pkt_id) list.sort as one lexsort. float64
-        # arrivals may carry sub-tick fractions and compare exactly like
-        # the Python numbers they came from.
-        order = np.lexsort((cols.port, cols.arrival))
-        if (order[1:] < order[:-1]).any():
-            cols = cols.take(order)
+        # (arrival, port, pkt_id) list.sort — of a batch out of that order
+        # only. float64 arrivals may carry sub-tick fractions and compare
+        # exactly like the Python numbers they came from.
+        a, p = cols.arrival, cols.port
+        if not ((a[:-1] < a[1:]) | (a[:-1] == a[1:]) & (p[:-1] <= p[1:])).all():
+            cols = cols.take(np.lexsort((p, a)))
         arr = cols.arrival
         ticks = cols.ticks()
         self._check_head((ticks[0], int(cols.port[0])))

@@ -7,7 +7,9 @@ the emergency evacuation, each over every slot of the array. Hypothesis
 draws maps, counts (fed per access, as the scalar engines do, or as
 bincount blocks, as the vector engine does), in-flight counters and
 mid-epoch emergency moves; every remap must move exactly what the
-oracle moves, and every counter must be zero after ``end_epoch``. A
+oracle moves, and every counter must be zero after ``end_epoch``. The
+same script also drives Python counters through ``remap_counted``, the
+per-row sweep's Figure 6, and they must move the same indexes. A
 second property evacuates arrays of 256-1024 slots whose movers form
 long runs with no accesses, which the evacuation places in one pass.
 """
@@ -158,36 +160,83 @@ def _feed(rt, name, indexes, blocks):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_touched_remap_moves_what_the_dense_sweep_moves(script):
+    """Two runtimes share each epoch's script: ``rt`` counts in its own
+    arrays; ``py`` keeps the counters in Python, as the per-row sweep
+    does (a count dict fed one access at a time, in-flight as a list),
+    publishes them before an emergency remap and runs
+    ``remap_counted`` at the boundary (any other algorithm in the
+    runtime, over published counters). Both move what the oracle
+    moves."""
     k, maps, epochs, algorithm = script
-    rt = ShardingRuntime([(n, s, True, n) for n, s in SIZES.items()], k)
+    arrays = [(n, s, True, n) for n, s in SIZES.items()]
+    rt, py = ShardingRuntime(arrays, k), ShardingRuntime(arrays, k)
     for name, mapping in maps.items():
         rt.arrays[name].index_to_pipeline[:] = mapping
+        py.arrays[name].index_to_pipeline[:] = mapping
+    counted = {name: ({}, [0] * size) for name, size in SIZES.items()}
     dense = dense_heuristic if algorithm == "heuristic" else dense_optimal
     for epoch in epochs:
         for name in SIZES:
             feed = epoch[name]
             _feed(rt, name, feed["before"], feed["blocks"])
+            _count(counted[name], feed["before"], feed["blocks"])
             rt.arrays[name].in_flight[:] = feed["in_flight"]
+            counted[name][1][:] = feed["in_flight"]
         if epoch["emergency"] is not None:
             failed, healthy = epoch["emergency"]
             oracle = [_copy(s) for s in rt.arrays.values()]
             want = dense_emergency(oracle, k, failed, healthy)
             assert rt.emergency_remap(failed, healthy) == want
-            for state, copy in zip(rt.arrays.values(), oracle):
-                assert state.index_to_pipeline.tolist() == (
-                    copy.index_to_pipeline.tolist()
-                )
+            _publish(py, counted)
+            assert py.emergency_remap(failed, healthy) == want
+            for name, copy in zip(SIZES, oracle):
+                for runtime in (rt, py):
+                    assert runtime.arrays[name].index_to_pipeline.tolist() == (
+                        copy.index_to_pipeline.tolist()
+                    )
         for name in SIZES:
             _feed(rt, name, epoch[name]["after"], epoch[name]["blocks"])
+            _count(counted[name], epoch[name]["after"], epoch[name]["blocks"])
         oracle = {n: _copy(s) for n, s in rt.arrays.items()}
         want = sum(bool(dense(oracle[n], k)) for n in SIZES)
         assert rt.end_epoch(algorithm) == want
+        if algorithm == "heuristic":
+            moved = sum(py.remap_counted(n, *counted[n]) for n in SIZES)
+            py.end_epoch("none")
+        else:
+            _publish(py, counted)
+            moved = py.end_epoch(algorithm)
+        assert moved == want
+        for counts, _flight in counted.values():
+            counts.clear()
         for name, state in rt.arrays.items():
-            assert state.index_to_pipeline.tolist() == (
-                oracle[name].index_to_pipeline.tolist()
-            )
+            for runtime in (rt, py):
+                assert runtime.arrays[name].index_to_pipeline.tolist() == (
+                    oracle[name].index_to_pipeline.tolist()
+                )
             assert not state.access_counts.any()
             assert not state.touched and not state.touched_blocks
+            assert not py.arrays[name].access_counts.any()
+
+
+def _count(counted, indexes, blocks):
+    """One access at a time; in flight too where ``_feed`` adds it
+    (``note_resolved`` does, ``note_counts`` leaves it to the caller)."""
+    counts, flight = counted
+    for index in indexes:
+        counts[index] = counts.get(index, 0) + 1
+        if blocks is None:
+            flight[index] += 1
+
+
+def _publish(rt, counted):
+    """Store Python counters in the runtime's arrays, as the per-row
+    sweep does before a fault-calendar event."""
+    for name, (counts, flight) in counted.items():
+        state = rt.arrays[name]
+        state.access_counts[list(counts)] = list(counts.values())
+        state.touched.update(counts)
+        state.in_flight[:] = flight
 
 
 @st.composite

@@ -36,7 +36,7 @@ from repro.apps import ALL_APPS
 from repro.cli import main
 from repro.compiler import compile_program
 from repro.errors import ConfigError
-from repro.faults import FaultEvent, FaultSchedule
+from repro.faults import DegradationPolicy, FaultEvent, FaultSchedule
 from repro.harness.runall import run_all
 from repro.mp5 import (
     ENGINES,
@@ -569,6 +569,178 @@ def test_generated_schedules_vector_equals_fast(
     assert switch.engine == "vector"
     vec = (switch.run(trace()), switch.public_registers())
     assert vec == run_mp5(program, trace(), config, faults=schedule)
+
+
+@functools.lru_cache(maxsize=None)
+def _late_program(stateful: int, size: int):
+    """The sensitivity counters, each adding a header field computed in
+    three stateless stages first: the first plan stage is 4, so phantoms
+    may be up to 3 ticks late."""
+    fields = "".join(f"int idx{i}; " for i in range(stateful))
+    regs = "".join(f"int reg{i}[{size}] = {{0}};\n" for i in range(stateful))
+    body = "".join(
+        f"    reg{i}[p.idx{i}] = reg{i}[p.idx{i}] + p.c;\n"
+        for i in range(stateful)
+    )
+    return compile_program(
+        f"struct Packet {{ {fields}int a; int b; int c; }};\n{regs}"
+        "void func(struct Packet p) {\n    p.a = p.idx0 + 1;\n"
+        f"    p.b = p.a * 3;\n    p.c = p.b - 2;\n{body}}}\n",
+        name=f"late_m{stateful}_r{size}",
+    )
+
+
+@st.composite
+def row_sweep_runs(draw):
+    """A run on the per-row sweep: a fault schedule of stalls (full and
+    slowdowns), crossbar failures and FIFO shrinks opening in the first
+    60 ticks of 160 skewed packets on small arrays, degradation on or
+    off (so emergency remaps occur), every knob the sweep reads, and a
+    feed chunking."""
+    k = draw(st.integers(1, 4))
+    pipe = st.integers(0, k - 1)
+    start = st.integers(0, 60)
+    duration = st.integers(4, 60)
+    degrade = st.sampled_from([True, True, False])
+    stall = st.builds(
+        lambda *a: FaultEvent("pipeline_stall", *a[:3], service_rate=a[3],
+                              degrade=a[4]),
+        start, duration, pipe, st.sampled_from([0.0, 0.0, 0.25, 0.5]),
+        degrade,
+    )
+    crossbar = st.builds(
+        lambda *a: FaultEvent("crossbar_fail", *a[:3], degrade=a[3]),
+        start, duration, pipe, degrade,
+    )
+    shrink = st.builds(
+        lambda *a: FaultEvent("fifo_shrink", *a[:2], capacity=a[2]),
+        start, duration, st.integers(1, 3),
+    )
+    faults = draw(st.lists(st.one_of(stall, crossbar, shrink), max_size=4))
+    policy = DegradationPolicy(
+        enabled=draw(degrade),
+        drain_ticks=draw(st.integers(0, 4)),
+        retry_backoff=draw(st.integers(1, 12)),
+        max_retries=draw(st.integers(1, 4)),
+    )
+    capacity = draw(st.sampled_from([None, 1, 2, 4]))
+    if not faults and capacity is None:
+        capacity = 1  # still a run that can drop
+    config = MP5Config(
+        num_pipelines=k,
+        fifo_capacity=capacity,
+        phantom_latency=draw(st.integers(0, 2)),
+        remap_algorithm=draw(st.sampled_from(["heuristic", "optimal"])),
+        remap_period=draw(st.integers(3, 25)),
+        flow_order_field=draw(st.sampled_from([None, "idx0"])),
+        flow_order_size=16,
+    )
+    chunks = draw(st.lists(st.integers(1, 90), min_size=1, max_size=4))
+    return dict(
+        k=k,
+        schedule=FaultSchedule(faults=faults, degradation=policy),
+        config=config,
+        stateful=draw(st.integers(1, 3)),
+        size=draw(st.sampled_from([4, 8, 16])),
+        seed=draw(st.integers(0, 10_000)),
+        chunks=chunks,
+        budget=draw(st.sampled_from([None, 1, 3])),
+    )
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=row_sweep_runs())
+def test_row_sweep_matches_fast_at_any_chunking(case):
+    """Property: on a run that can drop packets the vector engine's
+    payload bytes and drop counters (reasons in first-met order) equal
+    the fast engine's, and a chunked, budget-pumped run has the one-feed
+    run's DAG signature."""
+    k, config, schedule = case["k"], case["config"], case["schedule"]
+    program = _late_program(case["stateful"], case["size"])
+
+    def trace():
+        return sensitivity_trace(
+            160, k, case["stateful"], case["size"], pattern="skewed",
+            seed=case["seed"],
+        )
+
+    runs = []
+    for engine in ("vector", "fast"):
+        switch = build_switch(engine, program, config, faults=schedule)
+        assert switch.engine == engine
+        stats = switch.run(trace())
+        runs.append((switch, stats, switch.public_registers()))
+    (vswitch, vstats, vregs), (_f, fstats, fregs) = runs
+    assert render_payload(segment_payload(vstats, vregs)) == render_payload(
+        segment_payload(fstats, fregs)
+    )
+    drops = ("dropped", "drops_fifo_full", "drops_crossbar",
+             "drops_no_phantom", "emergency_remaps", "emergency_remap_moves")
+    for name in drops:
+        assert getattr(vstats, name) == getattr(fstats, name), name
+    assert list(vstats.drops_by_reason.items()) == list(
+        fstats.drops_by_reason.items()
+    )
+    streamed, _stats = _stream_vector(
+        program, trace(), config, case["chunks"], faults=schedule,
+        max_steps=case["budget"],
+    )
+    assert streamed._last_schedule.dag_signature() == (
+        vswitch._last_schedule.dag_signature()
+    )
+
+
+@pytest.mark.parametrize("flow_order", (None, "idx0"))
+@pytest.mark.parametrize("algorithm", ("heuristic", "optimal"))
+def test_row_sweep_emergency_remaps_read_the_fast_engines_counters(
+    algorithm, flow_order
+):
+    """The per-row sweep keeps its counters in Python and publishes them
+    before each fault-calendar event: every emergency remap must read
+    the access counters, in-flight counters and maps the fast engine's
+    reads at that tick."""
+    from repro.faults import generate_schedule
+
+    program = make_sensitivity_program(num_stateful=3, register_size=32)
+    config = MP5Config(
+        num_pipelines=4, fifo_capacity=3, remap_period=15,
+        remap_algorithm=algorithm, flow_order_field=flow_order,
+        flow_order_size=16,
+    )
+    schedule = generate_schedule(
+        11, kinds=["pipeline_stall", "crossbar_fail", "fifo_shrink"],
+        num_pipelines=4, horizon=300, events=6,
+    )
+    seen = {}
+    for engine in ("vector", "fast"):
+        switch = build_switch(engine, program, config, faults=schedule)
+        sharder = switch.sharder
+        emergency_remap = sharder.emergency_remap
+        reads = seen[engine] = []
+
+        def spy(failed, healthy, sharder=sharder, call=emergency_remap,
+                reads=reads):
+            reads.append(
+                [
+                    (
+                        name,
+                        state.access_counts.tolist(),
+                        state.in_flight.tolist(),
+                        state.index_to_pipeline.tolist(),
+                    )
+                    for name, state in sharder.arrays.items()
+                ]
+            )
+            return call(failed, healthy)
+
+        sharder.emergency_remap = spy
+        switch.run(sensitivity_trace(600, 4, 3, 32, "skewed", seed=4))
+    assert len(seen["vector"]) > 2
+    assert seen["vector"] == seen["fast"]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -1305,6 +1477,40 @@ def test_vector_feed_after_draining_pump_rejected():
     switch.pump()  # drain: no until_tick
     with pytest.raises(ConfigError, match="draining pump"):
         switch.feed(trace[100:])
+
+
+@pytest.mark.parametrize(
+    "arrival, port",
+    [
+        ([3, 3, 3, 3, 3], [3, 2, 2, 1, 0]),  # equal arrivals, ports down
+        ([9, 7, 5.5, 5, 3], [0, 1, 0, 1, 2]),  # arrivals inverted
+        ([1, 1, 2, 2.5, 4], [0, 2, 1, 1, 0]),  # already in order
+    ],
+)
+def test_feed_rows_follow_arrival_then_port(arrival, port):
+    """A fed batch lands in rows in (arrival, port, position) order
+    whether or not it arrives in that order: the stable sort's rows, and
+    the run equals the fast engine's."""
+    program = make_sensitivity_program(num_stateful=2, register_size=16)
+    config = MP5Config(num_pipelines=4)
+
+    def trace():
+        return [
+            (a, p, {"idx0": i, "idx1": 3 * i})
+            for i, (a, p) in enumerate(zip(arrival, port))
+        ]
+
+    switch = VectorSwitch(program, config)
+    switch.start()
+    switch.feed(trace())
+    rows = np.lexsort((port, arrival)).tolist()
+    n = len(rows)
+    assert switch._H["idx0"][:n].tolist() == rows
+    assert switch._port[:n].tolist() == [port[i] for i in rows]
+    stats = switch.finish()
+    assert (stats, switch.public_registers()) == run_mp5(
+        program, trace(), config
+    )
 
 
 def test_negative_arrival_is_a_config_error_on_every_engine():
